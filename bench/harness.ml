@@ -133,7 +133,7 @@ let counters_json cs =
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":%d" (Telemetry.json_escape k) v)
+           Printf.sprintf "\"%s\":%d" (Json.escape k) v)
          cs)
   ^ "}"
 
@@ -161,26 +161,35 @@ let emit_bench_json ~bench ~n ~dims ~domains ~vname ~seconds ~counters =
   Printf.printf
     "BENCH \
      {\"bench\":\"%s\",\"n\":%d,\"dims\":%d,\"domains\":%d,\"variant\":\"%s\",\"s_per_cycle\":%.6f,\"counters\":%s}\n"
-    (Telemetry.json_escape bench) n dims domains
-    (Telemetry.json_escape vname)
+    (Json.escape bench) n dims domains
+    (Json.escape vname)
     seconds (counters_json counters)
+
+let write_bench_doc path records =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Json.to_channel oc
+        (Json.Obj
+           [ ("schema", Json.Str "polymg.bench/1");
+             ("records", Json.Arr records) ]);
+      output_char oc '\n')
 
 let write_results ?(path = "BENCH_results.json") () =
   match !records with
   | [] -> ()
   | rs ->
-    let doc =
-      Json.Obj
-        [ ("schema", Json.Str "polymg.bench/1");
-          ("records", Json.Arr (List.rev rs)) ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Json.to_channel oc doc;
-        output_char oc '\n');
+    write_bench_doc path (List.rev rs);
     Printf.printf "wrote %s (%d records)\n" path (List.length rs)
+
+(* One-record file of the reference opt+ config, for the on/off overhead
+   gates ([compare.exe OFF.json ON.json --threshold 0.02]). *)
+let write_gate_record ~path ~cfg ~n ~seconds =
+  write_bench_doc path
+    [ record_json ~bench:(Cycle.bench_name cfg) ~n ~dims:cfg.Cycle.dims
+        ~domains:1 ~vname:"opt+" ~seconds ~counters:[] ];
+  Printf.printf "wrote %s\n" path
 
 (* Counter snapshot from one instrumented cycle, run outside the timed
    region so telemetry never perturbs the measurement itself. *)
@@ -193,28 +202,36 @@ let counter_snapshot stepper problem =
   Telemetry.reset ();
   cs
 
-(* The disabled telemetry path must keep tier-1 timings at the seed
-   level: measure the per-call cost of the no-op instrumentation and
-   fail loudly if it is not far below measurement noise (a cycle is
-   milliseconds; 5M no-op calls must cost well under one). *)
-let assert_telemetry_noop () =
+(* The disabled probe must keep tier-1 timings at the seed level: with
+   every timing sink off, a start/stop pair plus a counter update must
+   cost one atomic load and a predictable branch each — no clock read,
+   no accumulator touch, no allocation.  Fail loudly if 5M such sites
+   are not far below measurement noise (a cycle is milliseconds). *)
+let assert_probe_noop () =
   Telemetry.set_enabled false;
+  Repro_runtime.Profile.set_enabled false;
   let iters = 5_000_000 in
   let c = Telemetry.counter "bench.noop" in
+  let site = Telemetry.site "bench.noop" in
+  let minor0 = Gc.minor_words () in
   let t0 = Telemetry.now_ns () in
   for _ = 1 to iters do
-    let t = Telemetry.begin_span () in
-    Telemetry.end_span t "noop";
+    let t = Telemetry.start () in
+    Telemetry.stop t site;
     Telemetry.add c 1
   done;
   let per_call =
     float_of_int (Telemetry.now_ns () - t0) /. float_of_int iters
   in
+  let minor_words = Gc.minor_words () -. minor0 in
   Printf.printf
-    "telemetry disabled-path: %.1f ns per span+counter site (budget 100 ns)\n"
-    per_call;
+    "probe disabled-path: %.1f ns per start/stop+counter site (budget 100 \
+     ns), %.0f minor words for %d sites (budget 256)\n"
+    per_call minor_words iters;
   if per_call > 100.0 then
-    failwith "telemetry disabled path exceeds the no-op budget"
+    failwith "probe disabled path exceeds the no-op budget";
+  (* slack for the Gc.minor_words probes themselves, not the loop *)
+  if minor_words > 256.0 then failwith "probe disabled path allocates"
 
 (* Same discipline for the flight recorder: a guarded call site
    ([if Flightrec.on () then Flightrec.emit ...]) with the recorder off
@@ -243,44 +260,6 @@ let assert_flightrec_noop () =
   (* slack for the Gc.minor_words probes themselves, not the loop *)
   if minor_words > 256.0 then
     failwith "flightrec disabled path allocates"
-
-(* Same discipline for the profiler: a disabled [Profile.start]/[stop]
-   pair must cost one atomic load and a predictable branch per site —
-   no clock read, no accumulator touch, no allocation. *)
-let assert_profile_noop () =
-  let module Profile = Repro_runtime.Profile in
-  Profile.set_enabled false;
-  let site = Profile.site "bench.noop" in
-  let iters = 5_000_000 in
-  let minor0 = Gc.minor_words () in
-  let t0 = Telemetry.now_ns () in
-  for _ = 1 to iters do
-    let t = Profile.start () in
-    Profile.stop t site
-  done;
-  let per_call =
-    float_of_int (Telemetry.now_ns () - t0) /. float_of_int iters
-  in
-  let minor_words = Gc.minor_words () -. minor0 in
-  Printf.printf
-    "profile disabled-path: %.1f ns per start/stop site (budget 100 ns), \
-     %.0f minor words for %d sites (budget 256)\n"
-    per_call minor_words iters;
-  if per_call > 100.0 then
-    failwith "profile disabled path exceeds the no-op budget";
-  if minor_words > 256.0 then failwith "profile disabled path allocates"
-
-(* Per-site profile stats from one instrumented cycle, reset-bracketed
-   like counter_snapshot so nothing bleeds between variants. *)
-let profile_snapshot stepper problem =
-  let module Profile = Repro_runtime.Profile in
-  Profile.reset ();
-  Profile.set_enabled true;
-  ignore (Solver.iterate stepper ~problem ~cycles:1 ~residuals:false ());
-  Profile.set_enabled false;
-  let sites = Profile.sites () in
-  Profile.reset ();
-  sites
 
 (* Append one ledger record for a measured run (durable JSONL — the
    longitudinal trajectory bench/trend.exe reads). *)

@@ -140,7 +140,7 @@ let main () =
     Figures.ablation ~cls:a.cls ~cycles:a.cycles ~reps:a.reps ()
   | "quick" ->
     Printf.printf "PolyMG quick smoke run (tiny sizes)\n";
-    Harness.assert_telemetry_noop ();
+    Harness.assert_probe_noop ();
     let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
     let rows = Harness.run_benchmark ~cycles:2 ~reps:1 cfg ~n:128 in
     Harness.print_speedups ~title:"V-2D-4-4-4 N=128" ~base:"polymg-naive" rows
@@ -169,9 +169,9 @@ let main () =
        Harness.print_speedups ~title:"V-2D-4-4-4 N=128 (backend axis)"
          ~base:"polymg-naive/native" rows)
   | "telemetry" ->
-    (* instrumentation-off cost check: the no-op budget plus a paired
-       timing of the same stepper with telemetry off vs on *)
-    Harness.assert_telemetry_noop ();
+    (* span-sink cost check: the probe's no-op budget plus a paired
+       timing of the same stepper with spans off vs on *)
+    Harness.assert_probe_noop ();
     let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
     let n = 256 in
     let problem = Problem.poisson_random ~dims:2 ~n ~seed:7 in
@@ -218,36 +218,18 @@ let main () =
        (overhead %+.1f%%)\n"
       n t_off t_on
       (100.0 *. ((t_on /. t_off) -. 1.0));
-    let write path seconds =
-      let doc =
-        Repro_runtime.Json.Obj
-          [ ("schema", Repro_runtime.Json.Str "polymg.bench/1");
-            ( "records",
-              Repro_runtime.Json.Arr
-                [ Harness.record_json ~bench:(Cycle.bench_name cfg) ~n
-                    ~dims:2 ~domains:1 ~vname:"opt+" ~seconds ~counters:[]
-                ] ) ]
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Repro_runtime.Json.to_channel oc doc;
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
-    in
-    write "flightrec_off.json" t_off;
-    write "flightrec_on.json" t_on
+    Harness.write_gate_record ~path:"flightrec_off.json" ~cfg ~n ~seconds:t_off;
+    Harness.write_gate_record ~path:"flightrec_on.json" ~cfg ~n ~seconds:t_on
   | "profile" ->
-    (* profiler-cost gate, same shape as the flightrec leg: the
-       disabled start/stop path must be a no-op (and allocation-free),
-       and a profiler-on solve of the reference config must stay within
-       noise of profiler-off.  Writes one-record polymg.bench/1 files
+    (* stats-sink cost gate, same shape as the flightrec leg: the
+       disabled probe must be a no-op (and allocation-free), and a
+       stats-on solve of the reference config must stay within
+       noise of stats-off.  Writes one-record polymg.bench/1 files
        for the CI `compare.exe profile_off.json profile_on.json
        --threshold 0.02` gate, prints the per-site profile table from
        the instrumented run, and with --ledger appends the profiled
        record to the longitudinal ledger for trend.exe. *)
-    Harness.assert_profile_noop ();
+    Harness.assert_probe_noop ();
     let module Profile = Repro_runtime.Profile in
     let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
     let n = 128 in
@@ -275,26 +257,8 @@ let main () =
     let sites = Profile.sites () in
     Profile.reset ();
     Exec.free_runtime rt;
-    let write path seconds =
-      let doc =
-        Repro_runtime.Json.Obj
-          [ ("schema", Repro_runtime.Json.Str "polymg.bench/1");
-            ( "records",
-              Repro_runtime.Json.Arr
-                [ Harness.record_json ~bench:(Cycle.bench_name cfg) ~n
-                    ~dims:2 ~domains:1 ~vname:"opt+" ~seconds ~counters:[]
-                ] ) ]
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Repro_runtime.Json.to_channel oc doc;
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
-    in
-    write "profile_off.json" t_off;
-    write "profile_on.json" t_on;
+    Harness.write_gate_record ~path:"profile_off.json" ~cfg ~n ~seconds:t_off;
+    Harness.write_gate_record ~path:"profile_on.json" ~cfg ~n ~seconds:t_on;
     (match a.ledger with
      | Some path ->
        Harness.ledger_append ~path ~cfg ~n ~domains:1 ~vname:"opt+"

@@ -11,6 +11,9 @@ open Repro_mg
 open Repro_core
 module Telemetry = Repro_runtime.Telemetry
 module Flightrec = Repro_runtime.Flightrec
+module Profile = Repro_runtime.Profile
+module Metrics = Repro_runtime.Metrics
+module Snapshot = Repro_runtime.Snapshot
 module Json = Repro_runtime.Json
 
 let print_stats stats =
@@ -21,6 +24,19 @@ let print_stats stats =
         (if s.Solver.status = Solver.Ok then ""
          else "  [" ^ Solver.status_name s.Solver.status ^ "]"))
     stats
+
+(* an output file that cannot be written is a clean exit 1, never an
+   uncaught exception *)
+let write_or_exit what write =
+  let fail msg =
+    Printf.eprintf "%s: cannot write %s\n" what msg;
+    exit 1
+  in
+  match write () with
+  | () -> ()
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (e, _, path) ->
+    fail (path ^ ": " ^ Unix.error_message e)
 
 let print_status_summary stats =
   let count st =
@@ -254,9 +270,18 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
   Printf.printf "%s  N=%d  levels=%d  variant=%s  domains=%d%s\n"
     (Cycle.bench_name cfg) n levels variant domains
     (if poison then "  poison=on" else "");
+  (* every observability output reads the one probe: spans for the
+     profile table and the trace, per-site stats for the metrics
+     document; both sinks switch on and off together *)
+  let probes on =
+    Telemetry.set_enabled on;
+    Profile.set_enabled on
+  in
   if profile || trace <> None || metrics <> None then begin
     Telemetry.reset ();
-    Telemetry.set_enabled true
+    Profile.reset ();
+    Metrics.reset ();
+    probes true
   end;
   let exit_code = ref 0 in
   let plan_ref = ref None in
@@ -289,15 +314,15 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
       with
       | exception (Repro_runtime.Watchdog.Deadline_exceeded _ as e) ->
         incident_deadline e;
-        Telemetry.set_enabled false;
+        probes false;
         Printf.eprintf "deadline: %s\n" (Printexc.to_string e);
         exit 4
       | Error inf ->
-        Telemetry.set_enabled false;
+        probes false;
         Format.eprintf "govern: %a@." Govern.pp_infeasible inf;
         exit 5
       | Ok g ->
-        Telemetry.set_enabled false;
+        probes false;
         let executed = g.Solver.g_executed in
         plan_ref := Some executed.Govern.plan;
         Format.printf "govern: @[<v>%a@]@?" Govern.pp_report
@@ -380,7 +405,7 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
           Guard.run ~policy ?checkpoint ~start_cycle ~primary:stepper
             ?fallback ~problem ()
         in
-        Telemetry.set_enabled false;
+        probes false;
         print_stats r.Guard.stats;
         List.iter
           (fun (e : Guard.event) ->
@@ -410,11 +435,11 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
               ?on_accept ()
           with Repro_runtime.Watchdog.Deadline_exceeded _ as e ->
             incident_deadline e;
-            Telemetry.set_enabled false;
+            probes false;
             Printf.eprintf "deadline: %s\n" (Printexc.to_string e);
             exit 4
         in
-        Telemetry.set_enabled false;
+        probes false;
         print_stats r.Solver.stats;
         (r.Solver.stats, r.Solver.v, r.Solver.total_seconds)
       end
@@ -427,7 +452,7 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
         (Flightrec.incident ~kind:"native-unavailable"
            ~detail:[ ("reason", Json.Str msg) ]
            ());
-      Telemetry.set_enabled false;
+      probes false;
       Printf.eprintf "native: %s\n" msg;
       exit 7
     | e ->
@@ -475,14 +500,11 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
        else 100.0 *. (span_total -. total_seconds) /. total_seconds)
   end;
   (match trace with
-   | Some path -> (
-     try
-       Telemetry.write_chrome_trace path;
-       Printf.printf "trace: wrote %s (load in chrome://tracing or Perfetto)\n"
-         path
-     with Sys_error msg ->
-       Printf.eprintf "trace: cannot write %s\n" msg;
-       exit 1)
+   | Some path ->
+     write_or_exit "trace" (fun () ->
+         Snapshot.atomic_write_string ~path (Telemetry.chrome_trace ()));
+     Printf.printf "trace: wrote %s (load in chrome://tracing or Perfetto)\n"
+       path
    | None -> ());
   (match metrics with
    | None -> ()
@@ -490,17 +512,12 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
      let plan = !plan_ref in
      let cost = Option.map Cost.of_plan plan in
      let roofline = Repro_runtime.Roofline.get () in
-     Repro_runtime.Metrics.reset ();
-     Repro_runtime.Metrics.ingest_spans (Telemetry.spans ());
      let doc =
        Perf_report.build ~health:health_report ~cfg ~n ~variant ~domains
-         ~cost ~plan ~stats ~total_seconds ~spans:(Telemetry.spans ())
+         ~cost ~plan ~stats ~total_seconds
          ~counters:(Telemetry.counters ()) ~roofline
      in
-     (try Perf_report.write ~path doc
-      with Sys_error msg ->
-        Printf.eprintf "metrics: cannot write %s\n" msg;
-        exit 1);
+     write_or_exit "metrics" (fun () -> Perf_report.write ~path doc);
      Printf.printf
        "metrics: wrote %s (roofline %.1f GB/s, %.1f GFLOP/s)\n" path
        roofline.Repro_runtime.Roofline.bandwidth_gbs

@@ -7,7 +7,6 @@ module Mempool = Repro_runtime.Mempool
 module Telemetry = Repro_runtime.Telemetry
 module Watchdog = Repro_runtime.Watchdog
 module Flightrec = Repro_runtime.Flightrec
-module Profile = Repro_runtime.Profile
 
 let c_tiles = Telemetry.counter "exec.tiles"
 let c_points = Telemetry.counter "exec.points_computed"
@@ -123,10 +122,16 @@ type ctx = {
   input_grids : Grid.t array;  (* by input index *)
   (* strides/extents of each func's full array layout, by func id *)
   func_sizes : int array array;
-  (* profiler sites by func id; [||] when the profiler was disabled at
-     run start (the snapshot also guards against a mid-run enable, which
-     would otherwise index an empty table) *)
-  psites : Profile.site array;
+  sites : sites;
+}
+
+(* The plan's probe sites, interned once per plan (memoized by uid, like
+   the digest): one name per stage, group and diamond front serves
+   every sink. *)
+and sites = {
+  s_stage : Telemetry.site array;  (* by func id *)
+  s_group : Telemetry.site array;  (* by group index *)
+  s_front : Telemetry.site option array;  (* by group index *)
 }
 
 let check_grid_matches (f : Func.t) ~n (g : Grid.t) =
@@ -173,8 +178,7 @@ let run_tile ctx (tg : Plan.tiled_group) scratch tile =
     let id, region = req.(p) in
     assert (id = m.Plan.func.Func.id);
     if not (Box.is_empty region) then begin
-      let t_stage = Telemetry.begin_span () in
-      let p_stage = Profile.start () in
+      let t_stage = Telemetry.start () in
       let interior = Box.of_sizes m.Plan.sizes in
       let srcs =
         Array.init
@@ -204,10 +208,8 @@ let run_tile ctx (tg : Plan.tiled_group) scratch tile =
         invalid_arg
           (m.Plan.func.Func.name ^ ": member with neither scratch nor array"));
       if t_stage <> 0 then
-        Telemetry.end_span t_stage ~cat:"stage"
-          ("stage:" ^ m.Plan.func.Func.name);
-      if p_stage <> 0 && Array.length ctx.psites > 0 then
-        Profile.stop p_stage ctx.psites.(m.Plan.func.Func.id)
+        Telemetry.stop ~cat:"stage" t_stage
+          ctx.sites.s_stage.(m.Plan.func.Func.id)
     end
   done
 
@@ -223,15 +225,10 @@ let run_tiled ctx (tg : Plan.tiled_group) =
 (* ------------------------------------------------------------------ *)
 (* Diamond group execution                                              *)
 
-let run_diamond ctx (dg : Plan.diamond_group) =
-  (* one site per diamond group: fronts interleave every step, so
-     per-stage attribution happens downstream (flops share, same rule
-     Perf_report uses for the telemetry spans) *)
-  let p_front_site =
-    if Array.length ctx.psites > 0 then
-      Some (Profile.site (Printf.sprintf "diamond.front.g%d" dg.Plan.gid))
-    else None
-  in
+(* one front site per diamond group: fronts interleave every step, so
+   per-stage attribution happens downstream (flops share, in
+   Calibrate) *)
+let run_diamond ctx ~front_site (dg : Plan.diamond_group) =
   let nsteps = Array.length dg.Plan.steps in
   let last = dg.Plan.steps.(nsteps - 1) in
   let out_arr =
@@ -299,8 +296,7 @@ let run_diamond ctx (dg : Plan.diamond_group) =
   let run_fronts () =
   Array.iter
     (fun front ->
-      let t_front = Telemetry.begin_span () in
-      let p_front = Profile.start () in
+      let t_front = Telemetry.start () in
       Parallel.parallel_for ctx.rt.par ~lo:0 ~hi:(Array.length front - 1)
         (fun fi ->
           Watchdog.check ();
@@ -328,14 +324,11 @@ let run_diamond ctx (dg : Plan.diamond_group) =
               m.Plan.compiled.Compile.run ~srcs ~dst:(buf_of t) ~interior
                 ~region));
       if t_front <> 0 then
-        Telemetry.end_span t_front ~cat:"stage"
+        Telemetry.stop ~cat:"stage"
           ~args:
             [ ("tiles", Telemetry.Int (Array.length front));
               ("gid", Telemetry.Int dg.Plan.gid) ]
-          "diamond.front";
-      match p_front_site with
-      | Some ps -> Profile.stop p_front ps
-      | None -> ())
+          t_front front_site)
     fronts;
   inject ~gid:dg.Plan.gid ~stage:last.Plan.func.Func.name out_src
   in
@@ -398,6 +391,40 @@ let group_points_cached plan gi =
   in
   arr.(gi)
 
+let group_kind = function
+  | Plan.G_tiled _ -> "tiled"
+  | Plan.G_diamond _ -> "diamond"
+
+let s_run = Telemetry.site "exec.run"
+let sites_memo : (int, sites) Hashtbl.t = Hashtbl.create 8
+let sites_mutex = Mutex.create ()
+
+let sites_of plan =
+  Mutex.protect sites_mutex (fun () ->
+      match Hashtbl.find_opt sites_memo plan.Plan.uid with
+      | Some s -> s
+      | None ->
+        let site fmt = Printf.ksprintf Telemetry.site fmt in
+        let s =
+          { s_stage =
+              Array.map
+                (fun (f : Func.t) -> site "stage:%s" f.Func.name)
+                (Pipeline.funcs plan.Plan.pipeline);
+            s_group =
+              Array.mapi
+                (fun gi g -> site "group%d:%s" gi (group_kind g))
+                plan.Plan.groups;
+            s_front =
+              Array.map
+                (function
+                  | Plan.G_diamond dg ->
+                    Some (site "diamond.front.g%d" dg.Plan.gid)
+                  | Plan.G_tiled _ -> None)
+                plan.Plan.groups }
+        in
+        Hashtbl.replace sites_memo plan.Plan.uid s;
+        s)
+
 (* ------------------------------------------------------------------ *)
 (* Top level                                                            *)
 
@@ -440,42 +467,18 @@ let run plan rt ~inputs ~outputs =
         bufs.(a) <- Some g.Grid.buf
       | None -> invalid_arg "Exec.run: missing output grid")
     plan.Plan.output_arrays;
-  (* snapshot profiler enablement once: sites are interned up front (the
-     enabled path may allocate), and a mid-run toggle can never index a
-     table built for the other state *)
-  let pon = Profile.enabled () in
-  let psites =
-    if pon then
-      Array.init nfuncs (fun id ->
-          Profile.site
-            ("stage:" ^ (Pipeline.func plan.Plan.pipeline id).Func.name))
-    else [||]
+  let ctx =
+    { plan; rt; bufs; input_grids; func_sizes; sites = sites_of plan }
   in
-  let pgroups =
-    if pon then
-      Array.mapi
-        (fun gi group ->
-          Profile.site
-            (Printf.sprintf "group%d:%s" gi
-               (match group with
-               | Plan.G_tiled _ -> "tiled"
-               | Plan.G_diamond _ -> "diamond")))
-        plan.Plan.groups
-    else [||]
-  in
-  let p_run_site = if pon then Some (Profile.site "exec.run") else None in
-  let ctx = { plan; rt; bufs; input_grids; func_sizes; psites } in
   let opts = plan.Plan.opts in
   (* which array slots hold pool-acquired buffers (never the caller's
      output grids) — the exception path below releases exactly these *)
   let pooled = Array.make (Array.length plan.Plan.arrays) false in
-  let t_run = Telemetry.begin_span () in
-  let p_run = Profile.start () in
+  let t_run = Telemetry.start () in
   let run_groups () =
   Array.iteri
     (fun gi group ->
-      let t_group = Telemetry.begin_span () in
-      let p_group = Profile.start () in
+      let t_group = Telemetry.start () in
       (* acquire arrays whose first use is this group *)
       Array.iteri
         (fun a (info : Plan.array_info) ->
@@ -506,16 +509,12 @@ let run plan rt ~inputs ~outputs =
       let exec_group () =
         match group with
         | Plan.G_tiled tg -> run_tiled ctx tg
-        | Plan.G_diamond dg -> run_diamond ctx dg
+        | Plan.G_diamond dg ->
+          run_diamond ctx ~front_site:(Option.get ctx.sites.s_front.(gi)) dg
       in
       if Flightrec.on () then
         Flightrec.emit
-          (Flightrec.Group_begin
-             { gid = gi;
-               kind =
-                 (match group with
-                 | Plan.G_tiled _ -> "tiled"
-                 | Plan.G_diamond _ -> "diamond") });
+          (Flightrec.Group_begin { gid = gi; kind = group_kind group });
       (match opts.Options.deadline with
        | Some s ->
          Watchdog.with_deadline
@@ -541,25 +540,22 @@ let run plan rt ~inputs ~outputs =
         let computed, domain = group_points_cached plan gi in
         Telemetry.add c_points computed;
         Telemetry.add c_redundant (computed - domain);
-        let name, shape_args =
+        let shape_args =
           match group with
           | Plan.G_tiled tg ->
-            ( Printf.sprintf "group%d:tiled" gi,
-              [ ("tiles", Telemetry.Int (Array.length tg.Plan.tiles));
-                ("members", Telemetry.Int (Array.length tg.Plan.members)) ] )
+            [ ("tiles", Telemetry.Int (Array.length tg.Plan.tiles));
+              ("members", Telemetry.Int (Array.length tg.Plan.members)) ]
           | Plan.G_diamond dg ->
-            ( Printf.sprintf "group%d:diamond" gi,
-              [ ("steps", Telemetry.Int (Array.length dg.Plan.steps)) ] )
+            [ ("steps", Telemetry.Int (Array.length dg.Plan.steps)) ]
         in
-        Telemetry.end_span t_group ~cat:"exec"
+        Telemetry.stop ~cat:"exec"
           ~args:
             (("gid", Telemetry.Int gi)
              :: ("points", Telemetry.Int computed)
              :: ("redundant_points", Telemetry.Int (computed - domain))
              :: shape_args)
-          name
-      end;
-      if p_group <> 0 && pon then Profile.stop p_group pgroups.(gi))
+          t_group ctx.sites.s_group.(gi)
+      end)
     plan.Plan.groups
   in
   (* exception safety: a crashed, faulted, or deadline-stopped group must
@@ -581,12 +577,9 @@ let run plan rt ~inputs ~outputs =
        pooled;
      Printexc.raise_with_backtrace e bt);
   if t_run <> 0 then
-    Telemetry.end_span t_run ~cat:"exec"
+    Telemetry.stop ~cat:"exec"
       ~args:[ ("groups", Telemetry.Int (Array.length plan.Plan.groups)) ]
-      "exec.run";
-  match p_run_site with
-  | Some ps -> Profile.stop p_run ps
-  | None -> ()
+      t_run s_run
 
 let points_computed plan =
   Array.fold_left

@@ -10,6 +10,7 @@ open Repro_core
 module Json = Repro_runtime.Json
 module Profile = Repro_runtime.Profile
 module Roofline = Repro_runtime.Roofline
+module Telemetry = Repro_runtime.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Roofline prediction: GB/s is numerically bytes/ns, GFLOP/s is
@@ -143,14 +144,15 @@ let calibration_block ~(roofline : Roofline.t) ?(drift_factor = 4.0)
       ("stages", Json.Arr (List.map stage_json stages)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Profile-side measurement: per-stage ns per plan execution, read back
-   from the profiler after instrumented cycles.  Diamond groups expose
-   one front site per gid; stage time is attributed by flops share, the
-   same rule Perf_report applies to telemetry spans. *)
+(* Stats-side measurement: per-stage ns per plan execution, read back
+   from the probe's stats sink after instrumented cycles (this run's
+   calibration block and the mg_solve --metrics stages alike).  Diamond
+   groups expose one front site per gid; stage time is attributed by
+   flops share. *)
 
 let profile_measured_ns (cost : Cost.t) =
   let execs =
-    match Profile.stats (Profile.site "exec.run") with
+    match Profile.stats (Telemetry.site "exec.run") with
     | Some st -> st.Profile.count
     | None -> 0
   in
@@ -173,7 +175,7 @@ let profile_measured_ns (cost : Cost.t) =
         let front =
           match
             Profile.stats
-              (Profile.site (Printf.sprintf "diamond.front.g%d" s.Cost.gid))
+              (Telemetry.site (Printf.sprintf "diamond.front.g%d" s.Cost.gid))
           with
           | Some st -> st.Profile.total
           | None -> 0.0
@@ -184,7 +186,7 @@ let profile_measured_ns (cost : Cost.t) =
         let share = if total > 0.0 then s.Cost.flops /. total else 0.0 in
         (per_exec (front *. share), true)
       | _ -> (
-        match Profile.stats (Profile.site ("stage:" ^ s.Cost.name)) with
+        match Profile.stats (Telemetry.site ("stage:" ^ s.Cost.name)) with
         | Some st -> (per_exec st.Profile.total, false)
         | None -> (0.0, false))
     end
@@ -232,7 +234,7 @@ let measure_cell ~roofline ~drift_factor ~cycles ~domains cfg ~n opts =
         join ~roofline ~drift_factor ~cost ~measured_ns:(profile_measured_ns cost)
       in
       let measured =
-        match Profile.stats (Profile.site "solver.cycle") with
+        match Profile.stats (Telemetry.site "solver.cycle") with
         | Some st -> st.Profile.mean
         | None -> Float.nan
       in

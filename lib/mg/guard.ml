@@ -89,6 +89,8 @@ type checkpoint_sink = {
   ck_restore : unit -> (int * float * Grid.t) option;
 }
 
+let s_cycle = Telemetry.site "guard.cycle"
+
 let count_fault = function
   | Fault_nan -> Telemetry.add c_nan 1
   | Fault_diverged -> Telemetry.add c_div 1
@@ -145,23 +147,25 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
     let stepper =
       if on_fallback then Option.get (get_fallback ()) else primary
     in
+    (* one monotonic read at each end of the cycle, shared by the
+       reported seconds, the probe's range and the recorder's events *)
+    let t0 = Telemetry.now_ns () in
     if Flightrec.on () then
-      Flightrec.emit
+      Flightrec.emit_at t0
         (Flightrec.Cycle_begin { cycle = !cycle; fallback = on_fallback });
-    let t0 = Unix.gettimeofday () in
-    let t_span = Telemetry.begin_span () in
     let crash =
       match stepper ~v:!cur ~f:problem.Problem.f ~out:!next with
       | () -> None
       | exception e -> Some e
     in
-    if t_span <> 0 then
-      Telemetry.end_span t_span ~cat:"solver"
+    let t1 = Telemetry.now_ns () in
+    if Telemetry.probing () then
+      Telemetry.stop_at ~cat:"solver"
         ~args:
           [ ("cycle", Telemetry.Int !cycle);
             ("fallback", Telemetry.Int (Bool.to_int on_fallback)) ]
-        "guard.cycle";
-    let dt = Unix.gettimeofday () -. t0 in
+        t0 t1 s_cycle;
+    let dt = float_of_int (t1 - t0) /. 1e9 in
     total := !total +. dt;
     Telemetry.add c_cycles 1;
     let record residual status =
@@ -208,7 +212,7 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
                  ~stats:(List.rev !stats)
              | None -> ());
             if Flightrec.on () then begin
-              Flightrec.emit
+              Flightrec.emit_at t1
                 (Flightrec.Cycle_end
                    { cycle = !cycle;
                      residual = r;

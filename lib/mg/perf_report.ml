@@ -2,74 +2,23 @@ open Repro_core
 module Json = Repro_runtime.Json
 module Telemetry = Repro_runtime.Telemetry
 module Metrics = Repro_runtime.Metrics
+module Profile = Repro_runtime.Profile
 module Roofline = Repro_runtime.Roofline
 
 let plan_digest = Plan.digest
 
-(* span name -> (total ns, count); diamond front time keyed by gid *)
-let aggregate spans =
-  let by_name : (string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let front_by_gid : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Telemetry.span) ->
-      let t, c =
-        Option.value (Hashtbl.find_opt by_name s.Telemetry.name) ~default:(0, 0)
-      in
-      Hashtbl.replace by_name s.Telemetry.name
-        (t + s.Telemetry.dur_ns, c + 1);
-      if s.Telemetry.name = "diamond.front" then begin
-        match List.assoc_opt "gid" s.Telemetry.args with
-        | Some (Telemetry.Int gid) ->
-          let t =
-            Option.value (Hashtbl.find_opt front_by_gid gid) ~default:0
-          in
-          Hashtbl.replace front_by_gid gid (t + s.Telemetry.dur_ns)
-        | _ -> ()
-      end)
-    spans;
-  (by_name, front_by_gid)
-
 let fnum f = if Float.is_finite f then Json.Num f else Json.Null
 
-(* total measured ns for a stage over every execution in the span set:
-   direct stage spans for tiled groups, flops-share attribution of the
-   per-gid diamond front time for diamond groups *)
-let measured_stage_ns ~by_name ~front_by_gid ~group_flops ~kinds
-    (s : Cost.stage) =
-  let diamond =
-    match Hashtbl.find_opt kinds s.Cost.gid with
-    | Some `Diamond -> true
-    | _ -> false
-  in
-  if diamond then begin
-    let front =
-      Option.value (Hashtbl.find_opt front_by_gid s.Cost.gid) ~default:0
-    in
-    let total =
-      Option.value (Hashtbl.find_opt group_flops s.Cost.gid) ~default:0.0
-    in
-    let share = if total > 0.0 then s.Cost.flops /. total else 0.0 in
-    (float_of_int front *. share, true)
-  end
-  else
-    match Hashtbl.find_opt by_name ("stage:" ^ s.Cost.name) with
-    | Some (t, _) -> (float_of_int t, false)
-    | None -> (0.0, false)
-
-let stage_json ~execs ~by_name ~front_by_gid ~group_flops ~kinds
-    ~(roofline : Roofline.t) (s : Cost.stage) =
+(* [measured] is the stats-sink attribution (ns per plan execution) *)
+let stage_json ~execs ~measured ~(roofline : Roofline.t) (s : Cost.stage) =
   let ai = Cost.stage_intensity s in
-  let measured_ns, attributed =
-    measured_stage_ns ~by_name ~front_by_gid ~group_flops ~kinds s
-  in
-  let per_exec = float_of_int execs in
+  let ns_per_exec, attributed = measured s in
   let achieved_gbs =
-    if measured_ns > 0.0 then
-      float_of_int (Cost.stage_bytes s) *. per_exec /. measured_ns
+    if ns_per_exec > 0.0 then float_of_int (Cost.stage_bytes s) /. ns_per_exec
     else nan
   in
   let achieved_gflops =
-    if measured_ns > 0.0 then s.Cost.flops *. per_exec /. measured_ns else nan
+    if ns_per_exec > 0.0 then s.Cost.flops /. ns_per_exec else nan
   in
   let roof =
     if Float.is_finite ai then Roofline.roof_gflops roofline ~intensity:ai
@@ -91,7 +40,7 @@ let stage_json ~execs ~by_name ~front_by_gid ~group_flops ~kinds
             ("intensity", fnum ai) ] );
       ( "measured",
         Json.Obj
-          [ ("ns", Json.Num measured_ns);
+          [ ("ns", Json.Num (ns_per_exec *. float_of_int execs));
             ("execs", Json.num execs);
             ("attributed", Json.Bool attributed);
             ("achieved_gbs", fnum achieved_gbs);
@@ -106,10 +55,11 @@ let stage_json ~execs ~by_name ~front_by_gid ~group_flops ~kinds
 let status_str (s : Solver.cycle_stats) = Solver.status_name s.Solver.status
 
 let build ~health ~cfg ~n ~variant ~domains ~cost ~plan ~stats ~total_seconds
-    ~spans ~counters ~(roofline : Roofline.t) =
-  let by_name, front_by_gid = aggregate spans in
+    ~counters ~(roofline : Roofline.t) =
   let execs =
-    match Hashtbl.find_opt by_name "exec.run" with Some (_, c) -> c | None -> 0
+    match Profile.stats (Telemetry.site "exec.run") with
+    | Some st -> st.Profile.count
+    | None -> 0
   in
   let plan_json =
     match plan with
@@ -128,18 +78,7 @@ let build ~health ~cfg ~n ~variant ~domains ~cost ~plan ~stats ~total_seconds
     match cost with
     | None -> (Json.Null, Json.Arr [], Json.Arr [], Json.Null)
     | Some c ->
-      let kinds = Hashtbl.create 8 in
-      let group_flops = Hashtbl.create 8 in
-      Array.iter
-        (fun (g : Cost.group) -> Hashtbl.replace kinds g.Cost.g_gid g.Cost.kind)
-        c.Cost.groups;
-      Array.iter
-        (fun (s : Cost.stage) ->
-          let t =
-            Option.value (Hashtbl.find_opt group_flops s.Cost.gid) ~default:0.0
-          in
-          Hashtbl.replace group_flops s.Cost.gid (t +. s.Cost.flops))
-        c.Cost.stages;
+      let measured = Calibrate.profile_measured_ns c in
       ( Json.Obj
           [ ("dram_read_bytes", Json.num c.Cost.dram_read);
             ("dram_write_bytes", Json.num c.Cost.dram_write);
@@ -150,8 +89,7 @@ let build ~health ~cfg ~n ~variant ~domains ~cost ~plan ~stats ~total_seconds
         Json.Arr
           (Array.to_list
              (Array.map
-                (stage_json ~execs ~by_name ~front_by_gid ~group_flops ~kinds
-                   ~roofline)
+                (stage_json ~execs ~measured ~roofline)
                 c.Cost.stages)),
         Json.Arr
           (Array.to_list
@@ -172,14 +110,8 @@ let build ~health ~cfg ~n ~variant ~domains ~cost ~plan ~stats ~total_seconds
                           (List.map (fun s -> Json.Str s) g.Cost.stage_names)
                       ) ])
                 c.Cost.groups)),
-        Calibrate.calibration_block ~roofline ~cost:c
-          ~measured_ns:(fun s ->
-            let t, attributed =
-              measured_stage_ns ~by_name ~front_by_gid ~group_flops ~kinds s
-            in
-            ( (if execs > 0 then t /. float_of_int execs else 0.0),
-              attributed ))
-          () )
+        Calibrate.calibration_block ~roofline ~cost:c ~measured_ns:measured ()
+      )
   in
   let cycles_json =
     Json.Arr

@@ -1,15 +1,18 @@
 (** The self-describing metrics document behind [mg_solve --metrics FILE]:
     one JSON object per run tying together what the run {e was} (config +
     plan digest), what it {e should} have cost ({!Repro_core.Cost}), what
-    it {e did} cost (telemetry spans and counters), and where that lands
-    against the measured machine roofline
+    it {e did} cost (the probe's per-site stats and the counters), and
+    where that lands against the measured machine roofline
     ({!Repro_runtime.Roofline}) — per stage, achieved GB/s and GFLOP/s
     next to the model's prediction.
 
-    Schema: ["polymg.metrics/1"].  Stages of diamond groups have no
-    per-step span (execution interleaves steps inside wavefronts), so
-    their measured time is the group's front time distributed by FLOP
-    share and marked ["attributed": true]. *)
+    Schema: ["polymg.metrics/1"].  Measured stage time is read from the
+    {!Repro_runtime.Profile} stats sink through
+    {!Calibrate.profile_measured_ns}, so the run must have had the
+    [Stats] sink on.  Stages of diamond groups have no per-step probe
+    (execution interleaves steps inside wavefronts), so their measured
+    time is the group's front time distributed by FLOP share and marked
+    ["attributed": true]. *)
 
 val build :
   health:Health.report option ->
@@ -21,7 +24,6 @@ val build :
   plan:Repro_core.Plan.t option ->
   stats:Solver.cycle_stats list ->
   total_seconds:float ->
-  spans:Repro_runtime.Telemetry.span list ->
   counters:(string * int) list ->
   roofline:Repro_runtime.Roofline.t ->
   Repro_runtime.Json.t

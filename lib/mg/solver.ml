@@ -2,7 +2,6 @@ module Grid = Repro_grid.Grid
 module Telemetry = Repro_runtime.Telemetry
 module Mempool = Repro_runtime.Mempool
 module Flightrec = Repro_runtime.Flightrec
-module Profile = Repro_runtime.Profile
 module Json = Repro_runtime.Json
 open Repro_core
 
@@ -38,6 +37,8 @@ let classify ?(divergence_factor = 1e4) ?(stagnation_eps = 1e-2) ~best ~prev
   then Stagnated
   else Ok
 
+let s_cycle = Telemetry.site "solver.cycle"
+
 let iterate stepper ~(problem : Problem.t) ~cycles ?(residuals = true)
     ?(start_cycle = 1) ?on_accept () =
   if cycles < 1 then invalid_arg "Solver.iterate: cycles must be >= 1";
@@ -49,24 +50,20 @@ let iterate stepper ~(problem : Problem.t) ~cycles ?(residuals = true)
   let total = ref 0.0 in
   let best = ref Float.infinity in
   let prev = ref Float.infinity in
-  let p_cycle_site =
-    if Profile.enabled () then Some (Profile.site "solver.cycle") else None
-  in
   for c = start_cycle to start_cycle + cycles - 1 do
+    (* one monotonic read at each end of the cycle: the reported seconds,
+       the probe's range and the recorder's events share them *)
+    let t0 = Telemetry.now_ns () in
     if Flightrec.on () then
-      Flightrec.emit (Flightrec.Cycle_begin { cycle = c; fallback = false });
-    let t0 = Unix.gettimeofday () in
-    let t_cycle = Telemetry.begin_span () in
-    let p_cycle = Profile.start () in
+      Flightrec.emit_at t0
+        (Flightrec.Cycle_begin { cycle = c; fallback = false });
     stepper ~v:!cur ~f:problem.Problem.f ~out:!next;
-    if t_cycle <> 0 then
-      Telemetry.end_span t_cycle ~cat:"solver"
+    let t1 = Telemetry.now_ns () in
+    if Telemetry.probing () then
+      Telemetry.stop_at ~cat:"solver"
         ~args:[ ("cycle", Telemetry.Int c) ]
-        "solver.cycle";
-    (match p_cycle_site with
-    | Some ps -> Profile.stop p_cycle ps
-    | None -> ());
-    let dt = Unix.gettimeofday () -. t0 in
+        t0 t1 s_cycle;
+    let dt = float_of_int (t1 - t0) /. 1e9 in
     total := !total +. dt;
     let tmp = !cur in
     cur := !next;
@@ -86,7 +83,7 @@ let iterate stepper ~(problem : Problem.t) ~cycles ?(residuals = true)
       prev := residual
     end;
     if Flightrec.on () then
-      Flightrec.emit
+      Flightrec.emit_at t1
         (Flightrec.Cycle_end
            { cycle = c; residual; status = status_name status });
     stats := { cycle = c; residual; seconds = dt; status } :: !stats;

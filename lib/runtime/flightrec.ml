@@ -1,6 +1,6 @@
 (* Flight recorder: per-domain event rings + incident-report dumps.
-   Overhead discipline matches Telemetry: disabled = one atomic load and
-   a predictable branch, no allocation. *)
+   The on/off flag is the probe mask's ring bit: disabled = one atomic
+   load and a predictable branch, no allocation. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generic bounded ring with drop counting. *)
@@ -75,9 +75,8 @@ type kind =
 
 type event = { t_ns : int; dom : int; seq : int; kind : kind }
 
-let enabled_flag = Atomic.make false
-let on () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let on () = Telemetry.sink_on Telemetry.Ring
+let set_enabled b = Telemetry.set_sink Telemetry.Ring b
 
 let default_capacity = 512
 let capacity = Atomic.make default_capacity
@@ -120,11 +119,10 @@ let dbuf_key : dbuf Domain.DLS.key =
       Mutex.unlock registry_mutex;
       b)
 
-let emit kind =
-  if Atomic.get enabled_flag then begin
+let emit_at t_ns kind =
+  if on () then begin
     let b = Domain.DLS.get dbuf_key in
     let seq = Atomic.fetch_and_add seq_counter 1 in
-    let t_ns = Telemetry.now_ns () in
     Mutex.lock b.lock;
     let was_full = Ring.length b.ring = Ring.capacity b.ring in
     Ring.push b.ring { t_ns; dom = b.dom; seq; kind };
@@ -132,6 +130,8 @@ let emit kind =
     Telemetry.add c_events 1;
     if was_full then Telemetry.add c_dropped 1
   end
+
+let emit kind = if on () then emit_at (Telemetry.now_ns ()) kind
 
 let with_rings f =
   Mutex.lock registry_mutex;
@@ -160,7 +160,7 @@ let plan_note : (string * string) option Atomic.t = Atomic.make None
 
 let note_plan ~digest ~variant =
   Atomic.set plan_note (Some (digest, variant));
-  if Atomic.get enabled_flag then emit (Plan_set { digest; variant })
+  if on () then emit (Plan_set { digest; variant })
 
 let noted_plan () = Atomic.get plan_note
 
@@ -326,7 +326,7 @@ let claim_path dir kind =
   try_claim 1000
 
 let incident ~kind ?cycle ?(detail = []) () =
-  if not (Atomic.get enabled_flag) then None
+  if not (on ()) then None
   else
     match Atomic.get incident_dir with
     | None -> None

@@ -9,9 +9,10 @@
     [polymg.incident/1]) carrying the event tail, the plan digest, the
     caller's detail payload, a counter snapshot and the environment.
 
-    Overhead discipline mirrors {!Telemetry}: the disabled state costs
-    one atomic flag load and a predictable branch per call site and
-    never allocates.  Call sites therefore guard event construction:
+    The on/off switch is the probe mask's {!Telemetry.Ring} bit, so the
+    disabled state costs one atomic flag load and a predictable branch
+    per call site and never allocates.  Call sites therefore guard event
+    construction:
 
     {[
       if Flightrec.on () then
@@ -98,9 +99,11 @@ type event = {
 }
 
 val on : unit -> bool
-(** One atomic load; the intended guard around {!emit} call sites. *)
+(** One atomic load of the {!Telemetry.Ring} sink bit; the intended
+    guard around {!emit} call sites. *)
 
 val set_enabled : bool -> unit
+(** [Telemetry.set_sink Ring]. *)
 
 val set_capacity : int -> unit
 (** Per-domain ring capacity (default 512).  Applies to rings created
@@ -111,6 +114,11 @@ val emit : kind -> unit
 (** Records an event in the calling domain's ring.  A no-op when
     disabled (but prefer guarding with {!on} so the argument is never
     constructed). *)
+
+val emit_at : int -> kind -> unit
+(** [emit_at t_ns kind] is {!emit} stamped with a monotonic time the
+    caller already read (a probe's range ends), instead of reading the
+    clock again. *)
 
 val events : unit -> event list
 (** Every retained event across all domains, in [seq] order. *)

@@ -1,36 +1,10 @@
-(* Series are interned by (name, sorted labels).  Histogram buckets are
-   per-bucket atomics so concurrent domains can record without locks;
-   sum/min/max use CAS loops (they allocate a boxed float per update,
-   which only happens on the enabled path — the disabled path is the
-   single telemetry flag test and touches nothing). *)
+(* Series are interned by (name, sorted labels).  A histogram is one
+   Hist accumulator under a lock: recording is per request or per run,
+   never per tile, and the disabled path is the single telemetry flag
+   test, which touches nothing. *)
 
-let nbuckets = 64
-
-(* bucket k covers [2^k, 2^(k+1)); bucket 0 additionally absorbs [0, 1) *)
-let bucket_of v =
-  if not (v >= 2.0) then 0
-  else Int.min (nbuckets - 1) (int_of_float (Float.log2 v))
-
-let bucket_hi k = Float.of_int (1 lsl (k + 1))
-let bucket_lo k = if k = 0 then 0.0 else Float.of_int (1 lsl k)
-
-let cas_update (a : float Atomic.t) f =
-  let rec go () =
-    let cur = Atomic.get a in
-    let next = f cur in
-    if next <> cur && not (Atomic.compare_and_set a cur next) then go ()
-  in
-  go ()
-
-type histogram = {
-  buckets : int Atomic.t array;
-  hsum : float Atomic.t;
-  hmin : float Atomic.t;
-  hmax : float Atomic.t;
-}
-
+type histogram = { lock : Mutex.t; h : Hist.t }
 type gauge = float Atomic.t
-
 type lcounter = int Atomic.t
 
 type series =
@@ -47,55 +21,41 @@ let registry_mutex = Mutex.create ()
 let canon_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
-let intern name labels make match_existing =
+let intern name labels make =
   let key = (name, canon_labels labels) in
-  Mutex.lock registry_mutex;
-  let s =
-    match Hashtbl.find_opt registry key with
-    | Some s -> match_existing s
-    | None ->
-      let s = make () in
-      Hashtbl.replace registry key s;
-      s
-  in
-  Mutex.unlock registry_mutex;
-  s
+  Mutex.protect registry_mutex (fun () ->
+      match Hashtbl.find_opt registry key with
+      | Some s -> s
+      | None ->
+        let s = make () in
+        Hashtbl.replace registry key s;
+        s)
 
 let wrong_kind name =
   invalid_arg ("Metrics: series " ^ name ^ " registered with another kind")
 
 let histogram ?(labels = []) name =
   match
-    intern name labels
-      (fun () ->
-        S_hist
-          { buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-            hsum = Atomic.make 0.0;
-            hmin = Atomic.make infinity;
-            hmax = Atomic.make neg_infinity })
-      Fun.id
+    intern name labels (fun () ->
+        S_hist { lock = Mutex.create (); h = Hist.create () })
   with
   | S_hist h -> h
   | S_gauge _ | S_counter _ -> wrong_kind name
 
 let gauge ?(labels = []) name =
-  match intern name labels (fun () -> S_gauge (Atomic.make 0.0)) Fun.id with
+  match intern name labels (fun () -> S_gauge (Atomic.make 0.0)) with
   | S_gauge g -> g
   | S_hist _ | S_counter _ -> wrong_kind name
 
 let lcounter ?(labels = []) name =
-  match intern name labels (fun () -> S_counter (Atomic.make 0)) Fun.id with
+  match intern name labels (fun () -> S_counter (Atomic.make 0)) with
   | S_counter c -> c
   | S_hist _ | S_gauge _ -> wrong_kind name
 
-let record h v =
-  let v = if v < 0.0 || Float.is_nan v then 0.0 else v in
-  ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
-  cas_update h.hsum (fun s -> s +. v);
-  cas_update h.hmin (fun m -> Float.min m v);
-  cas_update h.hmax (fun m -> Float.max m v)
+let locked h f = Mutex.protect h.lock (fun () -> f h.h)
 
-let observe h v = if Telemetry.enabled () then record h v
+let observe h v =
+  if Telemetry.enabled () then locked h (fun acc -> Hist.record acc v)
 
 let incr_by c n =
   if Telemetry.enabled () then ignore (Atomic.fetch_and_add c n)
@@ -103,127 +63,91 @@ let incr_by c n =
 let lcounter_value c = Atomic.get c
 let set_gauge g v = Atomic.set g v
 let gauge_value g = Atomic.get g
-
-let hist_count h =
-  Array.fold_left (fun acc b -> acc + Atomic.get b) 0 h.buckets
-
-let hist_sum h = Atomic.get h.hsum
-
-let percentile h q =
-  let total = hist_count h in
-  if total = 0 then Float.nan
-  else begin
-    let q = Float.min 1.0 (Float.max 0.0 q) in
-    let target = q *. float_of_int total in
-    let rec walk k cum =
-      if k >= nbuckets then bucket_hi (nbuckets - 1)
-      else begin
-        let c = Atomic.get h.buckets.(k) in
-        let cum' = cum +. float_of_int c in
-        if c > 0 && cum' >= target then begin
-          let frac =
-            if c = 0 then 0.0
-            else Float.max 0.0 (target -. cum) /. float_of_int c
-          in
-          bucket_lo k +. (frac *. (bucket_hi k -. bucket_lo k))
-        end
-        else walk (k + 1) cum'
-      end
-    in
-    let raw = walk 0 0.0 in
-    Float.min (Atomic.get h.hmax) (Float.max (Atomic.get h.hmin) raw)
-  end
-
-let buckets h =
-  let lastk = ref (-1) in
-  Array.iteri (fun k b -> if Atomic.get b > 0 then lastk := k) h.buckets;
-  if !lastk < 0 then []
-  else begin
-    let acc = ref [] in
-    let cum = ref 0 in
-    for k = 0 to !lastk do
-      cum := !cum + Atomic.get h.buckets.(k);
-      acc := (bucket_hi k, !cum) :: !acc
-    done;
-    List.rev !acc
-  end
+let hist_count h = locked h Hist.count
+let hist_sum h = locked h Hist.sum
+let percentile h q = locked h (fun acc -> Hist.percentile acc q)
+let buckets h = locked h Hist.cumulative
 
 let reset () =
-  Mutex.lock registry_mutex;
-  Hashtbl.reset registry;
-  Mutex.unlock registry_mutex
-
-let ingest_spans spans =
-  List.iter
-    (fun (s : Telemetry.span) ->
-      let h =
-        histogram ~labels:[ ("name", s.Telemetry.name) ] "span_duration_ns"
-      in
-      record h (float_of_int s.Telemetry.dur_ns))
-    spans
+  Mutex.protect registry_mutex (fun () ->
+      Hashtbl.iter
+        (fun _ s ->
+          match s with
+          | S_hist h -> locked h Hist.clear
+          | S_gauge g -> Atomic.set g 0.0
+          | S_counter c -> Atomic.set c 0)
+        registry)
 
 (* ------------------------------------------------------------------ *)
 (* Sinks *)
 
+(* A consistent read of every series, sorted by identity: the registry
+   plus the probe's per-site stats as span_duration_ns{name=site}. *)
+type value = V_hist of Hist.t | V_gauge of float | V_counter of int
+
 let sorted_series () =
-  Mutex.lock registry_mutex;
-  let all = Hashtbl.fold (fun k s acc -> (k, s) :: acc) registry [] in
-  Mutex.unlock registry_mutex;
-  List.sort (fun (a, _) (b, _) -> compare a b) all
+  let registered =
+    Mutex.protect registry_mutex (fun () ->
+        Hashtbl.fold (fun k s acc -> (k, s) :: acc) registry [])
+    |> List.map (fun (k, s) ->
+           ( k,
+             match s with
+             | S_hist h -> V_hist (locked h Hist.copy)
+             | S_gauge g -> V_gauge (Atomic.get g)
+             | S_counter c -> V_counter (Atomic.get c) ))
+  in
+  let span_series =
+    List.map
+      (fun (site, h) -> (("span_duration_ns", [ ("name", site) ]), V_hist h))
+      (Profile.histograms ())
+  in
+  List.sort (fun (a, _) (b, _) -> compare a b) (registered @ span_series)
 
 let labels_json labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
 
 let to_json () =
-  let hists = ref [] and gauges = ref [] and lcounters = ref [] in
-  List.iter
-    (fun ((name, labels), s) ->
-      match s with
-      | S_hist h ->
-        let count = hist_count h in
-        let entry =
-          Json.Obj
-            [ ("name", Json.Str name);
-              ("labels", labels_json labels);
-              ("count", Json.num count);
-              ("sum", Json.Num (hist_sum h));
-              ( "min",
-                if count = 0 then Json.Null else Json.Num (Atomic.get h.hmin) );
-              ( "max",
-                if count = 0 then Json.Null else Json.Num (Atomic.get h.hmax) );
-              ( "p50",
-                if count = 0 then Json.Null else Json.Num (percentile h 0.5) );
-              ( "p90",
-                if count = 0 then Json.Null else Json.Num (percentile h 0.9) );
-              ( "p99",
-                if count = 0 then Json.Null else Json.Num (percentile h 0.99)
-              );
-              ( "buckets",
-                Json.Arr
-                  (List.map
-                     (fun (le, c) -> Json.Arr [ Json.Num le; Json.num c ])
-                     (buckets h)) ) ]
-        in
-        hists := entry :: !hists
-      | S_gauge g ->
-        gauges :=
-          Json.Obj
-            [ ("name", Json.Str name);
-              ("labels", labels_json labels);
-              ("value", Json.Num (Atomic.get g)) ]
-          :: !gauges
-      | S_counter c ->
-        lcounters :=
-          Json.Obj
-            [ ("name", Json.Str name);
-              ("labels", labels_json labels);
-              ("value", Json.num (Atomic.get c)) ]
-          :: !lcounters)
-    (List.rev (sorted_series ()));
+  let of_kind pick =
+    List.filter_map
+      (fun ((name, labels), v) ->
+        Option.map
+          (fun fields ->
+            Json.Obj
+              (("name", Json.Str name) :: ("labels", labels_json labels)
+              :: fields))
+          (pick v))
+      (sorted_series ())
+  in
+  let hist = function
+    | V_hist h ->
+      let stat f = if Hist.count h = 0 then Json.Null else Json.Num f in
+      Some
+        [ ("count", Json.num (Hist.count h));
+          ("sum", Json.Num (Hist.sum h));
+          ("min", stat (Hist.min h));
+          ("max", stat (Hist.max h));
+          ("p50", stat (Hist.percentile h 0.5));
+          ("p90", stat (Hist.percentile h 0.9));
+          ("p99", stat (Hist.percentile h 0.99));
+          ( "buckets",
+            Json.Arr
+              (List.map
+                 (fun (le, c) -> Json.Arr [ Json.Num le; Json.num c ])
+                 (Hist.cumulative h)) ) ]
+    | V_gauge _ | V_counter _ -> None
+  in
+  let gauge = function
+    | V_gauge g -> Some [ ("value", Json.Num g) ]
+    | V_hist _ | V_counter _ -> None
+  in
+  let lcounter = function
+    | V_counter c -> Some [ ("value", Json.num c) ]
+    | V_hist _ | V_gauge _ -> None
+  in
   Json.Obj
-    [ ("histograms", Json.Arr !hists);
-      ("gauges", Json.Arr !gauges);
-      ("labelled_counters", Json.Arr !lcounters);
+    [ ("histograms", Json.Arr (of_kind hist));
+      ("gauges", Json.Arr (of_kind gauge));
+      ("labelled_counters", Json.Arr (of_kind lcounter));
       ( "counters",
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.num v)) (Telemetry.counters ())) )
@@ -278,39 +202,36 @@ let to_openmetrics () =
     end
   in
   List.iter
-    (fun ((name, labels), s) ->
+    (fun ((name, labels), v) ->
       let name = "polymg_" ^ sanitize_name name in
-      match s with
-      | S_hist h ->
+      match v with
+      | V_hist h ->
         declare name "histogram";
-        let bs = buckets h in
-        let count = hist_count h in
         List.iter
           (fun (le, c) ->
             Buffer.add_string b
               (Printf.sprintf "%s_bucket%s %d\n" name
                  (render_labels (labels @ [ ("le", float_om le) ]))
                  c))
-          bs;
+          (Hist.cumulative h);
         Buffer.add_string b
           (Printf.sprintf "%s_bucket%s %d\n" name
              (render_labels (labels @ [ ("le", "+Inf") ]))
-             count);
+             (Hist.count h));
         Buffer.add_string b
           (Printf.sprintf "%s_sum%s %s\n" name (render_labels labels)
-             (float_om (hist_sum h)));
+             (float_om (Hist.sum h)));
         Buffer.add_string b
-          (Printf.sprintf "%s_count%s %d\n" name (render_labels labels) count)
-      | S_gauge g ->
+          (Printf.sprintf "%s_count%s %d\n" name (render_labels labels)
+             (Hist.count h))
+      | V_gauge g ->
         declare name "gauge";
         Buffer.add_string b
-          (Printf.sprintf "%s%s %s\n" name (render_labels labels)
-             (float_om (Atomic.get g)))
-      | S_counter c ->
+          (Printf.sprintf "%s%s %s\n" name (render_labels labels) (float_om g))
+      | V_counter c ->
         declare name "counter";
         Buffer.add_string b
-          (Printf.sprintf "%s_total%s %d\n" name (render_labels labels)
-             (Atomic.get c)))
+          (Printf.sprintf "%s_total%s %d\n" name (render_labels labels) c))
     (sorted_series ());
   (* the raw Telemetry runtime counters, as one labelled family *)
   let rc = "polymg_runtime_counter" in

@@ -1,23 +1,21 @@
 (** Metrics registry: log-scale histograms, labelled gauges and counters,
     with percentile summaries and machine-readable sinks.
 
-    This extends {!Telemetry} from raw spans/counters to aggregated
-    series a monitoring stack can scrape: every series is interned by
-    [(name, labels)], histograms bucket values on a log2 scale (64
-    buckets, bucket [k] covering [[2^k, 2^(k+1))]), and two sinks render
-    the whole registry — {!to_json} (one self-describing document) and
-    {!to_openmetrics} (Prometheus/OpenMetrics text exposition, including
-    the {!Telemetry} runtime counters).
+    Every series is interned by [(name, labels)]; histograms are {!Hist}
+    accumulators (64 log2 buckets, bucket [k] covering
+    [[2^k, 2^(k+1))]).  Two sinks render the whole registry — {!to_json}
+    (one self-describing document) and {!to_openmetrics}
+    (Prometheus/OpenMetrics text exposition) — together with the
+    {!Telemetry} runtime counters and the probe's per-site stats
+    ({!Profile.histograms}) as [span_duration_ns{name=SITE}] histograms.
 
-    Gating follows the telemetry flag: {!observe} and {!incr_by} are
-    no-ops costing a single branch-predictable flag test (and zero
-    allocations) while telemetry is disabled, so instrumented hot paths
-    time identically to the seed.  {!record} bypasses the gate — it is
-    the sink-side ingestion path ({!ingest_spans} runs after a
-    measurement, when telemetry has already been switched off).
+    {!observe} and {!incr_by} are gated on the {!Telemetry.Spans} bit: a
+    single branch-predictable flag test (and zero allocations) while it
+    is off, so instrumented hot paths time identically to the seed.
+    Gauges are always live.
 
-    Recording is multi-domain safe (per-bucket atomics); the sinks and
-    {!reset} must run while no domain is recording. *)
+    Recording is multi-domain safe; the sinks take a consistent copy of
+    each series. *)
 
 type histogram
 
@@ -28,9 +26,6 @@ val histogram : ?labels:(string * string) list -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Records a non-negative sample; a no-op when telemetry is disabled. *)
-
-val record : histogram -> float -> unit
-(** Ungated {!observe}, for sink-time ingestion and tests. *)
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
@@ -63,22 +58,18 @@ val incr_by : lcounter -> int -> unit
 val lcounter_value : lcounter -> int
 
 val reset : unit -> unit
-(** Drops every registered series, so the next sink render starts from a
-    clean registry (mirrors {!Telemetry.reset}).  Handles obtained
-    before the reset keep accepting updates but are detached — they no
-    longer appear in {!to_json}/{!to_openmetrics}; re-intern to
-    re-attach. *)
-
-val ingest_spans : Telemetry.span list -> unit
-(** Folds completed spans into [span_duration_ns{name=...}] histograms —
-    the bridge from the span log to scrapeable duration distributions. *)
+(** Zeroes every registered series in place (histograms emptied, gauges
+    and labelled counters set to 0), as {!Telemetry.reset} does for
+    counters: handles interned before the reset — e.g. at module init —
+    stay attached and keep appearing in the sinks. *)
 
 (** {2 Sinks} *)
 
 val to_json : unit -> Json.t
-(** [{ "histograms": [...], "gauges": [...], "counters": {...} }] with
-    per-histogram count/sum/min/max/p50/p90/p99 and cumulative buckets.
-    Includes the {!Telemetry} counters under ["counters"]. *)
+(** [{ "histograms": [...], "gauges": [...], "labelled_counters": [...],
+    "counters": {...} }] with per-histogram count/sum/min/max/p50/p90/p99
+    and cumulative buckets.  Includes the {!Telemetry} counters under
+    ["counters"]. *)
 
 val to_openmetrics : unit -> string
 (** OpenMetrics text exposition: histogram families with cumulative

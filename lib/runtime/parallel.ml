@@ -24,44 +24,33 @@ let c_regions = Telemetry.counter "parallel.regions"
 let c_chunks = Telemetry.counter "parallel.chunks"
 let c_busy_ns = Telemetry.counter "parallel.busy_ns"
 
-let run_share_plain job =
-  let rec loop () =
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i <= job.hi then begin
-      (try job.f i
-       with e ->
-         ignore (Atomic.compare_and_set job.failed None (Some e)));
-      ignore (Atomic.fetch_and_add job.left (-1));
-      loop ()
-    end
-  in
-  loop ()
+let s_share = Telemetry.site "parallel.share"
+let s_inline = Telemetry.site "parallel.inline"
 
-(* Instrumented variant: one span per domain per parallel region, tagged
-   with the number of dynamically claimed chunks. *)
-let run_share_timed job =
-  let t0 = Telemetry.now_ns () in
-  let chunks = ref 0 in
-  let rec loop () =
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i <= job.hi then begin
-      incr chunks;
-      (try job.f i
-       with e ->
-         ignore (Atomic.compare_and_set job.failed None (Some e)));
-      ignore (Atomic.fetch_and_add job.left (-1));
-      loop ()
-    end
-  in
-  loop ();
-  Telemetry.add c_chunks !chunks;
-  Telemetry.add c_busy_ns (Telemetry.now_ns () - t0);
-  Telemetry.end_span t0 ~cat:"parallel"
-    ~args:[ ("chunks", Telemetry.Int !chunks) ]
-    "parallel.share"
+(* One probe per domain per parallel region, tagged with the number of
+   claimed chunks; [t0 = 0] (probe off) skips the clock entirely. *)
+let close_region t0 chunks site =
+  Telemetry.add c_chunks chunks;
+  if t0 <> 0 then begin
+    let t1 = Telemetry.now_ns () in
+    Telemetry.add c_busy_ns (t1 - t0);
+    Telemetry.stop_at ~cat:"parallel"
+      ~args:[ ("chunks", Telemetry.Int chunks) ]
+      t0 t1 site
+  end
 
 let run_share job =
-  if Telemetry.enabled () then run_share_timed job else run_share_plain job
+  let t0 = Telemetry.start () in
+  let chunks = ref 0 in
+  let i = ref (Atomic.fetch_and_add job.next 1) in
+  while !i <= job.hi do
+    incr chunks;
+    (try job.f !i
+     with e -> ignore (Atomic.compare_and_set job.failed None (Some e)));
+    ignore (Atomic.fetch_and_add job.left (-1));
+    i := Atomic.fetch_and_add job.next 1
+  done;
+  close_region t0 !chunks s_share
 
 let worker t =
   let seen = ref 0 in
@@ -108,21 +97,11 @@ let create nproc =
 let sequential = create 1
 
 let inline_for ~lo ~hi f =
-  if Telemetry.enabled () then begin
-    let t0 = Telemetry.now_ns () in
-    for i = lo to hi do
-      f i
-    done;
-    Telemetry.add c_chunks (hi - lo + 1);
-    Telemetry.add c_busy_ns (Telemetry.now_ns () - t0);
-    Telemetry.end_span t0 ~cat:"parallel"
-      ~args:[ ("chunks", Telemetry.Int (hi - lo + 1)) ]
-      "parallel.inline"
-  end
-  else
-    for i = lo to hi do
-      f i
-    done
+  let t0 = Telemetry.start () in
+  for i = lo to hi do
+    f i
+  done;
+  close_region t0 (hi - lo + 1) s_inline
 
 let parallel_for t ~lo ~hi f =
   if hi < lo then ()

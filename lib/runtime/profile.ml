@@ -1,249 +1,63 @@
-(* Per-stage statistical profiler.
+(* The stats sink: merges the probe's per-domain site accumulators. *)
 
-   Sites are interned once (by name); each domain accumulates streaming
-   Welford moments (count/mean/M2/min/max/total) plus a log2 histogram
-   into its own [Domain.DLS] table, so the record path never shares a
-   cache line with another domain.  Tables register themselves in a
-   global list on first use and outlive their domain, so the sinks can
-   merge per-domain accumulators at teardown with the parallel Welford
-   combination (Chan et al.).
+let set_enabled b = Telemetry.set_sink Telemetry.Stats b
+let enabled () = Telemetry.sink_on Telemetry.Stats
 
-   Overhead discipline (house rule, same as Telemetry/Flightrec): the
-   disabled path is one atomic flag load and a predictable branch —
-   [start] returns 0 without reading the clock, [stop 0 _] does nothing,
-   and neither allocates.  The enabled path may allocate only on the
-   first sample of a (domain, site) pair. *)
-
-type site = { id : int; sname : string }
-
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-(* Counter mirrors (gated on the telemetry flag, like Flightrec's): the
-   profiler's own accumulators are authoritative. *)
-let c_samples = Telemetry.counter "profile.samples"
-let c_sites = Telemetry.counter "profile.sites"
-
-(* ------------------------------------------------------------------ *)
-(* Site interning: id is a dense index into the per-domain tables. *)
-
-let site_registry : (string, site) Hashtbl.t = Hashtbl.create 64
-let site_mutex = Mutex.create ()
-let next_id = ref 0 (* guarded by site_mutex *)
-
-let site name =
-  Mutex.lock site_mutex;
-  let s =
-    match Hashtbl.find_opt site_registry name with
-    | Some s -> s
-    | None ->
-      let s = { id = !next_id; sname = name } in
-      incr next_id;
-      Hashtbl.replace site_registry name s;
-      Telemetry.add c_sites 1;
-      s
-  in
-  Mutex.unlock site_mutex;
-  s
-
-let site_name s = s.sname
-
-let all_sites () =
-  Mutex.lock site_mutex;
-  let all = Hashtbl.fold (fun _ s acc -> s :: acc) site_registry [] in
-  Mutex.unlock site_mutex;
-  List.sort (fun a b -> String.compare a.sname b.sname) all
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain accumulators.  The float state lives in a flat float
-   array ([q]) so enabled-path updates are in-place stores, never boxed
-   allocations (a mutable float field in a mixed record would box). *)
-
-let nbuckets = 64
-
-(* bucket k covers [2^k, 2^(k+1)) ns; bucket 0 additionally absorbs
-   [0, 1) — same shape as Metrics histograms *)
-let bucket_of v =
-  if not (v >= 2.0) then 0
-  else Int.min (nbuckets - 1) (int_of_float (Float.log2 v))
-
-let bucket_hi k = Float.of_int (1 lsl (k + 1))
-let bucket_lo k = if k = 0 then 0.0 else Float.of_int (1 lsl k)
-
-type acc = {
-  mutable count : int;
-  q : float array; (* mean; m2; min; max; total *)
-  hist : int array;
-}
-
-let fresh_acc () =
-  { count = 0;
-    q = [| 0.0; 0.0; infinity; neg_infinity; 0.0 |];
-    hist = Array.make nbuckets 0 }
-
-type dtab = { mutable accs : acc option array }
-
-let registry : dtab list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let tab_key : dtab Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let t = { accs = Array.make 64 None } in
-      Mutex.lock registry_mutex;
-      registry := t :: !registry;
-      Mutex.unlock registry_mutex;
-      t)
-
-let record s v =
-  if Atomic.get enabled_flag then begin
-    let t = Domain.DLS.get tab_key in
-    let n = Array.length t.accs in
-    if s.id >= n then begin
-      let bigger = Array.make (Int.max (2 * n) (s.id + 1)) None in
-      Array.blit t.accs 0 bigger 0 n;
-      t.accs <- bigger
-    end;
-    let a =
-      match t.accs.(s.id) with
-      | Some a -> a
-      | None ->
-        let a = fresh_acc () in
-        t.accs.(s.id) <- Some a;
-        a
-    in
-    let q = a.q in
-    a.count <- a.count + 1;
-    let delta = v -. q.(0) in
-    q.(0) <- q.(0) +. (delta /. float_of_int a.count);
-    q.(1) <- q.(1) +. (delta *. (v -. q.(0)));
-    if v < q.(2) then q.(2) <- v;
-    if v > q.(3) then q.(3) <- v;
-    q.(4) <- q.(4) +. v;
-    let k = bucket_of v in
-    a.hist.(k) <- a.hist.(k) + 1;
-    Telemetry.add c_samples 1
-  end
-
-let start () = if Atomic.get enabled_flag then now_ns () else 0
-let stop t0 s = if t0 <> 0 then record s (float_of_int (now_ns () - t0))
-
-(* ------------------------------------------------------------------ *)
-(* Sinks: merge per-domain accumulators.  Reads are unsynchronized with
-   the record path (like Telemetry's span merge) — call at quiescence. *)
+(* The sink's counter mirrors, registered in the audited
+   [Telemetry.counter "NAME"] form next to the sink they describe;
+   Telemetry's record path bumps the same counters (they intern by
+   name). *)
+let _ = Telemetry.counter "profile.samples"
+let _ = Telemetry.counter "profile.sites"
 
 type stats = {
   count : int;
   mean : float;
-  variance : float; (* sample variance (n-1); 0 when count < 2 *)
+  variance : float;
   min : float;
   max : float;
   total : float;
 }
 
-let snapshot_tabs () =
-  Mutex.lock registry_mutex;
-  let tabs = !registry in
-  Mutex.unlock registry_mutex;
-  tabs
+let hist s = Hist.merge (Telemetry.site_hists s)
 
-let merged_acc id =
-  let count = ref 0
-  and mean = ref 0.0
-  and m2 = ref 0.0
-  and vmin = ref infinity
-  and vmax = ref neg_infinity
-  and total = ref 0.0 in
-  List.iter
-    (fun t ->
-      if id < Array.length t.accs then
-        match t.accs.(id) with
-        | Some a when a.count > 0 ->
-          (* parallel Welford combination *)
-          let na = float_of_int !count and nb = float_of_int a.count in
-          let n = na +. nb in
-          let delta = a.q.(0) -. !mean in
-          m2 := !m2 +. a.q.(1) +. (delta *. delta *. na *. nb /. n);
-          mean := !mean +. (delta *. nb /. n);
-          count := !count + a.count;
-          if a.q.(2) < !vmin then vmin := a.q.(2);
-          if a.q.(3) > !vmax then vmax := a.q.(3);
-          total := !total +. a.q.(4)
-        | _ -> ())
-    (snapshot_tabs ());
-  if !count = 0 then None
+let of_hist h =
+  if Hist.count h = 0 then None
   else
     Some
-      { count = !count;
-        mean = !mean;
-        variance =
-          (if !count < 2 then 0.0 else !m2 /. float_of_int (!count - 1));
-        min = !vmin;
-        max = !vmax;
-        total = !total }
+      { count = Hist.count h;
+        mean = Hist.mean h;
+        variance = Hist.variance h;
+        min = Hist.min h;
+        max = Hist.max h;
+        total = Hist.sum h }
 
-let stats s = merged_acc s.id
+let stats s = of_hist (hist s)
+let percentile s q = Hist.percentile (hist s) q
 
-let merged_hist id =
-  let h = Array.make nbuckets 0 in
-  List.iter
-    (fun t ->
-      if id < Array.length t.accs then
-        match t.accs.(id) with
-        | Some a ->
-          for k = 0 to nbuckets - 1 do
-            h.(k) <- h.(k) + a.hist.(k)
-          done
-        | None -> ())
-    (snapshot_tabs ());
-  h
-
-let percentile s qv =
-  match merged_acc s.id with
-  | None -> Float.nan
-  | Some st ->
-    let h = merged_hist s.id in
-    let total = Array.fold_left ( + ) 0 h in
-    if total = 0 then Float.nan
-    else begin
-      let qv = Float.min 1.0 (Float.max 0.0 qv) in
-      let target = qv *. float_of_int total in
-      let rec walk k cum =
-        if k >= nbuckets then bucket_hi (nbuckets - 1)
-        else begin
-          let c = h.(k) in
-          let cum' = cum +. float_of_int c in
-          if c > 0 && cum' >= target then begin
-            let frac = Float.max 0.0 (target -. cum) /. float_of_int c in
-            bucket_lo k +. (frac *. (bucket_hi k -. bucket_lo k))
-          end
-          else walk (k + 1) cum'
-        end
-      in
-      let raw = walk 0 0.0 in
-      Float.min st.max (Float.max st.min raw)
-    end
+let histograms () =
+  List.filter_map
+    (fun s ->
+      let h = hist s in
+      if Hist.count h = 0 then None else Some (Telemetry.site_name s, h))
+    (Telemetry.all_sites ())
 
 let sites () =
   List.filter_map
-    (fun s -> Option.map (fun st -> (s.sname, st)) (stats s))
-    (all_sites ())
+    (fun (name, h) -> Option.map (fun st -> (name, st)) (of_hist h))
+    (histograms ())
 
-let reset () =
-  List.iter
-    (fun t -> Array.iteri (fun i _ -> t.accs.(i) <- None) t.accs)
-    (snapshot_tabs ())
+let reset = Telemetry.reset_stats
 
 let report fmt =
-  let rows = sites () in
   let rows =
-    List.sort (fun (_, a) (_, b) -> compare b.total a.total) rows
+    List.sort (fun (_, a) (_, b) -> compare b.total a.total) (sites ())
   in
   let wall =
     match List.assoc_opt "solver.cycle" rows with
     | Some st -> st.total
-    | None -> List.fold_left (fun acc (_, st) -> Float.max acc st.total) 0.0 rows
+    | None ->
+      List.fold_left (fun acc (_, st) -> Float.max acc st.total) 0.0 rows
   in
   Format.fprintf fmt "@[<v>== profile: per-site streaming stats ==@,";
   Format.fprintf fmt "%-36s %8s %10s %10s %10s %10s %10s %6s@," "site" "count"
@@ -261,24 +75,20 @@ let report fmt =
 
 let fnum f = if Float.is_finite f then Json.Num f else Json.Null
 
-let site_json s =
-  match stats s with
-  | None -> None
-  | Some st ->
-    Some
-      (Json.Obj
-         [ ("site", Json.Str s.sname);
-           ("count", Json.num st.count);
-           ("total_ns", fnum st.total);
-           ("mean_ns", fnum st.mean);
-           ("variance_ns2", fnum st.variance);
-           ("min_ns", fnum st.min);
-           ("max_ns", fnum st.max);
-           ("p50_ns", fnum (percentile s 0.5));
-           ("p90_ns", fnum (percentile s 0.9));
-           ("p99_ns", fnum (percentile s 0.99)) ])
+let site_json (name, h) =
+  Json.Obj
+    [ ("site", Json.Str name);
+      ("count", Json.num (Hist.count h));
+      ("total_ns", fnum (Hist.sum h));
+      ("mean_ns", fnum (Hist.mean h));
+      ("variance_ns2", fnum (Hist.variance h));
+      ("min_ns", fnum (Hist.min h));
+      ("max_ns", fnum (Hist.max h));
+      ("p50_ns", fnum (Hist.percentile h 0.5));
+      ("p90_ns", fnum (Hist.percentile h 0.9));
+      ("p99_ns", fnum (Hist.percentile h 0.99)) ]
 
 let to_json () =
   Json.Obj
     [ ("enabled", Json.Bool (enabled ()));
-      ("sites", Json.Arr (List.filter_map site_json (all_sites ()))) ]
+      ("sites", Json.Arr (List.map site_json (histograms ()))) ]

@@ -1,40 +1,17 @@
-(** Per-stage statistical profiler.
+(** The probe's per-site stats sink.
 
-    Interned sites, per-domain [Domain.DLS] accumulators holding
-    streaming Welford moments (count/mean/variance/min/max/total, in
-    nanoseconds) plus a log2 histogram, merged across domains by the
-    sinks with the parallel Welford combination.  Always compiled in;
-    the disabled path is a single atomic flag load and a predictable
-    branch, reads no clock, and never allocates (asserted by
-    [bench/main.exe profile] and the CI on/off gate at
-    [compare.exe --threshold 0.02]).
+    While the {!Telemetry.Stats} bit is on, every {!Telemetry.stop}
+    feeds its duration into the calling domain's {!Hist} accumulator
+    for the site; this module merges the per-domain accumulators (the
+    parallel Welford combination) and renders them.  Switching the sink
+    on is {!set_enabled}; the probe itself lives in {!Telemetry}.
 
-    Counter mirrors [profile.samples] / [profile.sites] move only while
-    telemetry is enabled; the profiler's own accumulators are
-    authoritative. *)
-
-type site
-(** An interned measurement site (a stage, a group, a whole run). *)
+    The [profile.samples] / [profile.sites] counters mirror the sink
+    while the {!Telemetry.Spans} bit is on; the accumulators are
+    authoritative.  Readers run at quiescence. *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
-
-val site : string -> site
-(** Intern (or look up) a site by name.  Cheap but mutex-guarded: hoist
-    out of hot loops. *)
-
-val site_name : site -> string
-
-val start : unit -> int
-(** [start ()] reads the monotonic clock when the profiler is enabled,
-    and returns [0] (no clock read, no allocation) when disabled. *)
-
-val stop : int -> site -> unit
-(** [stop t0 site] records [now - t0] ns against [site]; a no-op when
-    [t0 = 0] (i.e. when [start] ran disabled). *)
-
-val record : site -> float -> unit
-(** Record a raw sample (in ns) directly; gated on the enabled flag. *)
 
 type stats = {
   count : int;
@@ -45,17 +22,20 @@ type stats = {
   total : float;
 }
 
-val stats : site -> stats option
-(** Welford stats merged across every domain that sampled the site;
-    [None] if no sample was recorded.  Unsynchronized with the record
-    path — read at quiescence. *)
+val stats : Telemetry.site -> stats option
+(** Stats merged across every domain that sampled the site; [None] if no
+    sample was recorded. *)
 
-val percentile : site -> float -> float
+val percentile : Telemetry.site -> float -> float
 (** Log2-histogram percentile (q in [0,1]), clamped to the observed
     [min,max]; [nan] when the site has no samples. *)
 
 val sites : unit -> (string * stats) list
 (** Every site with at least one sample, sorted by name. *)
+
+val histograms : unit -> (string * Hist.t) list
+(** Every sampled site's merged accumulator, sorted by name (the
+    [span_duration_ns] series of {!Metrics}). *)
 
 val report : Format.formatter -> unit
 (** Human-readable per-site table, sorted by total time. *)
@@ -64,5 +44,4 @@ val to_json : unit -> Json.t
 (** All populated sites with stats and p50/p90/p99, as JSON. *)
 
 val reset : unit -> unit
-(** Drop all samples from every registered domain table.  Site interning
-    (and ids) survive. *)
+(** Drops all samples from every domain; site interning survives. *)

@@ -12,83 +12,28 @@ type span = {
   args : (string * arg) list;
 }
 
-(* A single global flag: the disabled path is one atomic load (a plain
-   mov on x86) and a predictable branch, before any clock read. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 (* ------------------------------------------------------------------ *)
-(* Per-domain span buffers.  Each domain appends to its own growable
-   array (no sharing on the record path); buffers register themselves in
-   a global list on first use so the sinks can merge them. *)
+(* The sink mask: the disabled path is one atomic load (a plain mov on
+   x86) and a predictable branch, before any clock read. *)
 
-let dummy_span =
-  { name = ""; cat = ""; tid = 0; start_ns = 0; dur_ns = 0; args = [] }
+type sink = Spans | Stats | Ring
 
-type dbuf = { tid : int; mutable sp : span array; mutable len : int }
+let spans_bit = 1
+let stats_bit = 2
+let timing = spans_bit lor stats_bit
+let[@inline] bit = function Spans -> spans_bit | Stats -> stats_bit | Ring -> 4
+let mask = Atomic.make 0
+let[@inline] sink_on s = Atomic.get mask land bit s <> 0
 
-let registry : dbuf list ref = ref []
-let registry_mutex = Mutex.create ()
+let rec set_sink s on =
+  let cur = Atomic.get mask in
+  let next = if on then cur lor bit s else cur land lnot (bit s) in
+  if not (Atomic.compare_and_set mask cur next) then set_sink s on
 
-let dbuf_key : dbuf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        { tid = (Domain.self () :> int);
-          sp = Array.make 1024 dummy_span;
-          len = 0 }
-      in
-      Mutex.lock registry_mutex;
-      registry := b :: !registry;
-      Mutex.unlock registry_mutex;
-      b)
-
-let record sp =
-  let b = Domain.DLS.get dbuf_key in
-  if b.len = Array.length b.sp then begin
-    let bigger = Array.make (2 * b.len) dummy_span in
-    Array.blit b.sp 0 bigger 0 b.len;
-    b.sp <- bigger
-  end;
-  b.sp.(b.len) <- sp;
-  b.len <- b.len + 1
-
-let begin_span () = if Atomic.get enabled_flag then now_ns () else 0
-
-let end_span t0 ?(cat = "") ?(args = []) name =
-  if t0 <> 0 && Atomic.get enabled_flag then
-    let stop = now_ns () in
-    record
-      { name;
-        cat;
-        tid = (Domain.self () :> int);
-        start_ns = t0;
-        dur_ns = stop - t0;
-        args }
-
-let with_span ?cat ?args name f =
-  let t0 = begin_span () in
-  match f () with
-  | v ->
-    end_span t0 ?cat ?args name;
-    v
-  | exception e ->
-    end_span t0 ?cat ?args name;
-    raise e
-
-let spans () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  List.concat_map (fun b -> Array.to_list (Array.sub b.sp 0 b.len)) bufs
-  |> List.sort (fun a b -> compare a.start_ns b.start_ns)
-
-let span_total_ns name =
-  List.fold_left
-    (fun acc s -> if s.name = name then acc + s.dur_ns else acc)
-    0 (spans ())
+let probing () = Atomic.get mask land timing <> 0
+let enabled () = Atomic.get mask land spans_bit <> 0
+let set_enabled b = set_sink Spans b
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* ------------------------------------------------------------------ *)
 (* Counters *)
@@ -99,23 +44,18 @@ let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 32
 let counter_mutex = Mutex.create ()
 
 let counter name =
-  Mutex.lock counter_mutex;
-  let c =
-    match Hashtbl.find_opt counter_registry name with
-    | Some c -> c
-    | None ->
-      let c = { cname = name; v = Atomic.make 0 } in
-      Hashtbl.replace counter_registry name c;
-      c
-  in
-  Mutex.unlock counter_mutex;
-  c
+  Mutex.protect counter_mutex (fun () ->
+      match Hashtbl.find_opt counter_registry name with
+      | Some c -> c
+      | None ->
+        let c = { cname = name; v = Atomic.make 0 } in
+        Hashtbl.replace counter_registry name c;
+        c)
 
-let add c n =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.v n)
+let add c n = if enabled () then ignore (Atomic.fetch_and_add c.v n)
 
 let max_to c n =
-  if Atomic.get enabled_flag then begin
+  if enabled () then begin
     let rec go () =
       let cur = Atomic.get c.v in
       if n > cur && not (Atomic.compare_and_set c.v cur n) then go ()
@@ -126,25 +66,151 @@ let max_to c n =
 let value c = Atomic.get c.v
 
 let counters () =
-  Mutex.lock counter_mutex;
-  let all =
-    Hashtbl.fold
-      (fun _ c acc -> (c.cname, Atomic.get c.v) :: acc)
-      counter_registry []
-  in
-  Mutex.unlock counter_mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) all
+  Mutex.protect counter_mutex (fun () ->
+      Hashtbl.fold
+        (fun _ c acc -> (c.cname, Atomic.get c.v) :: acc)
+        counter_registry [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset () =
-  Mutex.lock registry_mutex;
-  List.iter (fun b -> b.len <- 0) !registry;
-  Mutex.unlock registry_mutex;
-  Mutex.lock counter_mutex;
-  Hashtbl.iter (fun _ c -> Atomic.set c.v 0) counter_registry;
-  Mutex.unlock counter_mutex
+(* Mirrors of the stats sink (registered with it, in Profile; counters
+   intern by name) *)
+let c_samples = counter "profile.samples"
+let c_sites = counter "profile.sites"
 
 (* ------------------------------------------------------------------ *)
-(* Sinks *)
+(* Sites: the id is a dense index into the per-domain accumulators. *)
+
+type site = { id : int; sname : string }
+
+let site_registry : (string, site) Hashtbl.t = Hashtbl.create 64
+let site_mutex = Mutex.create ()
+
+let site name =
+  Mutex.protect site_mutex (fun () ->
+      match Hashtbl.find_opt site_registry name with
+      | Some s -> s
+      | None ->
+        let s = { id = Hashtbl.length site_registry; sname = name } in
+        Hashtbl.replace site_registry name s;
+        add c_sites 1;
+        s)
+
+let site_name s = s.sname
+
+let all_sites () =
+  Mutex.protect site_mutex (fun () ->
+      Hashtbl.fold (fun _ s acc -> s :: acc) site_registry [])
+  |> List.sort (fun a b -> String.compare a.sname b.sname)
+
+(* ------------------------------------------------------------------ *)
+(* Per-domain tables: the span buffer and the site accumulators.  Tables
+   register themselves on first use and outlive their domain, so the
+   sinks can merge them at quiescence. *)
+
+let dummy_span =
+  { name = ""; cat = ""; tid = 0; start_ns = 0; dur_ns = 0; args = [] }
+
+type dtab = {
+  tid : int;
+  mutable sp : span array;
+  mutable len : int;
+  mutable accs : Hist.t option array;  (* by site id *)
+}
+
+let registry : dtab list ref = ref []
+let registry_mutex = Mutex.create ()
+
+let tab_key : dtab Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let t =
+        { tid = (Domain.self () :> int);
+          sp = Array.make 1024 dummy_span;
+          len = 0;
+          accs = Array.make 64 None }
+      in
+      Mutex.protect registry_mutex (fun () -> registry := t :: !registry);
+      t)
+
+let tables () = Mutex.protect registry_mutex (fun () -> !registry)
+
+let push_span t sp =
+  if t.len = Array.length t.sp then begin
+    let bigger = Array.make (2 * t.len) dummy_span in
+    Array.blit t.sp 0 bigger 0 t.len;
+    t.sp <- bigger
+  end;
+  t.sp.(t.len) <- sp;
+  t.len <- t.len + 1
+
+(* the enabled path allocates only on a (domain, site) pair's first
+   sample *)
+let record_in t s v =
+  let n = Array.length t.accs in
+  if s.id >= n then begin
+    let bigger = Array.make (Int.max (2 * n) (s.id + 1)) None in
+    Array.blit t.accs 0 bigger 0 n;
+    t.accs <- bigger
+  end;
+  let h =
+    match t.accs.(s.id) with
+    | Some h -> h
+    | None ->
+      let h = Hist.create () in
+      t.accs.(s.id) <- Some h;
+      h
+  in
+  Hist.record h v;
+  add c_samples 1
+
+let record s v =
+  if Atomic.get mask land stats_bit <> 0 then
+    record_in (Domain.DLS.get tab_key) s v
+
+let start () = if probing () then now_ns () else 0
+
+let stop_at ?(cat = "") ?(args = []) t0 t1 s =
+  let m = Atomic.get mask in
+  if m land timing <> 0 then begin
+    let t = Domain.DLS.get tab_key in
+    let dur = t1 - t0 in
+    if m land spans_bit <> 0 then
+      push_span t
+        { name = s.sname; cat; tid = t.tid; start_ns = t0; dur_ns = dur; args };
+    if m land stats_bit <> 0 then record_in t s (float_of_int dur)
+  end
+
+let stop ?cat ?args t0 s = if t0 <> 0 then stop_at ?cat ?args t0 (now_ns ()) s
+
+let with_span ?cat ?args s f =
+  let t0 = start () in
+  Fun.protect ~finally:(fun () -> stop ?cat ?args t0 s) f
+
+let spans () =
+  List.concat_map (fun t -> Array.to_list (Array.sub t.sp 0 t.len)) (tables ())
+  |> List.sort (fun a b -> compare a.start_ns b.start_ns)
+
+let site_hists s =
+  List.filter_map
+    (fun t -> if s.id < Array.length t.accs then t.accs.(s.id) else None)
+    (tables ())
+
+let reset_stats () =
+  List.iter
+    (fun t -> Array.fill t.accs 0 (Array.length t.accs) None)
+    (tables ())
+
+let reset () =
+  List.iter (fun t -> t.len <- 0) (tables ());
+  Mutex.protect counter_mutex (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c.v 0) counter_registry)
+
+(* ------------------------------------------------------------------ *)
+(* Span sinks *)
+
+let span_total_ns name =
+  List.fold_left
+    (fun acc s -> if s.name = name then acc + s.dur_ns else acc)
+    0 (spans ())
 
 let report fmt =
   let sp = spans () in
@@ -205,28 +271,12 @@ let report fmt =
     (counters ());
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let arg_json = function
   | Int i -> string_of_int i
   | Float f ->
     if Float.is_finite f then Printf.sprintf "%.17g" f
     else "\"" ^ string_of_float f ^ "\""
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Str s -> "\"" ^ Json.escape s ^ "\""
 
 let chrome_trace () =
   let sp = spans () in
@@ -239,8 +289,8 @@ let chrome_trace () =
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape s.name)
-           (json_escape (if s.cat = "" then "default" else s.cat))
+           (Json.escape s.name)
+           (Json.escape (if s.cat = "" then "default" else s.cat))
            s.tid
            (float_of_int (s.start_ns - t0) /. 1e3)
            (float_of_int s.dur_ns /. 1e3));
@@ -251,15 +301,10 @@ let chrome_trace () =
          List.iteri
            (fun j (k, v) ->
              if j > 0 then Buffer.add_char b ',';
-             Buffer.add_string b ("\"" ^ json_escape k ^ "\":" ^ arg_json v))
+             Buffer.add_string b ("\"" ^ Json.escape k ^ "\":" ^ arg_json v))
            args;
          Buffer.add_char b '}');
       Buffer.add_char b '}')
     sp;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents b
-
-let write_chrome_trace path =
-  let oc = open_out path in
-  output_string oc (chrome_trace ());
-  close_out oc

@@ -193,13 +193,40 @@ let test_json_roundtrip () =
   | Ok doc' ->
     Alcotest.(check bool) "round-trips" true (json_equal doc doc');
     (* and the accessors reach into the parsed document *)
+    (* earlier tests' series stay registered (reset zeroes them in
+       place): only this test's histogram holds samples *)
     let hists =
       Json.to_list (Option.get (Json.member "histograms" doc'))
+      |> List.filter (fun h ->
+             Option.bind (Json.member "count" h) Json.to_int <> Some 0)
     in
     Alcotest.(check int) "one histogram" 1 (List.length hists);
     let h0 = List.hd hists in
     Alcotest.(check (option int)) "count" (Some 2)
       (Option.bind (Json.member "count" h0) Json.to_int)
+
+(* A series interned before a reset — as Mempool's governance gauges are,
+   at module init — stays registered: the reset zeroes it in place, and
+   a later update shows up in the sinks. *)
+let test_reset_keeps_series () =
+  with_metrics @@ fun () ->
+  let g = Metrics.gauge "t_reset_gauge" in
+  Metrics.set_gauge g 3.0;
+  Metrics.reset ();
+  Alcotest.(check (float 0.0)) "zeroed in place" 0.0 (Metrics.gauge_value g);
+  Metrics.set_gauge g 42.0;
+  let gauges =
+    Json.to_list (Option.get (Json.member "gauges" (Metrics.to_json ())))
+  in
+  match
+    List.find_opt
+      (fun j -> Json.member "name" j = Some (Json.Str "t_reset_gauge"))
+      gauges
+  with
+  | None -> Alcotest.fail "gauge detached by reset"
+  | Some j ->
+    Alcotest.(check (option (float 0.0))) "value" (Some 42.0)
+      (Option.bind (Json.member "value" j) Json.to_float)
 
 let test_disabled_allocates_nothing () =
   Metrics.reset ();
@@ -236,7 +263,9 @@ let () =
             test_percentiles_two_buckets ] );
       ( "sinks",
         [ Alcotest.test_case "openmetrics exposition" `Quick test_openmetrics;
-          Alcotest.test_case "json round-trip" `Quick test_json_roundtrip ] );
+          Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "reset keeps interned series" `Quick
+            test_reset_keeps_series ] );
       ( "overhead",
         [ Alcotest.test_case "disabled path allocates nothing" `Quick
             test_disabled_allocates_nothing ] ) ]

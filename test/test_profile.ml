@@ -73,15 +73,15 @@ let prop_merged_welford =
     batches_arb (fun batches ->
       QCheck.assume (List.exists (fun b -> b <> []) batches);
       with_profile @@ fun () ->
-      let s = Profile.site (fresh "welford") in
+      let s = Telemetry.site (fresh "welford") in
       (* sequential spawn/join: each domain still gets its own DLS table,
          so the merge path is exercised without racing the recorder *)
       List.iteri
         (fun i batch ->
-          if i = 0 then List.iter (Profile.record s) batch
+          if i = 0 then List.iter (Telemetry.record s) batch
           else
             Domain.join
-              (Domain.spawn (fun () -> List.iter (Profile.record s) batch)))
+              (Domain.spawn (fun () -> List.iter (Telemetry.record s) batch)))
         batches;
       let all = List.concat batches in
       let n, mean, variance, mn, mx, total = reference all in
@@ -108,23 +108,23 @@ let prop_merged_welford =
 
 let test_unrecorded_site () =
   with_profile @@ fun () ->
-  let s = Profile.site (fresh "silent") in
+  let s = Telemetry.site (fresh "silent") in
   Alcotest.(check bool) "no stats" true (Profile.stats s = None);
   Alcotest.(check bool)
     "percentile is nan" true
     (Float.is_nan (Profile.percentile s 0.5));
   Alcotest.(check bool)
     "absent from sites ()" true
-    (not (List.mem_assoc (Profile.site_name s) (Profile.sites ())))
+    (not (List.mem_assoc (Telemetry.site_name s) (Profile.sites ())))
 
 let test_interning_idempotent () =
   with_profile @@ fun () ->
   let name = fresh "intern" in
-  let a = Profile.site name and b = Profile.site name in
-  Alcotest.(check string) "same name" (Profile.site_name a)
-    (Profile.site_name b);
-  Profile.record a 10.0;
-  Profile.record b 20.0;
+  let a = Telemetry.site name and b = Telemetry.site name in
+  Alcotest.(check string) "same name" (Telemetry.site_name a)
+    (Telemetry.site_name b);
+  Telemetry.record a 10.0;
+  Telemetry.record b 20.0;
   (* both handles feed one accumulator *)
   match Profile.stats a with
   | None -> Alcotest.fail "no stats after recording"
@@ -135,14 +135,14 @@ let test_interning_idempotent () =
 let test_disabled_records_nothing () =
   Profile.reset ();
   Profile.set_enabled false;
-  let s = Profile.site (fresh "disabled") in
-  let t0 = Profile.start () in
+  let s = Telemetry.site (fresh "disabled") in
+  let t0 = Telemetry.start () in
   Alcotest.(check int) "start returns 0 when disabled" 0 t0;
   let v = Sys.opaque_identity 17.0 in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    Profile.stop (Profile.start ()) s;
-    Profile.record s v
+    Telemetry.stop (Telemetry.start ()) s;
+    Telemetry.record s v
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
@@ -152,15 +152,15 @@ let test_disabled_records_nothing () =
 
 let test_high_id_growth () =
   with_profile @@ fun () ->
-  let early = Profile.site (fresh "early") in
-  Profile.record early 5.0;
+  let early = Telemetry.site (fresh "early") in
+  Telemetry.record early 5.0;
   (* force the per-domain accumulator array to grow well past its
      initial capacity, then record on the last (highest-id) site *)
   let late = ref early in
   for i = 1 to 200 do
-    late := Profile.site (fresh (Printf.sprintf "grow%d" i))
+    late := Telemetry.site (fresh (Printf.sprintf "grow%d" i))
   done;
-  Profile.record !late 7.0;
+  Telemetry.record !late 7.0;
   (match Profile.stats !late with
    | None -> Alcotest.fail "high-id site lost its sample"
    | Some st -> Alcotest.(check int) "high-id count" 1 st.Profile.count);
@@ -170,12 +170,12 @@ let test_high_id_growth () =
 
 let test_percentile_clamped () =
   with_profile @@ fun () ->
-  let s = Profile.site (fresh "pct") in
+  let s = Telemetry.site (fresh "pct") in
   (* 9 fast samples and 1 slow one land in distant log2 buckets *)
   for _ = 1 to 9 do
-    Profile.record s 100.0
+    Telemetry.record s 100.0
   done;
-  Profile.record s 10000.0;
+  Telemetry.record s 10000.0;
   let p0 = Profile.percentile s 0.0
   and p50 = Profile.percentile s 0.5
   and p100 = Profile.percentile s 1.0 in
@@ -187,13 +187,13 @@ let test_percentile_clamped () =
 let test_reset_keeps_interning () =
   with_profile @@ fun () ->
   let name = fresh "reset" in
-  let s = Profile.site name in
-  Profile.record s 42.0;
+  let s = Telemetry.site name in
+  Telemetry.record s 42.0;
   Profile.reset ();
   Alcotest.(check bool) "samples dropped" true (Profile.stats s = None);
   (* the interned site survives and records again after reset *)
-  let s' = Profile.site name in
-  Profile.record s' 8.0;
+  let s' = Telemetry.site name in
+  Telemetry.record s' 8.0;
   match Profile.stats s with
   | None -> Alcotest.fail "site unusable after reset"
   | Some st ->

@@ -167,9 +167,9 @@ let find_span name =
 
 let test_span_nesting () =
   with_telemetry (fun () ->
-      Telemetry.with_span "outer" (fun () ->
+      Telemetry.with_span (Telemetry.site "outer") (fun () ->
           spin ();
-          Telemetry.with_span "inner" (fun () -> spin ());
+          Telemetry.with_span (Telemetry.site "inner") (fun () -> spin ());
           spin ());
       let outer = find_span "outer" in
       let inner = find_span "inner" in
@@ -184,8 +184,8 @@ let test_span_nesting () =
 
 let test_span_ordering () =
   with_telemetry (fun () ->
-      Telemetry.with_span "first" spin;
-      Telemetry.with_span "second" spin;
+      Telemetry.with_span (Telemetry.site "first") spin;
+      Telemetry.with_span (Telemetry.site "second") spin;
       match Telemetry.spans () with
       | [ a; b ] ->
         Alcotest.(check string) "order" "first" a.Telemetry.name;
@@ -196,7 +196,8 @@ let test_span_ordering () =
 
 let test_span_exception () =
   with_telemetry (fun () ->
-      (try Telemetry.with_span "boom" (fun () -> failwith "x")
+      (try
+         Telemetry.with_span (Telemetry.site "boom") (fun () -> failwith "x")
        with Failure _ -> ());
       ignore (find_span "boom"))
 
@@ -236,8 +237,9 @@ let test_trace_json_roundtrip () =
           [ ("quote", Telemetry.Str "a\"b\\c\nd");
             ("n", Telemetry.Int 42);
             ("x", Telemetry.Float 1.5) ]
-        "span \"quoted\" name" spin;
-      Telemetry.with_span "plain" spin;
+        (Telemetry.site "span \"quoted\" name")
+        spin;
+      Telemetry.with_span (Telemetry.site "plain") spin;
       let trace = Telemetry.chrome_trace () in
       match parse_json trace with
       | Obj fields ->
@@ -266,9 +268,9 @@ let test_trace_json_roundtrip () =
 
 let test_trace_file () =
   with_telemetry (fun () ->
-      Telemetry.with_span "filed" spin;
+      Telemetry.with_span (Telemetry.site "filed") spin;
       let path = Filename.temp_file "telemetry" ".json" in
-      Telemetry.write_chrome_trace path;
+      Snapshot.atomic_write_string ~path (Telemetry.chrome_trace ());
       let ic = open_in_bin path in
       let len = in_channel_length ic in
       let contents = really_input_string ic len in
@@ -281,9 +283,11 @@ let test_trace_file () =
 let test_disabled_noop () =
   Telemetry.set_enabled false;
   Telemetry.reset ();
+  Profile.set_enabled false;
   let c = Telemetry.counter "test.disabled" in
-  check_int "begin_span token" 0 (Telemetry.begin_span ());
-  Telemetry.end_span 0 "never";
+  let never = Telemetry.site "never" in
+  check_int "start token" 0 (Telemetry.start ());
+  Telemetry.stop 0 never;
   Telemetry.add c 5;
   Telemetry.max_to c 5;
   check_int "counter untouched" 0 (Telemetry.value c);
@@ -291,8 +295,8 @@ let test_disabled_noop () =
   (* the disabled path must not allocate *)
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    let t = Telemetry.begin_span () in
-    Telemetry.end_span t "never";
+    let t = Telemetry.start () in
+    Telemetry.stop t never;
     Telemetry.add c 1
   done;
   let w1 = Gc.minor_words () in
@@ -300,12 +304,14 @@ let test_disabled_noop () =
 
 let test_disabled_cheap () =
   Telemetry.set_enabled false;
+  Profile.set_enabled false;
   let c = Telemetry.counter "test.cheap" in
+  let never = Telemetry.site "never" in
   let iters = 100_000 in
   let t0 = Telemetry.now_ns () in
   for _ = 1 to iters do
-    let t = Telemetry.begin_span () in
-    Telemetry.end_span t "never";
+    let t = Telemetry.start () in
+    Telemetry.stop t never;
     Telemetry.add c 1
   done;
   let per_call =
@@ -319,7 +325,7 @@ let test_reset () =
   with_telemetry (fun () ->
       let c = Telemetry.counter "test.reset" in
       Telemetry.add c 3;
-      Telemetry.with_span "gone" spin;
+      Telemetry.with_span (Telemetry.site "gone") spin;
       Telemetry.reset ();
       check_int "spans cleared" 0 (List.length (Telemetry.spans ()));
       check_int "counters zeroed" 0 (Telemetry.value c))
@@ -328,7 +334,7 @@ let test_report_smoke () =
   with_telemetry (fun () ->
       let c = Telemetry.counter "test.report" in
       Telemetry.add c 7;
-      Telemetry.with_span "reported" spin;
+      Telemetry.with_span (Telemetry.site "reported") spin;
       let out = Format.asprintf "%t" Telemetry.report in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
@@ -340,6 +346,87 @@ let test_report_smoke () =
       check_bool "counter row" true (contains out "test.report");
       check_bool "counter sections" true (contains out "counters"))
 
+
+(* One clock read per probe end: with the span and stats sinks (and the
+   recorder) on, each cycle's reported seconds, its cycle span and the
+   cycle site's stats sample are the same nanoseconds, and the
+   recorder's Cycle_begin/Cycle_end events carry the same two reads —
+   for the plain solver loop and the guarded one alike. *)
+let test_one_clock_read () =
+  let open Repro_mg in
+  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(2, 2, 2) in
+  let n = 32 in
+  let problem = Problem.poisson ~dims:2 ~n in
+  Repro_core.Exec.with_runtime @@ fun rt ->
+  let stepper =
+    Solver.polymg_stepper cfg ~n ~opts:Repro_core.Options.opt_plus ~rt
+  in
+  let check_loop name run =
+    with_telemetry @@ fun () ->
+    Profile.reset ();
+    Profile.set_enabled true;
+    Flightrec.reset ();
+    Flightrec.set_enabled true;
+    let stats =
+      Fun.protect
+        ~finally:(fun () ->
+          Profile.set_enabled false;
+          Flightrec.set_enabled false)
+        run
+    in
+    let spans =
+      List.filter
+        (fun (s : Telemetry.span) -> s.name = name)
+        (Telemetry.spans ())
+    in
+    check_int (name ^ " spans") 3 (List.length spans);
+    let durs = List.map (fun (s : Telemetry.span) -> s.dur_ns) spans in
+    List.iter2
+      (fun (c : Solver.cycle_stats) d ->
+        check_int
+          (Printf.sprintf "%s %d seconds = span dur_ns" name c.Solver.cycle)
+          d
+          (int_of_float (Float.round (c.Solver.seconds *. 1e9))))
+      stats durs;
+    (match Profile.stats (Telemetry.site name) with
+     | None -> Alcotest.failf "%s: no site sample" name
+     | Some st ->
+       (* three samples are pinned by their count, sum, min and max *)
+       check_int "site count" 3 st.Profile.count;
+       check_int "site total = span total" (List.fold_left ( + ) 0 durs)
+         (int_of_float st.Profile.total);
+       check_int "site min" (List.fold_left min max_int durs)
+         (int_of_float st.Profile.min);
+       check_int "site max" (List.fold_left max 0 durs)
+         (int_of_float st.Profile.max));
+    let stamps pick =
+      List.filter_map
+        (fun (e : Flightrec.event) -> pick e.Flightrec.kind e.Flightrec.t_ns)
+        (Flightrec.events ())
+    in
+    let begins =
+      stamps (fun k t ->
+          match k with Flightrec.Cycle_begin _ -> Some t | _ -> None)
+    and ends =
+      stamps (fun k t ->
+          match k with Flightrec.Cycle_end _ -> Some t | _ -> None)
+    in
+    check_bool (name ^ " Cycle_begin at span start") true
+      (begins = List.map (fun (s : Telemetry.span) -> s.start_ns) spans);
+    check_bool (name ^ " Cycle_end at span end") true
+      (ends
+       = List.map (fun (s : Telemetry.span) -> s.start_ns + s.dur_ns) spans);
+    Flightrec.reset ();
+    Profile.reset ()
+  in
+  check_loop "solver.cycle" (fun () ->
+      (Solver.iterate stepper ~problem ~cycles:3 ()).Solver.stats);
+  check_loop "guard.cycle" (fun () ->
+      (Guard.run
+         ~policy:{ Guard.default_policy with Guard.max_cycles = 3 }
+         ~primary:stepper ~problem ())
+        .Guard.stats)
+
 let () =
   Alcotest.run "telemetry"
     [ ( "spans",
@@ -350,6 +437,9 @@ let () =
         [ Alcotest.test_case "parallel totals" `Quick
             test_counters_under_parallel;
           Alcotest.test_case "max_to" `Quick test_counter_max_to ] );
+      ( "probe",
+        [ Alcotest.test_case "one clock read per probe" `Quick
+            test_one_clock_read ] );
       ( "trace",
         [ Alcotest.test_case "json roundtrip" `Quick test_trace_json_roundtrip;
           Alcotest.test_case "file output" `Quick test_trace_file ] );
