@@ -31,11 +31,7 @@
 open Repro_mg
 module Json = Repro_runtime.Json
 
-let failures = ref 0
-
-let leg name pass =
-  if not pass then incr failures;
-  Format.printf "%s: %s@." name (if pass then "PASS" else "FAIL")
+let leg name pass = Campaign.check ~name ~pass ~detail:[]
 
 (* -- leg 1: differential oracle ----------------------------------------- *)
 
@@ -232,33 +228,19 @@ let run_selftest ~quick =
 (* -- driver -------------------------------------------------------------- *)
 
 let () =
-  let quick = ref false and out = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--out" :: path :: rest ->
-      out := Some path;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf
-        "conformance: unknown argument %s (try --quick, --out FILE)\n" a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  Format.printf "conformance campaign%s@."
-    (if !quick then " (quick)" else "");
-  let oracle = run_oracle ~quick:!quick in
-  let c_verdicts = run_c ~quick:!quick in
-  let native = run_native ~quick:!quick in
-  let mms = run_mms ~quick:!quick in
-  let health = run_health ~quick:!quick in
-  let selftest = run_selftest ~quick:!quick in
-  let doc =
-    Json.Obj
-      [ ("schema", Json.Str "polymg.conformance/1");
-        ("quick", Json.Bool !quick);
+  Campaign.parse ~usage:"usage: conformance.exe [--quick] [--out FILE]"
+    [ Campaign.quick_flag; Campaign.out_flag ];
+  let quick = !Campaign.quick in
+  Format.printf "conformance campaign%s@." (if quick then " (quick)" else "");
+  let oracle = run_oracle ~quick in
+  let c_verdicts = run_c ~quick in
+  let native = run_native ~quick in
+  let mms = run_mms ~quick in
+  let health = run_health ~quick in
+  let selftest = run_selftest ~quick in
+  Campaign.finish ~schema:"polymg.conformance/1"
+    ~body:
+      [ ("quick", Json.Bool quick);
         ("oracle", Json.Arr (List.map Conformance.json_of_case oracle));
         ( "c_equivalence",
           Json.Arr (List.map Conformance.json_of_c_verdict c_verdicts) );
@@ -267,8 +249,7 @@ let () =
           | Error reason ->
             Json.Obj
               [ ("status", Json.Str "skip"); ("reason", Json.Str reason) ]
-          | Ok cases ->
-            Json.Arr (List.map Conformance.json_of_case cases) );
+          | Ok cases -> Json.Arr (List.map Conformance.json_of_case cases) );
         ("mms", Json.Arr (List.map Conformance.json_of_mms mms));
         ("health", Json.Arr (List.map json_of_health health));
         ( "injected_bug",
@@ -282,19 +263,5 @@ let () =
           | None ->
             Json.Obj
               [ ("caught", Json.Bool false); ("seed", Json.num Qc_replay.seed) ]
-        );
-        ("failures", Json.num !failures) ]
-  in
-  (match !out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Json.to_channel oc doc;
-     output_char oc '\n';
-     close_out oc;
-     Format.printf "conformance: wrote %s@." path);
-  if !failures > 0 then begin
-    Format.printf "conformance campaign: %d FAILING LEG(S)@." !failures;
-    exit 1
-  end;
-  Format.printf "conformance campaign: all legs passed@."
+        ) ]
+    "conformance campaign"

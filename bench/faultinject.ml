@@ -12,14 +12,13 @@
 
    A campaign passes when the guard (a) detects the expected fault class,
    (b) rolls back, and (c) still converges to tolerance through the
-   fallback.  Exits nonzero if any campaign fails.
+   fallback.
 
    With --incident-dir DIR the flight recorder runs during every
-   campaign and each campaign additionally asserts its incident trail:
-   at least one incident report of the expected kind was written under
-   DIR/<campaign>/, every report parses, carries the polymg.incident/1
-   schema, names the triggering fault and cycle, the primary plan's
-   digest, and a non-empty event tail.
+   campaign and each campaign additionally asserts its incident trail
+   under DIR/<campaign>/ (Campaign.expect_incident): every report is
+   valid and names its triggering cycle and fault, and at least one is
+   of the expected kind.  Exits nonzero if any campaign fails.
 
    Run directly or via `dune runtest` (wired in test/dune). *)
 
@@ -29,7 +28,6 @@ module Grid = Repro_grid.Grid
 module Buf = Repro_grid.Buf
 module Telemetry = Repro_runtime.Telemetry
 module Flightrec = Repro_runtime.Flightrec
-module Json = Repro_runtime.Json
 
 let tol = 1e-8
 
@@ -109,102 +107,24 @@ let campaigns =
     ("stage-nan", every 4 stage_nan, is_nan, [ "nan" ]);
     ("stage-kill", every 4 stage_kill, is_crash, [ "crash" ]) ]
 
-(* -- incident-trail assertions ------------------------------------------- *)
-
-let mem k d = Option.value (Json.member k d) ~default:Json.Null
-
-(* Every report under [dir] must parse, carry the incident schema, and
-   name the triggering fault, the cycle it hit, the plan digest and a
-   non-empty event tail; at least one must be of an expected [kind].
-   Returns the list of violations (empty = pass). *)
-let check_incident_trail ~dir ~kinds =
-  match Sys.readdir dir with
-  | exception Sys_error m -> [ Printf.sprintf "cannot read %s: %s" dir m ]
-  | entries ->
-    let reports =
-      Array.to_list entries
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort compare
-    in
-    if reports = [] then [ Printf.sprintf "no incident report in %s" dir ]
-    else
-      let problems = ref [] in
-      let seen_kinds = ref [] in
-      List.iter
-        (fun file ->
-          let path = Filename.concat dir file in
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match Json.parse s with
-          | Error m ->
-            problems := Printf.sprintf "%s: parse error: %s" file m :: !problems
-          | Ok doc ->
-            let bad fmt =
-              Printf.ksprintf
-                (fun m -> problems := Printf.sprintf "%s: %s" file m :: !problems)
-                fmt
-            in
-            (match Json.to_str (mem "schema" doc) with
-             | Some "polymg.incident/1" -> ()
-             | _ -> bad "missing/wrong schema");
-            (match Json.to_str (mem "kind" doc) with
-             | Some k -> seen_kinds := k :: !seen_kinds
-             | None -> bad "missing kind");
-            (match Json.to_int (mem "cycle" doc) with
-             | Some c when c >= 1 -> ()
-             | _ -> bad "missing triggering cycle");
-            (match Json.to_str (mem "digest" (mem "plan" doc)) with
-             | Some d when d <> "" -> ()
-             | _ -> bad "missing plan digest");
-            (match Json.to_str (mem "fault" (mem "detail" doc)) with
-             | Some _ -> ()
-             | None -> bad "detail does not name the triggering fault");
-            if Json.to_list (mem "events" doc) = [] then
-              bad "empty event tail")
-        reports;
-      if not (List.exists (fun k -> List.mem k !seen_kinds) kinds) then
-        problems :=
-          Printf.sprintf "no incident of expected kind [%s] in %s (saw: %s)"
-            (String.concat "|" kinds) dir
-            (String.concat " " (List.sort_uniq compare !seen_kinds))
-          :: !problems;
-      List.rev !problems
-
 let () =
-  let incident_root = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--incident-dir" :: dir :: rest ->
-      incident_root := Some dir;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf "faultinject: unknown argument %s (try --incident-dir DIR)\n" a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Campaign.parse ~usage:"usage: faultinject.exe [--incident-dir DIR]"
+    [ Campaign.incident_dir_flag ];
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
   let n = 64 in
   let problem = Problem.poisson ~dims:2 ~n in
-  let failures = ref 0 in
-  Printf.printf "fault-injection campaign: %s N=%d primary=opt+ fallback=naive tol=%g\n"
+  Printf.printf
+    "fault-injection campaign: %s N=%d primary=opt+ fallback=naive tol=%g\n"
     (Cycle.bench_name cfg) n tol;
   Exec.with_runtime (fun rt ->
       let fallback () = Solver.polymg_stepper cfg ~n ~opts:Options.naive ~rt in
       List.iter
         (fun (name, wrap, expected, kinds) ->
-          let incident_dir =
-            Option.map (fun root -> Filename.concat root name) !incident_root
-          in
           Telemetry.reset ();
           Telemetry.set_enabled true;
-          if incident_dir <> None then begin
-            (* reset first: the stepper below notes the plan digest the
-               incident reports must carry *)
-            Flightrec.reset ();
-            Flightrec.set_enabled true;
-            Flightrec.set_incident_dir incident_dir
-          end;
+          (* armed before the stepper below notes the plan digest the
+             incident reports must carry *)
+          let incident_dir = Campaign.arm_incidents name in
           let primary =
             wrap
               (Solver.polymg_stepper cfg ~n
@@ -233,32 +153,20 @@ let () =
             Telemetry.value (Telemetry.counter "guard.rollbacks")
           in
           let incident_problems =
-            match incident_dir with
-            | None -> []
-            | Some dir -> check_incident_trail ~dir ~kinds
+            Campaign.expect_incident ~dir:incident_dir ~kinds ~mid_solve:true ()
           in
-          let pass = detected && recovered && incident_problems = [] in
+          Campaign.check ~name
+            ~pass:(detected && recovered && incident_problems = [])
+            ~detail:[];
           Printf.printf
-            "  %-10s %s  detected=%b recovered=%b outcome=%s faults=%d \
-             rollbacks=%d fallback-cycles=%d residual=%.3e%s\n"
-            name
-            (if pass then "PASS" else "FAIL")
+            "      detected=%b recovered=%b outcome=%s faults=%d rollbacks=%d \
+             fallback-cycles=%d residual=%.3e\n"
             detected recovered
             (Guard.outcome_name r.Guard.outcome)
             (List.length r.Guard.events)
-            rollbacks r.Guard.fallback_cycles r.Guard.residual
-            (match incident_dir with
-             | None -> ""
-             | Some _ -> Printf.sprintf " incidents=%s"
-                           (if incident_problems = [] then "ok" else "BAD"));
+            rollbacks r.Guard.fallback_cycles r.Guard.residual;
           List.iter
             (fun m -> Printf.printf "      incident-trail: %s\n" m)
-            incident_problems;
-          if not pass then incr failures)
+            incident_problems)
         campaigns);
-  if !failures > 0 then begin
-    Printf.printf "fault-injection campaign: %d FAILURE(S)\n" !failures;
-    exit 1
-  end;
-  Printf.printf "fault-injection campaign: all %d classes detected and recovered\n"
-    (List.length campaigns)
+  Campaign.finish "fault-injection campaign"

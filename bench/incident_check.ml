@@ -1,91 +1,34 @@
-(* Incident-report schema validator: the CI gate that every report the
-   flight recorder wrote is machine-readable and self-contained.
+(* Incident-report validator: the CI gate that every report the flight
+   recorder wrote is machine-readable and self-contained.
 
    Usage:
      incident_check.exe DIR [DIR ...]
 
-   Walks each DIR recursively, parses every *.json with
-   Repro_runtime.Json, and requires of each:
-     - schema "polymg.incident/1"
-     - a non-empty "kind"
-     - a plan block with a non-empty digest
-     - a non-empty "events" array whose entries each carry kind/seq/dom
-     - a "counters" object and an "environment" block
-
-   Exits 1 if any report is malformed or if no report was found at all
-   (an empty artifact set would make the gate vacuous). *)
-
-module Json = Repro_runtime.Json
+   Walks each DIR recursively and checks every *.json against
+   Campaign.incident_problems (schema, kind, plan digest, event tail,
+   counters, environment).  Exits 1 if any report is malformed or if no
+   report was found at all (an empty artifact set would make the gate
+   vacuous), 2 without a DIR. *)
 
 let problems = ref 0
 let checked = ref 0
 
-let complain path fmt =
-  Printf.ksprintf
-    (fun m ->
-      incr problems;
-      Printf.printf "incident_check: %s: %s\n" path m)
-    fmt
-
-let mem k d = Option.value (Json.member k d) ~default:Json.Null
-
-let check_report path doc =
-  (match Json.to_str (mem "schema" doc) with
-   | Some "polymg.incident/1" -> ()
-   | Some s -> complain path "wrong schema %S" s
-   | None -> complain path "missing schema");
-  (match Json.to_str (mem "kind" doc) with
-   | Some k when k <> "" -> ()
-   | _ -> complain path "missing kind");
-  (match Json.to_str (mem "digest" (mem "plan" doc)) with
-   | Some d when d <> "" -> ()
-   | _ -> complain path "missing plan digest");
-  (match Json.to_list (mem "events" doc) with
-   | [] -> complain path "empty event tail"
-   | events ->
-     List.iteri
-       (fun i e ->
-         if Json.to_str (mem "kind" e) = None then
-           complain path "event %d has no kind" i;
-         if Json.to_int (mem "seq" e) = None then
-           complain path "event %d has no seq" i;
-         if Json.to_int (mem "dom" e) = None then
-           complain path "event %d has no dom" i)
-       events);
-  (match mem "counters" doc with
-   | Json.Obj _ -> ()
-   | _ -> complain path "missing counters object");
-  (match mem "environment" doc with
-   | Json.Obj _ -> ()
-   | _ -> complain path "missing environment block")
+let complain path m =
+  incr problems;
+  Printf.printf "incident_check: %s: %s\n" path m
 
 let check_file path =
   incr checked;
-  let ic =
-    try open_in_bin path
-    with Sys_error m ->
-      complain path "cannot open: %s" m;
-      raise Exit
-  in
-  let s =
-    try really_input_string ic (in_channel_length ic)
-    with End_of_file | Sys_error _ ->
-      close_in_noerr ic;
-      complain path "cannot read";
-      raise Exit
-  in
-  close_in ic;
-  match Json.parse s with
-  | Ok doc -> check_report path doc
-  | Error m -> complain path "parse error: %s" m
+  match Campaign.read_incident path with
+  | Error m -> complain path m
+  | Ok doc -> List.iter (complain path) (Campaign.incident_problems doc)
 
 let rec walk path =
   if Sys.is_directory path then
     Array.iter
       (fun entry -> walk (Filename.concat path entry))
       (Sys.readdir path)
-  else if Filename.check_suffix path ".json" then
-    try check_file path with Exit -> ()
+  else if Filename.check_suffix path ".json" then check_file path
 
 let () =
   let dirs = List.tl (Array.to_list Sys.argv) in
@@ -96,10 +39,7 @@ let () =
   List.iter
     (fun d ->
       if Sys.file_exists d then walk d
-      else begin
-        incr problems;
-        Printf.printf "incident_check: %s: no such directory\n" d
-      end)
+      else complain d "no such directory")
     dirs;
   if !checked = 0 then begin
     Printf.printf "incident_check: no incident report found under: %s\n"

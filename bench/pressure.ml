@@ -26,8 +26,8 @@
    a "demotion" report, the under-floor budget a "budget-infeasible"
    one, the hopeless deadline a "deadline" one, and a new
    retry-exhaustion case (persistent crash, bounded retries, no
-   fallback) a "crash" report whose action is "gave up" — all parseable,
-   polymg.incident/1, naming the plan digest and event tail.
+   fallback) a "crash" report whose action is "gave up" — all valid
+   incident reports (Campaign.expect_incident).
 
    Writes a polymg.pressure/1 JSON report with --out; --quick trims the
    config list for CI smoke.  Runs in `dune runtest` (test/dune). *)
@@ -42,103 +42,21 @@ module Json = Repro_runtime.Json
 
 let tol = 1e-8
 
-(* -- incident-trail plumbing --------------------------------------------- *)
+(* [f ()] with fresh telemetry on; telemetry and the flight recorder
+   are off again when it returns. *)
+let recorded f =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect f ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Flightrec.set_enabled false)
 
-let incident_root : string option ref = ref None
-
-(* Arm the recorder into DIR/<sub> for one case; [None] when incidents
-   are not being collected. *)
-let arm_flightrec sub =
-  match !incident_root with
-  | None -> None
-  | Some root ->
-    let dir = Filename.concat root sub in
-    Flightrec.reset ();
-    Flightrec.set_enabled true;
-    Flightrec.set_incident_dir (Some dir);
-    Some dir
-
-let disarm_flightrec () = Flightrec.set_enabled false
-let jmem k d = Option.value (Json.member k d) ~default:Json.Null
-
-(* At least one parseable polymg.incident/1 report of [kind] under
-   [dir], with a plan digest, a non-empty event tail, and (when
-   [need_cycle]) the triggering cycle; [detail_pred] adds a per-kind
-   check on the detail block.  Returns violations (empty = pass). *)
-let check_incident ~dir ~kind ?(need_cycle = false)
-    ?(detail_pred = fun _ -> true) () =
-  match Sys.readdir dir with
-  | exception Sys_error m -> [ Printf.sprintf "cannot read %s: %s" dir m ]
-  | entries ->
-    let reports =
-      Array.to_list entries
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort compare
-    in
-    if reports = [] then [ Printf.sprintf "no incident report in %s" dir ]
-    else begin
-      let problems = ref [] and matched = ref false in
-      List.iter
-        (fun file ->
-          let path = Filename.concat dir file in
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match Json.parse s with
-          | Error m ->
-            problems :=
-              Printf.sprintf "%s: parse error: %s" file m :: !problems
-          | Ok doc ->
-            let bad fmt =
-              Printf.ksprintf
-                (fun m ->
-                  problems := Printf.sprintf "%s: %s" file m :: !problems)
-                fmt
-            in
-            (match Json.to_str (jmem "schema" doc) with
-             | Some "polymg.incident/1" -> ()
-             | _ -> bad "missing/wrong schema");
-            (match Json.to_str (jmem "digest" (jmem "plan" doc)) with
-             | Some d when d <> "" -> ()
-             | _ -> bad "missing plan digest");
-            if Json.to_list (jmem "events" doc) = [] then
-              bad "empty event tail";
-            if need_cycle then (
-              match Json.to_int (jmem "cycle" doc) with
-              | Some c when c >= 1 -> ()
-              | _ -> bad "missing triggering cycle");
-            if Json.to_str (jmem "kind" doc) = Some kind
-               && detail_pred (jmem "detail" doc)
-            then matched := true)
-        reports;
-      if not !matched then
-        problems :=
-          Printf.sprintf "no incident of kind %S satisfying checks in %s"
-            kind dir
-          :: !problems;
-      List.rev !problems
-    end
-
-let max_abs_diff (a : Grid.t) (b : Grid.t) =
-  let ba = a.Grid.buf and bb = b.Grid.buf in
-  let m = ref 0.0 in
-  for i = 0 to Buf.len ba - 1 do
-    m := Float.max !m (Float.abs (Buf.get ba i -. Buf.get bb i))
-  done;
-  !m
-
-let failures = ref 0
-let cases : Json.t list ref = ref []
-
-let record ~name ~pass ~(detail : (string * Json.t) list) =
-  if not pass then incr failures;
-  Printf.printf "  %-34s %s\n%!" name (if pass then "PASS" else "FAIL");
-  cases :=
-    Json.Obj
-      (("name", Json.Str name)
-       :: ("pass", Json.Bool pass)
-       :: detail)
-    :: !cases
+(* A recorded governed solve, an exception coming back as [Error]. *)
+let governed cfg ~n ~opts ~cycles ~problem =
+  recorded (fun () ->
+      match Solver.solve_governed cfg ~n ~opts ~cycles ~problem () with
+      | r -> Ok r
+      | exception e -> Error (Printexc.to_string e))
 
 (* -- budget axis --------------------------------------------------------- *)
 
@@ -151,28 +69,19 @@ let governed_case ~name ~cfg ~n ~problem ~cycles ~budget ~naive_v
   in
   (* only the forced-demotion cases must leave an incident trail *)
   let incident_dir =
-    if expect_demotions then arm_flightrec name else None
+    if expect_demotions then Campaign.arm_incidents name else None
   in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  match Solver.solve_governed cfg ~n ~opts ~cycles ~problem () with
-  | exception e ->
-    Telemetry.set_enabled false;
-    disarm_flightrec ();
-    record ~name ~pass:false
-      ~detail:[ ("error", Json.Str (Printexc.to_string e)) ]
-  | Error inf ->
-    Telemetry.set_enabled false;
-    disarm_flightrec ();
-    record ~name ~pass:false
+  match governed cfg ~n ~opts ~cycles ~problem with
+  | Error e ->
+    Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
+  | Ok (Error inf) ->
+    Campaign.check ~name ~pass:false
       ~detail:
         [ ("error", Json.Str "unexpectedly infeasible");
           ("floor_bytes", Json.num inf.Govern.floor_bytes) ]
-  | Ok g ->
-    Telemetry.set_enabled false;
-    disarm_flightrec ();
+  | Ok (Ok g) ->
     let r = g.Solver.g_result in
-    let diff = max_abs_diff r.Solver.v naive_v in
+    let diff = Grid.max_abs_diff r.Solver.v naive_v in
     let high_water =
       Telemetry.value (Telemetry.counter "govern.pool_high_water_bytes")
     in
@@ -185,22 +94,18 @@ let governed_case ~name ~cfg ~n ~problem ~cycles ~budget ~naive_v
     let demotions_consistent = reported = counted in
     let demotions_ok = (not expect_demotions) || reported >= 1 in
     let incident_problems =
-      match incident_dir with
-      | None -> []
-      | Some dir ->
-        check_incident ~dir ~kind:"demotion"
-          ~detail_pred:(fun d -> Json.to_str (jmem "chosen" d) <> None)
-          ()
+      Campaign.expect_incident ~dir:incident_dir ~kinds:[ "demotion" ]
+        ~detail_pred:(fun d -> Json.to_str (Campaign.field "chosen" d) <> None)
+        ()
     in
     let pass =
       converged && model_ok && water_ok && demotions_consistent
       && demotions_ok && incident_problems = []
     in
-    record ~name ~pass
+    Campaign.check ~name ~pass
       ~detail:
-        (( "incident_problems",
-           Json.Arr (List.map (fun s -> Json.Str s) incident_problems) )
-         :: [ ("budget", Json.num budget);
+        [ ("incident_problems", Campaign.strings incident_problems);
+          ("budget", Json.num budget);
           ("executed_rung", Json.Str executed.Govern.rname);
           ("executed_peak_bytes", Json.num executed.Govern.peak_bytes);
           ("pool_high_water", Json.num high_water);
@@ -208,7 +113,7 @@ let governed_case ~name ~cfg ~n ~problem ~cycles ~budget ~naive_v
           ("demotions_reported", Json.num reported);
           ("demotions_counted", Json.num counted);
           ("runtime_demotions", Json.num g.Solver.g_runtime_demotions);
-          ("report", Govern.report_json g.Solver.g_report) ])
+          ("report", Govern.report_json g.Solver.g_report) ]
 
 let budget_axis ~quick =
   let configs =
@@ -274,37 +179,26 @@ let budget_axis ~quick =
           Options.mem_budget = Some (floor - 1);
           check_plan = true }
       in
-      let incident_dir = arm_flightrec name in
-      Telemetry.reset ();
-      Telemetry.set_enabled true;
-      (match Solver.solve_governed cfg ~n ~opts ~cycles ~problem () with
-       | exception e ->
-         Telemetry.set_enabled false;
-         disarm_flightrec ();
-         record ~name ~pass:false
-           ~detail:[ ("error", Json.Str (Printexc.to_string e)) ]
-       | Ok g ->
-         Telemetry.set_enabled false;
-         disarm_flightrec ();
-         record ~name ~pass:false
+      let incident_dir = Campaign.arm_incidents name in
+      match governed cfg ~n ~opts ~cycles ~problem with
+       | Error e ->
+         Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
+       | Ok (Ok g) ->
+         Campaign.check ~name ~pass:false
            ~detail:
              [ ("error", Json.Str "expected infeasible, got a solve");
                ("executed_rung",
                 Json.Str g.Solver.g_executed.Govern.rname) ]
-       | Error inf ->
-         Telemetry.set_enabled false;
-         disarm_flightrec ();
+       | Ok (Error inf) ->
          let counted =
            Telemetry.value (Telemetry.counter "govern.infeasible")
          in
          let incident_problems =
-           match incident_dir with
-           | None -> []
-           | Some dir ->
-             check_incident ~dir ~kind:"budget-infeasible"
-               ~detail_pred:(fun d ->
-                 Json.to_str (jmem "floor_rung" d) <> None)
-               ()
+           Campaign.expect_incident ~dir:incident_dir
+             ~kinds:[ "budget-infeasible" ]
+             ~detail_pred:(fun d ->
+               Json.to_str (Campaign.field "floor_rung" d) <> None)
+             ()
          in
          let pass =
            inf.Govern.inf_budget = floor - 1
@@ -312,15 +206,13 @@ let budget_axis ~quick =
            && counted >= 1
            && incident_problems = []
          in
-         record ~name ~pass
+         Campaign.check ~name ~pass
            ~detail:
              [ ("budget", Json.num (floor - 1));
                ("floor_bytes", Json.num inf.Govern.floor_bytes);
                ("floor_rung", Json.Str inf.Govern.floor_rung);
                ("infeasible_counted", Json.num counted);
-               ( "incident_problems",
-                 Json.Arr (List.map (fun s -> Json.Str s) incident_problems)
-               ) ]))
+               ("incident_problems", Campaign.strings incident_problems) ])
     configs
 
 (* -- deadline axis ------------------------------------------------------- *)
@@ -336,41 +228,33 @@ let deadline_axis () =
   let opts =
     { Options.opt_plus with Options.deadline = Some 5.0; check_plan = true }
   in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  (match Solver.solve_governed cfg ~n ~opts ~cycles:3 ~problem () with
-   | exception e ->
-     Telemetry.set_enabled false;
-     record ~name:"deadline-generous" ~pass:false
-       ~detail:[ ("error", Json.Str (Printexc.to_string e)) ]
-   | Error _ ->
-     Telemetry.set_enabled false;
-     record ~name:"deadline-generous" ~pass:false
+  (match governed cfg ~n ~opts ~cycles:3 ~problem with
+   | Error e ->
+     Campaign.check ~name:"deadline-generous" ~pass:false
+       ~detail:[ ("error", Json.Str e) ]
+   | Ok (Error _) ->
+     Campaign.check ~name:"deadline-generous" ~pass:false
        ~detail:[ ("error", Json.Str "unexpectedly infeasible") ]
-   | Ok _ ->
-     Telemetry.set_enabled false;
+   | Ok (Ok _) ->
      let t = trips () in
-     record ~name:"deadline-generous" ~pass:(t = 0)
+     Campaign.check ~name:"deadline-generous" ~pass:(t = 0)
        ~detail:[ ("deadline_trips", Json.num t) ]);
   (* hopeless deadline under guard: trips, quarantines the primary, and
      still converges through the deadline-free naive fallback *)
-  let incident_dir = arm_flightrec "deadline-hopeless-guarded" in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
+  let incident_dir = Campaign.arm_incidents "deadline-hopeless-guarded" in
   let r =
-    Guard.solve cfg ~n
-      ~opts:
-        { Options.opt_plus with
-          Options.deadline = Some 1e-7;
-          check_plan = true }
-      ~policy:
-        { Guard.default_policy with
-          Guard.tol = Some 1e-8;
-          Guard.max_cycles = 60 }
-      ~problem ()
+    recorded (fun () ->
+        Guard.solve cfg ~n
+          ~opts:
+            { Options.opt_plus with
+              Options.deadline = Some 1e-7;
+              check_plan = true }
+          ~policy:
+            { Guard.default_policy with
+              Guard.tol = Some 1e-8;
+              Guard.max_cycles = 60 }
+          ~problem ())
   in
-  Telemetry.set_enabled false;
-  disarm_flightrec ();
   let t = trips () in
   let quarantined =
     List.exists
@@ -379,14 +263,10 @@ let deadline_axis () =
       r.Guard.events
   in
   let incident_problems =
-    match incident_dir with
-    | None -> []
-    | Some dir ->
-      check_incident ~dir ~kind:"deadline" ~need_cycle:true
-        ~detail_pred:(fun d -> Json.to_str (jmem "fault" d) <> None)
-        ()
+    Campaign.expect_incident ~dir:incident_dir ~kinds:[ "deadline" ]
+      ~mid_solve:true ()
   in
-  record ~name:"deadline-hopeless-guarded"
+  Campaign.check ~name:"deadline-hopeless-guarded"
     ~pass:
       (r.Guard.outcome = Guard.Converged && t >= 1 && quarantined
        && incident_problems = [])
@@ -395,13 +275,11 @@ let deadline_axis () =
         ("deadline_trips", Json.num t);
         ("quarantined", Json.Bool quarantined);
         ("fallback_cycles", Json.num r.Guard.fallback_cycles);
-        ( "incident_problems",
-          Json.Arr (List.map (fun s -> Json.Str s) incident_problems) ) ];
+        ("incident_problems", Campaign.strings incident_problems) ];
   (* transient crash + bounded retry: one Primary_retry event, no
      fallback cycles, converged *)
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
   let r =
+    recorded @@ fun () ->
     Exec.with_runtime (fun rt ->
         let inner =
           Solver.polymg_stepper cfg ~n
@@ -428,14 +306,13 @@ let deadline_axis () =
               Guard.retry_backoff = 1e-3 }
           ~primary ~fallback ~problem ())
   in
-  Telemetry.set_enabled false;
   let retried =
     List.exists
       (fun (e : Guard.event) -> e.Guard.action = Guard.Primary_retry)
       r.Guard.events
   in
   let counted = Telemetry.value (Telemetry.counter "govern.primary_retries") in
-  record ~name:"transient-crash-retry"
+  Campaign.check ~name:"transient-crash-retry"
     ~pass:
       (r.Guard.outcome = Guard.Converged && retried && counted = 1
        && r.Guard.fallback_cycles = 0)
@@ -447,10 +324,9 @@ let deadline_axis () =
   (* retry exhaustion: a persistent crash, bounded retries and no
      fallback must end in a typed Faulted outcome — and leave a crash
      incident whose recorded action is "gave up" *)
-  let incident_dir = arm_flightrec "retry-exhaustion" in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
+  let incident_dir = Campaign.arm_incidents "retry-exhaustion" in
   let r =
+    recorded @@ fun () ->
     Exec.with_runtime (fun rt ->
         let _keep_plan_note =
           (* note the plan the way a real solve would, so the incident
@@ -472,8 +348,6 @@ let deadline_axis () =
               Guard.retry_backoff = 1e-3 }
           ~primary ~problem ())
   in
-  Telemetry.set_enabled false;
-  disarm_flightrec ();
   let retries =
     Telemetry.value (Telemetry.counter "govern.primary_retries")
   in
@@ -483,14 +357,13 @@ let deadline_axis () =
       r.Guard.events
   in
   let incident_problems =
-    match incident_dir with
-    | None -> []
-    | Some dir ->
-      check_incident ~dir ~kind:"crash" ~need_cycle:true
-        ~detail_pred:(fun d -> Json.to_str (jmem "action" d) = Some "gave up")
-        ()
+    Campaign.expect_incident ~dir:incident_dir ~kinds:[ "crash" ]
+      ~mid_solve:true
+      ~detail_pred:(fun d ->
+        Json.to_str (Campaign.field "action" d) = Some "gave up")
+      ()
   in
-  record ~name:"retry-exhaustion"
+  Campaign.check ~name:"retry-exhaustion"
     ~pass:
       ((match r.Guard.outcome with
         | Guard.Faulted (Guard.Fault_crash _) -> true
@@ -501,69 +374,21 @@ let deadline_axis () =
       [ ("outcome", Json.Str (Guard.outcome_name r.Guard.outcome));
         ("retries_counted", Json.num retries);
         ("gave_up", Json.Bool gave_up);
-        ( "incident_problems",
-          Json.Arr (List.map (fun s -> Json.Str s) incident_problems) ) ]
+        ("incident_problems", Campaign.strings incident_problems) ]
 
 (* -- driver -------------------------------------------------------------- *)
 
 let () =
-  let quick = ref false and out = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--out" :: path :: rest ->
-      out := Some path;
-      parse rest
-    | "--incident-dir" :: dir :: rest ->
-      incident_root := Some dir;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf
-        "pressure: unknown argument %s (try --quick, --out FILE, \
-         --incident-dir DIR)\n"
-        a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Campaign.parse
+    ~usage:"usage: pressure.exe [--quick] [--out FILE] [--incident-dir DIR]"
+    [ Campaign.quick_flag; Campaign.out_flag; Campaign.incident_dir_flag ];
+  let quick = !Campaign.quick in
   Printf.printf "pressure campaign%s: budget ladder + deadlines, tol %g\n%!"
-    (if !quick then " (quick)" else "")
+    (if quick then " (quick)" else "")
     tol;
-  budget_axis ~quick:!quick;
+  budget_axis ~quick;
   deadline_axis ();
-  (* teardown: every pooled buffer must have come back, across every
-     demoted, deadline-tripped, and budget-refused solve above *)
-  (match Repro_runtime.Mempool.assert_quiescent () with
-   | 0 -> record ~name:"pools quiescent at teardown" ~pass:true ~detail:[]
-   | n ->
-     record ~name:"pools quiescent at teardown" ~pass:false
-       ~detail:[ ("outstanding", Json.num n) ]
-   | exception Repro_runtime.Mempool.Not_quiescent { outstanding; leaked; detail }
-     ->
-     record ~name:"pools quiescent at teardown" ~pass:false
-       ~detail:
-         [ ("outstanding", Json.num outstanding);
-           ("leaked", Json.num leaked);
-           ("detail", Json.Arr (List.map (fun s -> Json.Str s) detail)) ]);
-  let doc =
-    Json.Obj
-      [ ("schema", Json.Str "polymg.pressure/1");
-        ("quick", Json.Bool !quick);
-        ("cases", Json.Arr (List.rev !cases));
-        ("failures", Json.num !failures) ]
-  in
-  (match !out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Json.to_channel oc doc;
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "pressure: wrote %s\n" path);
-  if !failures > 0 then begin
-    Printf.printf "pressure campaign: %d FAILURE(S)\n" !failures;
-    exit 1
-  end;
-  Printf.printf "pressure campaign: all %d cases passed\n"
-    (List.length !cases)
+  (* teardown: across every demoted, deadline-tripped, and budget-refused
+     solve above *)
+  Campaign.teardown ~name:"pools quiescent at teardown";
+  Campaign.finish ~schema:"polymg.pressure/1" "pressure campaign"

@@ -36,53 +36,8 @@ open Repro_mg
 module Telemetry = Repro_runtime.Telemetry
 module Metrics = Repro_runtime.Metrics
 module Flightrec = Repro_runtime.Flightrec
-module Mempool = Repro_runtime.Mempool
+module Snapshot = Repro_runtime.Snapshot
 module Json = Repro_runtime.Json
-
-let failures = ref 0
-let cases : Json.t list ref = ref []
-
-let record ~name ~pass ~(detail : (string * Json.t) list) =
-  if not pass then incr failures;
-  Printf.printf "  %-36s %s\n%!" name (if pass then "PASS" else "FAIL");
-  cases :=
-    Json.Obj (("name", Json.Str name) :: ("pass", Json.Bool pass) :: detail)
-    :: !cases
-
-let jmem k d = Option.value (Json.member k d) ~default:Json.Null
-
-(* At least one parseable polymg.incident/1 report of [kind] in [dir]
-   (shared by the whole campaign), with plan digest and event tail. *)
-let check_incident ~dir ~kind =
-  match Sys.readdir dir with
-  | exception Sys_error m -> [ Printf.sprintf "cannot read %s: %s" dir m ]
-  | entries ->
-    let problems = ref [] and matched = ref false in
-    Array.iter
-      (fun file ->
-        if Filename.check_suffix file ".json" then begin
-          let path = Filename.concat dir file in
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match Json.parse s with
-          | Error m ->
-            problems := Printf.sprintf "%s: parse error: %s" file m :: !problems
-          | Ok doc ->
-            if Json.to_str (jmem "schema" doc) <> Some "polymg.incident/1"
-            then problems := Printf.sprintf "%s: bad schema" file :: !problems
-            else if
-              Json.to_str (jmem "kind" doc) = Some kind
-              && Json.to_str (jmem "digest" (jmem "plan" doc)) <> Some ""
-              && Json.to_list (jmem "events" doc) <> []
-            then matched := true
-        end)
-      entries;
-    if not !matched then
-      problems :=
-        Printf.sprintf "no schema-valid incident of kind %S in %s" kind dir
-        :: !problems;
-    List.rev !problems
 
 (* -- phase 1: one probe per response class ------------------------------- *)
 
@@ -101,7 +56,7 @@ let phase_probes ~incident_dir =
       sv_tenants = [ ("probe", Serve.default_tenant) ] }
   in
   let sv = Serve.create ~config () in
-  let case name rq ~status ~code ?(min_incidents = 0) ?(extra = []) () =
+  let case name rq ~status ~code ?(min_incidents = 0) () =
     let r = Serve.solve sv rq in
     (* isolation: the server must answer a clean request right after
        every probe, whatever the probe did to its own solve *)
@@ -112,15 +67,14 @@ let phase_probes ~incident_dir =
       && r.Serve.rs_incidents >= min_incidents
       && after.Serve.rs_status = Serve.Ok
     in
-    record ~name ~pass
+    Campaign.check ~name ~pass
       ~detail:
-        ([ ("status", Json.Str (Serve.status_name r.Serve.rs_status));
-           ("code", Json.num r.Serve.rs_code);
-           ("incidents", Json.num r.Serve.rs_incidents);
-           ("detail", Json.Str r.Serve.rs_detail);
-           ( "next_request_status",
-             Json.Str (Serve.status_name after.Serve.rs_status) ) ]
-         @ extra)
+        [ ("status", Json.Str (Serve.status_name r.Serve.rs_status));
+          ("code", Json.num r.Serve.rs_code);
+          ("incidents", Json.num r.Serve.rs_incidents);
+          ("detail", Json.Str r.Serve.rs_detail);
+          ( "next_request_status",
+            Json.Str (Serve.status_name after.Serve.rs_status) ) ]
   in
   case "probe-ok" probe_request ~status:Serve.Ok ~code:0 ();
   case "probe-nan-quarantined"
@@ -175,7 +129,7 @@ let phase_probes ~incident_dir =
   Serve.drain sv;
   let meek_resp = Serve.await meek_tk in
   Serve.shutdown sv;
-  record ~name:"probe-eviction-sheds-heaviest"
+  Campaign.check ~name:"probe-eviction-sheds-heaviest"
     ~pass:
       (greedy.Serve.ts_evicted >= 1 && meek.Serve.ts_evicted = 0
       && meek_resp.Serve.rs_status = Serve.Ok
@@ -187,13 +141,14 @@ let phase_probes ~incident_dir =
       [ ("greedy_evicted", Json.num greedy.Serve.ts_evicted);
         ("meek_evicted", Json.num meek.Serve.ts_evicted);
         ("meek_status", Json.Str (Serve.status_name meek_resp.Serve.rs_status)) ];
-  match incident_dir with
-  | None -> ()
-  | Some dir ->
-    let problems = check_incident ~dir ~kind:"nan" @ check_incident ~dir ~kind:"crash" in
-    record ~name:"probe-incident-trail" ~pass:(problems = [])
-      ~detail:
-        [ ("problems", Json.Arr (List.map (fun s -> Json.Str s) problems)) ]
+  if incident_dir <> None then begin
+    let expect kind =
+      Campaign.expect_incident ~dir:incident_dir ~kinds:[ kind ] ()
+    in
+    let problems = expect "nan" @ expect "crash" in
+    Campaign.check ~name:"probe-incident-trail" ~pass:(problems = [])
+      ~detail:[ ("problems", Campaign.strings problems) ]
+  end
 
 (* -- phase 2: mixed-tenant load ------------------------------------------ *)
 
@@ -309,14 +264,14 @@ let phase_load ~quick =
   let mallory = Serve.tenant_stats sv "mallory" in
   let executed = Telemetry.value (Telemetry.counter "serve.completed") in
   let sent = per_good + !mallory_sent in
-  record ~name:"load-all-responses-arrive"
+  Campaign.check ~name:"load-all-responses-arrive"
     ~pass:(total = sent && executed > 0)
     ~detail:
       [ ("total", Json.num total);
         ("expected", Json.num sent);
         ("elapsed_s", Json.Num elapsed);
         ("throughput_rps", Json.Num (float_of_int total /. elapsed)) ];
-  record ~name:"load-good-tenants-never-degraded"
+  Campaign.check ~name:"load-good-tenants-never-degraded"
     ~pass:
       (alice.Serve.ts_shed = 0 && bob.Serve.ts_shed = 0
       && alice.Serve.ts_evicted = 0 && bob.Serve.ts_evicted = 0
@@ -326,7 +281,7 @@ let phase_load ~quick =
         ("bob_shed", Json.num bob.Serve.ts_shed);
         ("good_ok", Json.num good_ok);
         ("good_total", Json.num good_total) ];
-  record ~name:"load-abuser-shed-first"
+  Campaign.check ~name:"load-abuser-shed-first"
     ~pass:
       (mallory.Serve.ts_shed > !mallory_sent / 2
       && mallory.Serve.ts_accepted > 0)
@@ -340,7 +295,7 @@ let phase_load ~quick =
   let m_unresumable = by "mallory" Serve.Unresumable in
   let m_invalid = by "mallory" Serve.Invalid in
   let m_shed = by "mallory" Serve.Shed in
-  record ~name:"load-poison-classes-all-typed"
+  Campaign.check ~name:"load-poison-classes-all-typed"
     ~pass:
       (m_quarantined >= 1 && m_deadline >= 1 && m_infeasible >= 1
       && m_unresumable >= 1 && m_invalid >= 1 && m_shed >= 1)
@@ -362,7 +317,7 @@ let phase_load ~quick =
     /. 1e9
   in
   let alice_p99 = p "alice" 0.99 and bob_p99 = p "bob" 0.99 in
-  record ~name:"load-good-tenant-p99-within-budget"
+  Campaign.check ~name:"load-good-tenant-p99-within-budget"
     ~pass:
       ((not (Float.is_nan alice_p99)) && alice_p99 <= p99_budget_s
       && (not (Float.is_nan bob_p99)) && bob_p99 <= p99_budget_s)
@@ -372,7 +327,7 @@ let phase_load ~quick =
         ("bob_p99_s", Json.Num bob_p99);
         ("budget_s", Json.Num p99_budget_s) ];
   let hits, misses = Serve.plan_cache_stats sv in
-  record ~name:"load-plan-cache-hits"
+  Campaign.check ~name:"load-plan-cache-hits"
     ~pass:
       (hits > 0
       (* the counters are process-global: phase 1's server contributes *)
@@ -384,82 +339,36 @@ let phase_load ~quick =
 (* -- driver -------------------------------------------------------------- *)
 
 let () =
-  let quick = ref false and out = ref None in
-  let metrics_out = ref None and incident_dir = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--out" :: path :: rest ->
-      out := Some path;
-      parse rest
-    | "--metrics" :: path :: rest ->
-      metrics_out := Some path;
-      parse rest
-    | "--incident-dir" :: dir :: rest ->
-      incident_dir := Some dir;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf
-        "traffic: unknown argument %s (try --quick, --out FILE, --metrics \
-         FILE, --incident-dir DIR)\n"
-        a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let metrics_out = ref None in
+  Campaign.parse
+    ~usage:
+      "usage: traffic.exe [--quick] [--out FILE] [--metrics FILE] \
+       [--incident-dir DIR]"
+    [ Campaign.quick_flag;
+      Campaign.out_flag;
+      ( "--metrics",
+        Arg.String (fun p -> metrics_out := Some p),
+        "FILE Write the OpenMetrics dump to FILE" );
+      Campaign.incident_dir_flag ];
+  let quick = !Campaign.quick and incident_dir = !Campaign.incident_dir in
   Printf.printf "traffic campaign%s: multigrid-as-a-service under load\n%!"
-    (if !quick then " (quick)" else "");
+    (if quick then " (quick)" else "");
   Telemetry.reset ();
   Metrics.reset ();
   Telemetry.set_enabled true;
   Flightrec.set_enabled true;
   Flightrec.set_max_incidents 16;
-  (match !incident_dir with
-   | Some dir -> Flightrec.set_incident_dir (Some dir)
-   | None -> ());
-  phase_probes ~incident_dir:!incident_dir;
-  phase_load ~quick:!quick;
+  if incident_dir <> None then Flightrec.set_incident_dir incident_dir;
+  phase_probes ~incident_dir;
+  phase_load ~quick;
   Telemetry.set_enabled false;
   Flightrec.set_enabled false;
-  (* the headline leak check: across every request — including the
-     faulted, quarantined, deadline-stopped and budget-refused ones —
-     every pool buffer must have come back *)
-  (match Mempool.assert_quiescent () with
-   | 0 -> record ~name:"pools-quiescent" ~pass:true ~detail:[]
-   | n ->
-     record ~name:"pools-quiescent" ~pass:false
-       ~detail:[ ("outstanding", Json.num n) ]
-   | exception Mempool.Not_quiescent { outstanding; leaked; detail } ->
-     record ~name:"pools-quiescent" ~pass:false
-       ~detail:
-         [ ("outstanding", Json.num outstanding);
-           ("leaked", Json.num leaked);
-           ("detail", Json.Arr (List.map (fun s -> Json.Str s) detail)) ]);
-  (match !metrics_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Metrics.to_openmetrics ());
-     close_out oc;
-     Printf.printf "traffic: wrote %s\n" path);
-  let doc =
-    Json.Obj
-      [ ("schema", Json.Str "polymg.traffic/1");
-        ("quick", Json.Bool !quick);
-        ("cases", Json.Arr (List.rev !cases));
-        ("failures", Json.num !failures) ]
-  in
-  (match !out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Json.to_channel oc doc;
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "traffic: wrote %s\n" path);
-  if !failures > 0 then begin
-    Printf.printf "traffic campaign: %d FAILURE(S)\n" !failures;
-    exit 1
-  end;
-  Printf.printf "traffic campaign: all %d cases passed\n" (List.length !cases)
+  (* the headline leak check: across every request, including the
+     faulted, quarantined, deadline-stopped and budget-refused ones *)
+  Campaign.teardown ~name:"pools-quiescent";
+  Option.iter
+    (fun path ->
+      Snapshot.atomic_write_string ~path (Metrics.to_openmetrics ());
+      Printf.printf "traffic: wrote %s\n" path)
+    !metrics_out;
+  Campaign.finish ~schema:"polymg.traffic/1" "traffic campaign"

@@ -294,30 +294,24 @@ let () =
   let out = ref None in
   let quick = ref false in
   let files = ref [] in
-  let rec go = function
-    | [] -> ()
-    | "--threshold" :: v :: rest ->
-      (match float_of_string_opt v with
-       | Some t when t > 0.0 -> threshold := t
-       | Some _ | None -> fail "trend: bad --threshold %s" v);
-      go rest
-    | "--window" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some w when w >= 1 -> window := w
-       | Some _ | None -> fail "trend: bad --window %s" v);
-      go rest
-    | "--out" :: v :: rest ->
-      out := Some v;
-      go rest
-    | "--quick" :: rest ->
-      quick := true;
-      go rest
-    | f :: rest when String.length f = 0 || f.[0] <> '-' ->
-      files := f :: !files;
-      go rest
-    | f :: _ -> fail "trend: unknown option %s" f
+  let usage =
+    "usage: trend.exe LEDGER [--out report.md] [--threshold 0.25] \
+     [--window 5] | trend.exe --quick"
   in
-  go (List.tl (Array.to_list Sys.argv));
+  let bad msg = raise (Arg.Bad msg) in
+  Campaign.parse ~usage
+    ~anon:(fun f -> files := f :: !files)
+    [ ( "--threshold",
+        Arg.Float
+          (fun t ->
+            if t > 0.0 then threshold := t else bad "--threshold must be > 0"),
+        "R Regression beyond a latest/baseline ratio of 1+R (default 0.25)" );
+      ( "--window",
+        Arg.Int
+          (fun w -> if w >= 1 then window := w else bad "--window must be >= 1"),
+        "K Baseline of the K records before the latest (default 5)" );
+      ("--out", Arg.String (fun p -> out := Some p), "FILE Markdown report");
+      ("--quick", Arg.Set quick, " Synthetic self-test of the analysis") ];
   if !quick then exit (if self_test ~threshold:!threshold then 0 else 1)
   else
     match List.rev !files with
@@ -327,7 +321,4 @@ let () =
         run_analysis ~path ~threshold:!threshold ~window:!window ~out:!out
       in
       exit (if regressed then 1 else 0)
-    | _ ->
-      fail
-        "usage: trend.exe LEDGER [--out report.md] [--threshold 0.25] \
-         [--window 5] | trend.exe --quick"
+    | _ -> fail "%s" usage

@@ -54,21 +54,19 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
     { (Gc.get ()) with
       Gc.custom_major_ratio = 10000;
       Gc.custom_minor_ratio = 10000 };
+  let usage_error msg =
+    prerr_endline msg;
+    exit 2
+  in
   let shape =
-    match String.uppercase_ascii cycle with
-    | "V" -> Cycle.V
-    | "W" -> Cycle.W
-    | "F" -> Cycle.F
-    | _ ->
-      prerr_endline "cycle must be V, W or F";
-      exit 2
+    match Cycle.shape_of_string (String.uppercase_ascii cycle) with
+    | Some shape -> shape
+    | None -> usage_error "cycle must be V, W or F"
   in
   let n1, n2, n3 =
-    match String.split_on_char ',' smoothing with
-    | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
-    | _ ->
-      prerr_endline "smoothing must be n1,n2,n3";
-      exit 2
+    match List.map int_of_string_opt (String.split_on_char ',' smoothing) with
+    | [ Some a; Some b; Some c ] -> (a, b, c)
+    | _ -> usage_error "smoothing must be n1,n2,n3 (three integers)"
   in
   let cfg =
     { (Cycle.default ~dims ~shape ~smoothing:(n1, n2, n3)) with
@@ -79,11 +77,7 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
     | Some n -> n
     | None -> Cycle.min_n cfg * 8
   in
-  if n mod (1 lsl (levels - 1)) <> 0 then begin
-    Printf.eprintf "N=%d must be divisible by 2^(levels-1)=%d\n" n
-      (1 lsl (levels - 1));
-    exit 2
-  end;
+  Result.iter_error usage_error (Cycle.check cfg ~n ~cycles);
   if conform then begin
     (* differential oracle on the selected cycle: every plan variant and
        the hand-optimized baselines in lockstep against the naive plan *)

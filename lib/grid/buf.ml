@@ -85,8 +85,8 @@ let max_abs_diff a b =
   if a.len <> b.len then invalid_arg "Buf.max_abs_diff: length mismatch";
   let m = ref 0.0 in
   for i = 0 to a.len - 1 do
-    let d = Float.abs (unsafe_get a i -. unsafe_get b i) in
-    if d > !m then m := d
+    (* Float.max keeps a NaN difference instead of skipping it *)
+    m := Float.max !m (Float.abs (unsafe_get a i -. unsafe_get b i))
   done;
   !m
 

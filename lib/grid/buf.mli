@@ -59,10 +59,12 @@ val iteri : (int -> float -> unit) -> t -> unit
 val map_inplace : (float -> float) -> t -> unit
 
 val equal : ?eps:float -> t -> t -> bool
-(** Element-wise comparison with absolute tolerance [eps] (default 0). *)
+(** Element-wise comparison with absolute tolerance [eps] (default 0);
+    false when any element differs by NaN. *)
 
 val max_abs_diff : t -> t -> float
-(** Largest absolute element-wise difference; lengths must match. *)
+(** Largest absolute element-wise difference; lengths must match.  [nan]
+    when any difference is NaN (a NaN or an infinity on either side). *)
 
 val bytes : t -> int
 (** Size of the buffer payload in bytes. *)

@@ -16,11 +16,36 @@ type config = {
 }
 
 let default ~dims ~shape ~smoothing:(n1, n2, n3) =
-  if dims <> 2 && dims <> 3 then
-    invalid_arg "Cycle.default: dims must be 2 or 3";
   { dims; levels = 4; n1; n2; n3; shape; omega = 0.8; smoother = Jacobi }
 
+let shape_name = function V -> "V" | W -> "W" | F -> "F"
+
+let shape_of_string = function
+  | "V" -> Some V
+  | "W" -> Some W
+  | "F" -> Some F
+  | _ -> None
+
 let min_n cfg = 4 * (1 lsl (cfg.levels - 1))
+
+let check_config cfg =
+  if cfg.dims <> 2 && cfg.dims <> 3 then Error "dims must be 2 or 3"
+  else if cfg.levels < 2 then Error "levels must be at least 2"
+  else if cfg.n1 < 0 || cfg.n2 < 0 || cfg.n3 < 0 then
+    Error "smoothing steps must be non-negative"
+  else Ok ()
+
+let check cfg ~n ~cycles =
+  match check_config cfg with
+  | Error _ as e -> e
+  | Ok () ->
+    let step = 1 lsl (cfg.levels - 1) in
+    if n mod step <> 0 || n < min_n cfg then
+      Error
+        (Printf.sprintf "n must be a multiple of %d and at least %d" step
+           (min_n cfg))
+    else if cycles < 1 then Error "cycles must be at least 1"
+    else Ok ()
 
 (* interior size at level l: N / 2^(levels-1-l) − 1 *)
 let size_at cfg l =
@@ -241,16 +266,15 @@ let rec run_fcycle ctx cfg ~level ~v ~f =
     run_cycle ctx cfg ~shape:V ~level ~v:vc ~f
   end
 
+let bench_name cfg =
+  Printf.sprintf "%s-%dD-%d-%d-%d" (shape_name cfg.shape) cfg.dims cfg.n1
+    cfg.n2 cfg.n3
+
 let build cfg =
-  if cfg.levels < 2 then invalid_arg "Cycle.build: need at least 2 levels";
-  if cfg.n1 < 0 || cfg.n2 < 0 || cfg.n3 < 0 then
-    invalid_arg "Cycle.build: negative smoothing steps";
-  let shape_name = match cfg.shape with V -> "V" | W -> "W" | F -> "F" in
-  let ctx =
-    Dsl.create
-      (Printf.sprintf "%s-%dD-%d-%d-%d" shape_name cfg.dims cfg.n1 cfg.n2
-         cfg.n3)
-  in
+  Result.iter_error
+    (fun m -> invalid_arg ("Cycle.build: " ^ m))
+    (check_config cfg);
+  let ctx = Dsl.create (bench_name cfg) in
   let finest = cfg.levels - 1 in
   let v = Dsl.grid ctx "V" ~dims:cfg.dims ~sizes:(sizes_at cfg finest) in
   let f = Dsl.grid ctx "F" ~dims:cfg.dims ~sizes:(sizes_at cfg finest) in
@@ -280,7 +304,3 @@ let output pipeline =
   match Pipeline.outputs pipeline with
   | [ o ] -> o
   | [] | _ :: _ -> invalid_arg "Cycle.output: expected exactly one output"
-
-let bench_name cfg =
-  let shape_name = match cfg.shape with V -> "V" | W -> "W" | F -> "F" in
-  Printf.sprintf "%s-%dD-%d-%d-%d" shape_name cfg.dims cfg.n1 cfg.n2 cfg.n3

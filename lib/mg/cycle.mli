@@ -34,10 +34,24 @@ type config = {
 
 val default : dims:int -> shape:cycle_shape -> smoothing:int * int * int ->
   config
-(** 4 levels, ω = 0.8, Jacobi smoothing. *)
+(** 4 levels, ω = 0.8, Jacobi smoothing.  Not validated: see {!check}. *)
+
+val shape_name : cycle_shape -> string
+(** ["V"], ["W"] or ["F"]: the one spelling of a shape on the command
+    line, on the wire and in benchmark names. *)
+
+val shape_of_string : string -> cycle_shape option
+(** Inverse of {!shape_name} (exact, upper case). *)
+
+val check : config -> n:int -> cycles:int -> (unit, string) result
+(** The checks every entry point shares ([mg_solve], [Serve]): dims 2 or
+    3, at least 2 levels, non-negative smoothing steps, [n] a multiple of
+    [2^(levels-1)] and at least {!min_n}, at least one cycle.  The error
+    is a one-line message for the user. *)
 
 val build : config -> Repro_ir.Pipeline.t
-(** Inputs: grids ["V"] (initial guess) and ["F"] (right-hand side) of
+(** Raises [Invalid_argument] on a config {!check} rejects (sizes
+    aside).  Inputs: grids ["V"] (initial guess) and ["F"] (right-hand side) of
     finest interior size [N−1]; output: the corrected, post-smoothed
     finest iterate. *)
 

@@ -103,14 +103,6 @@ type response = {
 
 let max_frame_bytes = 1 lsl 20
 
-let shape_name = function Cycle.V -> "V" | Cycle.W -> "W" | Cycle.F -> "F"
-
-let shape_of_name = function
-  | "V" -> Some Cycle.V
-  | "W" -> Some Cycle.W
-  | "F" -> Some Cycle.F
-  | _ -> None
-
 let opt_num = function Some v -> Json.Num v | None -> Json.Null
 let opt_int = function Some v -> Json.num v | None -> Json.Null
 let opt_str = function Some s -> Json.Str s | None -> Json.Null
@@ -121,7 +113,7 @@ let request_to_json rq =
     [ ("tenant", Json.Str rq.rq_tenant);
       ("dims", Json.num rq.rq_dims);
       ("n", Json.num rq.rq_n);
-      ("shape", Json.Str (shape_name rq.rq_shape));
+      ("shape", Json.Str (Cycle.shape_name rq.rq_shape));
       ("smoothing", Json.Arr [ Json.num n1; Json.num n2; Json.num n3 ]);
       ("variant", Json.Str rq.rq_variant);
       ("cycles", Json.num rq.rq_cycles);
@@ -153,7 +145,7 @@ let request_of_json j =
       match mem_str "shape" j with
       | None -> Stdlib.Ok d.rq_shape
       | Some s -> (
-        match shape_of_name s with
+        match Cycle.shape_of_string s with
         | Some sh -> Stdlib.Ok sh
         | None -> Error (Printf.sprintf "unknown cycle shape %S" s))
     in
@@ -559,47 +551,43 @@ let rec take_locked t =
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
 
+(* Cycle.check's shared shape rules first, then the service's own
+   limits. *)
 let validate t rq =
   let n1, n2, n3 = rq.rq_smoothing in
-  if rq.rq_dims <> 2 && rq.rq_dims <> 3 then Error "dims must be 2 or 3"
-  else if n1 < 0 || n2 < 0 || n3 < 0 || n1 + n2 + n3 = 0 then
-    Error "smoothing steps must be non-negative and not all zero"
-  else if n1 > 32 || n2 > 32 || n3 > 32 then
-    Error "smoothing steps must be at most 32"
-  else if rq.rq_cycles < 1 then Error "cycles must be at least 1"
-  else if rq.rq_fault <> None && not t.cfg.sv_allow_faults then
-    Error "fault injection is disabled on this server"
-  else
-    match rq.rq_fault with
-    | Some f when f <> "nan" && f <> "crash" ->
-      Error (Printf.sprintf "unknown fault kind %S" f)
-    | _ -> (
-      match Options.variant_of_string rq.rq_variant with
-      | None -> Error (Printf.sprintf "unknown variant %S" rq.rq_variant)
-      | Some opts ->
-        let ccfg =
-          Cycle.default ~dims:rq.rq_dims ~shape:rq.rq_shape
-            ~smoothing:rq.rq_smoothing
-        in
-        let step = 1 lsl (ccfg.Cycle.levels - 1) in
-        if rq.rq_n > t.cfg.sv_max_n then
-          Error
-            (Printf.sprintf "n %d exceeds the server maximum %d" rq.rq_n
-               t.cfg.sv_max_n)
-        else if rq.rq_n < Cycle.min_n ccfg || rq.rq_n mod step <> 0 then
-          Error
-            (Printf.sprintf "n must be a multiple of %d and at least %d" step
-               (Cycle.min_n ccfg))
-        else
+  let ccfg =
+    Cycle.default ~dims:rq.rq_dims ~shape:rq.rq_shape
+      ~smoothing:rq.rq_smoothing
+  in
+  match Cycle.check ccfg ~n:rq.rq_n ~cycles:rq.rq_cycles with
+  | Error _ as e -> e
+  | Stdlib.Ok () -> (
+    if n1 + n2 + n3 = 0 then Error "smoothing steps must not all be zero"
+    else if n1 > 32 || n2 > 32 || n3 > 32 then
+      Error "smoothing steps must be at most 32"
+    else if rq.rq_n > t.cfg.sv_max_n then
+      Error
+        (Printf.sprintf "n %d exceeds the server maximum %d" rq.rq_n
+           t.cfg.sv_max_n)
+    else if rq.rq_fault <> None && not t.cfg.sv_allow_faults then
+      Error "fault injection is disabled on this server"
+    else
+      match rq.rq_fault with
+      | Some f when f <> "nan" && f <> "crash" ->
+        Error (Printf.sprintf "unknown fault kind %S" f)
+      | _ -> (
+        match Options.variant_of_string rq.rq_variant with
+        | None -> Error (Printf.sprintf "unknown variant %S" rq.rq_variant)
+        | Some opts ->
           (* the backend is a daemon deployment property, not a request
              field: apply it here so every plan (and every governance
              ladder rung derived from these opts) inherits it *)
-          Stdlib.Ok (ccfg, { opts with Options.backend = t.cfg.sv_backend }))
+          Stdlib.Ok (ccfg, { opts with Options.backend = t.cfg.sv_backend })))
 
 let cache_key t rq budget =
   let n1, n2, n3 = rq.rq_smoothing in
   Printf.sprintf "%dD|n%d|%s|%d-%d-%d|%s|%s|d%d" rq.rq_dims rq.rq_n
-    (shape_name rq.rq_shape) n1 n2 n3 rq.rq_variant
+    (Cycle.shape_name rq.rq_shape) n1 n2 n3 rq.rq_variant
     (match budget with None -> "-" | Some b -> string_of_int b)
     t.cfg.sv_domains
 

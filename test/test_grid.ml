@@ -150,6 +150,19 @@ let test_grid_max_abs_diff () =
   Grid.set2 a 1 1 2.0;
   check_float "diff" 2.0 (Grid.max_abs_diff a b)
 
+(* A NaN anywhere must surface, never read as agreement: an assertion
+   [max_abs_diff a b < eps] on a NaN grid has to fail. *)
+let test_max_abs_diff_nan () =
+  let a = Grid.interior ~dims:2 4 in
+  let b = Grid.interior ~dims:2 4 in
+  Grid.set2 a 1 1 Float.nan;
+  Grid.set2 a 2 2 5.0;
+  check_bool "grid diff is nan" true (Float.is_nan (Grid.max_abs_diff a b));
+  check_bool "nan diff fails < eps" false (Grid.max_abs_diff a b < 1e-8);
+  check_bool "buf not equal" false (Buf.equal ~eps:1e9 a.Grid.buf b.Grid.buf);
+  let inf = Buf.of_array [| 1.; Float.infinity |] in
+  check_bool "inf - inf is nan" true (Float.is_nan (Buf.max_abs_diff inf inf))
+
 let test_norms_l2 () =
   let g = Grid.interior ~dims:2 2 in
   Grid.fill_interior g ~f:(fun _ -> 2.0);
@@ -236,7 +249,8 @@ let () =
           Alcotest.test_case "fill_all" `Quick test_grid_fill_all;
           Alcotest.test_case "iter_interior" `Quick test_grid_iter_interior_count;
           Alcotest.test_case "copy/blit" `Quick test_grid_copy_blit;
-          Alcotest.test_case "max_abs_diff" `Quick test_grid_max_abs_diff ] );
+          Alcotest.test_case "max_abs_diff" `Quick test_grid_max_abs_diff;
+          Alcotest.test_case "max_abs_diff NaN" `Quick test_max_abs_diff_nan ] );
       ( "norms",
         [ Alcotest.test_case "l2/linf" `Quick test_norms_l2;
           Alcotest.test_case "ghost excluded" `Quick test_norms_ghost_excluded;
