@@ -53,19 +53,34 @@ let set_compiler_override c = compiler_override := c
 
 let quiet_ok cmd = Sys.command (cmd ^ " >/dev/null 2>&1") = 0
 
-(* gcc-then-cc discovery, mirroring the conformance harness.  An
-   override (tests) or POLYMG_CC is taken verbatim, without probing, so
-   a deliberately broken compiler exercises the compile-failure path. *)
+(* gcc-then-cc discovery, mirroring the conformance harness.  The probe
+   fork-execs a shell, so it runs once per process: every load, cache
+   hits included, goes through [cc].  Racing first probes compute the
+   same answer. *)
+let discovered = Atomic.make None
+
+let discover () =
+  match Atomic.get discovered with
+  | Some found -> found
+  | None ->
+    let found =
+      List.find_opt
+        (fun c -> quiet_ok (Filename.quote c ^ " --version"))
+        [ "gcc"; "cc" ]
+    in
+    Atomic.set discovered (Some found);
+    found
+
+(* An override (tests) or POLYMG_CC is read on every call and taken
+   verbatim, without probing, so a deliberately broken compiler
+   exercises the compile-failure path. *)
 let cc () =
   match !compiler_override with
   | Some c -> Some c
   | None ->
     (match Sys.getenv_opt "POLYMG_CC" with
      | Some c when String.trim c <> "" -> Some c
-     | _ ->
-       List.find_opt
-         (fun c -> quiet_ok (Filename.quote c ^ " --version"))
-         [ "gcc"; "cc" ])
+     | _ -> discover ())
 
 let available () = cc () <> None
 

@@ -40,7 +40,9 @@ val available : unit -> bool
 val cc : unit -> string option
 (** The compiler that will be used: the test override or [POLYMG_CC]
     verbatim when set, otherwise the first of [gcc], [cc] that answers
-    [--version] — the same discovery the conformance harness uses. *)
+    [--version] — the same discovery the conformance harness uses.
+    The override and [POLYMG_CC] are read on every call; the
+    gcc-then-cc probe runs once per process and its answer is kept. *)
 
 val set_compiler_override : string option -> unit
 (** Test hook: force a specific compiler command, bypassing discovery

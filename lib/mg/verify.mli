@@ -6,14 +6,17 @@
 
 val residual_l2 : n:int -> v:Repro_grid.Grid.t -> f:Repro_grid.Grid.t -> float
 (** L2 norm of [f − A_h v] for the Poisson operator [A = −∇²_h] at grid
-    spacing [h = 1/n]; rank taken from the grids (2 or 3). *)
+    spacing [h = 1/n]; rank taken from the grids (2 or 3).  One pass,
+    no allocation.
+    @raise Invalid_argument when [v] and [f] extents differ. *)
 
 val error_l2 : v:Repro_grid.Grid.t -> exact:(int array -> float) -> float
 (** L2 norm of [v − exact] over interior points. *)
 
 val apply_poisson :
   n:int -> v:Repro_grid.Grid.t -> out:Repro_grid.Grid.t -> unit
-(** [out ← A_h v] on the interior; [v] and [out] must share extents. *)
+(** [out ← A_h v] on the interior, ghosts untouched; no allocation.
+    @raise Invalid_argument when [v] and [out] extents differ. *)
 
 (** {2 Method-of-manufactured-solutions convergence verification}
 

@@ -332,6 +332,38 @@ let test_guard_solve_entry () =
   | o -> Alcotest.failf "solve: outcome %s" (Guard.outcome_name o));
   Alcotest.(check bool) "solve residual at tol" true (r.Guard.residual <= 1e-8)
 
+(* The guard's own per-cycle work (non-finite scan, residual,
+   classification, checkpoint copy, bookkeeping) must not allocate per
+   grid point.  The interpreter stepper's allocations are metered
+   around each call and subtracted, leaving the guard's; at n=64 a
+   single word per interior point would already be 4096 words. *)
+let test_guard_cycle_allocation () =
+  let n = 64 in
+  let problem = Problem.poisson ~dims:2 ~n in
+  Exec.with_runtime @@ fun rt ->
+  let stepper = Solver.polymg_stepper cfg2 ~n ~opts:Options.opt_plus ~rt in
+  let in_stepper = ref 0.0 in
+  let primary ~v ~f ~out =
+    let w0 = Gc.minor_words () in
+    stepper ~v ~f ~out;
+    in_stepper := !in_stepper +. (Gc.minor_words () -. w0)
+  in
+  let policy =
+    { Guard.default_policy with Guard.tol = Some 1e-8; Guard.max_cycles = 60 }
+  in
+  let w0 = Gc.minor_words () in
+  let r = Guard.run ~policy ~primary ~problem () in
+  let guard_words = Gc.minor_words () -. w0 -. !in_stepper in
+  (match r.Guard.outcome with
+  | Guard.Converged -> ()
+  | o -> Alcotest.failf "outcome %s, not converged" (Guard.outcome_name o));
+  let cycles = List.length r.Guard.stats in
+  let per_cycle = guard_words /. float_of_int cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "guard: %.0f minor words per accepted cycle (%d cycles) < 500"
+       per_cycle cycles)
+    true (per_cycle < 500.0)
+
 let () =
   Alcotest.run "guard"
     [ ( "detection",
@@ -352,7 +384,9 @@ let () =
           Alcotest.test_case "fault on fallback gives up" `Quick
             test_fault_on_fallback_gives_up;
           Alcotest.test_case "stagnation stops the solve" `Quick
-            test_stagnation_stops ] );
+            test_stagnation_stops;
+          Alcotest.test_case "no per-point allocation per cycle" `Quick
+            test_guard_cycle_allocation ] );
       ( "retry",
         [ Alcotest.test_case "transient faults absorbed by primary retry"
             `Quick test_primary_retry_recovers;

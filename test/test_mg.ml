@@ -184,6 +184,186 @@ let test_verify_residual_of_exact_discrete () =
   Verify.apply_poisson ~n ~v ~out:f;
   check_float "zero residual" 0.0 (Verify.residual_l2 ~n ~v ~f)
 
+(* The per-point formulation of [Verify] (bounds-checked [Grid.get2]/
+   [get3] into a materialized [A_h v], summed by [Grid.iter_interior]),
+   kept as the oracle the direct strided walks must match bit for bit. *)
+let oracle_apply_poisson ~n ~v ~out =
+  let invhsq = float_of_int (n * n) in
+  let ext = Grid.extents v in
+  match Array.length ext with
+  | 2 ->
+    for i = 1 to ext.(0) - 2 do
+      for j = 1 to ext.(1) - 2 do
+        let c = Grid.get2 v i j in
+        let s =
+          (4.0 *. c) -. Grid.get2 v (i - 1) j -. Grid.get2 v (i + 1) j
+          -. Grid.get2 v i (j - 1) -. Grid.get2 v i (j + 1)
+        in
+        Grid.set2 out i j (invhsq *. s)
+      done
+    done
+  | _ ->
+    for i = 1 to ext.(0) - 2 do
+      for j = 1 to ext.(1) - 2 do
+        for k = 1 to ext.(2) - 2 do
+          let c = Grid.get3 v i j k in
+          let s =
+            (6.0 *. c) -. Grid.get3 v (i - 1) j k -. Grid.get3 v (i + 1) j k
+            -. Grid.get3 v i (j - 1) k -. Grid.get3 v i (j + 1) k
+            -. Grid.get3 v i j (k - 1) -. Grid.get3 v i j (k + 1)
+          in
+          Grid.set3 out i j k (invhsq *. s)
+        done
+      done
+    done
+
+let oracle_residual_l2 ~n ~v ~f =
+  let av = Grid.create (Grid.extents v) in
+  oracle_apply_poisson ~n ~v ~out:av;
+  let sum = ref 0.0 and count = ref 0 in
+  Grid.iter_interior f ~f:(fun idx fv ->
+      let r = fv -. Grid.get av idx in
+      sum := !sum +. (r *. r);
+      incr count);
+  sqrt (!sum /. float_of_int !count)
+
+(* Same bits, or both NaN (NaN payloads are not part of the contract). *)
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+type walk_case = {
+  wc_ext : int array;
+  wc_n : int;
+  wc_v : float array;
+  wc_f : float array;
+  wc_poison : (bool * int * float) option;
+      (* (into v?, interior point, NaN or ±∞) *)
+}
+
+let print_walk_case c =
+  Printf.sprintf "extents [%s], n %d%s"
+    (String.concat "x" (Array.to_list (Array.map string_of_int c.wc_ext)))
+    c.wc_n
+    (match c.wc_poison with
+     | None -> ""
+     | Some (in_v, i, x) ->
+       Printf.sprintf ", %s interior point %d := %h"
+         (if in_v then "v" else "f") i x)
+
+(* rectangular 2-D/3-D extents ≥ 3, any n, values over ~40 binades and
+   either sign; one case in four plants a NaN or ±∞ at an interior
+   point of v or f *)
+let walk_case_gen =
+  let open QCheck.Gen in
+  let value =
+    map3
+      (fun neg m e -> (if neg then -1.0 else 1.0) *. ldexp (1.0 +. m) e)
+      bool (float_bound_exclusive 1.0) (int_range (-20) 19)
+  in
+  let* dims = int_range 2 3 in
+  let* ext = array_repeat dims (int_range 3 (if dims = 2 then 24 else 10)) in
+  let points = Array.fold_left ( * ) 1 ext in
+  let interior = Array.fold_left (fun a e -> a * (e - 2)) 1 ext in
+  let* wc_n = int_range 1 4096 in
+  let* wc_v = array_repeat points value in
+  let* wc_f = array_repeat points value in
+  let* wc_poison =
+    frequency
+      [ (3, return None);
+        ( 1,
+          map3
+            (fun in_v i x -> Some (in_v, i, x))
+            bool
+            (int_bound (interior - 1))
+            (oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]) ) ]
+  in
+  return { wc_ext = ext; wc_n; wc_v; wc_f; wc_poison }
+
+let grid_of ext data =
+  let g = Grid.create ext in
+  Array.iteri (fun i x -> Repro_grid.Buf.set g.Grid.buf i x) data;
+  g
+
+(* the [k]-th interior point's multi-index, row-major *)
+let interior_index ext k =
+  let d = Array.length ext in
+  let idx = Array.make d 0 in
+  let k = ref k in
+  for a = d - 1 downto 0 do
+    idx.(a) <- 1 + (!k mod (ext.(a) - 2));
+    k := !k / (ext.(a) - 2)
+  done;
+  idx
+
+let prop_walks_bit_identical =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"residual_l2/apply_poisson bit-identical to the per-point oracle"
+    (QCheck.make ~print:print_walk_case walk_case_gen)
+    (fun c ->
+      let v = grid_of c.wc_ext c.wc_v and f = grid_of c.wc_ext c.wc_f in
+      (match c.wc_poison with
+       | Some (in_v, i, x) ->
+         Grid.set (if in_v then v else f) (interior_index c.wc_ext i) x
+       | None -> ());
+      let n = c.wc_n in
+      (* out starts as a copy of f so untouched ghosts must match too *)
+      let out = Grid.copy f and out_ref = Grid.copy f in
+      Verify.apply_poisson ~n ~v ~out;
+      oracle_apply_poisson ~n ~v ~out:out_ref;
+      let ops_same = ref true in
+      Repro_grid.Buf.iteri
+        (fun i x ->
+          if not (same_float x (Repro_grid.Buf.get out_ref.Grid.buf i)) then
+            ops_same := false)
+        out.Grid.buf;
+      let r = Verify.residual_l2 ~n ~v ~f in
+      let r_ref = oracle_residual_l2 ~n ~v ~f in
+      let poison_ok =
+        match c.wc_poison with
+        | Some (_, _, x) when Float.is_nan x -> Float.is_nan r
+        | Some _ -> not (Float.is_finite r)
+        | None -> Float.is_finite r
+      in
+      !ops_same && same_float r r_ref && poison_ok)
+
+let test_residual_rejects_mismatched_grids () =
+  (* a 64² iterate against an 8² right-hand side used to return a
+     residual over the 8² corner of the grid *)
+  let v = Grid.interior ~dims:2 64 and f = Grid.interior ~dims:2 8 in
+  Alcotest.check_raises "64² v against 8² f"
+    (Invalid_argument "Verify.residual_l2: v and f extents differ") (fun () ->
+      ignore (Verify.residual_l2 ~n:65 ~v ~f));
+  Alcotest.check_raises "8² v against 64² f"
+    (Invalid_argument "Verify.residual_l2: v and f extents differ") (fun () ->
+      ignore (Verify.residual_l2 ~n:65 ~v:f ~f:v));
+  Alcotest.check_raises "2-D v against 3-D f"
+    (Invalid_argument "Verify.residual_l2: v and f extents differ") (fun () ->
+      ignore
+        (Verify.residual_l2 ~n:8 ~v:(Grid.interior ~dims:2 7)
+           ~f:(Grid.interior ~dims:3 7)))
+
+(* The guard calls residual_l2 after every cycle: it must not allocate
+   per point (the per-point formulation allocated ~1.1 M minor words at
+   258²). *)
+let test_residual_allocation_free () =
+  List.iter
+    (fun (name, dims, interior) ->
+      let v = Grid.interior ~dims interior in
+      Grid.fill_interior v ~f:(fun idx -> float_of_int (idx.(0) + idx.(1)));
+      let f = Grid.copy v in
+      let n = interior + 1 in
+      ignore (Verify.residual_l2 ~n ~v ~f);
+      let w0 = Gc.minor_words () in
+      let r = Verify.residual_l2 ~n ~v ~f in
+      let words = Gc.minor_words () -. w0 in
+      check_bool (Printf.sprintf "%s residual finite" name) true
+        (Float.is_finite r);
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words < 100" name words)
+        true (words < 100.0))
+    [ ("130²", 2, 128); ("34³", 3, 32) ]
+
 let test_problem_classes () =
   check_int "2D B" 1024 (Problem.class_n ~dims:2 Problem.B);
   check_int "3D C" 256 (Problem.class_n ~dims:3 Problem.C);
@@ -238,4 +418,10 @@ let () =
             test_verify_residual_of_exact_discrete;
           Alcotest.test_case "classes" `Quick test_problem_classes;
           Alcotest.test_case "rhs" `Quick test_problem_rhs;
-          Alcotest.test_case "iterate swaps" `Quick test_solver_iterate_swaps ] ) ]
+          Alcotest.test_case "iterate swaps" `Quick test_solver_iterate_swaps;
+          Alcotest.test_case "residual rejects mismatched grids" `Quick
+            test_residual_rejects_mismatched_grids;
+          Alcotest.test_case "residual allocation-free" `Quick
+            test_residual_allocation_free ] );
+      ( "verify properties",
+        Qc_replay.to_alcotest_list [ prop_walks_bit_identical ] ) ]

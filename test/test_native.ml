@@ -1,5 +1,6 @@
 (* Native backend: differential correctness against the interpreter,
-   cache-key determinism (one compile, then memory and disk hits), torn
+   cache-key determinism (one compile, then memory and disk hits), a
+   memory hit served without re-probing for a compiler, torn
    .so rejection, compile-failure fallback accounting, and a
    seed-replayable property running random pipelines through both
    backends.  Every test needing a real compiler skips visibly when none
@@ -124,6 +125,27 @@ let test_cache_determinism =
          && String.sub (Native.so_path k3) 0 (String.length dir) = dir);
       let d = run_both plan k3 ~n:32 in
       check_bool "disk-cached kernel still correct" true (d < budget))
+
+(* -- a memory hit spawns nothing: discovery is probed once per process - *)
+
+let test_memory_hit_without_path =
+  with_native_env ~tag:"nopath" (fun ~compiler:_ ~dir:_ ->
+      let plan = cycle_plan ~n:32 () in
+      let k1 = load_exn plan in
+      (* with PATH empty, any compiler probe would come back empty-handed:
+         the hit must be served without one *)
+      let path = Sys.getenv_opt "PATH" in
+      Unix.putenv "PATH" "";
+      let second =
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "PATH" (Option.value path ~default:""))
+          (fun () -> Native.load plan)
+      in
+      match second with
+      | Ok k2 ->
+        check_bool "same interned kernel" true (k1 == k2);
+        check_int "served as a memory hit" 1 (Telemetry.value c_cache_hits)
+      | Error e -> Alcotest.failf "memory-hit load without PATH: %s" e)
 
 (* -- torn/corrupt .so: rejected by the CRC sidecar, recompiled --------- *)
 
@@ -257,6 +279,8 @@ let () =
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
             test_cache_determinism;
+          Alcotest.test_case "memory hit needs no compiler probe" `Quick
+            test_memory_hit_without_path;
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
             test_compile_failure_fallback ] );
