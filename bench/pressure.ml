@@ -51,43 +51,52 @@ let recorded f =
       Telemetry.set_enabled false;
       Flightrec.set_enabled false)
 
-(* A recorded governed solve, an exception coming back as [Error]. *)
-let governed cfg ~n ~opts ~cycles ~problem =
+(* A recorded solve of [spec] (plans checked, opt+ unless overridden),
+   an exception coming back as [Error]. *)
+let solve (spec : Request.spec) =
   recorded (fun () ->
-      match Solver.solve_governed cfg ~n ~opts ~cycles ~problem () with
-      | r -> Ok r
-      | exception e -> Error (Printexc.to_string e))
+      match Request.validate { spec with Request.check_plan = true } with
+      | Error e -> Error e
+      | Ok rq -> (
+        match Request.run rq with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e)))
+
+let governed (cfg : Cycle.config) ~n ~budget ~cycles =
+  solve
+    { Request.default_spec with
+      dims = cfg.Cycle.dims;
+      levels = cfg.Cycle.levels;
+      n = Some n;
+      cycles;
+      mem_budget = Some budget }
 
 (* -- budget axis --------------------------------------------------------- *)
 
-let governed_case ~name ~cfg ~n ~problem ~cycles ~budget ~naive_v
-    ~expect_demotions =
-  let opts =
-    { Options.opt_plus with
-      Options.mem_budget = Some budget;
-      check_plan = true }
-  in
+let governed_case ~name ~cfg ~n ~cycles ~budget ~naive_v ~expect_demotions =
   (* only the forced-demotion cases must leave an incident trail *)
   let incident_dir =
     if expect_demotions then Campaign.arm_incidents name else None
   in
-  match governed cfg ~n ~opts ~cycles ~problem with
+  match governed cfg ~n ~budget ~cycles with
   | Error e ->
     Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
-  | Ok (Error inf) ->
+  | Ok (Request.Over_budget inf) ->
     Campaign.check ~name ~pass:false
       ~detail:
         [ ("error", Json.Str "unexpectedly infeasible");
           ("floor_bytes", Json.num inf.Govern.floor_bytes) ]
-  | Ok (Ok g) ->
-    let r = g.Solver.g_result in
-    let diff = Grid.max_abs_diff r.Solver.v naive_v in
+  | Ok (Request.Stopped e | Request.No_resume e) ->
+    Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
+  | Ok (Request.Solved g) ->
+    let report = Option.get g.Request.report in
+    let diff = Grid.max_abs_diff g.Request.v naive_v in
     let high_water =
       Telemetry.value (Telemetry.counter "govern.pool_high_water_bytes")
     in
-    let reported = List.length g.Solver.g_report.Govern.demotions in
+    let reported = List.length report.Govern.demotions in
     let counted = Telemetry.value (Telemetry.counter "govern.demotions") in
-    let executed = g.Solver.g_executed in
+    let executed = Option.get g.Request.rung in
     let converged = diff <= tol in
     let model_ok = executed.Govern.peak_bytes <= budget in
     let water_ok = high_water <= budget in
@@ -112,8 +121,8 @@ let governed_case ~name ~cfg ~n ~problem ~cycles ~budget ~naive_v
           ("max_abs_diff", Json.Num diff);
           ("demotions_reported", Json.num reported);
           ("demotions_counted", Json.num counted);
-          ("runtime_demotions", Json.num g.Solver.g_runtime_demotions);
-          ("report", Govern.report_json g.Solver.g_report) ]
+          ("runtime_demotions", Json.num g.Request.runtime_demotions);
+          ("report", Govern.report_json report) ]
 
 let budget_axis ~quick =
   let configs =
@@ -162,7 +171,7 @@ let budget_axis ~quick =
         (fun pct ->
           governed_case
             ~name:(Printf.sprintf "%s@%d%%" cname pct)
-            ~cfg ~n ~problem ~cycles
+            ~cfg ~n ~cycles
             ~budget:(unconstrained * pct / 100)
             ~naive_v ~expect_demotions:false)
         [ 100; 75; 50; 25 ];
@@ -170,26 +179,23 @@ let budget_axis ~quick =
          converge to the naive answer *)
       governed_case
         ~name:(cname ^ "@forced-demotion")
-        ~cfg ~n ~problem ~cycles ~budget:(requested_peak - 1) ~naive_v
+        ~cfg ~n ~cycles ~budget:(requested_peak - 1) ~naive_v
         ~expect_demotions:true;
       (* under the floor: typed infeasible, never an abort *)
       let name = cname ^ "@infeasible" in
-      let opts =
-        { Options.opt_plus with
-          Options.mem_budget = Some (floor - 1);
-          check_plan = true }
-      in
       let incident_dir = Campaign.arm_incidents name in
-      match governed cfg ~n ~opts ~cycles ~problem with
+      match governed cfg ~n ~budget:(floor - 1) ~cycles with
        | Error e ->
          Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
-       | Ok (Ok g) ->
+       | Ok (Request.Solved g) ->
          Campaign.check ~name ~pass:false
            ~detail:
              [ ("error", Json.Str "expected infeasible, got a solve");
-               ("executed_rung",
-                Json.Str g.Solver.g_executed.Govern.rname) ]
-       | Ok (Error inf) ->
+               ( "executed_rung",
+                 Json.Str (Option.get g.Request.rung).Govern.rname ) ]
+       | Ok (Request.Stopped e | Request.No_resume e) ->
+         Campaign.check ~name ~pass:false ~detail:[ ("error", Json.Str e) ]
+       | Ok (Request.Over_budget inf) ->
          let counted =
            Telemetry.value (Telemetry.counter "govern.infeasible")
          in
@@ -224,36 +230,35 @@ let deadline_axis () =
   let trips () =
     Telemetry.value (Telemetry.counter "govern.deadline_trips")
   in
-  (* generous deadline: must pass untripped *)
-  let opts =
-    { Options.opt_plus with Options.deadline = Some 5.0; check_plan = true }
+  let deadline_spec deadline =
+    { Request.default_spec with n = Some n; deadline = Some deadline }
   in
-  (match governed cfg ~n ~opts ~cycles:3 ~problem with
+  (* generous deadline: must pass untripped *)
+  (match solve { (deadline_spec 5.0) with cycles = 3 } with
    | Error e ->
      Campaign.check ~name:"deadline-generous" ~pass:false
        ~detail:[ ("error", Json.Str e) ]
-   | Ok (Error _) ->
-     Campaign.check ~name:"deadline-generous" ~pass:false
-       ~detail:[ ("error", Json.Str "unexpectedly infeasible") ]
-   | Ok (Ok _) ->
+   | Ok (Request.Solved _) ->
      let t = trips () in
      Campaign.check ~name:"deadline-generous" ~pass:(t = 0)
-       ~detail:[ ("deadline_trips", Json.num t) ]);
+       ~detail:[ ("deadline_trips", Json.num t) ]
+   | Ok o ->
+     Campaign.check ~name:"deadline-generous" ~pass:false
+       ~detail:
+         [ ("status", Json.Str (Request.status_name (Request.status o))) ]);
   (* hopeless deadline under guard: trips, quarantines the primary, and
      still converges through the deadline-free naive fallback *)
   let incident_dir = Campaign.arm_incidents "deadline-hopeless-guarded" in
   let r =
-    recorded (fun () ->
-        Guard.solve cfg ~n
-          ~opts:
-            { Options.opt_plus with
-              Options.deadline = Some 1e-7;
-              check_plan = true }
-          ~policy:
-            { Guard.default_policy with
-              Guard.tol = Some 1e-8;
-              Guard.max_cycles = 60 }
-          ~problem ())
+    match
+      solve { (deadline_spec 1e-7) with tol = Some 1e-8; max_cycles = Some 60 }
+    with
+    | Ok (Request.Solved { Request.guarded = Some r; _ }) -> r
+    | Ok o ->
+      failwith
+        ("deadline-hopeless-guarded: "
+        ^ Request.status_name (Request.status o))
+    | Error e -> failwith ("deadline-hopeless-guarded: " ^ e)
   in
   let t = trips () in
   let quarantined =

@@ -25,18 +25,17 @@ let print_stats stats =
          else "  [" ^ Solver.status_name s.Solver.status ^ "]"))
     stats
 
+(* a one-line message on stderr, then [exit code] *)
+let fail code fmt =
+  Format.kfprintf (fun _ -> exit code) Format.err_formatter (fmt ^^ "@.")
+
 (* an output file that cannot be written is a clean exit 1, never an
    uncaught exception *)
 let write_or_exit what write =
-  let fail msg =
-    Printf.eprintf "%s: cannot write %s\n" what msg;
-    exit 1
-  in
-  match write () with
-  | () -> ()
-  | exception Sys_error msg -> fail msg
-  | exception Unix.Unix_error (e, _, path) ->
-    fail (path ^ ": " ^ Unix.error_message e)
+  try write () with
+  | Sys_error msg -> fail 1 "%s: cannot write %s" what msg
+  | Unix.Unix_error (e, _, path) ->
+    fail 1 "%s: cannot write %s: %s" what path (Unix.error_message e)
 
 let print_status_summary stats =
   let count st =
@@ -54,30 +53,49 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
     { (Gc.get ()) with
       Gc.custom_major_ratio = 10000;
       Gc.custom_minor_ratio = 10000 };
-  let usage_error msg =
-    prerr_endline msg;
-    exit 2
-  in
+  let parsed what = function Some v -> v | None -> fail 2 "%s" what in
   let shape =
-    match Cycle.shape_of_string (String.uppercase_ascii cycle) with
-    | Some shape -> shape
-    | None -> usage_error "cycle must be V, W or F"
+    parsed "cycle must be V, W or F"
+      (Cycle.shape_of_string (String.uppercase_ascii cycle))
   in
-  let n1, n2, n3 =
-    match List.map int_of_string_opt (String.split_on_char ',' smoothing) with
-    | [ Some a; Some b; Some c ] -> (a, b, c)
-    | _ -> usage_error "smoothing must be n1,n2,n3 (three integers)"
+  let smoothing =
+    parsed "smoothing must be n1,n2,n3 (three integers)"
+      (match List.map int_of_string_opt (String.split_on_char ',' smoothing)
+       with
+       | [ Some a; Some b; Some c ] -> Some (a, b, c)
+       | _ -> None)
   in
-  let cfg =
-    { (Cycle.default ~dims ~shape ~smoothing:(n1, n2, n3)) with
-      Cycle.levels }
+  let mem_budget =
+    Option.map
+      (fun b ->
+        parsed
+          (Printf.sprintf
+             "mem-budget: cannot parse %S (expected BYTES, optionally with a \
+              K/M/G suffix)"
+             b)
+          (Govern.bytes_of_string b))
+      mem_budget
   in
-  let n =
-    match n with
-    | Some n -> n
-    | None -> Cycle.min_n cfg * 8
+  let backend =
+    parsed
+      ("backend must be interp, native or auto, not " ^ backend)
+      (Options.backend_of_string backend)
   in
-  Result.iter_error usage_error (Cycle.check cfg ~n ~cycles);
+  if resume && checkpoint_dir = None then
+    fail 2 "--resume requires --checkpoint-dir";
+  let rq =
+    match
+      Request.validate
+        { Request.default_spec with
+          dims; levels; n; shape; smoothing; variant; backend; cycles;
+          max_cycles; tol; guard; fallback = not no_fallback; domains; poison;
+          mem_budget; deadline; checkpoint_dir; checkpoint_every;
+          resume_dir = (if resume then checkpoint_dir else None) }
+    with
+    | Ok rq -> rq
+    | Error msg -> fail 2 "%s" msg
+  in
+  let cfg = Request.cfg rq and n = Request.n rq in
   if conform then begin
     (* differential oracle on the selected cycle: every plan variant and
        the hand-optimized baselines in lockstep against the naive plan *)
@@ -87,183 +105,11 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
     Format.printf "%a@." Conformance.pp_case case;
     exit (if Conformance.case_pass case then 0 else 1)
   end;
-  let mem_budget =
-    match mem_budget with
-    | None -> None
-    | Some s -> (
-      match Govern.bytes_of_string s with
-      | Some b -> Some b
-      | None ->
-        Printf.eprintf
-          "mem-budget: cannot parse %S (expected BYTES, optionally with a \
-           K/M/G suffix)\n"
-          s;
-        exit 2)
-  in
-  let backend =
-    match Options.backend_of_string backend with
-    | Some b -> b
-    | None ->
-      Printf.eprintf "backend must be interp, native or auto, not %s\n"
-        backend;
-      exit 2
-  in
-  (* Governance knobs and the execution backend ride on the options
-     record, so every plan built from them (including demoted ladder
-     rungs) inherits them. *)
-  let polymg_opts =
-    Option.map
-      (fun o -> { o with Options.mem_budget; deadline; backend })
-      (Options.variant_of_string variant)
-  in
-  if (mem_budget <> None || deadline <> None) && polymg_opts = None then begin
-    Printf.eprintf
-      "--mem-budget/--deadline require a PolyMG variant \
-       (naive|opt|opt+|dtile-opt+), not %s\n"
-      variant;
-    exit 2
-  end;
-  if backend <> Options.Interp && polymg_opts = None then begin
-    Printf.eprintf
-      "--backend %s requires a PolyMG variant \
-       (naive|opt|opt+|dtile-opt+), not %s\n"
-      (Options.backend_name backend) variant;
-    exit 2
-  end;
   (* The flight recorder is always-on (bounded per-domain rings, one
      flag test per event site when idle); --no-flightrec exists for the
      overhead gate in the bench harness. *)
   Flightrec.set_enabled (not no_flightrec);
   Flightrec.set_incident_dir incident_dir;
-  let problem = Problem.poisson ~dims ~n in
-  let guard_mode = guard || tol <> None in
-  let governed_mode = mem_budget <> None && not guard_mode in
-  (* ---- durable checkpoint/restart ---------------------------------- *)
-  if resume && checkpoint_dir = None then begin
-    prerr_endline "--resume requires --checkpoint-dir";
-    exit 2
-  end;
-  if checkpoint_every < 1 then begin
-    prerr_endline "--checkpoint-every must be >= 1";
-    exit 2
-  end;
-  (* The active plan digest is needed before the solve starts: resume
-     compares it against the checkpoint's, and the sink stamps it into
-     every generation.  PolyMG plans are built once here and reused by
-     the solve paths below (handopt baselines have no plan). *)
-  let preplan, ck_digest =
-    match checkpoint_dir with
-    | None -> (None, None)
-    | Some _ -> (
-      match polymg_opts with
-      | Some opts ->
-        let p = Solver.polymg_plan cfg ~n ~opts in
-        (Some p, Some (Plan.digest p))
-      | None -> (None, Some "handopt"))
-  in
-  (* note the plan before any resume incident can fire, so a
-     checkpoint-rejected or resume-replan report carries the digest *)
-  (match ck_digest with
-   | Some d -> Flightrec.note_plan ~digest:d ~variant
-   | None -> ());
-  let resume_state =
-    match (resume, checkpoint_dir) with
-    | true, Some dir -> (
-      match Checkpoint.load_latest ~dir with
-      | Error msg ->
-        Printf.eprintf "resume: %s\n" msg;
-        exit 6
-      | Ok r ->
-        let st = r.Checkpoint.state in
-        if st.Checkpoint.dims <> dims || st.Checkpoint.n <> n then begin
-          Printf.eprintf
-            "resume: checkpoint is for dims=%d N=%d, not dims=%d N=%d\n"
-            st.Checkpoint.dims st.Checkpoint.n dims n;
-          exit 6
-        end;
-        let cur = Option.get ck_digest in
-        if st.Checkpoint.plan_digest <> cur then begin
-          (* configuration drifted since the checkpoint: re-plan under
-             the current options, keep the restored iterate *)
-          if Flightrec.on () then
-            Flightrec.emit
-              (Flightrec.Resume_replan
-                 { old_digest = st.Checkpoint.plan_digest;
-                   new_digest = cur });
-          ignore
-            (Flightrec.incident ~kind:"resume-replan"
-               ~cycle:st.Checkpoint.cycle
-               ~detail:
-                 [ ("checkpoint_digest", Json.Str st.Checkpoint.plan_digest);
-                   ("checkpoint_variant", Json.Str st.Checkpoint.variant);
-                   ("current_digest", Json.Str cur);
-                   ("current_variant", Json.Str variant) ]
-               ())
-        end;
-        Printf.printf "resume: generation %d (cycle %d, residual %.6e)%s\n"
-          r.Checkpoint.gen st.Checkpoint.cycle st.Checkpoint.residual
-          (match r.Checkpoint.rejected with
-           | [] -> ""
-           | l ->
-             Printf.sprintf "  [%d corrupt generation(s) skipped]"
-               (List.length l));
-        Some st)
-    | _ -> None
-  in
-  let problem =
-    match resume_state with
-    | Some st -> { problem with Problem.v = st.Checkpoint.v }
-    | None -> problem
-  in
-  let start_cycle =
-    match resume_state with
-    | Some st -> st.Checkpoint.cycle + 1
-    | None -> 1
-  in
-  let sink =
-    match checkpoint_dir with
-    | None -> None
-    | Some dir ->
-      let ccfg =
-        { Checkpoint.dir;
-          every =
-            Checkpoint.effective_every ~every:checkpoint_every ~deadline;
-          keep = Checkpoint.default_keep }
-      in
-      Some
-        (Checkpoint.sink ccfg ~dims ~n ~variant
-           ~plan_digest:(Option.get ck_digest)
-           ?history_prefix:
-             (Option.map (fun st -> st.Checkpoint.history) resume_state)
-           ())
-  in
-  (* SIGINT/SIGTERM: flush a final generation plus an incident report,
-     then die with the conventional 128+signum status *)
-  (match sink with
-   | None -> ()
-   | Some s ->
-     let on_signal signum =
-       let flushed = s.Checkpoint.flush () in
-       ignore
-         (Flightrec.incident ~kind:"interrupted"
-            ~detail:
-              [ ( "signal",
-                  Json.Str
-                    (if signum = Sys.sigint then "SIGINT" else "SIGTERM") );
-                ( "checkpoint",
-                  match flushed with
-                  | Some p -> Json.Str p
-                  | None -> Json.Null ) ]
-            ());
-       exit (128 + if signum = Sys.sigint then 2 else 15)
-     in
-     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal));
-  let on_accept = Option.map (fun s -> s.Checkpoint.on_accept) sink in
-  (* ------------------------------------------------------------------ *)
-  Printf.printf "%s  N=%d  levels=%d  variant=%s  domains=%d%s\n"
-    (Cycle.bench_name cfg) n levels variant domains
-    (if poison then "  poison=on" else "");
   (* every observability output reads the one probe: spans for the
      profile table and the trace, per-site stats for the metrics
      document; both sinks switch on and off together *)
@@ -277,168 +123,56 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
     Metrics.reset ();
     probes true
   end;
-  let exit_code = ref 0 in
-  let plan_ref = ref None in
-  let incident_deadline e =
-    ignore
-      (Flightrec.incident ~kind:"deadline"
-         ~detail:[ ("exception", Json.Str (Printexc.to_string e)) ]
-         ())
+  (* once the resume is accepted: the resume line, the banner, and the
+     SIGINT/SIGTERM handlers that flush a final generation plus an
+     incident report, then die with the conventional 128+signum status *)
+  let on_start ~resumed sink =
+    Option.iter
+      (fun r ->
+        let st = r.Checkpoint.state in
+        Printf.printf "resume: generation %d (cycle %d, residual %.6e)%s\n"
+          r.Checkpoint.gen st.Checkpoint.cycle st.Checkpoint.residual
+          (match r.Checkpoint.rejected with
+           | [] -> ""
+           | l ->
+             Printf.sprintf "  [%d corrupt generation(s) skipped]"
+               (List.length l)))
+      resumed;
+    Printf.printf "%s  N=%d  levels=%d  variant=%s  domains=%d%s\n%!"
+      (Cycle.bench_name cfg) n levels variant domains
+      (if poison then "  poison=on" else "");
+    let on_signal (s : Checkpoint.sink) signum =
+      let flushed = s.Checkpoint.flush () in
+      ignore
+        (Flightrec.incident ~kind:"interrupted"
+           ~detail:
+             [ ( "signal",
+                 Json.Str (if signum = Sys.sigint then "SIGINT" else "SIGTERM")
+               );
+               ( "checkpoint",
+                 match flushed with Some p -> Json.Str p | None -> Json.Null )
+             ]
+           ());
+      exit (128 + if signum = Sys.sigint then 2 else 15)
+    in
+    Option.iter
+      (fun s ->
+        Sys.set_signal Sys.sigint (Sys.Signal_handle (on_signal s));
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle (on_signal s)))
+      sink
   in
-  let cycle_budget =
-    if guard_mode then Option.value max_cycles ~default:cycles else cycles
+  (* the hand-optimized baselines: steppers without a plan *)
+  let baseline rt =
+    let smoothing =
+      if variant = "handopt+pluto" then Handopt.Pluto { sigma = 16 }
+      else Handopt.Plain
+    in
+    Handopt.stepper (Handopt.create cfg ~n ~par:rt.Exec.par ~smoothing ())
   in
-  let cycles_left = cycle_budget - start_cycle + 1 in
-  let stats, v, total_seconds =
-    match resume_state with
-    | Some st when cycles_left < 1 ->
-      (* the checkpoint already covers the requested budget *)
-      Printf.printf "resume: cycle %d already meets the %d-cycle budget\n"
-        st.Checkpoint.cycle cycle_budget;
-      (st.Checkpoint.history, st.Checkpoint.v, 0.0)
-    | _ ->
-    try
-    if governed_mode then begin
-      (* Budgeted solve: Govern picks the ladder rung, Mempool enforces
-         the budget, Budget_exceeded demotes instead of aborting. *)
-      let opts = Option.get polymg_opts in
-      match
-        Solver.solve_governed cfg ~n ~opts ~domains ~poison
-          ~cycles:cycles_left ~start_cycle ?on_accept ~problem ()
-      with
-      | exception (Repro_runtime.Watchdog.Deadline_exceeded _ as e) ->
-        incident_deadline e;
-        probes false;
-        Printf.eprintf "deadline: %s\n" (Printexc.to_string e);
-        exit 4
-      | Error inf ->
-        probes false;
-        Format.eprintf "govern: %a@." Govern.pp_infeasible inf;
-        exit 5
-      | Ok g ->
-        probes false;
-        let executed = g.Solver.g_executed in
-        plan_ref := Some executed.Govern.plan;
-        Format.printf "govern: @[<v>%a@]@?" Govern.pp_report
-          g.Solver.g_report;
-        if g.Solver.g_runtime_demotions > 0 then
-          Printf.printf
-            "govern: %d runtime demotion(s); executed rung %s\n"
-            g.Solver.g_runtime_demotions executed.Govern.rname;
-        if verbose then Format.printf "%a@." Plan.summary executed.Govern.plan;
-        let r = g.Solver.g_result in
-        print_stats r.Solver.stats;
-        (r.Solver.stats, r.Solver.v, r.Solver.total_seconds)
-    end
-    else
-      Exec.with_runtime ~domains ~poison @@ fun rt ->
-      (* budget under guard: the pool raises Budget_exceeded, the guard
-         sees a crash fault and retries on the unpooled naive fallback *)
-      (match polymg_opts with
-       | Some o when o.Options.pool && o.Options.mem_budget <> None ->
-         Repro_runtime.Mempool.set_budget rt.Exec.pool o.Options.mem_budget
-       | Some _ | None -> ());
-      let stepper =
-        match variant with
-        | "handopt" ->
-          Flightrec.note_plan ~digest:"handopt" ~variant;
-          Handopt.stepper (Handopt.create cfg ~n ~par:rt.Exec.par ())
-        | "handopt+pluto" ->
-          Flightrec.note_plan ~digest:"handopt" ~variant;
-          Handopt.stepper
-            (Handopt.create cfg ~n ~par:rt.Exec.par
-               ~smoothing:(Handopt.Pluto { sigma = 16 })
-               ())
-        | v -> (
-          match polymg_opts with
-          | Some opts ->
-            (* build once; the metrics report reuses the same plan so its
-               stage names match the executed spans (the checkpoint path
-               may already have built it for the digest) *)
-            let plan =
-              match preplan with
-              | Some p -> p
-              | None -> Solver.polymg_plan cfg ~n ~opts
-            in
-            plan_ref := Some plan;
-            if verbose then Format.printf "%a@." Plan.summary plan;
-            Solver.plan_stepper plan ~rt
-          | None ->
-            Printf.eprintf
-              "unknown variant %s \
-               (naive|opt|opt+|dtile-opt+|handopt|handopt+pluto)\n"
-              v;
-            exit 2)
-      in
-      let fallback_opts =
-        match polymg_opts with
-        | Some opts -> Guard.fallback_opts opts
-        | None ->
-          Options.naive (* handopt variants fall back to the naive plan *)
-      in
-      if guard_mode then begin
-        let policy =
-          { Guard.default_policy with
-            Guard.tol;
-            Guard.max_cycles = Option.value max_cycles ~default:cycles }
-        in
-        let fallback =
-          if no_fallback then None
-          else
-            Some
-              (fun () -> Solver.polymg_stepper cfg ~n ~opts:fallback_opts ~rt)
-        in
-        let checkpoint =
-          Option.map
-            (fun s ->
-              { Guard.ck_accept = s.Checkpoint.on_accept;
-                ck_restore = s.Checkpoint.restore })
-            sink
-        in
-        let r =
-          Guard.run ~policy ?checkpoint ~start_cycle ~primary:stepper
-            ?fallback ~problem ()
-        in
-        probes false;
-        print_stats r.Guard.stats;
-        List.iter
-          (fun (e : Guard.event) ->
-            Printf.printf "  guard: cycle %d: %s fault — %s\n" e.Guard.cycle
-              (Guard.fault_name e.Guard.fault)
-              (Guard.action_name e.Guard.action))
-          r.Guard.events;
-        Printf.printf "guard: %s  residual %.6e  (%d fallback cycle%s)\n"
-          (Guard.outcome_name r.Guard.outcome)
-          r.Guard.residual r.Guard.fallback_cycles
-          (if r.Guard.fallback_cycles = 1 then "" else "s");
-        (match r.Guard.outcome with
-         | Guard.Faulted _ -> exit_code := 4
-         | Guard.Converged | Guard.Exhausted | Guard.Stagnated ->
-           if
-             List.exists
-               (fun (e : Guard.event) ->
-                 e.Guard.action = Guard.Quarantined_primary)
-               r.Guard.events
-           then exit_code := 3);
-        (r.Guard.stats, r.Guard.v, r.Guard.total_seconds)
-      end
-      else begin
-        let r =
-          try
-            Solver.iterate stepper ~problem ~cycles:cycles_left ~start_cycle
-              ?on_accept ()
-          with Repro_runtime.Watchdog.Deadline_exceeded _ as e ->
-            incident_deadline e;
-            probes false;
-            Printf.eprintf "deadline: %s\n" (Printexc.to_string e);
-            exit 4
-        in
-        probes false;
-        print_stats r.Solver.stats;
-        (r.Solver.stats, r.Solver.v, r.Solver.total_seconds)
-      end
-    with
-    | Native.Unavailable msg ->
+  let outcome =
+    match Request.run ~on_start ~baseline rq with
+    | outcome -> outcome
+    | exception Native.Unavailable msg ->
       (* forced --backend native could not run (no compiler, unemittable
          plan, or a compile failure): a deliberate request, a clean
          refusal — never a silent interpreter downgrade *)
@@ -446,10 +180,8 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
         (Flightrec.incident ~kind:"native-unavailable"
            ~detail:[ ("reason", Json.Str msg) ]
            ());
-      probes false;
-      Printf.eprintf "native: %s\n" msg;
-      exit 7
-    | e ->
+      fail 7 "native: %s" msg
+    | exception e ->
       (* any anomaly the structured paths did not already report *)
       ignore
         (Flightrec.incident ~kind:"exception"
@@ -457,16 +189,58 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
            ());
       raise e
   in
-  (* final checkpoint: the last accepted cycle is durable even when the
-     cadence did not land on it *)
-  (match sink with
-   | None -> ()
-   | Some s -> (
-     match s.Checkpoint.flush () with
-     | Some path ->
-       if verbose then Printf.printf "checkpoint: final flush -> %s\n" path
-     | None -> ()));
-  let err = Verify.error_l2 ~v ~exact:problem.Problem.exact in
+  probes false;
+  let code = Request.code_of_status (Request.status outcome) in
+  let s =
+    match outcome with
+    | Request.No_resume msg -> fail code "resume: %s" msg
+    | Request.Stopped msg -> fail code "deadline: %s" msg
+    | Request.Over_budget inf ->
+      fail code "govern: %a" Govern.pp_infeasible inf
+    | Request.Solved s -> s
+  in
+  (* a checkpoint already covering the cycle budget: nothing ran *)
+  let covered =
+    match s.Request.resumed with
+    | Some { Checkpoint.state = { Checkpoint.cycle; _ }; _ }
+      when cycle >= Request.cycles rq ->
+      Printf.printf "resume: cycle %d already meets the %d-cycle budget\n"
+        cycle (Request.cycles rq);
+      true
+    | Some _ | None -> false
+  in
+  (match s.Request.report with
+   | Some report ->
+     Format.printf "govern: @[<v>%a@]@?" Govern.pp_report report;
+     if s.Request.runtime_demotions > 0 then
+       Printf.printf "govern: %d runtime demotion(s); executed rung %s\n"
+         s.Request.runtime_demotions
+         (Option.get s.Request.rung).Govern.rname
+   | None -> ());
+  (match s.Request.plan with
+   | Some plan when verbose -> Format.printf "%a@." Plan.summary plan
+   | _ -> ());
+  let stats = s.Request.stats and total_seconds = s.Request.total_seconds in
+  if not covered then print_stats stats;
+  (match s.Request.guarded with
+   | Some r ->
+     List.iter
+       (fun (e : Guard.event) ->
+         Printf.printf "  guard: cycle %d: %s fault — %s\n" e.Guard.cycle
+           (Guard.fault_name e.Guard.fault)
+           (Guard.action_name e.Guard.action))
+       r.Guard.events;
+     Printf.printf "guard: %s  residual %.6e  (%d fallback cycle%s)\n"
+       (Guard.outcome_name r.Guard.outcome)
+       r.Guard.residual r.Guard.fallback_cycles
+       (if r.Guard.fallback_cycles = 1 then "" else "s")
+   | None -> ());
+  (match s.Request.flushed with
+   | Some path when verbose ->
+     Printf.printf "checkpoint: final flush -> %s\n" path
+   | _ -> ());
+  let problem = s.Request.problem in
+  let err = Verify.error_l2 ~v:s.Request.v ~exact:problem.Problem.exact in
   Printf.printf "total %.4fs; error vs continuous solution: %.6e\n"
     total_seconds err;
   (* Convergence observatory: a sequential reference probe of the same
@@ -486,7 +260,9 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
   if profile then begin
     print_status_summary stats;
     Format.printf "%t@." (fun fmt -> Telemetry.report fmt);
-    let span_name = if guard_mode then "guard.cycle" else "solver.cycle" in
+    let span_name =
+      if Request.guarded rq then "guard.cycle" else "solver.cycle"
+    in
     let span_total = float_of_int (Telemetry.span_total_ns span_name) /. 1e9 in
     Printf.printf "profile: cycle-span total %.4fs vs wall-clock %.4fs (%+.2f%%)\n"
       span_total total_seconds
@@ -503,7 +279,7 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
   (match metrics with
    | None -> ()
    | Some path ->
-     let plan = !plan_ref in
+     let plan = s.Request.plan in
      let cost = Option.map Cost.of_plan plan in
      let roofline = Repro_runtime.Roofline.get () in
      let doc =
@@ -516,7 +292,7 @@ let run dims cycle smoothing levels n variant backend cycles domains verbose
        "metrics: wrote %s (roofline %.1f GB/s, %.1f GFLOP/s)\n" path
        roofline.Repro_runtime.Roofline.bandwidth_gbs
        roofline.Repro_runtime.Roofline.gflops);
-  !exit_code
+  code
 
 let dims_t =
   Arg.(value & opt int 2 & info [ "dims" ] ~doc:"Grid rank (2 or 3).")

@@ -61,8 +61,6 @@ val fill_rim :
 (** Writes the value to every point of [region] outside [interior] (used to
     prefill ghost layers of full arrays and modulo buffers). *)
 
-val fill_box : source -> Repro_poly.Box.t -> float -> unit
-
 val linearize :
   Repro_ir.Expr.t -> params:(string -> float) ->
   (float * (float * int * Repro_ir.Expr.access array) list) option

@@ -66,10 +66,6 @@ type t = {
 
 type cache_level = { lname : string; bytes : int }
 
-val default_cache_levels : cache_level list
-(** L1 32 KiB, L2 1 MiB, L3 32 MiB — overridable per call; anything
-    larger is reported as ["DRAM"]. *)
-
 val of_plan : ?cache_levels:cache_level list -> Plan.t -> t
 
 val stage_bytes : stage -> int

@@ -176,6 +176,43 @@ let build_rung ~domains ~budget pipeline ~n ~params (rname, ropts) =
 
 let chosen r = r.ladder.(r.chosen)
 
+(* The refusal: the ladder's smallest footprint is the floor the budget
+   failed to reach, recorded as an event and an incident. *)
+let refuse ?(detail = []) ~budget ladder =
+  let floor =
+    Array.fold_left
+      (fun best r ->
+        match best with
+        | Some b when b.peak_bytes <= r.peak_bytes -> best
+        | _ -> Some r)
+      None ladder
+    |> Option.get
+  in
+  if Flightrec.on () then begin
+    Flightrec.emit
+      (Flightrec.Infeasible
+         { budget_bytes = budget;
+           floor_bytes = floor.peak_bytes;
+           floor_rung = floor.rname });
+    Flightrec.note_plan ~digest:(Plan.digest floor.plan) ~variant:floor.rname;
+    ignore
+      (Flightrec.incident ~kind:"budget-infeasible"
+         ~detail:
+           ([ ("budget_bytes", Json.num budget);
+              ("floor_bytes", Json.num floor.peak_bytes);
+              ("floor_rung", Json.Str floor.rname) ]
+           @ detail
+           @ [ ( "ladder",
+                 Json.Arr
+                   (Array.to_list
+                      (Array.map (fun r -> Json.Str r.rname) ladder)) ) ])
+         ())
+  end;
+  { inf_budget = budget;
+    floor_bytes = floor.peak_bytes;
+    floor_rung = floor.rname;
+    inf_ladder = ladder }
+
 let decide ?(domains = 1) pipeline ~(opts : Options.t) ~n ~params =
   let budget = opts.Options.mem_budget in
   let ladder =
@@ -241,42 +278,14 @@ let decide ?(domains = 1) pipeline ~(opts : Options.t) ~n ~params =
     end;
     Ok { budget; domains; requested; ladder; chosen; demotions }
   | None ->
-    let floor =
-      Array.fold_left
-        (fun best r ->
-          match best with
-          | Some b when b.peak_bytes <= r.peak_bytes -> best
-          | _ -> Some r)
-        None ladder
-    in
-    let floor = Option.get floor in
     Telemetry.add c_infeasible 1;
-    if Flightrec.on () then begin
-      Flightrec.emit
-        (Flightrec.Infeasible
-           { budget_bytes = Option.get budget;
-             floor_bytes = floor.peak_bytes;
-             floor_rung = floor.rname });
-      Flightrec.note_plan
-        ~digest:(Plan.digest floor.plan)
-        ~variant:floor.rname;
-      ignore
-        (Flightrec.incident ~kind:"budget-infeasible"
-           ~detail:
-             [ ("budget_bytes", Json.num (Option.get budget));
-               ("floor_bytes", Json.num floor.peak_bytes);
-               ("floor_rung", Json.Str floor.rname);
-               ( "ladder",
-                 Json.Arr
-                   (Array.to_list
-                      (Array.map (fun r -> Json.Str r.rname) ladder)) ) ]
-           ())
-    end;
-    Error
-      { inf_budget = Option.get budget;
-        floor_bytes = floor.peak_bytes;
-        floor_rung = floor.rname;
-        inf_ladder = ladder }
+    Error (refuse ~budget:(Option.get budget) ladder)
+
+let exhausted r ~runtime_demotions =
+  refuse
+    ~budget:(Option.value r.budget ~default:0)
+    ~detail:[ ("runtime_demotions", Json.num runtime_demotions) ]
+    r.ladder
 
 (* ------------------------------------------------------------------ *)
 (* Parsing and printing                                                 *)
@@ -336,9 +345,16 @@ let pp_report ppf r =
     r.demotions
 
 let pp_infeasible ppf i =
-  Format.fprintf ppf
-    "budget %a infeasible: floor is %a (rung %s); no ladder rung fits"
-    pp_bytes i.inf_budget pp_bytes i.floor_bytes i.floor_rung
+  if i.inf_budget < i.floor_bytes then
+    Format.fprintf ppf
+      "budget %a infeasible: floor is %a (rung %s); no ladder rung fits"
+      pp_bytes i.inf_budget pp_bytes i.floor_bytes i.floor_rung
+  else
+    (* above the modelled floor: refused by the pool, not the model *)
+    Format.fprintf ppf
+      "budget %a infeasible: every fitting rung overran it at run time \
+       (modelled floor %a, rung %s)"
+      pp_bytes i.inf_budget pp_bytes i.floor_bytes i.floor_rung
 
 let rung_json rg =
   Json.Obj

@@ -76,23 +76,6 @@ val demote : Options.t -> Options.t option
     pooling/array-reuse/scratch-reuse switch off together (opt+ → opt),
     then fusion (opt → naive).  [None] at the bottom. *)
 
-val ladder_of : Options.t -> (string * Options.t) list
-(** The full ladder: the requested options, then tile-shrink rungs
-    (overlapped tile sizes halved per step down to a floor of 8 —
-    named ["opt+~tiles/2"], ["opt+~tiles/4"], … — trading redundant
-    compute for a smaller scratch working set), then every {!demote}
-    feature step.  Tile shrinking precedes feature removal because it
-    is the cheapest degradation: same math, same storage mapping,
-    strictly smaller footprint. *)
-
-val pool_peak_bytes : Plan.t -> int
-(** Modelled peak of full-array plus diamond-modulo-buffer bytes during
-    one plan execution.  Pooled plans account windowed liveness (an
-    array occupies memory only between its acquire and release groups);
-    unpooled plans keep every non-output array live for the whole
-    execution.  Pipeline outputs live in caller-owned grids and are
-    excluded. *)
-
 val peak_bytes : ?domains:int -> Plan.t -> int
 (** [pool_peak_bytes] plus [domains] per-thread scratchpad footprints
     ([domains] defaults to 1). *)
@@ -113,13 +96,16 @@ val decide :
 
 val chosen : report -> rung
 
+val exhausted : report -> runtime_demotions:int -> infeasible
+(** The refusal after run time: every fitting rung from the chosen one
+    down overran the pool ({!Repro_runtime.Mempool.Budget_exceeded}).
+    Files the same [budget-infeasible] incident as a plan-time refusal,
+    with the number of runtime demotions in its detail. *)
+
 val bytes_of_string : string -> int option
 (** Parses a human byte size: a plain integer, or with a [K]/[M]/[G]
     suffix (binary multiples, case-insensitive).  [None] on junk or a
     non-positive size. *)
-
-val pp_bytes : Format.formatter -> int -> unit
-(** ["25.1 MiB"]-style rendering. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The [polymg_dump --what budget] table: one line per rung with

@@ -24,10 +24,5 @@ val run :
   Repro_ir.Pipeline.t -> opts:Options.t -> n:int -> group list
 (** Groups in a valid execution (topological) order. *)
 
-val liveouts_of :
-  Repro_ir.Pipeline.t -> members:int list -> int list
-(** Members whose value is read by a stage outside [members] or that are
-    pipeline outputs. *)
-
 val tile_sizes_for : Options.t -> dims:int -> int array
 (** The configured overlapped-tile sizes for a given rank. *)

@@ -56,11 +56,6 @@ val cache_dir : unit -> string
 
 val set_cache_dir : string option -> unit
 
-val entry_source : Plan.t -> (string, string) result
-(** The full C translation unit for a plan's kernel: {!C_emit.to_string}
-    plus the arena allocator and the [polymg_entry] wrapper.  [Error]
-    when {!C_emit.runnable} fails. *)
-
 val cache_key : Plan.t -> compiler:string -> string
 (** Content key of a plan's compiled kernel (hex digest over plan
     digest, compiler identity, flags, emitter version). *)

@@ -75,6 +75,33 @@ let name t =
   else if same_features t dtile_opt_plus then "dtile-opt+"
   else "custom"
 
+let fingerprint t =
+  let b = Buffer.create 128 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let bool x = int (Bool.to_int x) in
+  let ints a = int (Array.length a); Array.iter int a in
+  bool t.fuse;
+  ints t.tile_2d;
+  ints t.tile_3d;
+  int t.naive_rows;
+  int t.group_size_limit;
+  Buffer.add_int64_le b (Int64.bits_of_float t.overlap_threshold);
+  bool t.scratch_reuse;
+  int t.scratch_class_threshold;
+  bool t.array_reuse;
+  bool t.pool;
+  (match t.smoother with
+   | Overlapped_smoother -> int 0
+   | Diamond_smoother { sigma } -> int 1; int sigma
+   | Skewed_smoother { tau; sigma } -> int 2; int tau; int sigma);
+  bool t.walk_kernels;
+  bool t.check_plan;
+  int (Option.value t.mem_budget ~default:(-1));
+  Buffer.add_int64_le b
+    (Int64.bits_of_float (Option.value t.deadline ~default:Float.nan));
+  int (match t.backend with Interp -> 0 | Native -> 1 | Auto -> 2);
+  Buffer.contents b
+
 let with_tiles t ~t2 ~t3 = { t with tile_2d = t2; tile_3d = t3 }
 
 let backend_of_string = function
@@ -82,11 +109,6 @@ let backend_of_string = function
   | "native" -> Some Native
   | "auto" -> Some Auto
   | _ -> None
-
-let backend_name = function
-  | Interp -> "interp"
-  | Native -> "native"
-  | Auto -> "auto"
 
 let pp fmt t =
   let smoother =
@@ -106,9 +128,8 @@ let pp fmt t =
     | None -> ""
   in
   (* [backend] is deliberately not printed: it selects how a plan is
-     executed, not what it computes, and [Plan.summary] (hence the plan
-     digest, checkpoint identity, and the native compile-cache key) must
-     stay identical across backends. *)
+     executed, not what it computes, so [Plan.summary] stays identical
+     across backends. *)
   Format.fprintf fmt
     "{%s fuse=%b tiles2d=%s tiles3d=%s limit=%d scratch_reuse=%b \
      array_reuse=%b pool=%b smoother=%s%s}"

@@ -85,11 +85,13 @@ val variant_of_string : string -> t option
 val name : t -> string
 (** Best-effort name of the matching preset, or ["custom"]. *)
 
+val fingerprint : t -> string
+(** Every field in a fixed binary layout: equal options, equal strings,
+    in any process and under any compiler version. *)
+
 val with_tiles : t -> t2:int array -> t3:int array -> t
 
 val backend_of_string : string -> backend option
 (** Recognizes ["interp"], ["native"], ["auto"]. *)
-
-val backend_name : backend -> string
 
 val pp : Format.formatter -> t -> unit

@@ -57,6 +57,7 @@ type t = {
   arrays : array_info array;
   inputs : int array;
   output_arrays : (int * int) list;
+  params : (string * float) list;
 }
 
 let uid_counter = Atomic.make 0
@@ -357,6 +358,11 @@ let build pipeline ~(opts : Options.t) ~n ~params =
     |> Array.of_list
   in
   ignore ngroups;
+  let used =
+    Array.to_list (Pipeline.funcs pipeline)
+    |> List.concat_map (fun f -> List.concat_map Expr.params (Func.defn_exprs f))
+    |> List.sort_uniq String.compare
+  in
   { uid = Atomic.fetch_and_add uid_counter 1;
     pipeline;
     opts;
@@ -364,7 +370,8 @@ let build pipeline ~(opts : Options.t) ~n ~params =
     groups = groups_exec;
     arrays;
     inputs;
-    output_arrays = List.map (fun id -> (id, array_of_func id)) outputs }
+    output_arrays = List.map (fun id -> (id, array_of_func id)) outputs;
+    params = List.map (fun p -> (p, params p)) used }
 
 let group_count t = Array.length t.groups
 let array_count t = Array.length t.arrays
@@ -438,9 +445,120 @@ let summary fmt t =
     t.groups;
   Format.fprintf fmt "@]"
 
-(* The digest fingerprints the full summary dump (pipeline, options,
-   grouping, storage mapping), memoized by uid — summary is O(members)
-   to print and the digest is consulted per cycle by the recorder. *)
+(* What a plan computes and how it stores it, in a fixed binary layout
+   (stable across processes and compiler versions): every stage body
+   with its coefficients, concrete sizes and boundary, the resolved
+   parameters, the options that shape the plan, the grouping and the
+   storage mapping.  Stage names are display only and stay out; the
+   pipeline name stays in, as it names the emitted C entry point.
+   Options that only select how or under which limits a plan runs
+   (backend, plan checking, budget, deadline) stay out too. *)
+let content t =
+  let b = Buffer.create 16384 in
+  (* zigzag varints: most fields are small, and the bytes are what the
+     digest pays for *)
+  let rec uint u =
+    if u lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr u)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (u land 0x7f lor 0x80));
+      uint (u lsr 7)
+    end
+  in
+  let int i = uint ((i lsl 1) lxor (i asr 62)) in
+  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  let str s = int (String.length s); Buffer.add_string b s in
+  let array f a = int (Array.length a); Array.iter f a in
+  let list f l = int (List.length l); List.iter f l in
+  let opt = function None -> int 0 | Some i -> int 1; int i in
+  let rec expr : Expr.t -> unit = function
+    | Const c -> int 0; float c
+    | Param p -> int 1; str p
+    | Coord k -> int 2; int k
+    | Load (f, accs) ->
+      int 3;
+      int f;
+      array
+        (fun (a : Expr.access) -> int a.mul; int a.add; int a.den; int a.off)
+        accs
+    | Unop (op, x) ->
+      int 4;
+      int (match op with Neg -> 0 | Abs -> 1 | Sqrt -> 2);
+      expr x
+    | Binop (op, x, y) ->
+      int 5;
+      int
+        (match op with
+         | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Min -> 4 | Max -> 5);
+      expr x;
+      expr y
+  in
+  let src = function
+    | P_input i -> int 0; int i
+    | P_array i -> int 1; int i
+    | P_member i -> int 2; int i
+  in
+  let member m =
+    let f = m.func in
+    int f.Func.id;
+    array
+      (fun (s : Sizeexpr.t) -> int s.num; int s.den; int s.off)
+      f.Func.sizes;
+    (match f.Func.kind with
+     | Func.Input -> int 0
+     | Func.Pointwise -> int 1
+     | Func.Smooth { step; total } -> int 2; int step; int total
+     | Func.Restriction -> int 3
+     | Func.Interpolation -> int 4);
+    (match f.Func.defn with
+     | Func.Undefined -> int 0
+     | Func.Def e -> int 1; expr e
+     | Func.Parity es -> int 2; array expr es);
+    (match f.Func.boundary with
+     | Func.Dirichlet v -> int 0; float v
+     | Func.Ghost_input -> int 1);
+    array int m.sizes;
+    opt m.scratch_slot;
+    opt m.array_id;
+    array src m.src_of
+  in
+  let group = function
+    | G_tiled tg ->
+      int 0;
+      array int tg.tile_sizes;
+      array int tg.scratch_slot_len;
+      array member tg.members
+    | G_diamond dg ->
+      (match dg.scheme with
+       | Sched_diamond { sigma } -> int 1; int sigma
+       | Sched_skewed { tau; sigma } -> int 2; int tau; int sigma);
+      array int dg.sizes;
+      array int dg.prev_pos;
+      (match dg.init_src with None -> int 0 | Some s -> int 1; src s);
+      array member dg.steps
+  in
+  str (Pipeline.name t.pipeline);
+  str
+    (Options.fingerprint
+       { t.opts with
+         Options.backend = Options.Interp;
+         check_plan = false;
+         mem_budget = None;
+         deadline = None });
+  int t.n;
+  list (fun (p, v) -> str p; float v) t.params;
+  array group t.groups;
+  array
+    (fun a ->
+      int a.len;
+      int a.first_group;
+      int a.last_group;
+      int (Bool.to_int a.output))
+    t.arrays;
+  array int t.inputs;
+  list (fun (f, a) -> int f; int a) t.output_arrays;
+  Buffer.contents b
+
+(* Memoized by uid: the flight recorder consults the digest per cycle. *)
 let digest_cache : (int, string) Hashtbl.t = Hashtbl.create 8
 let digest_mutex = Mutex.create ()
 
@@ -450,7 +568,7 @@ let digest t =
     match Hashtbl.find_opt digest_cache t.uid with
     | Some d -> d
     | None ->
-      let d = Digest.to_hex (Digest.string (Format.asprintf "%a" summary t)) in
+      let d = Digest.to_hex (Digest.string (content t)) in
       Hashtbl.replace digest_cache t.uid d;
       d
   in

@@ -68,6 +68,8 @@ type t = {
   arrays : array_info array;
   inputs : int array;  (** func id per input index *)
   output_arrays : (int * int) list;  (** pipeline output func id → array *)
+  params : (string * float) list;
+      (** every parameter the stages read, resolved, sorted by name *)
 }
 
 val build :
@@ -91,7 +93,12 @@ val summary : Format.formatter -> t -> unit
     Fig. 6 style dump. *)
 
 val digest : t -> string
-(** Hex fingerprint of the {!summary} dump: two plans with the same
-    pipeline, options and storage mapping digest identically.  Memoized
-    per plan ([uid]), so per-cycle consumers (metrics documents, the
-    flight recorder) pay the formatting cost once. *)
+(** Hex fingerprint of the plan's content: every stage body with its
+    coefficients, sizes and boundary, the resolved [params], the
+    pipeline name, the options that shape the plan, the grouping and
+    the storage mapping.  Equal configurations digest equally across
+    builds and processes; changing a coefficient, parameter or size
+    changes the digest.  Stage names, the backend, [check_plan],
+    [mem_budget] and [deadline] do not enter it.  Memoized per plan
+    ([uid]), so per-cycle consumers (metrics documents, the flight
+    recorder) pay the serialisation once. *)

@@ -1,6 +1,10 @@
-type ctx = { builder : Pipeline.builder }
+type ctx = { builder : Pipeline.builder; mutable serial : int }
 
-let create name = { builder = Pipeline.builder name }
+let create name = { builder = Pipeline.builder name; serial = 0 }
+
+let next_serial ctx =
+  ctx.serial <- ctx.serial + 1;
+  ctx.serial
 
 let grid ctx name ~dims ~sizes =
   Pipeline.add ctx.builder (fun ~id ->

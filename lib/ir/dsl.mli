@@ -11,6 +11,11 @@ type ctx
 val create : string -> ctx
 (** [create name] starts building a pipeline. *)
 
+val next_serial : ctx -> int
+(** 1, 2, 3, … — a counter private to this build, for generated stage
+    names: equal builds yield equal names, in any process and in any
+    order. *)
+
 val grid :
   ctx -> string -> dims:int -> sizes:Sizeexpr.t array -> Func.t
 (** Declares an input grid (caller supplies interior and ghost data). *)
@@ -19,10 +24,6 @@ val stencil : Func.t -> Weights.t -> ?factor:Expr.t -> unit -> Expr.t
 (** [stencil f w ()] is the weighted sum [Σ w(o)·f(x + o)]; with
     [?factor] the sum is multiplied by it — the paper's
     [Stencil(f, (x,y), [[...]], factor)]. *)
-
-val stencil_coarse : Func.t -> Weights.t -> ?factor:Expr.t -> unit -> Expr.t
-(** Like {!stencil} but accessing at [2x + o]: the body of a restriction
-    stage reading a grid of double resolution. *)
 
 val func :
   ctx -> name:string -> sizes:Sizeexpr.t array -> ?boundary:float ->

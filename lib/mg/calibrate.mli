@@ -14,14 +14,6 @@ module Json := Repro_runtime.Json
 module Roofline := Repro_runtime.Roofline
 open Repro_core
 
-val predicted_stage_ns : Roofline.t -> Cost.stage -> float
-(** Roofline time bound for one stage execution, in ns: the max of the
-    DRAM-traffic and FLOP terms. *)
-
-val spearman : float array -> float array -> float
-(** Spearman rank correlation (Pearson on average ranks, tie-safe);
-    [nan] when fewer than two points or either side is constant. *)
-
 type stage_cal = {
   sc_name : string;
   sc_gid : int;
@@ -88,9 +80,6 @@ val run :
     warm up one unprofiled cycle, then measure [cycles] profiled cycles
     and join against the plan's cost model.  Resets the profiler around
     each cell. *)
-
-val drifting : t -> (int * string * stage_cal) list
-(** Every drifting stage as [(n, variant, stage)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** The calibration report: per-shape variant table with Spearman, then

@@ -22,12 +22,6 @@
 
 (** {2 Difference metrics} *)
 
-val ulps : float -> float -> float
-(** ULP distance between two doubles ([0.] iff equal, [infinity] when
-    either is NaN); finite values use the order-preserving integer
-    mapping of the bit patterns, so the metric is meaningful across
-    zero. *)
-
 type diff = {
   max_abs : float;  (** worst absolute difference; [infinity] on NaN *)
   max_ulp : float;  (** ULP distance at the worst point *)
@@ -87,10 +81,6 @@ val oracle_case :
 (** Runs the naive reference, then every candidate in lockstep.  [quick]
     restricts to one domain and the plain handopt baseline. *)
 
-val campaign_matrix : quick:bool -> (Cycle.config * int) list
-(** {2D, 3D} × {V, W} × smoothing {4-4-4, 10-0-0} with the campaign's
-    problem sizes; [quick] keeps only V-4-4-4 per rank. *)
-
 val oracle_campaign : ?budgets:budgets -> ?quick:bool -> unit -> case list
 
 (** {2 Emitted-C run-equivalence} *)
@@ -121,17 +111,6 @@ val c_verdict_pass : c_verdict -> bool
 (** Skips count as passing (they are reported, not hidden). *)
 
 (** {2 Backend axis: interpreter vs native} *)
-
-val native_case :
-  ?budgets:budgets -> ?quick:bool -> Cycle.config -> n:int -> cycles:int ->
-  unit -> case
-(** Lockstep differential oracle across the backend axis: for every
-    plan variant, the reference iterates come from the interpreter
-    running that plan (at 1 and 4 domains unless [quick]), and the
-    candidate (named [native:<variant>]) is the dlopen'd kernel
-    {!Repro_core.Native} compiled from the same plan, judged against
-    the [vs_c] budget.  A kernel that fails to load is reported as a
-    failing pair — the case assumes a compiler is present. *)
 
 val native_campaign :
   ?budgets:budgets -> ?quick:bool -> unit -> (case list, string) result

@@ -98,12 +98,10 @@ let jacobi_zero_defn cfg ~level ~f =
   let zero = Array.make cfg.dims 0 in
   Expr.(param (weight_name level) * load f.Func.id zero)
 
-(* unique stage names: the same level is visited repeatedly by W/F cycles *)
-let fresh =
-  let counter = ref 0 in
-  fun tag level ->
-    incr counter;
-    Printf.sprintf "%s_L%d_i%d" tag level !counter
+(* unique stage names: the same level is visited repeatedly by W/F
+   cycles, so each name carries the build's visit serial *)
+let fresh ctx tag level =
+  Printf.sprintf "%s_L%d_i%d" tag level (Dsl.next_serial ctx)
 
 (* GSRB: red points have even coordinate sum.  Each half-step is a
    parity-piecewise stage: updated colour gets the Gauss-Seidel formula,
@@ -156,10 +154,11 @@ let smoother ctx cfg ~level ~tag ~steps ~init ~f =
       let body ~v = jacobi_defn cfg ~level ~f ~v in
       match init with
       | Stage v ->
-        Stage (Dsl.tstencil ctx ~name:(fresh tag level) ~steps ~init:v body)
+        Stage
+          (Dsl.tstencil ctx ~name:(fresh ctx tag level) ~steps ~init:v body)
       | Zero ->
         Stage
-          (Dsl.tstencil_from_zero ctx ~name:(fresh tag level) ~steps
+          (Dsl.tstencil_from_zero ctx ~name:(fresh ctx tag level) ~steps
              ~sizes:(sizes_at cfg level)
              ~first:(jacobi_zero_defn cfg ~level ~f)
              body))
@@ -178,7 +177,7 @@ let smoother ctx cfg ~level ~tag ~steps ~init ~f =
         in
         Stage
           (Dsl.parity_func ctx
-             ~name:(fresh (tag ^ name_suffix) level)
+             ~name:(fresh ctx (tag ^ name_suffix) level)
              ~sizes:(sizes_at cfg level) cases)
       in
       let rec go prev step =
@@ -200,7 +199,7 @@ let defect ctx cfg ~level ~v ~f =
         ()
     in
     let zero = Array.make cfg.dims 0 in
-    Dsl.func ctx ~name:(fresh "defect" level)
+    Dsl.func ctx ~name:(fresh ctx "defect" level)
       ~sizes:(sizes_at cfg level)
       Expr.(load f.Func.id zero - av)
 
@@ -212,9 +211,10 @@ let interpolate ctx cfg ~level ~e =
   match e with
   | Zero ->
     Stage
-      (Dsl.func ctx ~name:(fresh "interp" level)
+      (Dsl.func ctx ~name:(fresh ctx "interp" level)
          ~sizes:(sizes_at cfg level) (Expr.const 0.0))
-  | Stage e -> Stage (Dsl.interp_fn ctx ~name:(fresh "interp" level) ~input:e ())
+  | Stage e ->
+    Stage (Dsl.interp_fn ctx ~name:(fresh ctx "interp" level) ~input:e ())
 
 let correct ctx cfg ~level ~v ~e =
   match (v, e) with
@@ -223,7 +223,7 @@ let correct ctx cfg ~level ~v ~e =
   | Stage v, Stage e ->
     let zero = Array.make cfg.dims 0 in
     Stage
-      (Dsl.func ctx ~name:(fresh "correct" level)
+      (Dsl.func ctx ~name:(fresh ctx "correct" level)
          ~sizes:(sizes_at cfg level)
          Expr.(load v.Func.id zero + load e.Func.id zero))
 
@@ -233,7 +233,7 @@ let rec run_cycle ctx cfg ~shape ~level ~v ~f =
     let s1 = smoother ctx cfg ~level ~tag:"Tpre" ~steps:cfg.n1 ~init:v ~f in
     let r = defect ctx cfg ~level ~v:s1 ~f in
     let r2 =
-      Dsl.restrict_fn ctx ~name:(fresh "restrict" level) ~input:r ()
+      Dsl.restrict_fn ctx ~name:(fresh ctx "restrict" level) ~input:r ()
     in
     let recursions =
       match shape with
@@ -259,7 +259,9 @@ let rec run_fcycle ctx cfg ~level ~v ~f =
   else begin
     let s1 = smoother ctx cfg ~level ~tag:"Tpre" ~steps:cfg.n1 ~init:v ~f in
     let r = defect ctx cfg ~level ~v:s1 ~f in
-    let r2 = Dsl.restrict_fn ctx ~name:(fresh "restrict" level) ~input:r () in
+    let r2 =
+      Dsl.restrict_fn ctx ~name:(fresh ctx "restrict" level) ~input:r ()
+    in
     let e2 = run_fcycle ctx cfg ~level:(level - 1) ~v:Zero ~f:r2 in
     let e1 = interpolate ctx cfg ~level ~e:e2 in
     let vc = correct ctx cfg ~level ~v:s1 ~e:e1 in

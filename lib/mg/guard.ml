@@ -3,6 +3,7 @@ module Buf = Repro_grid.Buf
 module Telemetry = Repro_runtime.Telemetry
 module Flightrec = Repro_runtime.Flightrec
 module Watchdog = Repro_runtime.Watchdog
+module Mempool = Repro_runtime.Mempool
 module Json = Repro_runtime.Json
 open Repro_core
 
@@ -156,6 +157,10 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
     let crash =
       match stepper ~v:!cur ~f:problem.Problem.f ~out:!next with
       | () -> None
+      | exception (Mempool.Budget_exceeded _ as e) ->
+        (* not a fault of the plan: the caller demotes to a rung that
+           fits instead of leaving the budget on the unpooled fallback *)
+        raise e
       | exception e -> Some e
     in
     let t1 = Telemetry.now_ns () in
@@ -390,28 +395,3 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
 
 let fallback_opts (opts : Options.t) =
   { Options.naive with Options.check_plan = opts.Options.check_plan }
-
-let solve cfg ~n ~opts ?(domains = 1) ?(poison = false) ?policy
-    ?(fallback = true) ?problem () =
-  Exec.with_runtime ~domains ~poison (fun rt ->
-      let problem =
-        match problem with
-        | Some p -> p
-        | None -> Problem.poisson ~dims:cfg.Cycle.dims ~n
-      in
-      (* Budget enforcement under guard: a pool overrun surfaces as a
-         Fault_crash, so the guard rolls back and retries the cycle on
-         the (unpooled) naive fallback instead of aborting. *)
-      (match opts.Options.mem_budget with
-       | Some b when opts.Options.pool ->
-         Repro_runtime.Mempool.set_budget rt.Exec.pool (Some b)
-       | Some _ | None -> ());
-      let primary = Solver.polymg_stepper cfg ~n ~opts ~rt in
-      let fb =
-        if fallback then
-          Some
-            (fun () ->
-              Solver.polymg_stepper cfg ~n ~opts:(fallback_opts opts) ~rt)
-        else None
-      in
-      run ?policy ~primary ?fallback:fb ~problem ())

@@ -111,18 +111,11 @@ val run :
     advance on accepted cycles, so a retried cycle keeps its number.
     [start_cycle] (default 1) resumes numbering mid-run after a durable
     restore: [problem.v] should then hold the restored iterate, and
-    [policy.max_cycles] keeps meaning the {e absolute} cycle budget. *)
+    [policy.max_cycles] keeps meaning the {e absolute} cycle budget.
+    {!Repro_runtime.Mempool.Budget_exceeded} is not a fault: it
+    propagates, so a budgeted caller ({!Request.run}) demotes to the
+    next fitting rung rather than the unpooled fallback. *)
 
 val fallback_opts : Repro_core.Options.t -> Repro_core.Options.t
 (** {!Repro_core.Options.naive} with [check_plan] inherited — the option
     set the guard falls back to. *)
-
-val solve :
-  Cycle.config -> n:int -> opts:Repro_core.Options.t -> ?domains:int ->
-  ?poison:bool -> ?policy:policy -> ?fallback:bool -> ?problem:Problem.t ->
-  unit -> result
-(** Convenience: one runtime ({!Repro_core.Exec.with_runtime}, with
-    [poison] enabling {!Repro_runtime.Mempool} buffer poisoning) shared
-    by a {!Solver.polymg_stepper} primary and, unless [fallback:false],
-    a lazily built naive-plan fallback; then {!run} on [problem]
-    (default: the standard Poisson problem for [cfg.dims]). *)

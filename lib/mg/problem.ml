@@ -42,10 +42,6 @@ let class_n ~dims = function
   | B -> if dims = 2 then 1024 else 128
   | C -> if dims = 2 then 2048 else 256
 
-let class_cycles ~dims = function
-  | B -> if dims = 2 then 10 else 25
-  | C -> 10
-
 let cls_of_string = function
   | "B" | "b" -> Some B
   | "C" | "c" -> Some C

@@ -25,6 +25,5 @@ val poisson_random : dims:int -> n:int -> seed:int -> t
 type cls = B | C
 
 val class_n : dims:int -> cls -> int
-val class_cycles : dims:int -> cls -> int
 val cls_of_string : string -> cls option
 val cls_name : cls -> string

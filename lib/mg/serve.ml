@@ -1,12 +1,10 @@
 module Options = Repro_core.Options
 module Govern = Repro_core.Govern
-module Exec = Repro_core.Exec
 module Plan = Repro_core.Plan
 module Telemetry = Repro_runtime.Telemetry
 module Metrics = Repro_runtime.Metrics
 module Flightrec = Repro_runtime.Flightrec
 module Watchdog = Repro_runtime.Watchdog
-module Mempool = Repro_runtime.Mempool
 module Json = Repro_runtime.Json
 
 (* ------------------------------------------------------------------ *)
@@ -41,47 +39,13 @@ let default_request =
     rq_resume_dir = None;
     rq_fault = None }
 
-type status =
-  | Ok
-  | Invalid
-  | Quarantined
-  | Deadline
-  | Faulted
-  | Infeasible
-  | Unresumable
+type status = Request.status =
+  | Ok | Invalid | Quarantined | Deadline | Faulted | Infeasible | Unresumable
   | Shed
 
-let status_name = function
-  | Ok -> "ok"
-  | Invalid -> "invalid"
-  | Quarantined -> "quarantined"
-  | Deadline -> "deadline"
-  | Faulted -> "faulted"
-  | Infeasible -> "infeasible"
-  | Unresumable -> "unresumable"
-  | Shed -> "shed"
-
-let status_of_name = function
-  | "ok" -> Some Ok
-  | "invalid" -> Some Invalid
-  | "quarantined" -> Some Quarantined
-  | "deadline" -> Some Deadline
-  | "faulted" -> Some Faulted
-  | "infeasible" -> Some Infeasible
-  | "unresumable" -> Some Unresumable
-  | "shed" -> Some Shed
-  | _ -> None
-
-(* The mg_solve exit-code table, plus 7 for the service-only shed. *)
-let code_of_status = function
-  | Ok -> 0
-  | Invalid -> 2
-  | Quarantined -> 3
-  | Deadline -> 4
-  | Faulted -> 4
-  | Infeasible -> 5
-  | Unresumable -> 6
-  | Shed -> 7
+let status_name = Request.status_name
+let status_of_name = Request.status_of_name
+let code_of_status = Request.code_of_status
 
 type response = {
   rs_status : status;
@@ -356,7 +320,8 @@ type t = {
   mutable stopped : bool;
   mutable workers : Thread.t list;
   cache_mu : Mutex.t;
-  plan_cache : (string, (Govern.report, Govern.infeasible) result) Hashtbl.t;
+  plan_cache :
+    (string, (Request.decision, Govern.infeasible) result) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
 }
@@ -385,15 +350,16 @@ let peek tk =
   Mutex.unlock tk.tk_mu;
   r
 
+let tenant_config t id =
+  Option.value
+    (List.assoc_opt id t.cfg.sv_tenants)
+    ~default:t.cfg.sv_default_tenant
+
 let tenant_of t id =
   match Hashtbl.find_opt t.tenants id with
   | Some tn -> tn
   | None ->
-    let cfg =
-      Option.value
-        (List.assoc_opt id t.cfg.sv_tenants)
-        ~default:t.cfg.sv_default_tenant
-    in
+    let cfg = tenant_config t id in
     let tn =
       { tn_id = id;
         tn_cfg = cfg;
@@ -551,58 +517,20 @@ let rec take_locked t =
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
 
-(* Cycle.check's shared shape rules first, then the service's own
-   limits. *)
-let validate t rq =
-  let n1, n2, n3 = rq.rq_smoothing in
-  let ccfg =
-    Cycle.default ~dims:rq.rq_dims ~shape:rq.rq_shape
-      ~smoothing:rq.rq_smoothing
-  in
-  match Cycle.check ccfg ~n:rq.rq_n ~cycles:rq.rq_cycles with
-  | Error _ as e -> e
-  | Stdlib.Ok () -> (
-    if n1 + n2 + n3 = 0 then Error "smoothing steps must not all be zero"
-    else if n1 > 32 || n2 > 32 || n3 > 32 then
-      Error "smoothing steps must be at most 32"
-    else if rq.rq_n > t.cfg.sv_max_n then
-      Error
-        (Printf.sprintf "n %d exceeds the server maximum %d" rq.rq_n
-           t.cfg.sv_max_n)
-    else if rq.rq_fault <> None && not t.cfg.sv_allow_faults then
-      Error "fault injection is disabled on this server"
-    else
-      match rq.rq_fault with
-      | Some f when f <> "nan" && f <> "crash" ->
-        Error (Printf.sprintf "unknown fault kind %S" f)
-      | _ -> (
-        match Options.variant_of_string rq.rq_variant with
-        | None -> Error (Printf.sprintf "unknown variant %S" rq.rq_variant)
-        | Some opts ->
-          (* the backend is a daemon deployment property, not a request
-             field: apply it here so every plan (and every governance
-             ladder rung derived from these opts) inherits it *)
-          Stdlib.Ok (ccfg, { opts with Options.backend = t.cfg.sv_backend })))
-
-let cache_key t rq budget =
-  let n1, n2, n3 = rq.rq_smoothing in
-  Printf.sprintf "%dD|n%d|%s|%d-%d-%d|%s|%s|d%d" rq.rq_dims rq.rq_n
-    (Cycle.shape_name rq.rq_shape) n1 n2 n3 rq.rq_variant
-    (match budget with None -> "-" | Some b -> string_of_int b)
-    t.cfg.sv_domains
-
 (* The shared plan cache: repeat shapes skip pipeline construction,
-   planning, and the governance ladder walk.  Keyed by the full
-   shape/variant/budget/domain signature, so a cached decision is exact
-   for every request that hits it — including cached infeasibility. *)
-let plan_decision t key build =
+   planning, and the governance ladder walk.  Keyed by the digest
+   Request.run passes (everything the plans are built from), so a cached
+   decision is exact for every request that hits it — including cached
+   infeasibility. *)
+let plan_decision t ~cached key build =
   Mutex.lock t.cache_mu;
   match Hashtbl.find_opt t.plan_cache key with
   | Some d ->
     t.cache_hits <- t.cache_hits + 1;
     Mutex.unlock t.cache_mu;
     Telemetry.add c_cache_hits 1;
-    (true, d)
+    cached := true;
+    d
   | None ->
     let d =
       Fun.protect ~finally:(fun () -> Mutex.unlock t.cache_mu) (fun () ->
@@ -612,20 +540,34 @@ let plan_decision t key build =
           d)
     in
     Telemetry.add c_cache_misses 1;
-    (false, d)
+    d
 
-let chaos t rq primary =
-  if not t.cfg.sv_allow_faults then primary
-  else
-    match rq.rq_fault with
-    | Some "crash" ->
-      fun ~v:_ ~f:_ ~out:_ -> failwith "injected crash (serve chaos hook)"
-    | Some "nan" ->
-      fun ~v ~f ~out ->
-        primary ~v ~f ~out;
-        let buf = out.Repro_grid.Grid.buf in
-        Repro_grid.Buf.set buf (Repro_grid.Buf.len buf / 2) Float.nan
-    | _ -> primary
+(* The request as the one validator sees it: the wire fields, the
+   tenant's budget intersected with the request's, and the server's
+   deployment settings.  CLI-only knobs keep their defaults. *)
+let spec_of t rq =
+  let tenant_budget = (tenant_config t rq.rq_tenant).tc_mem_budget in
+  let budget =
+    match (rq.rq_mem_budget, tenant_budget) with
+    | Some a, Some b -> Some (min a b)
+    | (Some _ as b), None | None, b -> b
+  in
+  { Request.default_spec with
+    dims = rq.rq_dims;
+    n = Some rq.rq_n;
+    shape = rq.rq_shape;
+    smoothing = rq.rq_smoothing;
+    variant = rq.rq_variant;
+    backend = t.cfg.sv_backend;
+    cycles = rq.rq_cycles;
+    tol = rq.rq_tol;
+    guard = true;
+    domains = t.cfg.sv_domains;
+    mem_budget = budget;
+    resume_dir = rq.rq_resume_dir;
+    fault = rq.rq_fault;
+    primary_retries = t.cfg.sv_primary_retries;
+    retry_backoff = t.cfg.sv_retry_backoff }
 
 let run_request t (p : pending_req) =
   let rq = p.p_req in
@@ -640,140 +582,60 @@ let run_request t (p : pending_req) =
   if deadline_left <= 0.0 then
     answer Deadline rq.rq_tenant ~detail:"deadline expired while queued"
   else
-    match validate t rq with
+    match
+      Request.validate ~max_n:t.cfg.sv_max_n ~min_steps:1 ~max_steps:32
+        ~max_cycles:t.cfg.sv_max_cycles ~allow_faults:t.cfg.sv_allow_faults
+        ~allow_handopt:false (spec_of t rq)
+    with
     | Error msg -> answer Invalid rq.rq_tenant ~detail:msg
-    | Stdlib.Ok (ccfg, opts0) -> (
-      let resume =
-        match rq.rq_resume_dir with
-        | None -> Stdlib.Ok None
-        | Some dir -> (
-          match Checkpoint.load_latest ~dir with
-          | Error msg -> Error msg
-          | Stdlib.Ok r ->
-            let st = r.Checkpoint.state in
-            if st.Checkpoint.dims <> rq.rq_dims || st.Checkpoint.n <> rq.rq_n
-            then
-              Error
-                (Printf.sprintf
-                   "checkpoint is %dD n=%d, request is %dD n=%d"
-                   st.Checkpoint.dims st.Checkpoint.n rq.rq_dims rq.rq_n)
-            else Stdlib.Ok (Some st))
+    | Stdlib.Ok req ->
+      let cached = ref false in
+      let incidents_before = Flightrec.incident_count () in
+      let run () = Request.run ~plans:(plan_decision t ~cached) req in
+      (* One in-flight solve owns the Watchdog's single armed slot, so a
+         hung stage trips at a tile boundary instead of wedging the
+         worker.  With concurrent workers the slot would be contended,
+         so deadlines fall back to the wall-clock check below. *)
+      let outcome =
+        match rq.rq_deadline_s with
+        | Some _ when t.cfg.sv_workers <= 1 ->
+          Watchdog.with_deadline
+            ~stage:(Printf.sprintf "request:%s" rq.rq_tenant)
+            ~budget_ns:(max 1 (int_of_float (min deadline_left 9e9 *. 1e9)))
+            run
+        | _ -> run ()
       in
-      match resume with
-      | Error msg ->
-        answer Unresumable rq.rq_tenant ~detail:("resume: " ^ msg)
-      | Stdlib.Ok resume ->
-        let tn_cfg =
-          Option.value
-            (List.assoc_opt rq.rq_tenant t.cfg.sv_tenants)
-            ~default:t.cfg.sv_default_tenant
-        in
-        let budget =
-          match (rq.rq_mem_budget, tn_cfg.tc_mem_budget) with
-          | Some a, Some b -> Some (min a b)
-          | (Some _ as b), None | None, b -> b
-        in
-        let opts = { opts0 with Options.mem_budget = budget } in
-        let n = rq.rq_n in
-        let cached, decision =
-          plan_decision t (cache_key t rq budget) (fun () ->
-              Govern.decide ~domains:t.cfg.sv_domains (Cycle.build ccfg)
-                ~opts ~n ~params:(Cycle.params ccfg ~n))
-        in
-        (match decision with
-         | Error inf ->
-           answer Infeasible rq.rq_tenant ~cached
-             ~detail:
-               (Printf.sprintf
-                  "budget %d B below the ladder floor (%d B at rung %s)"
-                  inf.Govern.inf_budget inf.Govern.floor_bytes
-                  inf.Govern.floor_rung)
-         | Stdlib.Ok report ->
-           let rung = Govern.chosen report in
-           let digest = Plan.digest rung.Govern.plan in
-           let incidents_before = Flightrec.incident_count () in
-           let problem = Problem.poisson ~dims:rq.rq_dims ~n in
-           let problem, start_cycle =
-             match resume with
-             | Some st ->
-               ({ problem with Problem.v = st.Checkpoint.v },
-                st.Checkpoint.cycle + 1)
-             | None -> (problem, 1)
-           in
-           let r =
-             Exec.with_runtime ~domains:t.cfg.sv_domains @@ fun rt ->
-             (match budget with
-              | Some b when rung.Govern.ropts.Options.pool ->
-                Mempool.set_budget rt.Exec.pool
-                  (Some (max 1 (b - rung.Govern.scratch_bytes)))
-              | _ -> ());
-             Flightrec.note_plan ~digest
-               ~variant:(Options.name rung.Govern.ropts);
-             let primary =
-               chaos t rq (Solver.plan_stepper rung.Govern.plan ~rt)
-             in
-             let fallback () =
-               Solver.polymg_stepper ccfg ~n
-                 ~opts:(Guard.fallback_opts rung.Govern.ropts)
-                 ~rt
-             in
-             let policy =
-               { Guard.default_policy with
-                 Guard.tol = rq.rq_tol;
-                 max_cycles =
-                   min rq.rq_cycles t.cfg.sv_max_cycles + start_cycle - 1;
-                 primary_retries = t.cfg.sv_primary_retries;
-                 retry_backoff = t.cfg.sv_retry_backoff }
-             in
-             let run () =
-               Guard.run ~policy ~start_cycle ~primary ~fallback ~problem ()
-             in
-             (* One in-flight solve owns the Watchdog's single armed
-                slot, so a hung stage trips at a tile boundary instead
-                of wedging the worker.  With concurrent workers the slot
-                would be contended, so deadlines fall back to the
-                wall-clock check below. *)
-             match rq.rq_deadline_s with
-             | Some _ when t.cfg.sv_workers <= 1 ->
-               Watchdog.with_deadline
-                 ~stage:(Printf.sprintf "request:%s" rq.rq_tenant)
-                 ~budget_ns:
-                   (max 1
-                      (int_of_float (min deadline_left 9e9 *. 1e9)))
-                 run
-             | _ -> run ()
-           in
-           let solve_s = max 0.0 (clock () -. t_dequeue) in
-           let deadline_blown =
-             match rq.rq_deadline_s with
-             | Some d -> queue_s +. solve_s > d
-             | None -> false
-           in
-           let quarantined =
-             List.exists
-               (fun (e : Guard.event) ->
-                 e.Guard.action = Guard.Quarantined_primary)
-               r.Guard.events
-           in
-           let status =
-             if deadline_blown then Deadline
-             else
-               match r.Guard.outcome with
-               | Guard.Faulted _ -> Faulted
-               | Guard.Converged | Guard.Exhausted | Guard.Stagnated ->
-                 if quarantined then Quarantined else Ok
-           in
-           let detail =
-             Printf.sprintf "%s; %d fault event(s), %d fallback cycle(s)"
-               (Guard.outcome_name r.Guard.outcome)
-               (List.length r.Guard.events)
-               r.Guard.fallback_cycles
-           in
-           answer status rq.rq_tenant ~solve_s ~digest ~cached
-             ~cycles:(List.length r.Guard.stats)
-             ~residual:r.Guard.residual
-             ~incidents:(Flightrec.incident_count () - incidents_before)
-             ~detail))
+      let solve_s = max 0.0 (clock () -. t_dequeue) in
+      let deadline_blown =
+        match rq.rq_deadline_s with
+        | Some d -> queue_s +. solve_s > d
+        | None -> false
+      in
+      let status =
+        if deadline_blown then Deadline else Request.status outcome
+      in
+      let cached = !cached and tenant = rq.rq_tenant in
+      match outcome with
+      | Request.No_resume msg ->
+        answer status tenant ~cached ~detail:("resume: " ^ msg)
+      | Request.Over_budget inf ->
+        answer status tenant ~cached
+          ~detail:(Format.asprintf "%a" Govern.pp_infeasible inf)
+      | Request.Stopped msg -> answer status tenant ~cached ~solve_s ~detail:msg
+      | Request.Solved s ->
+        answer status tenant ~cached ~solve_s
+          ~digest:(Option.fold ~none:"" ~some:Plan.digest s.Request.plan)
+          ~cycles:(List.length s.Request.stats)
+          ~residual:s.Request.residual
+          ~incidents:(Flightrec.incident_count () - incidents_before)
+          ~detail:
+            (match s.Request.guarded with
+             | Some g ->
+               Printf.sprintf "%s; %d fault event(s), %d fallback cycle(s)"
+                 (Guard.outcome_name g.Guard.outcome)
+                 (List.length g.Guard.events)
+                 g.Guard.fallback_cycles
+             | None -> "checkpoint already meets the cycle budget")
 
 let execute t tn p =
   let resp =
@@ -794,20 +656,24 @@ let execute t tn p =
   Mutex.unlock t.mu;
   complete p.p_ticket resp
 
+(* Runs a dequeued request; called with [t.mu] held, returns without. *)
+let run_taken t (tn, p) =
+  t.n_busy <- t.n_busy + 1;
+  Mutex.unlock t.mu;
+  execute t tn p;
+  Mutex.lock t.mu;
+  t.n_busy <- t.n_busy - 1;
+  Condition.broadcast t.idle_cond;
+  Mutex.unlock t.mu
+
 let step t =
   Mutex.lock t.mu;
   match take_locked t with
   | None ->
     Mutex.unlock t.mu;
     false
-  | Some (tn, p) ->
-    t.n_busy <- t.n_busy + 1;
-    Mutex.unlock t.mu;
-    execute t tn p;
-    Mutex.lock t.mu;
-    t.n_busy <- t.n_busy - 1;
-    Condition.broadcast t.idle_cond;
-    Mutex.unlock t.mu;
+  | Some got ->
+    run_taken t got;
     true
 
 let worker t () =
@@ -824,17 +690,9 @@ let worker t () =
         end
     in
     match next () with
-    | None ->
-      Mutex.unlock t.mu;
-      ()
-    | Some (tn, p) ->
-      t.n_busy <- t.n_busy + 1;
-      Mutex.unlock t.mu;
-      execute t tn p;
-      Mutex.lock t.mu;
-      t.n_busy <- t.n_busy - 1;
-      Condition.broadcast t.idle_cond;
-      Mutex.unlock t.mu;
+    | None -> Mutex.unlock t.mu
+    | Some got ->
+      run_taken t got;
       loop ()
   in
   loop ()

@@ -1,14 +1,14 @@
 (** Multigrid-as-a-service: a fault-isolated concurrent solver front end.
 
-    The one-shot CLI ({!Solver}, [mg_solve]) runs a single well-behaved
-    solve; this module is the long-running counterpart: a server object
-    accepting concurrent solve {e requests} (shape, size, cycle,
-    tolerance, tenant identity, deadline), pushing each through the
-    existing robustness stack — {!Repro_core.Govern} for the budgeted
-    planning ladder, {!Guard} for fault detection/rollback/fallback,
-    {!Repro_runtime.Watchdog} for deadlines, {!Repro_runtime.Mempool}
-    hard budgets — and answering with a typed {!status} mirroring the
-    CLI's exit codes.
+    The one-shot CLI ([mg_solve]) runs a single solve; this module is
+    the long-running counterpart: a server object accepting concurrent
+    solve {e requests} (shape, size, cycle, tolerance, tenant identity,
+    deadline).  Each admitted request is validated and run by
+    {!Request} — the CLI's own path: governance ladder, {!Guard}
+    rollback and fallback, runtime demotion under
+    {!Repro_runtime.Mempool} budgets, checkpoint resume — under a
+    {!Repro_runtime.Watchdog} deadline, and answered with a typed
+    {!status} mirroring the CLI's exit codes.
 
     Robustness properties, in order of importance:
 
@@ -31,8 +31,8 @@
       ladder (or is refused as {!Infeasible}) instead of exhausting
       memory.
 
-    A shared plan cache keyed by the full shape/variant/budget signature
-    lets repeat shapes skip planning; hits and misses are visible in the
+    A shared plan cache keyed by the request's plan identity lets repeat
+    shapes skip planning; hits and misses are visible in the
     [serve.plan_cache_hits]/[serve.plan_cache_misses] counters. *)
 
 (** {2 Requests and responses} *)
@@ -44,7 +44,9 @@ type request = {
   rq_shape : Cycle.cycle_shape;
   rq_smoothing : int * int * int;  (** pre/coarsest/post smoothing steps *)
   rq_variant : string;  (** optimizer preset ({!Repro_core.Options}) *)
-  rq_cycles : int;  (** cycle budget (clamped to the server maximum) *)
+  rq_cycles : int;
+      (** cycle budget (clamped to the server maximum); a resumed solve
+          continues toward it, like [mg_solve --resume] *)
   rq_tol : float option;  (** early-stop residual tolerance *)
   rq_deadline_s : float option;
       (** wall-clock budget from submission; overrunning it — in queue
@@ -65,25 +67,18 @@ val default_request : request
 (** Tenant ["anon"], 2-D [n = 64], V-4-4-4, variant ["opt+"], 10 cycles,
     everything else off. *)
 
-type status =
-  | Ok  (** solve completed (converged, exhausted, or stagnated) *)
-  | Invalid  (** malformed request (unknown variant, bad size, …) *)
-  | Quarantined
-      (** the primary plan was quarantined; the answer was completed on
-          the fallback *)
-  | Deadline  (** the request overran [rq_deadline_s] *)
-  | Faulted  (** unrecoverable fault; last-good iterate discarded *)
-  | Infeasible  (** budget below the governance ladder floor *)
-  | Unresumable  (** [rq_resume_dir] holds no usable generation *)
-  | Shed  (** admission refused: rate, queue, or eviction *)
+type status = Request.status =
+  | Ok | Invalid | Quarantined | Deadline | Faulted | Infeasible | Unresumable
+  | Shed
+(** {!Request.status}: the CLI's exit-code table is the wire's
+    ([Deadline] also covers an overrun [rq_deadline_s], [Unresumable] an
+    unusable [rq_resume_dir]). *)
 
 val status_name : status -> string
 val status_of_name : string -> status option
 
 val code_of_status : status -> int
-(** The CLI exit-code mapping: [Ok] 0, [Invalid] 2, [Quarantined] 3,
-    [Deadline]/[Faulted] 4, [Infeasible] 5, [Unresumable] 6, and [Shed]
-    7 (the one service-only code: the CLI never load-sheds). *)
+(** {!Request.code_of_status}; [Shed] (7) is the wire's own status. *)
 
 type response = {
   rs_status : status;

@@ -1,8 +1,6 @@
 module Grid = Repro_grid.Grid
 module Telemetry = Repro_runtime.Telemetry
-module Mempool = Repro_runtime.Mempool
 module Flightrec = Repro_runtime.Flightrec
-module Json = Repro_runtime.Json
 open Repro_core
 
 type status = Ok | Nan | Diverged | Stagnated
@@ -136,119 +134,3 @@ let solve cfg ~n ~opts ?(domains = 1) ~cycles ?(residuals = true) () =
       let problem = Problem.poisson ~dims:cfg.Cycle.dims ~n in
       let stepper = polymg_stepper cfg ~n ~opts ~rt in
       iterate stepper ~problem ~cycles ~residuals ())
-
-(* ------------------------------------------------------------------ *)
-(* Governed solve: ladder planning + runtime demotion                   *)
-
-type governed = {
-  g_result : result;
-  g_report : Govern.report;
-  g_executed : Govern.rung;
-  g_runtime_demotions : int;
-}
-
-let c_rt_demote = Telemetry.counter "govern.runtime_demotions"
-
-(* Run one ladder rung under its own fresh runtime.  The pool budget is
-   the total budget minus the rung's modelled scratch term, so the two
-   enforcement layers (model at plan time, pool at run time) agree on
-   what the pooled share may spend.  Unpooled rungs never consult the
-   pool, so no budget is installed for them. *)
-let attempt_rung ~domains ?poison ~budget ~problem ~cycles ~residuals
-    ~start_cycle ?on_accept (rung : Govern.rung) =
-  try
-    Repro_core.Exec.with_runtime ~domains ?poison (fun rt ->
-        (match budget with
-         | Some b when rung.Govern.ropts.Options.pool ->
-           Mempool.set_budget rt.Exec.pool
-             (Some (max 1 (b - rung.Govern.scratch_bytes)))
-         | Some _ | None -> ());
-        Stdlib.Ok
-          (iterate (plan_stepper rung.Govern.plan ~rt) ~problem ~cycles
-             ~residuals ~start_cycle ?on_accept ()))
-  with Mempool.Budget_exceeded _ as e -> Stdlib.Error (Printexc.to_string e)
-
-let solve_governed cfg ~n ~(opts : Options.t) ?(domains = 1) ?poison ~cycles
-    ?(residuals = true) ?(start_cycle = 1) ?on_accept ?problem () =
-  let pipeline = Cycle.build cfg in
-  let params = Cycle.params cfg ~n in
-  match Govern.decide ~domains pipeline ~opts ~n ~params with
-  | Stdlib.Error inf -> Stdlib.Error inf
-  | Stdlib.Ok report ->
-    let problem =
-      match problem with
-      | Some p -> p
-      | None -> Problem.poisson ~dims:cfg.Cycle.dims ~n
-    in
-    let budget = report.Govern.budget in
-    let ladder = report.Govern.ladder in
-    (* Walk fitting rungs from the planner's choice downward: a rung
-       whose *actual* footprint overruns the model (the pool raises
-       Budget_exceeded) is demoted at runtime and the next fitting rung
-       gets a fresh attempt.  The solve never aborts mid-ladder. *)
-    let rec walk i demotions =
-      if i >= Array.length ladder then
-        let floor =
-          Array.fold_left
-            (fun best (r : Govern.rung) ->
-              match best with
-              | Some (b : Govern.rung) when b.Govern.peak_bytes <= r.Govern.peak_bytes
-                -> best
-              | _ -> Some r)
-            None ladder
-          |> Option.get
-        in
-        begin
-          if Flightrec.on () then begin
-            Flightrec.emit
-              (Flightrec.Infeasible
-                 { budget_bytes =
-                     (match budget with Some b -> b | None -> 0);
-                   floor_bytes = floor.Govern.peak_bytes;
-                   floor_rung = floor.Govern.rname });
-            ignore
-              (Flightrec.incident ~kind:"budget-infeasible"
-                 ~detail:
-                   [ ( "budget_bytes",
-                       match budget with
-                       | Some b -> Json.num b
-                       | None -> Json.Null );
-                     ("floor_bytes", Json.num floor.Govern.peak_bytes);
-                     ("floor_rung", Json.Str floor.Govern.rname);
-                     ("runtime_demotions", Json.num demotions);
-                     ( "ladder",
-                       Json.Arr
-                         (Array.to_list
-                            (Array.map
-                               (fun (r : Govern.rung) ->
-                                 Json.Str r.Govern.rname)
-                               ladder)) ) ]
-                 ())
-          end;
-          Stdlib.Error
-            { Govern.inf_budget =
-                (match budget with Some b -> b | None -> 0);
-              floor_bytes = floor.Govern.peak_bytes;
-              floor_rung = floor.Govern.rname;
-              inf_ladder = ladder }
-        end
-      else if not ladder.(i).Govern.fits then walk (i + 1) demotions
-      else
-        match
-          attempt_rung ~domains ?poison ~budget ~problem ~cycles ~residuals
-            ~start_cycle ?on_accept ladder.(i)
-        with
-        | Stdlib.Ok r ->
-          Stdlib.Ok
-            { g_result = r;
-              g_report = report;
-              g_executed = ladder.(i);
-              g_runtime_demotions = demotions }
-        | Stdlib.Error _ ->
-          Telemetry.add c_rt_demote 1;
-          if Flightrec.on () then
-            Flightrec.emit
-              (Flightrec.Runtime_demotion { rung = ladder.(i).Govern.rname });
-          walk (i + 1) (demotions + 1)
-    in
-    walk report.Govern.chosen 0

@@ -80,36 +80,3 @@ val solve :
 (** Convenience: fresh runtime + {!polymg_stepper} + {!iterate} on the
     standard Poisson problem.  The runtime is torn down when the solve
     returns {e or raises} (no domain-pool leak on stepper failure). *)
-
-(** {2 Governed solve (resource governance)} *)
-
-type governed = {
-  g_result : result;
-  g_report : Repro_core.Govern.report;
-      (** the plan-time ladder decision (footprints, demotions) *)
-  g_executed : Repro_core.Govern.rung;
-      (** the rung actually executed — differs from the report's chosen
-          rung when runtime demotion stepped further down *)
-  g_runtime_demotions : int;
-      (** rungs abandoned at {e run} time because the pool raised
-          {!Repro_runtime.Mempool.Budget_exceeded} (model optimism);
-          also counted in [govern.runtime_demotions] *)
-}
-
-val solve_governed :
-  Cycle.config -> n:int -> opts:Repro_core.Options.t -> ?domains:int ->
-  ?poison:bool -> cycles:int -> ?residuals:bool -> ?start_cycle:int ->
-  ?on_accept:
-    (cycle:int -> residual:float -> v:Repro_grid.Grid.t ->
-     stats:cycle_stats list -> unit) ->
-  ?problem:Problem.t ->
-  unit -> (governed, Repro_core.Govern.infeasible) Stdlib.result
-(** The budgeted solve: {!Repro_core.Govern.decide} picks the most
-    aggressive ladder rung whose modelled footprint fits
-    [opts.mem_budget], then the rung runs under a fresh runtime whose
-    pool budget is the remaining (non-scratch) share of the budget.  A
-    {!Repro_runtime.Mempool.Budget_exceeded} escaping a cycle demotes
-    to the next fitting rung with a fresh runtime instead of aborting;
-    exhausting the ladder — like a budget below the ladder floor at
-    plan time — returns [Error].  With no budget set this is {!solve}
-    plus a (fully modelled) report. *)

@@ -34,11 +34,6 @@ val convergence_study :
   (int * float) list
 (** [(n, error_l2)] per requested size, via the caller's solver. *)
 
-val pairwise_orders : (int * float) list -> float list
-(** Observed order between consecutive samples:
-    [log(e_coarse/e_fine) / log(n_fine/n_coarse)].
-    @raise Invalid_argument on non-increasing [n] or non-positive error. *)
-
 val observed_order : (int * float) list -> float
 (** Mean of {!pairwise_orders}; ≈ 2 for a correct second-order solver.
     @raise Invalid_argument with fewer than two samples. *)

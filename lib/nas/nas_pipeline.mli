@@ -13,7 +13,6 @@ val params : cls:Nas_coeffs.cls -> string -> float
 (** NAS stencils carry no grid-spacing parameters; this rejects every
     name and exists for interface uniformity with {!Repro_core.Plan}. *)
 
-val input_u : Repro_ir.Pipeline.t -> int
 val input_v : Repro_ir.Pipeline.t -> int
 val output : Repro_ir.Pipeline.t -> int
 

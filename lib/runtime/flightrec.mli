@@ -130,17 +130,12 @@ val reset : unit -> unit
 (** Empties every ring, zeroes the drop counts and the incident
     counter, and forgets the noted plan. *)
 
-val event_to_json : event -> Json.t
-
 (** {2 Plan context} *)
 
 val note_plan : digest:string -> variant:string -> unit
 (** Remembers the active plan (stored even when disabled, so a recorder
     enabled mid-run still attributes incidents) and, when enabled,
     records a {!Plan_set} event. *)
-
-val noted_plan : unit -> (string * string) option
-(** [(digest, variant)] of the most recently noted plan. *)
 
 (** {2 Incident reports} *)
 

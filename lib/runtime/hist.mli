@@ -18,8 +18,6 @@ val record : t -> float -> unit
 (** Adds a sample; negative and NaN samples count as [0].  Never
     allocates. *)
 
-val merge_into : into:t -> t -> unit
-
 val merge : t list -> t
 (** A fresh accumulator holding every sample of the list. *)
 

@@ -52,8 +52,6 @@ val key : record -> string
     bench, n, domains and variant — never compare across machines. *)
 
 val to_json : record -> Json.t
-val of_json : Json.t -> record option
-
 val append : path:string -> record -> unit
 (** Durably append one record (atomic whole-file rewrite). *)
 

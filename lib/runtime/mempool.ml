@@ -341,10 +341,3 @@ let assert_quiescent () =
     raise (Not_quiescent { outstanding = out; leaked; detail })
   end;
   0
-
-let reset_quiescence () =
-  Atomic.set q_outstanding 0;
-  Atomic.set q_leaked 0;
-  Mutex.lock q_mutex;
-  q_detail := [];
-  Mutex.unlock q_mutex

@@ -59,9 +59,6 @@ val set_budget : t -> int option -> unit
 
 val budget : t -> int option
 
-val guard_elems : int
-(** Guard words reserved past every window in poison mode. *)
-
 val snan : float
 (** The signaling-NaN payload poison mode fills buffers with. *)
 
@@ -117,8 +114,3 @@ val assert_quiescent : unit -> int
     clear time; otherwise raises {!Not_quiescent} with per-pool detail.
     The return value is the outstanding count, kept as an [int] so call
     sites can log it. *)
-
-val reset_quiescence : unit -> unit
-(** Zeroes the global quiescence ledger.  For test harnesses that
-    deliberately leak (fault-injection campaigns) and must not poison
-    later checks. *)

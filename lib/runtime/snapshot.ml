@@ -46,7 +46,6 @@ let crash_spec : crash_spec option ref =
 
 let set_crash_spec s = crash_spec := s
 let writes_done = ref 0
-let write_count () = !writes_done
 
 (* ------------------------------------------------------------------ *)
 (* Atomic replacement: temp + fsync + rename + directory sync *)

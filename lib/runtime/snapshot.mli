@@ -48,8 +48,6 @@ type crash_spec = { after_writes : int;  (** 1-based write index *)
                     partial_bytes : int  (** bytes flushed before death *) }
 
 val set_crash_spec : crash_spec option -> unit
-val write_count : unit -> int
-(** Atomic writes performed by this process (crash-spec bookkeeping). *)
 
 (** {2 The [polymg.snapshot/1] container} *)
 

@@ -43,20 +43,6 @@ let disarm () = Atomic.set state None
 
 let armed () = Atomic.get state <> None
 
-(* Typed view of a deadline trip: callers (the solver daemon's response
-   path) match on this instead of string-scraping exception messages. *)
-type trip = { t_stage : string; t_elapsed_ns : int; t_budget_ns : int }
-
-let trip_of_exn = function
-  | Deadline_exceeded { stage; elapsed_ns; budget_ns } ->
-    Some { t_stage = stage; t_elapsed_ns = elapsed_ns; t_budget_ns = budget_ns }
-  | _ -> None
-
-let remaining_ns () =
-  match Atomic.get state with
-  | None -> None
-  | Some s -> Some (max 0 (s.deadline_ns - Telemetry.now_ns ()))
-
 (* The watchdog stays armed after a trip: Parallel keeps draining the
    remaining indices of a failed region, so every later tile must keep
    raising at its boundary check (skipping its kernel) for cancellation

@@ -34,20 +34,6 @@ val disarm : unit -> unit
 
 val armed : unit -> bool
 
-type trip = { t_stage : string; t_elapsed_ns : int; t_budget_ns : int }
-(** The payload of {!Deadline_exceeded} as a plain record. *)
-
-val trip_of_exn : exn -> trip option
-(** Typed decoding of a {!Deadline_exceeded} exception — response paths
-    (the solver daemon) classify deadline stops with this instead of
-    matching on rendered exception strings.  [None] for any other
-    exception. *)
-
-val remaining_ns : unit -> int option
-(** Time left on the armed deadline, clamped at 0; [None] when
-    disarmed.  Lets a server report time-left in responses without
-    re-deriving the deadline arithmetic. *)
-
 val check : unit -> unit
 (** Raises {!Deadline_exceeded} when armed and past the deadline (and
     counts the trip in the [govern.deadline_trips] telemetry counter).

@@ -315,17 +315,23 @@ let test_retry_backoff_waits () =
     (Printf.sprintf "backoff slept (elapsed %.3fs >= 0.14s)" elapsed_s)
     true (elapsed_s >= 0.14)
 
-(* Guard.solve convenience entry: poisoned pool + plan check + fallback. *)
+(* The guarded request path: poisoned pool + plan check + fallback. *)
 let test_guard_solve_entry () =
   let r =
-    Guard.solve cfg2 ~n:64
-      ~opts:{ Options.opt_plus with Options.check_plan = true }
-      ~poison:true
-      ~policy:
-        { Guard.default_policy with
-          Guard.tol = Some 1e-8;
-          Guard.max_cycles = 60 }
-      ()
+    match
+      Request.validate
+        { Request.default_spec with
+          n = Some 64;
+          poison = true;
+          check_plan = true;
+          tol = Some 1e-8;
+          max_cycles = Some 60 }
+    with
+    | Error e -> Alcotest.fail e
+    | Ok rq -> (
+      match Request.run rq with
+      | Request.Solved { Request.guarded = Some r; _ } -> r
+      | o -> Alcotest.failf "status %s" (Request.status_name (Request.status o)))
   in
   (match r.Guard.outcome with
   | Guard.Converged -> ()
@@ -399,5 +405,5 @@ let () =
             test_poisson_2d_faults_every_k;
           Alcotest.test_case "3D Poisson, fault every 4th cycle" `Quick
             test_poisson_3d_faults_every_k;
-          Alcotest.test_case "Guard.solve with poison + plan check" `Quick
+          Alcotest.test_case "Request.run with poison + plan check" `Quick
             test_guard_solve_entry ] ) ]

@@ -58,9 +58,9 @@ let with_native_env ?(tag = "t") f () =
    the conformance vs_c budget (TESTING.md). *)
 let budget = 1e-10
 
-let cycle_plan ?(opts = Options.opt_plus) ~n () =
+let cycle_plan ?(opts = Options.opt_plus) ?(omega = 0.8) ~n () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  Solver.polymg_plan cfg ~n ~opts
+  Solver.polymg_plan { cfg with Cycle.omega } ~n ~opts
 
 let run_both plan kernel ~n =
   let pipeline = plan.Plan.pipeline in
@@ -125,6 +125,24 @@ let test_cache_determinism =
          && String.sub (Native.so_path k3) 0 (String.length dir) = dir);
       let d = run_both plan k3 ~n:32 in
       check_bool "disk-cached kernel still correct" true (d < budget))
+
+(* -- regression: the damping factor is part of the kernel's identity -- *)
+
+(* ω = 0.8 and ω = 0.5 used to share one digest (the digest hashed only
+   stage names and options), so the ω = 0.5 solve was handed the cached
+   ω = 0.8 kernel. *)
+let test_omega_not_shared =
+  with_native_env ~tag:"omega" (fun ~compiler ~dir:_ ->
+      let p8 = cycle_plan ~n:32 () and p5 = cycle_plan ~omega:0.5 ~n:32 () in
+      check_bool "digests differ" true (Plan.digest p8 <> Plan.digest p5);
+      check_bool "cache keys differ" true
+        (Native.cache_key p8 ~compiler <> Native.cache_key p5 ~compiler);
+      let k8 = load_exn p8 in
+      let k5 = load_exn p5 in
+      check_bool "two kernels" true (k8 != k5);
+      check_int "two compiles" 2 (Telemetry.value c_compiles);
+      check_bool "omega 0.5 kernel computes omega 0.5" true
+        (run_both p5 k5 ~n:32 < budget))
 
 (* -- a memory hit spawns nothing: discovery is probed once per process - *)
 
@@ -267,6 +285,65 @@ let prop_native_matches_interp =
           ~outputs:[ (out_id, out) ];
         Grid.max_abs_diff reference out < budget)
 
+(* -- plan identity: a function of content ------------------------------ *)
+
+let config_gen =
+  QCheck.Gen.(
+    map
+      (fun (((dims, shape), (n1, n2, n3)), (gsrb, variant)) ->
+        let n1 = if n1 + n2 + n3 = 0 then 1 else n1 in
+        ( { (Cycle.default ~dims ~shape ~smoothing:(n1, n2, n3)) with
+            Cycle.levels = 3;
+            smoother = (if gsrb then Cycle.Gsrb else Cycle.Jacobi) },
+          variant ))
+      (pair
+         (pair
+            (pair (int_range 2 3) (oneofl [ Cycle.V; Cycle.W; Cycle.F ]))
+            (triple (int_range 0 2) (int_range 0 2) (int_range 0 2)))
+         (pair bool (oneofl [ "naive"; "opt"; "opt+"; "dtile-opt+" ]))))
+
+let config_arb =
+  QCheck.make config_gen ~print:(fun ((c : Cycle.config), v) ->
+      Printf.sprintf "%s L%d %s %s" (Cycle.bench_name c) c.Cycle.levels
+        (match c.Cycle.smoother with Cycle.Gsrb -> "gsrb" | Cycle.Jacobi -> "jacobi")
+        v)
+
+let digest_of (cfg, variant) ~n =
+  Plan.digest
+    (Solver.polymg_plan cfg ~n ~opts:(Option.get (Options.variant_of_string variant)))
+
+(* The digest a fresh process computes for the same configuration. *)
+let digest_in_child c ~n =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let d = Bytes.of_string (digest_of c ~n) in
+    ignore (Unix.write wr d 0 (Bytes.length d));
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let buf = Bytes.create 64 in
+    let len = Unix.read rd buf 0 64 in
+    Unix.close rd;
+    ignore (Unix.waitpid [] pid);
+    Bytes.sub_string buf 0 len
+
+let prop_digest_stable =
+  QCheck.Test.make ~name:"plan digest: equal configs, equal digests"
+    ~count:12 config_arb (fun c ->
+      let d = digest_of c ~n:16 in
+      d = digest_of c ~n:16 && d = digest_in_child c ~n:16)
+
+let prop_digest_perturbed =
+  QCheck.Test.make ~name:"plan digest: a perturbed param, coefficient or size differs"
+    ~count:12 config_arb (fun ((cfg, variant) as c) ->
+      (* ω is a resolved param of Jacobi stages and a folded coefficient
+         of red-black Gauss-Seidel stages *)
+      let d = digest_of c ~n:16 in
+      d <> digest_of ({ cfg with Cycle.omega = cfg.Cycle.omega *. 0.75 }, variant) ~n:16
+      && d <> digest_of c ~n:32)
+
 let properties =
   List.map
     (fun (name, speed, run) ->
@@ -279,9 +356,13 @@ let () =
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
             test_cache_determinism;
+          Alcotest.test_case "omega 0.8 and 0.5 kernels not shared" `Quick
+            test_omega_not_shared;
           Alcotest.test_case "memory hit needs no compiler probe" `Quick
             test_memory_hit_without_path;
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
             test_compile_failure_fallback ] );
-      ("properties", properties) ]
+      ("properties", properties);
+      ( "identity",
+        Qc_replay.to_alcotest_list [ prop_digest_stable; prop_digest_perturbed ] ) ]

@@ -417,6 +417,260 @@ let prop_admission_invariants =
       Serve.shutdown sv;
       !ok)
 
+(* -- one solve path: the CLI's description and Serve agree ---------------- *)
+
+module Flightrec = Repro_runtime.Flightrec
+module Telemetry = Repro_runtime.Telemetry
+
+let temp_dir tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "polymg-serve-test-%d-%s" (Unix.getpid ()) tag)
+
+let rm_dir d =
+  if Sys.file_exists d then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Unix.rmdir d
+  end
+
+(* What mg_solve builds from its flags, run the way mg_solve runs it. *)
+let cli (spec : Request.spec) =
+  match Request.validate spec with
+  | Error e -> Alcotest.failf "invalid CLI spec: %s" e
+  | Ok rq -> Request.run rq
+
+(* Checkpoint under opt+, resume the same problem under dtile-opt+: the
+   service must notice the plan changed, as the CLI does. *)
+let test_resume_drift () =
+  let dir = temp_dir "ckpt" and incidents = temp_dir "incidents" in
+  Flightrec.set_enabled true;
+  Flightrec.set_incident_dir (Some incidents);
+  Fun.protect
+    ~finally:(fun () ->
+      Flightrec.set_incident_dir None;
+      Flightrec.set_enabled false;
+      rm_dir dir;
+      rm_dir incidents)
+    (fun () ->
+      (match
+         cli
+           { Request.default_spec with
+             n = Some 32; cycles = 2; checkpoint_dir = Some dir }
+       with
+       | Request.Solved _ -> ()
+       | o ->
+         Alcotest.failf "checkpoint run: %s"
+           (Request.status_name (Request.status o)));
+      let sv = server ~workers:1 () in
+      let rq =
+        { Serve.default_request with
+          Serve.rq_n = 32; rq_cycles = 4; rq_resume_dir = Some dir }
+      in
+      let same = Serve.solve sv rq in
+      check_status "same-plan resume" Serve.Ok same.Serve.rs_status;
+      Alcotest.(check int) "same plan: no incident" 0 same.Serve.rs_incidents;
+      Alcotest.(check int) "continues to the budget" 2 same.Serve.rs_cycles;
+      let drift = Serve.solve sv { rq with Serve.rq_variant = "dtile-opt+" } in
+      check_status "replanned resume" Serve.Ok drift.Serve.rs_status;
+      Alcotest.(check int) "drift: one incident" 1 drift.Serve.rs_incidents;
+      Alcotest.(check bool) "resume-replan report filed" true
+        (Array.exists
+           (fun f -> Filename.check_suffix f "-resume-replan.json")
+           (Sys.readdir incidents));
+      Serve.shutdown sv)
+
+(* A checkpoint that already covers the cycle budget answers at once:
+   nothing runs and no plan is decided, so neither an unusable budget
+   nor the missing guard result can turn it into a failure.  An
+   unusable resume is refused before the budget is looked at. *)
+let test_resume_covered () =
+  let dir = temp_dir "covered" in
+  Fun.protect
+    ~finally:(fun () -> rm_dir dir)
+    (fun () ->
+      (match
+         cli
+           { Request.default_spec with
+             n = Some 32; cycles = 3; checkpoint_dir = Some dir }
+       with
+       | Request.Solved _ -> ()
+       | o ->
+         Alcotest.failf "checkpoint run: %s"
+           (Request.status_name (Request.status o)));
+      let sv = server ~workers:1 () in
+      let rq =
+        { Serve.default_request with
+          Serve.rq_n = 32; rq_cycles = 3; rq_resume_dir = Some dir }
+      in
+      List.iter
+        (fun (what, rq) ->
+          let rs = Serve.solve sv rq in
+          check_status what Serve.Ok rs.Serve.rs_status;
+          Alcotest.(check int) (what ^ ": checkpoint's cycles") 3
+            rs.Serve.rs_cycles;
+          Alcotest.(check string) (what ^ ": detail")
+            "checkpoint already meets the cycle budget" rs.Serve.rs_detail)
+        [ ("equal budget", rq);
+          ("smaller budget", { rq with Serve.rq_cycles = 2 });
+          ("infeasible budget", { rq with Serve.rq_mem_budget = Some 1024 }) ];
+      Serve.shutdown sv;
+      let guarded =
+        { Request.default_spec with
+          n = Some 32; cycles = 3; guard = true; mem_budget = Some 1024;
+          checkpoint_dir = Some dir; resume_dir = Some dir }
+      in
+      check_status "mg_solve --guard, infeasible budget" Serve.Ok
+        (Request.status (cli guarded));
+      check_status "unusable resume beats an infeasible budget"
+        Serve.Unresumable
+        (Request.status
+           (cli { guarded with cycles = 6; resume_dir = Some (dir ^ "-none") })))
+
+let high_water = Telemetry.counter "govern.pool_high_water_bytes"
+
+(* 2-D n=64 V-4-4-4 dtile-opt+, 4 cycles: at 100 KiB the pool overruns
+   the planned rung and the solve demotes at run time; at 90 KiB every
+   fitting rung overruns.  mg_solve with and without --guard and Serve
+   must give one answer, and the pool must stay within the budget. *)
+let test_budget_agreement () =
+  let sv = server ~workers:1 () in
+  List.iter
+    (fun (budget, expected) ->
+      let spec =
+        { Request.default_spec with
+          n = Some 64; variant = "dtile-opt+"; cycles = 4;
+          mem_budget = Some budget }
+      in
+      let code outcome = Request.code_of_status (Request.status outcome) in
+      let within what f =
+        Telemetry.set_enabled true;
+        Telemetry.reset ();
+        let c = f () in
+        let hw = Telemetry.value high_water in
+        Telemetry.set_enabled false;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s at %d B: pool high-water %d B within budget" what
+             budget hw)
+          true (hw <= budget);
+        Alcotest.(check int) (Printf.sprintf "%s at %d B" what budget) expected c
+      in
+      within "mg_solve --guard" (fun () -> code (cli { spec with guard = true }));
+      within "mg_solve" (fun () -> code (cli spec));
+      within "Serve.solve" (fun () ->
+          (Serve.solve sv
+             { Serve.default_request with
+               Serve.rq_n = 64; rq_variant = "dtile-opt+"; rq_cycles = 4;
+               rq_mem_budget = Some budget })
+            .Serve.rs_code))
+    [ (100 * 1024, 0); (90 * 1024, 5) ];
+  Serve.shutdown sv
+
+(* A faulting budgeted request may fall back only to a plan that fits:
+   the naive fallback (462 KiB modelled at n=64) is refused under a
+   200 KiB budget, so the fault ends the solve instead of breaking the
+   budget; under 1 MiB it fits and the primary is quarantined. *)
+let test_fallback_within_budget () =
+  let sv = server ~workers:1 ~allow_faults:true () in
+  List.iter
+    (fun (budget, expected) ->
+      let r =
+        Serve.solve sv
+          { Serve.default_request with
+            Serve.rq_n = 64; rq_cycles = 4; rq_fault = Some "nan";
+            rq_mem_budget = Some budget }
+      in
+      check_status (Printf.sprintf "NaN fault under %d B" budget) expected
+        r.Serve.rs_status)
+    [ (200 * 1024, Serve.Faulted); (1024 * 1024, Serve.Quarantined) ];
+  Serve.shutdown sv
+
+(* Small random valid requests, budgets included: the request mg_solve
+   --guard describes and the one Serve receives end with the same status,
+   the same number of cycles and the same residual, bit for bit. *)
+let request_gen =
+  QCheck.Gen.(
+    map
+      (fun ((dims, shape, (n1, n2, n3)), (variant, tol, budget_kind)) ->
+        let n1 = if n1 + n2 + n3 = 0 then 1 else n1 in
+        { Serve.default_request with
+          Serve.rq_dims = dims;
+          rq_n = 32;
+          rq_shape = shape;
+          rq_smoothing = (n1, n2, n3);
+          rq_variant = variant;
+          rq_cycles = 3;
+          rq_tol = tol;
+          rq_mem_budget = budget_kind })
+      (pair
+         (triple (int_range 2 3) (oneofl [ Cycle.V; Cycle.W; Cycle.F ])
+            (triple (int_range 0 3) (int_range 0 3) (int_range 0 3)))
+         (triple
+            (oneofl [ "naive"; "opt"; "opt+"; "dtile-opt+" ])
+            (oneofl [ None; Some 1e-3 ])
+            (oneofl [ None; Some 0; Some 1; Some (64 * 1024 * 1024) ]))))
+
+(* [rq_mem_budget = Some 0 | Some 1] stand for "just under the requested
+   rung" and "just under the floor"; they are resolved against the
+   modelled ladder before solving. *)
+let resolve_budget (rq : Serve.request) =
+  match rq.Serve.rq_mem_budget with
+  | Some ((0 | 1) as which) ->
+    let cfg =
+      { (Cycle.default ~dims:rq.Serve.rq_dims ~shape:rq.Serve.rq_shape
+           ~smoothing:rq.Serve.rq_smoothing) with
+        Cycle.levels = 4 }
+    in
+    let n = rq.Serve.rq_n in
+    let opts = Option.get (Repro_core.Options.variant_of_string rq.Serve.rq_variant) in
+    let ladder =
+      match
+        Repro_core.Govern.decide (Cycle.build cfg) ~opts ~n
+          ~params:(Cycle.params cfg ~n)
+      with
+      | Ok r -> r.Repro_core.Govern.ladder
+      | Error i -> i.Repro_core.Govern.inf_ladder
+    in
+    let peak (r : Repro_core.Govern.rung) = r.Repro_core.Govern.peak_bytes in
+    let b =
+      if which = 0 then peak ladder.(0) - 1
+      else Array.fold_left (fun m r -> min m (peak r)) max_int ladder - 1
+    in
+    { rq with Serve.rq_mem_budget = Some b }
+  | _ -> rq
+
+let request_arb =
+  QCheck.make request_gen ~print:(fun rq ->
+      Repro_runtime.Json.to_string (Serve.request_to_json rq))
+
+let prop_cli_serve_agree =
+  let sv = lazy (server ~workers:1 ()) in
+  QCheck.Test.make ~name:"mg_solve --guard and Serve agree" ~count:12
+    request_arb (fun rq ->
+      let rq = resolve_budget rq in
+      let outcome =
+        cli
+          { Request.default_spec with
+            dims = rq.Serve.rq_dims;
+            n = Some rq.Serve.rq_n;
+            shape = rq.Serve.rq_shape;
+            smoothing = rq.Serve.rq_smoothing;
+            variant = rq.Serve.rq_variant;
+            cycles = rq.Serve.rq_cycles;
+            tol = rq.Serve.rq_tol;
+            guard = true;
+            mem_budget = rq.Serve.rq_mem_budget }
+      in
+      let rs = Serve.solve (Lazy.force sv) rq in
+      let cycles, residual =
+        match outcome with
+        | Request.Solved s -> (List.length s.Request.stats, s.Request.residual)
+        | _ -> (0, Float.nan)
+      in
+      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      rs.Serve.rs_status = Request.status outcome
+      && rs.Serve.rs_cycles = cycles
+      && same_bits rs.Serve.rs_residual residual)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -455,6 +709,15 @@ let () =
         [ Alcotest.test_case "status per request class" `Quick
             test_solve_statuses;
           Alcotest.test_case "chaos hook gated by config" `Quick
-            test_faults_refused_by_default ] );
+            test_faults_refused_by_default;
+          Alcotest.test_case "resume records plan drift" `Quick
+            test_resume_drift;
+          Alcotest.test_case "resume already covered" `Quick
+            test_resume_covered;
+          Alcotest.test_case "budgets agree with mg_solve" `Quick
+            test_budget_agreement;
+          Alcotest.test_case "fallback only within the budget" `Quick
+            test_fallback_within_budget ] );
       ( "properties",
-        [ Qc_replay.to_alcotest prop_admission_invariants ] ) ]
+        [ Qc_replay.to_alcotest prop_admission_invariants;
+          Qc_replay.to_alcotest prop_cli_serve_agree ] ) ]
