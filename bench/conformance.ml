@@ -1,15 +1,16 @@
 (* Conformance campaign: the executable proof that every variant of the
    compiler computes the same answer (the paper's §7 validation premise).
 
-   Five legs, each reported and JSON-exported:
+   Six legs, each reported and JSON-exported:
      - differential oracle: every plan variant and the hand-optimized
        baselines, run in lockstep against the naive plan over
        {2D,3D} x {V,W} x smoothing {4-4-4, 10-0-0} x domains {1,4},
        pairwise within the documented ULP/abs budgets; on mismatch the
        worst cycle and first diverging stage are named;
-     - emitted-C run-equivalence: the self-contained C driver is
-       compiled (gcc, falling back to cc), executed, and its grid dump
-       diffed against the engine; a visible skip when no compiler;
+     - emitted-C run-equivalence: each plan's emitted C, compiled and
+       loaded by Repro_core.Native, runs on deterministically filled
+       inputs and its output grids are diffed against the engine's; a
+       visible skip when no compiler;
      - backend axis: every plan variant's dlopen'd native kernel
        (Repro_core.Native) run in lockstep against the interpreter on
        the same plan, over the full campaign matrix; a visible skip
@@ -201,8 +202,7 @@ let run_selftest ~quick =
       "bug caught; minimized counterexample (%d shrink steps):@.%s@."
       c_ex.QCheck.TestResult.shrink_steps
       (Pipeline_gen.print_stages c_ex.QCheck.TestResult.instance);
-    Format.printf "replay: QCHECK_SEED=%d dune exec bench/conformance.exe@."
-      Qc_replay.seed;
+    Format.printf "replay: %s@." (Qc_replay.replay_hint ());
     let minimal = has_stencil c_ex.QCheck.TestResult.instance in
     if not minimal then
       Format.printf "counterexample lost its stencil stage (shrinker bug?)@.";
@@ -211,9 +211,8 @@ let run_selftest ~quick =
           Pipeline_gen.print_stages c_ex.QCheck.TestResult.instance)
   | QCheck.TestResult.Failed { instances = [] } | QCheck.TestResult.Success ->
     Format.printf
-      "the oracle did NOT catch the injected bug (seed %d, replay: \
-       QCHECK_SEED=%d dune exec bench/conformance.exe)@."
-      Qc_replay.seed Qc_replay.seed;
+      "the oracle did NOT catch the injected bug (seed %d, replay: %s)@."
+      Qc_replay.seed (Qc_replay.replay_hint ());
     leg "injected-bug" false;
     None
   | QCheck.TestResult.Failed_other { msg } ->

@@ -144,7 +144,8 @@ let modes : (string * string * (ctx -> unit)) list =
       "the grouping and storage mapping",
       fun ctx -> Format.printf "%a@." Plan.summary (plan_of ctx) );
     ( "c",
-      "the generated C driver",
+      "the generated C pipeline function, without a main: the code the \
+       native backend compiles",
       fun ctx -> print_string (C_emit.to_string (plan_of ctx)) );
     ( "cost",
       "the analytical per-stage bytes/FLOPs model",
@@ -205,8 +206,9 @@ let modes : (string * string * (ctx -> unit)) list =
           Format.printf "%a@." Govern.pp_infeasible inf;
           exit 5 );
     ( "conform",
-      "compile and run the emitted-C driver, diffing its grid dump \
-       against the engine; exits 1 on mismatch",
+      "compile the emitted C into a native kernel and run it against the \
+       engine on deterministically filled inputs, diffing every output \
+       grid; exits 1 on mismatch",
       fun ctx ->
         let plan = plan_of ctx in
         let name =

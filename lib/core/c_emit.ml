@@ -686,7 +686,7 @@ let line_count plan =
   to_string plan |> String.split_on_char '\n' |> List.length
 
 (* ------------------------------------------------------------------ *)
-(* Self-contained driver emission (conformance harness)                 *)
+(* Runnability: is the emitted C a complete program?                    *)
 
 let runnable (plan : Plan.t) =
   let issues = ref [] in
@@ -715,80 +715,3 @@ let runnable (plan : Plan.t) =
   match List.sort_uniq String.compare !issues with
   | [] -> Ok ()
   | l -> Error (String.concat "; " l)
-
-let driver_to_string (plan : Plan.t) =
-  match runnable plan with
-  | Error e -> Error e
-  | Ok () ->
-    let pipeline = plan.Plan.pipeline in
-    let n = plan.Plan.n in
-    let func_sizes id =
-      let f = Pipeline.func pipeline id in
-      Array.map (fun s -> Sizeexpr.eval ~n s) f.Func.sizes
-    in
-    let buf = Buffer.create 65536 in
-    let fmt = Format.formatter_of_buffer buf in
-    Format.pp_open_vbox fmt 0;
-    emit_prelude fmt plan;
-    pf fmt "#include <stdio.h>@,#include <stdlib.h>@,@,";
-    pf fmt "static void *pool_allocate(size_t n) { return calloc(n, 1); }@,";
-    pf fmt "static void pool_deallocate(void *p) { free(p); }@,@,";
-    pf fmt "/* deterministic input fill (FNV-1a over the multi-index),@,";
-    pf fmt "   mirrored exactly by Repro_mg.Conformance.fill_val */@,";
-    pf fmt "static double fill_val(int input, const int *idx, int dims)@,{@,";
-    pf fmt "  unsigned int h = 2166136261u;@,";
-    pf fmt "  h = (h ^ (unsigned int) input) * 16777619u;@,";
-    pf fmt "  for (int k = 0; k < dims; k++)@,";
-    pf fmt "    h = (h ^ (unsigned int) idx[k]) * 16777619u;@,";
-    pf fmt "  return (double) (h & 0xFFFFFu) / 1048576.0 - 0.5;@,}@,@,";
-    emit_body fmt plan;
-    (* main: fill inputs, run the pipeline, dump every output grid *)
-    pf fmt "@,int main(int argc, char **argv)@,{@,";
-    pf fmt "  if (argc < 2) { fprintf(stderr, \"usage: %%s OUT.bin\\n\", argv[0]); return 2; }@,";
-    Array.iteri
-      (fun i id ->
-        let f = Pipeline.func pipeline id in
-        let sizes = func_sizes id in
-        let dims = Array.length sizes in
-        let len = Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes in
-        let strides = strides_of_sizes sizes in
-        pf fmt "  double *%s = (double *) calloc(%d, sizeof(double));@,"
-          f.Func.name len;
-        pf fmt "  { int idx[%d];@," dims;
-        for k = 0 to dims - 1 do
-          pf fmt "  %sfor (idx[%d] = 1; idx[%d] <= %d; idx[%d]++)@,"
-            (String.make (2 * k) ' ')
-            k k sizes.(k) k
-        done;
-        let off =
-          String.concat " + "
-            (List.init dims (fun k ->
-                 if strides.(k) = 1 then Printf.sprintf "idx[%d]" k
-                 else Printf.sprintf "idx[%d]*%d" k strides.(k)))
-        in
-        pf fmt "  %s%s[%s] = fill_val(%d, idx, %d);@,"
-          (String.make (2 * dims) ' ')
-          f.Func.name off i dims;
-        pf fmt "  }@,")
-      plan.Plan.inputs;
-    let nout = List.length plan.Plan.output_arrays in
-    pf fmt "  double *outs[%d] = {0};@," (Int.max 1 nout);
-    pf fmt "  pipeline_%s(%d, %s, outs);@,"
-      (c_ident (Pipeline.name pipeline))
-      n
-      (String.concat ", "
-         (Array.to_list plan.Plan.inputs
-         |> List.map (fun id -> (Pipeline.func pipeline id).Func.name)));
-    pf fmt "  FILE *fp = fopen(argv[1], \"wb\");@,";
-    pf fmt "  if (!fp) { perror(argv[1]); return 1; }@,";
-    List.iteri
-      (fun i (fid, _) ->
-        let sizes = func_sizes fid in
-        let len = Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes in
-        pf fmt "  if (fwrite(outs[%d], sizeof(double), %d, fp) != %d) return 1;@,"
-          i len len)
-      plan.Plan.output_arrays;
-    pf fmt "  fclose(fp);@,  return 0;@,}@,";
-    Format.pp_close_box fmt ();
-    Format.pp_print_flush fmt ();
-    Ok (Buffer.contents buf)

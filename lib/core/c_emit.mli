@@ -13,12 +13,9 @@
     slices are published to the full arrays, diamond chains run as their
     equivalent untiled time loop, and outputs are returned through [out].
 
-    [driver_to_string] additionally wraps the pipeline in a
-    self-contained [main()] — deterministic FNV-1a input fill, binary
-    grid dump — so the artifact can be compiled, executed and diffed
-    against the engine (the conformance harness's run-equivalence leg).
     Used for the generated-lines-of-code column of Table 3, by
-    [polymg_dump], and by [Repro_mg.Conformance]. *)
+    [polymg_dump], and by {!Native}, which compiles it into the kernels
+    the native backend and the conformance harness run. *)
 
 val emit : Format.formatter -> Plan.t -> unit
 
@@ -35,10 +32,3 @@ val runnable : Plan.t -> (unit, string) result
 (** [Ok ()] when every compiled kernel is affine ([Lin]) and every
     diamond chain has an emittable init source, i.e. the emitted C is a
     complete program rather than a sketch with [eval_point()] holes. *)
-
-val driver_to_string : Plan.t -> (string, string) result
-(** The pipeline plus allocator shims and a [main()] that fills the
-    inputs deterministically (FNV-1a over the multi-index, mirrored by
-    [Repro_mg.Conformance.fill_val]), runs the pipeline, and writes every
-    output grid — ghost layers included — as raw doubles to the file
-    named by [argv[1]].  [Error] when {!runnable} fails. *)

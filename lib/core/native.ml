@@ -53,10 +53,10 @@ let set_compiler_override c = compiler_override := c
 
 let quiet_ok cmd = Sys.command (cmd ^ " >/dev/null 2>&1") = 0
 
-(* gcc-then-cc discovery, mirroring the conformance harness.  The probe
-   fork-execs a shell, so it runs once per process: every load, cache
-   hits included, goes through [cc].  Racing first probes compute the
-   same answer. *)
+(* gcc-then-cc discovery, the only compiler probe.  The probe fork-execs
+   a shell, so it runs once per process: every load, cache hits
+   included, goes through [cc].  Racing first probes compute the same
+   answer. *)
 let discovered = Atomic.make None
 
 let discover () =

@@ -1,11 +1,14 @@
 (** Native execution backend: emitted C compiled to dlopen'd kernels.
 
     Takes a compiled plan, emits its C through the {!C_emit.runnable}
-    path plus a small entry wrapper (a bump-allocator arena standing in
-    for the driver's [calloc] pool, and a [polymg_entry] function that
-    runs the pipeline on caller-provided buffers), invokes the system C
-    compiler to build a shared object, [dlopen]s it and calls the entry
-    point directly on the grids' Bigarray storage.
+    path plus a small entry wrapper (a bump-allocator arena backing the
+    emitted [pool_allocate]/[pool_deallocate] calls, and a
+    [polymg_entry] function that runs the pipeline on caller-provided
+    buffers), invokes the system C compiler to build a shared object,
+    [dlopen]s it and calls the entry point directly on the grids'
+    Bigarray storage.  This is the only place emitted C is compiled and
+    run: the solver's native backend and the conformance harness's
+    C-equivalence leg both go through it.
 
     Compiled kernels are cached on disk under {!cache_dir}, keyed by
     plan digest + compiler identity + flags + emitter version
@@ -40,9 +43,9 @@ val available : unit -> bool
 val cc : unit -> string option
 (** The compiler that will be used: the test override or [POLYMG_CC]
     verbatim when set, otherwise the first of [gcc], [cc] that answers
-    [--version] — the same discovery the conformance harness uses.
-    The override and [POLYMG_CC] are read on every call; the
-    gcc-then-cc probe runs once per process and its answer is kept. *)
+    [--version].  The override and [POLYMG_CC] are read on every call;
+    the gcc-then-cc probe runs once per process and its answer is
+    kept. *)
 
 val set_compiler_override : string option -> unit
 (** Test hook: force a specific compiler command, bypassing discovery

@@ -48,10 +48,9 @@ type budgets = { vs_plan : float; vs_handopt : float; vs_c : float }
 let default_budgets = { vs_plan = 1e-11; vs_handopt = 1e-9; vs_c = 1e-10 }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic input fill — the OCaml twin of the C driver's
-   [fill_val] (see C_emit.driver_to_string): FNV-1a over (input index,
-   multi-index), folded to [-0.5, 0.5) with a 20-bit mantissa so the
-   double value is exact on both sides. *)
+(* Deterministic input fill for the C-equivalence leg: FNV-1a over
+   (input index, multi-index), folded to [-0.5, 0.5) with a 20-bit
+   mantissa so every value is exact in double. *)
 
 let fill_val ~input idx =
   let step h x = Int.logxor h x * 16777619 land 0xFFFFFFFF in
@@ -253,131 +252,57 @@ type c_verdict =
   | C_fail of { reason : string; max_abs : float; max_ulp : float }
   | C_skip of string
 
-let cc_available () =
-  let ok c = Sys.command (c ^ " --version >/dev/null 2>&1") = 0 in
-  if ok "gcc" then Some "gcc" else if ok "cc" then Some "cc" else None
-
-let read_doubles path count =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let bytes = Bytes.create (8 * count) in
-      really_input ic bytes 0 (8 * count);
-      Array.init count (fun i ->
-          Int64.float_of_bits (Bytes.get_int64_le bytes (8 * i))))
-
-let with_temp_files f =
-  let src = Filename.temp_file "polymg_conform" ".c" in
-  let exe = Filename.temp_file "polymg_conform" ".exe" in
-  let out = Filename.temp_file "polymg_conform" ".bin" in
-  let log = Filename.temp_file "polymg_conform" ".log" in
-  (* POLYMG_CONFORM_KEEP leaves the generated source/binary/log behind
-     for postmortems on a C-equivalence failure *)
-  let keep = Sys.getenv_opt "POLYMG_CONFORM_KEEP" <> None in
-  Fun.protect
-    ~finally:(fun () ->
-      if keep then Printf.eprintf "[conform] kept artifacts: %s %s %s %s\n%!" src exe out log
-      else
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ src; exe; out; log ])
-    (fun () -> f ~src ~exe ~out ~log)
-
-let first_log_line log =
-  try
-    let ic = open_in log in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> try input_line ic with End_of_file -> "")
-  with Sys_error _ -> ""
-
-let engine_reference (plan : Plan.t) =
-  let n = plan.Plan.n in
-  let pipe = plan.Plan.pipeline in
-  let grid_of fid =
-    let fn = Pipeline.func pipe fid in
-    Grid.create (Array.map (fun s -> Sizeexpr.eval ~n s + 2) fn.Func.sizes)
-  in
-  let inputs =
-    Array.to_list
-      (Array.mapi
-         (fun i fid ->
-           let g = grid_of fid in
-           Grid.fill_interior g ~f:(fill_val ~input:i);
-           (fid, g))
-         plan.Plan.inputs)
-  in
-  let outputs = List.map (fun (fid, _) -> (fid, grid_of fid)) plan.Plan.output_arrays in
-  Exec.with_runtime (fun rt -> Exec.run plan rt ~inputs ~outputs);
-  outputs
-
+(* The plan's inputs are filled with [fill_val]; the interpreter is the
+   reference, and the candidate is the plan's native kernel, so the C
+   runs through Native's one toolchain: its compiler discovery,
+   POLYMG_CC, and a cache that keeps each kernel's .c and compiler log.
+   Outputs are diffed whole, ghosts included. *)
 let c_equivalence ?(budget = default_budgets.vs_c) (plan : Plan.t) =
-  match C_emit.driver_to_string plan with
-  | Error e -> C_skip ("plan not renderable as a complete C program: " ^ e)
-  | Ok source -> (
-    match cc_available () with
-    | None -> C_skip "no C compiler found (tried gcc, cc)"
-    | Some cc ->
-      with_temp_files (fun ~src ~exe ~out ~log ->
-          let oc = open_out src in
-          output_string oc source;
-          close_out oc;
-          let compile =
-            Printf.sprintf "%s -O2 -std=c99 -ffp-contract=off -o %s %s -lm > %s 2>&1"
-              cc (Filename.quote exe) (Filename.quote src) (Filename.quote log)
-          in
-          if Sys.command compile <> 0 then
-            C_fail
-              { reason =
-                  Printf.sprintf "%s failed to compile the driver: %s" cc
-                    (first_log_line log);
-                max_abs = nan;
-                max_ulp = nan }
-          else
-            let run =
-              Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
-                (Filename.quote out) (Filename.quote log)
-            in
-            let rc = Sys.command run in
-            if rc <> 0 then
-              C_fail
-                { reason = Printf.sprintf "driver exited with code %d" rc;
-                  max_abs = nan;
-                  max_ulp = nan }
-            else begin
-              let outputs = engine_reference plan in
-              let total =
-                List.fold_left
-                  (fun acc (_, g) -> acc + Grid.points g)
-                  0 outputs
-              in
-              let c_vals = read_doubles out total in
-              let d = ref no_diff and base = ref 0 in
-              List.iter
-                (fun (_, g) ->
-                  let buf = g.Grid.buf in
-                  let len = Repro_grid.Buf.len buf in
-                  for i = 0 to len - 1 do
-                    d :=
-                      diff_acc !d (!base + i) (Repro_grid.Buf.get buf i)
-                        c_vals.(!base + i)
-                  done;
-                  base := !base + len)
-                outputs;
-              if !d.max_abs <= budget then
-                C_ok
-                  { compiler = cc;
-                    bit_identical = !d.max_abs = 0.0;
-                    max_abs = !d.max_abs;
-                    max_ulp = !d.max_ulp }
-              else
-                C_fail
-                  { reason =
-                      Printf.sprintf
-                        "C output differs from the engine beyond %.1e" budget;
-                    max_abs = !d.max_abs;
-                    max_ulp = !d.max_ulp }
-            end))
+  let fail reason = C_fail { reason; max_abs = nan; max_ulp = nan } in
+  match (C_emit.runnable plan, Native.cc ()) with
+  | Error e, _ -> C_skip ("plan not renderable as a complete C program: " ^ e)
+  | Ok (), None -> C_skip "no C compiler found (tried gcc, cc)"
+  | Ok (), Some compiler -> (
+    match Native.load plan with
+    | Error e -> fail ("cannot build the native kernel: " ^ e)
+    | Ok kernel -> (
+      let grid_of = stage_grid plan.Plan.pipeline ~n:plan.Plan.n in
+      let inputs =
+        List.mapi
+          (fun i fid ->
+            let g = grid_of fid in
+            Grid.fill_interior g ~f:(fill_val ~input:i);
+            (fid, g))
+          (Array.to_list plan.Plan.inputs)
+      in
+      let outputs () =
+        List.map (fun (fid, _) -> (fid, grid_of fid)) plan.Plan.output_arrays
+      in
+      let reference = outputs () and native = outputs () in
+      Exec.with_runtime (fun rt -> Exec.run plan rt ~inputs ~outputs:reference);
+      match Native.run kernel ~inputs ~outputs:native with
+      | exception Failure e -> fail ("native kernel failed: " ^ e)
+      | () ->
+        let d =
+          List.fold_left2
+            (fun (worst : diff) (_, r) (_, c) ->
+              let d = grid_diff r c in
+              if d.max_abs > worst.max_abs then d else worst)
+            no_diff reference native
+        in
+        if d.max_abs <= budget then
+          C_ok
+            { compiler;
+              bit_identical = d.max_abs = 0.0;
+              max_abs = d.max_abs;
+              max_ulp = d.max_ulp }
+        else
+          C_fail
+            { reason =
+                Printf.sprintf "C output differs from the engine beyond %.1e"
+                  budget;
+              max_abs = d.max_abs;
+              max_ulp = d.max_ulp }))
 
 let c_campaign ?(budget = default_budgets.vs_c) ?(quick = false) () =
   let variants =

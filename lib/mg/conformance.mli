@@ -9,10 +9,9 @@
       every candidate cycle starts from the {e reference} iterate, so a
       mismatch is pinned to one cycle, and a stage-level drilldown then
       pins it to the first diverging stage;
-    - {b emitted-C run-equivalence}: the C driver from
-      {!Repro_core.C_emit.driver_to_string} is compiled (gcc, falling
-      back to cc), executed, and its binary grid dump diffed against the
-      engine on identically filled inputs;
+    - {b emitted-C run-equivalence}: the plan's emitted C, compiled and
+      loaded by {!Repro_core.Native}, runs on deterministically filled
+      inputs and its output grids are diffed against the engine's;
     - {b MMS convergence verification}: solving the manufactured Poisson
       problem at a ladder of sizes must show second-order error decay —
       the one check that catches bugs shared by {e every} variant.
@@ -47,9 +46,9 @@ val default_budgets : budgets
 (** {2 Deterministic fill} *)
 
 val fill_val : input:int -> int array -> float
-(** The OCaml twin of the emitted driver's [fill_val]: FNV-1a over
-    (input index, multi-index), folded to a 20-bit value in [-0.5, 0.5)
-    that is exact in double on both sides. *)
+(** The C-equivalence leg's input fill: FNV-1a over (input index,
+    multi-index), folded to a 20-bit value in [-0.5, 0.5) that is exact
+    in double. *)
 
 (** {2 Differential oracle} *)
 
@@ -94,16 +93,14 @@ type c_verdict =
     }
   | C_fail of { reason : string; max_abs : float; max_ulp : float }
   | C_skip of string
-      (** no compiler on PATH, or the plan is not renderable as a
-          complete program *)
-
-val cc_available : unit -> string option
-(** First of [gcc], [cc] that answers [--version]. *)
+      (** no C compiler ({!Repro_core.Native.cc}), or the plan is not
+          renderable as a complete program ({!Repro_core.C_emit.runnable}) *)
 
 val c_equivalence : ?budget:float -> Repro_core.Plan.t -> c_verdict
-(** Emits the driver, compiles it ([-O2 -std=c99 -ffp-contract=off]),
-    runs it, and diffs the dumped grids — ghosts included — against
-    {!Repro_core.Exec.run} on identically filled inputs. *)
+(** Fills the plan's inputs with {!fill_val}, runs them through
+    {!Repro_core.Exec.run} and through the plan's
+    {!Repro_core.Native} kernel, and diffs the output grids, ghosts
+    included.  A kernel that fails to build is [C_fail]. *)
 
 val c_campaign : ?budget:float -> ?quick:bool -> unit -> (string * c_verdict) list
 

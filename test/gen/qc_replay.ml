@@ -21,9 +21,13 @@ let long = Sys.getenv_opt "QCHECK_LONG" <> None
 
 let rand () = Random.State.make [| seed |]
 
+(* the executable's own dune path, e.g. [test/test_native.exe] or
+   [bench/conformance.exe] *)
 let replay_hint () =
-  Printf.sprintf "QCHECK_SEED=%d dune exec test/%s" seed
-    (Filename.basename Sys.executable_name)
+  let exe = Sys.executable_name in
+  Printf.sprintf "QCHECK_SEED=%d dune exec %s/%s" seed
+    (Filename.basename (Filename.dirname exe))
+    (Filename.basename exe)
 
 let to_alcotest test =
   let name, speed, run =

@@ -62,11 +62,11 @@ let test_emit_all_benchmarks () =
       (3, Cycle.W, (10, 0, 0)) ]
 
 (* Compile-and-run promotion of the old -fsyntax-only check: the
-   emitted-C driver is compiled (gcc, falling back to cc), executed and
-   diffed against the engine through the conformance harness.  Skips
-   visibly when no C compiler exists. *)
+   emitted C is compiled into a native kernel, run and diffed against
+   the engine through the conformance harness.  Skips visibly when no C
+   compiler exists. *)
 let test_emitted_c_runs () =
-  match Conformance.cc_available () with
+  match Native.cc () with
   | None ->
     Printf.printf "compile-and-run skipped: no C compiler (tried gcc, cc)\n%!";
     Alcotest.skip ()

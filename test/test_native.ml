@@ -1,7 +1,8 @@
 (* Native backend: differential correctness against the interpreter,
    cache-key determinism (one compile, then memory and disk hits), a
    memory hit served without re-probing for a compiler, torn
-   .so rejection, compile-failure fallback accounting, and a
+   .so rejection, compile-failure fallback accounting, the conformance
+   C-equivalence leg running through this backend, and a
    seed-replayable property running random pipelines through both
    backends.  Every test needing a real compiler skips visibly when none
    is installed. *)
@@ -258,6 +259,45 @@ let test_compile_failure_fallback =
                (fun f -> kind_of f = Some "native-fallback")
                incidents)))
 
+(* -- the conformance C-equivalence leg runs through Native ------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let c_verdict_failf what v =
+  Alcotest.failf "%s, got %a" what Conformance.pp_c_verdict ("case", v)
+
+(* The leg uses Native's compiler choice: a broken compiler is a failing
+   verdict naming the compile failure, not a pass from a compiler the
+   leg found on its own. *)
+let test_c_equivalence_compiler =
+  with_native_env ~tag:"ceq-cc" (fun ~compiler:_ ~dir:_ ->
+      Native.set_compiler_override (Some "/nonexistent/cc");
+      match Conformance.c_equivalence (cycle_plan ~n:32 ()) with
+      | Conformance.C_fail { reason; _ } ->
+        check_bool
+          (Printf.sprintf "reason names the compile failure (%s)" reason)
+          true
+          (contains reason "compile failed")
+      | v -> c_verdict_failf "expected a C_fail" v)
+
+(* One C-equivalence case compiles one kernel into Native's cache, and a
+   following load of the same plan is a cache hit. *)
+let test_c_equivalence_shares_cache =
+  with_native_env ~tag:"ceq-cache" (fun ~compiler:_ ~dir:_ ->
+      let plan = cycle_plan ~n:32 () in
+      (match Conformance.c_equivalence plan with
+       | Conformance.C_ok _ -> ()
+       | v -> c_verdict_failf "expected C_ok" v);
+      check_int "the case compiles one kernel" 1 (Telemetry.value c_compiles);
+      let hits = Telemetry.value c_cache_hits in
+      ignore (load_exn plan);
+      check_int "a following load is a cache hit" (hits + 1)
+        (Telemetry.value c_cache_hits);
+      check_int "and compiles nothing" 1 (Telemetry.value c_compiles))
+
 (* -- property: random pipelines agree across backends ------------------ *)
 
 let prop_native_matches_interp =
@@ -362,7 +402,11 @@ let () =
             test_memory_hit_without_path;
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
-            test_compile_failure_fallback ] );
+            test_compile_failure_fallback;
+          Alcotest.test_case "c-equivalence uses Native's compiler" `Quick
+            test_c_equivalence_compiler;
+          Alcotest.test_case "c-equivalence shares Native's cache" `Quick
+            test_c_equivalence_shares_cache ] );
       ("properties", properties);
       ( "identity",
         Qc_replay.to_alcotest_list [ prop_digest_stable; prop_digest_perturbed ] ) ]
