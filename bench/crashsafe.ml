@@ -6,7 +6,8 @@
    cadence 1, keep 3) and are killed two ways:
 
      boundary   SIGKILL right after an accepted cycle's checkpoint
-                write completed (the on_accept hook kills the process)
+                write completed (a solve budgeted to end at that cycle
+                kills itself once Request.run returns)
      mid-write  Snapshot's crash spec arms the n-th atomic write to
                 flush only a byte prefix of its temp file and SIGKILL
                 before the rename — a power cut between write and
@@ -118,78 +119,38 @@ let write_file path s =
 
 type kill = No_kill | At_cycle of int | Mid_write of int * int
 
-(* What the child does; runs entirely in the forked process.  Returns
-   the exit code (6 = no usable checkpoint generation, like mg_solve). *)
-let solve_child ~dir ~resume ~opts ~variant ~kill ~incidents () =
+(* What the child does; runs entirely in the forked process: a solve at
+   cadence 1 through [Request.run], mg_solve's own path.  A boundary kill
+   at cycle k budgets k cycles and dies once [run] returns: cycle k is
+   already durable and the final flush writes nothing.  Returns the exit
+   code (6 = no usable checkpoint generation, like mg_solve). *)
+let solve_child ~dir ~resume ~variant ~kill ~incidents () =
   Flightrec.set_enabled true;
   Flightrec.set_incident_dir incidents;
-  let plan = Solver.polymg_plan cfg ~n ~opts in
-  let digest = Plan.digest plan in
-  Flightrec.note_plan ~digest ~variant;
-  let problem = Problem.poisson ~dims ~n in
-  let restored =
-    if not resume then None
-    else
-      match Checkpoint.load_latest ~dir with
-      | Error msg ->
-        Printf.eprintf "child resume: %s\n%!" msg;
-        Some (Error ())
-      | Ok r ->
-        let st = r.Checkpoint.state in
-        if st.Checkpoint.plan_digest <> digest then begin
-          if Flightrec.on () then
-            Flightrec.emit
-              (Flightrec.Resume_replan
-                 { old_digest = st.Checkpoint.plan_digest;
-                   new_digest = digest });
-          ignore
-            (Flightrec.incident ~kind:"resume-replan"
-               ~cycle:st.Checkpoint.cycle
-               ~detail:
-                 [ ("checkpoint_digest", Json.Str st.Checkpoint.plan_digest);
-                   ("current_digest", Json.Str digest) ]
-               ())
-        end;
-        Some (Ok st)
+  let spec =
+    { Request.default_spec with
+      dims;
+      n = Some n;
+      shape = Cycle.V;
+      smoothing = (4, 4, 4);
+      variant;
+      cycles = (match kill with At_cycle k -> k | _ -> total_cycles);
+      checkpoint_dir = Some dir;
+      checkpoint_every = 1;
+      resume_dir = (if resume then Some dir else None) }
   in
-  match restored with
-  | Some (Error ()) -> 6
-  | _ ->
-    let start_cycle, history_prefix, problem =
-      match restored with
-      | Some (Ok st) ->
-        ( st.Checkpoint.cycle + 1,
-          st.Checkpoint.history,
-          { problem with Problem.v = st.Checkpoint.v } )
-      | _ -> (1, [], problem)
-    in
-    Exec.with_runtime ~domains:1 (fun rt ->
-        let stepper = Solver.plan_stepper plan ~rt in
-        let sink =
-          Checkpoint.sink
-            { Checkpoint.dir; every = 1; keep = Checkpoint.default_keep }
-            ~dims ~n ~variant ~plan_digest:digest ~history_prefix ()
-        in
-        let on_accept ~cycle ~residual ~v ~stats =
-          sink.Checkpoint.on_accept ~cycle ~residual ~v ~stats;
-          match kill with
-          | At_cycle k when cycle = k ->
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-          | _ -> ()
-        in
-        (match kill with
-         | Mid_write (w, bytes) ->
-           Snapshot.set_crash_spec
-             (Some { Snapshot.after_writes = w; partial_bytes = bytes })
-         | _ -> ());
-        let cycles_left = total_cycles - start_cycle + 1 in
-        if cycles_left >= 1 then
-          ignore
-            (Solver.iterate stepper ~problem ~cycles:cycles_left ~start_cycle
-               ~on_accept ());
-        Snapshot.set_crash_spec None;
-        ignore (sink.Checkpoint.flush ());
-        0)
+  let req = Result.fold ~ok:Fun.id ~error:failwith (Request.validate spec) in
+  (match kill with
+   | Mid_write (w, bytes) ->
+     Snapshot.set_crash_spec
+       (Some { Snapshot.after_writes = w; partial_bytes = bytes })
+   | _ -> ());
+  let outcome = Request.run req in
+  (match (kill, outcome) with
+   | At_cycle _, _ -> Unix.kill (Unix.getpid ()) Sys.sigkill
+   | _, Request.No_resume msg -> Printf.eprintf "child resume: %s\n%!" msg
+   | _ -> ());
+  Request.code_of_status (Request.status outcome)
 
 type child_status = Exited of int | Killed of int
 
@@ -217,10 +178,8 @@ let status_name = function
 
 (* One solve child on [dir], opt+ unless [naive]. *)
 let run ?(resume = false) ?(naive = false) ?(kill = No_kill) ?incidents dir =
-  let opts, variant =
-    if naive then (Options.naive, "naive") else (Options.opt_plus, "opt+")
-  in
-  in_child (solve_child ~dir ~resume ~opts ~variant ~kill ~incidents)
+  let variant = if naive then "naive" else "opt+" in
+  in_child (solve_child ~dir ~resume ~variant ~kill ~incidents)
 
 (* -- campaign ------------------------------------------------------------ *)
 
@@ -412,7 +371,11 @@ let () =
   if incident_dir <> None then
     check "drift: resume-replan incident written"
       (Campaign.expect_incident ~dir:(incidents_of "drift")
-         ~kinds:[ "resume-replan" ] ()
+         ~kinds:[ "resume-replan" ]
+         ~detail_pred:(fun d ->
+           Json.to_str (Campaign.field "checkpoint_variant" d) = Some "opt+"
+           && Json.to_str (Campaign.field "current_variant" d) = Some "naive")
+         ()
       = []);
 
   (* ---- overhead of the (disabled) checkpoint hook plumbing ---- *)

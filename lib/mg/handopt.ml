@@ -6,6 +6,10 @@ module K = Kernels
 
 type smoothing = Plain | Pluto of { sigma : int }
 
+type phase = Entry | Pre_smoothed | Corrected
+
+type probe = level:int -> phase -> K.buf option -> K.buf -> unit
+
 (* dimension-dispatched kernel table *)
 type ops = {
   jacobi :
@@ -50,14 +54,18 @@ type t = {
   n : int;
   par : Parallel.t;
   smoothing : smoothing;
+  probe : probe option;
   ops : ops;
   levels : level array;  (* index 0 = coarsest *)
 }
 
-let create cfg ~n ~par ?(smoothing = Plain) () =
+let create cfg ~n ~par ?(smoothing = Plain) ?probe () =
   (match cfg.Cycle.shape with
    | Cycle.V | Cycle.W -> ()
    | Cycle.F -> invalid_arg "Handopt.create: F-cycles not supported");
+  (match cfg.Cycle.smoother with
+   | Cycle.Jacobi -> ()
+   | Cycle.Gsrb -> invalid_arg "Handopt.create: GSRB smoothing not supported");
   let nlev = cfg.Cycle.levels in
   if n mod (1 lsl (nlev - 1)) <> 0 then
     invalid_arg "Handopt.create: N must be divisible by 2^(levels-1)";
@@ -76,6 +84,7 @@ let create cfg ~n ~par ?(smoothing = Plain) () =
   in
   { cfg; n; par;
     smoothing;
+    probe;
     ops = (if dims = 2 then ops2 else ops3);
     levels }
 
@@ -140,16 +149,30 @@ let smooth t ~(lev : level) ~steps ~init ~(a : K.buf) ~(b : K.buf) : K.buf =
     buf_of steps
   end
 
-(* [smooth] at the finest level reads the rhs from [lev.frhs]; the finest
-   level instead uses the caller's grid, so levels carry a mutable
-   override via this record-free trick: we temporarily substitute frhs. *)
+(* Hands the iterate a phase left to the probe, if any.  The [Some] is
+   built under the match, so an unprobed cycle allocates nothing. *)
+let notify t ~level phase (iterate : K.buf) (frhs : K.buf) =
+  match t.probe with
+  | None -> ()
+  | Some p -> p ~level phase (Some iterate) frhs
 
 let rec go t ~level ~init ~(a : K.buf) ~(b : K.buf) : K.buf =
   let lev = t.levels.(level) in
   let o = t.ops in
-  if level = 0 then smooth t ~lev ~steps:t.cfg.Cycle.n2 ~init ~a ~b
+  (match t.probe with
+   | None -> ()
+   | Some p ->
+     p ~level Entry
+       (match init with Zero -> None | From v -> Some v)
+       lev.frhs);
+  if level = 0 then begin
+    let e = smooth t ~lev ~steps:t.cfg.Cycle.n2 ~init ~a ~b in
+    notify t ~level Pre_smoothed e lev.frhs;
+    e
+  end
   else begin
     let s1 = smooth t ~lev ~steps:t.cfg.Cycle.n1 ~init ~a ~b in
+    notify t ~level Pre_smoothed s1 lev.frhs;
     let other = if s1 == a then b else a in
     (* residual into the free modulo buffer, restrict into the coarse rhs *)
     Parallel.parallel_for t.par ~lo:1 ~hi:lev.ln (fun i ->
@@ -173,7 +196,9 @@ let rec go t ~level ~init ~(a : K.buf) ~(b : K.buf) : K.buf =
      | From ebuf ->
        Parallel.parallel_for t.par ~lo:0 ~hi:coarse.ln (fun i ->
            o.interp_correct ~nc:coarse.ln ~coarse:ebuf ~v:s1 ~rlo:i ~rhi:i));
-    smooth t ~lev ~steps:t.cfg.Cycle.n3 ~init:(From s1) ~a ~b
+    let post = smooth t ~lev ~steps:t.cfg.Cycle.n3 ~init:(From s1) ~a ~b in
+    notify t ~level Corrected post lev.frhs;
+    post
   end
 
 let stepper t ~v ~f ~out =

@@ -1,7 +1,7 @@
 module Buf = Repro_grid.Buf
 module Grid = Repro_grid.Grid
+module Parallel = Repro_runtime.Parallel
 module Json = Repro_runtime.Json
-module K = Kernels
 
 type visit = { cycle : int; pre : float; mid : float; post : float }
 
@@ -35,183 +35,6 @@ let stall_eps = 1e-3
 let floor_rel = 1e-12
 
 (* ------------------------------------------------------------------ *)
-(* Reference cycle state (sequential Kernels path, Handopt's sizes)     *)
-
-(* dimension-dispatched kernel table (Handopt keeps its own private) *)
-type ops = {
-  jacobi :
-    n:int -> w:float -> invhsq:float -> src:K.buf -> frhs:K.buf ->
-    dst:K.buf -> rlo:int -> rhi:int -> unit;
-  scalef :
-    n:int -> w:float -> frhs:K.buf -> dst:K.buf -> rlo:int -> rhi:int -> unit;
-  resid :
-    n:int -> invhsq:float -> v:K.buf -> frhs:K.buf -> dst:K.buf ->
-    rlo:int -> rhi:int -> unit;
-  restr : nc:int -> fine:K.buf -> dst:K.buf -> rlo:int -> rhi:int -> unit;
-  interp_correct :
-    nc:int -> coarse:K.buf -> v:K.buf -> rlo:int -> rhi:int -> unit;
-  copy : n:int -> src:K.buf -> dst:K.buf -> rlo:int -> rhi:int -> unit;
-}
-
-let ops2 =
-  { jacobi = K.jacobi2d;
-    scalef = K.scalef2d;
-    resid = K.resid2d;
-    restr = K.restrict2d;
-    interp_correct = K.interp_correct2d;
-    copy = K.copy2d }
-
-let ops3 =
-  { jacobi = K.jacobi3d;
-    scalef = K.scalef3d;
-    resid = K.resid3d;
-    restr = K.restrict3d;
-    interp_correct = K.interp_correct3d;
-    copy = K.copy3d }
-
-type level = {
-  ln : int;
-  invhsq : float;
-  w : float;
-  ebuf : Buf.t;  (* level iterate *)
-  tmp : Buf.t;  (* smoothing ping-pong partner *)
-  frhs : Buf.t;  (* level right-hand side *)
-  r : Buf.t;  (* residual scratch (also the restriction source) *)
-  mutable seen : visit list;  (* newest first *)
-}
-
-type state = {
-  cfg : Cycle.config;
-  n : int;
-  ops : ops;
-  levels : level array;  (* index 0 = coarsest *)
-}
-
-let make_state cfg ~n =
-  (match cfg.Cycle.shape with
-  | Cycle.V | Cycle.W -> ()
-  | Cycle.F -> invalid_arg "Health.observe: F-cycles not supported");
-  (match cfg.Cycle.smoother with
-  | Cycle.Jacobi -> ()
-  | Cycle.Gsrb -> invalid_arg "Health.observe: GSRB smoothing not supported");
-  let nlev = cfg.Cycle.levels in
-  if n mod (1 lsl (nlev - 1)) <> 0 then
-    invalid_arg "Health.observe: N must be divisible by 2^(levels-1)";
-  let dims = cfg.Cycle.dims in
-  let levels =
-    Array.init nlev (fun l ->
-        let nl = (n / (1 lsl (nlev - 1 - l))) - 1 in
-        let len = int_of_float (float_of_int (nl + 2) ** float_of_int dims) in
-        let invhsq = float_of_int ((nl + 1) * (nl + 1)) in
-        { ln = nl;
-          invhsq;
-          w = cfg.Cycle.omega /. (float_of_int (2 * dims) *. invhsq);
-          ebuf = Buf.create len;
-          tmp = Buf.create len;
-          frhs = Buf.create len;
-          r = Buf.create len;
-          seen = [] })
-  in
-  { cfg; n; ops = (if dims = 2 then ops2 else ops3); levels }
-
-let data (b : Buf.t) = b.Buf.data
-
-(* RMS over the interior, matching Verify.residual_l2's scaling. *)
-let interior_rms st (lv : level) (buf : Buf.t) =
-  let s = lv.ln + 2 in
-  let d = data buf in
-  let sum = ref 0.0 in
-  (match st.cfg.Cycle.dims with
-  | 2 ->
-    for i = 1 to lv.ln do
-      for j = 1 to lv.ln do
-        let x = Bigarray.Array1.unsafe_get d ((i * s) + j) in
-        sum := !sum +. (x *. x)
-      done
-    done
-  | _ ->
-    for i = 1 to lv.ln do
-      for j = 1 to lv.ln do
-        for k = 1 to lv.ln do
-          let x =
-            Bigarray.Array1.unsafe_get d ((((i * s) + j) * s) + k)
-          in
-          sum := !sum +. (x *. x)
-        done
-      done
-    done);
-  let count = float_of_int lv.ln ** float_of_int st.cfg.Cycle.dims in
-  sqrt (!sum /. count)
-
-(* Level residual norm: r <- frhs - A e, then RMS(r).  The residual is
-   left in [lv.r], so the caller can restrict it without recomputing. *)
-let resid_norm st (lv : level) =
-  let o = st.ops in
-  o.resid ~n:lv.ln ~invhsq:lv.invhsq ~v:(data lv.ebuf)
-    ~frhs:(data lv.frhs) ~dst:(data lv.r) ~rlo:1 ~rhi:lv.ln;
-  interior_rms st lv lv.r
-
-(* Jacobi smoothing with ping-pong buffers; the result always lands back
-   in [lv.ebuf].  [zero_init] means the incoming iterate is (logically)
-   zero, so the first step is the scalef special case, exactly as the
-   DSL cycle and Handopt build it. *)
-let smooth st (lv : level) ~steps ~zero_init =
-  if steps > 0 then begin
-    let o = st.ops in
-    let n = lv.ln in
-    let a = ref lv.ebuf and b = ref lv.tmp in
-    for step = 1 to steps do
-      (if step = 1 && zero_init then
-         o.scalef ~n ~w:lv.w ~frhs:(data lv.frhs) ~dst:(data !b)
-           ~rlo:1 ~rhi:n
-       else
-         o.jacobi ~n ~w:lv.w ~invhsq:lv.invhsq ~src:(data !a)
-           ~frhs:(data lv.frhs) ~dst:(data !b) ~rlo:1 ~rhi:n);
-      let t = !a in
-      a := !b;
-      b := t
-    done;
-    if not (!a == lv.ebuf) then
-      o.copy ~n ~src:(data !a) ~dst:(data lv.ebuf) ~rlo:1 ~rhi:n
-  end
-
-let rec visit st ~cycle ~level ~zero_init =
-  let lv = st.levels.(level) in
-  if zero_init then Buf.fill lv.ebuf 0.0;
-  let pre = resid_norm st lv in
-  let v =
-    if level = 0 then begin
-      smooth st lv ~steps:st.cfg.Cycle.n2 ~zero_init;
-      let m = resid_norm st lv in
-      { cycle; pre; mid = m; post = m }
-    end
-    else begin
-      let o = st.ops in
-      smooth st lv ~steps:st.cfg.Cycle.n1 ~zero_init;
-      let mid = resid_norm st lv in
-      (* resid_norm left the fresh residual in lv.r: restrict it into
-         the coarse right-hand side and recurse for the correction *)
-      let co = st.levels.(level - 1) in
-      o.restr ~nc:co.ln ~fine:(data lv.r) ~dst:(data co.frhs) ~rlo:1
-        ~rhi:co.ln;
-      let recursions =
-        match st.cfg.Cycle.shape with
-        | Cycle.W when level >= 2 -> 2
-        | Cycle.V | Cycle.W | Cycle.F -> 1
-      in
-      for k = 1 to recursions do
-        visit st ~cycle ~level:(level - 1) ~zero_init:(k = 1)
-      done;
-      o.interp_correct ~nc:co.ln ~coarse:(data co.ebuf)
-        ~v:(data lv.ebuf) ~rlo:0 ~rhi:co.ln;
-      smooth st lv ~steps:st.cfg.Cycle.n3 ~zero_init:false;
-      let post = resid_norm st lv in
-      { cycle; pre; mid; post }
-    end
-  in
-  lv.seen <- v :: lv.seen
-
-(* ------------------------------------------------------------------ *)
 (* Statistics *)
 
 let geo_mean ratios =
@@ -241,8 +64,8 @@ let stall_of_series p =
     if c - !j >= 2 then Some (!j + 1) else None
   end
 
-let diag_of_level (lv : level) ~level =
-  let visits = Array.of_list (List.rev lv.seen) in
+let diag_of_level ~level ~nl seen =
+  let visits = Array.of_list (List.rev seen) in
   let ratios sel =
     Array.to_list visits
     |> List.filter_map (fun v ->
@@ -259,7 +82,7 @@ let diag_of_level (lv : level) ~level =
         Option.value (Hashtbl.find_opt by_cycle (i + 1)) ~default:Float.nan)
   in
   { level;
-    nl = lv.ln;
+    nl;
     visits;
     smoothing_rate = geo_mean (ratios (fun v -> (v.mid, v.pre)));
     level_factor = geo_mean (ratios (fun v -> (v.post, v.pre)));
@@ -285,27 +108,65 @@ let asymptotic ~residual0 ~residuals =
 
 let observe cfg ~n ~cycles ?problem () =
   if cycles < 1 then invalid_arg "Health.observe: cycles must be >= 1";
-  let st = make_state cfg ~n in
+  (match cfg.Cycle.shape with
+  | Cycle.V | Cycle.W -> ()
+  | Cycle.F -> invalid_arg "Health.observe: F-cycles not supported");
+  (match cfg.Cycle.smoother with
+  | Cycle.Jacobi -> ()
+  | Cycle.Gsrb -> invalid_arg "Health.observe: GSRB smoothing not supported");
+  let nlev = cfg.Cycle.levels in
+  if n mod (1 lsl (nlev - 1)) <> 0 then
+    invalid_arg "Health.observe: N must be divisible by 2^(levels-1)";
+  let dims = cfg.Cycle.dims in
   let problem =
-    match problem with
-    | Some p -> p
-    | None -> Problem.poisson ~dims:cfg.Cycle.dims ~n
+    match problem with Some p -> p | None -> Problem.poisson ~dims ~n
   in
-  let finest = st.levels.(Array.length st.levels - 1) in
-  let expect = Array.make cfg.Cycle.dims (finest.ln + 2) in
+  let expect = Array.make dims (n + 1) in
   if
     Grid.extents problem.Problem.v <> expect
     || Grid.extents problem.Problem.f <> expect
   then invalid_arg "Health.observe: problem extents mismatch";
-  Buf.blit ~src:problem.Problem.f.Grid.buf ~dst:finest.frhs;
-  Buf.blit ~src:problem.Problem.v.Grid.buf ~dst:finest.ebuf;
-  let residual0 = resid_norm st finest in
+  (* Verify reads grids and the probe's buffers belong to the cycle, so
+     each phase copies the level's iterate and right-hand side into
+     level-sized grids and takes the norm there. *)
+  let nls = Array.init nlev (fun l -> (n / (1 lsl (nlev - 1 - l))) - 1) in
+  let iterates = Array.map (Grid.interior ~dims) nls in
+  let rhss = Array.map (Grid.interior ~dims) nls in
+  let pre = Array.make nlev Float.nan and mid = Array.make nlev Float.nan in
+  let seen = Array.make nlev [] in
+  let cycle = ref 0 in
+  let probe ~level phase iterate frhs =
+    let v = iterates.(level) and f = rhss.(level) in
+    (match iterate with
+    | Some e -> Bigarray.Array1.blit e v.Grid.buf.Buf.data
+    | None -> Grid.fill v 0.0);
+    Bigarray.Array1.blit frhs f.Grid.buf.Buf.data;
+    let r = Verify.residual_l2 ~n:(nls.(level) + 1) ~v ~f in
+    let record post =
+      seen.(level) <-
+        { cycle = !cycle; pre = pre.(level); mid = mid.(level); post }
+        :: seen.(level)
+    in
+    match phase with
+    | Handopt.Entry -> pre.(level) <- r
+    | Handopt.Pre_smoothed ->
+      mid.(level) <- r;
+      if level = 0 then record r
+    | Handopt.Corrected -> record r
+  in
+  let step =
+    Handopt.stepper
+      (Handopt.create cfg ~n ~par:Parallel.sequential ~probe ())
+  in
+  let v = Grid.copy problem.Problem.v and out = Grid.copy problem.Problem.v in
+  let f = problem.Problem.f in
+  let residual0 = Verify.residual_l2 ~n ~v ~f in
   let residuals =
     Array.init cycles (fun c ->
-        visit st ~cycle:(c + 1)
-          ~level:(Array.length st.levels - 1)
-          ~zero_init:false;
-        (List.hd finest.seen).post)
+        cycle := c + 1;
+        let v, out = if c land 1 = 0 then (v, out) else (out, v) in
+        step ~v ~f ~out;
+        (List.hd seen.(nlev - 1)).post)
   in
   let cycle_factors =
     Array.mapi
@@ -314,7 +175,9 @@ let observe cfg ~n ~cycles ?problem () =
         if prev > 0.0 then r /. prev else Float.nan)
       residuals
   in
-  let level_diags = Array.mapi (fun l lv -> diag_of_level lv ~level:l) st.levels in
+  let level_diags =
+    Array.init nlev (fun l -> diag_of_level ~level:l ~nl:nls.(l) seen.(l))
+  in
   let stalled_level =
     Array.to_list level_diags
     |> List.filter_map (fun d ->

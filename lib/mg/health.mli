@@ -6,12 +6,12 @@
     cycle contracting, and if convergence stalls, {e which level}
     stopped reducing its residual and when.
 
-    The observatory runs a sequential reference V/W-cycle (the
-    {!Kernels} path, the same per-level sizes and Jacobi weights as
-    {!Handopt}) instrumented at every level visit: the level residual
-    norm is measured on entry ([pre]), after pre-smoothing ([mid]) and
-    after coarse correction + post-smoothing ([post]).  From those
-    series it derives the standard multigrid health numbers:
+    The observatory runs a sequential {!Handopt} V/W-cycle with a
+    {!Handopt.probe} at every level visit: the level residual norm
+    ({!Verify.residual_l2} on the level's grid) is measured on entry
+    ([pre]), after pre-smoothing ([mid]) and after coarse correction +
+    post-smoothing ([post]).  From those series it derives the standard
+    multigrid health numbers:
 
     - {e convergence factor} per cycle: [r_c / r_(c-1)] on the finest
       grid, and the {e asymptotic} factor — the geometric mean over the
@@ -25,8 +25,8 @@
       residual at cycle 7".
 
     Like {!Handopt}, only Jacobi-smoothed V and W cycles are supported
-    ([Invalid_argument] otherwise).  The probe is diagnostic: it runs
-    its own iterate, never touching the production solve's state. *)
+    ([Invalid_argument] otherwise).  The observatory is diagnostic: it
+    runs its own iterate, never touching the production solve's state. *)
 
 type visit = {
   cycle : int;  (** 1-based cycle this visit belongs to *)
@@ -60,8 +60,8 @@ type report = {
 
 val observe :
   Cycle.config -> n:int -> cycles:int -> ?problem:Problem.t -> unit -> report
-(** Runs [cycles] reference cycles on [problem] (default: the standard
-    Poisson problem) and returns the full diagnostic report.
+(** Runs [cycles] probed {!Handopt} cycles on [problem] (default: the
+    standard Poisson problem) and returns the full diagnostic report.
     @raise Invalid_argument for F-cycles, GSRB smoothing, or [n] not
     divisible by [2^(levels-1)]. *)
 

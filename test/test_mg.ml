@@ -167,12 +167,65 @@ let test_handopt_matches_polymg () =
       (2, Cycle.V, (3, 1, 2)) ]
 
 let test_handopt_rejects_fcycle () =
-  let cfg = Cycle.default ~dims:2 ~shape:Cycle.F ~smoothing:(2, 2, 2) in
-  check_bool "raises" true
-    (try
-       ignore (Handopt.create cfg ~n:32 ~par:Repro_runtime.Parallel.sequential ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (what, cfg) ->
+      check_bool (what ^ " raises") true
+        (try
+           ignore
+             (Handopt.create cfg ~n:32 ~par:Repro_runtime.Parallel.sequential ());
+           false
+         with Invalid_argument _ -> true))
+    [ ("F-cycle", Cycle.default ~dims:2 ~shape:Cycle.F ~smoothing:(2, 2, 2));
+      ( "GSRB",
+        { (Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(2, 2, 2)) with
+          Cycle.smoother = Cycle.Gsrb } ) ]
+
+(* Health instruments Handopt: its finest residuals are Verify's norms of
+   a plain sequential Handopt run's iterates, bit for bit, and a probe
+   leaves the iterates bit-identical. *)
+let test_health_matches_handopt () =
+  let bits (g : Grid.t) =
+    Array.map Int64.bits_of_float (Repro_grid.Buf.to_array g.Grid.buf)
+  in
+  List.iter
+    (fun (dims, shape) ->
+      let cfg = Cycle.default ~dims ~shape ~smoothing:(4, 4, 4) in
+      let n = if dims = 2 then 32 else 16 and cycles = 4 in
+      let problem = Problem.poisson_random ~dims ~n ~seed:5 in
+      let f = problem.Problem.f in
+      let iterates ?probe () =
+        let step =
+          Handopt.stepper
+            (Handopt.create cfg ~n ~par:Repro_runtime.Parallel.sequential
+               ?probe ())
+        in
+        let v = ref (Grid.copy problem.Problem.v) in
+        List.init cycles (fun _ ->
+            let out = Grid.copy !v in
+            step ~v:!v ~f ~out;
+            v := out;
+            out)
+      in
+      let plain = iterates () in
+      let probed = iterates ~probe:(fun ~level:_ _ _ _ -> ()) () in
+      let h = Health.observe cfg ~n ~cycles ~problem () in
+      let same what a b =
+        check_bool
+          (Printf.sprintf "%s %s" (Cycle.bench_name cfg) what)
+          true
+          (Int64.bits_of_float a = Int64.bits_of_float b)
+      in
+      same "residual0" h.Health.residual0
+        (Verify.residual_l2 ~n ~v:problem.Problem.v ~f);
+      List.iteri
+        (fun c v ->
+          same (Printf.sprintf "residual %d" (c + 1)) h.Health.residuals.(c)
+            (Verify.residual_l2 ~n ~v ~f))
+        plain;
+      List.iter2
+        (fun a b -> check_bool "probed iterate" true (bits a = bits b))
+        plain probed)
+    [ (2, Cycle.V); (2, Cycle.W); (3, Cycle.V) ]
 
 let test_verify_residual_of_exact_discrete () =
   (* residual of f against A·v is zero when f = A·v by construction *)
@@ -412,7 +465,9 @@ let () =
             test_solution_approaches_exact ] );
       ( "baselines",
         [ Alcotest.test_case "handopt == polymg" `Quick test_handopt_matches_polymg;
-          Alcotest.test_case "handopt rejects F" `Quick test_handopt_rejects_fcycle ] );
+          Alcotest.test_case "handopt rejects F" `Quick test_handopt_rejects_fcycle;
+          Alcotest.test_case "health instruments handopt" `Quick
+            test_health_matches_handopt ] );
       ( "problem & verify",
         [ Alcotest.test_case "residual of exact" `Quick
             test_verify_residual_of_exact_discrete;
