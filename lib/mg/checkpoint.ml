@@ -105,11 +105,10 @@ let prune config ~newest =
   if excess > 0 then
     List.iteri
       (fun i g ->
-        if i < excess && g <> newest then begin
-          (try Sys.remove (gen_path ~dir:config.dir g)
-           with Sys_error _ -> ());
-          Telemetry.add c_pruned 1
-        end)
+        if i < excess && g <> newest then
+          match Sys.remove (gen_path ~dir:config.dir g) with
+          | () -> Telemetry.add c_pruned 1
+          | exception Sys_error _ -> ())
       gens;
   match Sys.readdir config.dir with
   | exception Sys_error _ -> ()
@@ -132,7 +131,7 @@ let save config st =
   ensure_dir config.dir;
   let path = gen_path ~dir:config.dir st.cycle in
   Snapshot.write ~path ~meta:(meta_of_state st)
-    ~payloads:[ Snapshot.payload_of_buf st.v.Grid.buf ];
+    ~payloads:[ Snapshot.Floats st.v.Grid.buf ];
   Telemetry.add c_writes 1;
   if Flightrec.on () then
     Flightrec.emit
@@ -142,66 +141,90 @@ let save config st =
 
 let mem k d = Option.value (Json.member k d) ~default:Json.Null
 
+(* A history entry that does not parse is an [Error], never dropped: a
+   resumed run must not silently carry a shorter history. *)
+let history_of j =
+  let entry h =
+    match (Json.to_int (mem "cycle" h), Json.to_str (mem "status" h)) with
+    | Some cycle, Some name -> (
+      match status_of_name name with
+      | Some status ->
+        Some
+          { Solver.cycle;
+            residual =
+              Option.value (Json.to_float (mem "residual" h))
+                ~default:Float.nan;
+            seconds =
+              Option.value (Json.to_float (mem "seconds" h)) ~default:0.0;
+            status }
+      | None -> None)
+    | _ -> None
+  in
+  let entries = Json.to_list j in
+  let history = List.filter_map entry entries in
+  if List.length history = List.length entries then Ok history
+  else Error "metadata: unparsable history entry"
+
+(* Extents are checked before anything is allocated from them: one
+   integer per dimension, each at least 1, and exactly [len] payload
+   bytes between them.  The product is bounded step by step, so a huge
+   extent can neither overflow it nor size an allocation. *)
+let extents_of ~dims ~len j =
+  let rec bytes acc = function
+    | [] -> Some acc
+    | e :: rest -> if e < 1 || e > len / acc then None else bytes (acc * e) rest
+  in
+  let items = Json.to_list j in
+  let ints = List.filter_map Json.to_int items in
+  if items = [] then Error "metadata: missing extents"
+  else if List.length ints <> List.length items || List.length ints <> dims
+  then Error (Printf.sprintf "metadata: extents are not %d integers" dims)
+  else
+    match bytes 8 ints with
+    | Some b when b = len -> Ok (Array.of_list ints)
+    | _ ->
+      Error
+        (Printf.sprintf "metadata: extents [%s] do not match the %d-byte \
+                         grid payload"
+           (String.concat "," (List.map string_of_int ints))
+           len)
+
 let load ~path =
-  match Snapshot.read ~path with
-  | Error m -> Error m
-  | Ok (meta, payloads) -> (
-    let int k = Json.to_int (mem k meta) in
-    let str k = Json.to_str (mem k meta) in
-    match (str "kind", int "cycle", int "dims", int "n") with
-    | Some "mg-checkpoint", Some cycle, Some dims, Some n -> (
-      let extents =
-        List.filter_map Json.to_int (Json.to_list (mem "extents" meta))
-      in
-      let history =
-        Json.to_list (mem "history" meta)
-        |> List.filter_map (fun h ->
-               match
-                 ( Json.to_int (mem "cycle" h),
-                   Json.to_str (mem "status" h) )
-               with
-               | Some cycle, Some status_name -> (
-                 match status_of_name status_name with
-                 | Some status ->
-                   Some
-                     { Solver.cycle;
-                       residual =
-                         Option.value
-                           (Json.to_float (mem "residual" h))
-                           ~default:Float.nan;
-                       seconds =
-                         Option.value
-                           (Json.to_float (mem "seconds" h))
-                           ~default:0.0;
-                       status }
-                 | None -> None)
-               | _ -> None)
-      in
-      match (extents, payloads) with
-      | [], _ -> Error "metadata: missing extents"
-      | extents, [ payload ] -> (
-        let v = Grid.create (Array.of_list extents) in
-        match Snapshot.payload_to_buf payload v.Grid.buf with
-        | Error m -> Error ("grid payload: " ^ m)
-        | Ok () ->
-          Ok
-            { cycle;
-              residual =
-                Option.value
-                  (Json.to_float (mem "residual" meta))
-                  ~default:Float.nan;
-              dims;
-              n;
-              variant = Option.value (str "variant") ~default:"";
-              plan_digest = Option.value (str "plan_digest") ~default:"";
-              seed = Option.value (int "seed") ~default:0;
-              history;
-              v })
-      | _, payloads ->
+  let ( let* ) = Result.bind in
+  let* meta, payloads = Snapshot.read ~path in
+  let int k = Json.to_int (mem k meta) in
+  let str k = Json.to_str (mem k meta) in
+  match (str "kind", int "cycle", int "dims", int "n") with
+  | Some "mg-checkpoint", Some cycle, Some dims, Some n ->
+    let* payload =
+      match payloads with
+      | [ p ] -> Ok p
+      | ps ->
         Error
           (Printf.sprintf "expected 1 grid payload, found %d"
-             (List.length payloads)))
-    | _ -> Error "metadata: not an mg-checkpoint")
+             (List.length ps))
+    in
+    let* extents =
+      extents_of ~dims ~len:payload.Snapshot.len (mem "extents" meta)
+    in
+    let* history = history_of (mem "history" meta) in
+    let v = Grid.create extents in
+    let* () =
+      Snapshot.read_floats payload v.Grid.buf
+      |> Result.map_error (fun m -> "grid payload: " ^ m)
+    in
+    Ok
+      { cycle;
+        residual =
+          Option.value (Json.to_float (mem "residual" meta)) ~default:Float.nan;
+        dims;
+        n;
+        variant = Option.value (str "variant") ~default:"";
+        plan_digest = Option.value (str "plan_digest") ~default:"";
+        seed = Option.value (int "seed") ~default:0;
+        history;
+        v }
+  | _ -> Error "metadata: not an mg-checkpoint"
 
 type resume = {
   gen : int;
@@ -264,6 +287,7 @@ let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
     ?(history_prefix = []) () =
   let every = max 1 config.every in
   let last : state option ref = ref None in
+  let spare : Grid.t option ref = ref None in
   let last_saved = ref min_int in
   let state_of ~cycle ~residual ~v ~stats =
     { cycle;
@@ -288,10 +312,22 @@ let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
           last := Some st;
           ignore (save_state st)
         end
-        else
+        else begin
           (* off-cadence: the solve loop ping-pongs [v], so a deferred
-             flush must snapshot its own copy, not the live buffer *)
-          last := Some (state_of ~cycle ~residual ~v:(Grid.copy v) ~stats));
+             flush must snapshot its own copy, not the live buffer; one
+             spare grid, retained across cycles, holds it *)
+          let copy =
+            match !spare with
+            | Some g when Grid.extents g = Grid.extents v ->
+              Grid.blit ~src:v ~dst:g;
+              g
+            | _ ->
+              let g = Grid.copy v in
+              spare := Some g;
+              g
+          in
+          last := Some (state_of ~cycle ~residual ~v:copy ~stats)
+        end);
     flush =
       (fun () ->
         match !last with

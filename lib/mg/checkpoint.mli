@@ -61,7 +61,10 @@ val save : config -> state -> string
 
 val load : path:string -> (state, string) result
 (** Reads one generation file back, verifying the container framing and
-    the metadata/payload consistency. *)
+    the metadata/payload consistency: one extent per dimension, each at
+    least 1, covering exactly the grid payload (checked before the grid
+    is allocated), and every history entry parsed.  Any violation is an
+    [Error], so {!load_latest} falls back to an older generation. *)
 
 type resume = {
   gen : int;  (** generation restored *)

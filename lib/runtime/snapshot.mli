@@ -22,9 +22,13 @@
 
 (** {2 CRC-32} *)
 
-val crc32 : ?crc:int -> string -> int
-(** IEEE CRC-32 (the zlib/PNG polynomial) of a string, as an unsigned
-    32-bit value in an [int].  [?crc] continues a running checksum. *)
+val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
+(** IEEE CRC-32 (the zlib/PNG polynomial) of the [len] bytes of a
+    string from [pos] (default: the whole string), as an unsigned
+    32-bit value in an [int].  [?crc] continues a running checksum.
+    Slicing-by-8: eight table lookups per eight bytes, equal to the
+    byte-at-a-time definition on every input.  Raises
+    [Invalid_argument] when the range is outside the string. *)
 
 (** {2 Atomic file replacement} *)
 
@@ -54,25 +58,34 @@ val set_crash_spec : crash_spec option -> unit
 val schema : string
 (** ["polymg.snapshot/1"]. *)
 
-val write : path:string -> meta:Json.t -> payloads:string list -> unit
+type payload =
+  | Raw of string  (** bytes stored as they are *)
+  | Floats of Repro_grid.Buf.t
+      (** the buffer's doubles as little-endian IEEE-754, bit-exact, so
+          a restored iterate is the {e same} floats and a resumed solve
+          replays the uninterrupted one exactly *)
+
+val write : path:string -> meta:Json.t -> payloads:payload list -> unit
 (** Atomically writes a snapshot: magic line, CRC-framed header (the
     schema, the payload count, and the caller's [meta] document), one
-    CRC-framed section per payload, and a CRC-framed end marker. *)
+    CRC-framed section per payload, and a CRC-framed end marker.  The
+    file is laid out in one buffer of its exact size; a [Floats]
+    payload is encoded straight from the buffer, its CRC computed in
+    the same pass. *)
 
-val read : path:string -> (Json.t * string list, string) result
-(** Reads a snapshot back, verifying the magic, every frame's CRC, the
-    header's declared payload count, the end marker, and that no bytes
-    trail it.  [Error] carries a one-line reason; any single-byte
-    corruption or truncation of the file is rejected. *)
+type frame = private { file : string; pos : int; len : int }
+(** A verified payload in place: bytes [pos .. pos + len - 1] of the
+    file's contents [file]. *)
 
-(** {2 Grid payload codec}
+val frame_contents : frame -> string
 
-    Bit-exact binary encoding for {!Repro_grid.Buf} contents
-    (little-endian IEEE-754 doubles), so a restored iterate is the
-    {e same} floats — a resumed solve replays the uninterrupted one
-    exactly. *)
+val read_floats : frame -> Repro_grid.Buf.t -> (unit, string) result
+(** Decodes a [Floats] payload into an existing buffer; [Error] on a
+    length mismatch. *)
 
-val payload_of_buf : Repro_grid.Buf.t -> string
-
-val payload_to_buf : string -> Repro_grid.Buf.t -> (unit, string) result
-(** Decodes into an existing buffer; [Error] on length mismatch. *)
+val read : path:string -> (Json.t * frame list, string) result
+(** Reads a snapshot back, verifying the magic, every frame's CRC (in
+    place, before any payload is copied or decoded), the header's
+    declared payload count, the end marker, and that no bytes trail
+    it.  [Error] carries a one-line reason; any single-byte corruption
+    or truncation of the file is rejected. *)

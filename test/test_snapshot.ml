@@ -4,9 +4,14 @@
    container round-trips metadata and payloads bit-identically, and any
    single-byte corruption, truncation, or trailing garbage makes [read]
    reject the file — the CRC framing never deserializes a torn write.
-   Unit tests cover the CRC test vector, atomic replacement, generation
-   rotation (the newest good generation is never deleted), corrupt-
-   generation fallback, the deadline-aware cadence clamp, and the
+   The slicing-by-8 CRC equals the byte-at-a-time definition, and the
+   one-pass writer produces the same bytes as the original
+   Buffer-based writer (both kept verbatim below as oracles).
+   Unit tests cover the CRC test vector, a checkpoint written by the
+   original writer (test/fixtures), the writer's allocation, atomic
+   replacement, generation rotation (the newest good generation is never
+   deleted), corrupt-generation fallback, metadata the loader must
+   reject, the prune counter, the deadline-aware cadence clamp, and the
    sink's deferred-flush copy semantics. *)
 
 open Repro_mg
@@ -14,6 +19,7 @@ module Grid = Repro_grid.Grid
 module Buf = Repro_grid.Buf
 module Snapshot = Repro_runtime.Snapshot
 module Json = Repro_runtime.Json
+module Telemetry = Repro_runtime.Telemetry
 
 let tmpdir = "snapshot-test-tmp"
 
@@ -51,6 +57,74 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
+(* -- oracles: the original byte-wise CRC, grid codec and writer ------- *)
+
+let oracle_crc_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         !c))
+
+let oracle_crc32 ?(crc = 0) s =
+  let table = Lazy.force oracle_crc_table in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  String.iter
+    (fun ch ->
+      c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let oracle_payload_of_buf buf =
+  let len = Buf.len buf in
+  let b = Bytes.create (8 * len) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (Buf.unsafe_get buf i))
+  done;
+  Bytes.unsafe_to_string b
+
+let oracle_payload_to_buf s buf =
+  let len = Buf.len buf in
+  if String.length s <> 8 * len then
+    Error
+      (Printf.sprintf "payload is %d bytes, buffer needs %d"
+         (String.length s) (8 * len))
+  else begin
+    let b = Bytes.unsafe_of_string s in
+    for i = 0 to len - 1 do
+      Buf.unsafe_set buf i (Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
+    done;
+    Ok ()
+  end
+
+let oracle_add_u32 b v =
+  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
+  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
+  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
+  Buffer.add_char b (Char.chr (v land 0xFF))
+
+let oracle_add_frame b payload =
+  oracle_add_u32 b (String.length payload);
+  Buffer.add_string b payload;
+  oracle_add_u32 b (oracle_crc32 payload)
+
+(* the file contents the original [Snapshot.write] produced *)
+let oracle_file ~meta ~payloads =
+  let header =
+    Json.Obj
+      [ ("schema", Json.Str Snapshot.schema);
+        ("frames", Json.num (List.length payloads));
+        ("meta", meta) ]
+  in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Snapshot.schema ^ "\n");
+  oracle_add_frame b (Json.to_string header);
+  List.iter (oracle_add_frame b) payloads;
+  oracle_add_frame b "POLYMG-END";
+  Buffer.contents b
+
 (* -- arbitraries -------------------------------------------------------- *)
 
 let meta_arb =
@@ -83,8 +157,23 @@ let meta_of kvs =
 
 let write_snapshot (kvs, payloads) =
   let path = fresh "prop" in
-  Snapshot.write ~path ~meta:(meta_of kvs) ~payloads;
+  Snapshot.write ~path ~meta:(meta_of kvs)
+    ~payloads:(List.map (fun p -> Snapshot.Raw p) payloads);
   path
+
+let float_arb =
+  (* every class of double the codec must carry bit-exactly *)
+  QCheck.(
+    make ~print:(fun x -> Printf.sprintf "%h" x)
+      Gen.(
+        oneof
+          [ float;
+            map Int64.float_of_bits ui64;
+            oneofl
+              [ Float.nan; -0.0; Float.infinity; Float.neg_infinity;
+                Int64.float_of_bits 1L; Float.min_float ] ]))
+
+let floats_arb = QCheck.list_of_size QCheck.Gen.(int_range 1 64) float_arb
 
 (* -- properties --------------------------------------------------------- *)
 
@@ -94,9 +183,62 @@ let prop_roundtrip =
       let path = write_snapshot s in
       match Snapshot.read ~path with
       | Error m -> QCheck.Test.fail_reportf "rejected own write: %s" m
-      | Ok (meta, payloads') ->
+      | Ok (meta, frames) ->
         Json.to_string meta = Json.to_string (meta_of kvs)
-        && payloads' = payloads)
+        && List.map Snapshot.frame_contents frames = payloads)
+
+(* covers the fused grid frames too: each one's bytes and stored CRC
+   must equal the oracle encoding and the oracle CRC of it *)
+let prop_writer_matches_oracle =
+  QCheck.Test.make
+    ~name:"snapshot: one-pass writer reproduces the original bytes"
+    ~count:100
+    QCheck.(pair snapshot_arb (list_of_size Gen.(int_range 0 2) floats_arb))
+    (fun ((kvs, raws), grids) ->
+      let path = fresh "oracle" in
+      let bufs = List.map (fun xs -> Buf.of_array (Array.of_list xs)) grids in
+      Snapshot.write ~path ~meta:(meta_of kvs)
+        ~payloads:
+          (List.map (fun p -> Snapshot.Raw p) raws
+          @ List.map (fun b -> Snapshot.Floats b) bufs);
+      read_file path
+      = oracle_file ~meta:(meta_of kvs)
+          ~payloads:(raws @ List.map oracle_payload_of_buf bufs))
+
+let bytes_arb = QCheck.(string_gen_of_size Gen.(int_range 0 300) Gen.char)
+
+let prop_crc_matches_oracle =
+  QCheck.Test.make ~name:"crc32: slicing-by-8 equals the byte-wise oracle"
+    ~count:500
+    QCheck.(triple bytes_arb (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      let sub = String.sub s pos len in
+      Snapshot.crc32 s = oracle_crc32 s
+      && Snapshot.crc32 ~pos ~len s = oracle_crc32 sub
+      (* every tail length 0-7 after whole 8-byte blocks *)
+      && List.for_all
+           (fun t ->
+             let len = min (n - pos) ((len land lnot 7) + t) in
+             Snapshot.crc32 ~pos ~len s
+             = oracle_crc32 (String.sub s pos len))
+           [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc32: ?crc chaining at any split point"
+    ~count:300
+    QCheck.(pair bytes_arb (int_range 0 1_000_000))
+    (fun (s, k) ->
+      let n = String.length s in
+      let k = k mod (n + 1) in
+      let head = String.sub s 0 k and tail = String.sub s k (n - k) in
+      let whole = oracle_crc32 s in
+      Snapshot.crc32 ~crc:(Snapshot.crc32 head) tail = whole
+      && Snapshot.crc32 ~crc:(Snapshot.crc32 s ~len:k) ~pos:k s = whole
+      && Snapshot.crc32 ~crc:(oracle_crc32 head) tail
+         = oracle_crc32 ~crc:(oracle_crc32 head) tail)
 
 let prop_corruption_rejected =
   QCheck.Test.make
@@ -135,21 +277,32 @@ let prop_trailing_rejected =
       write_file path (read_file path ^ "x");
       match Snapshot.read ~path with Error _ -> true | Ok _ -> false)
 
+let same_bits a b =
+  Buf.len a = Buf.len b
+  && List.for_all
+       (fun i ->
+         Int64.bits_of_float (Buf.get a i) = Int64.bits_of_float (Buf.get b i))
+       (List.init (Buf.len a) Fun.id)
+
 let prop_grid_codec =
   QCheck.Test.make ~name:"snapshot: grid payload codec is bit-exact"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 64) float)
-    (fun xs ->
+    ~count:100 floats_arb (fun xs ->
       let buf = Buf.of_array (Array.of_list xs) in
-      let out = Buf.create (Buf.len buf) in
-      match Snapshot.payload_to_buf (Snapshot.payload_of_buf buf) out with
-      | Error m -> QCheck.Test.fail_reportf "decode: %s" m
-      | Ok () ->
-        List.for_all
-          (fun i ->
-            Int64.bits_of_float (Buf.get buf i)
-            = Int64.bits_of_float (Buf.get out i))
-          (List.init (Buf.len buf) Fun.id))
+      let path = fresh "codec" in
+      Snapshot.write ~path ~meta:Json.Null ~payloads:[ Snapshot.Floats buf ];
+      match Snapshot.read ~path with
+      | Error m -> QCheck.Test.fail_reportf "rejected own write: %s" m
+      | Ok (_, [ f ]) -> (
+        let out = Buf.create (Buf.len buf) in
+        let via_oracle = Buf.create (Buf.len buf) in
+        match
+          ( Snapshot.read_floats f out,
+            oracle_payload_to_buf (Snapshot.frame_contents f) via_oracle )
+        with
+        | Ok (), Ok () -> same_bits buf out && same_bits buf via_oracle
+        | Error m, _ | _, Error m -> QCheck.Test.fail_reportf "decode: %s" m)
+      | Ok (_, frames) ->
+        QCheck.Test.fail_reportf "%d frames" (List.length frames))
 
 (* -- unit tests --------------------------------------------------------- *)
 
@@ -239,6 +392,173 @@ let test_effective_every () =
   Alcotest.(check int) "a deadline clamps to every cycle" 1
     (Checkpoint.effective_every ~every:5 ~deadline:(Some 0.5))
 
+(* -- the parent writer's fixture ------------------------------------- *)
+
+(* beside the test executable, where the test stanza's deps put it *)
+let fixture_path =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat "fixtures" "ckpt-000001.snap")
+
+(* The state fixtures/ckpt-000001.snap holds, saved by the original
+   Buffer-based writer: NaN, -0.0, subnormals and an infinity in the
+   grid, and a one-entry history. *)
+let fixture_state () =
+  let v = Grid.create [| 9; 9 |] in
+  Grid.fill_all v ~f:(fun idx ->
+      (float_of_int ((idx.(0) * 9) + idx.(1)) *. 0.375) -. 7.0);
+  Grid.set2 v 1 1 (Int64.float_of_bits 0x7FF8_0000_0000_0001L);
+  Grid.set2 v 2 3 (-0.0);
+  Grid.set2 v 4 4 (Int64.float_of_bits 1L);
+  Grid.set2 v 5 6 2.2250738585072009e-308;
+  Grid.set2 v 7 7 Float.infinity;
+  { Checkpoint.cycle = 1;
+    residual = 0.0625;
+    dims = 2;
+    n = 7;
+    variant = "dtile-opt+";
+    plan_digest = "fixture-digest";
+    seed = 7;
+    history =
+      [ { Solver.cycle = 1; residual = 0.0625; seconds = 0.015625;
+          status = Solver.Ok } ];
+    v }
+
+let test_fixture () =
+  let expect = fixture_state () in
+  (match Checkpoint.load ~path:fixture_path with
+   | Error m -> Alcotest.failf "fixture rejected: %s" m
+   | Ok st ->
+     Alcotest.(check int) "cycle" expect.cycle st.Checkpoint.cycle;
+     Alcotest.(check (float 0.0)) "residual" expect.residual st.residual;
+     Alcotest.(check (list int))
+       "dims, n, seed" [ 2; 7; 7 ] [ st.dims; st.n; st.seed ];
+     Alcotest.(check (list string))
+       "variant, digest"
+       [ expect.variant; expect.plan_digest ]
+       [ st.variant; st.plan_digest ];
+     Alcotest.(check bool) "history" true (st.history = expect.history);
+     Alcotest.(check (array int))
+       "extents" [| 9; 9 |] (Grid.extents st.v);
+     Alcotest.(check bool)
+       "grid bit-identical" true
+       (same_bits st.v.Grid.buf expect.v.Grid.buf));
+  let path = Checkpoint.save (config (fresh "fixture")) expect in
+  Alcotest.(check bool)
+    "the writer reproduces the fixture byte for byte" true
+    (read_file path = read_file fixture_path)
+
+(* -- allocation --------------------------------------------------------- *)
+
+let test_save_allocation () =
+  let dir = fresh "alloc" in
+  let v = Grid.create [| 33; 33; 33 |] in
+  Grid.fill_all v ~f:(fun idx ->
+      float_of_int ((idx.(0) * 1089) + (idx.(1) * 33) + idx.(2)) *. 0.1);
+  let st cycle = { (mk_state ~cycle) with Checkpoint.dims = 3; n = 31; v } in
+  ignore (Checkpoint.save (config dir) (st 1));
+  let st2 = st 2 in
+  (* start from an empty minor heap: a minor collection that a large
+     allocation forces mid-measurement otherwise inflates minor_words *)
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  let path = Checkpoint.save (config dir) st2 in
+  let minor1, _, major1 = Gc.counters () in
+  let file_words = float_of_int ((Unix.stat path).Unix.st_size / 8) in
+  let major = major1 -. major0 and minor = minor1 -. minor0 in
+  if major > 1.1 *. file_words then
+    Alcotest.failf "%.0f major words for a %.0f-word file (limit 1.1x)" major
+      file_words;
+  if minor >= 10_000.0 then
+    Alcotest.failf "%.0f minor words (limit 10000)" minor
+
+(* -- metadata the loader must reject ----------------------------------- *)
+
+(* A generation written by hand: CRC-valid, whatever its metadata says. *)
+let hand_write ~dir ~gen ~extents ?(history = []) buf =
+  let meta =
+    Json.Obj
+      [ ("kind", Json.Str "mg-checkpoint");
+        ("cycle", Json.num gen);
+        ("residual", Json.Num 0.5);
+        ("dims", Json.num 2);
+        ("n", Json.num 7);
+        ("variant", Json.Str "opt+");
+        ("plan_digest", Json.Str "test-digest");
+        ("seed", Json.num 0);
+        ("extents", Json.Arr (List.map Json.num extents));
+        ("history", Json.Arr history) ]
+  in
+  mkdir_p dir;
+  Snapshot.write ~path:(Checkpoint.gen_path ~dir gen) ~meta
+    ~payloads:[ Snapshot.Floats buf ]
+
+let test_bad_extents_fallback () =
+  let dir = fresh "extents" in
+  ignore (Checkpoint.save (config dir) (mk_state ~cycle:1));
+  let buf = Buf.create 81 in
+  hand_write ~dir ~gen:2 ~extents:[ 9; 0 ] buf;
+  hand_write ~dir ~gen:3 ~extents:[ 9; 1 lsl 50 ] buf;
+  hand_write ~dir ~gen:4 ~extents:[ 81 ] buf;
+  hand_write ~dir ~gen:5 ~extents:[ 3; 3; 9 ] buf;
+  match Checkpoint.load_latest ~dir with
+  | Error m -> Alcotest.failf "no fallback: %s" m
+  | Ok r ->
+    Alcotest.(check int) "fell back to generation 1" 1 r.Checkpoint.gen;
+    Alcotest.(check (list int))
+      "rejected every bad-extents generation" [ 5; 4; 3; 2 ]
+      (List.map fst r.Checkpoint.rejected)
+
+let test_bad_history_rejected () =
+  let dir = fresh "history" in
+  let entry ?(cycle = Json.num 1) status =
+    Json.Obj
+      [ ("cycle", cycle);
+        ("residual", Json.Num 0.5);
+        ("seconds", Json.Num 0.0);
+        ("status", Json.Str status) ]
+  in
+  let load history =
+    hand_write ~dir ~gen:1 ~extents:[ 9; 9 ] ~history (Buf.create 81);
+    Checkpoint.load ~path:(Checkpoint.gen_path ~dir 1)
+  in
+  (match load [ entry "ok"; entry "stagnated" ] with
+   | Ok st ->
+     Alcotest.(check int) "valid history kept" 2 (List.length st.history)
+   | Error m -> Alcotest.failf "valid history rejected: %s" m);
+  List.iter
+    (fun (what, history) ->
+      match load history with
+      | Error _ -> ()
+      | Ok st ->
+        Alcotest.failf "%s accepted (%d entries kept)" what
+          (List.length st.history))
+    [ ("unknown status", [ entry "ok"; entry "exploded" ]);
+      ("missing cycle", [ entry ~cycle:Json.Null "ok" ]) ]
+
+let test_prune_counter () =
+  let dir = fresh "prune" in
+  (* a directory where generation 1 should be: Sys.remove refuses it *)
+  mkdir_p (Checkpoint.gen_path ~dir 1);
+  let pruned () =
+    Telemetry.value (Telemetry.counter "guard.checkpoint_pruned")
+  in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      let before = pruned () in
+      List.iter
+        (fun c -> ignore (Checkpoint.save (config dir) (mk_state ~cycle:c)))
+        [ 2; 3; 4 ];
+      Alcotest.(check int) "a failed removal is not counted" before (pruned ());
+      Alcotest.(check (list int))
+        "generation 1 is still there" [ 1; 2; 3; 4 ]
+        (Checkpoint.generations ~dir);
+      ignore (Checkpoint.save (config dir) (mk_state ~cycle:5));
+      Alcotest.(check int) "a removal is counted" (before + 1) (pruned ()))
+
 let test_sink_flush_copies () =
   (* off-cadence accepted state must be snapshotted by value: the solve
      loop ping-pongs the iterate buffer after on_accept returns *)
@@ -264,6 +584,34 @@ let test_sink_flush_copies () =
       "flushed the accepted values, not the reused buffer" 7.0
       (Grid.get2 r.Checkpoint.state.Checkpoint.v 3 3)
 
+let test_sink_spare_reused () =
+  (* consecutive off-cadence cycles share one spare grid: the flush must
+     still save the newest accepted values *)
+  let dir = fresh "spare" in
+  let sink =
+    Checkpoint.sink
+      { Checkpoint.dir; every = 1000; keep = 3 }
+      ~dims:2 ~n:8 ~variant:"opt+" ~plan_digest:"test-digest" ()
+  in
+  let v = Grid.create [| 9; 9 |] in
+  let accept cycle x =
+    Grid.fill_interior v ~f:(fun _ -> x);
+    sink.Checkpoint.on_accept ~cycle ~residual:x ~v
+      ~stats:[ { Solver.cycle; residual = x; seconds = 0.0;
+                 status = Solver.Ok } ]
+  in
+  accept 1 7.0;
+  accept 2 8.0;
+  Grid.fill_interior v ~f:(fun _ -> -1.0);
+  ignore (sink.Checkpoint.flush ());
+  match Checkpoint.load_latest ~dir with
+  | Error m -> Alcotest.failf "load after flush: %s" m
+  | Ok r ->
+    Alcotest.(check int) "newest accepted cycle" 2 r.Checkpoint.gen;
+    Alcotest.(check (float 0.0))
+      "flushed cycle 2's values" 8.0
+      (Grid.get2 r.Checkpoint.state.Checkpoint.v 3 3)
+
 let () =
   rm_rf tmpdir;
   let unit name f = Alcotest.test_case name `Quick f in
@@ -274,12 +622,21 @@ let () =
             prop_corruption_rejected;
             prop_truncation_rejected;
             prop_trailing_rejected;
-            prop_grid_codec ] );
+            prop_grid_codec;
+            prop_writer_matches_oracle;
+            prop_crc_matches_oracle;
+            prop_crc_chaining ] );
       ( "unit",
         [ unit "crc32 test vector" test_crc_vector;
+          unit "parent-written fixture" test_fixture;
+          unit "save allocation gate" test_save_allocation;
+          unit "bad extents fall back" test_bad_extents_fallback;
+          unit "bad history rejected" test_bad_history_rejected;
+          unit "prune counts removals only" test_prune_counter;
           unit "atomic replacement" test_atomic_replace;
           unit "generation rotation" test_rotation;
           unit "corrupt-generation fallback" test_corrupt_fallback;
           unit "empty directory" test_empty_dir;
           unit "deadline clamps cadence" test_effective_every;
-          unit "sink deferred flush copies" test_sink_flush_copies ] ) ]
+          unit "sink deferred flush copies" test_sink_flush_copies;
+          unit "sink reuses one spare grid" test_sink_spare_reused ] ) ]
