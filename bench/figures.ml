@@ -39,25 +39,13 @@ let smoother_params ~dims ~n name =
   | _ -> invalid_arg name
 
 let time_smoother ~dims ~steps ~n ~opts ~reps =
-  let p = smoother_pipeline ~dims ~steps in
-  let plan = Plan.build p ~opts ~n ~params:(smoother_params ~dims ~n) in
-  let vin =
-    (List.find (fun (f : Func.t) -> f.Func.name = "V") (Pipeline.inputs p))
-      .Func.id
+  let plan =
+    Plan.build (smoother_pipeline ~dims ~steps) ~opts ~n
+      ~params:(smoother_params ~dims ~n)
   in
-  let fin =
-    (List.find (fun (f : Func.t) -> f.Func.name = "F") (Pipeline.inputs p))
-      .Func.id
-  in
-  let out = List.hd (Pipeline.outputs p) in
-  let rt = Exec.runtime () in
   let problem = Problem.poisson_random ~dims ~n ~seed:7 in
-  let stepper ~v ~f ~out:og =
-    Exec.run plan rt ~inputs:[ (vin, v); (fin, f) ] ~outputs:[ (out, og) ]
-  in
-  let t = Harness.time_stepper ~reps ~cycles:1 stepper problem in
-  Exec.free_runtime rt;
-  t
+  Exec.with_runtime @@ fun rt ->
+  Tune.seconds_per_cycle ~reps ~cycles:1 (Solver.plan_stepper plan ~rt) problem
 
 let fig11a ~cls ~reps () =
   let dims = 3 in
@@ -153,37 +141,28 @@ let fig12 ~cls ~cycles () =
   Printf.printf "  %-6s %-10s %12s %12s\n" "limit" "tile" "opt (s/cy)"
     "opt+ (s/cy)";
   let problem = Problem.poisson_random ~dims ~n ~seed:3 in
-  let best = ref (infinity, "") in
-  List.iter
-    (fun limit ->
-      List.iter
-        (fun t0 ->
-          List.iter
-            (fun t1 ->
-              let tile = [| t0; t1 |] in
-              let time opts =
-                let opts =
-                  { (Options.with_tiles opts ~t2:tile ~t3:opts.Options.tile_3d)
-                    with Options.group_size_limit = limit }
-                in
-                let rt = Exec.runtime () in
-                let stepper = Solver.polymg_stepper cfg ~n ~opts ~rt in
-                let t = Harness.time_stepper ~reps:1 ~cycles stepper problem in
-                Exec.free_runtime rt;
-                t
-              in
-              let t_opt = time Options.opt in
-              let t_optp = time Options.opt_plus in
-              let tag = Printf.sprintf "limit=%d tile=%dx%d" limit t0 t1 in
-              if t_optp < fst !best then best := (t_optp, tag);
-              Printf.printf "  %-6d %-10s %12.4f %12.4f\n" limit
-                (Printf.sprintf "%dx%d" t0 t1)
-                t_opt t_optp)
-            [ 64; 128; 256; 512 ])
-        [ 8; 16; 32; 64 ])
-    [ 2; 4; 6; 8; 12 ];
-  let t, tag = !best in
-  Printf.printf "  best opt+ configuration: %s (%.4f s/cycle)\n" tag t
+  let make opts ~rt = Solver.polymg_stepper cfg ~n ~opts ~rt in
+  let time opts = Tune.time ~cycles ~make problem opts in
+  let show t = Option.value t ~default:Float.nan in
+  let limits = [ 2; 4; 6; 8; 12 ] in
+  let row opt optp =
+    let t_opt = time opt in
+    let t_optp = time optp in
+    let tile = optp.Options.tile_2d in
+    Printf.printf "  %-6d %-10s %12.4f %12.4f\n" optp.Options.group_size_limit
+      (Printf.sprintf "%dx%d" tile.(0) tile.(1))
+      (show t_opt) (show t_optp);
+    (optp, t_optp)
+  in
+  match
+    Tune.best
+      (List.map2 row (Tune.space Options.opt ~dims ~limits)
+         (Tune.space Options.opt_plus ~dims ~limits))
+  with
+  | Some (optp, t) ->
+    Printf.printf "  best opt+ configuration: %s (%.4f s/cycle)\n"
+      (Tune.label ~dims optp) t
+  | None -> print_endline "  best opt+ configuration: none could be built"
 
 (* ---- §4.2 scaling with domain count ---- *)
 

@@ -13,19 +13,6 @@ let init_gc () =
       Gc.custom_major_ratio = 10000;
       Gc.custom_minor_ratio = 10000 }
 
-(* paper methodology: minimum over [reps] measurements after one warmup *)
-let time_stepper ?(reps = 2) ~cycles stepper (problem : Problem.t) =
-  let run () =
-    (Solver.iterate stepper ~problem ~cycles ~residuals:false ())
-      .Solver.total_seconds
-  in
-  ignore (run ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    best := Float.min !best (run ())
-  done;
-  !best /. float_of_int cycles
-
 type variant = {
   vname : string;
   make : Cycle.config -> n:int -> rt:Exec.runtime -> Solver.stepper;
@@ -36,7 +23,7 @@ let polymg_variant vname opts =
 
 (* Autotune-lite (paper §3.2.4 tunes 80-135 configurations per benchmark;
    we probe a compact subset): group-size limits crossed with tile sizes,
-   one trial cycle each, keeping the fastest. *)
+   measured and picked by Tune. *)
 let tune_space =
   [ (1, [| 64; 512 |], [| 16; 16; 128 |]);
     (3, [| 32; 512 |], [| 8; 16; 128 |]);
@@ -45,25 +32,16 @@ let tune_space =
     (6, [| 64; 512 |], [| 32; 32; 256 |]) ]
 
 let tune_opts base cfg ~n =
-  let problem =
-    Problem.poisson_random ~dims:cfg.Cycle.dims ~n ~seed:99
+  let problem = Problem.poisson_random ~dims:cfg.Cycle.dims ~n ~seed:99 in
+  let make opts ~rt = Solver.polymg_stepper cfg ~n ~opts ~rt in
+  let measure (limit, t2, t3) =
+    let opts = Options.with_tiles base ~t2 ~t3 in
+    let opts = { opts with Options.group_size_limit = limit } in
+    (opts, Tune.time ~reps:2 ~make problem opts)
   in
-  let best = ref (infinity, base) in
-  List.iter
-    (fun (limit, t2, t3) ->
-      let opts =
-        { (Options.with_tiles base ~t2 ~t3) with
-          Options.group_size_limit = limit }
-      in
-      let rt = Exec.runtime () in
-      (try
-         let stepper = Solver.polymg_stepper cfg ~n ~opts ~rt in
-         let t = time_stepper ~reps:2 ~cycles:1 stepper problem in
-         if t < fst !best then best := (t, opts)
-       with Invalid_argument _ -> ());
-      Exec.free_runtime rt)
-    tune_space;
-  snd !best
+  match Tune.best (List.map measure tune_space) with
+  | Some (opts, _) -> opts
+  | None -> base
 
 let tuned_variant vname base =
   { vname;
@@ -183,13 +161,18 @@ let write_results ?(path = "BENCH_results.json") () =
     write_bench_doc path (List.rev rs);
     Printf.printf "wrote %s (%d records)\n" path (List.length rs)
 
-(* One-record file of the reference opt+ config, for the on/off overhead
-   gates ([compare.exe OFF.json ON.json --threshold 0.02]). *)
-let write_gate_record ~path ~cfg ~n ~seconds =
-  write_bench_doc path
-    [ record_json ~bench:(Cycle.bench_name cfg) ~n ~dims:cfg.Cycle.dims
-        ~domains:1 ~vname:"opt+" ~seconds ~counters:[] ];
-  Printf.printf "wrote %s\n" path
+(* The pair of one-record files of the reference opt+ config an on/off
+   overhead gate compares ([compare.exe NAME_off.json NAME_on.json
+   --threshold 0.02]). *)
+let write_gates name ~cfg ~n ~off ~on =
+  List.iter
+    (fun (side, seconds) ->
+      let path = Printf.sprintf "%s_%s.json" name side in
+      write_bench_doc path
+        [ record_json ~bench:(Cycle.bench_name cfg) ~n ~dims:cfg.Cycle.dims
+            ~domains:1 ~vname:"opt+" ~seconds ~counters:[] ];
+      Printf.printf "wrote %s\n" path)
+    [ ("off", off); ("on", on) ]
 
 (* Counter snapshot from one instrumented cycle, run outside the timed
    region so telemetry never perturbs the measurement itself. *)
@@ -202,36 +185,42 @@ let counter_snapshot stepper problem =
   Telemetry.reset ();
   cs
 
-(* The disabled probe must keep tier-1 timings at the seed level: with
-   every timing sink off, a start/stop pair plus a counter update must
-   cost one atomic load and a predictable branch each — no clock read,
-   no accumulator touch, no allocation.  Fail loudly if 5M such sites
-   are not far below measurement noise (a cycle is milliseconds). *)
-let assert_probe_noop () =
-  Telemetry.set_enabled false;
-  Repro_runtime.Profile.set_enabled false;
+(* [loop iters] runs one disabled call site 5M times: fail loudly unless
+   a site stays far below measurement noise (a cycle is milliseconds)
+   and allocates nothing. *)
+let assert_noop ~name ~site loop =
   let iters = 5_000_000 in
-  let c = Telemetry.counter "bench.noop" in
-  let site = Telemetry.site "bench.noop" in
   let minor0 = Gc.minor_words () in
   let t0 = Telemetry.now_ns () in
-  for _ = 1 to iters do
-    let t = Telemetry.start () in
-    Telemetry.stop t site;
-    Telemetry.add c 1
-  done;
+  loop iters;
   let per_call =
     float_of_int (Telemetry.now_ns () - t0) /. float_of_int iters
   in
   let minor_words = Gc.minor_words () -. minor0 in
   Printf.printf
-    "probe disabled-path: %.1f ns per start/stop+counter site (budget 100 \
-     ns), %.0f minor words for %d sites (budget 256)\n"
-    per_call minor_words iters;
+    "%s disabled-path: %.1f ns per %s site (budget 100 ns), %.0f minor \
+     words for %d sites (budget 256)\n"
+    name per_call site minor_words iters;
   if per_call > 100.0 then
-    failwith "probe disabled path exceeds the no-op budget";
+    failwith (name ^ " disabled path exceeds the no-op budget");
   (* slack for the Gc.minor_words probes themselves, not the loop *)
-  if minor_words > 256.0 then failwith "probe disabled path allocates"
+  if minor_words > 256.0 then failwith (name ^ " disabled path allocates")
+
+(* The disabled probe must keep tier-1 timings at the seed level: with
+   every timing sink off, a start/stop pair plus a counter update must
+   cost one atomic load and a predictable branch each — no clock read,
+   no accumulator touch, no allocation. *)
+let assert_probe_noop () =
+  Telemetry.set_enabled false;
+  Repro_runtime.Profile.set_enabled false;
+  let c = Telemetry.counter "bench.noop" in
+  let site = Telemetry.site "bench.noop" in
+  assert_noop ~name:"probe" ~site:"start/stop+counter" (fun iters ->
+      for _ = 1 to iters do
+        let t = Telemetry.start () in
+        Telemetry.stop t site;
+        Telemetry.add c 1
+      done)
 
 (* Same discipline for the flight recorder: a guarded call site
    ([if Flightrec.on () then Flightrec.emit ...]) with the recorder off
@@ -240,26 +229,11 @@ let assert_probe_noop () =
 let assert_flightrec_noop () =
   let module Flightrec = Repro_runtime.Flightrec in
   Flightrec.set_enabled false;
-  let iters = 5_000_000 in
-  let minor0 = Gc.minor_words () in
-  let t0 = Telemetry.now_ns () in
-  for i = 1 to iters do
-    if Flightrec.on () then
-      Flightrec.emit (Flightrec.Checkpoint { cycle = i; residual = 0.0 })
-  done;
-  let per_call =
-    float_of_int (Telemetry.now_ns () - t0) /. float_of_int iters
-  in
-  let minor_words = Gc.minor_words () -. minor0 in
-  Printf.printf
-    "flightrec disabled-path: %.1f ns per guarded site (budget 100 ns), \
-     %.0f minor words for %d sites (budget 256)\n"
-    per_call minor_words iters;
-  if per_call > 100.0 then
-    failwith "flightrec disabled path exceeds the no-op budget";
-  (* slack for the Gc.minor_words probes themselves, not the loop *)
-  if minor_words > 256.0 then
-    failwith "flightrec disabled path allocates"
+  assert_noop ~name:"flightrec" ~site:"guarded" (fun iters ->
+      for i = 1 to iters do
+        if Flightrec.on () then
+          Flightrec.emit (Flightrec.Checkpoint { cycle = i; residual = 0.0 })
+      done)
 
 (* Append one ledger record for a measured run (durable JSONL — the
    longitudinal trajectory bench/trend.exe reads). *)
@@ -291,36 +265,38 @@ let run_benchmark ?(domains = 1) ?(cycles = 2) ?(reps = 2) ?(json = true)
   let problem =
     Problem.poisson_random ~dims:cfg.Cycle.dims ~n ~seed:20170704
   in
-  let prepared =
-    List.map
-      (fun v ->
-        let rt = Exec.runtime ~domains () in
-        let stepper = v.make cfg ~n ~rt in
-        (* warm-up: first run allocates pools and touches memory *)
-        ignore (Solver.iterate stepper ~problem ~cycles:1 ~residuals:false ());
-        (v, rt, stepper, ref infinity))
-      variants
+  (* one scoped runtime per variant, all alive through the rounds and
+     torn down even when a stepper raises *)
+  let rec prepare acc = function
+    | v :: rest ->
+      Exec.with_runtime ~domains @@ fun rt ->
+      let stepper = v.make cfg ~n ~rt in
+      (* warm-up: first run allocates pools and touches memory *)
+      ignore (Solver.iterate stepper ~problem ~cycles:1 ~residuals:false ());
+      prepare ((v, stepper, ref infinity) :: acc) rest
+    | [] ->
+      let prepared = List.rev acc in
+      for _ = 1 to reps do
+        List.iter
+          (fun (_, stepper, best) ->
+            let t =
+              (Solver.iterate stepper ~problem ~cycles ~residuals:false ())
+                .Solver.total_seconds
+              /. float_of_int cycles
+            in
+            if t < !best then best := t)
+          prepared
+      done;
+      List.map
+        (fun (v, stepper, best) ->
+          if json then
+            emit_bench_json ~bench:(Cycle.bench_name cfg) ~n
+              ~dims:cfg.Cycle.dims ~domains ~vname:v.vname ~seconds:!best
+              ~counters:(counter_snapshot stepper problem);
+          (v.vname, !best))
+        prepared
   in
-  for _ = 1 to reps do
-    List.iter
-      (fun (_, _, stepper, best) ->
-        let t =
-          (Solver.iterate stepper ~problem ~cycles ~residuals:false ())
-            .Solver.total_seconds
-          /. float_of_int cycles
-        in
-        if t < !best then best := t)
-      prepared
-  done;
-  List.map
-    (fun (v, rt, stepper, best) ->
-      if json then
-        emit_bench_json ~bench:(Cycle.bench_name cfg) ~n
-          ~dims:cfg.Cycle.dims ~domains ~vname:v.vname ~seconds:!best
-          ~counters:(counter_snapshot stepper problem);
-      Exec.free_runtime rt;
-      (v.vname, !best))
-    prepared
+  prepare [] variants
 
 let speedup_table ~base rows =
   let tbase = List.assoc base rows in

@@ -11,6 +11,7 @@
 
 open Repro_mg
 open Repro_core
+module Telemetry = Repro_runtime.Telemetry
 
 let usage () =
   print_endline
@@ -109,6 +110,33 @@ let bechamel_suite () =
       | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
     results
 
+(* ---- sink-cost legs (telemetry, flightrec, profile) ---- *)
+
+let reference_cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4)
+
+(* Paired timing of the reference opt+ plan with one sink off, then on
+   ([set] flips it and leaves it off), after a throwaway pass that pages
+   in pool buffers so the off-timing is not charged the cold start the
+   on-timing then skips.  Prints the overhead line. *)
+let sink_overhead ~sink ~set ~n ~reps ~cycles =
+  let problem = Problem.poisson_random ~dims:2 ~n ~seed:7 in
+  let plan = Solver.polymg_plan reference_cfg ~n ~opts:Options.opt_plus in
+  Exec.with_runtime @@ fun rt ->
+  let stepper = Solver.plan_stepper plan ~rt in
+  let time reps = Tune.seconds_per_cycle ~reps ~cycles stepper problem in
+  set false;
+  ignore (time 1);
+  let t_off = time reps in
+  set true;
+  let t_on = time reps in
+  set false;
+  Printf.printf
+    "V-2D-4-4-4 N=%d opt+: %.4f s/cycle %s off, %.4f s/cycle on (overhead \
+     %+.1f%%)\n"
+    n t_off sink t_on
+    (100.0 *. ((t_on /. t_off) -. 1.0));
+  (plan, t_off, t_on)
+
 let main () =
   let a = parse_args () in
   let header () =
@@ -172,97 +200,45 @@ let main () =
     (* span-sink cost check: the probe's no-op budget plus a paired
        timing of the same stepper with spans off vs on *)
     Harness.assert_probe_noop ();
-    let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-    let n = 256 in
-    let problem = Problem.poisson_random ~dims:2 ~n ~seed:7 in
-    let rt = Exec.runtime () in
-    let stepper = Solver.polymg_stepper cfg ~n ~opts:Options.opt_plus ~rt in
-    let t_off = Harness.time_stepper ~reps:a.reps ~cycles:a.cycles stepper problem in
-    Repro_runtime.Telemetry.set_enabled true;
-    let t_on = Harness.time_stepper ~reps:a.reps ~cycles:a.cycles stepper problem in
-    Repro_runtime.Telemetry.set_enabled false;
-    Repro_runtime.Telemetry.reset ();
-    Exec.free_runtime rt;
-    Printf.printf
-      "V-2D-4-4-4 N=%d opt+: %.4f s/cycle telemetry off, %.4f s/cycle on \
-       (overhead %+.1f%%)\n"
-      n t_off t_on
-      (100.0 *. ((t_on /. t_off) -. 1.0))
+    ignore
+      (sink_overhead ~sink:"telemetry" ~set:Telemetry.set_enabled ~n:256
+         ~reps:a.reps ~cycles:a.cycles);
+    Telemetry.reset ()
   | "flightrec" ->
     (* recorder-cost gate: the disabled path must be a no-op (and
-       allocation-free), and a recorder-on solve of the reference config
-       must stay within noise of recorder-off.  Writes one-record
-       polymg.bench/1 files for both so CI can hold the <2% line with
-       `compare.exe flightrec_off.json flightrec_on.json --threshold
-       0.02`. *)
+       allocation-free), and a recorder-on solve must stay within noise
+       of recorder-off; CI holds the <2% line on the gate files *)
     Harness.assert_flightrec_noop ();
     let module Flightrec = Repro_runtime.Flightrec in
-    let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-    let n = 128 in
-    let problem = Problem.poisson_random ~dims:2 ~n ~seed:7 in
-    let rt = Exec.runtime () in
-    let stepper = Solver.polymg_stepper cfg ~n ~opts:Options.opt_plus ~rt in
-    let reps = max a.reps 3 in
-    Flightrec.set_enabled false;
-    (* throwaway pass: page in pool buffers so the off-timing is not
-       charged the cold start the on-timing then skips *)
-    ignore (Harness.time_stepper ~reps:1 ~cycles:a.cycles stepper problem);
-    let t_off = Harness.time_stepper ~reps ~cycles:a.cycles stepper problem in
-    Flightrec.set_enabled true;
-    let t_on = Harness.time_stepper ~reps ~cycles:a.cycles stepper problem in
-    Flightrec.set_enabled false;
+    let _, t_off, t_on =
+      sink_overhead ~sink:"recorder" ~set:Flightrec.set_enabled ~n:128
+        ~reps:(max a.reps 3) ~cycles:a.cycles
+    in
     Flightrec.reset ();
-    Exec.free_runtime rt;
-    Printf.printf
-      "V-2D-4-4-4 N=%d opt+: %.4f s/cycle recorder off, %.4f s/cycle on \
-       (overhead %+.1f%%)\n"
-      n t_off t_on
-      (100.0 *. ((t_on /. t_off) -. 1.0));
-    Harness.write_gate_record ~path:"flightrec_off.json" ~cfg ~n ~seconds:t_off;
-    Harness.write_gate_record ~path:"flightrec_on.json" ~cfg ~n ~seconds:t_on
+    Harness.write_gates "flightrec" ~cfg:reference_cfg ~n:128 ~off:t_off
+      ~on:t_on
   | "profile" ->
-    (* stats-sink cost gate, same shape as the flightrec leg: the
-       disabled probe must be a no-op (and allocation-free), and a
-       stats-on solve of the reference config must stay within
-       noise of stats-off.  Writes one-record polymg.bench/1 files
-       for the CI `compare.exe profile_off.json profile_on.json
-       --threshold 0.02` gate, prints the per-site profile table from
-       the instrumented run, and with --ledger appends the profiled
-       record to the longitudinal ledger for trend.exe. *)
+    (* stats-sink cost gate, same shape as the flightrec leg; also
+       prints the per-site profile table of the instrumented run and,
+       with --ledger, appends its record to the longitudinal ledger for
+       trend.exe *)
     Harness.assert_probe_noop ();
     let module Profile = Repro_runtime.Profile in
-    let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-    let n = 128 in
-    let problem = Problem.poisson_random ~dims:2 ~n ~seed:7 in
-    let rt = Exec.runtime () in
-    let plan = Solver.polymg_plan cfg ~n ~opts:Options.opt_plus in
-    let stepper = Solver.plan_stepper plan ~rt in
-    let reps = max a.reps 3 in
-    Profile.set_enabled false;
     Profile.reset ();
-    (* throwaway pass: page in pool buffers so the off-timing is not
-       charged the cold start the on-timing then skips *)
-    ignore (Harness.time_stepper ~reps:1 ~cycles:a.cycles stepper problem);
-    let t_off = Harness.time_stepper ~reps ~cycles:a.cycles stepper problem in
-    Profile.set_enabled true;
-    let t_on = Harness.time_stepper ~reps ~cycles:a.cycles stepper problem in
-    Profile.set_enabled false;
-    Printf.printf
-      "V-2D-4-4-4 N=%d opt+: %.4f s/cycle profiler off, %.4f s/cycle on \
-       (overhead %+.1f%%)\n"
-      n t_off t_on
-      (100.0 *. ((t_on /. t_off) -. 1.0));
+    let plan, t_off, t_on =
+      sink_overhead ~sink:"profiler" ~set:Profile.set_enabled ~n:128
+        ~reps:(max a.reps 3) ~cycles:a.cycles
+    in
     Profile.report Format.std_formatter;
     Format.pp_print_newline Format.std_formatter ();
     let sites = Profile.sites () in
     Profile.reset ();
-    Exec.free_runtime rt;
-    Harness.write_gate_record ~path:"profile_off.json" ~cfg ~n ~seconds:t_off;
-    Harness.write_gate_record ~path:"profile_on.json" ~cfg ~n ~seconds:t_on;
+    Harness.write_gates "profile" ~cfg:reference_cfg ~n:128 ~off:t_off
+      ~on:t_on;
     (match a.ledger with
      | Some path ->
-       Harness.ledger_append ~path ~cfg ~n ~domains:1 ~vname:"opt+"
-         ~seconds:t_on ~plan_digest:(Plan.digest plan) ~sites
+       Harness.ledger_append ~path ~cfg:reference_cfg ~n:128 ~domains:1
+         ~vname:"opt+" ~seconds:t_on ~plan_digest:(Plan.digest plan) ~sites
      | None -> ())
   | "all" ->
     header ();

@@ -89,14 +89,13 @@ let nas ~cls ~iters ~reps () =
       exact = (fun _ -> 0.0) }
   in
   let time_and_norm name mk =
-    let rt = Exec.runtime () in
+    Exec.with_runtime @@ fun rt ->
     let stepper = mk rt in
-    let t = Harness.time_stepper ~reps ~cycles:iters stepper problem in
+    let t = Tune.seconds_per_cycle ~reps ~cycles:iters stepper problem in
     let r =
       Solver.iterate stepper ~problem ~cycles:iters ~residuals:false ()
     in
     let norm = Nas_ref.residual_l2 ~u:r.Solver.v ~v:prob.Nas_problem.v in
-    Exec.free_runtime rt;
     Printf.printf "  %-16s %10.4f s/iter   final residual L2 = %.6e\n" name t
       norm;
     t
@@ -104,17 +103,14 @@ let nas ~cls ~iters ~reps () =
   (* tune the grouping limit for the DSL variants (27-point stencils make
      overlapped fusion expensive; the paper tunes per benchmark) *)
   let tune base =
-    let best = ref (infinity, base) in
-    List.iter
-      (fun limit ->
-        let opts = { base with Options.group_size_limit = limit } in
-        let rt = Exec.runtime () in
-        let stepper = Nas_pipeline.stepper ~cls ~opts ~rt in
-        let t = Harness.time_stepper ~reps:1 ~cycles:1 stepper problem in
-        Exec.free_runtime rt;
-        if t < fst !best then best := (t, opts))
-      [ 1; 3; 6 ];
-    snd !best
+    let make opts ~rt = Nas_pipeline.stepper ~cls ~opts ~rt in
+    let measure limit =
+      let opts = { base with Options.group_size_limit = limit } in
+      (opts, Tune.time ~make problem opts)
+    in
+    match Tune.best (List.map measure [ 1; 3; 6 ]) with
+    | Some (opts, _) -> opts
+    | None -> base
   in
   let t_ref =
     time_and_norm "reference" (fun rt ->

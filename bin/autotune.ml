@@ -1,96 +1,65 @@
-(* The auto-tuner of §3.2.4: sweeps tile sizes (powers of two within the
-   paper's ranges) crossed with grouping limits, for a chosen benchmark,
-   and reports every configuration plus the best (Fig. 12 data).
+(* The auto-tuner of §3.2.4 as a command line over Repro_mg.Tune: sweeps
+   the paper's power-of-two tile ranges crossed with grouping limits for
+   one benchmark and reports every configuration plus the best (Fig. 12
+   data).  Example: autotune --dims 2 --cycle V --smoothing 10,0,0 -n 1024
 
-   Example: autotune --dims 2 --cycle V --smoothing 10,0,0 --n 1024 *)
+   Exits 0 when swept, 1 when no configuration could be built, 2 on a
+   benchmark Cycle.check rejects (as mg_solve does), 124 on a malformed
+   option. *)
 
 open Cmdliner
 open Repro_mg
-open Repro_core
 
-let pow2_range lo hi =
-  let rec go acc v = if v > hi then List.rev acc else go (v :: acc) (v * 2) in
-  go [] lo
+let fail msg =
+  prerr_endline ("autotune: " ^ msg);
+  exit 2
 
-let run dims cycle smoothing n variant limits_arg =
+let parsed what = function Some v -> v | None -> fail what
+
+let run dims cycle smoothing n variant limits =
   Gc.set
     { (Gc.get ()) with
       Gc.custom_major_ratio = 10000;
       Gc.custom_minor_ratio = 10000 };
   let shape =
-    match String.uppercase_ascii cycle with
-    | "V" -> Cycle.V
-    | "W" -> Cycle.W
-    | "F" -> Cycle.F
-    | _ -> prerr_endline "cycle must be V, W or F"; exit 2
+    parsed "cycle must be V, W or F"
+      (Cycle.shape_of_string (String.uppercase_ascii cycle))
   in
-  let n1, n2, n3 =
-    match String.split_on_char ',' smoothing with
-    | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
-    | _ -> prerr_endline "smoothing must be n1,n2,n3"; exit 2
-  in
-  let cfg = Cycle.default ~dims ~shape ~smoothing:(n1, n2, n3) in
+  let cfg = Cycle.default ~dims ~shape ~smoothing in
+  Result.iter_error fail (Cycle.check cfg ~n ~cycles:1);
   let base =
-    match Options.variant_of_string variant with
-    | Some o -> o
-    | None -> prerr_endline ("unknown variant " ^ variant); exit 2
+    parsed ("unknown variant " ^ variant)
+      (Repro_core.Options.variant_of_string variant)
   in
-  let limits = List.map int_of_string (String.split_on_char ',' limits_arg) in
-  (* paper ranges: 2D outer 8:64, inner 64:512; 3D outer 8:32, inner 64:256 *)
-  let tiles =
-    if dims = 2 then
-      List.concat_map
-        (fun a -> List.map (fun b -> [| a; b |]) (pow2_range 64 512))
-        (pow2_range 8 64)
-    else
-      List.concat_map
-        (fun a ->
-          List.concat_map
-            (fun b -> List.map (fun c -> [| a; b; c |]) (pow2_range 64 256))
-            (pow2_range 8 32))
-        (pow2_range 8 32)
-  in
+  let space = Tune.space base ~dims ~limits in
   let problem = Problem.poisson_random ~dims ~n ~seed:11 in
+  let make opts ~rt = Solver.polymg_stepper cfg ~n ~opts ~rt in
   Printf.printf "autotuning %s N=%d variant=%s: %d configurations\n%!"
-    (Cycle.bench_name cfg) n variant
-    (List.length limits * List.length tiles);
-  let best = ref (infinity, "") in
-  List.iter
-    (fun limit ->
-      List.iter
-        (fun tile ->
-          let opts =
-            { (if dims = 2 then
-                 Options.with_tiles base ~t2:tile ~t3:base.Options.tile_3d
-               else Options.with_tiles base ~t2:base.Options.tile_2d ~t3:tile)
-              with Options.group_size_limit = limit }
-          in
-          let t =
-            Exec.with_runtime @@ fun rt ->
-            try
-              let stepper = Solver.polymg_stepper cfg ~n ~opts ~rt in
-              ignore
-                (Solver.iterate stepper ~problem ~cycles:1 ~residuals:false ());
-              (Solver.iterate stepper ~problem ~cycles:1 ~residuals:false ())
-                .Solver.total_seconds
-            with Invalid_argument _ -> Float.nan
-          in
-          let tag =
-            Printf.sprintf "limit=%d tile=%s" limit
-              (String.concat "x" (Array.to_list (Array.map string_of_int tile)))
-          in
-          if t < fst !best then best := (t, tag);
-          Printf.printf "  %-28s %10.4f s/cycle\n%!" tag t)
-        tiles)
-    limits;
-  let t, tag = !best in
-  Printf.printf "best: %s  (%.4f s/cycle)\n" tag t
+    (Cycle.bench_name cfg) n variant (List.length space);
+  let rows =
+    List.map
+      (fun opts ->
+        let t = Tune.time ~make problem opts in
+        Printf.printf "  %-28s %10.4f s/cycle\n%!" (Tune.label ~dims opts)
+          (Option.value t ~default:Float.nan);
+        (opts, t))
+      space
+  in
+  match Tune.best rows with
+  | Some (opts, t) ->
+    Printf.printf "best: %s  (%.4f s/cycle)\n" (Tune.label ~dims opts) t
+  | None ->
+    prerr_endline "autotune: no configuration could be built";
+    exit 1
 
 let dims_t = Arg.(value & opt int 2 & info [ "dims" ] ~doc:"Grid rank.")
 let cycle_t = Arg.(value & opt string "V" & info [ "cycle" ] ~doc:"V, W or F.")
 
 let smoothing_t =
-  Arg.(value & opt string "10,0,0" & info [ "smoothing" ] ~doc:"n1,n2,n3.")
+  Arg.(
+    value
+    & opt (t3 ~sep:',' int int int) (10, 0, 0)
+    & info [ "smoothing" ] ~doc:"n1,n2,n3.")
 
 let n_t = Arg.(value & opt int 512 & info [ "n"; "size" ] ~doc:"Problem size N.")
 
@@ -99,7 +68,8 @@ let variant_t =
 
 let limits_t =
   Arg.(
-    value & opt string "1,2,4,6,8"
+    value
+    & opt (list ~sep:',' int) [ 1; 2; 4; 6; 8 ]
     & info [ "limits" ] ~doc:"Comma-separated grouping limits to sweep.")
 
 let cmd =

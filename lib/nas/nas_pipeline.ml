@@ -14,8 +14,10 @@ let build ~cls =
   let cw = Nas_coeffs.weights27 (Nas_coeffs.c cls) in
   let rw = Nas_coeffs.weights27 Nas_coeffs.r in
   let ctx = Dsl.create (Printf.sprintf "NAS-MG-%s" (Nas_coeffs.cls_name cls)) in
-  let u = Dsl.grid ctx "U" ~dims:3 ~sizes:(sizes_at ~lt lt) in
-  let v = Dsl.grid ctx "V" ~dims:3 ~sizes:(sizes_at ~lt lt) in
+  (* inputs named by the solver's convention: the iterate (NAS u) is
+     "V", the right-hand side (NAS v) is "F" *)
+  let u = Dsl.grid ctx "V" ~dims:3 ~sizes:(sizes_at ~lt lt) in
+  let v = Dsl.grid ctx "F" ~dims:3 ~sizes:(sizes_at ~lt lt) in
   (* r = v − A·u at the finest level *)
   let resid ~name ~sizes ~rhs_load ~(iter : Func.t) =
     Dsl.func ctx ~name ~sizes
@@ -71,33 +73,8 @@ let params ~cls name =
   ignore cls;
   invalid_arg ("Nas_pipeline.params: unknown parameter " ^ name)
 
-let find_input pipeline name =
-  match
-    List.find_opt
-      (fun (f : Func.t) -> f.Func.name = name)
-      (Pipeline.inputs pipeline)
-  with
-  | Some f -> f.Func.id
-  | None -> invalid_arg ("Nas_pipeline: no input " ^ name)
-
-let input_u pipeline = find_input pipeline "U"
-let input_v pipeline = find_input pipeline "V"
-
-let output pipeline =
-  match Pipeline.outputs pipeline with
-  | [ o ] -> o
-  | [] | _ :: _ -> invalid_arg "Nas_pipeline.output: expected one output"
-
 let stepper ~cls ~opts ~rt =
-  let pipeline = build ~cls in
   let n = Nas_coeffs.problem_n cls in
-  let plan =
-    Repro_core.Plan.build pipeline ~opts ~n ~params:(params ~cls)
-  in
-  let iu = input_u pipeline and iv = input_v pipeline in
-  let out = output pipeline in
-  fun ~v ~f ~out:out_grid ->
-    (* Solver convention: [v] is the iterate, [f] the rhs *)
-    Repro_core.Exec.run plan rt
-      ~inputs:[ (iu, v); (iv, f) ]
-      ~outputs:[ (out, out_grid) ]
+  Repro_mg.Solver.plan_stepper
+    (Repro_core.Plan_check.build (build ~cls) ~opts ~n ~params:(params ~cls))
+    ~rt

@@ -2,6 +2,7 @@ open Repro_nas
 open Repro_core
 open Repro_mg
 module Grid = Repro_grid.Grid
+module Telemetry = Repro_runtime.Telemetry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -84,21 +85,36 @@ let nas_solver ~cls stepper ~iters =
   let r = Solver.iterate stepper ~problem ~cycles:iters ~residuals:false () in
   (r.Solver.v, prob)
 
+(* The NAS pipeline runs through Solver.plan_stepper, so [backend =
+   Native] must compile it, not silently interpret: the compiled leg
+   must advance native.kernel_calls. *)
+let c_kernel_calls = Telemetry.counter "native.kernel_calls"
+
 let test_dsl_matches_reference () =
   let cls = Nas_coeffs.S in
-  let rt = Exec.runtime () in
+  Exec.with_runtime @@ fun rt ->
   let u_ref, _ =
     nas_solver ~cls (Nas_ref.stepper (Nas_ref.create ~cls ~par:rt.Exec.par))
       ~iters:3
   in
+  let check name opts =
+    let u, _ = nas_solver ~cls (Nas_pipeline.stepper ~cls ~opts ~rt) ~iters:3 in
+    let d = Grid.max_abs_diff u u_ref in
+    check_bool (Printf.sprintf "%s diff %g" name d) true (d < 1e-13)
+  in
   List.iter
-    (fun (name, opts) ->
-      let u, _ = nas_solver ~cls (Nas_pipeline.stepper ~cls ~opts ~rt) ~iters:3 in
-      let d = Grid.max_abs_diff u u_ref in
-      check_bool (Printf.sprintf "%s diff %g" name d) true (d < 1e-13))
+    (fun (name, opts) -> check name opts)
     [ ("naive", Options.naive); ("opt", Options.opt);
       ("opt+", Options.opt_plus) ];
-  Exec.free_runtime rt
+  match Native.cc () with
+  | None -> Printf.printf "opt+/native: skipped (no C compiler found)\n%!"
+  | Some _ ->
+    Telemetry.set_enabled true;
+    Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+    let calls = Telemetry.value c_kernel_calls in
+    check "opt+/native" { Options.opt_plus with Options.backend = Native };
+    check_bool "native.kernel_calls advanced" true
+      (Telemetry.value c_kernel_calls > calls)
 
 let test_residual_decreases () =
   let cls = Nas_coeffs.S in
