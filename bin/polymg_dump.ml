@@ -206,18 +206,22 @@ let modes : (string * string * (ctx -> unit)) list =
           Format.printf "%a@." Govern.pp_infeasible inf;
           exit 5 );
     ( "conform",
-      "compile the emitted C into a native kernel and run it against the \
-       engine on deterministically filled inputs, diffing every output \
-       grid; exits 1 on mismatch",
+      "the backend-axis conformance case: compile the emitted C into a \
+       native kernel and run it against the engine at 1 and 4 domains, \
+       on deterministically filled inputs and then for 3 lockstep \
+       cycles, diffing every output grid; exits 1 on mismatch",
       fun ctx ->
-        let plan = plan_of ctx in
-        let name =
-          Printf.sprintf "%s/%s" (Cycle.bench_name ctx.cfg)
-            (Options.name ctx.opts)
-        in
-        let verdict = Conformance.c_equivalence plan in
-        Format.printf "%a@." Conformance.pp_c_verdict (name, verdict);
-        if not (Conformance.c_verdict_pass verdict) then exit 1 );
+        match Native.cc () with
+        | None ->
+          print_endline "conform: SKIPPED (no C compiler found (tried gcc, cc))"
+        | Some _ ->
+          let case =
+            Conformance.native_case
+              ~variants:[ (Options.name ctx.opts, ctx.opts) ]
+              ctx.cfg ~n:ctx.n ~cycles:3 ()
+          in
+          Format.printf "%a@." Conformance.pp_case case;
+          if not (Conformance.case_pass case) then exit 1 );
     ( "calibrate",
       "cost-model calibration: join the analytical per-stage roofline \
        predictions with profiler-measured times across shapes x \

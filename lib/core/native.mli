@@ -8,7 +8,7 @@
     [dlopen]s it and calls the entry point directly on the grids'
     Bigarray storage.  This is the only place emitted C is compiled and
     run: the solver's native backend and the conformance harness's
-    C-equivalence leg both go through it.
+    backend axis both go through it.
 
     Compiled kernels are cached on disk under {!cache_dir}, keyed by
     plan digest + compiler identity + flags + emitter version

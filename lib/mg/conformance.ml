@@ -48,7 +48,7 @@ type budgets = { vs_plan : float; vs_handopt : float; vs_c : float }
 let default_budgets = { vs_plan = 1e-11; vs_handopt = 1e-9; vs_c = 1e-10 }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic input fill for the C-equivalence leg: FNV-1a over
+(* Deterministic input fill for a native pair's cycle 0: FNV-1a over
    (input index, multi-index), folded to [-0.5, 0.5) with a 20-bit
    mantissa so every value is exact in double. *)
 
@@ -240,170 +240,117 @@ let oracle_campaign ?(budgets = default_budgets) ?(quick = false) () =
     (campaign_matrix ~quick)
 
 (* ------------------------------------------------------------------ *)
-(* Emitted-C run-equivalence                                            *)
+(* Backend axis: interpreter vs native                                  *)
 
-type c_verdict =
-  | C_ok of {
-      compiler : string;
-      bit_identical : bool;
-      max_abs : float;
-      max_ulp : float;
-    }
-  | C_fail of { reason : string; max_abs : float; max_ulp : float }
-  | C_skip of string
-
-(* The plan's inputs are filled with [fill_val]; the interpreter is the
-   reference, and the candidate is the plan's native kernel, so the C
-   runs through Native's one toolchain: its compiler discovery,
-   POLYMG_CC, and a cache that keeps each kernel's .c and compiler log.
-   Outputs are diffed whole, ghosts included. *)
-let c_equivalence ?(budget = default_budgets.vs_c) (plan : Plan.t) =
-  let fail reason = C_fail { reason; max_abs = nan; max_ulp = nan } in
-  match (C_emit.runnable plan, Native.cc ()) with
-  | Error e, _ -> C_skip ("plan not renderable as a complete C program: " ^ e)
-  | Ok (), None -> C_skip "no C compiler found (tried gcc, cc)"
-  | Ok (), Some compiler -> (
-    match Native.load plan with
-    | Error e -> fail ("cannot build the native kernel: " ^ e)
-    | Ok kernel -> (
-      let grid_of = stage_grid plan.Plan.pipeline ~n:plan.Plan.n in
-      let inputs =
-        List.mapi
-          (fun i fid ->
-            let g = grid_of fid in
-            Grid.fill_interior g ~f:(fill_val ~input:i);
-            (fid, g))
-          (Array.to_list plan.Plan.inputs)
-      in
-      let outputs () =
-        List.map (fun (fid, _) -> (fid, grid_of fid)) plan.Plan.output_arrays
-      in
-      let reference = outputs () and native = outputs () in
-      Exec.with_runtime (fun rt -> Exec.run plan rt ~inputs ~outputs:reference);
-      match Native.run kernel ~inputs ~outputs:native with
-      | exception Failure e -> fail ("native kernel failed: " ^ e)
-      | () ->
-        let d =
-          List.fold_left2
-            (fun (worst : diff) (_, r) (_, c) ->
-              let d = grid_diff r c in
-              if d.max_abs > worst.max_abs then d else worst)
-            no_diff reference native
-        in
-        if d.max_abs <= budget then
-          C_ok
-            { compiler;
-              bit_identical = d.max_abs = 0.0;
-              max_abs = d.max_abs;
-              max_ulp = d.max_ulp }
-        else
-          C_fail
-            { reason =
-                Printf.sprintf "C output differs from the engine beyond %.1e"
-                  budget;
-              max_abs = d.max_abs;
-              max_ulp = d.max_ulp }))
-
-let c_campaign ?(budget = default_budgets.vs_c) ?(quick = false) () =
-  let variants =
-    if quick then [ ("naive", Options.naive); ("opt+", Options.opt_plus) ]
-    else
-      ("naive", Options.naive)
-      :: ("dtile-opt+", Options.dtile_opt_plus)
-      :: plan_variants
+(* The plan's inputs filled with [fill_val], and fresh output grids. *)
+let fill_io (plan : Plan.t) =
+  let grid_of = stage_grid plan.Plan.pipeline ~n:plan.Plan.n in
+  let inputs =
+    List.mapi
+      (fun i fid ->
+        let g = grid_of fid in
+        Grid.fill_interior g ~f:(fill_val ~input:i);
+        (fid, g))
+      (Array.to_list plan.Plan.inputs)
   in
-  List.concat_map
-    (fun (cfg, n) ->
-      List.map
-        (fun (vname, opts) ->
-          let plan = Solver.polymg_plan cfg ~n ~opts in
-          (Printf.sprintf "%s/%s" (Cycle.bench_name cfg) vname,
-           c_equivalence ~budget plan))
-        variants)
-    (campaign_matrix ~quick)
+  let outputs =
+    List.map (fun (fid, _) -> (fid, grid_of fid)) plan.Plan.output_arrays
+  in
+  (inputs, outputs)
 
-let c_verdict_pass = function
-  | C_ok _ | C_skip _ -> true
-  | C_fail _ -> false
+(* The one interpreter-vs-native comparison.  The interpreter is the
+   reference and writes [outputs]; the candidate is the plan's native
+   kernel, so the C runs through Native's one toolchain (compiler
+   discovery, POLYMG_CC, and a cache that keeps each kernel's .c and
+   compiler log).  Outputs are diffed whole, ghosts included. *)
+let vs_native ?(domains = 1) (plan : Plan.t) ~inputs ~outputs =
+  match Native.load plan with
+  | Error e -> Error ("cannot build the native kernel: " ^ e)
+  | Ok kernel -> (
+    Exec.with_runtime ~domains (fun rt -> Exec.run plan rt ~inputs ~outputs);
+    let native =
+      List.map (fun (fid, g) -> (fid, Grid.create (Grid.extents g))) outputs
+    in
+    match Native.run kernel ~inputs ~outputs:native with
+    | exception Failure e -> Error ("native kernel failed: " ^ e)
+    | () ->
+      Ok
+        (List.fold_left2
+           (fun (worst : diff) (_, r) (_, c) ->
+             let d = grid_diff r c in
+             if d.max_abs > worst.max_abs then d else worst)
+           no_diff outputs native))
 
-(* ------------------------------------------------------------------ *)
-(* Backend axis: interpreter-vs-native lockstep                         *)
-
-(* For each plan variant the reference iterates come from the
-   interpreter running that same plan (at 1 and 4 domains), and the
-   candidate is the dlopen'd native kernel compiled from it — so a
-   mismatch is pinned to the backend, not to the schedule.  The native
-   kernel is the emitted C under a different harness, so it shares the
-   [vs_c] budget. *)
-let native_case ?(budgets = default_budgets) ?(quick = false) cfg ~n ~cycles
-    () =
-  let dims = cfg.Cycle.dims in
-  let prob = Problem.poisson ~dims ~n in
+(* For each plan variant, cycle 0 runs the plan on [fill_val] inputs;
+   cycles 1.. run it in lockstep on the interpreter's own Poisson
+   iterates (at 1 and 4 domains), so a mismatch is pinned to the
+   backend, not to the schedule.  The native kernel is the emitted C,
+   so it is judged against the [vs_c] budget. *)
+let native_case ?(budgets = default_budgets) ?(quick = false) ?variants cfg
+    ~n ~cycles () =
+  let prob = Problem.poisson ~dims:cfg.Cycle.dims ~n in
   let f = prob.Problem.f in
   let variants =
-    if quick then [ ("naive", Options.naive); ("opt+", Options.opt_plus) ]
-    else ("naive", Options.naive) :: plan_variants
+    match variants with
+    | Some vs -> vs
+    | None when quick ->
+      [ ("naive", Options.naive); ("opt+", Options.opt_plus) ]
+    | None -> ("naive", Options.naive) :: plan_variants
   in
   let domain_list = if quick then [ 1 ] else [ 1; 4 ] in
+  let pair vname plan domains =
+    let pipe = plan.Plan.pipeline in
+    let vin = Cycle.input_v pipe and fin = Cycle.input_f pipe in
+    let out_id = Cycle.output pipe in
+    (* cycle c's reference output is cycle c+1's iterate *)
+    let rec go c (inputs, outputs) ((worst : diff), wc) =
+      match vs_native ~domains plan ~inputs ~outputs with
+      | Error e -> Error (e, c)
+      | Ok d ->
+        let acc = if d.max_abs > worst.max_abs then (d, c) else (worst, wc) in
+        if c = cycles then Ok acc
+        else
+          let v = if c = 0 then prob.Problem.v else List.assoc out_id outputs in
+          go (c + 1)
+            ( [ (vin, v); (fin, f) ],
+              [ (out_id, Grid.create (Grid.extents v)) ] )
+            acc
+    in
+    let d, wc, bad =
+      match go 0 (fill_io plan) (no_diff, 0) with
+      | Ok (d, wc) -> (d, wc, None)
+      | Error (e, c) ->
+        ( ({ max_abs = infinity; max_ulp = infinity; worst = -1 } : diff),
+          c,
+          Some (e, infinity) )
+    in
+    { candidate = "native:" ^ vname; domains; max_abs = d.max_abs;
+      max_ulp = d.max_ulp; worst_cycle = wc; budget = budgets.vs_c;
+      pass = d.max_abs <= budgets.vs_c; first_bad_stage = bad }
+  in
   let pairs =
     List.concat_map
       (fun (vname, opts) ->
-        let plan =
-          Solver.polymg_plan cfg ~n ~opts:{ opts with Options.backend = Interp }
-        in
-        let pipe = plan.Plan.pipeline in
-        let vin = Cycle.input_v pipe and fin = Cycle.input_f pipe in
-        let out_id = Cycle.output pipe in
-        match Native.load plan with
-        | Error e ->
-          (* a load failure is a conformance failure, not a skip: the
-             campaign only runs when a compiler is present *)
-          [ { candidate = "native:" ^ vname;
-              domains = 1;
-              max_abs = infinity;
-              max_ulp = infinity;
-              worst_cycle = 0;
-              budget = budgets.vs_c;
-              pass = false;
-              first_bad_stage = Some ("native load: " ^ e, infinity) } ]
-        | Ok kernel ->
-          List.map
-            (fun domains ->
-              let refs = Array.make (cycles + 1) prob.Problem.v in
-              Exec.with_runtime ~domains (fun rt ->
-                  let step = Solver.plan_stepper plan ~rt in
-                  for c = 1 to cycles do
-                    let out = Grid.create (Grid.extents prob.Problem.v) in
-                    step ~v:refs.(c - 1) ~f ~out;
-                    refs.(c) <- out
-                  done);
-              let d, wc =
-                lockstep ~refs ~f ~cycles (fun ~v ~f ~out ->
-                    Native.run kernel
-                      ~inputs:[ (vin, v); (fin, f) ]
-                      ~outputs:[ (out_id, out) ])
-              in
-              { candidate = "native:" ^ vname;
-                domains;
-                max_abs = d.max_abs;
-                max_ulp = d.max_ulp;
-                worst_cycle = wc;
-                budget = budgets.vs_c;
-                pass = d.max_abs <= budgets.vs_c;
-                first_bad_stage = None })
-            domain_list)
+        let plan = Solver.polymg_plan cfg ~n ~opts in
+        List.map (pair vname plan) domain_list)
       variants
   in
   { bench = Cycle.bench_name cfg; n; cycles; pairs }
 
 let native_campaign ?(budgets = default_budgets) ?(quick = false) () =
-  match Native.available () with
-  | false -> Error "no C compiler found (tried gcc, cc)"
-  | true ->
-    Ok
-      (List.map
-         (fun (cfg, n) -> native_case ~budgets ~quick cfg ~n ~cycles:3 ())
-         (campaign_matrix ~quick))
+  let cases =
+    List.map
+      (fun (cfg, n) -> native_case ~budgets ~quick cfg ~n ~cycles:3 ())
+      (campaign_matrix ~quick)
+  in
+  match Native.cc () with
+  | Some _ -> (cases, None)
+  | None ->
+    (* skipped: every pair stops at the load, and the one reason moves
+       to the campaign, so the report has the same keys on every host *)
+    let unrun p = { p with first_bad_stage = None } in
+    ( List.map (fun c -> { c with pairs = List.map unrun c.pairs }) cases,
+      Some "no C compiler found (tried gcc, cc)" )
 
 (* ------------------------------------------------------------------ *)
 (* Method-of-manufactured-solutions convergence order                   *)
@@ -467,25 +414,6 @@ let json_of_case c =
       ("pass", Json.Bool (case_pass c));
       ("pairs", Json.Arr (List.map json_of_pair c.pairs)) ]
 
-let json_of_c_verdict (name, v) =
-  let fields =
-    match v with
-    | C_ok { compiler; bit_identical; max_abs; max_ulp } ->
-      [ ("status", Json.Str "ok");
-        ("compiler", Json.Str compiler);
-        ("bit_identical", Json.Bool bit_identical);
-        ("max_abs", Json.Num max_abs);
-        ("max_ulp", Json.Num max_ulp) ]
-    | C_fail { reason; max_abs; max_ulp } ->
-      [ ("status", Json.Str "fail");
-        ("reason", Json.Str reason);
-        ("max_abs", Json.Num max_abs);
-        ("max_ulp", Json.Num max_ulp) ]
-    | C_skip reason ->
-      [ ("status", Json.Str "skip"); ("reason", Json.Str reason) ]
-  in
-  Json.Obj (("case", Json.Str name) :: fields)
-
 let json_of_mms m =
   Json.Obj
     [ ("dims", Json.num m.m_dims);
@@ -513,16 +441,6 @@ let pp_case fmt c =
     (if case_pass c then "PASS" else "FAIL")
     (Format.pp_print_list pp_pair)
     c.pairs
-
-let pp_c_verdict fmt (name, v) =
-  match v with
-  | C_ok { compiler; bit_identical; max_abs; max_ulp } ->
-    Format.fprintf fmt "%-28s ok (%s%s, max|Δ|=%.3e, ulp=%.1e)" name compiler
-      (if bit_identical then ", bit-identical" else "")
-      max_abs max_ulp
-  | C_fail { reason; max_abs; _ } ->
-    Format.fprintf fmt "%-28s FAIL: %s (max|Δ|=%.3e)" name reason max_abs
-  | C_skip reason -> Format.fprintf fmt "%-28s skip: %s" name reason
 
 let pp_mms fmt m =
   Format.fprintf fmt "@[<v2>MMS %dD: observed order %.3f (%s)@,%a@]" m.m_dims

@@ -9,9 +9,11 @@
       every candidate cycle starts from the {e reference} iterate, so a
       mismatch is pinned to one cycle, and a stage-level drilldown then
       pins it to the first diverging stage;
-    - {b emitted-C run-equivalence}: the plan's emitted C, compiled and
-      loaded by {!Repro_core.Native}, runs on deterministically filled
-      inputs and its output grids are diffed against the engine's;
+    - the {b backend axis}: every plan variant's emitted C, compiled and
+      loaded by {!Repro_core.Native}, against the interpreter on the same
+      plan — once on deterministically filled inputs, then in lockstep on
+      the interpreter's Poisson iterates — through the one comparison
+      {!vs_native};
     - {b MMS convergence verification}: solving the manufactured Poisson
       problem at a ladder of sizes must show second-order error decay —
       the one check that catches bugs shared by {e every} variant.
@@ -38,7 +40,7 @@ type budgets = {
           walk specialization reorders arithmetic *)
   vs_handopt : float;
       (** vs the hand-written baselines: independent implementation *)
-  vs_c : float;  (** emitted C vs the engine *)
+  vs_c : float;  (** a plan's native kernel (its emitted C) vs the engine *)
 }
 
 val default_budgets : budgets
@@ -46,9 +48,9 @@ val default_budgets : budgets
 (** {2 Deterministic fill} *)
 
 val fill_val : input:int -> int array -> float
-(** The C-equivalence leg's input fill: FNV-1a over (input index,
-    multi-index), folded to a 20-bit value in [-0.5, 0.5) that is exact
-    in double. *)
+(** The input fill of a native pair's cycle 0: FNV-1a over (input
+    index, multi-index), folded to a 20-bit value in [-0.5, 0.5) that is
+    exact in double. *)
 
 (** {2 Differential oracle} *)
 
@@ -57,7 +59,9 @@ type pair = {
   domains : int;
   max_abs : float;
   max_ulp : float;
-  worst_cycle : int;  (** 1-based; [0] when no difference at all *)
+  worst_cycle : int;
+      (** 1-based; [0] when no difference at all, or (native pairs) when
+          the worst is the filled-input execution *)
   budget : float;
   pass : bool;
   first_bad_stage : (string * float) option;
@@ -82,38 +86,46 @@ val oracle_case :
 
 val oracle_campaign : ?budgets:budgets -> ?quick:bool -> unit -> case list
 
-(** {2 Emitted-C run-equivalence} *)
-
-type c_verdict =
-  | C_ok of {
-      compiler : string;
-      bit_identical : bool;
-      max_abs : float;
-      max_ulp : float;
-    }
-  | C_fail of { reason : string; max_abs : float; max_ulp : float }
-  | C_skip of string
-      (** no C compiler ({!Repro_core.Native.cc}), or the plan is not
-          renderable as a complete program ({!Repro_core.C_emit.runnable}) *)
-
-val c_equivalence : ?budget:float -> Repro_core.Plan.t -> c_verdict
-(** Fills the plan's inputs with {!fill_val}, runs them through
-    {!Repro_core.Exec.run} and through the plan's
-    {!Repro_core.Native} kernel, and diffs the output grids, ghosts
-    included.  A kernel that fails to build is [C_fail]. *)
-
-val c_campaign : ?budget:float -> ?quick:bool -> unit -> (string * c_verdict) list
-
-val c_verdict_pass : c_verdict -> bool
-(** Skips count as passing (they are reported, not hidden). *)
-
 (** {2 Backend axis: interpreter vs native} *)
 
+val fill_io :
+  Repro_core.Plan.t ->
+  (int * Repro_grid.Grid.t) list * (int * Repro_grid.Grid.t) list
+(** The plan's inputs filled with {!fill_val}, and fresh output grids:
+    the [inputs] and [outputs] of a native pair's cycle 0. *)
+
+val vs_native :
+  ?domains:int ->
+  Repro_core.Plan.t ->
+  inputs:(int * Repro_grid.Grid.t) list ->
+  outputs:(int * Repro_grid.Grid.t) list ->
+  (diff, string) result
+(** Runs the plan on [inputs] twice: through {!Repro_core.Exec.run} on
+    [domains] (default 1) into [outputs], the reference, and through the
+    plan's {!Repro_core.Native} kernel into fresh grids of the same
+    extents.  Returns the worst output diff, ghosts included, or the
+    kernel's load or run error; a [Failure] from the kernel is returned,
+    never raised. *)
+
+val native_case :
+  ?budgets:budgets ->
+  ?quick:bool ->
+  ?variants:(string * Repro_core.Options.t) list ->
+  Cycle.config -> n:int -> cycles:int -> unit -> case
+(** One [native:VARIANT] pair per variant (default: naive and every plan
+    variant; naive and opt+ when [quick]) and domain count (1 and 4; 1
+    when [quick]).  Each pair's worst of {!vs_native} over cycle 0, on
+    {!fill_io}, and [cycles] lockstep cycles on the interpreter's
+    iterates, judged against [vs_c].  A load or run error fails the pair
+    and is named in [first_bad_stage]. *)
+
 val native_campaign :
-  ?budgets:budgets -> ?quick:bool -> unit -> (case list, string) result
-(** The backend axis over {!campaign_matrix}.  [Error reason] when no C
-    compiler is available, so callers surface a visible skip instead of
-    a silent pass. *)
+  ?budgets:budgets -> ?quick:bool -> unit -> case list * string option
+(** The backend axis over the campaign matrix.  The second component is
+    the skip reason when no C compiler is available: the leg is then
+    skipped, visibly, and every pair is reported unrun (failing, with no
+    [first_bad_stage]), so the report has the same shape on every
+    host. *)
 
 (** {2 MMS convergence order} *)
 
@@ -128,9 +140,7 @@ val mms_pass : mms -> bool
 (** {2 Reporting} *)
 
 val json_of_case : case -> Repro_runtime.Json.t
-val json_of_c_verdict : string * c_verdict -> Repro_runtime.Json.t
 val json_of_mms : mms -> Repro_runtime.Json.t
 
 val pp_case : Format.formatter -> case -> unit
-val pp_c_verdict : Format.formatter -> string * c_verdict -> unit
 val pp_mms : Format.formatter -> mms -> unit

@@ -62,9 +62,10 @@ let test_emit_all_benchmarks () =
       (3, Cycle.W, (10, 0, 0)) ]
 
 (* Compile-and-run promotion of the old -fsyntax-only check: the
-   emitted C is compiled into a native kernel, run and diffed against
-   the engine through the conformance harness.  Skips visibly when no C
-   compiler exists. *)
+   emitted C is compiled into a native kernel, run on filled inputs and
+   diffed against the engine through the conformance harness's one
+   interpreter-vs-native comparison.  Skips visibly when no C compiler
+   exists. *)
 let test_emitted_c_runs () =
   match Native.cc () with
   | None ->
@@ -81,12 +82,13 @@ let test_emitted_c_runs () =
           Printf.sprintf "%s %s computes what the engine computes"
             (Cycle.bench_name cfg) (Options.name opts)
         in
-        match Conformance.c_equivalence plan with
-        | Conformance.C_ok _ -> ()
-        | Conformance.C_skip reason -> Alcotest.failf "%s: unexpected skip: %s" what reason
-        | Conformance.C_fail { reason; max_abs; max_ulp } ->
-          Alcotest.failf "%s: %s (max_abs=%.3e, max_ulp=%.1e)" what reason
-            max_abs max_ulp)
+        let inputs, outputs = Conformance.fill_io plan in
+        match Conformance.vs_native plan ~inputs ~outputs with
+        | Ok d when d.Conformance.max_abs <= Conformance.default_budgets.vs_c -> ()
+        | Ok d ->
+          Alcotest.failf "%s: max_abs=%.3e, max_ulp=%.1e" what
+            d.Conformance.max_abs d.Conformance.max_ulp
+        | Error e -> Alcotest.failf "%s: %s" what e)
       [ (2, Cycle.V, (4, 4, 4), Options.opt_plus, 32);
         (2, Cycle.W, (10, 0, 0), Options.opt, 32);
         (3, Cycle.V, (4, 4, 4), Options.opt_plus, 16);

@@ -61,11 +61,11 @@ let test_observed_order () =
   Alcotest.(check (float 1e-9)) "order of n^-1 data" 1.0
     (Verify.observed_order first_order)
 
-(* -- fill_val is stable (C-equivalence verdicts depend on its values) -- *)
+(* -- fill_val is stable (every native pair's cycle 0 depends on it) ---- *)
 
 let test_fill_val () =
   (* an accidental change to the FNV fill breaks this test rather than
-     silently changing every C-equivalence report *)
+     silently changing every native pair's report *)
   let v = Conformance.fill_val ~input:0 [| 1; 1 |] in
   Alcotest.(check bool) "in range" true (v >= -0.5 && v < 0.5);
   Alcotest.(check (float 0.0))
@@ -84,19 +84,22 @@ let test_oracle_quick () =
   if not (Conformance.case_pass case) then
     Alcotest.failf "oracle case failed:@\n%a" Conformance.pp_case case
 
-(* -- emitted-C run-equivalence ----------------------------------------- *)
+(* -- emitted-C run-equivalence: a native pair's cycle 0 ---------------- *)
 
 let c_equiv_for opts name () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
   let plan = Solver.polymg_plan cfg ~n:32 ~opts in
-  match Conformance.c_equivalence plan with
-  | Conformance.C_ok _ -> ()
-  | Conformance.C_skip reason ->
-    Printf.printf "%s skipped: %s\n%!" name reason;
+  if not (Native.available ()) then begin
+    Printf.printf "%s skipped: no C compiler found (tried gcc, cc)\n%!" name;
     Alcotest.skip ()
-  | Conformance.C_fail { reason; max_abs; max_ulp } ->
-    Alcotest.failf "%s: %s (max_abs=%.3e max_ulp=%.1e)" name reason max_abs
-      max_ulp
+  end;
+  let inputs, outputs = Conformance.fill_io plan in
+  match Conformance.vs_native plan ~inputs ~outputs with
+  | Ok d when d.Conformance.max_abs <= Conformance.default_budgets.vs_c -> ()
+  | Ok d ->
+    Alcotest.failf "%s: max_abs=%.3e max_ulp=%.1e" name d.Conformance.max_abs
+      d.Conformance.max_ulp
+  | Error e -> Alcotest.failf "%s: %s" name e
 
 let () =
   Alcotest.run "conformance"

@@ -2,10 +2,10 @@
    cache-key determinism (one compile, then memory and disk hits), a
    memory hit served without re-probing for a compiler, torn
    .so rejection, compile-failure fallback accounting, the conformance
-   C-equivalence leg running through this backend, and a
-   seed-replayable property running random pipelines through both
-   backends.  Every test needing a real compiler skips visibly when none
-   is installed. *)
+   backend axis running through this backend, and a seed-replayable
+   property running random pipelines through both backends.  Every
+   comparison goes through Conformance.vs_native.  Every test needing a
+   real compiler skips visibly when none is installed. *)
 
 open Repro_mg
 open Repro_core
@@ -55,31 +55,20 @@ let with_native_env ?(tag = "t") f () =
         Telemetry.reset ())
       (fun () -> f ~compiler ~dir)
 
-(* One V-cycle through both backends on the same problem; the budget is
-   the conformance vs_c budget (TESTING.md). *)
-let budget = 1e-10
+(* The conformance vs_c budget (TESTING.md). *)
+let budget = Conformance.default_budgets.vs_c
 
 let cycle_plan ?(opts = Options.opt_plus) ?(omega = 0.8) ~n () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
   Solver.polymg_plan { cfg with Cycle.omega } ~n ~opts
 
-let run_both plan kernel ~n =
-  let pipeline = plan.Plan.pipeline in
-  let vin = Cycle.input_v pipeline in
-  let fin = Cycle.input_f pipeline in
-  let out_id = Cycle.output pipeline in
-  let problem = Problem.poisson ~dims:2 ~n in
-  let ext = Grid.extents problem.Problem.v in
-  let out_i = Grid.create ext in
-  let out_n = Grid.create ext in
-  Exec.with_runtime (fun rt ->
-      Exec.run plan rt
-        ~inputs:[ (vin, problem.Problem.v); (fin, problem.Problem.f) ]
-        ~outputs:[ (out_id, out_i) ]);
-  Native.run kernel
-    ~inputs:[ (vin, problem.Problem.v); (fin, problem.Problem.f) ]
-    ~outputs:[ (out_id, out_n) ];
-  Grid.max_abs_diff out_i out_n
+(* One V-cycle through both backends on filled inputs: the worst
+   absolute difference. *)
+let native_diff plan =
+  let inputs, outputs = Conformance.fill_io plan in
+  match Conformance.vs_native plan ~inputs ~outputs with
+  | Ok d -> d.Conformance.max_abs
+  | Error e -> Alcotest.failf "native vs interpreter: %s" e
 
 let load_exn plan =
   match Native.load plan with
@@ -90,9 +79,7 @@ let load_exn plan =
 
 let test_matches_interp =
   with_native_env ~tag:"diff" (fun ~compiler:_ ~dir:_ ->
-      let plan = cycle_plan ~n:32 () in
-      let k = load_exn plan in
-      let d = run_both plan k ~n:32 in
+      let d = native_diff (cycle_plan ~n:32 ()) in
       check_bool
         (Printf.sprintf "native within %g of interpreter (got %g)" budget d)
         true (d < budget);
@@ -124,7 +111,7 @@ let test_cache_determinism =
       check_bool "artifact lives in the isolated cache" true
         (String.length (Native.so_path k3) > String.length dir
          && String.sub (Native.so_path k3) 0 (String.length dir) = dir);
-      let d = run_both plan k3 ~n:32 in
+      let d = native_diff plan in
       check_bool "disk-cached kernel still correct" true (d < budget))
 
 (* -- regression: the damping factor is part of the kernel's identity -- *)
@@ -143,7 +130,7 @@ let test_omega_not_shared =
       check_bool "two kernels" true (k8 != k5);
       check_int "two compiles" 2 (Telemetry.value c_compiles);
       check_bool "omega 0.5 kernel computes omega 0.5" true
-        (run_both p5 k5 ~n:32 < budget))
+        (native_diff p5 < budget))
 
 (* -- a memory hit spawns nothing: discovery is probed once per process - *)
 
@@ -179,12 +166,12 @@ let test_torn_so_rejected =
       let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 so in
       output_string oc "GARBAGE!";
       close_out oc;
-      let k2 = load_exn plan in
+      ignore (load_exn plan);
       check_int "corrupt artifact rejected" 1
         (Telemetry.value c_cache_rejects);
       check_int "rejection forces a recompile" 2
         (Telemetry.value c_compiles);
-      let d = run_both plan k2 ~n:32 in
+      let d = native_diff plan in
       check_bool "recompiled kernel correct" true (d < budget))
 
 (* -- compile failure: forced Native errors, Auto falls back loudly ----- *)
@@ -259,44 +246,62 @@ let test_compile_failure_fallback =
                (fun f -> kind_of f = Some "native-fallback")
                incidents)))
 
-(* -- the conformance C-equivalence leg runs through Native ------------ *)
+(* -- the conformance backend axis runs through Native ----------------- *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let c_verdict_failf what v =
-  Alcotest.failf "%s, got %a" what Conformance.pp_c_verdict ("case", v)
+let vcfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4)
 
-(* The leg uses Native's compiler choice: a broken compiler is a failing
-   verdict naming the compile failure, not a pass from a compiler the
-   leg found on its own. *)
-let test_c_equivalence_compiler =
-  with_native_env ~tag:"ceq-cc" (fun ~compiler:_ ~dir:_ ->
+let native_variants = [ ("naive", Options.naive); ("opt+", Options.opt_plus) ]
+
+(* The leg uses Native's compiler choice: a broken compiler fails every
+   pair, naming the compile failure, rather than passing with a compiler
+   the leg found on its own. *)
+let test_native_case_compiler =
+  with_native_env ~tag:"case-cc" (fun ~compiler:_ ~dir:_ ->
       Native.set_compiler_override (Some "/nonexistent/cc");
-      match Conformance.c_equivalence (cycle_plan ~n:32 ()) with
-      | Conformance.C_fail { reason; _ } ->
-        check_bool
-          (Printf.sprintf "reason names the compile failure (%s)" reason)
-          true
-          (contains reason "compile failed")
-      | v -> c_verdict_failf "expected a C_fail" v)
+      let case =
+        Conformance.native_case ~variants:native_variants vcfg ~n:32
+          ~cycles:3 ()
+      in
+      check_int "one pair per variant and domain count" 4
+        (List.length case.Conformance.pairs);
+      List.iter
+        (fun (p : Conformance.pair) ->
+          match p.Conformance.first_bad_stage with
+          | Some (reason, _) when not p.Conformance.pass ->
+            check_bool
+              (Printf.sprintf "reason names the compile failure (%s)" reason)
+              true
+              (contains reason "compile failed")
+          | _ ->
+            Alcotest.failf
+              "expected a failing pair naming the load error, got@\n%a"
+              Conformance.pp_case case)
+        case.Conformance.pairs)
 
-(* One C-equivalence case compiles one kernel into Native's cache, and a
-   following load of the same plan is a cache hit. *)
-let test_c_equivalence_shares_cache =
-  with_native_env ~tag:"ceq-cache" (fun ~compiler:_ ~dir:_ ->
-      let plan = cycle_plan ~n:32 () in
-      (match Conformance.c_equivalence plan with
-       | Conformance.C_ok _ -> ()
-       | v -> c_verdict_failf "expected C_ok" v);
-      check_int "the case compiles one kernel" 1 (Telemetry.value c_compiles);
+(* One case (fill pass, lockstep cycles, both domain counts) compiles
+   each variant's kernel once into Native's cache, and a following load
+   of the same plan is a memory hit. *)
+let test_native_case_compiles_once =
+  with_native_env ~tag:"case-cache" (fun ~compiler:_ ~dir:_ ->
+      let case =
+        Conformance.native_case ~variants:native_variants vcfg ~n:32
+          ~cycles:3 ()
+      in
+      if not (Conformance.case_pass case) then
+        Alcotest.failf "native case failed:@\n%a" Conformance.pp_case case;
+      check_int "one compile per variant" (List.length native_variants)
+        (Telemetry.value c_compiles);
       let hits = Telemetry.value c_cache_hits in
-      ignore (load_exn plan);
-      check_int "a following load is a cache hit" (hits + 1)
+      ignore (load_exn (Solver.polymg_plan vcfg ~n:32 ~opts:Options.opt_plus));
+      check_int "a following load is a memory hit" (hits + 1)
         (Telemetry.value c_cache_hits);
-      check_int "and compiles nothing" 1 (Telemetry.value c_compiles))
+      check_int "and compiles nothing" (List.length native_variants)
+        (Telemetry.value c_compiles))
 
 (* -- property: random pipelines agree across backends ------------------ *)
 
@@ -307,23 +312,14 @@ let prop_native_matches_interp =
       let built = Pipeline_gen.gen_pipeline_of stages in
       let n = 32 in
       let plan = Pipeline_gen.build_plan built ~opts:Options.opt_plus ~n in
-      match Native.load plan with
-      | Error _ ->
-        (* unemittable plan (or no compiler): vacuously true — the
-           backend refused, it did not miscompute *)
-        true
-      | Ok kernel ->
-        let (p, in_id, out_id) = built in
-        let f = Repro_ir.Pipeline.func p out_id in
-        let out_n = Repro_ir.Sizeexpr.eval ~n f.Repro_ir.Func.sizes.(0) in
-        let input = Grid.interior ~dims:2 (n - 1) in
-        Grid.fill_interior input ~f:(fun idx ->
-            sin (float_of_int ((idx.(0) * 7) + (idx.(1) * 3)) /. 5.0));
-        let reference = Pipeline_gen.run_plan built plan ~n in
-        let out = Grid.interior ~dims:2 out_n in
-        Native.run kernel ~inputs:[ (in_id, input) ]
-          ~outputs:[ (out_id, out) ];
-        Grid.max_abs_diff reference out < budget)
+      (* unemittable plan (or no compiler): vacuously true — the backend
+         refused, it did not miscompute *)
+      Result.is_error (Native.load plan)
+      ||
+      let inputs, outputs = Conformance.fill_io plan in
+      match Conformance.vs_native plan ~inputs ~outputs with
+      | Ok d -> d.Conformance.max_abs < budget
+      | Error _ -> false)
 
 (* -- plan identity: a function of content ------------------------------ *)
 
@@ -390,9 +386,14 @@ let properties =
       (name, speed, with_native_env ~tag:"qc" (fun ~compiler:_ ~dir:_ -> run ())))
     (Qc_replay.to_alcotest_list [ prop_native_matches_interp ])
 
+(* "identity" forks a child, and OCaml 5 refuses Unix.fork once any
+   domain has been spawned: it runs before "backend", whose native case
+   runs the interpreter on 4 domains. *)
 let () =
   Alcotest.run "native"
-    [ ( "backend",
+    [ ( "identity",
+        Qc_replay.to_alcotest_list [ prop_digest_stable; prop_digest_perturbed ] );
+      ( "backend",
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
             test_cache_determinism;
@@ -403,10 +404,8 @@ let () =
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
             test_compile_failure_fallback;
-          Alcotest.test_case "c-equivalence uses Native's compiler" `Quick
-            test_c_equivalence_compiler;
-          Alcotest.test_case "c-equivalence shares Native's cache" `Quick
-            test_c_equivalence_shares_cache ] );
-      ("properties", properties);
-      ( "identity",
-        Qc_replay.to_alcotest_list [ prop_digest_stable; prop_digest_perturbed ] ) ]
+          Alcotest.test_case "native case uses Native's compiler" `Quick
+            test_native_case_compiler;
+          Alcotest.test_case "native case compiles each kernel once" `Quick
+            test_native_case_compiles_once ] );
+      ("properties", properties) ]
