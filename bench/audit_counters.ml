@@ -46,12 +46,19 @@ let counters_in src =
    with Not_found -> ());
   !names
 
-let rec ml_files path =
-  if Sys.is_directory path then
-    Array.to_list (Sys.readdir path)
-    |> List.concat_map (fun e -> ml_files (Filename.concat path e))
-  else if Filename.check_suffix path ".ml" then [ path ]
-  else []
+(* The [.ml] files under [dir].  The suffix is checked before any stat:
+   under [_build], dune may be writing or removing other artifacts while
+   this runs, so an entry that vanishes between [readdir] and [stat] (or a
+   directory before its own [readdir]) is skipped. *)
+let rec ml_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.concat_map (fun e ->
+         let path = Filename.concat dir e in
+         if Filename.check_suffix e ".ml" then [ path ]
+         else
+           match Sys.is_directory path with
+           | true -> ( try ml_files path with Sys_error _ -> [])
+           | false | (exception Sys_error _) -> [])
 
 let () =
   match List.tl (Array.to_list Sys.argv) with

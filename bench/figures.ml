@@ -190,44 +190,3 @@ let scaling ~cls ~cycles ~reps () =
             (t "opt+" Options.opt_plus))
         [ 1; 2; 4 ])
     [ (2, Cycle.W, (10, 0, 0)); (3, Cycle.V, (4, 4, 4)) ]
-
-(* ---- Ablations of this implementation's own design choices ---- *)
-
-let ablation ~cls ~cycles ~reps () =
-  Printf.printf "\n=== Ablations (implementation design choices) ===\n";
-  let bench ~dims cfg variants =
-    let n = Problem.class_n ~dims cls in
-    let rows =
-      Harness.run_benchmark ~cycles ~reps cfg ~n
-        ~variants:
-          (List.map (fun (name, o) -> Harness.polymg_variant name o) variants)
-    in
-    Harness.print_speedups
-      ~title:(Printf.sprintf "%s class %s (N=%d)" (Cycle.bench_name cfg)
-                (Problem.cls_name cls) n)
-      ~base:(fst (List.hd variants))
-      rows
-  in
-  (* (a) walk-form kernel specialization: the codegen-quality axis *)
-  Printf.printf "\n-- (a) inner-loop code shape (walk kernels vs generic) --\n";
-  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(10, 0, 0) in
-  bench ~dims:2 cfg
-    [ ("opt+ generic kernels",
-       { Options.opt_plus with Options.walk_kernels = false });
-      ("opt+ walk kernels", Options.opt_plus) ];
-  (* (b) scratchpad storage-class threshold: reuse breadth vs slack *)
-  Printf.printf "\n-- (b) scratchpad class threshold (elements/dim) --\n";
-  bench ~dims:2 cfg
-    (List.map
-       (fun th ->
-         ( Printf.sprintf "threshold %d" th,
-           { Options.opt_plus with Options.scratch_class_threshold = th } ))
-       [ 1; 8; 32; 128 ]);
-  (* (c) naive parallel chunking granularity *)
-  Printf.printf "\n-- (c) naive outer-loop chunk rows --\n";
-  bench ~dims:2 cfg
-    (List.map
-       (fun rows ->
-         ( Printf.sprintf "naive rows=%d" rows,
-           { Options.naive with Options.naive_rows = rows } ))
-       [ 1; 4; 16; 64 ])

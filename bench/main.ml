@@ -16,7 +16,7 @@ module Telemetry = Repro_runtime.Telemetry
 let usage () =
   print_endline
     "usage: main.exe \
-     [all|table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling|ablation|quick|native|bechamel|telemetry|flightrec|profile] \
+     [all|table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling|quick|native|bechamel|telemetry|flightrec|profile] \
      [--class B|C] [--cycles N] [--reps N] [--ledger PATH]";
   exit 1
 
@@ -163,9 +163,6 @@ let main () =
   | "scaling" ->
     header ();
     Figures.scaling ~cls:a.cls ~cycles:a.cycles ~reps:a.reps ()
-  | "ablation" ->
-    header ();
-    Figures.ablation ~cls:a.cls ~cycles:a.cycles ~reps:a.reps ()
   | "quick" ->
     Printf.printf "PolyMG quick smoke run (tiny sizes)\n";
     Harness.assert_probe_noop ();
@@ -249,8 +246,7 @@ let main () =
     Figures.fig11a ~cls:a.cls ~reps:a.reps ();
     Figures.fig11b ~cls:a.cls ~cycles:a.cycles ~reps:a.reps ();
     Figures.fig12 ~cls:Problem.B ~cycles:1 ();
-    Figures.scaling ~cls:a.cls ~cycles:a.cycles ~reps:1 ();
-    Figures.ablation ~cls:a.cls ~cycles:a.cycles ~reps:a.reps ()
+    Figures.scaling ~cls:a.cls ~cycles:a.cycles ~reps:1 ()
   | _ -> usage ()
 
 let () =

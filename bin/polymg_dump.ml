@@ -246,28 +246,29 @@ let modes : (string * string * (ctx -> unit)) list =
 
 let mode_names = String.concat ", " (List.map (fun (m, _, _) -> m) modes)
 
+let fail msg =
+  prerr_endline ("polymg_dump: " ^ msg);
+  exit 2
+
+let parsed what = function Some v -> v | None -> fail what
+
 let run dims cycle smoothing levels n variant what mem_budget domains =
   let shape =
-    match String.uppercase_ascii cycle with
-    | "V" -> Cycle.V
-    | "W" -> Cycle.W
-    | "F" -> Cycle.F
-    | _ -> prerr_endline "cycle must be V, W or F"; exit 2
+    parsed "cycle must be V, W or F"
+      (Cycle.shape_of_string (String.uppercase_ascii cycle))
   in
-  let n1, n2, n3 =
-    match String.split_on_char ',' smoothing with
-    | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
-    | _ -> prerr_endline "smoothing must be n1,n2,n3"; exit 2
+  let smoothing =
+    parsed "smoothing must be n1,n2,n3 (three integers)"
+      (match List.map int_of_string_opt (String.split_on_char ',' smoothing)
+       with
+       | [ Some a; Some b; Some c ] -> Some (a, b, c)
+       | _ -> None)
   in
-  let cfg =
-    { (Cycle.default ~dims ~shape ~smoothing:(n1, n2, n3)) with
-      Cycle.levels }
-  in
+  let cfg = { (Cycle.default ~dims ~shape ~smoothing) with Cycle.levels } in
+  Result.iter_error fail (Cycle.check cfg ~n ~cycles:1);
   let pipeline = Cycle.build cfg in
   let opts =
-    match Options.variant_of_string variant with
-    | Some o -> o
-    | None -> prerr_endline ("unknown variant " ^ variant); exit 2
+    parsed ("unknown variant " ^ variant) (Options.variant_of_string variant)
   in
   let ctx = { cfg; pipeline; opts; n; mem_budget; domains } in
   match List.find_opt (fun (m, _, _) -> m = what) modes with

@@ -218,11 +218,10 @@ let case_is_affine ~parity terms =
         (Array.init (Array.length t.accs) Fun.id))
     terms
 
-(* Innermost-dimension walks, specialized on the term count so that
-   coefficients, buffers and cursors live in registers.  [start.(t)] is
-   term [t]'s buffer index at the first point; [step.(t)] its per-point
-   increment.  The destination walks from [didx0] by [dstep]. *)
-
+(* Innermost-dimension loop for terms that do not form a walk: one cursor
+   per term.  [start.(t)] is term [t]'s buffer index at the first point;
+   [step.(t)] its per-point increment.  The destination walks from
+   [didx0] by [dstep]. *)
 let inner_generic ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data
     ~start ~step =
   let nt = Array.length coef in
@@ -242,221 +241,17 @@ let inner_generic ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data
     di := !di + dstep
   done
 
-let inner1 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let s0 = Array.unsafe_get step 0 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0));
-    i0 := !i0 + s0;
-    di := !di + dstep
-  done
-
-let inner2 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0 and c1 = Array.unsafe_get coef 1 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let d1 : Buf.data = Array.unsafe_get data 1 in
-  let s0 = Array.unsafe_get step 0 and s1 = Array.unsafe_get step 1 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let i1 = ref (Array.unsafe_get start 1) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base
-       +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0)
-       +. (c1 *. Bigarray.Array1.unsafe_get d1 !i1));
-    i0 := !i0 + s0;
-    i1 := !i1 + s1;
-    di := !di + dstep
-  done
-
-let inner3 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0
-  and c1 = Array.unsafe_get coef 1
-  and c2 = Array.unsafe_get coef 2 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let d1 : Buf.data = Array.unsafe_get data 1 in
-  let d2 : Buf.data = Array.unsafe_get data 2 in
-  let s0 = Array.unsafe_get step 0
-  and s1 = Array.unsafe_get step 1
-  and s2 = Array.unsafe_get step 2 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let i1 = ref (Array.unsafe_get start 1) in
-  let i2 = ref (Array.unsafe_get start 2) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base
-       +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0)
-       +. (c1 *. Bigarray.Array1.unsafe_get d1 !i1)
-       +. (c2 *. Bigarray.Array1.unsafe_get d2 !i2));
-    i0 := !i0 + s0;
-    i1 := !i1 + s1;
-    i2 := !i2 + s2;
-    di := !di + dstep
-  done
-
-let inner4 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0
-  and c1 = Array.unsafe_get coef 1
-  and c2 = Array.unsafe_get coef 2
-  and c3 = Array.unsafe_get coef 3 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let d1 : Buf.data = Array.unsafe_get data 1 in
-  let d2 : Buf.data = Array.unsafe_get data 2 in
-  let d3 : Buf.data = Array.unsafe_get data 3 in
-  let s0 = Array.unsafe_get step 0
-  and s1 = Array.unsafe_get step 1
-  and s2 = Array.unsafe_get step 2
-  and s3 = Array.unsafe_get step 3 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let i1 = ref (Array.unsafe_get start 1) in
-  let i2 = ref (Array.unsafe_get start 2) in
-  let i3 = ref (Array.unsafe_get start 3) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base
-       +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0)
-       +. (c1 *. Bigarray.Array1.unsafe_get d1 !i1)
-       +. (c2 *. Bigarray.Array1.unsafe_get d2 !i2)
-       +. (c3 *. Bigarray.Array1.unsafe_get d3 !i3));
-    i0 := !i0 + s0;
-    i1 := !i1 + s1;
-    i2 := !i2 + s2;
-    i3 := !i3 + s3;
-    di := !di + dstep
-  done
-
-let inner6 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0
-  and c1 = Array.unsafe_get coef 1
-  and c2 = Array.unsafe_get coef 2
-  and c3 = Array.unsafe_get coef 3
-  and c4 = Array.unsafe_get coef 4
-  and c5 = Array.unsafe_get coef 5 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let d1 : Buf.data = Array.unsafe_get data 1 in
-  let d2 : Buf.data = Array.unsafe_get data 2 in
-  let d3 : Buf.data = Array.unsafe_get data 3 in
-  let d4 : Buf.data = Array.unsafe_get data 4 in
-  let d5 : Buf.data = Array.unsafe_get data 5 in
-  let s0 = Array.unsafe_get step 0
-  and s1 = Array.unsafe_get step 1
-  and s2 = Array.unsafe_get step 2
-  and s3 = Array.unsafe_get step 3
-  and s4 = Array.unsafe_get step 4
-  and s5 = Array.unsafe_get step 5 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let i1 = ref (Array.unsafe_get start 1) in
-  let i2 = ref (Array.unsafe_get start 2) in
-  let i3 = ref (Array.unsafe_get start 3) in
-  let i4 = ref (Array.unsafe_get start 4) in
-  let i5 = ref (Array.unsafe_get start 5) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base
-       +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0)
-       +. (c1 *. Bigarray.Array1.unsafe_get d1 !i1)
-       +. (c2 *. Bigarray.Array1.unsafe_get d2 !i2)
-       +. (c3 *. Bigarray.Array1.unsafe_get d3 !i3)
-       +. (c4 *. Bigarray.Array1.unsafe_get d4 !i4)
-       +. (c5 *. Bigarray.Array1.unsafe_get d5 !i5));
-    i0 := !i0 + s0;
-    i1 := !i1 + s1;
-    i2 := !i2 + s2;
-    i3 := !i3 + s3;
-    i4 := !i4 + s4;
-    i5 := !i5 + s5;
-    di := !di + dstep
-  done
-
-let inner8 ~n1 ~base ~(dst : Buf.data) ~didx0 ~dstep ~coef ~data ~start ~step =
-  let c0 = Array.unsafe_get coef 0
-  and c1 = Array.unsafe_get coef 1
-  and c2 = Array.unsafe_get coef 2
-  and c3 = Array.unsafe_get coef 3
-  and c4 = Array.unsafe_get coef 4
-  and c5 = Array.unsafe_get coef 5
-  and c6 = Array.unsafe_get coef 6
-  and c7 = Array.unsafe_get coef 7 in
-  let d0 : Buf.data = Array.unsafe_get data 0 in
-  let d1 : Buf.data = Array.unsafe_get data 1 in
-  let d2 : Buf.data = Array.unsafe_get data 2 in
-  let d3 : Buf.data = Array.unsafe_get data 3 in
-  let d4 : Buf.data = Array.unsafe_get data 4 in
-  let d5 : Buf.data = Array.unsafe_get data 5 in
-  let d6 : Buf.data = Array.unsafe_get data 6 in
-  let d7 : Buf.data = Array.unsafe_get data 7 in
-  let s0 = Array.unsafe_get step 0
-  and s1 = Array.unsafe_get step 1
-  and s2 = Array.unsafe_get step 2
-  and s3 = Array.unsafe_get step 3
-  and s4 = Array.unsafe_get step 4
-  and s5 = Array.unsafe_get step 5
-  and s6 = Array.unsafe_get step 6
-  and s7 = Array.unsafe_get step 7 in
-  let i0 = ref (Array.unsafe_get start 0) in
-  let i1 = ref (Array.unsafe_get start 1) in
-  let i2 = ref (Array.unsafe_get start 2) in
-  let i3 = ref (Array.unsafe_get start 3) in
-  let i4 = ref (Array.unsafe_get start 4) in
-  let i5 = ref (Array.unsafe_get start 5) in
-  let i6 = ref (Array.unsafe_get start 6) in
-  let i7 = ref (Array.unsafe_get start 7) in
-  let di = ref didx0 in
-  for _ = 1 to n1 do
-    Bigarray.Array1.unsafe_set dst !di
-      (base
-       +. (c0 *. Bigarray.Array1.unsafe_get d0 !i0)
-       +. (c1 *. Bigarray.Array1.unsafe_get d1 !i1)
-       +. (c2 *. Bigarray.Array1.unsafe_get d2 !i2)
-       +. (c3 *. Bigarray.Array1.unsafe_get d3 !i3)
-       +. (c4 *. Bigarray.Array1.unsafe_get d4 !i4)
-       +. (c5 *. Bigarray.Array1.unsafe_get d5 !i5)
-       +. (c6 *. Bigarray.Array1.unsafe_get d6 !i6)
-       +. (c7 *. Bigarray.Array1.unsafe_get d7 !i7));
-    i0 := !i0 + s0;
-    i1 := !i1 + s1;
-    i2 := !i2 + s2;
-    i3 := !i3 + s3;
-    i4 := !i4 + s4;
-    i5 := !i5 + s5;
-    i6 := !i6 + s6;
-    i7 := !i7 + s7;
-    di := !di + dstep
-  done
-
-let inner_for nt =
-  match nt with
-  | 1 -> inner1
-  | 2 -> inner2
-  | 3 -> inner3
-  | 4 -> inner4
-  | 5 | 6 -> inner6  (* padded to 6 by the caller *)
-  | 7 | 8 -> inner8  (* padded to 8 by the caller *)
-  | _ -> inner_generic
-
-(* Pad term metadata so a padded specialization reads harmless data:
-   coefficient 0 on the first buffer at index 0 with step 0. *)
-let padded_size nt =
-  match nt with 5 -> 6 | 7 -> 8 | _ -> nt
-
 (* Iterate the outer dimensions; fill [cur] with each term's buffer index
    at the row start and hand the destination row index to [run_row]. *)
-let iterate_rows ~d ~counts ~np ~(tbase : int array) ~tstep ~dbase ~dstep
+let iterate_rows ~d ~counts ~nt ~(tbase : int array) ~tstep ~dbase ~dstep
     ~(cur : int array) ~run_row =
   match d with
   | 1 ->
-    Array.blit tbase 0 cur 0 np;
+    Array.blit tbase 0 cur 0 nt;
     run_row dbase
   | 2 ->
     for r = 0 to counts.(0) - 1 do
-      for t = 0 to np - 1 do
+      for t = 0 to nt - 1 do
         cur.(t) <- tbase.(t) + (r * tstep.(t).(0))
       done;
       run_row (dbase + (r * dstep.(0)))
@@ -464,7 +259,7 @@ let iterate_rows ~d ~counts ~np ~(tbase : int array) ~tstep ~dbase ~dstep
   | 3 ->
     for q = 0 to counts.(0) - 1 do
       for r = 0 to counts.(1) - 1 do
-        for t = 0 to np - 1 do
+        for t = 0 to nt - 1 do
           cur.(t) <- tbase.(t) + (q * tstep.(t).(0)) + (r * tstep.(t).(1))
         done;
         run_row (dbase + (q * dstep.(0)) + (r * dstep.(1)))
@@ -478,30 +273,28 @@ let iterate_rows ~d ~counts ~np ~(tbase : int array) ~tstep ~dbase ~dstep
     for flat = 0 to !total_outer - 1 do
       let rem = ref flat in
       let didx = ref dbase in
-      for t = 0 to np - 1 do
+      for t = 0 to nt - 1 do
         cur.(t) <- tbase.(t)
       done;
       for k = d - 2 downto 0 do
         let r = !rem mod counts.(k) in
         rem := !rem / counts.(k);
         didx := !didx + (r * dstep.(k));
-        for t = 0 to np - 1 do
+        for t = 0 to nt - 1 do
           cur.(t) <- cur.(t) + (r * tstep.(t).(k))
         done
       done;
       run_row !didx
     done
 
-let run_lin_terms ~specialize ~(srcs : source array) ~(dst : source) ~box ~d
-    ~m ~start ~counts ~base ~(terms : term array) =
-  ignore box;
+let run_lin_terms ~(srcs : source array) ~(dst : source) ~d ~m ~start
+    ~counts ~base ~(terms : term array) =
   let nt = Array.length terms in
-  let np = padded_size nt in
   (* index of term t at the lattice origin, and per-dim lattice steps *)
-  let tstep = Array.make_matrix np d 0 in
-  let tbase = Array.make np 0 in
-  let coef = Array.make np 0.0 in
-  let data = Array.make np srcs.(terms.(0).pos).data in
+  let tstep = Array.make_matrix nt d 0 in
+  let tbase = Array.make nt 0 in
+  let coef = Array.make nt 0.0 in
+  let data = Array.make nt srcs.(terms.(0).pos).data in
   for t = 0 to nt - 1 do
     let src = srcs.(terms.(t).pos) in
     let b = ref 0 in
@@ -521,15 +314,15 @@ let run_lin_terms ~specialize ~(srcs : source array) ~(dst : source) ~box ~d
   done;
   let n1 = counts.(d - 1) in
   let inner_dstep = dstep.(d - 1) in
-  let step = Array.init np (fun t -> tstep.(t).(d - 1)) in
-  let cur = Array.make np 0 in
+  let step = Array.init nt (fun t -> tstep.(t).(d - 1)) in
+  let cur = Array.make nt 0 in
   (* Walk detection: the largest set of terms sharing one buffer and one
      inner-dimension step becomes the main walk (one cursor, constant
      deltas — the register shape of the generated C); at most one further
-     term rides along as an auxiliary stream.  Anything else falls back to
-     the per-term-cursor kernels. *)
+     term rides along as an auxiliary stream.  Anything else runs
+     [inner_generic]. *)
   let main_idx =
-    if nt = 0 || not specialize then [||]
+    if nt = 0 then [||]
     else begin
       let best = ref [||] in
       for t = 0 to nt - 1 do
@@ -671,23 +464,22 @@ let run_lin_terms ~specialize ~(srcs : source array) ~(dst : source) ~box ~d
         Walks.kn ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
           ~step:mstep ~coef:wcoef ~delta:wdelta ~aux ~ac ~a0 ~astep
     in
-    iterate_rows ~d ~counts ~np ~tbase ~tstep ~dbase:!dbase ~dstep ~cur
+    iterate_rows ~d ~counts ~nt ~tbase ~tstep ~dbase:!dbase ~dstep ~cur
       ~run_row
   end
   else begin
-    let inner = inner_for np in
     let run_row didx0 =
-      inner ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~coef ~data
-        ~start:cur ~step
+      inner_generic ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~coef
+        ~data ~start:cur ~step
     in
-    iterate_rows ~d ~counts ~np ~tbase ~tstep ~dbase:!dbase ~dstep ~cur
+    iterate_rows ~d ~counts ~nt ~tbase ~tstep ~dbase:!dbase ~dstep ~cur
       ~run_row
   end
 
 (* Iterate the parity sub-lattice of [box]; for each point run the terms.
    [m] = 1 (no parity) or 2. *)
-let run_lin ~specialize ~(srcs : source array) ~(dst : source) ~box ~parity
-    ~base ~(terms : term array) =
+let run_lin ~(srcs : source array) ~(dst : source) ~box ~parity ~base
+    ~(terms : term array) =
   if not (Box.is_empty box) then begin
     let d = Box.rank box in
     let m = match parity with None -> 1 | Some _ -> 2 in
@@ -726,8 +518,7 @@ let run_lin ~specialize ~(srcs : source array) ~(dst : source) ~box ~parity
         end
       end
       else
-        run_lin_terms ~specialize ~srcs ~dst ~box ~d ~m ~start ~counts ~base
-          ~terms
+        run_lin_terms ~srcs ~dst ~d ~m ~start ~counts ~base ~terms
     end
   end
 
@@ -765,7 +556,7 @@ let run_gen ~(srcs : source array) ~(dst : source) ~box ~parity ~eval
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-let compile ?(specialize = true) (f : Func.t) ~params =
+let compile (f : Func.t) ~params =
   (match f.Func.kind with
    | Func.Input -> invalid_arg "Compile.compile: cannot compile an input"
    | Func.Pointwise | Func.Smooth _ | Func.Restriction | Func.Interpolation ->
@@ -835,8 +626,7 @@ let compile ?(specialize = true) (f : Func.t) ~params =
         (fun c ->
           match c.kernel with
           | Lin { base; terms } ->
-            run_lin ~specialize ~srcs ~dst ~box:inner ~parity:c.parity ~base
-              ~terms
+            run_lin ~srcs ~dst ~box:inner ~parity:c.parity ~base ~terms
           | Gen eval ->
             run_gen ~srcs ~dst ~box:inner ~parity:c.parity ~eval ~producers)
         cases

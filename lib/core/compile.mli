@@ -48,12 +48,8 @@ type t = {
           definition, the rest with the boundary value.  Re-entrant. *)
 }
 
-val compile :
-  ?specialize:bool -> Repro_ir.Func.t -> params:(string -> float) -> t
-(** [specialize] (default true) enables the walk-form inner loops;
-    disabling it forces the generic per-term-cursor kernels (used by the
-    codegen ablation).
-    @raise Invalid_argument for input stages or unbound parameters. *)
+val compile : Repro_ir.Func.t -> params:(string -> float) -> t
+(** @raise Invalid_argument for input stages or unbound parameters. *)
 
 val fill_rim :
   source -> region:Repro_poly.Box.t -> interior:Repro_poly.Box.t -> float ->

@@ -72,6 +72,9 @@ module Uf = struct
     if ra <> rb then t.(ra) <- rb
 end
 
+(* The largest redundant-computation fraction a fused group may carry. *)
+let max_redundancy = 0.6
+
 let can_tile pipeline ~opts ~n ~members =
   let liveouts = liveouts_of pipeline ~members in
   match Regions.build pipeline ~n ~members ~liveouts with
@@ -79,7 +82,7 @@ let can_tile pipeline ~opts ~n ~members =
   | Ok geom ->
     let dims = (Regions.reference geom).Regions.func.Func.dims in
     let tile_sizes = tile_sizes_for opts ~dims in
-    (try Regions.redundancy geom ~tile_sizes <= opts.Options.overlap_threshold
+    (try Regions.redundancy geom ~tile_sizes <= max_redundancy
      with Invalid_argument _ -> false)
 
 let run pipeline ~(opts : Options.t) ~n =

@@ -6,7 +6,7 @@
     limit, (b) the members' resolutions are power-of-two scalable against
     the merged reference (so one tile space covers all of them), and
     (c) the redundant computation that overlapped tiling would pay for the
-    merged group stays below the overlap threshold.  Stages with several
+    merged group is at most 0.6 of its useful points.  Stages with several
     consumer groups stay live-out (e.g. the last pre-smoothing step feeds
     both the residual and the later correction — exactly the group
     boundaries of Fig. 6).

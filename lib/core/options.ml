@@ -9,15 +9,11 @@ type t = {
   fuse : bool;
   tile_2d : int array;
   tile_3d : int array;
-  naive_rows : int;
   group_size_limit : int;
-  overlap_threshold : float;
   scratch_reuse : bool;
-  scratch_class_threshold : int;
   array_reuse : bool;
   pool : bool;
   smoother : smoother_path;
-  walk_kernels : bool;
   check_plan : bool;
   mem_budget : int option;
   deadline : float option;
@@ -28,15 +24,11 @@ let naive =
   { fuse = false;
     tile_2d = [| 32; 256 |];
     tile_3d = [| 8; 8; 64 |];
-    naive_rows = 128;
     group_size_limit = 1;
-    overlap_threshold = 0.6;
     scratch_reuse = false;
-    scratch_class_threshold = 32;
     array_reuse = false;
     pool = false;
     smoother = Overlapped_smoother;
-    walk_kernels = true;
     check_plan = false;
     mem_budget = None;
     deadline = None;
@@ -83,18 +75,14 @@ let fingerprint t =
   bool t.fuse;
   ints t.tile_2d;
   ints t.tile_3d;
-  int t.naive_rows;
   int t.group_size_limit;
-  Buffer.add_int64_le b (Int64.bits_of_float t.overlap_threshold);
   bool t.scratch_reuse;
-  int t.scratch_class_threshold;
   bool t.array_reuse;
   bool t.pool;
   (match t.smoother with
    | Overlapped_smoother -> int 0
    | Diamond_smoother { sigma } -> int 1; int sigma
    | Skewed_smoother { tau; sigma } -> int 2; int tau; int sigma);
-  bool t.walk_kernels;
   bool t.check_plan;
   int (Option.value t.mem_budget ~default:(-1));
   Buffer.add_int64_le b

@@ -30,23 +30,11 @@ type t = {
   fuse : bool;  (** auto-grouping on; off = one group per stage *)
   tile_2d : int array;  (** overlapped tile sizes for rank-2 groups *)
   tile_3d : int array;
-  naive_rows : int;
-      (** for unfused plans: rows per parallel chunk of the outer loop
-          (the default, 128, behaves like the paper's plain
-          [parallel for] over the outer dimension) *)
   group_size_limit : int;  (** max stages per fused group *)
-  overlap_threshold : float;
-      (** max redundant-computation fraction tolerated per group *)
   scratch_reuse : bool;  (** §3.2.1 intra-group scratchpad reuse *)
-  scratch_class_threshold : int;
-      (** ± size tolerance (elements/dim) for scratchpad storage classes *)
   array_reuse : bool;  (** §3.2.2 inter-group full-array reuse *)
   pool : bool;  (** §3.2.3 pooled allocation across cycles *)
   smoother : smoother_path;
-  walk_kernels : bool;
-      (** dispatch linear stages to the specialized walk-form inner loops
-          (the register shape of generated C); off = generic per-term
-          cursor loops.  An ablation knob for the codegen-quality axis. *)
   check_plan : bool;
       (** run the {!Plan_check} storage-safety/halo validation pass over
           every plan built through {!Plan_check.build} (the solver path).

@@ -67,8 +67,17 @@ let concrete_sizes ~n (f : Func.t) =
 
 let full_len sizes = Array.fold_left (fun a s -> a * (s + 2)) 1 sizes
 
-(* quantize extents up to the class threshold for scratch storage classes *)
-let quantize q e = if q <= 1 then e else (e + q - 1) / q * q
+(* Unfused plans chunk the outer loop into this many rows per parallel
+   chunk, like the paper's plain [parallel for] over the outer dimension. *)
+let chunk_rows = 128
+
+(* Scratchpad extents are rounded up to this many elements per dimension
+   before storage classes are formed, so near-equal tiles share a slot. *)
+let scratch_class_quantum = 32
+
+let quantize e =
+  (e + scratch_class_quantum - 1) / scratch_class_quantum
+  * scratch_class_quantum
 
 (* Every access made from a stage's interior must land inside the
    producer's domain-plus-ghost box: grids carry exactly one ghost layer,
@@ -190,7 +199,7 @@ let build pipeline ~(opts : Options.t) ~n ~params =
         (* naive: chunk the outer dimension only *)
         let ref_sizes = (Regions.reference geom).Regions.sizes in
         Array.init dims (fun k ->
-            if k = 0 then Int.min opts.Options.naive_rows ref_sizes.(0)
+            if k = 0 then Int.min chunk_rows ref_sizes.(0)
             else ref_sizes.(k))
       end
     in
@@ -219,11 +228,7 @@ let build pipeline ~(opts : Options.t) ~n ~params =
         (Pipeline.consumers pipeline id)
     in
     let ext_of id = List.assoc id extents in
-    let s_cls id =
-      Array.map
-        (quantize opts.Options.scratch_class_threshold)
-        (ext_of id)
-    in
+    let s_cls id = Array.map quantize (ext_of id) in
     let s_storage, s_count =
       if opts.Options.scratch_reuse then
         Storage.remap ~ids:scratch_ids ~time:s_time ~last_use:s_last_use
@@ -241,9 +246,7 @@ let build pipeline ~(opts : Options.t) ~n ~params =
       Array.map
         (fun (rm : Regions.member) ->
           let f = rm.Regions.func in
-          let compiled =
-            Compile.compile ~specialize:opts.Options.walk_kernels f ~params
-          in
+          let compiled = Compile.compile f ~params in
           let src_of =
             Array.map
               (fun pid ->
@@ -319,9 +322,7 @@ let build pipeline ~(opts : Options.t) ~n ~params =
     let steps =
       Array.mapi
         (fun step (f : Func.t) ->
-          let compiled =
-            Compile.compile ~specialize:opts.Options.walk_kernels f ~params
-          in
+          let compiled = Compile.compile f ~params in
           let prev =
             match prev_id_of step with Some p -> Some p | None -> init_id
           in

@@ -211,36 +211,44 @@ let test_compile_input_rejected () =
     (Invalid_argument "Compile.compile: cannot compile an input") (fun () ->
       ignore (Compile.compile f ~params))
 
-(* random linear stencils: compiled fast path vs interpreter, exercising the
-   specialized inner loops for every term count 1..10 *)
+(* random linear stencils over up to three source buffers: compiled kernels
+   vs the interpreter.  Terms that share one buffer run as a walk; a case
+   whose terms spread over the buffers so that two or more fall outside the
+   largest same-buffer set runs the per-term-cursor loop instead. *)
 let prop_lin_matches_interpreter =
   QCheck.Test.make ~name:"linear kernels match the interpreter (nt 1..10)"
     ~count:80
     QCheck.(
       pair (int_range 1 10)
         (list_of_size (Gen.return 10)
-           (triple (int_range (-1) 1) (int_range (-1) 1)
-              (float_range (-2.0) 2.0))))
+           (pair (int_range 0 2)
+              (triple (int_range (-1) 1) (int_range (-1) 1)
+                 (float_range (-2.0) 2.0)))))
     (fun (nt, offsets) ->
       let size = 7 in
-      let v_src, _ = grid_source size in
-      fill_source v_src size (fun i j ->
-          float_of_int (((i * 31) + (j * 7)) mod 23) /. 3.0);
+      let bufs =
+        Array.init 3 (fun b ->
+            let src, _ = grid_source size in
+            fill_source src size (fun i j ->
+                float_of_int (((i * 31) + (j * 7) + (b * 5)) mod 23) /. 3.0);
+            src)
+      in
       let terms = List.filteri (fun i _ -> i < nt) offsets in
       let defn =
         List.fold_left
-          (fun acc (oi, oj, w) ->
-            Expr.(acc + (const w * load 0 [| oi; oj |])))
+          (fun acc (b, (oi, oj, w)) ->
+            Expr.(acc + (const w * load b [| oi; oj |])))
           (Expr.const 0.125) terms
       in
       let f = mk_func ~id:9 ~name:"r" ~size (Func.Def defn) in
       let compiled = Compile.compile f ~params in
       let dst, _ = grid_source size in
       let interior = Box.of_sizes [| size; size |] in
-      let srcs = if terms = [] then [||] else [| v_src |] in
+      let srcs = Array.map (fun b -> bufs.(b)) compiled.Compile.producers in
       compiled.Compile.run ~srcs ~dst ~interior ~region:interior;
-      let lookup _ pc =
-        Bigarray.Array1.get v_src.Compile.data (Compile.source_index v_src pc)
+      let lookup b pc =
+        Bigarray.Array1.get bufs.(b).Compile.data
+          (Compile.source_index bufs.(b) pc)
       in
       let ok = ref true in
       for i = 1 to size do

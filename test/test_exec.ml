@@ -81,33 +81,6 @@ let test_sigma_doesnt_change_results () =
       assert_equal_grids (Printf.sprintf "sigma %d" sigma) reference v)
     [ 2; 4; 7; 16; 64 ]
 
-let test_scratch_threshold_doesnt_change_results () =
-  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let reference, _ = run_variant cfg Options.naive in
-  List.iter
-    (fun threshold ->
-      let opts =
-        { Options.opt_plus with Options.scratch_class_threshold = threshold }
-      in
-      let v, _ = run_variant cfg opts in
-      assert_equal_grids (Printf.sprintf "threshold %d" threshold) reference v)
-    [ 1; 8; 128 ]
-
-let test_generic_kernels_agree () =
-  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let reference, _ = run_variant cfg Options.opt_plus in
-  let v, _ =
-    run_variant cfg { Options.opt_plus with Options.walk_kernels = false }
-  in
-  assert_equal_grids "generic kernels" reference v;
-  let cfg3 = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(2, 1, 2) in
-  let r3, _ = run_variant ~n:16 cfg3 Options.naive in
-  let v3, _ =
-    run_variant ~n:16 cfg3
-      { Options.naive with Options.walk_kernels = false }
-  in
-  assert_equal_grids "generic kernels 3D" r3 v3
-
 let test_group_limit_doesnt_change_results () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.W ~smoothing:(4, 4, 4) in
   let reference, _ = run_variant cfg Options.naive in
@@ -206,12 +179,8 @@ let () =
       ( "configuration invariance",
         [ Alcotest.test_case "tile sizes" `Quick test_tile_sizes_dont_change_results;
           Alcotest.test_case "sigma" `Quick test_sigma_doesnt_change_results;
-          Alcotest.test_case "scratch threshold" `Quick
-            test_scratch_threshold_doesnt_change_results;
           Alcotest.test_case "group limit" `Quick
-            test_group_limit_doesnt_change_results;
-          Alcotest.test_case "generic kernels" `Quick
-            test_generic_kernels_agree ] );
+            test_group_limit_doesnt_change_results ] );
       ( "runtime behaviour",
         [ Alcotest.test_case "pool reuse across cycles" `Quick
             test_pool_reused_across_cycles;

@@ -80,19 +80,31 @@ let test_liveouts_match_dag () =
         g.Grouping.members)
     groups
 
-let test_overlap_threshold_blocks_fusion () =
+let test_redundancy_blocks_fusion () =
   let p = Cycle.build vcfg in
   let n = 32 in
-  let opts = { Options.opt_plus with Options.overlap_threshold = 0.0 } in
+  let opts =
+    Options.with_tiles Options.opt_plus ~t2:[| 2; 2 |] ~t3:[| 2; 2; 2 |]
+  in
   let groups = Grouping.run p ~opts ~n in
-  (* zero tolerance: any fused group must have zero measured redundancy
-     (pointwise chains), and the smoother chains must stay unfused *)
+  (* 2x2 tiles: fusing two smoothing steps would recompute more than the
+     grouping tolerates (redundancy 0.6), so the smoother chains stay
+     unfused and every group that does fuse stays within that bound *)
   check_bool "some groups are singletons" true
     (List.exists
        (fun (g : Grouping.group) -> List.length g.Grouping.members = 1)
        groups);
   List.iter
     (fun (g : Grouping.group) ->
+      let smooths =
+        List.filter
+          (fun m ->
+            match (Pipeline.func p m).Func.kind with
+            | Func.Smooth _ -> true
+            | _ -> false)
+          g.Grouping.members
+      in
+      check_bool "smoothing steps unfused" true (List.length smooths <= 1);
       if List.length g.Grouping.members > 1 then begin
         match
           Repro_poly.Regions.build p ~n ~members:g.Grouping.members
@@ -102,9 +114,10 @@ let test_overlap_threshold_blocks_fusion () =
           let dims =
             (Repro_poly.Regions.reference geom).Repro_poly.Regions.func.Func.dims
           in
-          Alcotest.(check (float 1e-9)) "zero redundancy" 0.0
+          check_bool "redundancy within bound" true
             (Repro_poly.Regions.redundancy geom
-               ~tile_sizes:(Grouping.tile_sizes_for opts ~dims))
+               ~tile_sizes:(Grouping.tile_sizes_for opts ~dims)
+             <= 0.6)
         | Error e -> Alcotest.fail e
       end)
     groups
@@ -236,7 +249,7 @@ let () =
             test_groups_topologically_ordered;
           Alcotest.test_case "liveouts" `Quick test_liveouts_match_dag;
           Alcotest.test_case "overlap threshold" `Quick
-            test_overlap_threshold_blocks_fusion;
+            test_redundancy_blocks_fusion;
           Alcotest.test_case "diamond chains" `Quick test_diamond_chains_detected;
           Alcotest.test_case "no diamond in opt+" `Quick test_no_diamond_for_overlapped;
           Alcotest.test_case "tile sizes" `Quick test_tile_sizes_for ] );
