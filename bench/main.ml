@@ -5,9 +5,7 @@
      bench/main.exe                    full paper run at class B (default)
      bench/main.exe all --class C      full paper run at class C
      bench/main.exe table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling
-     bench/main.exe quick              fast smoke pass (small sizes)
-     bench/main.exe bechamel           Bechamel micro-suite (one Test.make
-                                       per table/figure kernel) *)
+     bench/main.exe quick              fast smoke pass (small sizes) *)
 
 open Repro_mg
 open Repro_core
@@ -16,7 +14,7 @@ module Telemetry = Repro_runtime.Telemetry
 let usage () =
   print_endline
     "usage: main.exe \
-     [all|table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling|quick|native|bechamel|telemetry|flightrec|profile] \
+     [all|table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling|quick|native|telemetry|flightrec|profile] \
      [--class B|C] [--cycles N] [--reps N] [--ledger PATH]";
   exit 1
 
@@ -72,44 +70,6 @@ let parse_args () =
     reps = !reps;
     ledger = !ledger }
 
-(* ---- Bechamel micro-suite: one Test.make per table/figure kernel ---- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let mk_cycle name cfg n opts =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let r = Solver.solve cfg ~n ~opts ~cycles:1 ~residuals:false () in
-           ignore r.Solver.total_seconds))
-  in
-  let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let w2 = Cycle.default ~dims:2 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
-  let v3 = Cycle.default ~dims:3 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let tests =
-    Test.make_grouped ~name:"polymg"
-      [ mk_cycle "table3:V-2D-444:naive" v2 64 Options.naive;
-        mk_cycle "fig9:V-2D-444:opt+" v2 64 Options.opt_plus;
-        mk_cycle "fig9:W-2D-1000:opt+" w2 64 Options.opt_plus;
-        mk_cycle "fig10:V-3D-444:opt+" v3 32 Options.opt_plus;
-        mk_cycle "fig11a:smoother-dtile" w2 64 Options.dtile_opt_plus;
-        mk_cycle "fig11b:intra+pool" v2 64
-          { Options.opt with Options.scratch_reuse = true; Options.pool = true } ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "\n=== Bechamel micro-suite (ns per cycle, small grids) ===\n";
-  Hashtbl.iter
-    (fun name o ->
-      match Bechamel.Analyze.OLS.estimates o with
-      | Some [ est ] -> Printf.printf "  %-32s %14.0f ns\n" name est
-      | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
-    results
-
 (* ---- sink-cost legs (telemetry, flightrec, profile) ---- *)
 
 let reference_cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4)
@@ -145,7 +105,6 @@ let main () =
       (Problem.cls_name a.cls) a.cycles a.reps
   in
   match a.cmd with
-  | "bechamel" -> bechamel_suite ()
   | "table3" -> header (); Tables.table3 ~cycles:a.cycles ~reps:a.reps ()
   | "fig9" ->
     header ();

@@ -304,11 +304,10 @@ let deadline_axis () =
         in
         Guard.run
           ~policy:
-            { Guard.default_policy with
-              Guard.tol = Some 1e-8;
-              Guard.max_cycles = 60;
-              Guard.primary_retries = 1;
-              Guard.retry_backoff = 1e-3 }
+            { Guard.tol = Some 1e-8;
+              max_cycles = 60;
+              primary_retries = 1;
+              retry_backoff = 1e-3 }
           ~primary ~fallback ~problem ())
   in
   let retried =
@@ -346,11 +345,10 @@ let deadline_axis () =
         in
         Guard.run
           ~policy:
-            { Guard.default_policy with
-              Guard.tol = Some 1e-8;
-              Guard.max_cycles = 10;
-              Guard.primary_retries = 2;
-              Guard.retry_backoff = 1e-3 }
+            { Guard.tol = Some 1e-8;
+              max_cycles = 10;
+              primary_retries = 2;
+              retry_backoff = 1e-3 }
           ~primary ~problem ())
   in
   let retries =

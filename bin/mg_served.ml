@@ -7,7 +7,8 @@
    in the response frame so clients can correlate out-of-order answers.
 
    Exit codes: 0 on clean shutdown (EOF / all connections closed),
-   2 on usage errors. *)
+   2 on usage errors, including a setting Serve.create refuses (queue
+   cap, domains or max cycles below 1, a tenant burst below 1). *)
 
 open Repro_mg
 module Telemetry = Repro_runtime.Telemetry
@@ -145,7 +146,13 @@ let run listen workers queue_cap max_cycles max_n domains allow_faults
       sv_tenants = tenants;
       sv_backend = backend }
   in
-  let server = Serve.create ~config () in
+  let server =
+    (* bad deployment settings refuse at startup, not per request *)
+    try Serve.create ~config ()
+    with Invalid_argument msg ->
+      prerr_endline ("mg_served: " ^ msg);
+      exit 2
+  in
   (match listen with
    | None ->
      set_binary_mode_in stdin true;
@@ -266,7 +273,10 @@ let cmd =
   let doc = "long-running multigrid solve daemon (multigrid-as-a-service)" in
   let exits =
     Cmd.Exit.info 0 ~doc:"on clean shutdown."
-    :: Cmd.Exit.info 2 ~doc:"on usage errors."
+    :: Cmd.Exit.info 2
+         ~doc:
+           "on usage errors, and at startup for a queue cap, domain count \
+            or max cycles below 1, or a tenant burst below 1."
     :: Cmd.Exit.defaults
   in
   Cmd.v

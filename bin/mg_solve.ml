@@ -371,7 +371,7 @@ let tol_t =
     & info [ "tol" ]
         ~doc:
           "Stop when the L2 residual reaches this tolerance (implies \
-           guarded execution).")
+           guarded execution; must be finite and > 0).")
 
 let max_cycles_t =
   Arg.(
@@ -379,7 +379,8 @@ let max_cycles_t =
     & opt (some int) None
     & info [ "max-cycles" ]
         ~doc:
-          "Cycle budget under guarded execution (defaults to --cycles).")
+          "Cycle budget under guarded execution (defaults to --cycles; \
+           at least 1).")
 
 let guard_t =
   Arg.(
@@ -423,10 +424,11 @@ let deadline_t =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Soft per-stage (plan group) deadline.  A stage running past it \
-           is cancelled cooperatively at the next tile boundary; under \
-           --guard the trip is a recoverable fault (rollback + fallback \
-           retry), otherwise the solve stops with exit code 4.")
+          "Soft per-stage (plan group) deadline (finite and > 0).  A \
+           stage running past it is cancelled cooperatively at the next \
+           tile boundary; under --guard the trip is a recoverable fault \
+           (rollback + fallback retry), otherwise the solve stops with \
+           exit code 4.")
 
 let conform_t =
   Arg.(
@@ -509,10 +511,16 @@ let resume_t =
 let cmd =
   let doc = "solve the Poisson problem with PolyMG geometric multigrid" in
   let exits =
-    Cmd.Exit.info 3
+    Cmd.Exit.info 2
       ~doc:
-        "guarded execution quarantined the primary plan; the solve \
-         finished on the fallback plan."
+        "invalid request: a shape, variant or value the request \
+         validator refuses (for example --max-cycles below 1 under \
+         guarded execution, or a --tol or --deadline that is not finite \
+         and > 0)."
+    :: Cmd.Exit.info 3
+         ~doc:
+           "guarded execution quarantined the primary plan; the solve \
+            finished on the fallback plan."
     :: Cmd.Exit.info 4
          ~doc:
            "fault-stop: an unrecoverable fault (or a tripped --deadline \

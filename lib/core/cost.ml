@@ -35,12 +35,10 @@ type t = {
   intensity : float;
 }
 
-type cache_level = { lname : string; bytes : int }
-
-let default_cache_levels =
-  [ { lname = "L1"; bytes = 32 * 1024 };
-    { lname = "L2"; bytes = 1024 * 1024 };
-    { lname = "L3"; bytes = 32 * 1024 * 1024 } ]
+(* The cache hierarchy a group's working set is placed in, smallest
+   first: [fits_in] names the first level that holds it. *)
+let cache_levels =
+  [ ("L1", 32 * 1024); ("L2", 1024 * 1024); ("L3", 32 * 1024 * 1024) ]
 
 let word = 8
 
@@ -207,15 +205,12 @@ let working_set plan gi (g : Plan.group_exec) =
   in
   arrays + scratch + input_ws
 
-let fits_in levels ws =
-  match List.find_opt (fun l -> ws <= l.bytes) levels with
-  | Some l -> l.lname
+let fits_in ws =
+  match List.find_opt (fun (_, bytes) -> ws <= bytes) cache_levels with
+  | Some (name, _) -> name
   | None -> "DRAM"
 
-let of_plan ?(cache_levels = default_cache_levels) (plan : Plan.t) =
-  let levels =
-    List.sort (fun a b -> compare a.bytes b.bytes) cache_levels
-  in
+let of_plan (plan : Plan.t) =
   let stages = ref [] and groups = ref [] in
   Array.iteri
     (fun gi g ->
@@ -254,7 +249,7 @@ let of_plan ?(cache_levels = default_cache_levels) (plan : Plan.t) =
                  (fun (m : Plan.member) -> m.Plan.func.Func.name)
                  (group_members g));
           working_set = ws;
-          fits_in = fits_in levels ws;
+          fits_in = fits_in ws;
           redundancy }
         :: !groups)
     plan.Plan.groups;

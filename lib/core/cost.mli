@@ -64,9 +64,9 @@ type t = {
       (** arithmetic intensity: FLOPs per DRAM byte moved (read+write) *)
 }
 
-type cache_level = { lname : string; bytes : int }
-
-val of_plan : ?cache_levels:cache_level list -> Plan.t -> t
+val of_plan : Plan.t -> t
+(** A group's [fits_in] places its working set in a 32 KiB L1, a 1 MiB
+    L2 or a 32 MiB L3, else DRAM. *)
 
 val stage_bytes : stage -> int
 (** DRAM bytes moved by the stage: [dram_read + dram_write]. *)

@@ -152,9 +152,6 @@ let pool_peak_bytes (plan : Plan.t) =
     fixed + !worst_tmp
   end
 
-let peak_bytes ?(domains = 1) plan =
-  pool_peak_bytes plan + (domains * Plan.scratch_bytes_per_thread plan)
-
 (* ------------------------------------------------------------------ *)
 (* Decision                                                             *)
 

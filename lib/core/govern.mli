@@ -8,7 +8,7 @@
     ladder}: given a byte budget for the runtime working footprint,
     {!decide} builds the plan for each rung (requested variant first,
     then successive {!demote} steps down to naive), models each rung's
-    peak footprint with {!peak_bytes}, and picks the {e most aggressive
+    peak footprint ([peak_bytes]), and picks the {e most aggressive
     rung that fits}.  Every skipped rung is recorded as a {!demotion}
     carrying the modelled cost delta (extra DRAM traffic and FLOPs paid
     for the smaller footprint), so a degraded solve is never silent.
@@ -75,10 +75,6 @@ val demote : Options.t -> Options.t option
     overlapped tiles (dtile-opt+ → opt+), then
     pooling/array-reuse/scratch-reuse switch off together (opt+ → opt),
     then fusion (opt → naive).  [None] at the bottom. *)
-
-val peak_bytes : ?domains:int -> Plan.t -> int
-(** [pool_peak_bytes] plus [domains] per-thread scratchpad footprints
-    ([domains] defaults to 1). *)
 
 val decide :
   ?domains:int ->

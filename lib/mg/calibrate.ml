@@ -77,7 +77,13 @@ type stage_cal = {
   sc_drift : bool;  (* ratio outside [1/factor, factor] *)
 }
 
-let join ~(roofline : Roofline.t) ~drift_factor ~(cost : Cost.t) ~measured_ns =
+(* A stage drifts when its measured/predicted ratio leaves
+   [1/drift_factor, drift_factor]. *)
+let drift_factor = 4.0
+
+(* Join predictions with a measurement source returning
+   [(ns_per_execution, attributed)] per stage. *)
+let join ~(roofline : Roofline.t) ~(cost : Cost.t) ~measured_ns =
   Array.to_list cost.Cost.stages
   |> List.map (fun (s : Cost.stage) ->
          let predicted = predicted_stage_ns roofline s in
@@ -122,9 +128,9 @@ let stage_json sc =
 
 (* One calibration block for a single executed plan (the [mg_solve
    --metrics] surface): per-stage join + stage-rank correlation. *)
-let calibration_block ~(roofline : Roofline.t) ?(drift_factor = 4.0)
-    ~(cost : Cost.t) ~measured_ns () =
-  let stages = join ~roofline ~drift_factor ~cost ~measured_ns in
+let calibration_block ~(roofline : Roofline.t) ~(cost : Cost.t) ~measured_ns
+    () =
+  let stages = join ~roofline ~cost ~measured_ns in
   let predicted_total =
     List.fold_left (fun acc sc -> acc +. sc.sc_predicted_ns) 0.0 stages
   in
@@ -213,10 +219,13 @@ type t = {
       (* predicted-vs-measured plan ordering, per shape *)
 }
 
-let default_variants () =
+let variants =
   [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
 
-let measure_cell ~roofline ~drift_factor ~cycles ~domains cfg ~n opts =
+(* profiled cycles per cell *)
+let cycles = 3
+
+let measure_cell ~roofline ~domains cfg ~n opts =
   Exec.with_runtime ~domains (fun rt ->
       let plan = Solver.polymg_plan cfg ~n ~opts in
       let cost = Cost.of_plan plan in
@@ -231,7 +240,7 @@ let measure_cell ~roofline ~drift_factor ~cycles ~domains cfg ~n opts =
       ignore (Solver.iterate stepper ~problem ~cycles ~residuals:false ());
       Profile.set_enabled was;
       let stages =
-        join ~roofline ~drift_factor ~cost ~measured_ns:(profile_measured_ns cost)
+        join ~roofline ~cost ~measured_ns:(profile_measured_ns cost)
       in
       let measured =
         match Profile.stats (Telemetry.site "solver.cycle") with
@@ -246,18 +255,14 @@ let measure_cell ~roofline ~drift_factor ~cycles ~domains cfg ~n opts =
         cell_measured_ns = measured;
         cell_stages = stages })
 
-let run ?variants ?shapes ?(cycles = 3) ?(domains = 1) ?(drift_factor = 4.0)
-    cfg ~n =
-  let variants =
-    match variants with Some v -> v | None -> default_variants ()
-  in
+let run ?shapes ?(domains = 1) cfg ~n =
   let shapes = match shapes with Some s -> s | None -> [ n ] in
   let roofline = Roofline.get () in
   let cells =
     List.concat_map
       (fun n ->
         List.map
-          (measure_cell ~roofline ~drift_factor ~cycles ~domains cfg ~n)
+          (measure_cell ~roofline ~domains cfg ~n)
           variants)
       shapes
   in

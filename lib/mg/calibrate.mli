@@ -21,21 +21,11 @@ type stage_cal = {
   sc_measured_ns : float;  (** per plan execution *)
   sc_ratio : float;  (** measured / predicted; [nan] without data *)
   sc_attributed : bool;  (** diamond stage: flops-share attribution *)
-  sc_drift : bool;  (** ratio outside [[1/factor, factor]] *)
+  sc_drift : bool;  (** ratio outside [[1/4, 4]] *)
 }
-
-val join :
-  roofline:Roofline.t ->
-  drift_factor:float ->
-  cost:Cost.t ->
-  measured_ns:(Cost.stage -> float * bool) ->
-  stage_cal list
-(** Join predictions with a measurement source returning
-    [(ns_per_execution, attributed)] per stage. *)
 
 val calibration_block :
   roofline:Roofline.t ->
-  ?drift_factor:float ->
   cost:Cost.t ->
   measured_ns:(Cost.stage -> float * bool) ->
   unit ->
@@ -58,28 +48,20 @@ type cell = {
 
 type t = {
   bench : string;
-  cycles : int;
+  cycles : int;  (** profiled cycles per cell: 3 *)
   domains : int;
-  drift_factor : float;
+  drift_factor : float;  (** 4: the [sc_drift] threshold *)
   roofline : Roofline.t;
   cells : cell list;
   spearman_by_n : (int * float) list;
 }
 
-val run :
-  ?variants:Options.t list ->
-  ?shapes:int list ->
-  ?cycles:int ->
-  ?domains:int ->
-  ?drift_factor:float ->
-  Cycle.config ->
-  n:int ->
-  t
+val run : ?shapes:int list -> ?domains:int -> Cycle.config -> n:int -> t
 (** Run the calibration sweep: for every shape in [shapes] (default
-    [[n]]) and every variant (default naive/opt/opt+/dtile-opt+), plan,
-    warm up one unprofiled cycle, then measure [cycles] profiled cycles
-    and join against the plan's cost model.  Resets the profiler around
-    each cell. *)
+    [[n]]) and every variant (naive/opt/opt+/dtile-opt+), plan, warm up
+    one unprofiled cycle, then measure 3 profiled cycles and join
+    against the plan's cost model.  Resets the profiler around each
+    cell. *)
 
 val pp : Format.formatter -> t -> unit
 (** The calibration report: per-shape variant table with Spearman, then

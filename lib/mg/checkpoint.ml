@@ -283,8 +283,7 @@ type sink = {
   restore : unit -> (int * float * Grid.t) option;
 }
 
-let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
-    ?(history_prefix = []) () =
+let sink config ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
   let every = max 1 config.every in
   let last : state option ref = ref None in
   let spare : Grid.t option ref = ref None in
@@ -296,7 +295,7 @@ let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
       n;
       variant;
       plan_digest;
-      seed;
+      seed = 0;
       history = history_prefix @ stats;
       v }
   in

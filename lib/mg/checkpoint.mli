@@ -104,7 +104,8 @@ type sink = {
 
 val sink :
   config -> dims:int -> n:int -> variant:string -> plan_digest:string ->
-  ?seed:int -> ?history_prefix:Solver.cycle_stats list -> unit -> sink
-(** [history_prefix] (a restored run's earlier cycles) is prepended to
-    the stats each save records, so a twice-resumed run still carries
-    its full residual history. *)
+  ?history_prefix:Solver.cycle_stats list -> unit -> sink
+(** Every state the sink saves has [seed = 0] (the manufactured
+    problem).  [history_prefix] (a restored run's earlier cycles) is
+    prepended to the stats each save records, so a twice-resumed run
+    still carries its full residual history. *)

@@ -148,8 +148,7 @@ let plan_variants =
     ("opt+", Options.opt_plus);
     ("dtile-opt+", Options.dtile_opt_plus) ]
 
-let oracle_case ?(budgets = default_budgets) ?(quick = false) cfg ~n ~cycles
-    () =
+let oracle_case ?(quick = false) cfg ~n ~cycles () =
   let dims = cfg.Cycle.dims in
   let prob = Problem.poisson ~dims ~n in
   let f = prob.Problem.f in
@@ -185,8 +184,8 @@ let oracle_case ?(budgets = default_budgets) ?(quick = false) cfg ~n ~cycles
       (fun (vname, opts) ->
         List.map
           (fun domains ->
-            pair vname ~drill:(Some opts) ~domains ~budget:budgets.vs_plan
-              (fun rt ->
+            pair vname ~drill:(Some opts) ~domains
+              ~budget:default_budgets.vs_plan (fun rt ->
                 Solver.plan_stepper (Solver.polymg_plan cfg ~n ~opts) ~rt))
           domain_list)
       plan_variants
@@ -195,7 +194,7 @@ let oracle_case ?(budgets = default_budgets) ?(quick = false) cfg ~n ~cycles
   let naive_domains =
     if quick then []
     else
-      [ pair "naive" ~domains:4 ~budget:budgets.vs_plan (fun rt ->
+      [ pair "naive" ~domains:4 ~budget:default_budgets.vs_plan (fun rt ->
             Solver.plan_stepper
               (Solver.polymg_plan cfg ~n ~opts:Options.naive)
               ~rt) ]
@@ -209,7 +208,7 @@ let oracle_case ?(budgets = default_budgets) ?(quick = false) cfg ~n ~cycles
     in
     List.map
       (fun (name, smoothing) ->
-        pair name ~domains:1 ~budget:budgets.vs_handopt (fun rt ->
+        pair name ~domains:1 ~budget:default_budgets.vs_handopt (fun rt ->
             Handopt.stepper
               (Handopt.create cfg ~n ~par:rt.Exec.par ~smoothing ())))
       smoothings
@@ -234,9 +233,9 @@ let campaign_matrix ~quick =
         shapes)
     [ 2; 3 ]
 
-let oracle_campaign ?(budgets = default_budgets) ?(quick = false) () =
+let oracle_campaign ?(quick = false) () =
   List.map
-    (fun (cfg, n) -> oracle_case ~budgets ~quick cfg ~n ~cycles:3 ())
+    (fun (cfg, n) -> oracle_case ~quick cfg ~n ~cycles:3 ())
     (campaign_matrix ~quick)
 
 (* ------------------------------------------------------------------ *)
@@ -286,8 +285,7 @@ let vs_native ?(domains = 1) (plan : Plan.t) ~inputs ~outputs =
    iterates (at 1 and 4 domains), so a mismatch is pinned to the
    backend, not to the schedule.  The native kernel is the emitted C,
    so it is judged against the [vs_c] budget. *)
-let native_case ?(budgets = default_budgets) ?(quick = false) ?variants cfg
-    ~n ~cycles () =
+let native_case ?(quick = false) ?variants cfg ~n ~cycles () =
   let prob = Problem.poisson ~dims:cfg.Cycle.dims ~n in
   let f = prob.Problem.f in
   let variants =
@@ -325,8 +323,8 @@ let native_case ?(budgets = default_budgets) ?(quick = false) ?variants cfg
           Some (e, infinity) )
     in
     { candidate = "native:" ^ vname; domains; max_abs = d.max_abs;
-      max_ulp = d.max_ulp; worst_cycle = wc; budget = budgets.vs_c;
-      pass = d.max_abs <= budgets.vs_c; first_bad_stage = bad }
+      max_ulp = d.max_ulp; worst_cycle = wc; budget = default_budgets.vs_c;
+      pass = d.max_abs <= default_budgets.vs_c; first_bad_stage = bad }
   in
   let pairs =
     List.concat_map
@@ -337,10 +335,10 @@ let native_case ?(budgets = default_budgets) ?(quick = false) ?variants cfg
   in
   { bench = Cycle.bench_name cfg; n; cycles; pairs }
 
-let native_campaign ?(budgets = default_budgets) ?(quick = false) () =
+let native_campaign ?(quick = false) () =
   let cases =
     List.map
-      (fun (cfg, n) -> native_case ~budgets ~quick cfg ~n ~cycles:3 ())
+      (fun (cfg, n) -> native_case ~quick cfg ~n ~cycles:3 ())
       (campaign_matrix ~quick)
   in
   match Native.cc () with
@@ -361,10 +359,11 @@ type mms = {
   m_order : float;
 }
 
-(* 60 cycles: at the campaign's largest grids the V-cycle contraction
-   is ~0.67/cycle, so the algebraic error lands around 1e-10 — far
-   below the ~1e-4 discretization error whose decay we are measuring. *)
-let mms_study ?(opts = Options.opt_plus) ?(cycles = 60) ~dims () =
+(* opt+ for 60 cycles: at the campaign's largest grids the V-cycle
+   contraction is ~0.67/cycle, so the algebraic error lands around 1e-10
+   — far below the ~1e-4 discretization error whose decay we are
+   measuring. *)
+let mms_study ~dims () =
   (* four levels in both ranks (coarsest interior stays valid down to
      n = 16): a shallower 3D hierarchy contracts at only ~0.9/cycle and
      never pushes the algebraic error below the discretization error,
@@ -376,7 +375,8 @@ let mms_study ?(opts = Options.opt_plus) ?(cycles = 60) ~dims () =
       Cycle.levels }
   in
   let solve ~n =
-    (Solver.solve cfg ~n ~opts ~cycles ~residuals:false ()).Solver.v
+    (Solver.solve cfg ~n ~opts:Options.opt_plus ~cycles:60 ~residuals:false ())
+      .Solver.v
   in
   let exact ~n =
     let p = Problem.poisson ~dims ~n in

@@ -79,12 +79,11 @@ type case = {
 val case_pass : case -> bool
 
 val oracle_case :
-  ?budgets:budgets -> ?quick:bool -> Cycle.config -> n:int -> cycles:int ->
-  unit -> case
+  ?quick:bool -> Cycle.config -> n:int -> cycles:int -> unit -> case
 (** Runs the naive reference, then every candidate in lockstep.  [quick]
     restricts to one domain and the plain handopt baseline. *)
 
-val oracle_campaign : ?budgets:budgets -> ?quick:bool -> unit -> case list
+val oracle_campaign : ?quick:bool -> unit -> case list
 
 (** {2 Backend axis: interpreter vs native} *)
 
@@ -108,7 +107,6 @@ val vs_native :
     never raised. *)
 
 val native_case :
-  ?budgets:budgets ->
   ?quick:bool ->
   ?variants:(string * Repro_core.Options.t) list ->
   Cycle.config -> n:int -> cycles:int -> unit -> case
@@ -119,8 +117,7 @@ val native_case :
     iterates, judged against [vs_c].  A load or run error fails the pair
     and is named in [first_bad_stage]. *)
 
-val native_campaign :
-  ?budgets:budgets -> ?quick:bool -> unit -> case list * string option
+val native_campaign : ?quick:bool -> unit -> case list * string option
 (** The backend axis over the campaign matrix.  The second component is
     the skip reason when no C compiler is available: the leg is then
     skipped, visibly, and every pair is reported unrun (failing, with no
@@ -131,8 +128,10 @@ val native_campaign :
 
 type mms = { m_dims : int; m_samples : (int * float) list; m_order : float }
 
-val mms_study :
-  ?opts:Repro_core.Options.t -> ?cycles:int -> dims:int -> unit -> mms
+val mms_study : dims:int -> unit -> mms
+(** 60 opt+ V-4-4-4 cycles at four levels on the manufactured problem at
+    [n] = 16, 32 and 64: the observed order of the discretization
+    error. *)
 
 val mms_pass : mms -> bool
 (** Observed order within [2.0 ± 0.1]. *)

@@ -10,10 +10,6 @@ open Repro_core
 type policy = {
   tol : float option;
   max_cycles : int;
-  divergence_factor : float;
-  stagnation_eps : float;
-  stagnation_window : int;
-  max_primary_faults : int;
   primary_retries : int;
   retry_backoff : float;
 }
@@ -21,12 +17,19 @@ type policy = {
 let default_policy =
   { tol = None;
     max_cycles = 50;
-    divergence_factor = 1e3;
-    stagnation_eps = 1e-3;
-    stagnation_window = 3;
-    max_primary_faults = 2;
     primary_retries = 0;
     retry_backoff = 0.0 }
+
+(* Fault a residual above this factor times the best so far. *)
+let divergence_factor = 1e3
+
+(* A cycle improving the residual by less than this fraction is stagnant;
+   this many stagnant cycles in a row stop the solve. *)
+let stagnation_eps = 1e-3
+let stagnation_window = 3
+
+(* Faults the primary stepper may cost before it is quarantined. *)
+let max_primary_faults = 2
 
 type fault = Fault_nan | Fault_diverged | Fault_crash of string
 
@@ -191,8 +194,8 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
               ~f:problem.Problem.f
           in
           match
-            Solver.classify ~divergence_factor:policy.divergence_factor
-              ~stagnation_eps:policy.stagnation_eps ~best:!best ~prev:!prev r
+            Solver.classify ~divergence_factor ~stagnation_eps ~best:!best
+              ~prev:!prev r
           with
           | Solver.Nan ->
             record r Solver.Nan;
@@ -239,7 +242,7 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
               Telemetry.add c_early 1;
               outcome := Some Converged
             end
-            else if !stagnant >= policy.stagnation_window then begin
+            else if !stagnant >= stagnation_window then begin
               Telemetry.add c_stag_stop 1;
               outcome := Some Stagnated
             end
@@ -310,7 +313,7 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
           incr primary_faults;
           retry_on_fallback := true;
           Telemetry.add c_switch 1;
-          if !primary_faults >= policy.max_primary_faults then begin
+          if !primary_faults >= max_primary_faults then begin
             quarantined := true;
             Quarantined_primary
           end
@@ -372,13 +375,10 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
                          | Some t -> Json.Num t
                          | None -> Json.Null );
                        ("max_cycles", Json.num policy.max_cycles);
-                       ( "divergence_factor",
-                         Json.Num policy.divergence_factor );
-                       ("stagnation_eps", Json.Num policy.stagnation_eps);
-                       ( "stagnation_window",
-                         Json.num policy.stagnation_window );
-                       ( "max_primary_faults",
-                         Json.num policy.max_primary_faults );
+                       ("divergence_factor", Json.Num divergence_factor);
+                       ("stagnation_eps", Json.Num stagnation_eps);
+                       ("stagnation_window", Json.num stagnation_window);
+                       ("max_primary_faults", Json.num max_primary_faults);
                        ("primary_retries", Json.num policy.primary_retries);
                        ("retry_backoff", Json.Num policy.retry_backoff) ] )
                ]

@@ -21,34 +21,33 @@ type policy = {
   tol : float option;
       (** stop as soon as the L2 residual is [<= tol] (early stop) *)
   max_cycles : int;  (** accepted-cycle budget (faulted retries excluded) *)
-  divergence_factor : float;
-      (** fault when residual > factor × best-so-far (default 1e3) *)
-  stagnation_eps : float;
-      (** minimum relative improvement per cycle (default 1e-3) *)
-  stagnation_window : int;
-      (** stop after this many consecutive stagnant cycles (default 3) *)
-  max_primary_faults : int;
-      (** quarantine the primary stepper after this many faults
-          (default 2); until then each fault costs one fallback retry *)
   primary_retries : int;
       (** bounded retry: re-run a faulted cycle on the {e primary} plan
           up to this many times before switching to the fallback
           (default 0 — first fault goes straight to the fallback).
-          Retried faults do not count toward [max_primary_faults]; the
-          retry budget resets on every accepted cycle.  Retries are
+          Retried faults do not count toward the quarantine threshold;
+          the retry budget resets on every accepted cycle.  Retries are
           counted in the [govern.primary_retries] telemetry counter. *)
   retry_backoff : float;
       (** base of the exponential backoff slept before each primary
           retry: retry [k] waits [retry_backoff × 2{^k-1}] seconds
           (default 0 — no sleep). *)
 }
+(** The fault thresholds are constants, not policy: a residual above
+    [divergence_factor = 1e3] times the best so far is a divergence
+    fault; a cycle improving the residual by less than
+    [stagnation_eps = 1e-3] is stagnant, and [stagnation_window = 3]
+    stagnant cycles in a row stop the solve; the primary stepper is
+    quarantined after [max_primary_faults = 2] faults, each fault before
+    that costing one fallback retry.  An incident's [policy] block
+    reports them beside the fields. *)
 
 val default_policy : policy
 (** [tol = None], [max_cycles = 50], and the defaults noted above. *)
 
 type fault =
   | Fault_nan  (** non-finite values in the iterate or its residual *)
-  | Fault_diverged  (** residual blew past [divergence_factor × best] *)
+  | Fault_diverged  (** residual blew past [1e3 × best] *)
   | Fault_crash of string  (** the stepper raised; payload is the message *)
 
 val fault_name : fault -> string
@@ -69,7 +68,7 @@ type event = { cycle : int; fault : fault; action : action }
 type outcome =
   | Converged  (** reached [policy.tol] *)
   | Exhausted  (** ran [max_cycles] without meeting [tol] *)
-  | Stagnated  (** residual stopped improving for [stagnation_window] *)
+  | Stagnated  (** residual stopped improving for 3 cycles *)
   | Faulted of fault
       (** unrecoverable fault; [v] holds the last good iterate *)
 

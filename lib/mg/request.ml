@@ -66,7 +66,6 @@ type spec = {
   resume_dir : string option;
   fault : string option;
   primary_retries : int;
-  retry_backoff : float;
 }
 
 (* A validated spec: the fields the validator derives, beside the spec
@@ -93,7 +92,7 @@ let default_spec =
     tol = None; guard = false; fallback = true; domains = 1; poison = false;
     check_plan = false; mem_budget = None; deadline = None;
     checkpoint_dir = None; checkpoint_every = 1; resume_dir = None;
-    fault = None; primary_retries = 0; retry_backoff = 0.0 }
+    fault = None; primary_retries = 0 }
 
 let validate ?(max_n = max_int) ?(min_steps = 0) ?(max_steps = max_int)
     ?(max_cycles = max_int) ?(allow_faults = false) ?(allow_handopt = true)
@@ -133,12 +132,26 @@ let validate ?(max_n = max_int) ?(min_steps = 0) ?(max_steps = max_int)
     | Some f -> fail "unknown fault kind %S" f
   in
   let polymg = engine <> Baseline in
+  let guard = s.guard || s.tol <> None in
+  let cycles =
+    min max_cycles
+      (if guard then Option.value s.max_cycles ~default:s.cycles else s.cycles)
+  in
+  let positive = function
+    | Some x -> Float.is_finite x && x > 0.0
+    | None -> true
+  in
   if n1 + n2 + n3 < min_steps then
     fail "smoothing steps must total at least %d" min_steps
   else if max n1 (max n2 n3) > max_steps then
     fail "smoothing steps must be at most %d" max_steps
   else if n > max_n then fail "n %d exceeds the server maximum %d" n max_n
   else if s.domains < 1 then Error "domains must be at least 1"
+  else if cycles < 1 then Error "--max-cycles must be >= 1"
+  else if not (positive s.tol) then
+    fail "--tol must be finite and > 0, not %g" (Option.get s.tol)
+  else if not (positive s.deadline) then
+    fail "--deadline must be finite and > 0, not %g" (Option.get s.deadline)
   else if
     (s.mem_budget <> None || s.deadline <> None || s.backend <> Options.Interp)
     && not polymg
@@ -151,16 +164,12 @@ let validate ?(max_n = max_int) ?(min_steps = 0) ?(max_steps = max_int)
     fail "%s does not implement F-cycles" s.variant
   else if s.checkpoint_every < 1 then Error "--checkpoint-every must be >= 1"
   else
-    let guard = s.guard || s.tol <> None in
-    let cycles =
-      if guard then Option.value s.max_cycles ~default:s.cycles else s.cycles
-    in
     Stdlib.Ok
       { spec = s;
         cfg;
         n;
         engine;
-        cycles = min cycles max_cycles;
+        cycles;
         guard;
         checkpoint =
           Option.map
@@ -344,8 +353,7 @@ let attempt (t : t) ~report ~problem ~start_cycle ~sink ~baseline cand =
       { Guard.default_policy with
         Guard.tol = t.spec.tol;
         max_cycles = t.cycles;
-        primary_retries = t.spec.primary_retries;
-        retry_backoff = t.spec.retry_backoff }
+        primary_retries = t.spec.primary_retries }
     in
     let checkpoint =
       Option.map

@@ -72,8 +72,7 @@ type spec = {
   checkpoint_every : int;
   resume_dir : string option;  (** resume from this directory *)
   fault : string option;  (** ["nan"] or ["crash"] *)
-  primary_retries : int;
-  retry_backoff : float;
+  primary_retries : int;  (** {!Guard.policy.primary_retries}, no backoff *)
 }
 (** A solve as its caller states it, unchecked. *)
 
@@ -86,8 +85,10 @@ val validate :
   ?max_n:int -> ?min_steps:int -> ?max_steps:int -> ?max_cycles:int ->
   ?allow_faults:bool -> ?allow_handopt:bool -> spec -> (t, string) result
 (** The one validator: {!Cycle.check}, the variant, the fault kind,
-    "budget, deadline and backend need a PolyMG variant", the checkpoint
-    cadence, and the caller's limits: [max_n], [min_steps] in total and
+    a guarded cycle budget of at least 1, a [tol] and a [deadline] that
+    are finite and > 0, "budget, deadline and backend need a PolyMG
+    variant", the checkpoint cadence, and the caller's limits: [max_n],
+    [min_steps] in total and
     [max_steps] per smoothing phase,
     [allow_faults] (default false), [allow_handopt] (default true), and
     [max_cycles], which is clamped onto the cycle budget rather than

@@ -226,9 +226,6 @@ type config = {
   sv_tenants : (string * tenant_config) list;
   sv_max_cycles : int;
   sv_max_n : int;
-  sv_retry_after_s : float;
-  sv_primary_retries : int;
-  sv_retry_backoff : float;
   sv_allow_faults : bool;
   sv_backend : Options.backend;
   sv_clock : unit -> float;
@@ -242,12 +239,16 @@ let default_config =
     sv_tenants = [];
     sv_max_cycles = 64;
     sv_max_n = 1024;
-    sv_retry_after_s = 0.05;
-    sv_primary_retries = 1;
-    sv_retry_backoff = 0.0;
     sv_allow_faults = false;
     sv_backend = Options.Interp;
     sv_clock = Unix.gettimeofday }
+
+(* The retry-after hint of a shed that no token rate can time. *)
+let retry_after_s = 0.05
+
+(* Primary-plan retries each request's guard makes before the fallback,
+   without backoff. *)
+let primary_retries = 1
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
@@ -441,7 +442,7 @@ let evict_one t =
        Telemetry.add c_shed 1;
        complete p.p_ticket
          (mk_response Shed tn.tn_id
-            ~retry_after:t.cfg.sv_retry_after_s
+            ~retry_after:retry_after_s
             ~detail:"evicted: global queue full (heaviest tenant)"))
 
 let submit t rq =
@@ -463,7 +464,7 @@ let submit t rq =
       let retry_after =
         if tn.tn_cfg.tc_rate > 0.0 && tn.tn_cfg.tc_rate < infinity then
           (1.0 -. tn.tn_tokens) /. tn.tn_cfg.tc_rate
-        else t.cfg.sv_retry_after_s
+        else retry_after_s
       in
       complete tk
         (mk_response Shed rq.rq_tenant ~retry_after
@@ -475,7 +476,7 @@ let submit t rq =
       Mutex.unlock t.mu;
       Telemetry.add c_shed 1;
       complete tk
-        (mk_response Shed rq.rq_tenant ~retry_after:t.cfg.sv_retry_after_s
+        (mk_response Shed rq.rq_tenant ~retry_after:retry_after_s
            ~detail:"shed: tenant queue full");
       tk
     end
@@ -566,8 +567,7 @@ let spec_of t rq =
     mem_budget = budget;
     resume_dir = rq.rq_resume_dir;
     fault = rq.rq_fault;
-    primary_retries = t.cfg.sv_primary_retries;
-    retry_backoff = t.cfg.sv_retry_backoff }
+    primary_retries }
 
 let run_request t (p : pending_req) =
   let rq = p.p_req in
@@ -698,8 +698,15 @@ let worker t () =
   loop ()
 
 let create ?(config = default_config) () =
-  if config.sv_queue_cap < 1 then
-    invalid_arg "Serve.create: queue cap must be at least 1";
+  let refuse what = invalid_arg ("Serve.create: " ^ what) in
+  if config.sv_queue_cap < 1 then refuse "queue cap must be at least 1";
+  if config.sv_domains < 1 then refuse "domains must be at least 1";
+  if config.sv_max_cycles < 1 then refuse "max cycles must be at least 1";
+  List.iter
+    (fun (name, tc) ->
+      if not (tc.tc_burst >= 1.0) then
+        refuse (Printf.sprintf "tenant %s: burst must be at least 1" name))
+    (("default", config.sv_default_tenant) :: config.sv_tenants);
   let t =
     { cfg = config;
       mu = Mutex.create ();

@@ -138,14 +138,11 @@ type config = {
           only one in-flight solve may own.  With more workers (or 0 =
           caller-driven {!step}), deadlines degrade to wall-clock checks
           at cycle granularity. *)
-  sv_domains : int;  (** execution domains per solve runtime *)
+  sv_domains : int;  (** execution domains per solve runtime (>= 1) *)
   sv_default_tenant : tenant_config;  (** for tenants not listed *)
   sv_tenants : (string * tenant_config) list;
-  sv_max_cycles : int;  (** ceiling clamped onto [rq_cycles] *)
+  sv_max_cycles : int;  (** ceiling clamped onto [rq_cycles] (>= 1) *)
   sv_max_n : int;  (** largest accepted problem size *)
-  sv_retry_after_s : float;  (** hint for queue-full sheds *)
-  sv_primary_retries : int;  (** {!Guard.policy.primary_retries} *)
-  sv_retry_backoff : float;  (** {!Guard.policy.retry_backoff} seconds *)
   sv_allow_faults : bool;  (** honor the [rq_fault] chaos hook *)
   sv_backend : Repro_core.Options.backend;
       (** execution backend applied to every admitted request's plan
@@ -156,10 +153,15 @@ type config = {
           are unit-testable with a frozen clock *)
 }
 
+(** Two settings are constants of every server: a shed that no token
+    rate can time (a full queue, an eviction, an unmetered or stopped
+    bucket) carries the hint [retry_after_s = 0.05]; and each request's
+    {!Guard} makes [primary_retries = 1] primary-plan retry, with no
+    backoff, before its fallback. *)
+
 val default_config : config
 (** Queue cap 256, 1 worker, 1 domain, max 64 cycles, max [n] 1024,
-    retry-after 0.05 s, 1 primary retry with no backoff, faults off,
-    interpreter backend, [Unix.gettimeofday]. *)
+    faults off, interpreter backend, [Unix.gettimeofday]. *)
 
 (** {2 Server} *)
 
@@ -171,7 +173,9 @@ type ticket
     answered at submission time. *)
 
 val create : ?config:config -> unit -> t
-(** Starts [sv_workers] executor threads (none when 0). *)
+(** Starts [sv_workers] executor threads (none when 0).
+    @raise Invalid_argument for a queue cap, domain count or max cycles
+    below 1, or a tenant burst (the default tenant's included) below 1. *)
 
 val submit : t -> request -> ticket
 val await : ticket -> response

@@ -129,8 +129,8 @@ let plan_stepper plan ~rt =
 
 let polymg_stepper cfg ~n ~opts ~rt = plan_stepper (polymg_plan cfg ~n ~opts) ~rt
 
-let solve cfg ~n ~opts ?(domains = 1) ~cycles ?(residuals = true) () =
-  Exec.with_runtime ~domains (fun rt ->
+let solve cfg ~n ~opts ~cycles ?(residuals = true) () =
+  Exec.with_runtime (fun rt ->
       let problem = Problem.poisson ~dims:cfg.Cycle.dims ~n in
       let stepper = polymg_stepper cfg ~n ~opts ~rt in
       iterate stepper ~problem ~cycles ~residuals ())

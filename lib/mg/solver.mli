@@ -75,8 +75,9 @@ val polymg_stepper :
 (** [plan_stepper (polymg_plan cfg ~n ~opts) ~rt]. *)
 
 val solve :
-  Cycle.config -> n:int -> opts:Repro_core.Options.t ->
-  ?domains:int -> cycles:int -> ?residuals:bool -> unit -> result
-(** Convenience: fresh runtime + {!polymg_stepper} + {!iterate} on the
-    standard Poisson problem.  The runtime is torn down when the solve
-    returns {e or raises} (no domain-pool leak on stepper failure). *)
+  Cycle.config -> n:int -> opts:Repro_core.Options.t -> cycles:int ->
+  ?residuals:bool -> unit -> result
+(** Convenience: fresh one-domain runtime + {!polymg_stepper} +
+    {!iterate} on the standard Poisson problem.  The runtime is torn
+    down when the solve returns {e or raises} (no domain-pool leak on
+    stepper failure). *)

@@ -26,7 +26,6 @@ type record = {
   plan_digest : string;
   s_per_cycle : float;
   sites : (string * Profile.stats) list;  (* per-site profile stats *)
-  extra : (string * Json.t) list;  (* caller-specific fields *)
 }
 
 let fingerprint () =
@@ -34,7 +33,7 @@ let fingerprint () =
   (hostname, Sys.ocaml_version, Sys.word_size)
 
 let make ?(timestamp = Unix.gettimeofday ()) ?(roofline = Roofline.get ())
-    ?(sites = Profile.sites ()) ?(extra = []) ~bench ~n ~domains ~variant
+    ?(sites = Profile.sites ()) ~bench ~n ~domains ~variant
     ~plan_digest ~s_per_cycle () =
   let hostname, ocaml_version, word_size = fingerprint () in
   { timestamp;
@@ -48,8 +47,7 @@ let make ?(timestamp = Unix.gettimeofday ()) ?(roofline = Roofline.get ())
     variant;
     plan_digest;
     s_per_cycle;
-    sites;
-    extra }
+    sites }
 
 (* the series key: records compare only within the same machine, config
    and variant *)
@@ -71,7 +69,7 @@ let site_json (name, (st : Profile.stats)) =
 
 let to_json r =
   Json.Obj
-    ([ ("schema", Json.Str schema);
+    [ ("schema", Json.Str schema);
       ("timestamp", Json.Num r.timestamp);
       ("hostname", Json.Str r.hostname);
       ("ocaml_version", Json.Str r.ocaml_version);
@@ -87,7 +85,6 @@ let to_json r =
       ("plan_digest", Json.Str r.plan_digest);
       ("s_per_cycle", fnum r.s_per_cycle);
       ("sites", Json.Arr (List.map site_json r.sites)) ]
-    @ r.extra)
 
 let of_json j =
   let str k = Option.bind (Json.member k j) Json.to_str in
@@ -146,8 +143,7 @@ let of_json j =
         variant = Option.value ~default:"" (str "variant");
         plan_digest = Option.value ~default:"" (str "plan_digest");
         s_per_cycle;
-        sites;
-        extra = [] }
+        sites }
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

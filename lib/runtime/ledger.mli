@@ -26,16 +26,12 @@ type record = {
   plan_digest : string;
   s_per_cycle : float;
   sites : (string * Profile.stats) list;
-  extra : (string * Json.t) list;
-      (** caller-specific fields, serialized at top level; not parsed
-          back by {!load} *)
 }
 
 val make :
   ?timestamp:float ->
   ?roofline:Roofline.t ->
   ?sites:(string * Profile.stats) list ->
-  ?extra:(string * Json.t) list ->
   bench:string ->
   n:int ->
   domains:int ->

@@ -118,12 +118,9 @@ type t = {
          yet seen live_bytes cross; 5 = all reported *)
 }
 
-let create ?(poison = false) ?budget () =
-  (match budget with
-   | Some b when b <= 0 -> invalid_arg "Mempool.create: budget must be positive"
-   | Some _ | None -> ());
+let create ?(poison = false) () =
   { poison;
-    budget;
+    budget = None;
     entries = [];
     fresh_allocs = 0;
     reuse_hits = 0;
@@ -321,8 +318,8 @@ let clear t =
   t.peak_live_bytes <- 0;
   t.hw_next_quarter <- 1
 
-let with_pool ?poison ?budget f =
-  let t = create ?poison ?budget () in
+let with_pool ?poison f =
+  let t = create ?poison () in
   Fun.protect ~finally:(fun () -> clear t) (fun () -> f t)
 
 let with_buf t len f =

@@ -39,9 +39,9 @@ exception
     recover — {!Repro_mg.Solver} responds by re-planning one rung down
     the degradation ladder instead of aborting the solve. *)
 
-val create : ?poison:bool -> ?budget:int -> unit -> t
-(** [poison] (default false) enables poison/canary mode.  [budget] caps
-    the bytes the pool may own (see {!set_budget}). *)
+val create : ?poison:bool -> unit -> t
+(** [poison] (default false) enables poison/canary mode.  The pool starts
+    unbudgeted: {!set_budget} arms a byte ceiling. *)
 
 val poisoned : t -> bool
 
@@ -74,7 +74,7 @@ val release : t -> Repro_grid.Buf.t -> unit
     (double releases name the buffer size and its acquire count), or if
     poison-mode guard words were clobbered by an out-of-bounds write. *)
 
-val with_pool : ?poison:bool -> ?budget:int -> (t -> 'a) -> 'a
+val with_pool : ?poison:bool -> (t -> 'a) -> 'a
 (** Scoped pool: created for [f] and cleared on exit, even on raise. *)
 
 val with_buf : t -> int -> (Repro_grid.Buf.t -> 'a) -> 'a

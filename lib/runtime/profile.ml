@@ -72,23 +72,3 @@ let report fmt =
         (if wall = 0.0 then 0.0 else 100.0 *. st.total /. wall))
     rows;
   Format.fprintf fmt "@]"
-
-let fnum f = if Float.is_finite f then Json.Num f else Json.Null
-
-let site_json (name, h) =
-  Json.Obj
-    [ ("site", Json.Str name);
-      ("count", Json.num (Hist.count h));
-      ("total_ns", fnum (Hist.sum h));
-      ("mean_ns", fnum (Hist.mean h));
-      ("variance_ns2", fnum (Hist.variance h));
-      ("min_ns", fnum (Hist.min h));
-      ("max_ns", fnum (Hist.max h));
-      ("p50_ns", fnum (Hist.percentile h 0.5));
-      ("p90_ns", fnum (Hist.percentile h 0.9));
-      ("p99_ns", fnum (Hist.percentile h 0.99)) ]
-
-let to_json () =
-  Json.Obj
-    [ ("enabled", Json.Bool (enabled ()));
-      ("sites", Json.Arr (List.map site_json (histograms ()))) ]

@@ -40,8 +40,5 @@ val histograms : unit -> (string * Hist.t) list
 val report : Format.formatter -> unit
 (** Human-readable per-site table, sorted by total time. *)
 
-val to_json : unit -> Json.t
-(** All populated sites with stats and p50/p90/p99, as JSON. *)
-
 val reset : unit -> unit
 (** Drops all samples from every domain; site interning survives. *)

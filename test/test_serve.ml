@@ -339,6 +339,9 @@ let test_solve_statuses () =
   Alcotest.(check bool) "cycles ran" true (r.Serve.rs_cycles >= 1);
   let r = Serve.solve sv (inert "t") in
   check_status "invalid" Serve.Invalid r.Serve.rs_status;
+  let r = Serve.solve sv { (tiny "t") with Serve.rq_tol = Some (-1.0) } in
+  check_status "tol -1 invalid" Serve.Invalid r.Serve.rs_status;
+  Alcotest.(check int) "tol -1 code" 2 r.Serve.rs_code;
   let r = Serve.solve sv { (tiny "t") with Serve.rq_mem_budget = Some 4096 } in
   check_status "infeasible" Serve.Infeasible r.Serve.rs_status;
   let r =
@@ -671,6 +674,61 @@ let prop_cli_serve_agree =
       && rs.Serve.rs_cycles = cycles
       && same_bits rs.Serve.rs_residual residual)
 
+(* Every small spec the validator accepts runs to an outcome: no
+   Invalid_argument escapes Request.run.  The cycle budget, tolerance,
+   deadline and checkpoint cadence are drawn from boundary values. *)
+let spec_gen =
+  QCheck.Gen.(
+    map
+      (fun ( ((dims, levels, n), variant, cycles, guard),
+             (max_cycles, tol, deadline, (checkpoint_every, checkpoint)) ) ->
+        { Request.default_spec with
+          dims; levels; n = Some n; variant; cycles; max_cycles; tol; guard;
+          deadline; checkpoint_every;
+          checkpoint_dir = (if checkpoint then Some (temp_dir "prop") else None) })
+      (pair
+         (quad
+            (oneofl [ (2, 3, 16); (2, 4, 32); (3, 3, 16) ])
+            (oneofl [ "naive"; "opt"; "opt+"; "dtile-opt+"; "handopt" ])
+            (int_range 1 3) bool)
+         (quad
+            (oneofl [ None; Some 0; Some 1; Some (-3); Some 3 ])
+            (oneofl [ None; Some 0.0; Some 1.0; Some (-1.0); Some Float.nan ])
+            (oneofl [ None; Some 0.0; Some 1.0; Some (-1.0); Some Float.nan ])
+            (pair (oneofl [ 0; 1; -2; 2 ]) bool))))
+
+let print_spec (s : Request.spec) =
+  let opt f = function None -> "-" | Some x -> f x in
+  Printf.sprintf
+    "dims %d levels %d n %s %s cycles %d guard %b max_cycles %s tol %s \
+     deadline %s checkpoint %s every %d"
+    s.dims s.levels (opt string_of_int s.n) s.variant s.cycles s.guard
+    (opt string_of_int s.max_cycles)
+    (opt string_of_float s.tol)
+    (opt string_of_float s.deadline)
+    (opt Fun.id s.checkpoint_dir)
+    s.checkpoint_every
+
+let prop_validated_specs_run =
+  QCheck.Test.make ~name:"validated specs run without Invalid_argument"
+    ~count:60 (QCheck.make spec_gen ~print:print_spec) (fun spec ->
+      Fun.protect
+        ~finally:(fun () -> Option.iter rm_dir spec.Request.checkpoint_dir)
+        (fun () ->
+          match Request.validate spec with
+          | Error _ -> true
+          | Ok rq -> (
+            (* the command line's hand-optimized baseline stepper *)
+            let baseline rt =
+              Handopt.stepper
+                (Handopt.create (Request.cfg rq) ~n:(Request.n rq)
+                   ~par:rt.Repro_core.Exec.par ~smoothing:Handopt.Plain ())
+            in
+            match Request.run ~baseline rq with
+            | _ -> true
+            | exception Invalid_argument msg ->
+              QCheck.Test.fail_reportf "Invalid_argument %S" msg)))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -720,4 +778,5 @@ let () =
             test_fallback_within_budget ] );
       ( "properties",
         [ Qc_replay.to_alcotest prop_admission_invariants;
-          Qc_replay.to_alcotest prop_cli_serve_agree ] ) ]
+          Qc_replay.to_alcotest prop_cli_serve_agree;
+          Qc_replay.to_alcotest prop_validated_specs_run ] ) ]
