@@ -15,19 +15,32 @@ let c_ident s =
 
 let fstr v = Printf.sprintf "%.17g" v
 
-(* C rendering of a scaled-affine access applied to loop variable [v].
-   Divisions go through the FDIV macro (floor division), matching the
-   engine's [Box.fdiv] for negative numerators. *)
-let access_str (a : Expr.access) v =
-  let numer =
-    if a.Expr.mul = 1 && a.Expr.add = 0 then v
-    else if a.Expr.add = 0 then Printf.sprintf "%d*%s" a.Expr.mul v
-    else if a.Expr.mul = 1 then Printf.sprintf "(%s%+d)" v a.Expr.add
-    else Printf.sprintf "(%d*%s%+d)" a.Expr.mul v a.Expr.add
+(* A loop coordinate [x = scale*name + phase]: the plain loop variable
+   ([scale] 1), or, in a parity case, the half index [name] whose
+   coordinate [2*name + p] has the case's parity. *)
+type coord = { name : string; scale : int; phase : int }
+
+let plain_coord k = { name = loop_vars.(k); scale = 1; phase = 0 }
+
+(* C rendering of a scaled-affine access applied to coordinate [x]:
+   [(mul*x + add)/den + off] with [mul*x + add = m*name + c].  When
+   [den] divides [m] the floor division is taken at emit time
+   ([floor((den*q*name + c)/den) = q*name + floor(c/den)]), so the index
+   stays affine in the loop variable and the loop vectorizes; otherwise
+   it goes through the FDIV macro, matching the engine's [Box.fdiv] for
+   negative numerators. *)
+let access_str (a : Expr.access) x =
+  let affine mul add =
+    if mul = 1 && add = 0 then x.name
+    else if add = 0 then Printf.sprintf "%d*%s" mul x.name
+    else if mul = 1 then Printf.sprintf "(%s%+d)" x.name add
+    else Printf.sprintf "(%d*%s%+d)" mul x.name add
   in
+  let m = a.Expr.mul * x.scale and c = (a.Expr.mul * x.phase) + a.Expr.add in
   let scaled =
-    if a.Expr.den = 1 then numer
-    else Printf.sprintf "FDIV(%s, %d)" numer a.Expr.den
+    if m mod a.Expr.den = 0 then
+      affine (m / a.Expr.den) (Box.fdiv c a.Expr.den)
+    else Printf.sprintf "FDIV(%s, %d)" (affine m c) a.Expr.den
   in
   if a.Expr.off = 0 then scaled else Printf.sprintf "(%s%+d)" scaled a.Expr.off
 
@@ -41,11 +54,11 @@ type cstore = {
   corg : string array;
 }
 
-let index_str store accs =
+let index_str ?(coords = plain_coord) store accs =
   let d = Array.length accs in
   let parts =
     List.init d (fun k ->
-        let idx = access_str accs.(k) loop_vars.(k) in
+        let idx = access_str accs.(k) (coords k) in
         let idx =
           if store.corg.(k) = "0" then idx
           else Printf.sprintf "(%s - %s)" idx store.corg.(k)
@@ -58,12 +71,13 @@ let index_str store accs =
 let self_accs dims =
   Array.init dims (fun _ -> { Expr.mul = 1; add = 0; den = 1; off = 0 })
 
-let self_index_str store dims = index_str store (self_accs dims)
+let self_index_str ?coords store dims =
+  index_str ?coords store (self_accs dims)
 
-let term_str (t : Compile.term) stores =
+let term_str ~coords (t : Compile.term) stores =
   let s = stores.(t.Compile.pos) in
   Printf.sprintf "%.17g * %s[%s]" t.Compile.coef s.cname
-    (index_str s t.Compile.accs)
+    (index_str ~coords s t.Compile.accs)
 
 let int_strs = Array.map string_of_int
 
@@ -89,66 +103,129 @@ let full_store name sizes =
 (* The compute cases of [member] over the inclusive bounds [lb..ub]
    (C expressions, typically hoisted variables), writing through [dst]
    and reading producers through [stores] — the engine's
-   [Compile.run] cases over region ∩ interior. *)
+   [Compile.run] cases over region ∩ interior.  A parity case loops
+   over half indices ([jh] for [j = 2*jh + p]), so its stride-2
+   accesses stay affine in the loop variable.  The innermost loop
+   carries [#pragma omp simd]: every point is one independent
+   assignment, so vector lanes compute exactly what the scalar loop
+   computes.  A zero fill gets no pragma: gcc turns it into memset. *)
 let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
     ~(dst : cstore) ~(lb : string array) ~(ub : string array) ~indent =
   let dims = member.Plan.func.Func.dims in
   let pad = String.make indent ' ' in
   List.iter
     (fun (case : Compile.case_t) ->
-      (match case.Compile.parity with
-      | None -> ()
-      | Some p ->
-        pf fmt "%s/* parity case (%s) */@," pad
-          (String.concat "," (Array.to_list (Array.map string_of_int p))));
-      let stride = match case.Compile.parity with None -> 1 | Some _ -> 2 in
-      for k = 0 to dims - 1 do
-        let from =
-          match case.Compile.parity with
-          | None -> lb.(k)
-          | Some p ->
-            Printf.sprintf "%s + ((%d - %s) %% 2 + 2) %% 2" lb.(k) p.(k)
-              lb.(k)
-        in
-        if k = dims - 1 then pf fmt "%s#pragma ivdep@," pad;
-        pf fmt "%s%sfor (int %s = %s; %s <= %s; %s += %d)@," pad
-          (String.make (2 * k) ' ')
-          loop_vars.(k) from loop_vars.(k) ub.(k) loop_vars.(k) stride
-      done;
-      let body =
+      let coords =
+        match case.Compile.parity with
+        | None -> plain_coord
+        | Some p ->
+          pf fmt "%s/* parity case (%s) */@," pad
+            (String.concat "," (Array.to_list (Array.map string_of_int p)));
+          fun k -> { name = loop_vars.(k) ^ "h"; scale = 2; phase = p.(k) }
+      in
+      let parts =
         match case.Compile.kernel with
         | Compile.Lin { base; terms } ->
-          let parts =
-            (if base <> 0.0 then [ fstr base ] else [])
-            @ Array.to_list (Array.map (fun t -> term_str t stores) terms)
-          in
-          if parts = [] then "0.0" else String.concat " + " parts
-        | Compile.Gen _ -> "eval_point() /* non-affine definition */"
+          (if base <> 0.0 then [ fstr base ] else [])
+          @ Array.to_list (Array.map (fun t -> term_str ~coords t stores) terms)
+        | Compile.Gen _ -> [ "eval_point() /* non-affine definition */" ]
       in
+      for k = 0 to dims - 1 do
+        let x = coords k in
+        (* the half-index range of [lb..ub] ∩ (2*xh + p) *)
+        let shifted e d =
+          if d = 0 then e
+          else Printf.sprintf "%s %c %d" e (if d > 0 then '+' else '-') (abs d)
+        in
+        let from, upto =
+          if x.scale = 1 then (lb.(k), ub.(k))
+          else
+            ( Printf.sprintf "FDIV(%s, 2)" (shifted lb.(k) (1 - x.phase)),
+              Printf.sprintf "FDIV(%s, 2)" (shifted ub.(k) (-x.phase)) )
+        in
+        if k = dims - 1 && parts <> [] then
+          pf fmt "%s%s#pragma omp simd@," pad (String.make (2 * k) ' ');
+        pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
+          (String.make (2 * k) ' ')
+          x.name from x.name upto x.name
+      done;
       pf fmt "%s%s%s[%s] = %s;@," pad
         (String.make (2 * dims) ' ')
-        dst.cname (self_index_str dst dims) body)
+        dst.cname (self_index_str ~coords dst dims)
+        (if parts = [] then "0.0" else String.concat " + " parts))
     member.Plan.compiled.Compile.cases
 
+(* The ghost-rim helper of rank [dims]: the boundary value on
+   [lb..ub] ∖ interior [1..m] of a store with origin [o] and strides
+   [s] (the innermost stride is 1 for every store: full arrays by
+   [strides_of_sizes], scratchpads by their [st_p_(d-1) = 1]).  Rows
+   with a ghost outer coordinate are filled whole; an interior row
+   only gets its two ends.  Emitted once per rank, called by
+   [emit_rim], and kept out of line: inlined and specialized at each of
+   its dozens of calls, it costs more compile time than it saves in
+   run time. *)
+let rim_symbol dims = Printf.sprintf "polymg_rim%d" dims
+
+let emit_rim_helper fmt dims =
+  let last = dims - 1 in
+  let x = loop_vars.(last) in
+  let ints name n = List.init n (Printf.sprintf "int %s%d" name) in
+  let params =
+    ("double *a" :: ints "s" last) @ ints "o" dims
+    @ List.concat
+        (List.init dims (fun k ->
+             [ Printf.sprintf "int l%d" k; Printf.sprintf "int u%d" k ]))
+    @ ints "m" dims @ [ "double v" ]
+  in
+  pf fmt "static NOINLINE void %s(%s)@,{@," (rim_symbol dims)
+    (String.concat ", " params);
+  for k = 0 to last - 1 do
+    let pad = String.make (2 + (2 * k)) ' ' in
+    let x = loop_vars.(k) in
+    pf fmt "%sfor (int %s = l%d; %s <= u%d; %s++) {@," pad x k x k x;
+    pf fmt "%s  const int g%d = %s%s < 1 || %s > m%d;@," pad k
+      (if k = 0 then "" else Printf.sprintf "g%d || " (k - 1))
+      x x k
+  done;
+  let pad = String.make (2 + (2 * last)) ' ' in
+  pf fmt "%sdouble *r = a%s;@," pad
+    (String.concat ""
+       (List.init last (fun k ->
+            Printf.sprintf " + (%s - o%d)*s%d" loop_vars.(k) k k)));
+  let fill from cond =
+    Printf.sprintf "for (int %s = %s; %s <= u%d%s; %s++) r[%s - o%d] = v;" x
+      from x last cond x x last
+  in
+  let ends =
+    [ fill (Printf.sprintf "l%d" last) (Printf.sprintf " && %s < 1" x);
+      fill (Printf.sprintf "max(l%d, m%d + 1)" last last) "" ]
+  in
+  if last = 0 then List.iter (pf fmt "%s%s@," pad) ends
+  else begin
+    pf fmt "%sif (g%d) %s@," pad (last - 1) (fill (Printf.sprintf "l%d" last) "");
+    pf fmt "%selse {@," pad;
+    List.iter (pf fmt "%s  %s@," pad) ends;
+    pf fmt "%s}@," pad
+  end;
+  for k = last - 1 downto 0 do
+    pf fmt "%s}@," (String.make (2 + (2 * k)) ' ')
+  done;
+  pf fmt "}@,@,"
+
 (* Boundary value on [lb..ub] ∖ interior [1..msz] — the engine's
-   [Compile.fill_rim] over a demand region's ghost part. *)
+   [Compile.fill_rim] over a demand region's ghost part — as one call
+   of the rank's rim helper. *)
 let emit_rim fmt ~dims ~(dst : cstore) ~(lb : string array)
     ~(ub : string array) ~(msz : int array) ~bnd ~indent =
-  let pad = String.make indent ' ' in
-  for k = 0 to dims - 1 do
-    pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
-      (String.make (2 * k) ' ')
-      loop_vars.(k) lb.(k) loop_vars.(k) ub.(k) loop_vars.(k)
-  done;
-  let cond =
-    String.concat " || "
-      (List.init dims (fun k ->
-           Printf.sprintf "%s < 1 || %s > %d" loop_vars.(k) loop_vars.(k)
-             msz.(k)))
+  let args =
+    (dst.cname :: Array.to_list (Array.sub dst.cstrides 0 (dims - 1)))
+    @ Array.to_list dst.corg
+    @ List.concat (List.init dims (fun k -> [ lb.(k); ub.(k) ]))
+    @ Array.to_list (int_strs msz)
+    @ [ fstr bnd ]
   in
-  pf fmt "%s%sif (%s) %s[%s] = %s;@," pad
-    (String.make (2 * dims) ' ')
-    cond dst.cname (self_index_str dst dims) (fstr bnd)
+  pf fmt "%s%s(%s);@," (String.make indent ' ') (rim_symbol dims)
+    (String.concat ", " args)
 
 let emit_copy fmt ~dims ~(src : cstore) ~(dst : cstore) ~(lb : string array)
     ~(ub : string array) ~indent =
@@ -665,8 +742,23 @@ let emit_prelude fmt (plan : Plan.t) =
   pf fmt "#include <math.h>@,#include <stddef.h>@,@,";
   pf fmt "#ifndef max@,#define max(a, b) ((a) > (b) ? (a) : (b))@,#endif@,";
   pf fmt "#ifndef min@,#define min(a, b) ((a) < (b) ? (a) : (b))@,#endif@,";
+  pf fmt "#ifdef __GNUC__@,#define NOINLINE __attribute__((noinline))@,";
+  pf fmt "#else@,#define NOINLINE@,#endif@,";
   pf fmt "/* floor division, matching the engine for negative numerators */@,";
   pf fmt "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))@,"
+
+(* The ranks of the plan's stages: one rim helper each. *)
+let ranks (plan : Plan.t) =
+  Array.fold_left
+    (fun acc g ->
+      match g with
+      | Plan.G_tiled tg ->
+        Array.fold_left
+          (fun acc (m : Plan.member) -> m.Plan.func.Func.dims :: acc)
+          acc tg.Plan.members
+      | Plan.G_diamond dg -> Array.length dg.Plan.sizes :: acc)
+    [] plan.Plan.groups
+  |> List.sort_uniq compare
 
 let emit fmt (plan : Plan.t) =
   Format.pp_open_vbox fmt 0;
@@ -674,6 +766,7 @@ let emit fmt (plan : Plan.t) =
   pf fmt "extern void *pool_allocate(size_t);@,";
   pf fmt "extern void pool_deallocate(void *);@,";
   pf fmt "extern double eval_point(void);@,@,";
+  List.iter (emit_rim_helper fmt) (ranks plan);
   emit_body fmt plan;
   Format.pp_close_box fmt ()
 

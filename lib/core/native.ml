@@ -33,10 +33,10 @@ external ncall : nativeint -> Buf.data array -> int = "polymg_native_call"
 
 exception Unavailable of string
 
-let emitter_version = "polymg.native/1"
+let emitter_version = "polymg.native/2"
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
-let cflags = "-O2 -std=c99 -ffp-contract=off -fPIC -shared"
+let cflags = "-O2 -std=c99 -ffp-contract=off -fopenmp-simd -fPIC -shared"
 
 let c_compiles = Telemetry.counter "native.compiles"
 let c_compile_ms = Telemetry.counter "native.compile_ms"

@@ -42,6 +42,9 @@ val points : t -> int
 
 val translate : t -> int array -> t
 
+val fdiv : int -> int -> int
+(** Floor division (toward negative infinity) by a positive divisor. *)
+
 val map_access : Repro_ir.Expr.access array -> t -> t
 (** Image of a box under a scaled-affine access: per dimension [k], the
     producer interval is [[f(lo_k), f(hi_k)]] with

@@ -19,7 +19,7 @@ let test_emit_markers () =
     (fun marker ->
       check_bool ("contains " ^ marker) true (contains s marker))
     [ "pool_allocate"; "pool_deallocate"; "#pragma omp parallel for";
-      "collapse(2)"; "double _buf_"; "users:"; "#pragma ivdep";
+      "collapse(2)"; "double _buf_"; "users:"; "#pragma omp simd";
       "void pipeline_V_2D_4_4_4" ]
 
 let test_emit_scratch_reuse_visible () =
@@ -99,6 +99,35 @@ let test_parity_cases_emitted () =
   let s = C_emit.to_string (plan_of vcfg) in
   check_bool "parity comment" true (contains s "parity case")
 
+(* Every preset's inner loops are vectorizable as emitted: ghost rims
+   go through the rank's rim helper instead of a per-point rim test in
+   a full-box nest, and every [#pragma omp simd] sits directly on a
+   loop (an OpenMP requirement gcc enforces). *)
+let test_simd_loops () =
+  List.iter
+    (fun (dims, shape, sm, n) ->
+      let cfg = Cycle.default ~dims ~shape ~smoothing:sm in
+      List.iter
+        (fun opts ->
+          let what = Cycle.bench_name cfg ^ " " ^ Options.name opts in
+          let lines =
+            String.split_on_char '\n' (C_emit.to_string (plan_of ~opts ~n cfg))
+            |> List.map String.trim
+          in
+          check_bool (what ^ ": no per-point rim test") false
+            (List.exists (fun l -> contains l "if (i < 1 ||") lines);
+          let rec simd_on_for = function
+            | "#pragma omp simd" :: next :: rest ->
+              String.starts_with ~prefix:"for (" next && simd_on_for rest
+            | [ "#pragma omp simd" ] -> false
+            | _ :: rest -> simd_on_for rest
+            | [] -> true
+          in
+          check_bool (what ^ ": every omp simd line precedes a for") true
+            (simd_on_for lines))
+        [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ])
+    [ (2, Cycle.V, (4, 4, 4), 32); (3, Cycle.W, (10, 0, 0), 16) ]
+
 let () =
   Alcotest.run "c_emit"
     [ ( "emission",
@@ -109,5 +138,6 @@ let () =
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;
           Alcotest.test_case "all benchmarks emit" `Quick test_emit_all_benchmarks;
           Alcotest.test_case "parity cases" `Quick test_parity_cases_emitted;
+          Alcotest.test_case "simd loops" `Quick test_simd_loops;
           Alcotest.test_case "compile and run vs engine" `Quick
             test_emitted_c_runs ] ) ]

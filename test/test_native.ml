@@ -303,6 +303,57 @@ let test_native_case_compiles_once =
       check_int "and compiles nothing" (List.length native_variants)
         (Telemetry.value c_compiles))
 
+(* -- vectorization changes no bit ---------------------------------------- *)
+
+(* The default kernel's inner loops are vectorized ([#pragma omp simd]
+   under [-fopenmp-simd]); the same C built with gcc's loop vectorizer
+   switched off runs them scalar.  Every point is one independent
+   assignment, so the two kernels must agree bit for bit, ghosts
+   included. *)
+let scalar_gcc = "gcc -fno-tree-loop-vectorize"
+
+let bits (g : Grid.t) =
+  Array.map Int64.bits_of_float (Repro_grid.Buf.to_array g.Grid.buf)
+
+let test_vectorized_bitwise =
+  with_native_env ~tag:"simd" (fun ~compiler:_ ~dir:_ ->
+      if Sys.command "gcc --version >/dev/null 2>&1" <> 0 then begin
+        Printf.printf "vectorization bit-identity: skipped (no gcc)\n%!";
+        Alcotest.skip ()
+      end;
+      let w3d = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
+      List.iter
+        (fun (cfg, opts, n) ->
+          let what = Cycle.bench_name cfg ^ " " ^ Options.name opts in
+          let plan = Solver.polymg_plan cfg ~n ~opts in
+          let inputs, outputs = Conformance.fill_io plan in
+          let run compiler =
+            Native.set_compiler_override compiler;
+            let outs =
+              List.map (fun (fid, g) -> (fid, Grid.create (Grid.extents g))) outputs
+            in
+            Native.run (load_exn plan) ~inputs ~outputs:outs;
+            Native.set_compiler_override None;
+            outs
+          in
+          let compiles = Telemetry.value c_compiles in
+          let vec = run None and scalar = run (Some scalar_gcc) in
+          check_int (what ^ ": a vectorized and a scalar kernel") (compiles + 2)
+            (Telemetry.value c_compiles);
+          List.iter2
+            (fun (_, v) (_, s) ->
+              let d = Conformance.grid_diff v s in
+              check_bool
+                (Printf.sprintf "%s: max_abs %g, identical bits" what
+                   d.Conformance.max_abs)
+                true
+                (d.Conformance.max_abs = 0.0 && bits v = bits s))
+            vec scalar)
+        (List.map
+           (fun opts -> (vcfg, opts, 64))
+           [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
+         @ [ (w3d, Options.dtile_opt_plus, 32) ]))
+
 (* -- property: random pipelines agree across backends ------------------ *)
 
 let prop_native_matches_interp =
@@ -407,5 +458,7 @@ let () =
           Alcotest.test_case "native case uses Native's compiler" `Quick
             test_native_case_compiler;
           Alcotest.test_case "native case compiles each kernel once" `Quick
-            test_native_case_compiles_once ] );
+            test_native_case_compiles_once;
+          Alcotest.test_case "vectorization changes no bit" `Quick
+            test_vectorized_bitwise ] );
       ("properties", properties) ]
