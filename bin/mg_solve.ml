@@ -482,8 +482,9 @@ let checkpoint_dir_t =
            --checkpoint-every accepted cycles the solver state (iterate, \
            residual history, plan digest) is written atomically as a new \
            generation (ckpt-NNNNNN.snap, CRC-framed; see README Crash \
-           safety); the last 3 generations are retained and a final \
-           generation is flushed at solve end and on SIGINT/SIGTERM.")
+           safety); the last 3 generations are retained (the next \
+           oldest is kept as ckpt-spare, recycled by the next save) and a \
+           final generation is flushed at solve end and on SIGINT/SIGTERM.")
 
 let checkpoint_every_t =
   Arg.(

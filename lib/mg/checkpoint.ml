@@ -38,13 +38,19 @@ let gen_of_name name =
   then int_of_string_opt (String.sub name 5 (String.length name - 10))
   else None
 
+let generations_of entries =
+  Array.to_list entries |> List.filter_map gen_of_name |> List.sort_uniq compare
+
 let generations ~dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
-  | entries ->
-    Array.to_list entries
-    |> List.filter_map gen_of_name
-    |> List.sort_uniq compare
+  | entries -> generations_of entries
+
+(* The one file rotation recycles: not a generation, and not a temp
+   dropping either. *)
+let spare_name = "ckpt-spare"
+
+let spare_path ~dir = Filename.concat dir spare_name
 
 (* ------------------------------------------------------------------ *)
 (* Serialization *)
@@ -95,48 +101,75 @@ let ensure_dir dir =
   in
   go dir
 
-let prune config ~newest =
-  (* Only after the newest generation is durably in place: delete
-     generations beyond [keep] (never [newest]) and temp droppings left
-     by writers that were killed mid-write. *)
-  let gens = generations ~dir:config.dir in
-  let keep = max 1 config.keep in
-  let excess = List.length gens - keep in
-  if excess > 0 then
-    List.iteri
-      (fun i g ->
-        if i < excess && g <> newest then
-          match Sys.remove (gen_path ~dir:config.dir g) with
-          | () -> Telemetry.add c_pruned 1
-          | exception Sys_error _ -> ())
-      gens;
-  match Sys.readdir config.dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-    (* droppings look like ckpt-NNNNNN.snap.tmp.PID, left by writers
-       killed mid-write; only one process writes a checkpoint dir at a
-       time and this process is between writes, so removal is safe *)
-    Array.iter
-      (fun name ->
-        if
-          String.length name > 5
-          && String.sub name 0 5 = "ckpt-"
-          && not (Filename.check_suffix name ".snap")
-        then
-          try Sys.remove (Filename.concat config.dir name)
-          with Sys_error _ -> ())
-      entries
+let is_regular path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_REG; _ } -> true
+  | _ | (exception Unix.Unix_error _) -> false
+
+(* Only after the newest generation is durably in place: retire
+   generations beyond [keep], oldest first and never [newest], and
+   remove the temp droppings of writers killed mid-write.  [entries] is
+   the directory as listed before the write.  The first retired
+   generation that is a regular file is renamed to the spare for the
+   next save to overwrite; the directory is synced before that save can
+   start, so a power cut never shows the overwrite under a generation
+   name.  The others are removed. *)
+let rotate config entries ~newest =
+  let dir = config.dir in
+  let gens = List.sort_uniq compare (newest :: generations_of entries) in
+  let excess = List.length gens - max 1 config.keep in
+  let remove path =
+    match Sys.remove path with () -> true | exception Sys_error _ -> false
+  in
+  let try_spare = ref true and spared = ref false in
+  List.iteri
+    (fun i g ->
+      if i < excess && g <> newest then begin
+        let path = gen_path ~dir g in
+        let retired =
+          if !try_spare && is_regular path then begin
+            try_spare := false;
+            match Unix.rename path (spare_path ~dir) with
+            | () ->
+              spared := true;
+              true
+            | exception Unix.Unix_error _ -> remove path
+          end
+          else remove path
+        in
+        if retired then Telemetry.add c_pruned 1
+      end)
+    gens;
+  if !spared then Snapshot.fsync_dir dir;
+  (* droppings look like ckpt-NNNNNN.snap.tmp.PID, left by writers
+     killed mid-write; only one process writes a checkpoint dir at a
+     time and this process is between writes, so removal is safe *)
+  Array.iter
+    (fun name ->
+      if
+        String.length name > 5
+        && String.sub name 0 5 = "ckpt-"
+        && (not (Filename.check_suffix name ".snap"))
+        && name <> spare_name
+      then
+        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    entries
 
 let save config st =
   ensure_dir config.dir;
+  let entries = try Sys.readdir config.dir with Sys_error _ -> [||] in
   let path = gen_path ~dir:config.dir st.cycle in
-  Snapshot.write ~path ~meta:(meta_of_state st)
-    ~payloads:[ Snapshot.Floats st.v.Grid.buf ];
+  Snapshot.write
+    ?reuse:
+      (if Array.mem spare_name entries then Some (spare_path ~dir:config.dir)
+       else None)
+    ~path ~meta:(meta_of_state st)
+    [ Snapshot.Floats st.v.Grid.buf ];
   Telemetry.add c_writes 1;
   if Flightrec.on () then
     Flightrec.emit
       (Flightrec.Checkpoint_write { gen = st.cycle; cycle = st.cycle });
-  prune config ~newest:st.cycle;
+  rotate config entries ~newest:st.cycle;
   path
 
 let mem k d = Option.value (Json.member k d) ~default:Json.Null

@@ -12,9 +12,13 @@
 
     Rotation never deletes the newest good generation: a new generation
     is written (atomically) {e first}, and only then are generations
-    beyond [keep] pruned, so the directory always holds at least one
+    beyond [keep] retired, so the directory always holds at least one
     complete checkpoint once any save succeeded, whatever instant the
-    process is killed.
+    process is killed.  The oldest retired generation is renamed to
+    {!spare_path} rather than deleted, and the next save overwrites that
+    file in place under its temp name ({!Repro_runtime.Snapshot.write}'s
+    [?reuse]); no generation name ever points at a file being
+    overwritten.
 
     Registered counters: [guard.checkpoint_writes],
     [guard.checkpoint_restores], [guard.checkpoint_rejected],
@@ -54,10 +58,20 @@ val generations : dir:string -> int list
 (** Generation numbers present (complete or not), ascending; [[]] when
     the directory is missing or empty. *)
 
+val spare_path : dir:string -> string
+(** [dir/ckpt-spare]: a retired generation's file, kept for the next
+    save to recycle.  Not a generation: {!generations} and
+    {!load_latest} ignore it, and it is not a temp dropping. *)
+
 val save : config -> state -> string
-(** Atomically writes generation [state.cycle], prunes generations
-    beyond [config.keep] (oldest first) and stale temp droppings from
-    killed writers, and returns the path written. *)
+(** Atomically writes generation [state.cycle], recycling the spare file
+    when it is a regular file with one link, and returns the path
+    written.  Then, from one directory listing taken before the write,
+    it retires generations beyond [config.keep] (oldest first, never
+    [state.cycle]) — the first one, if a regular file, renamed to the
+    spare and the directory synced, the rest removed — and removes
+    stale temp droppings from killed writers.  [guard.checkpoint_pruned]
+    counts each generation that did leave the set. *)
 
 val load : path:string -> (state, string) result
 (** Reads one generation file back, verifying the container framing and

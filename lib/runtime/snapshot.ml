@@ -6,63 +6,36 @@ let c_read_ok = Telemetry.counter "snapshot.read_ok"
 let c_read_rejected = Telemetry.counter "snapshot.read_rejected"
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE / zlib polynomial, reflected), slicing-by-8 *)
+(* CRC-32 and the grid codec, in C (snapshot_stubs.c) *)
 
-(* [tables.((k * 256) + b)] is table [k] of the slicing-by-8 scheme:
-   table 0 is the classic byte-at-a-time table, and table [k] carries a
-   byte's contribution past [k] further bytes, so eight table lookups
-   advance the CRC over eight bytes at once. *)
-let tables =
-  let t = Array.make 2048 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for i = 256 to 2047 do
-    let prev = t.(i - 256) in
-    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
-  done;
-  t
+external crc_init : unit -> unit = "polymg_snapshot_crc_init"
 
-let[@inline] tbl i = Array.unsafe_get tables i
+let () = crc_init ()
 
-(* the low and high 32-bit halves of eight bytes read little-endian *)
-let[@inline] lo32 w = Int64.to_int w land 0xFFFF_FFFF
-let[@inline] hi32 w = Int64.to_int (Int64.shift_right_logical w 32)
+(* The unchecked entry points: callers check every range first. *)
+external crc32_range : int -> string -> int -> int -> int
+  = "polymg_snapshot_crc32"
+[@@noalloc]
 
-(* The running (inverted) CRC [c] advanced over eight bytes whose
-   halves are [lo] and [hi]. *)
-let[@inline] step8 c lo hi =
-  let x = c lxor lo in
-  tbl (0x700 + (x land 0xFF))
-  lxor tbl (0x600 + ((x lsr 8) land 0xFF))
-  lxor tbl (0x500 + ((x lsr 16) land 0xFF))
-  lxor tbl (0x400 + (x lsr 24))
-  lxor tbl (0x300 + (hi land 0xFF))
-  lxor tbl (0x200 + ((hi lsr 8) land 0xFF))
-  lxor tbl (0x100 + ((hi lsr 16) land 0xFF))
-  lxor tbl (hi lsr 24)
+external encode_range : Buf.data -> int -> bytes -> int -> int
+  = "polymg_snapshot_encode_floats"
+[@@noalloc]
+
+external decode_range : string -> int -> Buf.data -> int -> unit
+  = "polymg_snapshot_decode_floats"
+[@@noalloc]
 
 let crc32 ?(crc = 0) ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
   if pos < 0 || len < 0 || len > String.length s - pos then
     invalid_arg "Snapshot.crc32: range out of bounds";
-  let c = ref (crc lxor 0xFFFF_FFFF land 0xFFFF_FFFF) in
-  let i = ref pos in
-  let stop8 = pos + (len land lnot 7) in
-  while !i < stop8 do
-    let w = String.get_int64_le s !i in
-    c := step8 !c (lo32 w) (hi32 w);
-    i := !i + 8
-  done;
-  for j = stop8 to pos + len - 1 do
-    c := tbl ((!c lxor Char.code (String.unsafe_get s j)) land 0xFF)
-         lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFF_FFFF
+  crc32_range crc s pos len
+
+let encode_floats buf b ~pos =
+  let n = Buf.len buf in
+  if pos < 0 || pos > Bytes.length b || n > (Bytes.length b - pos) / 8 then
+    invalid_arg "Snapshot.encode_floats: range out of bounds";
+  encode_range buf.Buf.data n b pos
 
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)
@@ -105,11 +78,30 @@ let write_all fd s len =
     pos := !pos + Unix.write_substring fd s !pos (len - !pos)
   done
 
-let atomic_write_string ~path s =
+(* [spare] renamed to [tmp] when it is a regular file with no other
+   link: overwriting it in place must not change a file under any other
+   name. *)
+let recycle spare ~tmp =
+  match Unix.lstat spare with
+  | { Unix.st_kind = Unix.S_REG; st_nlink = 1; _ } -> (
+    match Unix.rename spare tmp with
+    | () -> true
+    | exception Unix.Unix_error _ -> false)
+  | _ | (exception Unix.Unix_error _) -> false
+
+let atomic_write_string ?reuse ~path s =
   incr writes_done;
   let dir = Filename.dirname path in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let recycled =
+    match reuse with Some spare -> recycle spare ~tmp | None -> false
+  in
+  let fd =
+    Unix.openfile tmp
+      (if recycled then [ Unix.O_WRONLY ]
+       else [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ])
+      0o644
+  in
   let len =
     match !crash_spec with
     | Some { after_writes; partial_bytes } when after_writes = !writes_done ->
@@ -118,6 +110,7 @@ let atomic_write_string ~path s =
   in
   (try
      write_all fd s len;
+     if recycled then Unix.ftruncate fd len;
      Unix.fsync fd
    with e ->
      Unix.close fd;
@@ -151,18 +144,7 @@ let payload_length = function
   | Raw s -> String.length s
   | Floats buf -> 8 * Buf.len buf
 
-(* Encodes [buf] as little-endian doubles into [b] at [pos] and returns
-   the CRC of the encoded bytes, computed in the same pass. *)
-let encode_floats b pos buf =
-  let c = ref 0xFFFF_FFFF in
-  for i = 0 to Buf.len buf - 1 do
-    let w = Int64.bits_of_float (Buf.unsafe_get buf i) in
-    Bytes.set_int64_le b (pos + (8 * i)) w;
-    c := step8 !c (lo32 w) (hi32 w)
-  done;
-  !c lxor 0xFFFF_FFFF
-
-let write ~path ~meta ~payloads =
+let write ?reuse ~path ~meta payloads =
   let header =
     Json.to_string
       (Json.Obj
@@ -189,14 +171,14 @@ let write ~path ~meta ~payloads =
           | Raw s ->
             Bytes.blit_string s 0 b (pos + 4) len;
             crc32 s
-          | Floats buf -> encode_floats b (pos + 4) buf
+          | Floats buf -> encode_floats buf b ~pos:(pos + 4)
         in
         Bytes.set_int32_be b (pos + 4 + len) (Int32.of_int crc);
         pos + 8 + len)
       (String.length magic) frames
   in
   assert (pos = total);
-  atomic_write_string ~path (Bytes.unsafe_to_string b)
+  atomic_write_string ?reuse ~path (Bytes.unsafe_to_string b)
 
 type frame = { file : string; pos : int; len : int }
 
@@ -207,10 +189,7 @@ let read_floats f buf =
   if f.len <> 8 * n then
     Error (Printf.sprintf "payload is %d bytes, buffer needs %d" f.len (8 * n))
   else begin
-    for i = 0 to n - 1 do
-      Buf.unsafe_set buf i
-        (Int64.float_of_bits (String.get_int64_le f.file (f.pos + (8 * i))))
-    done;
+    decode_range f.file f.pos buf.Buf.data n;
     Ok ()
   end
 

@@ -20,23 +20,47 @@
     [snapshot.read_ok], [snapshot.read_rejected] (documented in the
     README counter tables, enforced by [bench/audit_counters.exe]). *)
 
-(** {2 CRC-32} *)
+(** {2 CRC-32 and the grid codec}
+
+    Both are C ([snapshot_stubs.c]); every range is checked here before
+    the C code reads or writes it. *)
 
 val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
 (** IEEE CRC-32 (the zlib/PNG polynomial) of the [len] bytes of a
     string from [pos] (default: the whole string), as an unsigned
     32-bit value in an [int].  [?crc] continues a running checksum.
-    Slicing-by-8: eight table lookups per eight bytes, equal to the
-    byte-at-a-time definition on every input.  Raises
-    [Invalid_argument] when the range is outside the string. *)
+    Slicing-by-16 in C, equal to the byte-at-a-time definition on every
+    input and on either byte order.  Raises [Invalid_argument] when the
+    range is outside the string. *)
+
+val encode_floats : Repro_grid.Buf.t -> bytes -> pos:int -> int
+(** [encode_floats buf b ~pos] writes the [Buf.len buf] doubles of
+    [buf] (a {!Repro_grid.Buf.sub_view} writes its own range) into [b]
+    from [pos] as little-endian IEEE-754 — a [memcpy] on little-endian
+    hosts — and returns the CRC-32 of the bytes written.  Raises
+    [Invalid_argument] when they do not fit in [b]. *)
 
 (** {2 Atomic file replacement} *)
 
-val atomic_write_string : path:string -> string -> unit
+val fsync_dir : string -> unit
+(** Best-effort [fsync] of a directory, making the renames and removals
+    in it durable; a filesystem that refuses it is ignored. *)
+
+val atomic_write_string : ?reuse:string -> path:string -> string -> unit
 (** [atomic_write_string ~path s] durably replaces [path] with contents
     [s]: temp file in [path]'s directory, write, [fsync], [rename],
     directory sync.  Raises [Sys_error]/[Unix.Unix_error] on I/O
-    failure; on any failure the destination is untouched. *)
+    failure; on any failure the destination is untouched.
+
+    [?reuse] names a spare file in the same directory to recycle as the
+    temp file.  When it is a regular file with one link (checked with
+    [lstat], so a symlink or directory is never followed), it is renamed
+    to the temp name and overwritten in place — no [O_TRUNC], then
+    [ftruncate] to the new length — which spares the unlink of an old
+    file and the allocation of a new one.  Otherwise a fresh temp file is
+    written, as without [?reuse].  The spare's own name must never be
+    one a reader trusts: until the directory sync, a power cut may leave
+    the half-overwritten file under it. *)
 
 (** {2 Crash injection (test hook)}
 
@@ -65,13 +89,13 @@ type payload =
           a restored iterate is the {e same} floats and a resumed solve
           replays the uninterrupted one exactly *)
 
-val write : path:string -> meta:Json.t -> payloads:payload list -> unit
+val write : ?reuse:string -> path:string -> meta:Json.t -> payload list -> unit
 (** Atomically writes a snapshot: magic line, CRC-framed header (the
     schema, the payload count, and the caller's [meta] document), one
     CRC-framed section per payload, and a CRC-framed end marker.  The
     file is laid out in one buffer of its exact size; a [Floats]
-    payload is encoded straight from the buffer, its CRC computed in
-    the same pass. *)
+    payload is copied in by {!encode_floats}, which returns its CRC.
+    [?reuse] is {!atomic_write_string}'s. *)
 
 type frame = private { file : string; pos : int; len : int }
 (** A verified payload in place: bytes [pos .. pos + len - 1] of the
@@ -80,7 +104,8 @@ type frame = private { file : string; pos : int; len : int }
 val frame_contents : frame -> string
 
 val read_floats : frame -> Repro_grid.Buf.t -> (unit, string) result
-(** Decodes a [Floats] payload into an existing buffer; [Error] on a
+(** Decodes a [Floats] payload into an existing buffer (the inverse of
+    {!encode_floats}: a [memcpy] on little-endian hosts); [Error] on a
     length mismatch. *)
 
 val read : path:string -> (Json.t * frame list, string) result

@@ -4,15 +4,18 @@
    container round-trips metadata and payloads bit-identically, and any
    single-byte corruption, truncation, or trailing garbage makes [read]
    reject the file — the CRC framing never deserializes a torn write.
-   The slicing-by-8 CRC equals the byte-at-a-time definition, and the
-   one-pass writer produces the same bytes as the original
-   Buffer-based writer (both kept verbatim below as oracles).
-   Unit tests cover the CRC test vector, a checkpoint written by the
-   original writer (test/fixtures), the writer's allocation, atomic
-   replacement, generation rotation (the newest good generation is never
-   deleted), corrupt-generation fallback, metadata the loader must
-   reject, the prune counter, the deadline-aware cadence clamp, and the
-   sink's deferred-flush copy semantics. *)
+   The C CRC equals the byte-at-a-time definition on any range and under
+   [?crc] chaining, the one-pass writer produces the same bytes as the
+   original Buffer-based writer (both kept verbatim below as oracles),
+   and the C grid codec encodes and decodes a sub-view's own range only.
+   Unit tests cover the CRC test vector, an empty grid, a checkpoint
+   written by the original writer (test/fixtures), the writer's
+   allocation, atomic replacement, generation rotation (the newest good
+   generation is never deleted; the retired one is recycled as the spare
+   file, never through a directory, symlink or hard link), corrupt-
+   generation fallback, metadata the loader must reject, the prune
+   counter, the deadline-aware cadence clamp, and the sink's
+   deferred-flush copy semantics. *)
 
 open Repro_mg
 module Grid = Repro_grid.Grid
@@ -158,7 +161,7 @@ let meta_of kvs =
 let write_snapshot (kvs, payloads) =
   let path = fresh "prop" in
   Snapshot.write ~path ~meta:(meta_of kvs)
-    ~payloads:(List.map (fun p -> Snapshot.Raw p) payloads);
+    (List.map (fun p -> Snapshot.Raw p) payloads);
   path
 
 let float_arb =
@@ -198,17 +201,21 @@ let prop_writer_matches_oracle =
       let path = fresh "oracle" in
       let bufs = List.map (fun xs -> Buf.of_array (Array.of_list xs)) grids in
       Snapshot.write ~path ~meta:(meta_of kvs)
-        ~payloads:
-          (List.map (fun p -> Snapshot.Raw p) raws
-          @ List.map (fun b -> Snapshot.Floats b) bufs);
+        (List.map (fun p -> Snapshot.Raw p) raws
+        @ List.map (fun b -> Snapshot.Floats b) bufs);
       read_file path
       = oracle_file ~meta:(meta_of kvs)
           ~payloads:(raws @ List.map oracle_payload_of_buf bufs))
 
-let bytes_arb = QCheck.(string_gen_of_size Gen.(int_range 0 300) Gen.char)
+(* mostly short strings, some of a few kilobytes *)
+let bytes_arb =
+  QCheck.(
+    string_gen_of_size
+      Gen.(frequency [ (3, int_range 0 300); (1, int_range 300 3000) ])
+      Gen.char)
 
 let prop_crc_matches_oracle =
-  QCheck.Test.make ~name:"crc32: slicing-by-8 equals the byte-wise oracle"
+  QCheck.Test.make ~name:"crc32: equals the byte-wise oracle on any range"
     ~count:500
     QCheck.(triple bytes_arb (int_range 0 1_000_000) (int_range 0 1_000_000))
     (fun (s, a, b) ->
@@ -218,13 +225,13 @@ let prop_crc_matches_oracle =
       let sub = String.sub s pos len in
       Snapshot.crc32 s = oracle_crc32 s
       && Snapshot.crc32 ~pos ~len s = oracle_crc32 sub
-      (* every tail length 0-7 after whole 8-byte blocks *)
+      (* every tail length 0-15 after whole 16-byte blocks *)
       && List.for_all
            (fun t ->
-             let len = min (n - pos) ((len land lnot 7) + t) in
+             let len = min (n - pos) ((len land lnot 15) + t) in
              Snapshot.crc32 ~pos ~len s
              = oracle_crc32 (String.sub s pos len))
-           [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+           (List.init 16 Fun.id))
 
 let prop_crc_chaining =
   QCheck.Test.make ~name:"crc32: ?crc chaining at any split point"
@@ -289,7 +296,7 @@ let prop_grid_codec =
     ~count:100 floats_arb (fun xs ->
       let buf = Buf.of_array (Array.of_list xs) in
       let path = fresh "codec" in
-      Snapshot.write ~path ~meta:Json.Null ~payloads:[ Snapshot.Floats buf ];
+      Snapshot.write ~path ~meta:Json.Null [ Snapshot.Floats buf ];
       match Snapshot.read ~path with
       | Error m -> QCheck.Test.fail_reportf "rejected own write: %s" m
       | Ok (_, [ f ]) -> (
@@ -304,6 +311,49 @@ let prop_grid_codec =
       | Ok (_, frames) ->
         QCheck.Test.fail_reportf "%d frames" (List.length frames))
 
+(* A sub-view of a grid encodes exactly its own doubles, with the
+   oracle's bytes and CRC, and touches no byte around them; decoded into
+   the same range of a larger buffer, it writes only that range. *)
+let prop_encode_sub_view =
+  QCheck.Test.make
+    ~name:"encode_floats: a sub-view encodes and decodes only its range"
+    ~count:200
+    QCheck.(
+      quad floats_arb (int_range 0 1_000_000) (int_range 0 1_000_000)
+        (int_range 0 16))
+    (fun (xs, a, b, off) ->
+      let whole = Buf.of_array (Array.of_list xs) in
+      let n = Buf.len whole in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      let view = Buf.sub_view whole ~pos ~len in
+      let expect = oracle_payload_of_buf view in
+      let bytes = Bytes.make (off + String.length expect + 8) '\xA5' in
+      let crc = Snapshot.encode_floats view bytes ~pos:off in
+      let around_kept =
+        Bytes.sub_string bytes 0 off
+        ^ Bytes.sub_string bytes (off + (8 * len)) 8
+        = String.make (off + 8) '\xA5'
+      in
+      let path = fresh "subview" in
+      Snapshot.write ~path ~meta:Json.Null [ Snapshot.Floats view ];
+      let out = Buf.create n in
+      Buf.fill out 42.0;
+      let decoded =
+        match Snapshot.read ~path with
+        | Ok (_, [ f ]) -> Snapshot.read_floats f (Buf.sub_view out ~pos ~len)
+        | Ok _ -> Error "frame count"
+        | Error m -> Error m
+      in
+      decoded = Ok ()
+      && Bytes.sub_string bytes off (8 * len) = expect
+      && crc = oracle_crc32 expect
+      && around_kept
+      && same_bits (Buf.sub_view out ~pos ~len) view
+      && List.for_all
+           (fun i -> i >= pos && i < pos + len || Buf.get out i = 42.0)
+           (List.init n Fun.id))
+
 (* -- unit tests --------------------------------------------------------- *)
 
 let test_crc_vector () =
@@ -311,6 +361,28 @@ let test_crc_vector () =
   Alcotest.(check int)
     "crc32(123456789)" 0xCBF43926
     (Snapshot.crc32 "123456789")
+
+let test_encode_empty () =
+  let b = Bytes.make 4 'x' in
+  Alcotest.(check int)
+    "an empty grid encodes to the CRC of no bytes" 0
+    (Snapshot.encode_floats (Buf.create 0) b ~pos:4);
+  Alcotest.(check string) "and writes nothing" "xxxx" (Bytes.to_string b);
+  let out_of_range =
+    Invalid_argument "Snapshot.encode_floats: range out of bounds"
+  in
+  Alcotest.check_raises "a position past the end" out_of_range (fun () ->
+      ignore (Snapshot.encode_floats (Buf.create 0) b ~pos:5));
+  Alcotest.check_raises "a grid that does not fit" out_of_range (fun () ->
+      ignore (Snapshot.encode_floats (Buf.create 1) b ~pos:0));
+  let path = fresh "empty-grid" in
+  Snapshot.write ~path ~meta:Json.Null [ Snapshot.Floats (Buf.create 0) ];
+  match Snapshot.read ~path with
+  | Ok (_, [ f ]) ->
+    Alcotest.(check bool)
+      "an empty grid round-trips" true
+      (Snapshot.read_floats f (Buf.create 0) = Ok ())
+  | Ok _ | Error _ -> Alcotest.fail "empty grid payload not read back"
 
 let test_atomic_replace () =
   let path = fresh "atomic" in
@@ -351,6 +423,130 @@ let test_rotation () =
   Alcotest.(check (list int))
     "keeps the last 3 generations" [ 3; 4; 5 ]
     (Checkpoint.generations ~dir)
+
+let ino path = (Unix.lstat path).Unix.st_ino
+let entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let check_loads ~dir g =
+  match Checkpoint.load ~path:(Checkpoint.gen_path ~dir g) with
+  | Error m -> Alcotest.failf "generation %d rejected: %s" g m
+  | Ok st ->
+    Alcotest.(check int) "cycle" g st.Checkpoint.cycle;
+    Alcotest.(check bool)
+      (Printf.sprintf "generation %d bit-exact" g)
+      true
+      (same_bits st.Checkpoint.v.Grid.buf
+         (mk_state ~cycle:g).Checkpoint.v.Grid.buf)
+
+let test_rotation_recycles () =
+  let dir = fresh "recycle" in
+  let spare = Checkpoint.spare_path ~dir in
+  let spare_before_6 = ref (-1) in
+  (* each file is shorter than the one before, so a recycled file that
+     kept its old tail would be rejected for trailing bytes *)
+  let state c =
+    let st = mk_state ~cycle:c in
+    { st with
+      Checkpoint.history = List.init (7 - c) (fun _ -> List.hd st.history) }
+  in
+  List.iter
+    (fun c ->
+      if c = 6 then spare_before_6 := ino spare;
+      ignore (Checkpoint.save (config dir) (state c)))
+    [ 1; 2; 3; 4; 5; 6 ];
+  Alcotest.(check (list int))
+    "keeps the last 3 generations" [ 4; 5; 6 ] (Checkpoint.generations ~dir);
+  Alcotest.(check (list string))
+    "one spare, no droppings"
+    [ "ckpt-000004.snap"; "ckpt-000005.snap"; "ckpt-000006.snap";
+      Filename.basename spare ]
+    (entries dir);
+  List.iter (check_loads ~dir) [ 4; 5; 6 ];
+  Alcotest.(check int)
+    "generation 6 is the recycled spare" !spare_before_6
+    (ino (Checkpoint.gen_path ~dir 6))
+
+let test_keep_one () =
+  let dir = fresh "keep1" in
+  let spare = Checkpoint.spare_path ~dir in
+  List.iter
+    (fun c ->
+      let path =
+        Checkpoint.save { (config dir) with keep = 1 } (mk_state ~cycle:c)
+      in
+      Alcotest.(check (list int))
+        "one generation" [ c ] (Checkpoint.generations ~dir);
+      if Sys.file_exists spare then
+        Alcotest.(check bool) "the generation is not the spare" false
+          (ino path = ino spare);
+      match Checkpoint.load_latest ~dir with
+      | Error m -> Alcotest.failf "after save %d: %s" c m
+      | Ok r ->
+        Alcotest.(check int) "load_latest is the newest" c r.Checkpoint.gen;
+        check_loads ~dir c)
+    [ 1; 2; 3; 4; 5 ]
+
+(* Only a regular file with one link is overwritten in place: a
+   directory or a symlink at the spare name is not followed (a rename
+   and an open of it would fail with EISDIR or write through the link),
+   and a hard link elsewhere keeps its contents. *)
+let test_spare_not_followed () =
+  let saves dir cycles =
+    List.iter
+      (fun c -> ignore (Checkpoint.save (config dir) (mk_state ~cycle:c)))
+      cycles
+  in
+  let no_droppings dir =
+    Alcotest.(check (list string))
+      "no droppings" []
+      (List.filter
+         (fun e ->
+           String.starts_with ~prefix:"ckpt-" e
+           && (not (Filename.check_suffix e ".snap"))
+           && e <> Filename.basename (Checkpoint.spare_path ~dir))
+         (entries dir))
+  in
+  (* a directory *)
+  let dir = fresh "spare-dir" in
+  mkdir_p (Checkpoint.spare_path ~dir);
+  saves dir [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list int))
+    "directory spare: rotation still keeps 3" [ 3; 4; 5 ]
+    (Checkpoint.generations ~dir);
+  Alcotest.(check bool)
+    "the directory is left alone" true
+    ((Unix.lstat (Checkpoint.spare_path ~dir)).Unix.st_kind = Unix.S_DIR);
+  no_droppings dir;
+  List.iter (check_loads ~dir) [ 3; 4; 5 ];
+  (* a symlink *)
+  let dir = fresh "spare-link" in
+  mkdir_p dir;
+  let target = Filename.concat dir "target" in
+  write_file target "not a checkpoint";
+  Unix.symlink "target" (Checkpoint.spare_path ~dir);
+  saves dir [ 1; 2; 3; 4; 5; 6 ];
+  Alcotest.(check string)
+    "the link's target is untouched" "not a checkpoint" (read_file target);
+  Alcotest.(check (list int))
+    "symlink spare: rotation still keeps 3" [ 4; 5; 6 ]
+    (Checkpoint.generations ~dir);
+  no_droppings dir;
+  List.iter (check_loads ~dir) [ 4; 5; 6 ];
+  (* a hard link *)
+  let dir = fresh "spare-hardlink" in
+  saves dir [ 1; 2; 3; 4 ];
+  let backup = Filename.concat dir "backup.snap" in
+  Unix.link (Checkpoint.spare_path ~dir) backup;
+  saves dir [ 5; 6 ];
+  (match Checkpoint.load ~path:backup with
+   | Ok st ->
+     Alcotest.(check int)
+       "the hard link still holds generation 1" 1 st.Checkpoint.cycle
+   | Error m -> Alcotest.failf "hard link overwritten: %s" m);
+  Alcotest.(check (list int))
+    "hard-linked spare: rotation still keeps 3" [ 4; 5; 6 ]
+    (Checkpoint.generations ~dir);
+  List.iter (check_loads ~dir) [ 4; 5; 6 ]
 
 let test_corrupt_fallback () =
   let dir = fresh "fallback" in
@@ -491,7 +687,7 @@ let hand_write ~dir ~gen ~extents ?(history = []) buf =
   in
   mkdir_p dir;
   Snapshot.write ~path:(Checkpoint.gen_path ~dir gen) ~meta
-    ~payloads:[ Snapshot.Floats buf ]
+    [ Snapshot.Floats buf ]
 
 let test_bad_extents_fallback () =
   let dir = fresh "extents" in
@@ -625,7 +821,8 @@ let () =
             prop_grid_codec;
             prop_writer_matches_oracle;
             prop_crc_matches_oracle;
-            prop_crc_chaining ] );
+            prop_crc_chaining;
+            prop_encode_sub_view ] );
       ( "unit",
         [ unit "crc32 test vector" test_crc_vector;
           unit "parent-written fixture" test_fixture;
@@ -635,6 +832,12 @@ let () =
           unit "prune counts removals only" test_prune_counter;
           unit "atomic replacement" test_atomic_replace;
           unit "generation rotation" test_rotation;
+          unit "rotation recycles the retired generation"
+            test_rotation_recycles;
+          unit "keep 1 never loads the spare" test_keep_one;
+          unit "spare: directory or symlink not followed"
+            test_spare_not_followed;
+          unit "encode_floats: empty grid" test_encode_empty;
           unit "corrupt-generation fallback" test_corrupt_fallback;
           unit "empty directory" test_empty_dir;
           unit "deadline clamps cadence" test_effective_every;
