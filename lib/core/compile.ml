@@ -316,153 +316,72 @@ let run_lin_terms ~(srcs : source array) ~(dst : source) ~d ~m ~start
   let inner_dstep = dstep.(d - 1) in
   let step = Array.init nt (fun t -> tstep.(t).(d - 1)) in
   let cur = Array.make nt 0 in
-  (* Walk detection: the largest set of terms sharing one buffer and one
-     inner-dimension step becomes the main walk (one cursor, constant
-     deltas — the register shape of the generated C); at most one further
-     term rides along as an auxiliary stream.  Anything else runs
-     [inner_generic]. *)
-  let main_idx =
-    if nt = 0 then [||]
-    else begin
-      let best = ref [||] in
-      for t = 0 to nt - 1 do
-        let group = ref [] in
-        for u = nt - 1 downto 0 do
-          if data.(u) == data.(t) && step.(u) = step.(t) then
-            group := u :: !group
-        done;
-        let g = Array.of_list !group in
-        if Array.length g > Array.length !best then best := g
-      done;
-      !best
-    end
+  (* Walk detection: when every term but the last (or else every term but
+     the first) shares one buffer and one inner-dimension step, those
+     terms run as a walk (one cursor, constant deltas — the register shape
+     of the generated C) and the remaining term as the stream beside it.
+     The kernels add [base], then the terms in case order, as the emitted
+     C does.  Anything else runs [inner_generic]. *)
+  let shares lo hi =
+    let ok = ref true in
+    for t = lo + 1 to hi do
+      if not (data.(t) == data.(lo) && step.(t) = step.(lo)) then ok := false
+    done;
+    !ok
   in
-  let k_main = Array.length main_idx in
-  let use_walk = k_main >= 1 && nt - k_main <= 1 in
-  if use_walk then begin
-    let aux_idx =
-      let in_main u = Array.exists (fun x -> x = u) main_idx in
-      let r = ref (-1) in
-      for u = 0 to nt - 1 do
-        if not (in_main u) then r := u
-      done;
-      !r
-    in
-    let m0 = main_idx.(0) in
-    let main = data.(m0) in
-    let mstep = step.(m0) in
-    let wcoef = Array.map (fun t -> coef.(t)) main_idx in
-    let wdelta = Array.make k_main 0 in
-    (* symmetric shapes: one centre + (k-1) equal-coefficient neighbours
-       (Jacobi / residual stages); computed once per region *)
-    let sym_split =
-      if k_main < 3 then None
-      else begin
-        let counts = Hashtbl.create 4 in
-        Array.iter
-          (fun w ->
-            Hashtbl.replace counts w
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts w)))
-          wcoef;
-        if Hashtbl.length counts <> 2 then None
-        else begin
-          let singleton = ref None and bulk = ref None in
-          Hashtbl.iter
-            (fun w n ->
-              if n = 1 then singleton := Some w
-              else if n = k_main - 1 then bulk := Some w)
-            counts;
-          match (!singleton, !bulk) with
-          | Some c0, Some cn ->
-            (* index of the centre term *)
-            let ci = ref 0 in
-            Array.iteri (fun i w -> if w = c0 then ci := i) wcoef;
-            Some (c0, cn, !ci)
-          | _ -> None
-        end
-      end
-    in
-    let neighbours_of ci k =
-      Array.to_list (Array.init k Fun.id)
-      |> List.filter (fun i -> i <> ci)
-      |> Array.of_list
-    in
+  let stream_last = shares 0 (nt - 2) in
+  if stream_last || shares 1 (nt - 1) then begin
+    let first = not stream_last in
+    let s = if first then 0 else nt - 1 in
+    let m0 = if first then 1 else 0 in
+    let k = nt - 1 in
+    let main = data.(m0) and mstep = step.(m0) in
+    let aux = data.(s) and ac = coef.(s) and astep = step.(s) in
+    let wcoef = Array.sub coef m0 k in
+    let wdelta = Array.make k 0 in
     let run_row didx0 =
-      let b0 = cur.(m0) in
-      for t = 1 to k_main - 1 do
-        wdelta.(t) <- cur.(main_idx.(t)) - b0
+      let b0 = cur.(m0) and a0 = cur.(s) in
+      for t = 1 to k - 1 do
+        wdelta.(t) <- cur.(m0 + t) - b0
       done;
-      let aux, ac, a0, astep =
-        if aux_idx >= 0 then
-          (data.(aux_idx), coef.(aux_idx), cur.(aux_idx), step.(aux_idx))
-        else (main, 0.0, 0, 0)
-      in
       let c t = wcoef.(t) and dl t = wdelta.(t) in
-      match (k_main, sym_split) with
-      | 5, Some (c0, cn, ci) ->
-        let nb = neighbours_of ci 5 in
-        let bc = cur.(main_idx.(ci)) in
-        Walks.sym4 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
-          ~b0:bc ~step:mstep ~c0 ~cn
-          ~d1:(cur.(main_idx.(nb.(0))) - bc)
-          ~d2:(cur.(main_idx.(nb.(1))) - bc)
-          ~d3:(cur.(main_idx.(nb.(2))) - bc)
-          ~d4:(cur.(main_idx.(nb.(3))) - bc)
+      match (first, nt) with
+      | false, 1 ->
+        Walks.last1 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~aux ~ac
+          ~a0 ~astep
+      | false, 2 ->
+        Walks.last2 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~aux ~ac ~a0 ~astep
+      | false, 4 ->
+        Walks.last4 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
           ~aux ~ac ~a0 ~astep
-      | 7, Some (c0, cn, ci) ->
-        let nb = neighbours_of ci 7 in
-        let bc = cur.(main_idx.(ci)) in
-        Walks.sym6 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
-          ~b0:bc ~step:mstep ~c0 ~cn
-          ~d1:(cur.(main_idx.(nb.(0))) - bc)
-          ~d2:(cur.(main_idx.(nb.(1))) - bc)
-          ~d3:(cur.(main_idx.(nb.(2))) - bc)
-          ~d4:(cur.(main_idx.(nb.(3))) - bc)
-          ~d5:(cur.(main_idx.(nb.(4))) - bc)
-          ~d6:(cur.(main_idx.(nb.(5))) - bc)
-          ~aux ~ac ~a0 ~astep
-      | 1, _ ->
-        Walks.k1 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~aux ~ac ~a0 ~astep
-      | 2, _ ->
-        Walks.k2 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~aux ~ac ~a0 ~astep
-      | 3, _ ->
-        Walks.k3 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
-          ~aux ~ac ~a0 ~astep
-      | 4, _ ->
-        Walks.k4 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
-          ~c3:(c 3) ~d3:(dl 3) ~aux ~ac ~a0 ~astep
-      | 5, _ ->
-        Walks.k5 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
+      | false, 6 ->
+        Walks.last6 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
           ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~aux ~ac ~a0 ~astep
-      | 6, _ ->
-        Walks.k6 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
-          ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~c5:(c 5) ~d5:(dl 5)
-          ~aux ~ac ~a0 ~astep
-      | 7, _ ->
-        Walks.k7 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
+      | false, 8 ->
+        Walks.last8 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
           ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~c5:(c 5) ~d5:(dl 5)
           ~c6:(c 6) ~d6:(dl 6) ~aux ~ac ~a0 ~astep
-      | 8, _ ->
-        Walks.k8 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
+      | false, 9 ->
+        Walks.last9 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
           ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~c5:(c 5) ~d5:(dl 5)
           ~c6:(c 6) ~d6:(dl 6) ~c7:(c 7) ~d7:(dl 7) ~aux ~ac ~a0 ~astep
-      | 9, _ ->
-        Walks.k9 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
+      | true, 6 ->
+        Walks.first6 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
+          ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~aux ~ac ~a0 ~astep
+      | true, 8 ->
+        Walks.first8 ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main
+          ~b0 ~step:mstep ~c0:(c 0) ~c1:(c 1) ~d1:(dl 1) ~c2:(c 2) ~d2:(dl 2)
           ~c3:(c 3) ~d3:(dl 3) ~c4:(c 4) ~d4:(dl 4) ~c5:(c 5) ~d5:(dl 5)
-          ~c6:(c 6) ~d6:(dl 6) ~c7:(c 7) ~d7:(dl 7) ~c8:(c 8) ~d8:(dl 8)
-          ~aux ~ac ~a0 ~astep
-      | _, _ ->
-        Walks.kn ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep ~main ~b0
-          ~step:mstep ~coef:wcoef ~delta:wdelta ~aux ~ac ~a0 ~astep
+          ~c6:(c 6) ~d6:(dl 6) ~aux ~ac ~a0 ~astep
+      | _ ->
+        Walks.kn ~first ~n1 ~base ~dst:dst.data ~didx0 ~dstep:inner_dstep
+          ~main ~b0 ~step:mstep ~coef:wcoef ~delta:wdelta ~aux ~ac ~a0 ~astep
     in
     iterate_rows ~d ~counts ~nt ~tbase ~tstep ~dbase:!dbase ~dstep ~cur
       ~run_row

@@ -24,9 +24,16 @@ type diff = { max_abs : float; max_ulp : float; worst : int }
 
 let no_diff = { max_abs = 0.0; max_ulp = 0.0; worst = -1 }
 
+(* A point agrees when the values are equal (so ±inf with itself, and
+   -0.0 with 0.0) or both NaN; a NaN against a number is an infinite
+   difference. *)
 let diff_acc d i a b =
-  let abs = Float.abs (a -. b) in
-  let abs = if Float.is_nan abs then infinity else abs in
+  let abs =
+    if a = b || (Float.is_nan a && Float.is_nan b) then 0.0
+    else
+      let abs = Float.abs (a -. b) in
+      if Float.is_nan abs then infinity else abs
+  in
   if abs > d.max_abs then { max_abs = abs; max_ulp = ulps a b; worst = i }
   else d
 
@@ -45,7 +52,7 @@ let grid_diff (a : Grid.t) (b : Grid.t) =
 
 type budgets = { vs_plan : float; vs_handopt : float; vs_c : float }
 
-let default_budgets = { vs_plan = 1e-11; vs_handopt = 1e-9; vs_c = 1e-10 }
+let default_budgets = { vs_plan = 0.0; vs_handopt = 1e-9; vs_c = 0.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic input fill for a native pair's cycle 0: FNV-1a over

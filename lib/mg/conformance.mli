@@ -24,7 +24,9 @@
 (** {2 Difference metrics} *)
 
 type diff = {
-  max_abs : float;  (** worst absolute difference; [infinity] on NaN *)
+  max_abs : float;
+      (** worst absolute difference: 0 where the values are equal or both
+          NaN, [infinity] for a NaN against a number *)
   max_ulp : float;  (** ULP distance at the worst point *)
   worst : int;  (** flat buffer index of the worst point; [-1] if none *)
 }
@@ -36,11 +38,14 @@ val grid_diff : Repro_grid.Grid.t -> Repro_grid.Grid.t -> diff
 
 type budgets = {
   vs_plan : float;
-      (** plan variants vs the naive plan: same compiled kernels, only
-          walk specialization reorders arithmetic *)
+      (** plan variants vs the naive plan: 0, exact.  Every variant runs
+          the same compiled kernels, which sum in one order *)
   vs_handopt : float;
       (** vs the hand-written baselines: independent implementation *)
-  vs_c : float;  (** a plan's native kernel (its emitted C) vs the engine *)
+  vs_c : float;
+      (** a plan's native kernel (its emitted C) vs the engine: 0, exact.
+          The interpreter's walks and the emitted C both add [base], then
+          the [Compile.Lin] terms left to right *)
 }
 
 val default_budgets : budgets

@@ -211,10 +211,121 @@ let test_compile_input_rejected () =
     (Invalid_argument "Compile.compile: cannot compile an input") (fun () ->
       ignore (Compile.compile f ~params))
 
+(* The one summation order both engines share: [base], then each term of
+   the compiled linear case, left to right (the order [C_emit] prints). *)
+let in_lin_order (compiled : Compile.t) (srcs : Compile.source array) coords =
+  match compiled.Compile.cases with
+  | [ { Compile.kernel = Compile.Lin { base; terms }; parity = None } ] ->
+    Array.fold_left
+      (fun acc (t : Compile.term) ->
+        let src = srcs.(t.Compile.pos) in
+        let pc =
+          Array.mapi
+            (fun k (a : Expr.access) ->
+              (((a.Expr.mul * coords.(k)) + a.Expr.add) / a.Expr.den)
+              + a.Expr.off)
+            t.Compile.accs
+        in
+        acc
+        +. (t.Compile.coef
+            *. Bigarray.Array1.get src.Compile.data
+                 (Compile.source_index src pc)))
+      base terms
+  | _ -> Alcotest.fail "expected one linear case without parity"
+
+let run_interior compiled srcs size =
+  let dst, _ = grid_source size in
+  let interior = Box.of_sizes [| size; size |] in
+  compiled.Compile.run ~srcs ~dst ~interior ~region:interior;
+  fun i j ->
+    Bigarray.Array1.get dst.Compile.data (Compile.source_index dst [| i; j |])
+
+(* The walk shapes the multigrid stages reach — the residual (rhs first),
+   the Jacobi smoother (rhs last), interpolation- and restriction-like
+   single-buffer stencils — sum exactly in case order.  A symmetric
+   stencil's neighbours are not grouped under one multiply. *)
+let test_walks_sum_in_case_order () =
+  let size = 9 in
+  let v = 0 and f = 1 in
+  let bufs =
+    Array.init 2 (fun b ->
+        let src, _ = grid_source size in
+        fill_source src size (fun i j ->
+            Float.of_int (((i * 31) + (j * 7) + (b * 5)) mod 23) /. 3.7);
+        src)
+  in
+  let at dx dy = Expr.load v [| dx; dy |] in
+  let lap =
+    Expr.(
+      const 0.7
+      * ((const 4.0 * at 0 0) - at (-1) 0 - at 1 0 - at 0 (-1) - at 0 1))
+  in
+  let nine =
+    List.concat_map (fun dx -> List.map (fun dy -> (dx, dy)) [ -1; 0; 1 ])
+      [ -1; 0; 1 ]
+  in
+  let sum_of offs =
+    List.fold_left
+      (fun acc (dx, dy) -> Expr.(acc + (const 0.3 * at dx dy)))
+      (Expr.const 0.1) offs
+  in
+  List.iteri
+    (fun k defn ->
+      let fn = mk_func ~id:9 ~name:"w" ~size (Func.Def defn) in
+      let compiled = Compile.compile fn ~params in
+      let srcs = Array.map (fun b -> bufs.(b)) compiled.Compile.producers in
+      let got = run_interior compiled srcs size in
+      for i = 1 to size do
+        for j = 1 to size do
+          let expect = in_lin_order compiled srcs [| i; j |] in
+          if Int64.bits_of_float (got i j) <> Int64.bits_of_float expect then
+            Alcotest.failf "shape %d at (%d,%d): got %h, case order %h" k i j
+              (got i j) expect
+        done
+      done)
+    [ Expr.(load f [| 0; 0 |] - lap);
+      Expr.(at 0 0 - (param "w" * (lap - load f [| 0; 0 |])));
+      Expr.(at 0 0 + load f [| 0; 0 |]);
+      sum_of [ (0, 0); (0, 1); (1, 0); (1, 1) ];
+      sum_of (List.filter (fun o -> o <> (0, 0)) nine);
+      sum_of nine ]
+
+(* A walk over one buffer reads only its own terms: no zero-weighted
+   stand-in for a missing rhs stream, so a non-finite value at buffer
+   index 0 (ghost corner (0,0), which no term below reads) cannot turn
+   every point into NaN. *)
+let test_single_buffer_walk_reads_own_terms () =
+  let size = 6 in
+  let v_src, _ = grid_source size in
+  fill_source v_src size (fun _ _ -> 0.0);
+  Bigarray.Array1.set v_src.Compile.data 0 infinity;
+  let offs = [ (0, 0); (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1) ] in
+  List.iter
+    (fun k ->
+      let defn =
+        List.fold_left
+          (fun acc (dx, dy) -> Expr.(acc + (const 0.25 * load 0 [| dx; dy |])))
+          (Expr.const 0.0)
+          (List.filteri (fun i _ -> i < k) offs)
+      in
+      let compiled =
+        Compile.compile (mk_func ~id:1 ~name:"s" ~size (Func.Def defn)) ~params
+      in
+      let got = run_interior compiled [| v_src |] size in
+      for i = 1 to size do
+        for j = 1 to size do
+          if got i j <> 0.0 then
+            Alcotest.failf "%d-point walk at (%d,%d): %g, expected 0" k i j
+              (got i j)
+        done
+      done)
+    [ 1; 2; 4; 5; 8 ]
+
 (* random linear stencils over up to three source buffers: compiled kernels
-   vs the interpreter.  Terms that share one buffer run as a walk; a case
-   whose terms spread over the buffers so that two or more fall outside the
-   largest same-buffer set runs the per-term-cursor loop instead. *)
+   vs the interpreter (within rounding) and vs the one summation order
+   (exactly).  A case whose terms but its first or its last share one
+   buffer runs as a walk; any other (the odd term in the middle, or two
+   or more off the shared buffer) runs the per-term-cursor loop. *)
 let prop_lin_matches_interpreter =
   QCheck.Test.make ~name:"linear kernels match the interpreter (nt 1..10)"
     ~count:80
@@ -242,10 +353,8 @@ let prop_lin_matches_interpreter =
       in
       let f = mk_func ~id:9 ~name:"r" ~size (Func.Def defn) in
       let compiled = Compile.compile f ~params in
-      let dst, _ = grid_source size in
-      let interior = Box.of_sizes [| size; size |] in
       let srcs = Array.map (fun b -> bufs.(b)) compiled.Compile.producers in
-      compiled.Compile.run ~srcs ~dst ~interior ~region:interior;
+      let got = run_interior compiled srcs size in
       let lookup b pc =
         Bigarray.Array1.get bufs.(b).Compile.data
           (Compile.source_index bufs.(b) pc)
@@ -254,11 +363,8 @@ let prop_lin_matches_interpreter =
       for i = 1 to size do
         for j = 1 to size do
           let expect = Compile.eval_expr defn ~params ~lookup [| i; j |] in
-          let got =
-            Bigarray.Array1.get dst.Compile.data
-              (Compile.source_index dst [| i; j |])
-          in
-          if Float.abs (expect -. got) > 1e-9 then ok := false
+          if Float.abs (expect -. got i j) > 1e-9 then ok := false;
+          if got i j <> in_lin_order compiled srcs [| i; j |] then ok := false
         done
       done;
       !ok)
@@ -303,6 +409,10 @@ let () =
           Alcotest.test_case "parity cases" `Quick test_parity_cases;
           Alcotest.test_case "gen fallback" `Quick test_gen_fallback_minmax;
           Alcotest.test_case "input rejected" `Quick test_compile_input_rejected;
-          Alcotest.test_case "fill_rim 3d" `Quick test_fill_rim_3d ] );
+          Alcotest.test_case "fill_rim 3d" `Quick test_fill_rim_3d;
+          Alcotest.test_case "walks sum in case order" `Quick
+            test_walks_sum_in_case_order;
+          Alcotest.test_case "single-buffer walk reads own terms" `Quick
+            test_single_buffer_walk_reads_own_terms ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_lin_matches_interpreter ] ) ]

@@ -76,6 +76,29 @@ let test_fill_val () =
   Alcotest.(check bool) "position matters" true
     (Conformance.fill_val ~input:0 [| 1; 2 |] <> v)
 
+(* -- grid_diff is NaN-aware: an exact gate must pass identical outputs - *)
+
+let point_diff a b =
+  let grid x =
+    let g = Grid.create [| 1 |] in
+    Repro_grid.Buf.set g.Grid.buf 0 x;
+    g
+  in
+  (Conformance.grid_diff (grid a) (grid b)).Conformance.max_abs
+
+let test_diff_nan_aware () =
+  let check name expect a b =
+    Alcotest.(check (float 0.0)) name expect (point_diff a b)
+  in
+  check "equal +inf" 0.0 infinity infinity;
+  check "equal -inf" 0.0 neg_infinity neg_infinity;
+  check "NaN vs NaN" 0.0 Float.nan Float.nan;
+  check "NaN vs 1.0" infinity Float.nan 1.0;
+  check "1.0 vs NaN" infinity 1.0 Float.nan;
+  check "-0.0 vs 0.0" 0.0 (-0.0) 0.0;
+  check "+inf vs -inf" infinity infinity neg_infinity;
+  check "one ulp" (Float.succ 1.0 -. 1.0) 1.0 (Float.succ 1.0)
+
 (* -- quick differential oracle case ------------------------------------ *)
 
 let test_oracle_quick () =
@@ -111,6 +134,8 @@ let () =
           Alcotest.test_case "observed order" `Quick test_observed_order ] );
       ( "fill",
         [ Alcotest.test_case "deterministic fill" `Quick test_fill_val ] );
+      ( "diff",
+        [ Alcotest.test_case "NaN-aware" `Quick test_diff_nan_aware ] );
       ( "oracle",
         [ Alcotest.test_case "quick 2D V case" `Quick test_oracle_quick ] );
       ( "c-equivalence",

@@ -161,7 +161,7 @@ let prop_random_plans_safe =
           | Ok () ->
             Grid.max_abs_diff reference
               (Pipeline_gen.run_pipeline built ~opts ~n)
-            < 1e-11)
+            = 0.0)
         [ Options.opt; Options.opt_plus; Options.dtile_opt_plus ])
 
 let () =

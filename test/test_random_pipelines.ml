@@ -18,7 +18,7 @@ let prop_variants_agree =
       List.for_all
         (fun opts ->
           let v = run_pipeline built ~opts ~n in
-          Grid.max_abs_diff reference v < 1e-11)
+          Grid.max_abs_diff reference v = 0.0)
         [ Options.opt; Options.opt_plus; Options.dtile_opt_plus;
           { Options.opt_plus with Options.group_size_limit = 2 };
           Options.with_tiles Options.opt_plus ~t2:[| 5; 9 |]
@@ -67,7 +67,7 @@ let prop_ladder_sound =
         && Grid.max_abs_diff
              (Pipeline_gen.run_pipeline built ~opts:Options.naive ~n)
              (Pipeline_gen.run_plan built chosen.Govern.plan ~n)
-           < 1e-11)
+           = 0.0)
 
 let prop_deterministic =
   QCheck.Test.make ~name:"random pipelines: opt+ is deterministic" ~count:20
