@@ -585,7 +585,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
    execution — the tiling only reorders whole-row computations. *)
 
 let emit_diamond fmt ~(input_store : int -> cstore)
-    ~(array_store : int -> of_func:int -> cstore) (dg : Plan.diamond_group) =
+    ~(array_store : int -> of_func:int -> cstore) ~dtmp_off
+    (dg : Plan.diamond_group) =
   let nsteps = Array.length dg.Plan.steps in
   let last = dg.Plan.steps.(nsteps - 1) in
   let dims = Array.length dg.Plan.sizes in
@@ -612,15 +613,11 @@ let emit_diamond fmt ~(input_store : int -> cstore)
     | Func.Dirichlet v -> v
     | Func.Ghost_input -> 0.0
   in
-  let len =
-    Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes
-  in
   let tmp_name = Printf.sprintf "_dtmp_%d" dg.Plan.gid in
   let out_store = array_store out_arr ~of_func:last.Plan.func.Func.id in
   let tmp_store = full_store tmp_name dg.Plan.sizes in
   pf fmt "  {@,";
-  pf fmt "    double *%s = (double *) pool_allocate(sizeof(double) * %d);@,"
-    tmp_name len;
+  pf fmt "    double *%s = _arena + %d;@," tmp_name dtmp_off;
   let ghost_ub = Array.map (fun s -> string_of_int (s + 1)) dg.Plan.sizes in
   List.iter
     (fun st ->
@@ -668,7 +665,46 @@ let emit_diamond fmt ~(input_store : int -> cstore)
       ~indent:6;
     pf fmt "    }@,"
   done;
-  pf fmt "    pool_deallocate(%s);@,  }@," tmp_name
+  pf fmt "  }@,"
+
+(* ------------------------------------------------------------------ *)
+(* Arena layout: the pipeline allocates nothing.  Its outputs are the
+   caller's buffers; every other full array sits at a fixed offset (in
+   doubles, 64-byte rounded) of one caller-provided arena, in array
+   order.  A diamond group's modulo buffer is dead when its group ends,
+   so all of them share one region after the arrays.  Returns each
+   array's offset ([None] for an output), the diamond region's offset
+   and the arena's length. *)
+
+let round8 len = (len + 7) land lnot 7
+
+let layout (plan : Plan.t) =
+  let next = ref 0 in
+  let offsets =
+    Array.map
+      (fun (info : Plan.array_info) ->
+        if info.Plan.output then None
+        else begin
+          let off = !next in
+          next := off + round8 info.Plan.len;
+          Some off
+        end)
+      plan.Plan.arrays
+  in
+  let dtmp =
+    Array.fold_left
+      (fun acc g ->
+        match g with
+        | Plan.G_tiled _ -> acc
+        | Plan.G_diamond dg ->
+          max acc (round8 (Array.fold_left (fun l s -> l * (s + 2)) 1 dg.Plan.sizes)))
+      0 plan.Plan.groups
+  in
+  (offsets, !next, !next + dtmp)
+
+let arena_bytes plan =
+  let _, _, len = layout plan in
+  8 * len
 
 (* ------------------------------------------------------------------ *)
 (* Whole-pipeline body                                                  *)
@@ -691,11 +727,15 @@ let emit_body fmt (plan : Plan.t) =
     Array.to_list plan.Plan.inputs
     |> List.map (fun id -> (Pipeline.func pipeline id).Func.name)
   in
-  pf fmt "void pipeline_%s(int N, %s, double **out)@,{@,"
+  let out_names =
+    List.map (fun (_, a) -> Printf.sprintf "_arr_%d" a) plan.Plan.output_arrays
+  in
+  pf fmt "void pipeline_%s(int N, %s, double *_arena)@,{@,"
     (c_ident (Pipeline.name pipeline))
     (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "double *%s" s) in_names));
+       (List.map (fun s -> Printf.sprintf "double *%s" s) (in_names @ out_names)));
   pf fmt "  (void) N;@,";
+  let offsets, dtmp_off, _ = layout plan in
   (* full arrays with their users *)
   let users = Array.make (Array.length plan.Plan.arrays) [] in
   Array.iter
@@ -713,25 +753,18 @@ let emit_body fmt (plan : Plan.t) =
         ms)
     plan.Plan.groups;
   Array.iteri
-    (fun a (info : Plan.array_info) ->
+    (fun a off ->
       pf fmt "  /* users: [%s] */@," (String.concat "; " (List.rev users.(a)));
-      pf fmt "  double *_arr_%d = (double *) pool_allocate(sizeof(double) * %d);@,"
-        a info.Plan.len)
-    plan.Plan.arrays;
+      match off with
+      | Some off -> pf fmt "  double *_arr_%d = _arena + %d;@," a off
+      | None -> pf fmt "  /* _arr_%d: output, the caller's buffer */@," a)
+    offsets;
   Array.iter
     (fun g ->
       match g with
       | Plan.G_tiled tg -> emit_tiled fmt ~input_store ~array_store tg
-      | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store dg)
+      | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store ~dtmp_off dg)
     plan.Plan.groups;
-  (* releases; output arrays are returned to the caller *)
-  Array.iteri
-    (fun a (info : Plan.array_info) ->
-      if not info.Plan.output then pf fmt "  pool_deallocate(_arr_%d);@," a)
-    plan.Plan.arrays;
-  List.iteri
-    (fun i (_, a) -> pf fmt "  out[%d] = _arr_%d;@," i a)
-    plan.Plan.output_arrays;
   pf fmt "}@,"
 
 let emit_prelude fmt (plan : Plan.t) =
@@ -739,7 +772,7 @@ let emit_prelude fmt (plan : Plan.t) =
     (Pipeline.name plan.Plan.pipeline)
     plan.Plan.n
     (Options.name plan.Plan.opts);
-  pf fmt "#include <math.h>@,#include <stddef.h>@,@,";
+  pf fmt "#include <math.h>@,@,";
   pf fmt "#ifndef max@,#define max(a, b) ((a) > (b) ? (a) : (b))@,#endif@,";
   pf fmt "#ifndef min@,#define min(a, b) ((a) < (b) ? (a) : (b))@,#endif@,";
   pf fmt "#ifdef __GNUC__@,#define NOINLINE __attribute__((noinline))@,";
@@ -763,8 +796,6 @@ let ranks (plan : Plan.t) =
 let emit fmt (plan : Plan.t) =
   Format.pp_open_vbox fmt 0;
   emit_prelude fmt plan;
-  pf fmt "extern void *pool_allocate(size_t);@,";
-  pf fmt "extern void pool_deallocate(void *);@,";
   pf fmt "extern double eval_point(void);@,@,";
   List.iter (emit_rim_helper fmt) (ranks plan);
   emit_body fmt plan;

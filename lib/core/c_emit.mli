@@ -3,7 +3,7 @@
     PolyMG generates C+OpenMP; this engine executes plans directly, but
     the correspondence is kept inspectable {e and checkable}: [emit]
     prints, for any plan, the C the paper's backend would produce —
-    pooled full-array allocations,
+    full arrays with their users,
     [#pragma omp parallel for collapse(d)] tile loops, per-thread
     scratchpad declarations with their user lists, and the per-stage loop
     nests with min/max-clamped overlapped-tile bounds (the shape of
@@ -11,8 +11,11 @@
     the tile coordinates fall back to static bound tables).  The emitted
     code computes what the engine computes: ghost rims are filled (by
     one rim-only helper per rank), own slices are published to the full
-    arrays, diamond chains run as their equivalent untiled time loop,
-    and outputs are returned through [out].  Every innermost compute
+    arrays, and diamond chains run as their equivalent untiled time
+    loop.  The pipeline allocates nothing: it writes its outputs into
+    the caller's buffers, as [Exec.run] does, and places every other
+    array at an emit-time offset of a caller-provided arena
+    ({!arena_bytes}).  Every innermost compute
     loop but a zero fill carries [#pragma omp simd], with indices affine
     in its loop variable (parity cases loop over half indices), so a
     compiler honouring the pragma vectorizes it without changing any
@@ -31,7 +34,15 @@ val line_count : Plan.t -> int
 
 val pipeline_symbol : Plan.t -> string
 (** Name of the emitted pipeline function ([pipeline_<name>]), as
-    declared by {!emit} — the symbol {!Native} wraps and calls. *)
+    declared by {!emit} — the symbol {!Native} wraps and calls.  Its
+    parameters are [N], the input buffers, the output buffers (in
+    [Plan.output_arrays] order) and the arena. *)
+
+val arena_bytes : Plan.t -> int
+(** Bytes of the arena the emitted pipeline takes last: every non-output
+    full array at a 64-byte-rounded offset, then one region shared by
+    all diamond modulo buffers.  {!Native} allocates it; {!Govern}
+    budgets it. *)
 
 val runnable : Plan.t -> (unit, string) result
 (** [Ok ()] when every compiled kernel is affine ([Lin]) and every

@@ -107,7 +107,7 @@ let word = 8
 let diamond_tmp_bytes (dg : Plan.diamond_group) =
   word * Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes
 
-let pool_peak_bytes (plan : Plan.t) =
+let model_peak_bytes (plan : Plan.t) =
   let arrays = plan.Plan.arrays in
   let abytes (a : Plan.array_info) = word * a.Plan.len in
   let tmp_at gi =
@@ -151,6 +151,12 @@ let pool_peak_bytes (plan : Plan.t) =
     done;
     fixed + !worst_tmp
   end
+
+(* A native kernel keeps every intermediate in its arena for the whole
+   call: a rung that may run natively budgets for the arena too. *)
+let pool_peak_bytes (plan : Plan.t) =
+  if plan.Plan.opts.Options.backend = Options.Interp then model_peak_bytes plan
+  else max (model_peak_bytes plan) (C_emit.arena_bytes plan)
 
 (* ------------------------------------------------------------------ *)
 (* Decision                                                             *)

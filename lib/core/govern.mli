@@ -37,7 +37,9 @@ type rung = {
   plan : Plan.t;
   pool_peak_bytes : int;
       (** modelled peak of pooled/heap full-array + diamond-buffer bytes
-          (the part {!Repro_runtime.Mempool} budget enforcement sees) *)
+          (the part {!Repro_runtime.Mempool} budget enforcement sees); for
+          a [Native] or [Auto] rung, at least its kernel's arena
+          ({!C_emit.arena_bytes}) *)
   scratch_bytes : int;  (** [domains ×] per-thread scratchpad footprint *)
   peak_bytes : int;  (** [pool_peak_bytes + scratch_bytes] *)
   dram_traffic : int;  (** modelled DRAM bytes per execution ({!Cost}) *)

@@ -33,7 +33,7 @@ external ncall : nativeint -> Buf.data array -> int = "polymg_native_call"
 
 exception Unavailable of string
 
-let emitter_version = "polymg.native/2"
+let emitter_version = "polymg.native/3"
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
 let cflags = "-O2 -std=c99 -ffp-contract=off -fopenmp-simd -fPIC -shared"
@@ -140,81 +140,26 @@ let rec ensure_dir d =
 (* ------------------------------------------------------------------ *)
 (* Entry-source emission                                                *)
 
-let align64 bytes = (bytes + 63) land lnot 63
-
 let ghost_len sizes =
   Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes
 
-(* Exact allocation total of the emitted pipeline: one pool_allocate
-   per full array plus one per diamond modulo buffer, each rounded to
-   the bump allocator's 64-byte granularity. *)
-let arena_bytes (plan : Plan.t) =
-  let arrays =
-    Array.fold_left
-      (fun acc (info : Plan.array_info) -> acc + align64 (8 * info.Plan.len))
-      0 plan.Plan.arrays
-  in
-  let diamonds =
-    Array.fold_left
-      (fun acc g ->
-        match g with
-        | Plan.G_tiled _ -> acc
-        | Plan.G_diamond dg -> acc + align64 (8 * ghost_len dg.Plan.sizes))
-      0 plan.Plan.groups
-  in
-  max 64 (arrays + diamonds)
-
+(* The entry hands the pipeline the caller's buffers: inputs, outputs,
+   then the kernel's arena. *)
 let entry_source (plan : Plan.t) =
   match C_emit.runnable plan with
   | Error e -> Error e
   | Ok () ->
-    let pipeline = plan.Plan.pipeline in
-    let func_sizes id =
-      let f = Pipeline.func pipeline id in
-      Array.map (fun s -> Sizeexpr.eval ~n:plan.Plan.n s) f.Func.sizes
+    let nbufs =
+      Array.length plan.Plan.inputs + List.length plan.Plan.output_arrays + 1
     in
-    let nin = Array.length plan.Plan.inputs in
-    let nout = List.length plan.Plan.output_arrays in
     let b = Buffer.create 65536 in
     let pf fmt = Printf.bprintf b fmt in
     Buffer.add_string b (C_emit.to_string plan);
-    pf "\n/* ---- native backend glue (%s) ---- */\n" emitter_version;
-    pf "#include <stdlib.h>\n#include <string.h>\n\n";
-    pf "#define POLYMG_ARENA_BYTES %d\n\n" (arena_bytes plan);
-    pf "static unsigned char *_polymg_arena = 0;\n";
-    pf "static size_t _polymg_arena_off = 0;\n";
-    pf "static int _polymg_arena_overflow = 0;\n\n";
-    pf "/* bump allocator over a fixed arena: the pipeline's allocation\n";
-    pf "   total is known at emit time, deallocation is a no-op and the\n";
-    pf "   offset resets on every entry call.  An overflow (impossible\n";
-    pf "   unless the emitter and the sizing above disagree) falls back\n";
-    pf "   to malloc and is reported through the entry's return code,\n";
-    pf "   so it can never corrupt memory silently. */\n";
-    pf "void *pool_allocate(size_t sz)\n{\n";
-    pf "  size_t rounded = (sz + 63u) & ~((size_t) 63u);\n";
-    pf "  if (_polymg_arena_off + rounded > POLYMG_ARENA_BYTES) {\n";
-    pf "    _polymg_arena_overflow = 1;\n";
-    pf "    return calloc(sz ? sz : 1, 1);\n  }\n";
-    pf "  void *p = (void *) (_polymg_arena + _polymg_arena_off);\n";
-    pf "  _polymg_arena_off += rounded;\n";
-    pf "  return p;\n}\n\n";
-    pf "void pool_deallocate(void *p) { (void) p; }\n\n";
-    pf "/* unreachable: runnable plans contain no Gen kernels */\n";
-    pf "double eval_point(void) { return 0.0; }\n\n";
+    pf "\n/* ---- native backend glue (%s) ---- */\n\n" emitter_version;
     pf "int %s(double **bufs)\n{\n" entry_symbol;
-    pf "  if (!_polymg_arena) {\n";
-    pf "    _polymg_arena = (unsigned char *) calloc(1, POLYMG_ARENA_BYTES);\n";
-    pf "    if (!_polymg_arena) return 1;\n  }\n";
-    pf "  _polymg_arena_off = 0;\n";
-    pf "  double *outs[%d] = {0};\n" (max 1 nout);
-    pf "  %s(%d, %s, outs);\n" (C_emit.pipeline_symbol plan) plan.Plan.n
-      (String.concat ", " (List.init nin (Printf.sprintf "bufs[%d]")));
-    List.iteri
-      (fun i (fid, _) ->
-        pf "  memcpy(bufs[%d], outs[%d], %d * sizeof(double));\n" (nin + i) i
-          (ghost_len (func_sizes fid)))
-      plan.Plan.output_arrays;
-    pf "  return _polymg_arena_overflow ? 2 : 0;\n}\n";
+    pf "  %s(%d, %s);\n" (C_emit.pipeline_symbol plan) plan.Plan.n
+      (String.concat ", " (List.init nbufs (Printf.sprintf "bufs[%d]")));
+    pf "  return 0;\n}\n";
     Ok (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +235,6 @@ let compile_so plan ~compiler ~key =
 (* Loaded kernels                                                       *)
 
 type kernel = {
-  k_key : string;
   k_path : string;
   k_handle : nativeint;
   k_entry : nativeint;
@@ -298,8 +242,10 @@ type kernel = {
   (* (func id, expected whole-buffer length), inputs then outputs, in
      the emitted parameter order *)
   k_bufs : (int * int) array;
-  (* the .so has one static arena: concurrent calls to the same kernel
-     are serialized here *)
+  (* the pipeline's intermediates, C_emit.arena_bytes long, passed after
+     the outputs; concurrent calls to the same kernel are serialized by
+     [k_lock] *)
+  k_arena : Buf.t;
   k_lock : Mutex.t;
 }
 
@@ -326,7 +272,7 @@ let buffer_signature (plan : Plan.t) =
   in
   Array.append ins outs
 
-let dlopen_kernel plan ~key ~path =
+let dlopen_kernel plan ~path =
   match ndl_open path with
   | exception Failure e -> Error ("dlopen: " ^ e)
   | handle ->
@@ -336,12 +282,12 @@ let dlopen_kernel plan ~key ~path =
        Error ("dlsym: " ^ e)
      | entry ->
        Ok
-         { k_key = key;
-           k_path = path;
+         { k_path = path;
            k_handle = handle;
            k_entry = entry;
            k_nin = Array.length plan.Plan.inputs;
            k_bufs = buffer_signature plan;
+           k_arena = Buf.create (C_emit.arena_bytes plan / 8);
            k_lock = Mutex.create () })
 
 (* a cached .so is only trusted when its CRC sidecar matches the bytes
@@ -360,7 +306,7 @@ let try_disk_cache plan ~key ~path =
       None
     end
     else
-      match dlopen_kernel plan ~key ~path with
+      match dlopen_kernel plan ~path with
       | Ok k -> Some k
       | Error e ->
         Telemetry.add c_cache_rejects 1;
@@ -394,7 +340,7 @@ let load (plan : Plan.t) =
                 (match compile_so plan ~compiler ~key with
                  | Error e -> Error e
                  | Ok path ->
-                   (match dlopen_kernel plan ~key ~path with
+                   (match dlopen_kernel plan ~path with
                     | Error e -> Error ("freshly compiled kernel: " ^ e)
                     | Ok k ->
                       Hashtbl.replace loaded key k;
@@ -425,12 +371,9 @@ let run k ~inputs ~outputs =
            (if i < k.k_nin then "input" else "output") sg)
       k.k_bufs
   in
+  let bufs = Array.append bufs [| k.k_arena.Buf.data |] in
   Telemetry.add c_kernel_calls 1;
-  let rc = Mutex.protect k.k_lock (fun () -> ncall k.k_entry bufs) in
-  if rc <> 0 then
-    failwith
-      (Printf.sprintf "Native.run: kernel %s failed (rc=%d, %s)" k.k_key rc
-         (if rc = 2 then "arena overflow" else "arena allocation failed"))
+  Mutex.protect k.k_lock (fun () -> ignore (ncall k.k_entry bufs))
 
 (* ------------------------------------------------------------------ *)
 (* Observable fallback                                                  *)

@@ -1,12 +1,13 @@
 (** Native execution backend: emitted C compiled to dlopen'd kernels.
 
     Takes a compiled plan, emits its C through the {!C_emit.runnable}
-    path plus a small entry wrapper (a bump-allocator arena backing the
-    emitted [pool_allocate]/[pool_deallocate] calls, and a
-    [polymg_entry] function that runs the pipeline on caller-provided
-    buffers), invokes the system C compiler to build a shared object,
+    path plus a one-call [polymg_entry] that hands the pipeline its
+    buffers, invokes the system C compiler to build a shared object,
     [dlopen]s it and calls the entry point directly on the grids'
-    Bigarray storage.  This is the only place emitted C is compiled and
+    Bigarray storage.  The kernel allocates nothing: it writes the
+    caller's output grids in place and keeps its intermediates at
+    emit-time offsets ({!C_emit.arena_bytes}) of an arena the loaded
+    kernel owns.  This is the only place emitted C is compiled and
     run: the solver's native backend and the conformance harness's
     backend axis both go through it.
 
@@ -28,9 +29,10 @@
     dispatch lives in [Repro_mg.Solver.plan_stepper]. *)
 
 type kernel
-(** A loaded kernel: a dlopen handle, the resolved entry point, and the
-    expected buffer signature.  Calls on one kernel are serialized (the
-    shared object holds a single arena). *)
+(** A loaded kernel: a dlopen handle, the resolved entry point, the
+    expected buffer signature, and the zero-filled arena of
+    {!C_emit.arena_bytes} bytes allocated at load.  Calls on one kernel
+    are serialized (they share the arena). *)
 
 exception Unavailable of string
 (** Raised by callers (the solver) when [Options.Native] is forced but
@@ -79,8 +81,7 @@ val run :
     like {!Exec.run}: output buffers are overwritten in place (interior
     and ghost layers), inputs are never modified.  Buffer lengths are
     validated against the plan the kernel was compiled from.
-    @raise Invalid_argument on a missing grid or a length mismatch.
-    @raise Failure when the kernel reports an arena failure. *)
+    @raise Invalid_argument on a missing grid or a length mismatch. *)
 
 val so_path : kernel -> string
 

@@ -81,12 +81,17 @@ let map_inplace f t =
     Bigarray.Array1.unsafe_set t.data i (f (Bigarray.Array1.unsafe_get t.data i))
   done
 
+let point_diff a b =
+  if a = b || (Float.is_nan a && Float.is_nan b) then 0.0
+  else
+    let d = Float.abs (a -. b) in
+    if Float.is_nan d then infinity else d
+
 let max_abs_diff a b =
   if a.len <> b.len then invalid_arg "Buf.max_abs_diff: length mismatch";
   let m = ref 0.0 in
   for i = 0 to a.len - 1 do
-    (* Float.max keeps a NaN difference instead of skipping it *)
-    m := Float.max !m (Float.abs (unsafe_get a i -. unsafe_get b i))
+    m := Float.max !m (point_diff (unsafe_get a i) (unsafe_get b i))
   done;
   !m
 

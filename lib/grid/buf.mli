@@ -59,12 +59,15 @@ val iteri : (int -> float -> unit) -> t -> unit
 val map_inplace : (float -> float) -> t -> unit
 
 val equal : ?eps:float -> t -> t -> bool
-(** Element-wise comparison with absolute tolerance [eps] (default 0);
-    false when any element differs by NaN. *)
+(** [max_abs_diff a b <= eps] (default 0) on equal lengths. *)
+
+val point_diff : float -> float -> float
+(** [0] when the values are equal (±inf with itself, [-0.0] with [0.0])
+    or both NaN, [infinity] for a NaN against a number, else [|a - b|]. *)
 
 val max_abs_diff : t -> t -> float
-(** Largest absolute element-wise difference; lengths must match.  [nan]
-    when any difference is NaN (a NaN or an infinity on either side). *)
+(** Largest {!point_diff} over the elements (so [max_abs_diff b b = 0]);
+    lengths must match. *)
 
 val bytes : t -> int
 (** Size of the buffer payload in bytes. *)

@@ -59,8 +59,8 @@ val fill_all : t -> f:(int array -> float) -> unit
 val iter_interior : t -> f:(int array -> float -> unit) -> unit
 
 val max_abs_diff : t -> t -> float
-(** Largest absolute pointwise difference over the whole grid; [nan]
-    when any difference is NaN (see {!Buf.max_abs_diff}). *)
+(** Largest pointwise difference over the whole grid, NaN-aware (see
+    {!Buf.max_abs_diff}). *)
 
 val points : t -> int
 (** Total number of points, ghosts included. *)

@@ -25,8 +25,8 @@
 
 type diff = {
   max_abs : float;
-      (** worst absolute difference: 0 where the values are equal or both
-          NaN, [infinity] for a NaN against a number *)
+      (** worst {!Repro_grid.Buf.point_diff}: 0 where the values are
+          equal or both NaN, [infinity] for a NaN against a number *)
   max_ulp : float;  (** ULP distance at the worst point *)
   worst : int;  (** flat buffer index of the worst point; [-1] if none *)
 }
@@ -106,10 +106,10 @@ val vs_native :
   (diff, string) result
 (** Runs the plan on [inputs] twice: through {!Repro_core.Exec.run} on
     [domains] (default 1) into [outputs], the reference, and through the
-    plan's {!Repro_core.Native} kernel into fresh grids of the same
-    extents.  Returns the worst output diff, ghosts included, or the
-    kernel's load or run error; a [Failure] from the kernel is returned,
-    never raised. *)
+    plan's {!Repro_core.Native} kernel into NaN-filled grids of the same
+    extents, so a cell the kernel fails to write cannot match.  Returns
+    the worst output diff ({!Repro_grid.Buf.point_diff}), ghosts
+    included, or the kernel's load error. *)
 
 val native_case :
   ?quick:bool ->
@@ -119,7 +119,7 @@ val native_case :
     variant; naive and opt+ when [quick]) and domain count (1 and 4; 1
     when [quick]).  Each pair's worst of {!vs_native} over cycle 0, on
     {!fill_io}, and [cycles] lockstep cycles on the interpreter's
-    iterates, judged against [vs_c].  A load or run error fails the pair
+    iterates, judged against [vs_c].  A load error fails the pair
     and is named in [first_bad_stage]. *)
 
 val native_campaign : ?quick:bool -> unit -> case list * string option

@@ -2,6 +2,7 @@ open Repro_core
 open Repro_mg
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -18,9 +19,110 @@ let test_emit_markers () =
   List.iter
     (fun marker ->
       check_bool ("contains " ^ marker) true (contains s marker))
-    [ "pool_allocate"; "pool_deallocate"; "#pragma omp parallel for";
-      "collapse(2)"; "double _buf_"; "users:"; "#pragma omp simd";
-      "void pipeline_V_2D_4_4_4" ]
+    [ "_arena + "; "#pragma omp parallel for"; "collapse(2)"; "double _buf_";
+      "users:"; "#pragma omp simd"; "void pipeline_V_2D_4_4_4" ]
+
+let presets =
+  [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
+
+(* The 4 presets × V/W × 2-D/3-D, with each plan's emitted C. *)
+let each_emitted f =
+  List.iter
+    (fun (dims, shape, sm, n) ->
+      let cfg = Cycle.default ~dims ~shape ~smoothing:sm in
+      List.iter
+        (fun opts ->
+          let plan = plan_of ~opts ~n cfg in
+          f (Cycle.bench_name cfg ^ " " ^ Options.name opts) plan
+            (C_emit.to_string plan))
+        presets)
+    [ (2, Cycle.V, (4, 4, 4), 32); (2, Cycle.W, (4, 4, 4), 32);
+      (3, Cycle.V, (4, 4, 4), 16); (3, Cycle.W, (10, 0, 0), 16) ]
+
+(* The pipeline allocates and copies nothing: its memory is the
+   caller's buffers and arena. *)
+let test_no_allocator () =
+  each_emitted (fun what _ s ->
+      List.iter
+        (fun call -> check_bool (what ^ ": no " ^ call) false (contains s call))
+        [ "pool_allocate"; "pool_deallocate"; "malloc"; "calloc"; "free(";
+          "memcpy" ])
+
+(* [double *NAME = _arena + OFF;] lines: (NAME, OFF in doubles). *)
+let arena_binds s =
+  String.split_on_char '\n' s
+  |> List.filter_map (fun l ->
+         try Scanf.sscanf (String.trim l) "double *%[_a-z0-9] = _arena + %d;%!"
+               (fun name off -> Some (name, off))
+         with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
+
+(* Every diamond modulo buffer sits at one offset, past every full
+   array, and the arena ends where the largest of them does. *)
+let test_diamond_one_offset () =
+  each_emitted (fun what plan s ->
+      let binds = arena_binds s in
+      let dtmps, arrs =
+        List.partition (fun (name, _) -> String.starts_with ~prefix:"_dtmp_" name)
+          binds
+      in
+      let diamonds =
+        Array.to_list plan.Plan.groups
+        |> List.filter_map (function
+             | Plan.G_diamond dg -> Some dg
+             | Plan.G_tiled _ -> None)
+      in
+      check_int (what ^ ": one arena buffer per diamond group")
+        (List.length diamonds) (List.length dtmps);
+      match List.sort_uniq compare (List.map snd dtmps) with
+      | [] -> ()
+      | [ off ] ->
+        check_bool (what ^ ": diamond buffers past every array") true
+          (List.for_all (fun (_, o) -> o < off) arrs);
+        let largest =
+          List.fold_left
+            (fun acc (dg : Plan.diamond_group) ->
+              max acc
+                (Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes))
+            0 diamonds
+        in
+        check_int (what ^ ": arena ends with the largest diamond buffer")
+          (C_emit.arena_bytes plan)
+          ((8 * off) + ((8 * largest) + 63) land lnot 63)
+      | offs ->
+        Alcotest.failf "%s: diamond buffers at %d offsets" what
+          (List.length offs))
+
+(* The pipeline's parameters are N, the inputs, the output arrays and
+   the arena; every other array, and no output, is bound in the arena. *)
+let test_outputs_are_parameters () =
+  each_emitted (fun what plan s ->
+      let signature =
+        List.find
+          (fun l -> String.starts_with ~prefix:"void pipeline_" l)
+          (String.split_on_char '\n' s)
+      in
+      let outs =
+        List.map (fun (_, a) -> Printf.sprintf "double *_arr_%d" a)
+          plan.Plan.output_arrays
+      in
+      check_bool (what ^ ": outputs then arena close the signature") true
+        (String.ends_with
+           ~suffix:(String.concat ", " (outs @ [ "double *_arena)" ]))
+           signature);
+      let bound =
+        List.filter_map
+          (fun (name, _) ->
+            Scanf.sscanf_opt name "_arr_%d%!" Fun.id)
+          (arena_binds s)
+        |> List.sort compare
+      in
+      let intermediates =
+        List.filter
+          (fun a -> not plan.Plan.arrays.(a).Plan.output)
+          (List.init (Array.length plan.Plan.arrays) Fun.id)
+      in
+      check_bool (what ^ ": the arena binds exactly the non-output arrays")
+        true (bound = intermediates))
 
 let test_emit_scratch_reuse_visible () =
   (* with scratch reuse, some buffer serves several smoothing steps *)
@@ -132,6 +234,11 @@ let () =
   Alcotest.run "c_emit"
     [ ( "emission",
         [ Alcotest.test_case "markers" `Quick test_emit_markers;
+          Alcotest.test_case "no allocator" `Quick test_no_allocator;
+          Alcotest.test_case "diamond buffers at one offset" `Quick
+            test_diamond_one_offset;
+          Alcotest.test_case "outputs are parameters" `Quick
+            test_outputs_are_parameters;
           Alcotest.test_case "scratch reuse" `Quick test_emit_scratch_reuse_visible;
           Alcotest.test_case "diamond" `Quick test_emit_diamond_marker;
           Alcotest.test_case "3d collapse" `Quick test_emit_3d_collapse;

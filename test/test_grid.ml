@@ -150,18 +150,28 @@ let test_grid_max_abs_diff () =
   Grid.set2 a 1 1 2.0;
   check_float "diff" 2.0 (Grid.max_abs_diff a b)
 
-(* A NaN anywhere must surface, never read as agreement: an assertion
-   [max_abs_diff a b < eps] on a NaN grid has to fail. *)
+(* A NaN against a number must surface, never read as agreement: an
+   assertion [max_abs_diff a b < eps] on a NaN grid has to fail. *)
 let test_max_abs_diff_nan () =
   let a = Grid.interior ~dims:2 4 in
   let b = Grid.interior ~dims:2 4 in
   Grid.set2 a 1 1 Float.nan;
   Grid.set2 a 2 2 5.0;
-  check_bool "grid diff is nan" true (Float.is_nan (Grid.max_abs_diff a b));
+  check_bool "nan against a number is infinite" true
+    (Grid.max_abs_diff a b = Float.infinity);
   check_bool "nan diff fails < eps" false (Grid.max_abs_diff a b < 1e-8);
-  check_bool "buf not equal" false (Buf.equal ~eps:1e9 a.Grid.buf b.Grid.buf);
-  let inf = Buf.of_array [| 1.; Float.infinity |] in
-  check_bool "inf - inf is nan" true (Float.is_nan (Buf.max_abs_diff inf inf))
+  check_bool "buf not equal" false (Buf.equal ~eps:1e9 a.Grid.buf b.Grid.buf)
+
+(* Identical buffers agree whatever they hold: ±inf and NaN included. *)
+let test_max_abs_diff_self () =
+  let g = Buf.of_array [| 1.; Float.infinity; Float.neg_infinity; Float.nan; -0.0 |] in
+  check_float "max_abs_diff g g" 0.0 (Buf.max_abs_diff g g);
+  check_bool "equal g g" true (Buf.equal g g);
+  check_bool "-0.0 equals 0.0" true
+    (Buf.equal (Buf.of_array [| -0.0 |]) (Buf.of_array [| 0.0 |]));
+  check_bool "inf against -inf differs" false
+    (Buf.equal (Buf.of_array [| Float.infinity |])
+       (Buf.of_array [| Float.neg_infinity |]))
 
 let test_norms_l2 () =
   let g = Grid.interior ~dims:2 2 in
@@ -250,7 +260,8 @@ let () =
           Alcotest.test_case "iter_interior" `Quick test_grid_iter_interior_count;
           Alcotest.test_case "copy/blit" `Quick test_grid_copy_blit;
           Alcotest.test_case "max_abs_diff" `Quick test_grid_max_abs_diff;
-          Alcotest.test_case "max_abs_diff NaN" `Quick test_max_abs_diff_nan ] );
+          Alcotest.test_case "max_abs_diff NaN" `Quick test_max_abs_diff_nan;
+          Alcotest.test_case "max_abs_diff self" `Quick test_max_abs_diff_self ] );
       ( "norms",
         [ Alcotest.test_case "l2/linf" `Quick test_norms_l2;
           Alcotest.test_case "ghost excluded" `Quick test_norms_ghost_excluded;

@@ -355,6 +355,35 @@ let test_vectorized_bitwise =
            [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
          @ [ (w3d, Options.dtile_opt_plus, 32) ]))
 
+(* -- the memory budget sees the native arena --------------------------- *)
+
+(* A native rung's footprint is at least its kernel's arena, so a
+   budget between the interpreter's model and the arena demotes a
+   native solve (V-2D-4-4-4 dtile-opt+ at n=256: a 1.3 MiB model, a
+   2.1 MB arena) and leaves an interpreted one where it was. *)
+let test_budget_sees_arena () =
+  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let n = 256 in
+  let decide backend =
+    let opts =
+      { Options.dtile_opt_plus with
+        Options.backend;
+        mem_budget = Some (2 * 1024 * 1024) }
+    in
+    match Govern.decide (Cycle.build cfg) ~opts ~n ~params:(Cycle.params cfg ~n) with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "2 MiB is infeasible"
+  in
+  let native = decide Options.Native in
+  Array.iter
+    (fun (r : Govern.rung) ->
+      check_bool (r.Govern.rname ^ ": peak covers the arena") true
+        (r.Govern.peak_bytes >= C_emit.arena_bytes r.Govern.plan))
+    native.Govern.ladder;
+  check_bool "the native solve demotes" true (native.Govern.chosen > 0);
+  check_int "the interpreted solve keeps dtile-opt+" 0
+    (decide Options.Interp).Govern.chosen
+
 (* -- property: random pipelines agree across backends ------------------ *)
 
 let prop_native_matches_interp =
@@ -462,4 +491,7 @@ let () =
             test_native_case_compiles_once;
           Alcotest.test_case "vectorization changes no bit" `Quick
             test_vectorized_bitwise ] );
+      ( "budget",
+        [ Alcotest.test_case "native rungs budget the arena" `Quick
+            test_budget_sees_arena ] );
       ("properties", properties) ]

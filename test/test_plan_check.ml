@@ -149,7 +149,7 @@ let test_check_exn_and_build () =
 let prop_random_plans_safe =
   QCheck.Test.make
     ~name:"random pipelines: optimized plans pass Plan_check and match naive"
-    ~count:40 Pipeline_gen.pipelines_arb
+    ~count:40 ~long_factor:10 Pipeline_gen.pipelines_arb
     (fun stages ->
       let built = Pipeline_gen.gen_pipeline_of stages in
       let n = 32 in

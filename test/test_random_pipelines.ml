@@ -10,7 +10,7 @@ let run_pipeline = Pipeline_gen.run_pipeline
 
 let prop_variants_agree =
   QCheck.Test.make ~name:"random pipelines: all variants match naive"
-    ~count:60 Pipeline_gen.pipelines_arb
+    ~count:60 ~long_factor:10 Pipeline_gen.pipelines_arb
     (fun stages ->
       let built = Pipeline_gen.gen_pipeline_of stages in
       let n = 32 in
@@ -31,7 +31,7 @@ let prop_variants_agree =
    matters — the chosen rung must still compute the naive answer. *)
 let prop_ladder_sound =
   QCheck.Test.make ~name:"random pipelines: degradation ladder is sound"
-    ~count:20
+    ~count:20 ~long_factor:10
     QCheck.(pair Pipeline_gen.pipelines_arb (int_range 0 100))
     (fun (stages, pct) ->
       let ((pipe, _, _) as built) = Pipeline_gen.gen_pipeline_of stages in
@@ -71,6 +71,7 @@ let prop_ladder_sound =
 
 let prop_deterministic =
   QCheck.Test.make ~name:"random pipelines: opt+ is deterministic" ~count:20
+    ~long_factor:10
     Pipeline_gen.pipelines_arb
     (fun stages ->
       let built = Pipeline_gen.gen_pipeline_of stages in
