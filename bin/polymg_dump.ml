@@ -252,7 +252,7 @@ let fail msg =
 
 let parsed what = function Some v -> v | None -> fail what
 
-let run dims cycle smoothing levels n variant what mem_budget domains =
+let run dims cycle smoothing levels n variant what mem_budget domains backend =
   let shape =
     parsed "cycle must be V, W or F"
       (Cycle.shape_of_string (String.uppercase_ascii cycle))
@@ -270,6 +270,12 @@ let run dims cycle smoothing levels n variant what mem_budget domains =
   let opts =
     parsed ("unknown variant " ^ variant) (Options.variant_of_string variant)
   in
+  let backend =
+    parsed
+      ("backend must be interp, native or auto, not " ^ backend)
+      (Options.backend_of_string backend)
+  in
+  let opts = { opts with Options.backend } in
   let ctx = { cfg; pipeline; opts; n; mem_budget; domains } in
   match List.find_opt (fun (m, _, _) -> m = what) modes with
   | Some (_, _, action) -> action ctx
@@ -314,12 +320,21 @@ let domains_t =
     & info [ "domains" ]
         ~doc:"Worker domains assumed by the footprint model's scratch term.")
 
+let backend_t =
+  Arg.(
+    value & opt string "interp"
+    & info [ "backend" ]
+        ~doc:
+          "Execution backend the plan is modelled for, as mg_solve's \
+           $(b,--backend): under $(b,native) or $(b,auto) each rung of \
+           --what budget counts its native kernel's arena.")
+
 let cmd =
   let doc = "inspect PolyMG pipelines, groupings and generated code" in
   Cmd.v
     (Cmd.info "polymg_dump" ~doc)
     Term.(
       const run $ dims_t $ cycle_t $ smoothing_t $ levels_t $ n_t $ variant_t
-      $ what_t $ mem_budget_t $ domains_t)
+      $ what_t $ mem_budget_t $ domains_t $ backend_t)
 
 let () = exit (Cmd.eval cmd)

@@ -10,8 +10,9 @@
      native.kernel_calls   entry-point invocations
      native.fallbacks      Auto-mode falls back to the interpreter
 
-   Compiled kernels are cached on disk keyed by plan digest + compiler
-   identity + flags + emitter version.  Installs go through
+   Compiled kernels are built for the CPU that runs them (-march=native)
+   and cached on disk keyed by plan digest + compiler identity + host
+   CPU fingerprint + flags + emitter version.  Installs go through
    Snapshot.atomic_write_string (temp + fsync + rename), and every
    cached .so carries a CRC-32 sidecar that is re-verified before
    dlopen — concurrent solves never observe a torn shared object, and a
@@ -36,7 +37,10 @@ exception Unavailable of string
 let emitter_version = "polymg.native/3"
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
-let cflags = "-O2 -std=c99 -ffp-contract=off -fopenmp-simd -fPIC -shared"
+(* At -O1 gcc inserts vzeroupper only with -fexpensive-optimizations;
+   without it the caller runs with dirty upper AVX state after every
+   call.  CI reads this line with sed: keep it one literal. *)
+let cflags = "-O1 -fexpensive-optimizations -std=c99 -ffp-contract=off -fopenmp-simd -march=native -fPIC -shared"
 
 let c_compiles = Telemetry.counter "native.compiles"
 let c_compile_ms = Telemetry.counter "native.compile_ms"
@@ -92,10 +96,10 @@ let read_file path =
 
 (* first --version line, cached per compiler name: part of the cache
    key, so upgrading the toolchain invalidates cached kernels *)
-let cc_identity_tbl : (string, string) Hashtbl.t = Hashtbl.create 4
+let compiler_identity_tbl : (string, string) Hashtbl.t = Hashtbl.create 4
 
-let cc_identity compiler =
-  match Hashtbl.find_opt cc_identity_tbl compiler with
+let compiler_identity compiler =
+  match Hashtbl.find_opt compiler_identity_tbl compiler with
   | Some id -> id
   | None ->
     let tmp = Filename.temp_file "polymg_ccid" ".txt" in
@@ -113,8 +117,50 @@ let cc_identity compiler =
     in
     (try Sys.remove tmp with Sys_error _ -> ());
     let id = compiler ^ "|" ^ version in
-    Hashtbl.replace cc_identity_tbl compiler id;
+    Hashtbl.replace compiler_identity_tbl compiler id;
     id
+
+(* The CPU -march=native builds for, as the kernel reports it: the
+   identity and feature lines of the first processor in /proc/cpuinfo
+   (vendor, family, model and flags on x86; implementer, part and
+   features on arm64), empty where that file cannot be read.  A file
+   read, not a process: computed once per process, and racing first
+   reads compute the same answer. *)
+let host_keys =
+  [ "vendor_id"; "cpu family"; "model"; "model name"; "flags";
+    "CPU implementer"; "CPU architecture"; "CPU variant"; "CPU part";
+    "Features" ]
+
+let read_host () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> ""
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let rec first_block acc =
+          match input_line ic with
+          | exception End_of_file -> acc
+          | "" -> acc
+          | line ->
+            let wanted =
+              match String.index_opt line ':' with
+              | Some i -> List.mem (String.trim (String.sub line 0 i)) host_keys
+              | None -> false
+            in
+            first_block (if wanted then String.trim line :: acc else acc)
+        in
+        String.concat "\n" (List.rev (first_block [])))
+
+let host = Atomic.make None
+
+let host_fingerprint () =
+  match Atomic.get host with
+  | Some h -> h
+  | None ->
+    let h = read_host () in
+    Atomic.set host (Some h);
+    h
 
 (* ------------------------------------------------------------------ *)
 (* Cache directory                                                      *)
@@ -165,14 +211,15 @@ let entry_source (plan : Plan.t) =
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                           *)
 
-let cache_key (plan : Plan.t) ~compiler =
+let key ~digest ~compiler_id ~host =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ emitter_version;
-            Plan.digest plan;
-            cc_identity compiler;
-            cflags ]))
+          [ emitter_version; digest; compiler_id; host; cflags ]))
+
+let cache_key (plan : Plan.t) ~compiler =
+  key ~digest:(Plan.digest plan) ~compiler_id:(compiler_identity compiler)
+    ~host:(host_fingerprint ())
 
 let meta_line ~crc ~size = Printf.sprintf "%s %08x %d\n" meta_schema crc size
 

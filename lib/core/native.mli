@@ -12,7 +12,8 @@
     backend axis both go through it.
 
     Compiled kernels are cached on disk under {!cache_dir}, keyed by
-    plan digest + compiler identity + flags + emitter version
+    plan digest + compiler identity + host CPU fingerprint + flags +
+    emitter version ({!key})
     ([<key>.c], [<key>.so], [<key>.meta], [<key>.log]).  The [.so] is
     installed with {!Repro_runtime.Snapshot.atomic_write_string} and
     carries a CRC-32 sidecar re-verified before every [dlopen]: a torn
@@ -61,9 +62,33 @@ val cache_dir : unit -> string
 
 val set_cache_dir : string option -> unit
 
+val cflags : string
+(** The compiler flags of every kernel: [-O1 -fexpensive-optimizations
+    -std=c99 -ffp-contract=off -fopenmp-simd -march=native -fPIC
+    -shared].  [-march=native] builds for the CPU that compiles, so the
+    host's fingerprint is part of the cache key; [-ffp-contract=off]
+    keeps every result bit for bit equal to the interpreter's at any
+    vector width. *)
+
+val compiler_identity : string -> string
+(** [compiler_identity c] is [c] and the first line [c --version]
+    prints, probed once per compiler per process. *)
+
+val host_fingerprint : unit -> string
+(** The CPU [-march=native] targets: the vendor, family, model and
+    feature-flag lines of the first processor in [/proc/cpuinfo] (the
+    implementer, part and features lines on arm64); empty where that
+    file cannot be read.  Read once per process; starts no process. *)
+
+val key : digest:string -> compiler_id:string -> host:string -> string
+(** The pure kernel key: a hex digest over the emitter version, a plan
+    digest, a {!compiler_identity}, a {!host_fingerprint} and
+    {!cflags}. *)
+
 val cache_key : Plan.t -> compiler:string -> string
-(** Content key of a plan's compiled kernel (hex digest over plan
-    digest, compiler identity, flags, emitter version). *)
+(** [key] of the plan's digest, the compiler's identity and this host:
+    a kernel built on one CPU is never loaded by a cache shared with
+    another. *)
 
 val load : Plan.t -> (kernel, string) result
 (** Loads (compiling on a cache miss) the kernel for a plan.  Kernels

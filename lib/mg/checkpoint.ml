@@ -155,7 +155,8 @@ let rotate config entries ~newest =
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     entries
 
-let save config st =
+(* [scratch] is the file buffer: a sink keeps one across its saves. *)
+let save_into ~scratch config st =
   ensure_dir config.dir;
   let entries = try Sys.readdir config.dir with Sys_error _ -> [||] in
   let path = gen_path ~dir:config.dir st.cycle in
@@ -163,7 +164,7 @@ let save config st =
     ?reuse:
       (if Array.mem spare_name entries then Some (spare_path ~dir:config.dir)
        else None)
-    ~path ~meta:(meta_of_state st)
+    ~scratch ~path ~meta:(meta_of_state st)
     [ Snapshot.Floats st.v.Grid.buf ];
   Telemetry.add c_writes 1;
   if Flightrec.on () then
@@ -171,6 +172,8 @@ let save config st =
       (Flightrec.Checkpoint_write { gen = st.cycle; cycle = st.cycle });
   rotate config entries ~newest:st.cycle;
   path
+
+let save config st = save_into ~scratch:(ref Bytes.empty) config st
 
 let mem k d = Option.value (Json.member k d) ~default:Json.Null
 
@@ -321,6 +324,7 @@ let sink config ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
   let last : state option ref = ref None in
   let spare : Grid.t option ref = ref None in
   let last_saved = ref min_int in
+  let scratch = ref Bytes.empty in
   let state_of ~cycle ~residual ~v ~stats =
     { cycle;
       residual;
@@ -333,7 +337,7 @@ let sink config ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
       v }
   in
   let save_state st =
-    let path = save config st in
+    let path = save_into ~scratch config st in
     last_saved := st.cycle;
     path
   in

@@ -122,4 +122,6 @@ val sink :
 (** Every state the sink saves has [seed = 0] (the manufactured
     problem).  [history_prefix] (a restored run's earlier cycles) is
     prepended to the stats each save records, so a twice-resumed run
-    still carries its full residual history. *)
+    still carries its full residual history.  The sink lays every save
+    out in one file buffer it keeps, so its saves of a same-sized grid
+    allocate that buffer once. *)

@@ -89,7 +89,8 @@ let recycle spare ~tmp =
     | exception Unix.Unix_error _ -> false)
   | _ | (exception Unix.Unix_error _) -> false
 
-let atomic_write_string ?reuse ~path s =
+(* [atomic_write_string] of the first [len] bytes of [s]. *)
+let atomic_write ?reuse ~path s ~len =
   incr writes_done;
   let dir = Filename.dirname path in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
@@ -102,15 +103,15 @@ let atomic_write_string ?reuse ~path s =
        else [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ])
       0o644
   in
-  let len =
+  let written =
     match !crash_spec with
     | Some { after_writes; partial_bytes } when after_writes = !writes_done ->
-      min partial_bytes (String.length s)
-    | _ -> String.length s
+      min partial_bytes len
+    | _ -> len
   in
   (try
-     write_all fd s len;
-     if recycled then Unix.ftruncate fd len;
+     write_all fd s written;
+     if recycled then Unix.ftruncate fd written;
      Unix.fsync fd
    with e ->
      Unix.close fd;
@@ -129,7 +130,10 @@ let atomic_write_string ?reuse ~path s =
      raise e);
   fsync_dir dir;
   Telemetry.add c_writes 1;
-  Telemetry.add c_bytes (String.length s)
+  Telemetry.add c_bytes len
+
+let atomic_write_string ?reuse ~path s =
+  atomic_write ?reuse ~path s ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Framed container *)
@@ -144,7 +148,7 @@ let payload_length = function
   | Raw s -> String.length s
   | Floats buf -> 8 * Buf.len buf
 
-let write ?reuse ~path ~meta payloads =
+let write ?reuse ?scratch ~path ~meta payloads =
   let header =
     Json.to_string
       (Json.Obj
@@ -159,7 +163,14 @@ let write ?reuse ~path ~meta payloads =
       (fun acc p -> acc + 8 + payload_length p)
       (String.length magic) frames
   in
-  let b = Bytes.create total in
+  let b =
+    match scratch with
+    | Some r when Bytes.length !r >= total -> !r
+    | Some r ->
+      r := Bytes.create total;
+      !r
+    | None -> Bytes.create total
+  in
   Bytes.blit_string magic 0 b 0 (String.length magic);
   let pos =
     List.fold_left
@@ -178,7 +189,7 @@ let write ?reuse ~path ~meta payloads =
       (String.length magic) frames
   in
   assert (pos = total);
-  atomic_write_string ?reuse ~path (Bytes.unsafe_to_string b)
+  atomic_write ?reuse ~path (Bytes.unsafe_to_string b) ~len:total
 
 type frame = { file : string; pos : int; len : int }
 

@@ -89,13 +89,22 @@ type payload =
           a restored iterate is the {e same} floats and a resumed solve
           replays the uninterrupted one exactly *)
 
-val write : ?reuse:string -> path:string -> meta:Json.t -> payload list -> unit
+val write :
+  ?reuse:string ->
+  ?scratch:bytes ref ->
+  path:string ->
+  meta:Json.t ->
+  payload list ->
+  unit
 (** Atomically writes a snapshot: magic line, CRC-framed header (the
     schema, the payload count, and the caller's [meta] document), one
     CRC-framed section per payload, and a CRC-framed end marker.  The
-    file is laid out in one buffer of its exact size; a [Floats]
-    payload is copied in by {!encode_floats}, which returns its CRC.
-    [?reuse] is {!atomic_write_string}'s. *)
+    file is laid out in one buffer and its first bytes written: with
+    [?scratch], [!scratch] when it is long enough, otherwise a new
+    buffer of the file's exact size left in [scratch] for the next
+    write, so a writer saving same-sized files allocates it once.  A
+    [Floats] payload is copied in by {!encode_floats}, which returns
+    its CRC.  [?reuse] is {!atomic_write_string}'s. *)
 
 type frame = private { file : string; pos : int; len : int }
 (** A verified payload in place: bytes [pos .. pos + len - 1] of the

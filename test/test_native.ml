@@ -304,56 +304,81 @@ let test_native_case_compiles_once =
       check_int "and compiles nothing" (List.length native_variants)
         (Telemetry.value c_compiles))
 
-(* -- vectorization changes no bit ---------------------------------------- *)
+(* -- vectorization and the host's ISA change no bit ---------------------- *)
 
-(* The default kernel's inner loops are vectorized ([#pragma omp simd]
-   under [-fopenmp-simd]); the same C built with gcc's loop vectorizer
-   switched off runs them scalar.  Every point is one independent
-   assignment, so the two kernels must agree bit for bit, ghosts
-   included. *)
-let scalar_gcc = "gcc -fno-tree-loop-vectorize"
-
+(* Every point of a kernel is one independent assignment and
+   [-ffp-contract=off] forbids FMA contraction, so neither the vector
+   width nor whether a loop is vectorized can change a result: the same
+   C built by another compiler command must agree bit for bit, ghosts
+   included, on the four presets and the diamond-tiled 3-D kernel. *)
 let bits (g : Grid.t) =
   Array.map Int64.bits_of_float (Repro_grid.Buf.to_array g.Grid.buf)
 
+let same_bits ~alt =
+  let w3d = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
+  List.iter
+    (fun (cfg, opts, n) ->
+      let what = Cycle.bench_name cfg ^ " " ^ Options.name opts in
+      let plan = Solver.polymg_plan cfg ~n ~opts in
+      let inputs, outputs = Conformance.fill_io plan in
+      let run compiler =
+        Native.set_compiler_override compiler;
+        let outs =
+          List.map (fun (fid, g) -> (fid, Grid.create (Grid.extents g))) outputs
+        in
+        Native.run (load_exn plan) ~inputs ~outputs:outs;
+        Native.set_compiler_override None;
+        outs
+      in
+      let compiles = Telemetry.value c_compiles in
+      let host = run None and other = run (Some alt) in
+      check_int (what ^ ": two kernels") (compiles + 2)
+        (Telemetry.value c_compiles);
+      List.iter2
+        (fun (_, h) (_, o) ->
+          let d = Conformance.grid_diff h o in
+          check_bool
+            (Printf.sprintf "%s: max_abs %g, identical bits" what
+               d.Conformance.max_abs)
+            true
+            (d.Conformance.max_abs = 0.0 && bits h = bits o))
+        host other)
+    (List.map
+       (fun opts -> (vcfg, opts, 64))
+       [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
+     @ [ (w3d, Options.dtile_opt_plus, 32) ])
+
+(* gcc with its loop vectorizer switched off runs every loop scalar. *)
 let test_vectorized_bitwise =
   with_native_env ~tag:"simd" (fun ~compiler:_ ~dir:_ ->
       if Sys.command "gcc --version >/dev/null 2>&1" <> 0 then begin
         Printf.printf "vectorization bit-identity: skipped (no gcc)\n%!";
         Alcotest.skip ()
       end;
-      let w3d = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
-      List.iter
-        (fun (cfg, opts, n) ->
-          let what = Cycle.bench_name cfg ^ " " ^ Options.name opts in
-          let plan = Solver.polymg_plan cfg ~n ~opts in
-          let inputs, outputs = Conformance.fill_io plan in
-          let run compiler =
-            Native.set_compiler_override compiler;
-            let outs =
-              List.map (fun (fid, g) -> (fid, Grid.create (Grid.extents g))) outputs
-            in
-            Native.run (load_exn plan) ~inputs ~outputs:outs;
-            Native.set_compiler_override None;
-            outs
-          in
-          let compiles = Telemetry.value c_compiles in
-          let vec = run None and scalar = run (Some scalar_gcc) in
-          check_int (what ^ ": a vectorized and a scalar kernel") (compiles + 2)
-            (Telemetry.value c_compiles);
-          List.iter2
-            (fun (_, v) (_, s) ->
-              let d = Conformance.grid_diff v s in
-              check_bool
-                (Printf.sprintf "%s: max_abs %g, identical bits" what
-                   d.Conformance.max_abs)
-                true
-                (d.Conformance.max_abs = 0.0 && bits v = bits s))
-            vec scalar)
-        (List.map
-           (fun opts -> (vcfg, opts, 64))
-           [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
-         @ [ (w3d, Options.dtile_opt_plus, 32) ]))
+      same_bits ~alt:"gcc -fno-tree-loop-vectorize")
+
+(* The baseline x86-64 ISA (SSE2, two doubles per vector) against the
+   host's.  A compiler override prefixes Native's flags, so a [-march=]
+   in it would lose to their later [-march=native]: the baseline build
+   goes through a wrapper that rewrites that flag. *)
+let test_host_isa_bitwise =
+  with_native_env ~tag:"isa" (fun ~compiler:_ ~dir ->
+      if Sys.command "gcc -dumpmachine 2>/dev/null | grep -q '^x86_64'" <> 0
+      then begin
+        Printf.printf "host-ISA bit-identity: skipped (no x86-64 gcc)\n%!";
+        Alcotest.skip ()
+      end;
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      let wrapper = Filename.concat dir "gcc-x86-64" in
+      let oc = open_out wrapper in
+      output_string oc
+        "#!/bin/sh\n\
+         for a; do shift; [ \"$a\" = -march=native ] && a=-march=x86-64; \
+         set -- \"$@\" \"$a\"; done\n\
+         exec gcc \"$@\"\n";
+      close_out oc;
+      Unix.chmod wrapper 0o755;
+      same_bits ~alt:wrapper)
 
 (* -- the memory budget sees the native arena --------------------------- *)
 
@@ -429,13 +454,13 @@ let digest_of (cfg, variant) ~n =
   Plan.digest
     (Solver.polymg_plan cfg ~n ~opts:(Option.get (Options.variant_of_string variant)))
 
-(* The digest a fresh process computes for the same configuration. *)
-let digest_in_child c ~n =
+(* What a fresh process computes. *)
+let in_child f =
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
     Unix.close rd;
-    let d = Bytes.of_string (digest_of c ~n) in
+    let d = Bytes.of_string (f ()) in
     ignore (Unix.write wr d 0 (Bytes.length d));
     Unix._exit 0
   | pid ->
@@ -450,7 +475,7 @@ let prop_digest_stable =
   QCheck.Test.make ~name:"plan digest: equal configs, equal digests"
     ~count:12 config_arb (fun c ->
       let d = digest_of c ~n:16 in
-      d = digest_of c ~n:16 && d = digest_in_child c ~n:16)
+      d = digest_of c ~n:16 && d = in_child (fun () -> digest_of c ~n:16))
 
 let prop_digest_perturbed =
   QCheck.Test.make ~name:"plan digest: a perturbed param, coefficient or size differs"
@@ -460,6 +485,32 @@ let prop_digest_perturbed =
       let d = digest_of c ~n:16 in
       d <> digest_of ({ cfg with Cycle.omega = cfg.Cycle.omega *. 0.75 }, variant) ~n:16
       && d <> digest_of c ~n:32)
+
+(* A kernel built with -march=native runs only where the host's ISA
+   does: the key is a function of content and the host, and another
+   host's fingerprint alone (a CPU without some feature flag) moves
+   it. *)
+let prop_cache_key_host =
+  QCheck.Test.make ~name:"kernel key: per host, in any process"
+    ~count:8
+    (QCheck.pair config_arb QCheck.small_printable_string)
+    (fun (((cfg, variant) as c), other) ->
+      let compiler = Option.value (Native.cc ()) ~default:"cc" in
+      let key () =
+        Native.cache_key ~compiler
+          (Solver.polymg_plan cfg ~n:16
+             ~opts:(Option.get (Options.variant_of_string variant)))
+      in
+      let k = key () in
+      let host = Native.host_fingerprint () in
+      let pure host =
+        Native.key ~digest:(digest_of c ~n:16)
+          ~compiler_id:(Native.compiler_identity compiler) ~host
+      in
+      k = key ()
+      && k = in_child key
+      && k = pure host
+      && (other = host || pure other <> k))
 
 let properties =
   List.map
@@ -473,7 +524,8 @@ let properties =
 let () =
   Alcotest.run "native"
     [ ( "identity",
-        Qc_replay.to_alcotest_list [ prop_digest_stable; prop_digest_perturbed ] );
+        Qc_replay.to_alcotest_list
+          [ prop_digest_stable; prop_digest_perturbed; prop_cache_key_host ] );
       ( "backend",
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
@@ -490,7 +542,9 @@ let () =
           Alcotest.test_case "native case compiles each kernel once" `Quick
             test_native_case_compiles_once;
           Alcotest.test_case "vectorization changes no bit" `Quick
-            test_vectorized_bitwise ] );
+            test_vectorized_bitwise;
+          Alcotest.test_case "host ISA changes no bit" `Quick
+            test_host_isa_bitwise ] );
       ( "budget",
         [ Alcotest.test_case "native rungs budget the arena" `Quick
             test_budget_sees_arena ] );
