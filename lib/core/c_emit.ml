@@ -1,5 +1,6 @@
 open Repro_ir
 open Repro_poly
+module Grid = Repro_grid.Grid
 
 let pf = Format.fprintf
 
@@ -81,20 +82,11 @@ let term_str ~coords (t : Compile.term) stores =
 
 let int_strs = Array.map string_of_int
 
-(* Row-major strides for a grid with one ghost layer per side. *)
-let strides_of_sizes sizes =
-  let d = Array.length sizes in
-  let s = Array.make d 1 in
-  for k = d - 2 downto 0 do
-    s.(k) <- s.(k + 1) * (sizes.(k + 1) + 2)
-  done;
-  s
-
 let zeros d = Array.make d "0"
 
 let full_store name sizes =
   { cname = name;
-    cstrides = int_strs (strides_of_sizes sizes);
+    cstrides = int_strs (Grid.strides_of (Array.map (fun s -> s + 2) sizes));
     corg = zeros (Array.length sizes) }
 
 (* ------------------------------------------------------------------ *)
@@ -115,50 +107,54 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
   let pad = String.make indent ' ' in
   List.iter
     (fun (case : Compile.case_t) ->
-      let coords =
-        match case.Compile.parity with
-        | None -> plain_coord
-        | Some p ->
-          pf fmt "%s/* parity case (%s) */@," pad
-            (String.concat "," (Array.to_list (Array.map string_of_int p)));
-          fun k -> { name = loop_vars.(k) ^ "h"; scale = 2; phase = p.(k) }
-      in
-      let parts =
-        match case.Compile.kernel with
-        | Compile.Lin { base; terms } ->
+      match case.Compile.kernel with
+      | Compile.Gen _ ->
+        (* no C form: the printed C fails to compile, naming the
+           stage ([runnable] keeps such plans from the compiler) *)
+        pf fmt "%s#error \"stage %s: non-affine definition (Gen kernel)\"@," pad
+          (String.escaped member.Plan.func.Func.name)
+      | Compile.Lin { base; terms } ->
+        let coords =
+          match case.Compile.parity with
+          | None -> plain_coord
+          | Some p ->
+            pf fmt "%s/* parity case (%s) */@," pad
+              (String.concat "," (Array.to_list (Array.map string_of_int p)));
+            fun k -> { name = loop_vars.(k) ^ "h"; scale = 2; phase = p.(k) }
+        in
+        let parts =
           (if base <> 0.0 then [ fstr base ] else [])
           @ Array.to_list (Array.map (fun t -> term_str ~coords t stores) terms)
-        | Compile.Gen _ -> [ "eval_point() /* non-affine definition */" ]
-      in
-      for k = 0 to dims - 1 do
-        let x = coords k in
-        (* the half-index range of [lb..ub] ∩ (2*xh + p) *)
-        let shifted e d =
-          if d = 0 then e
-          else Printf.sprintf "%s %c %d" e (if d > 0 then '+' else '-') (abs d)
         in
-        let from, upto =
-          if x.scale = 1 then (lb.(k), ub.(k))
-          else
-            ( Printf.sprintf "FDIV(%s, 2)" (shifted lb.(k) (1 - x.phase)),
-              Printf.sprintf "FDIV(%s, 2)" (shifted ub.(k) (-x.phase)) )
-        in
-        if k = dims - 1 && parts <> [] then
-          pf fmt "%s%s#pragma omp simd@," pad (String.make (2 * k) ' ');
-        pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
-          (String.make (2 * k) ' ')
-          x.name from x.name upto x.name
-      done;
-      pf fmt "%s%s%s[%s] = %s;@," pad
-        (String.make (2 * dims) ' ')
-        dst.cname (self_index_str ~coords dst dims)
-        (if parts = [] then "0.0" else String.concat " + " parts))
+        for k = 0 to dims - 1 do
+          let x = coords k in
+          (* the half-index range of [lb..ub] ∩ (2*xh + p) *)
+          let shifted e d =
+            if d = 0 then e
+            else Printf.sprintf "%s %c %d" e (if d > 0 then '+' else '-') (abs d)
+          in
+          let from, upto =
+            if x.scale = 1 then (lb.(k), ub.(k))
+            else
+              ( Printf.sprintf "FDIV(%s, 2)" (shifted lb.(k) (1 - x.phase)),
+                Printf.sprintf "FDIV(%s, 2)" (shifted ub.(k) (-x.phase)) )
+          in
+          if k = dims - 1 && parts <> [] then
+            pf fmt "%s%s#pragma omp simd@," pad (String.make (2 * k) ' ');
+          pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
+            (String.make (2 * k) ' ')
+            x.name from x.name upto x.name
+        done;
+        pf fmt "%s%s%s[%s] = %s;@," pad
+          (String.make (2 * dims) ' ')
+          dst.cname (self_index_str ~coords dst dims)
+          (if parts = [] then "0.0" else String.concat " + " parts))
     member.Plan.compiled.Compile.cases
 
 (* The ghost-rim helper of rank [dims]: the boundary value on
    [lb..ub] ∖ interior [1..m] of a store with origin [o] and strides
    [s] (the innermost stride is 1 for every store: full arrays by
-   [strides_of_sizes], scratchpads by their [st_p_(d-1) = 1]).  Rows
+   [Grid.strides_of], scratchpads by their [st_p_(d-1) = 1]).  Rows
    with a ghost outer coordinate are filled whole; an interior row
    only gets its two ends.  Emitted once per rank, called by
    [emit_rim], and kept out of line: inlined and specialized at each of
@@ -240,170 +236,68 @@ let emit_copy fmt ~dims ~(src : cstore) ~(dst : cstore) ~(lb : string array)
     dst.cname (self_index_str dst dims) src.cname (self_index_str src dims)
 
 (* ------------------------------------------------------------------ *)
-(* Per-tile bound planning for overlapped-tile groups.
-
-   The engine recomputes [Regions.demand] per tile; the C rendering needs
-   static bounds.  For each member we try the affine min/max-clamped form
-   of Fig. 8 (offsets from the scaled tile origin, calibrated on a middle
-   tile) and validate it against the exact demand/own-slice boxes of
-   EVERY tile; truncated border tiles, non-divisible coarsening scales
-   and the refinement top-boundary special case flunk validation, in
-   which case the whole group falls back to exact per-tile bound tables
-   (the generality/size trade-off is reported in the group comment). *)
-
-let boxes_of_tiles (tg : Plan.tiled_group) =
-  let geom = tg.Plan.geom in
-  let nm = Array.length tg.Plan.members in
-  let regions =
-    Array.map
-      (fun tile -> Array.map snd (Regions.demand geom ~tile))
-      tg.Plan.tiles
-  in
-  let owns =
-    Array.mapi
-      (fun ti tile ->
-        Array.init nm (fun p ->
-            let m = tg.Plan.members.(p) in
-            if m.Plan.array_id = None then Box.empty (Box.rank tile)
-            else
-              Box.inter
-                (Regions.own_slice geom m.Plan.func.Func.id ~tile)
-                regions.(ti).(p)))
-      tg.Plan.tiles
-  in
-  (regions, owns)
-
-let tile_coords ~counts flat =
-  let d = Array.length counts in
-  let idx = Array.make d 0 in
-  let rem = ref flat in
-  for k = d - 1 downto 0 do
-    idx.(k) <- !rem mod counts.(k);
-    rem := !rem / counts.(k)
-  done;
-  idx
-
-(* Scaled tile extent of member [p] along dim [k]. *)
-let scale_of (tg : Plan.tiled_group) (m : Plan.member) k =
-  let rel = (Regions.rel_of tg.Plan.geom m.Plan.func.Func.id).(k) in
-  if rel >= 0 then tg.Plan.tile_sizes.(k) * (1 lsl rel)
-  else Int.max 1 (tg.Plan.tile_sizes.(k) / (1 lsl (-rel)))
-
-(* Try the affine form: lo = max(cl, s·T + lo_off), hi = min(ch, s·T + s −
-   1 + hi_off), calibrated on the middle tile.  Returns per-(member, dim)
-   offsets, or None if any tile's exact box disagrees. *)
-let try_affine (tg : Plan.tiled_group) ~counts ~(boxes : Box.t array array)
-    ~(want : int -> bool) ~(clamp : Plan.member -> int -> int * int) =
-  let nm = Array.length tg.Plan.members in
-  let ntiles = Array.length tg.Plan.tiles in
-  let dims = Array.length counts in
-  let midc = tile_coords ~counts (ntiles / 2) in
-  let offs = Array.make_matrix nm dims None in
-  (* calibrate on the middle tile *)
-  Array.iteri
-    (fun p (m : Plan.member) ->
-      if want p then
-        let b = boxes.(ntiles / 2).(p) in
-        for k = 0 to dims - 1 do
-          if not (Box.is_empty b) then begin
-            let s = scale_of tg m k in
-            offs.(p).(k) <-
-              Some
-                ( s,
-                  b.Box.lo.(k) - (s * midc.(k)),
-                  b.Box.hi.(k) - ((s * midc.(k)) + s - 1) )
-          end
-        done)
-    tg.Plan.members;
-  (* validate every tile against the prediction *)
-  let ok = ref true in
-  for ti = 0 to ntiles - 1 do
-    let tc = tile_coords ~counts ti in
-    Array.iteri
-      (fun p (m : Plan.member) ->
-        if want p && !ok then
-          let b = boxes.(ti).(p) in
-          let pred_empty = ref false in
-          let plo = Array.make dims 0 and phi = Array.make dims 0 in
-          for k = 0 to dims - 1 do
-            match offs.(p).(k) with
-            | None -> pred_empty := true
-            | Some (s, lo_off, hi_off) ->
-              let cl, ch = clamp m k in
-              plo.(k) <- Int.max cl ((s * tc.(k)) + lo_off);
-              phi.(k) <- Int.min ch ((s * tc.(k)) + s - 1 + hi_off);
-              if phi.(k) < plo.(k) then pred_empty := true
-          done;
-          if Box.is_empty b then ok := !ok && !pred_empty
-          else
-            ok :=
-              !ok && (not !pred_empty) && plo = b.Box.lo && phi = b.Box.hi)
-      tg.Plan.members
-  done;
-  if !ok then Some offs else None
-
-(* ------------------------------------------------------------------ *)
-(* Tiled group emission                                                 *)
+(* Tiled group emission: one flat loop over the plan's tiles, in
+   [Regions.tiles] order, each running the exact boxes the engine runs
+   ([Plan.tile_boxes]).  A bound equal in every tile prints as an
+   integer literal, so gcc folds it; a member with a varying bound gets
+   a static table of its boxes, one row per tile, and its varying
+   bounds read row [_t]. *)
 
 let emit_tiled fmt ~(input_store : int -> cstore)
     ~(array_store : int -> of_func:int -> cstore) (tg : Plan.tiled_group) =
-  let geom = tg.Plan.geom in
-  let refm = Regions.reference geom in
+  let refm = Regions.reference tg.Plan.geom in
   let dims = Array.length refm.Regions.sizes in
-  let counts =
-    Array.init dims (fun k ->
-        (refm.Regions.sizes.(k) + tg.Plan.tile_sizes.(k) - 1)
-        / tg.Plan.tile_sizes.(k))
-  in
   let ntiles = Array.length tg.Plan.tiles in
-  assert (Array.fold_left ( * ) 1 counts = ntiles);
-  let regions, owns = boxes_of_tiles tg in
-  let nm = Array.length tg.Plan.members in
+  let boxes =
+    Array.map (fun tile -> Plan.tile_boxes tg ~tile) tg.Plan.tiles
+  in
   let members = tg.Plan.members in
-  (* which boxes the emission actually indexes with: demand regions for
-     scratch members, own slices for live-outs *)
-  let wants_region p = members.(p).Plan.scratch_slot <> None in
-  let wants_own p = members.(p).Plan.array_id <> None in
-  let affine_r =
-    try_affine tg ~counts ~boxes:regions ~want:wants_region
-      ~clamp:(fun m k -> (0, m.Plan.sizes.(k) + 1))
-  in
-  let affine_o =
-    try_affine tg ~counts ~boxes:owns ~want:wants_own
-      ~clamp:(fun m k -> (1, m.Plan.sizes.(k)))
-  in
-  let affine_ok = affine_r <> None && affine_o <> None in
-  pf fmt "@,  /* ---- group %d: overlapped tiles %s over %s (%s bounds) ---- */@,"
-    tg.Plan.gid
+  pf fmt "@,  /* ---- group %d: %d overlapped tiles %s over %s ---- */@,"
+    tg.Plan.gid ntiles
     (String.concat "x"
        (Array.to_list (Array.map string_of_int tg.Plan.tile_sizes)))
-    refm.Regions.func.Func.name
-    (if affine_ok then "affine" else "tabled");
-  (* exact per-tile bound tables when the affine form does not validate *)
-  if not affine_ok then begin
-    let emit_table tag boxes want =
-      for p = 0 to nm - 1 do
-        if want p then begin
-          pf fmt "  static const int _%s_%d_%d[%d][%d] = {@," tag tg.Plan.gid
-            p ntiles (2 * dims);
-          for ti = 0 to ntiles - 1 do
-            let b = boxes.(ti).(p) in
-            let cells =
-              List.init (2 * dims) (fun j ->
-                  let k = j / 2 in
-                  if j mod 2 = 0 then string_of_int b.Box.lo.(k)
-                  else string_of_int b.Box.hi.(k))
-            in
-            pf fmt "    {%s}%s@," (String.concat ", " cells)
-              (if ti = ntiles - 1 then "" else ",")
-          done;
-          pf fmt "  };@,"
-        end
-      done
+    refm.Regions.func.Func.name;
+  (* per member, the (lo, hi) bound expressions of the box [pick]
+     selects, printing the member's table when a bound varies *)
+  let bound_exprs tag pick p =
+    let name = Printf.sprintf "_%s_%d_%d" tag tg.Plan.gid p in
+    let rows =
+      Array.map
+        (fun bs ->
+          let b = pick bs.(p) in
+          Array.init (2 * dims) (fun j ->
+              if j mod 2 = 0 then b.Box.lo.(j / 2) else b.Box.hi.(j / 2)))
+        boxes
     in
-    emit_table "rb" regions wants_region;
-    emit_table "ob" owns wants_own
-  end;
+    let varies j = Array.exists (fun r -> r.(j) <> rows.(0).(j)) rows in
+    if List.exists varies (List.init (2 * dims) Fun.id) then begin
+      pf fmt "  static const int %s[%d][%d] = {@," name ntiles (2 * dims);
+      Array.iteri
+        (fun ti r ->
+          pf fmt "    {%s}%s@,"
+            (String.concat ", " (Array.to_list (Array.map string_of_int r)))
+            (if ti = ntiles - 1 then "" else ","))
+        rows;
+      pf fmt "  };@,"
+    end;
+    let expr j =
+      if varies j then Printf.sprintf "%s[_t][%d]" name j
+      else string_of_int rows.(0).(j)
+    in
+    Array.init dims (fun k -> (expr (2 * k), expr ((2 * k) + 1)))
+  in
+  let region_bounds =
+    Array.mapi
+      (fun p (m : Plan.member) ->
+        if m.Plan.scratch_slot = None then [||] else bound_exprs "rb" fst p)
+      members
+  in
+  let own_bounds =
+    Array.mapi
+      (fun p (m : Plan.member) ->
+        if m.Plan.array_id = None then [||] else bound_exprs "ob" snd p)
+      members
+  in
   (* ghost-rim prefill of this group's live-out arrays (engine: the
      per-group fill_rim over with_ghost ∖ interior before the tiles) *)
   Array.iter
@@ -417,13 +311,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
           ~ub:(Array.map (fun s -> string_of_int (s + 1)) m.Plan.sizes)
           ~msz:m.Plan.sizes ~bnd:m.Plan.compiled.Compile.boundary ~indent:2)
     members;
-  pf fmt "  #pragma omp parallel for schedule(static) collapse(%d)@," dims;
-  for k = 0 to dims - 1 do
-    pf fmt "  %sfor (int T_%d = 0; T_%d < %d; T_%d++) {@,"
-      (String.make (2 * k) ' ')
-      k k counts.(k) k
-  done;
-  let indent = 2 + (2 * dims) in
+  pf fmt "  for (int _t = 0; _t < %d; _t++) {@," ntiles;
+  let indent = 4 in
   let pad = String.make indent ' ' in
   (* scratchpads with user lists *)
   let slot_users = Array.make (Array.length tg.Plan.scratch_slot_len) [] in
@@ -439,39 +328,6 @@ let emit_tiled fmt ~(input_store : int -> cstore)
         (String.concat "; " (List.rev slot_users.(s)));
       pf fmt "%sdouble _buf_%d_%d[%d];@," pad tg.Plan.gid s len)
     tg.Plan.scratch_slot_len;
-  if not affine_ok then begin
-    (* row-major tile index, matching Regions.tiles order *)
-    let tix =
-      let rec go k acc =
-        if k = dims then acc
-        else
-          go (k + 1)
-            (if acc = "" then Printf.sprintf "T_%d" k
-             else Printf.sprintf "(%s)*%d + T_%d" acc counts.(k) k)
-      in
-      go 0 ""
-    in
-    pf fmt "%sconst int _tix = %s;@," pad tix
-  end;
-  (* bound expressions per member *)
-  let bound_exprs affine boxes_tag p (m : Plan.member) clamp =
-    match affine with
-    | Some offs ->
-      Array.init dims (fun k ->
-          match offs.(p).(k) with
-          | None -> ("0", "-1")
-          | Some (s, lo_off, hi_off) ->
-            let cl, ch = clamp m k in
-            ( Printf.sprintf "max(%d, %d*T_%d%+d)" cl s k lo_off,
-              Printf.sprintf "min(%d, %d*T_%d%+d)" ch s k
-                (s - 1 + hi_off) ))
-    | None ->
-      Array.init dims (fun k ->
-          ( Printf.sprintf "_%s_%d_%d[_tix][%d]" boxes_tag tg.Plan.gid p
-              (2 * k),
-            Printf.sprintf "_%s_%d_%d[_tix][%d]" boxes_tag tg.Plan.gid p
-              ((2 * k) + 1) ))
-  in
   (* names of the hoisted per-member bound/stride variables *)
   let rvar p k lo = Printf.sprintf "%s%d_%d" (if lo then "lb_" else "ub_") p k in
   let cvar p k lo = Printf.sprintf "%s%d_%d" (if lo then "cl_" else "cu_") p k in
@@ -501,15 +357,11 @@ let emit_tiled fmt ~(input_store : int -> cstore)
       (match m.Plan.scratch_slot with
       | Some _ ->
         (* demand-region bounds, runtime strides, rim fill, compute *)
-        let bounds =
-          bound_exprs affine_r "rb" p m (fun m k ->
-              (0, m.Plan.sizes.(k) + 1))
-        in
         Array.iteri
           (fun k (lo, hi) ->
             pf fmt "%sconst int %s = %s, %s = %s;@," pad (rvar p k true) lo
               (rvar p k false) hi)
-          bounds;
+          region_bounds.(p);
         (* strides from the per-tile region widths — the engine's
            region_source layout, so addressing is identical *)
         pf fmt "%sconst int %s = 1;@," pad (svar p (dims - 1));
@@ -542,8 +394,7 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             (fun k (lo, hi) ->
               pf fmt "%sconst int %s = %s, %s = %s;@," pad (ovar p k true)
                 lo (ovar p k false) hi)
-            (bound_exprs affine_o "ob" p m (fun m k ->
-                 (1, m.Plan.sizes.(k))));
+            own_bounds.(p);
           emit_copy fmt ~dims ~src:dst
             ~dst:(array_store a ~of_func:m.Plan.func.Func.id)
             ~lb:(Array.init dims (fun k -> ovar p k true))
@@ -559,8 +410,7 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             (fun k (lo, hi) ->
               pf fmt "%sconst int %s = %s, %s = %s;@," pad (ovar p k true)
                 lo (ovar p k false) hi)
-            (bound_exprs affine_o "ob" p m (fun m k ->
-                 (1, m.Plan.sizes.(k))));
+            own_bounds.(p);
           pf fmt "%s{ /* stage %s */@," pad m.Plan.func.Func.name;
           emit_cases fmt ~member:m ~stores
             ~dst:(array_store a ~of_func:m.Plan.func.Func.id)
@@ -573,9 +423,7 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             (m.Plan.func.Func.name ^ ": member with neither scratch nor array")))
       )
     members;
-  for k = dims - 1 downto 0 do
-    pf fmt "  %s}@," (String.make (2 * k) ' ')
-  done
+  pf fmt "  }@,"
 
 (* ------------------------------------------------------------------ *)
 (* Diamond group emission: the equivalent untiled time loop.
@@ -697,7 +545,7 @@ let layout (plan : Plan.t) =
         match g with
         | Plan.G_tiled _ -> acc
         | Plan.G_diamond dg ->
-          max acc (round8 (Array.fold_left (fun l s -> l * (s + 2)) 1 dg.Plan.sizes)))
+          max acc (round8 (Grid.ghosted_len dg.Plan.sizes)))
       0 plan.Plan.groups
   in
   (offsets, !next, !next + dtmp)
@@ -778,7 +626,7 @@ let emit_prelude fmt (plan : Plan.t) =
   pf fmt "#ifdef __GNUC__@,#define NOINLINE __attribute__((noinline))@,";
   pf fmt "#else@,#define NOINLINE@,#endif@,";
   pf fmt "/* floor division, matching the engine for negative numerators */@,";
-  pf fmt "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))@,"
+  pf fmt "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))@,@,"
 
 (* The ranks of the plan's stages: one rim helper each. *)
 let ranks (plan : Plan.t) =
@@ -796,7 +644,6 @@ let ranks (plan : Plan.t) =
 let emit fmt (plan : Plan.t) =
   Format.pp_open_vbox fmt 0;
   emit_prelude fmt plan;
-  pf fmt "extern double eval_point(void);@,@,";
   List.iter (emit_rim_helper fmt) (ranks plan);
   emit_body fmt plan;
   Format.pp_close_box fmt ()

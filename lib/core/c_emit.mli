@@ -3,12 +3,13 @@
     PolyMG generates C+OpenMP; this engine executes plans directly, but
     the correspondence is kept inspectable {e and checkable}: [emit]
     prints, for any plan, the C the paper's backend would produce —
-    full arrays with their users,
-    [#pragma omp parallel for collapse(d)] tile loops, per-thread
-    scratchpad declarations with their user lists, and the per-stage loop
-    nests with min/max-clamped overlapped-tile bounds (the shape of
-    Fig. 8; groups whose exact per-tile demand regions are not affine in
-    the tile coordinates fall back to static bound tables).  The emitted
+    full arrays with their users, one flat loop over each overlapped
+    group's tiles with its scratchpad declarations and their user
+    lists, and the per-stage loop nests.  Their bounds are the plan's
+    exact per-tile boxes ({!Plan.tile_boxes}, the ones [Exec.run]
+    executes), not Fig. 8's min/max expressions: a bound equal in every
+    tile is a literal, any other is read from a static per-tile table.
+    The kernel is serial: it carries no parallel loop.  The emitted
     code computes what the engine computes: ghost rims are filled (by
     one rim-only helper per rank), own slices are published to the full
     arrays, and diamond chains run as their equivalent untiled time
@@ -47,4 +48,5 @@ val arena_bytes : Plan.t -> int
 val runnable : Plan.t -> (unit, string) result
 (** [Ok ()] when every compiled kernel is affine ([Lin]) and every
     diamond chain has an emittable init source, i.e. the emitted C is a
-    complete program rather than a sketch with [eval_point()] holes. *)
+    complete program; a non-affine ([Gen]) stage prints as an [#error]
+    line naming it. *)

@@ -157,15 +157,13 @@ let diamond_stage gid (dg : Plan.diamond_group) step =
 
 (* ------------------------------------------------------------------ *)
 
-let full_len sizes = Array.fold_left (fun a s -> a * (s + 2)) 1 sizes
-
 let input_bytes plan idx =
   let fid = plan.Plan.inputs.(idx) in
   let f = Pipeline.func plan.Plan.pipeline fid in
   let sizes =
     Array.map (fun s -> Sizeexpr.eval ~n:plan.Plan.n s) f.Func.sizes
   in
-  word * full_len sizes
+  word * Repro_grid.Grid.ghosted_len sizes
 
 let group_members (g : Plan.group_exec) =
   match g with
@@ -187,7 +185,7 @@ let working_set plan gi (g : Plan.group_exec) =
     match g with
     | Plan.G_tiled tg ->
       word * Array.fold_left ( + ) 0 tg.Plan.scratch_slot_len
-    | Plan.G_diamond dg -> word * full_len dg.Plan.sizes
+    | Plan.G_diamond dg -> word * Repro_grid.Grid.ghosted_len dg.Plan.sizes
   in
   (* distinct pipeline inputs this group reads *)
   let inputs = Hashtbl.create 4 in

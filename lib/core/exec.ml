@@ -69,23 +69,14 @@ let scratch_for ~plan_uid ~gid ~(lens : int array) =
 (* ------------------------------------------------------------------ *)
 (* Source construction helpers                                          *)
 
-let strides_of_extents extents =
-  let d = Array.length extents in
-  let s = Array.make d 1 in
-  for k = d - 2 downto 0 do
-    s.(k) <- s.(k + 1) * extents.(k + 1)
-  done;
-  s
-
 let full_source (buf : Buf.t) sizes =
-  let extents = Array.map (fun n -> n + 2) sizes in
   { Compile.data = buf.Buf.data;
-    strides = strides_of_extents extents;
+    strides = Grid.strides_of (Array.map (fun n -> n + 2) sizes);
     org = Array.make (Array.length sizes) 0 }
 
 let region_source (buf : Buf.t) (region : Box.t) =
   { Compile.data = buf.Buf.data;
-    strides = strides_of_extents (Box.widths region);
+    strides = Grid.strides_of (Box.widths region);
     org = Array.copy region.Box.lo }
 
 (* Copy the values of [box] from [src] to [dst]; both must have unit stride
@@ -145,14 +136,17 @@ let array_buf ctx a =
   | Some b -> b
   | None -> invalid_arg "Exec.run: array used before allocation"
 
+(* a pipeline input grid, read in place *)
+let input_source ctx idx =
+  let g = ctx.input_grids.(idx) in
+  { Compile.data = g.Grid.buf.Buf.data;
+    strides = Array.copy g.Grid.strides;
+    org = Array.make (Grid.dims g) 0 }
+
 let source_of_binding ctx ~(member : Plan.member)
     ~(tile_srcs : Compile.source option array) i =
   match member.Plan.src_of.(i) with
-  | Plan.P_input idx ->
-    let g = ctx.input_grids.(idx) in
-    { Compile.data = g.Grid.buf.Buf.data;
-      strides = Array.copy g.Grid.strides;
-      org = Array.make (Grid.dims g) 0 }
+  | Plan.P_input idx -> input_source ctx idx
   | Plan.P_array a ->
     let pid = member.Plan.compiled.Compile.producers.(i) in
     full_source (array_buf ctx a) ctx.func_sizes.(pid)
@@ -168,15 +162,14 @@ let run_tile ctx (tg : Plan.tiled_group) scratch tile =
   (* cooperative cancellation point: a tripped stage deadline aborts
      here, before the tile's kernels run, never mid-kernel *)
   Watchdog.check ();
-  let req = Regions.demand tg.Plan.geom ~tile in
+  let boxes = Plan.tile_boxes tg ~tile in
   let nm = Array.length tg.Plan.members in
   Telemetry.add c_tiles 1;
   (* per member: the source its in-group consumers read (its scratchpad) *)
   let tile_srcs : Compile.source option array = Array.make nm None in
   for p = 0 to nm - 1 do
     let m = tg.Plan.members.(p) in
-    let id, region = req.(p) in
-    assert (id = m.Plan.func.Func.id);
+    let region, own = boxes.(p) in
     if not (Box.is_empty region) then begin
       let t_stage = Telemetry.start () in
       let interior = Box.of_sizes m.Plan.sizes in
@@ -194,15 +187,12 @@ let run_tile ctx (tg : Plan.tiled_group) scratch tile =
         (match arr with
          | Some a ->
            (* live-out with in-group readers: publish the own slice *)
-           let own = Regions.own_slice tg.Plan.geom id ~tile in
            let adst = full_source (array_buf ctx a) m.Plan.sizes in
-           copy_box ~src:dst ~dst:adst (Box.inter own region)
+           copy_box ~src:dst ~dst:adst own
          | None -> ())
       | None, Some a ->
-        let own = Regions.own_slice tg.Plan.geom id ~tile in
         let dst = full_source (array_buf ctx a) m.Plan.sizes in
-        m.Plan.compiled.Compile.run ~srcs ~dst ~interior
-          ~region:(Box.inter own region);
+        m.Plan.compiled.Compile.run ~srcs ~dst ~interior ~region:own;
         inject ~gid:tg.Plan.gid ~stage:m.Plan.func.Func.name dst
       | None, None ->
         invalid_arg
@@ -236,7 +226,7 @@ let run_diamond ctx ~front_site (dg : Plan.diamond_group) =
     | Some a -> array_buf ctx a
     | None -> invalid_arg "Exec.run: diamond chain without output array"
   in
-  let len = Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes in
+  let len = Grid.ghosted_len dg.Plan.sizes in
   let tmp =
     if ctx.plan.Plan.opts.Options.pool then Mempool.acquire ctx.rt.pool len
     else Buf.create_uninit len
@@ -258,11 +248,7 @@ let run_diamond ctx ~front_site (dg : Plan.diamond_group) =
     match dg.Plan.init_src with
     | None -> None  (* zero-init chain: step 0 reads no previous iterate *)
     | Some (Plan.P_input idx) ->
-      let g = ctx.input_grids.(idx) in
-      Some
-        { Compile.data = g.Grid.buf.Buf.data;
-          strides = Array.copy g.Grid.strides;
-          org = Array.make (Grid.dims g) 0 }
+      Some (input_source ctx idx)
     | Some (Plan.P_array a) ->
       let pid =
         dg.Plan.steps.(0).Plan.compiled.Compile.producers.(dg.Plan.prev_pos.(0))

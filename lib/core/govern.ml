@@ -105,7 +105,7 @@ let word = 8
 (* Bytes of the modulo buffer a diamond/skewed group allocates (Exec
    sizes it as the ghosted box of the chain). *)
 let diamond_tmp_bytes (dg : Plan.diamond_group) =
-  word * Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes
+  word * Repro_grid.Grid.ghosted_len dg.Plan.sizes
 
 let model_peak_bytes (plan : Plan.t) =
   let arrays = plan.Plan.arrays in

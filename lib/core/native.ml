@@ -34,7 +34,7 @@ external ncall : nativeint -> Buf.data array -> int = "polymg_native_call"
 
 exception Unavailable of string
 
-let emitter_version = "polymg.native/3"
+let emitter_version = "polymg.native/4"
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
 (* At -O1 gcc inserts vzeroupper only with -fexpensive-optimizations;
@@ -186,9 +186,6 @@ let rec ensure_dir d =
 (* ------------------------------------------------------------------ *)
 (* Entry-source emission                                                *)
 
-let ghost_len sizes =
-  Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes
-
 (* The entry hands the pipeline the caller's buffers: inputs, outputs,
    then the kernel's arena. *)
 let entry_source (plan : Plan.t) =
@@ -310,7 +307,7 @@ let buffer_signature (plan : Plan.t) =
   let pipeline = plan.Plan.pipeline in
   let flen id =
     let f = Pipeline.func pipeline id in
-    ghost_len (Array.map (fun s -> Sizeexpr.eval ~n:plan.Plan.n s) f.Func.sizes)
+    Grid.ghosted_len (Array.map (fun s -> Sizeexpr.eval ~n:plan.Plan.n s) f.Func.sizes)
   in
   let ins = Array.map (fun id -> (id, flen id)) plan.Plan.inputs in
   let outs =

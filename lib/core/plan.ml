@@ -65,8 +65,6 @@ let uid_counter = Atomic.make 0
 let concrete_sizes ~n (f : Func.t) =
   Array.map (fun s -> Sizeexpr.eval ~n s) f.Func.sizes
 
-let full_len sizes = Array.fold_left (fun a s -> a * (s + 2)) 1 sizes
-
 (* Unfused plans chunk the outer loop into this many rows per parallel
    chunk, like the paper's plain [parallel for] over the outer dimension. *)
 let chunk_rows = 128
@@ -166,7 +164,7 @@ let build pipeline ~(opts : Options.t) ~n ~params =
     (fun id ->
       let slot = Hashtbl.find storage id in
       let f = Pipeline.func pipeline id in
-      let len = full_len (concrete_sizes ~n f) in
+      let len = Repro_grid.Grid.ghosted_len (concrete_sizes ~n f) in
       let is_out = List.mem id outputs in
       let a = arrays.(slot) in
       arrays.(slot) <-
@@ -373,6 +371,22 @@ let build pipeline ~(opts : Options.t) ~n ~params =
     inputs;
     output_arrays = List.map (fun id -> (id, array_of_func id)) outputs;
     params = List.map (fun p -> (p, params p)) used }
+
+(* The one per-tile bound rule both engines execute: each member
+   computes its demand region, and a live-out publishes the part of its
+   own slice inside that region. *)
+let tile_boxes (tg : tiled_group) ~tile =
+  Array.map2
+    (fun (m : member) (id, region) ->
+      assert (id = m.func.Func.id);
+      let own =
+        match m.array_id with
+        | None -> Box.empty (Box.rank tile)
+        | Some _ -> Box.inter (Regions.own_slice tg.geom id ~tile) region
+      in
+      (region, own))
+    tg.members
+    (Regions.demand tg.geom ~tile)
 
 let group_count t = Array.length t.groups
 let array_count t = Array.length t.arrays

@@ -78,6 +78,16 @@ val build :
 (** Runs the full optimization pipeline of Fig. 4 at problem size [n].
     @raise Invalid_argument on malformed pipelines or unbound params. *)
 
+val tile_boxes :
+  tiled_group -> tile:Repro_poly.Box.t ->
+  (Repro_poly.Box.t * Repro_poly.Box.t) array
+(** [tile_boxes tg ~tile] is, per member in execution order, the exact
+    bounds that [tile] executes: the member's demand region (its
+    scratchpad extent, or what it computes), and for a live-out the part
+    of its own slice inside that region (what it writes to its full
+    array; empty for a member without one).  {!Exec} runs these boxes
+    per tile and {!C_emit} prints them. *)
+
 (** {2 Introspection (Table 3 / Fig. 6 style reporting)} *)
 
 val group_count : t -> int

@@ -12,6 +12,8 @@ let strides_of extents =
   done;
   strides
 
+let ghosted_len sizes = Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes
+
 let create extents =
   if Array.length extents = 0 then invalid_arg "Grid.create: no dimensions";
   Array.iter

@@ -12,6 +12,13 @@ type t = {
   buf : Buf.t;
 }
 
+val strides_of : int array -> int array
+(** Row-major strides of a grid with the given total extents. *)
+
+val ghosted_len : int array -> int
+(** [ghosted_len sizes] is Π(sizes_k + 2): the points of a grid with
+    these interior sizes and one ghost layer per side. *)
+
 val create : int array -> t
 (** [create extents] makes a zero-filled grid with the given total extents. *)
 

@@ -19,11 +19,6 @@ type t = {
 let members t = t.members
 let reference t = t.members.(Array.length t.members - 1)
 
-let rel_of t id =
-  match Hashtbl.find_opt t.pos id with
-  | Some p -> t.members.(p).rel
-  | None -> invalid_arg "Regions.rel_of: not a member"
-
 (* log2 of a positive power of two *)
 let log2 d =
   let rec go acc d = if d = 1 then acc else go (acc + 1) (d / 2) in

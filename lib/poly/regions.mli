@@ -35,9 +35,6 @@ val members : t -> member array
 
 val reference : t -> member
 
-val rel_of : t -> int -> int array
-(** Scale level of a member by func id. *)
-
 val own_slice : t -> int -> tile:Box.t -> Box.t
 (** [own_slice t id ~tile] is the slice of member [id]'s interior that
     [tile] (a box over the reference interior) is responsible for. *)

@@ -19,8 +19,8 @@ let test_emit_markers () =
   List.iter
     (fun marker ->
       check_bool ("contains " ^ marker) true (contains s marker))
-    [ "_arena + "; "#pragma omp parallel for"; "collapse(2)"; "double _buf_";
-      "users:"; "#pragma omp simd"; "void pipeline_V_2D_4_4_4" ]
+    [ "_arena + "; "for (int _t = 0; _t < "; "double _buf_"; "users:";
+      "#pragma omp simd"; "void pipeline_V_2D_4_4_4" ]
 
 let presets =
   [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ]
@@ -134,10 +134,98 @@ let test_emit_diamond_marker () =
   let s = C_emit.to_string (plan_of ~opts:Options.dtile_opt_plus vcfg) in
   check_bool "diamond group" true (contains s "diamond time tiling")
 
-let test_emit_3d_collapse () =
-  let cfg = Cycle.default ~dims:3 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let s = C_emit.to_string (plan_of ~n:16 cfg) in
-  check_bool "collapse(3)" true (contains s "collapse(3)")
+(* The emitted groups in plan order: the lines after each
+   [/* ---- group] header, up to the next. *)
+let group_sections s =
+  let rec go acc cur = function
+    | [] -> List.rev (match cur with Some c -> List.rev c :: acc | None -> acc)
+    | l :: rest when contains l "/* ---- group " ->
+      go (match cur with Some c -> List.rev c :: acc | None -> acc) (Some []) rest
+    | l :: rest -> go acc (Option.map (List.cons (String.trim l)) cur) rest
+  in
+  go [] None (String.split_on_char '\n' s)
+
+(* [const int A = X, B = Y;] lines: (A, X) and (B, Y). *)
+let hoisted lines =
+  List.concat_map
+    (fun l ->
+      try
+        Scanf.sscanf l "const int %[a-z_0-9] = %[^,], %[a-z_0-9] = %[^;];%!"
+          (fun a x b y -> [ (a, x); (b, y) ])
+      with Scanf.Scan_failure _ | End_of_file | Failure _ -> [])
+    lines
+
+(* Every overlapped group is one flat loop over its tiles, with no tile
+   nest and no parallel pragma; along a dimension that has a single
+   tile extent, every hoisted demand-region and own-slice bound is an
+   integer literal. *)
+let test_flat_tile_loop () =
+  each_emitted (fun what plan s ->
+      check_bool (what ^ ": no T_0") false (contains s "T_0");
+      check_bool (what ^ ": no omp parallel") false (contains s "omp parallel");
+      let sections = group_sections s in
+      check_int (what ^ ": one section per group")
+        (Array.length plan.Plan.groups) (List.length sections);
+      List.iteri
+        (fun gi lines ->
+          let loops =
+            List.filter_map
+              (fun l ->
+                Scanf.sscanf_opt l "for (int _t = 0; _t < %d; _t++) {%!" Fun.id)
+              lines
+          in
+          match plan.Plan.groups.(gi) with
+          | Plan.G_diamond _ ->
+            check_int (Printf.sprintf "%s: group %d has no _t loop" what gi) 0
+              (List.length loops)
+          | Plan.G_tiled tg ->
+            check_bool
+              (Printf.sprintf "%s: group %d is one _t loop over its %d tiles"
+                 what gi (Array.length tg.Plan.tiles))
+              true
+              (loops = [ Array.length tg.Plan.tiles ]);
+            let t0 = tg.Plan.tiles.(0) in
+            let one_extent k =
+              Array.for_all
+                (fun (t : Repro_poly.Box.t) ->
+                  t.lo.(k) = t0.lo.(k) && t.hi.(k) = t0.hi.(k))
+                tg.Plan.tiles
+            in
+            List.iter
+              (fun (var, e) ->
+                (* VAR is PRE_MEMBER_DIM *)
+                match String.split_on_char '_' var with
+                | [ ("lb" | "ub" | "ol" | "oh"); _; k ]
+                  when one_extent (int_of_string k) ->
+                  check_bool
+                    (Printf.sprintf "%s: group %d: %s = %s is a literal" what gi
+                       var e)
+                    true
+                    (int_of_string_opt e <> None)
+                | _ -> ())
+              (hoisted lines))
+        sections)
+
+(* A stage with no linear form (a max) prints as a #error naming it, so
+   its C fails to compile loudly; [runnable] refuses the plan. *)
+let test_gen_case_is_error () =
+  let open Repro_ir in
+  let ctx = Dsl.create "relu" in
+  let sizes = [| Sizeexpr.n; Sizeexpr.n |] in
+  let v = Dsl.grid ctx "V" ~dims:2 ~sizes in
+  let relu =
+    Dsl.func ctx ~name:"relu" ~sizes
+      Expr.(Binop (Max, load v.Func.id [| 0; 0 |], const 0.0))
+  in
+  let plan =
+    Plan.build (Dsl.finish ctx ~outputs:[ relu ]) ~opts:Options.opt_plus
+      ~n:16 ~params:invalid_arg
+  in
+  let s = C_emit.to_string plan in
+  check_bool "#error names the stage" true
+    (contains s "#error \"stage relu: non-affine definition (Gen kernel)\"");
+  check_bool "no eval_point" false (contains s "eval_point");
+  check_bool "not runnable" true (Result.is_error (C_emit.runnable plan))
 
 let test_line_counts_ordering () =
   (* W-cycle code is larger than V-cycle code (Table 3 trend) *)
@@ -241,7 +329,9 @@ let () =
             test_outputs_are_parameters;
           Alcotest.test_case "scratch reuse" `Quick test_emit_scratch_reuse_visible;
           Alcotest.test_case "diamond" `Quick test_emit_diamond_marker;
-          Alcotest.test_case "3d collapse" `Quick test_emit_3d_collapse;
+          Alcotest.test_case "flat tile loop" `Quick test_flat_tile_loop;
+          Alcotest.test_case "non-affine stage is a #error" `Quick
+            test_gen_case_is_error;
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;
           Alcotest.test_case "all benchmarks emit" `Quick test_emit_all_benchmarks;
           Alcotest.test_case "parity cases" `Quick test_parity_cases_emitted;

@@ -23,10 +23,19 @@ let c_cache_rejects = Telemetry.counter "native.cache_rejects"
 let c_kernel_calls = Telemetry.counter "native.kernel_calls"
 let c_fallbacks = Telemetry.counter "native.fallbacks"
 
+let rec rm_tree path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
 (* Bracket a test with an isolated, empty kernel cache and live
    counters: interned kernels are dropped on both sides so hit/compile
    accounting starts from zero, and nothing leaks into the shared
-   POLYMG_NATIVE_CACHE location other tests or users may rely on. *)
+   POLYMG_NATIVE_CACHE location other tests or users may rely on.  The
+   cache directory is removed afterwards. *)
 let with_native_env ?(tag = "t") f () =
   match Native.cc () with
   | None ->
@@ -38,10 +47,7 @@ let with_native_env ?(tag = "t") f () =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "polymg-native-test-%d-%s" (Unix.getpid ()) tag)
     in
-    if Sys.file_exists dir then
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
+    rm_tree dir;
     Native.unload_all ();
     Native.set_cache_dir (Some dir);
     Telemetry.set_enabled true;
@@ -52,7 +58,8 @@ let with_native_env ?(tag = "t") f () =
         Native.set_cache_dir None;
         Native.set_compiler_override None;
         Telemetry.set_enabled false;
-        Telemetry.reset ())
+        Telemetry.reset ();
+        rm_tree dir)
       (fun () -> f ~compiler ~dir)
 
 (* The conformance vs_c budget (TESTING.md): 0, so every check below
@@ -185,10 +192,7 @@ let test_compile_failure_fallback =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "polymg-native-incidents-%d" (Unix.getpid ()))
       in
-      if Sys.file_exists incident_dir then
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat incident_dir f))
-          (Sys.readdir incident_dir);
+      rm_tree incident_dir;
       Flightrec.reset ();
       Flightrec.set_enabled true;
       Flightrec.set_incident_dir (Some incident_dir);
@@ -196,7 +200,8 @@ let test_compile_failure_fallback =
         ~finally:(fun () ->
           Flightrec.set_incident_dir None;
           Flightrec.set_enabled false;
-          Flightrec.reset ())
+          Flightrec.reset ();
+          rm_tree incident_dir)
         (fun () ->
           let n = 32 in
           (* forced native: a compile failure must be an error, not a
@@ -417,15 +422,22 @@ let prop_native_matches_interp =
     (fun stages ->
       let built = Pipeline_gen.gen_pipeline_of stages in
       let n = 32 in
-      let plan = Pipeline_gen.build_plan built ~opts:Options.opt_plus ~n in
-      (* unemittable plan (or no compiler): vacuously true — the backend
-         refused, it did not miscompute *)
-      Result.is_error (Native.load plan)
-      ||
-      let inputs, outputs = Conformance.fill_io plan in
-      match Conformance.vs_native plan ~inputs ~outputs with
-      | Ok d -> d.Conformance.max_abs <= budget
-      | Error _ -> false)
+      (* opt+'s tiles cover these grids in one tile; 8x12 tiles give
+         truncated border tiles and bounds that vary between tiles *)
+      List.for_all
+        (fun opts ->
+          let plan = Pipeline_gen.build_plan built ~opts ~n in
+          (* unemittable plan (or no compiler): vacuously true — the
+             backend refused, it did not miscompute *)
+          Result.is_error (Native.load plan)
+          ||
+          let inputs, outputs = Conformance.fill_io plan in
+          match Conformance.vs_native plan ~inputs ~outputs with
+          | Ok d -> d.Conformance.max_abs <= budget
+          | Error _ -> false)
+        [ Options.opt_plus;
+          Options.with_tiles Options.opt_plus ~t2:[| 8; 12 |]
+            ~t3:Options.opt_plus.Options.tile_3d ])
 
 (* -- plan identity: a function of content ------------------------------ *)
 
