@@ -184,15 +184,22 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
       match crash with
       | Some e -> Some (Fault_crash (Printexc.to_string e))
       | None ->
-        if Buf.find_nonfinite !next.Grid.buf <> None then begin
+        (* A finite residual and a finite rim prove the iterate finite
+           (see [Verify.rim_finite]).  Otherwise the full scan tells a
+           non-finite iterate from a finite one whose squared residual
+           overflowed, which [classify] faults as NaN with r = +∞. *)
+        let r =
+          Verify.residual_l2 ~n:problem.Problem.n ~v:!next
+            ~f:problem.Problem.f
+        in
+        if
+          not (Float.is_finite r && Verify.rim_finite !next)
+          && Buf.find_nonfinite !next.Grid.buf <> None
+        then begin
           record Float.nan Solver.Nan;
           Some Fault_nan
         end
         else begin
-          let r =
-            Verify.residual_l2 ~n:problem.Problem.n ~v:!next
-              ~f:problem.Problem.f
-          in
           match
             Solver.classify ~divergence_factor ~stagnation_eps ~best:!best
               ~prev:!prev r

@@ -10,6 +10,17 @@ val residual_l2 : n:int -> v:Repro_grid.Grid.t -> f:Repro_grid.Grid.t -> float
     no allocation.
     @raise Invalid_argument when [v] and [f] extents differ. *)
 
+val rim_finite : Repro_grid.Grid.t -> bool
+(** Whether every point of [v] with at least two ghost coordinates is
+    finite: the 4 corners in 2-D, the 12 edges (corners included) in
+    3-D.  These are exactly the points no stencil of {!residual_l2}
+    reads.  Every other point of [v] is read, and IEEE [+], [−] and
+    [×] by a non-zero constant keep a non-finite operand non-finite,
+    while each squared term is ≥ 0, so an infinite sum cannot cancel.
+    Hence a finite [residual_l2 ~v ~f] together with [rim_finite v]
+    proves that all of [v] (and the interior of [f]) is finite.
+    @raise Invalid_argument on a layout {!residual_l2} rejects. *)
+
 val error_l2 : v:Repro_grid.Grid.t -> exact:(int array -> float) -> float
 (** L2 norm of [v − exact] over interior points. *)
 

@@ -14,13 +14,16 @@ let cfg3 = Cycle.default ~dims:3 ~shape:Cycle.V ~smoothing:(4, 4, 4)
 
 (* -- fault-injecting stepper wrappers ----------------------------------- *)
 
-let nan_every k stepper =
+(* Every [k]-th attempt's output gets [x] at the flat index [at out]. *)
+let plant_every k ~at x stepper =
   let attempts = ref 0 in
   fun ~v ~f ~out ->
     stepper ~v ~f ~out;
     incr attempts;
-    if !attempts mod k = 0 then
-      Buf.set out.Grid.buf (Buf.len out.Grid.buf / 2) Float.nan
+    if !attempts mod k = 0 then Buf.set out.Grid.buf (at out) x
+
+let nan_every k =
+  plant_every k ~at:(fun out -> Buf.len out.Grid.buf / 2) Float.nan
 
 let diverge_every k stepper =
   let attempts = ref 0 in
@@ -69,11 +72,11 @@ let guarded_solve ?(dims = 2) ?(wrap = fun s -> s) ?(fallback = true)
   Telemetry.set_enabled false;
   r
 
-let check_converged name (r : Guard.result) =
+let check_converged ?(tol = 1e-8) name (r : Guard.result) =
   (match r.Guard.outcome with
   | Guard.Converged -> ()
   | o -> Alcotest.failf "%s: outcome %s, not converged" name (Guard.outcome_name o));
-  Alcotest.(check bool) (name ^ ": residual at tol") true (r.Guard.residual <= 1e-8);
+  Alcotest.(check bool) (name ^ ": residual at tol") true (r.Guard.residual <= tol);
   Alcotest.(check bool)
     (name ^ ": final iterate finite") true
     (Buf.find_nonfinite r.Guard.v.Grid.buf = None)
@@ -228,6 +231,49 @@ let test_stage_level_injection () =
   Alcotest.(check bool) "stage-level faults detected" true
     (List.exists (fun e -> is_nan_fault e.Guard.fault) r.Guard.events)
 
+(* -- the residual as finiteness witness ------------------------------- *)
+
+(* The guard proves an accepted iterate finite from its residual plus a
+   scan of the rim no stencil reads (the 2-D corners, the 3-D edges).
+   A value planted only there, or an iterate that is finite but whose
+   squared residual overflows, must still fault as NaN, roll back and
+   recover. *)
+let check_nan_recovered ?tol name (r : Guard.result) =
+  check_converged ?tol name r;
+  Alcotest.(check bool) (name ^ ": nan fault recorded") true
+    (List.exists (fun e -> is_nan_fault e.Guard.fault) r.Guard.events);
+  Alcotest.(check bool) (name ^ ": rolled back") true
+    (counter "guard.rollbacks" >= 1)
+
+let test_nan_in_2d_ghost_corner () =
+  (* flat index 0 is the corner (0, 0) *)
+  let r = guarded_solve ~wrap:(plant_every 3 ~at:(fun _ -> 0) Float.nan) () in
+  check_nan_recovered "2-D corner" r
+
+let test_inf_on_3d_ghost_edge () =
+  (* (0, 0, k) for an interior k: on an edge, not a corner *)
+  let mid out = (Grid.extents out).(2) / 2 in
+  let r =
+    guarded_solve ~dims:3
+      ~wrap:(plant_every 3 ~at:mid Float.infinity)
+      ~policy:{ Guard.default_policy with Guard.tol = Some 1e-6 } ()
+  in
+  check_nan_recovered ~tol:1e-6 "3-D edge" r
+
+let test_residual_overflow_is_nan () =
+  (* 1e200 at an interior point: 4·1e200·n² squared overflows *)
+  let r =
+    guarded_solve
+      ~wrap:(plant_every 3 ~at:(fun out -> Buf.len out.Grid.buf / 2) 1e200)
+      ()
+  in
+  check_nan_recovered "overflow" r;
+  Alcotest.(check bool) "overflow: recorded residual is +inf" true
+    (List.exists
+       (fun (s : Solver.cycle_stats) ->
+         s.Solver.status = Solver.Nan && s.Solver.residual = Float.infinity)
+       r.Guard.stats)
+
 (* -- primary-retry policy: bounded same-plan retries with backoff ------- *)
 
 (* Transient faults (every other attempt) are absorbed by a single
@@ -379,7 +425,13 @@ let () =
             test_divergence_detected;
           Alcotest.test_case "crash recovered" `Quick test_crash_recovered;
           Alcotest.test_case "stage-level injection" `Quick
-            test_stage_level_injection ] );
+            test_stage_level_injection;
+          Alcotest.test_case "nan only in a 2-D ghost corner" `Quick
+            test_nan_in_2d_ghost_corner;
+          Alcotest.test_case "inf only on a 3-D ghost edge" `Quick
+            test_inf_on_3d_ghost_edge;
+          Alcotest.test_case "finite iterate, overflowing residual" `Quick
+            test_residual_overflow_is_nan ] );
       ( "policy",
         [ Alcotest.test_case "clean run stops early at tol" `Quick
             test_clean_early_stop;

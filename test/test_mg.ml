@@ -290,9 +290,15 @@ type walk_case = {
   wc_n : int;
   wc_v : float array;
   wc_f : float array;
-  wc_poison : (bool * int * float) option;
-      (* (into v?, interior point, NaN or ±∞) *)
+  wc_poison : (bool * int array * float) option;
+      (* (into v?, point, NaN or ±∞) *)
 }
+
+(* how many of a point's coordinates are in the ghost layer *)
+let ghost_coords ext idx =
+  let g = ref 0 in
+  Array.iteri (fun a i -> if i = 0 || i = ext.(a) - 1 then incr g) idx;
+  !g
 
 let print_walk_case c =
   Printf.sprintf "extents [%s], n %d%s"
@@ -300,13 +306,30 @@ let print_walk_case c =
     c.wc_n
     (match c.wc_poison with
      | None -> ""
-     | Some (in_v, i, x) ->
-       Printf.sprintf ", %s interior point %d := %h"
-         (if in_v then "v" else "f") i x)
+     | Some (in_v, idx, x) ->
+       Printf.sprintf ", %s point [%s] (%d ghost coordinates) := %h"
+         (if in_v then "v" else "f")
+         (String.concat "," (Array.to_list (Array.map string_of_int idx)))
+         (ghost_coords c.wc_ext idx) x)
+
+(* a point with exactly [ghosts] ghost coordinates: that many axes,
+   drawn at random, at 0 or at their last index, the others interior *)
+let point_gen ext ~ghosts =
+  let open QCheck.Gen in
+  let* axes = shuffle_l (List.init (Array.length ext) Fun.id) in
+  let ghost_axes = List.filteri (fun k _ -> k < ghosts) axes in
+  flatten_a
+    (Array.mapi
+       (fun a e ->
+         if List.mem a ghost_axes then
+           map (fun hi -> if hi then e - 1 else 0) bool
+         else int_range 1 (e - 2))
+       ext)
 
 (* rectangular 2-D/3-D extents ≥ 3, any n, values over ~40 binades and
-   either sign; one case in four plants a NaN or ±∞ at an interior
-   point of v or f *)
+   either sign; one case in two plants a NaN or ±∞ in v at a point with
+   0 .. rank ghost coordinates (interior, face, edge or corner), or in
+   f at an interior point *)
 let walk_case_gen =
   let open QCheck.Gen in
   let value =
@@ -317,19 +340,18 @@ let walk_case_gen =
   let* dims = int_range 2 3 in
   let* ext = array_repeat dims (int_range 3 (if dims = 2 then 24 else 10)) in
   let points = Array.fold_left ( * ) 1 ext in
-  let interior = Array.fold_left (fun a e -> a * (e - 2)) 1 ext in
   let* wc_n = int_range 1 4096 in
   let* wc_v = array_repeat points value in
   let* wc_f = array_repeat points value in
   let* wc_poison =
     frequency
-      [ (3, return None);
+      [ (1, return None);
         ( 1,
-          map3
-            (fun in_v i x -> Some (in_v, i, x))
-            bool
-            (int_bound (interior - 1))
-            (oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]) ) ]
+          let* in_v = bool in
+          let* ghosts = if in_v then int_range 0 dims else return 0 in
+          let* idx = point_gen ext ~ghosts in
+          let* x = oneofl [ Float.nan; Float.infinity; Float.neg_infinity ] in
+          return (Some (in_v, idx, x)) ) ]
   in
   return { wc_ext = ext; wc_n; wc_v; wc_f; wc_poison }
 
@@ -338,17 +360,10 @@ let grid_of ext data =
   Array.iteri (fun i x -> Repro_grid.Buf.set g.Grid.buf i x) data;
   g
 
-(* the [k]-th interior point's multi-index, row-major *)
-let interior_index ext k =
-  let d = Array.length ext in
-  let idx = Array.make d 0 in
-  let k = ref k in
-  for a = d - 1 downto 0 do
-    idx.(a) <- 1 + (!k mod (ext.(a) - 2));
-    k := !k / (ext.(a) - 2)
-  done;
-  idx
-
+(* The C walks against the OCaml oracle, bit for bit; and the guard's
+   finiteness rule: the residual reads every point but the rim (points
+   with ≥ 2 ghost coordinates), so "residual or rim not finite" holds
+   exactly when some value of v or f is not finite. *)
 let prop_walks_bit_identical =
   QCheck.Test.make ~count:300 ~long_factor:10
     ~name:"residual_l2/apply_poisson bit-identical to the per-point oracle"
@@ -356,8 +371,7 @@ let prop_walks_bit_identical =
     (fun c ->
       let v = grid_of c.wc_ext c.wc_v and f = grid_of c.wc_ext c.wc_f in
       (match c.wc_poison with
-       | Some (in_v, i, x) ->
-         Grid.set (if in_v then v else f) (interior_index c.wc_ext i) x
+       | Some (in_v, idx, x) -> Grid.set (if in_v then v else f) idx x
        | None -> ());
       let n = c.wc_n in
       (* out starts as a copy of f so untouched ghosts must match too *)
@@ -374,11 +388,16 @@ let prop_walks_bit_identical =
       let r_ref = oracle_residual_l2 ~n ~v ~f in
       let poison_ok =
         match c.wc_poison with
+        | None -> Float.is_finite r
+        | Some (_, idx, _) when ghost_coords c.wc_ext idx >= 2 ->
+          Float.is_finite r
         | Some (_, _, x) when Float.is_nan x -> Float.is_nan r
         | Some _ -> not (Float.is_finite r)
-        | None -> Float.is_finite r
       in
-      !ops_same && same_float r r_ref && poison_ok)
+      let guard_rule = not (Float.is_finite r && Verify.rim_finite v) in
+      let nonfinite g = Repro_grid.Buf.find_nonfinite g.Grid.buf <> None in
+      !ops_same && same_float r r_ref && poison_ok
+      && guard_rule = (nonfinite v || nonfinite f))
 
 let test_residual_rejects_mismatched_grids () =
   (* a 64² iterate against an 8² right-hand side used to return a
@@ -396,26 +415,30 @@ let test_residual_rejects_mismatched_grids () =
         (Verify.residual_l2 ~n:8 ~v:(Grid.interior ~dims:2 7)
            ~f:(Grid.interior ~dims:3 7)))
 
-(* The guard calls residual_l2 after every cycle: it must not allocate
-   per point (the per-point formulation allocated ~1.1 M minor words at
-   258²). *)
+(* The guard calls residual_l2 after every cycle and Krylov
+   apply_poisson every iteration: neither may allocate per point (the
+   per-point formulation allocated ~1.1 M minor words at 258²). *)
 let test_residual_allocation_free () =
+  let residual ~n ~v ~f = ignore (Verify.residual_l2 ~n ~v ~f) in
+  let apply ~n ~v ~f = Verify.apply_poisson ~n ~v ~out:f in
   List.iter
-    (fun (name, dims, interior) ->
+    (fun (name, dims, interior, op) ->
       let v = Grid.interior ~dims interior in
       Grid.fill_interior v ~f:(fun idx -> float_of_int (idx.(0) + idx.(1)));
       let f = Grid.copy v in
       let n = interior + 1 in
-      ignore (Verify.residual_l2 ~n ~v ~f);
+      op ~n ~v ~f;
       let w0 = Gc.minor_words () in
-      let r = Verify.residual_l2 ~n ~v ~f in
+      op ~n ~v ~f;
       let words = Gc.minor_words () -. w0 in
-      check_bool (Printf.sprintf "%s residual finite" name) true
-        (Float.is_finite r);
+      check_bool (name ^ ": residual finite") true
+        (Float.is_finite (Verify.residual_l2 ~n ~v ~f));
       check_bool
         (Printf.sprintf "%s: %.0f minor words < 100" name words)
         true (words < 100.0))
-    [ ("130²", 2, 128); ("34³", 3, 32) ]
+    [ ("130² residual_l2", 2, 128, residual);
+      ("34³ residual_l2", 3, 32, residual);
+      ("34³ apply_poisson", 3, 32, apply) ]
 
 let test_problem_classes () =
   check_int "2D B" 1024 (Problem.class_n ~dims:2 Problem.B);
