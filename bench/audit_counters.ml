@@ -6,10 +6,9 @@
 
    Scans every .ml under LIBDIR for [Telemetry.counter "NAME"]
    registrations, keeps the audited families (the guard, govern,
-   flightrec, snapshot, profile, ledger, serve and native prefixes), and
-   requires each
-   name to appear verbatim in at
-   least one DOC (the README/TESTING counter tables).  Exits 1 listing any
+   flightrec, snapshot, profile, ledger, serve, native and grid
+   prefixes), and requires each name to appear verbatim in at least one
+   DOC (the README/TESTING counter tables).  Exits 1 listing any
    undocumented counter — and any documented counter of those families
    that no longer exists in the code, so stale rows fail too. *)
 
@@ -17,7 +16,7 @@ let audited name =
   List.exists
     (fun p -> String.starts_with ~prefix:p name)
     [ "guard."; "govern."; "flightrec."; "snapshot."; "profile."; "ledger.";
-      "serve."; "native." ]
+      "serve."; "native."; "grid." ]
 
 let read_file path =
   let ic = open_in_bin path in

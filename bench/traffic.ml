@@ -26,7 +26,8 @@
      - the shared plan cache reports hits (serve.plan_cache_hits > 0),
      - after drain + shutdown the memory pools are quiescent:
        Mempool.assert_quiescent sees zero outstanding buffers across
-       every request including the faulted ones.
+       every request including the faulted ones, and the grid free
+       list served some grids (grid.reused > 0) within its bound.
 
    Writes a polymg.traffic/1 JSON report with --out and the OpenMetrics
    dump with --metrics; --quick trims the request counts for CI smoke.
@@ -38,6 +39,7 @@ module Metrics = Repro_runtime.Metrics
 module Flightrec = Repro_runtime.Flightrec
 module Snapshot = Repro_runtime.Snapshot
 module Json = Repro_runtime.Json
+module Grid = Repro_grid.Grid
 
 (* -- phase 1: one probe per response class ------------------------------- *)
 
@@ -369,6 +371,20 @@ let () =
   (* the headline leak check: across every request, including the
      faulted, quarantined, deadline-stopped and budget-refused ones *)
   Campaign.teardown ~name:"pools-quiescent";
+  (* the served requests' grids went back to the free list and came out
+     again, and the list stayed within its bound *)
+  let held = Grid.free_stats () and bound = Grid.free_bound in
+  let reused = Telemetry.value (Telemetry.counter "grid.reused") in
+  Campaign.check ~name:"grid-free-list-bounded"
+    ~pass:
+      (reused > 0 && held.Grid.held <= bound.Grid.held
+      && held.Grid.held_bytes <= bound.Grid.held_bytes
+      && held.Grid.max_shape <= bound.Grid.max_shape)
+    ~detail:
+      [ ("reused", Json.num reused);
+        ("fresh", Json.num (Telemetry.value (Telemetry.counter "grid.fresh")));
+        ("held", Json.num held.Grid.held);
+        ("held_bytes", Json.num held.Grid.held_bytes) ];
   Option.iter
     (fun path ->
       Snapshot.atomic_write_string ~path (Metrics.to_openmetrics ());

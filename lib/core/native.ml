@@ -214,9 +214,23 @@ let key ~digest ~compiler_id ~host =
        (String.concat "\x00"
           [ emitter_version; digest; compiler_id; host; cflags ]))
 
+(* Memoized by (plan uid, compiler), like [Plan.digest] by uid: every
+   other input of [key] is fixed per process, and [cc ()] still picks
+   the compiler on every load. *)
+let key_memo : (int * string, string) Hashtbl.t = Hashtbl.create 8
+let key_memo_lock = Mutex.create ()
+
 let cache_key (plan : Plan.t) ~compiler =
-  key ~digest:(Plan.digest plan) ~compiler_id:(compiler_identity compiler)
-    ~host:(host_fingerprint ())
+  let memo = (plan.Plan.uid, compiler) in
+  match Mutex.protect key_memo_lock (fun () -> Hashtbl.find_opt key_memo memo) with
+  | Some k -> k
+  | None ->
+    let k =
+      key ~digest:(Plan.digest plan) ~compiler_id:(compiler_identity compiler)
+        ~host:(host_fingerprint ())
+    in
+    Mutex.protect key_memo_lock (fun () -> Hashtbl.replace key_memo memo k);
+    k
 
 let meta_line ~crc ~size = Printf.sprintf "%s %08x %d\n" meta_schema crc size
 

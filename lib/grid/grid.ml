@@ -14,15 +14,85 @@ let strides_of extents =
 
 let ghosted_len sizes = Array.fold_left (fun acc s -> acc * (s + 2)) 1 sizes
 
+(* The free list: grids their owners released, newest first, within
+   [free_bound].  A take searches it by extents.  A release conses the
+   grid on and, only past a bound, drops the oldest grid of its extents,
+   then the oldest grids: the steady state allocates one cell. *)
+type free_stats = { held : int; held_bytes : int; max_shape : int }
+
+let free_bound = { held = 64; held_bytes = 32 lsl 20; max_shape = 8 }
+let free : t list ref = ref []
+let free_lock = Mutex.create ()
+let on_take = ref (fun ~reused:_ -> ())
+let set_take_hook f = on_take := f
+
+let take extents =
+  let got =
+    Mutex.protect free_lock (fun () ->
+        match List.find_opt (fun g -> g.extents = extents) !free with
+        | None -> None
+        | Some g ->
+          free := List.filter (fun k -> k != g) !free;
+          Some g)
+  in
+  !on_take ~reused:(got <> None);
+  got
+
+let count p l = List.fold_left (fun n k -> if p k then n + 1 else n) 0 l
+let bytes_of l = List.fold_left (fun n k -> n + Buf.bytes k.buf) 0 l
+let same_shape g k = k.extents = g.extents
+
+(* [l] without its last element satisfying [p] *)
+let drop_last p l =
+  let rec go = function
+    | [] -> (false, [])
+    | k :: rest ->
+      let dropped, rest = go rest in
+      if (not dropped) && p k then (true, rest) else (dropped, k :: rest)
+  in
+  snd (go l)
+
+let release g =
+  Mutex.protect free_lock (fun () ->
+      if
+        Buf.bytes g.buf <= free_bound.held_bytes
+        && not (List.exists (fun k -> k.buf == g.buf) !free)
+      then begin
+        let l = g :: !free in
+        let l =
+          if count (same_shape g) l > free_bound.max_shape then
+            drop_last (same_shape g) l
+          else l
+        in
+        let rec trim l =
+          if List.length l > free_bound.held || bytes_of l > free_bound.held_bytes
+          then trim (drop_last (fun _ -> true) l)
+          else l
+        in
+        free := trim l
+      end)
+
+let free_stats () =
+  Mutex.protect free_lock (fun () ->
+      { held = List.length !free;
+        held_bytes = bytes_of !free;
+        max_shape =
+          List.fold_left (fun m g -> max m (count (same_shape g) !free)) 0 !free })
+
 let create extents =
   if Array.length extents = 0 then invalid_arg "Grid.create: no dimensions";
   Array.iter
     (fun e -> if e <= 0 then invalid_arg "Grid.create: non-positive extent")
     extents;
-  let extents = Array.copy extents in
-  let strides = strides_of extents in
-  let len = Array.fold_left ( * ) 1 extents in
-  { extents; strides; buf = Buf.create len }
+  match take extents with
+  | Some g ->
+    Buf.fill g.buf 0.0;
+    g
+  | None ->
+    let extents = Array.copy extents in
+    let strides = strides_of extents in
+    let len = Array.fold_left ( * ) 1 extents in
+    { extents; strides; buf = Buf.create len }
 
 let interior ~dims n =
   if n <= 0 then invalid_arg "Grid.interior: non-positive size";
@@ -58,9 +128,14 @@ let set3 t i j k v =
 let fill t v = Buf.fill t.buf v
 
 let copy t =
-  { extents = Array.copy t.extents;
-    strides = Array.copy t.strides;
-    buf = Buf.copy t.buf }
+  match take t.extents with
+  | Some g ->
+    Buf.blit ~src:t.buf ~dst:g.buf;
+    g
+  | None ->
+    { extents = Array.copy t.extents;
+      strides = Array.copy t.strides;
+      buf = Buf.copy t.buf }
 
 let blit ~src ~dst =
   if src.extents <> dst.extents then invalid_arg "Grid.blit: extent mismatch";

@@ -20,7 +20,9 @@ val ghosted_len : int array -> int
     these interior sizes and one ghost layer per side. *)
 
 val create : int array -> t
-(** [create extents] makes a zero-filled grid with the given total extents. *)
+(** [create extents] makes a zero-filled grid with the given total
+    extents, taking a released grid of those extents when the free list
+    holds one. *)
 
 val interior : dims:int -> int -> t
 (** [interior ~dims n] creates a grid of [dims] dimensions with interior
@@ -52,6 +54,8 @@ val set3 : t -> int -> int -> int -> float -> unit
 val fill : t -> float -> unit
 
 val copy : t -> t
+(** A grid equal to the argument: a released grid of its extents, every
+    element overwritten, when the free list holds one, else a fresh one. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copies the whole grid; extents must match. *)
@@ -71,3 +75,32 @@ val max_abs_diff : t -> t -> float
 
 val points : t -> int
 (** Total number of points, ghosts included. *)
+
+(** {2 The free list}
+
+    One process-wide, mutex-protected list of dead grids that {!create}
+    and {!copy} take from before they allocate.  A grid enters it only
+    through {!release}, called by the grid's owner once nothing reads or
+    writes it any more (DESIGN.md, "Grid lifetime"). *)
+
+val release : t -> unit
+(** [release g] hands [g] to the free list: the caller and every holder
+    of [g] must be done with it.  A grid already held is not added twice.
+    To stay within {!free_bound} the list drops its oldest grids of [g]'s
+    extents, then its oldest grids; a grid over the byte bound is never
+    kept. *)
+
+type free_stats = {
+  held : int;  (** grids on the list *)
+  held_bytes : int;  (** their payload bytes *)
+  max_shape : int;  (** most grids of one extents *)
+}
+
+val free_bound : free_stats
+(** The list's limits: every field of {!free_stats} stays at or below it. *)
+
+val free_stats : unit -> free_stats
+
+val set_take_hook : (reused:bool -> unit) -> unit
+(** Called by every {!create} and {!copy} with whether it took a released
+    grid; the runtime counts the calls as [grid.reused] and [grid.fresh]. *)

@@ -392,6 +392,9 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
              ())
       end
   done;
+  (* the spare iterate is dead; so is [good] unless a sink keeps it *)
+  Grid.release !next;
+  if checkpoint = None then Grid.release good;
   { stats = List.rev !stats;
     v = !cur;
     residual = !good_res;

@@ -1,6 +1,7 @@
 module Options = Repro_core.Options
 module Govern = Repro_core.Govern
 module Plan = Repro_core.Plan
+module Grid = Repro_grid.Grid
 module Telemetry = Repro_runtime.Telemetry
 module Metrics = Repro_runtime.Metrics
 module Flightrec = Repro_runtime.Flightrec
@@ -623,19 +624,31 @@ let run_request t (p : pending_req) =
           ~detail:(Format.asprintf "%a" Govern.pp_infeasible inf)
       | Request.Stopped msg -> answer status tenant ~cached ~solve_s ~detail:msg
       | Request.Solved s ->
-        answer status tenant ~cached ~solve_s
-          ~digest:(Option.fold ~none:"" ~some:Plan.digest s.Request.plan)
-          ~cycles:(List.length s.Request.stats)
-          ~residual:s.Request.residual
-          ~incidents:(Flightrec.incident_count () - incidents_before)
-          ~detail:
-            (match s.Request.guarded with
-             | Some g ->
-               Printf.sprintf "%s; %d fault event(s), %d fallback cycle(s)"
-                 (Guard.outcome_name g.Guard.outcome)
-                 (List.length g.Guard.events)
-                 g.Guard.fallback_cycles
-             | None -> "checkpoint already meets the cycle budget")
+        let resp =
+          answer status tenant ~cached ~solve_s
+            ~digest:(Option.fold ~none:"" ~some:Plan.digest s.Request.plan)
+            ~cycles:(List.length s.Request.stats)
+            ~residual:s.Request.residual
+            ~incidents:(Flightrec.incident_count () - incidents_before)
+            ~detail:
+              (match s.Request.guarded with
+               | Some g ->
+                 Printf.sprintf "%s; %d fault event(s), %d fallback cycle(s)"
+                   (Guard.outcome_name g.Guard.outcome)
+                   (List.length g.Guard.events)
+                   g.Guard.fallback_cycles
+               | None -> "checkpoint already meets the cycle budget")
+        in
+        (* the response holds no grid: the request's grids are dead.  A
+           resumed iterate that already met the cycle budget is both
+           [s.v] and [problem.v]; release each grid once, since a second
+           release could hand it out again while another request uses it. *)
+        let p = s.Request.problem in
+        List.iter Grid.release
+          (List.fold_left
+             (fun seen g -> if List.memq g seen then seen else g :: seen)
+             [] [ p.Problem.v; p.Problem.f; s.Request.v ]);
+        resp
 
 let execute t tn p =
   let resp =

@@ -31,6 +31,15 @@ let c_miss = Telemetry.counter "mempool.miss"
 let c_peak = Telemetry.counter "mempool.peak_live_bytes"
 let c_guard_trips = Telemetry.counter "mempool.guard_trips"
 
+(* The grid free list's takes (Grid.create and Grid.copy): served from
+   a released grid, or freshly allocated. *)
+let c_grid_fresh = Telemetry.counter "grid.fresh"
+let c_grid_reused = Telemetry.counter "grid.reused"
+
+let () =
+  Grid.set_take_hook (fun ~reused ->
+      Telemetry.add (if reused then c_grid_reused else c_grid_fresh) 1)
+
 (* Resource-governance series: budget overruns, free-list trims made to
    stay under budget, and the cross-pool high-water gauge the pressure
    campaign asserts against. *)

@@ -469,9 +469,175 @@ let test_solver_iterate_swaps () =
   Exec.free_runtime rt;
   check_bool "same" true (Grid.max_abs_diff r.Solver.v a < 1e-14)
 
+(* The right-hand side and exact solution of [Problem.poisson] against
+   the per-point formula they replaced, bit for bit: [u] multiplies
+   [sin (pi *. float i *. h)] over the index from 1.0, and [f] is
+   [float dims *. pi *. pi *. u idx] inside, 0 on the ghosts. *)
+let oracle_u ~n idx =
+  let pi = 4.0 *. atan 1.0 and h = 1.0 /. float_of_int n in
+  let acc = ref 1.0 in
+  Array.iter (fun i -> acc := !acc *. sin (pi *. float_of_int i *. h)) idx;
+  !acc
+
+let prop_rhs_bit_identical =
+  QCheck.Test.make ~count:40 ~long_factor:10
+    ~name:"poisson: table-built f and exact equal the per-point formula"
+    QCheck.(pair (int_range 2 3) (int_range 4 96))
+    (fun (dims, n) ->
+      let pi = 4.0 *. atan 1.0 in
+      let p = Problem.poisson ~dims ~n in
+      let ok = ref true in
+      (* [fill_all] on a scratch grid visits every index, ghosts too *)
+      Grid.fill_all (Grid.create (Grid.extents p.Problem.f)) ~f:(fun idx ->
+          let inside = Array.for_all (fun i -> i >= 1 && i <= n - 1) idx in
+          let want =
+            if inside then float_of_int dims *. pi *. pi *. oracle_u ~n idx
+            else 0.0
+          in
+          if not (same_float (Grid.get p.Problem.f idx) want) then ok := false;
+          if not (same_float (p.Problem.exact idx) (oracle_u ~n idx)) then
+            ok := false;
+          0.0);
+      !ok)
+
+(* A released grid comes back from [create] zeroed and from [copy] equal
+   to the source, as the same storage. *)
+let test_reused_grid_fresh_contents () =
+  let ext = [| 11; 13 |] in
+  let g = Grid.create ext in
+  Grid.fill g 7.5;
+  Grid.release g;
+  let z = Grid.create ext in
+  check_bool "create took the released grid" true (z.Grid.buf == g.Grid.buf);
+  check_float "create: all zeros" 0.0 (Repro_grid.Norms.linf z);
+  let src = Grid.create ext in
+  Grid.fill_all src ~f:(fun idx -> float_of_int ((idx.(0) * 17) + idx.(1)) /. 3.0);
+  Grid.fill z Float.nan;
+  Grid.release z;
+  let c = Grid.copy src in
+  check_bool "copy took the released grid" true (c.Grid.buf == z.Grid.buf);
+  check_bool "copy: equal to its source" true (Grid.max_abs_diff c src = 0.0);
+  (* a second release of a held grid does not hand it out twice *)
+  Grid.release c;
+  Grid.release c;
+  let a = Grid.create ext and b = Grid.create ext in
+  check_bool "one grid, handed out once" true (a.Grid.buf != b.Grid.buf)
+
+(* Random batches of live grids released together, over 16 shapes: 12
+   small ones (the count and per-shape bounds) and four of 1.5 MB (the
+   byte bound).  The list stays within [free_bound] after every batch. *)
+let prop_free_list_bounded =
+  let shape k = if k >= 12 then [| 440; 428 + k |] else [| k + 3; 5 |] in
+  QCheck.Test.make ~count:20 ~long_factor:10
+    ~name:"grid free list: never past its bound"
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair (int_range 0 15) (int_range 0 12)))
+    (fun ops ->
+      List.for_all
+        (fun (k, m) ->
+          let live = List.init m (fun _ -> Grid.create (shape k)) in
+          List.iter Grid.release live;
+          let s = Grid.free_stats () and b = Grid.free_bound in
+          s.Grid.held <= b.Grid.held
+          && s.Grid.held_bytes <= b.Grid.held_bytes
+          && s.Grid.max_shape <= b.Grid.max_shape)
+        ops)
+
+(* A checkpoint sink may keep [good] past [Guard.run]: the guard must
+   not recycle it, so a second solve of the same shape leaves it. *)
+let test_guard_keeps_sink_grid () =
+  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(2, 2, 2) in
+  let n = 32 in
+  Exec.with_runtime @@ fun rt ->
+  let primary = Solver.polymg_stepper cfg ~n ~opts:Options.opt_plus ~rt in
+  let policy = { Guard.default_policy with Guard.max_cycles = 4 } in
+  let kept = ref None in
+  let checkpoint =
+    { Guard.ck_accept = (fun ~cycle:_ ~residual:_ ~v ~stats:_ -> kept := Some v);
+      ck_restore = (fun () -> None) }
+  in
+  let problem = Problem.poisson ~dims:2 ~n in
+  ignore (Guard.run ~policy ~checkpoint ~primary ~problem ());
+  let g = Option.get !kept in
+  let bits = Repro_grid.Buf.to_array g.Grid.buf in
+  ignore (Guard.run ~policy ~primary ~problem:(Problem.poisson ~dims:2 ~n) ());
+  check_bool "sink's grid bit-unchanged" true
+    (Array.for_all2 same_float bits (Repro_grid.Buf.to_array g.Grid.buf))
+
+(* Served requests recycle their grids: 20 same-shape requests in one
+   server give the residual history one request gives in a fresh
+   process, read from the flight recorder's cycle-end events. *)
+let serve_histories k =
+  let module Flightrec = Repro_runtime.Flightrec in
+  let rq =
+    { Serve.default_request with
+      Serve.rq_n = 32; rq_cycles = 12; rq_tol = Some 1e-9; rq_variant = "opt+" }
+  in
+  let sv = Serve.create () in
+  Flightrec.set_enabled true;
+  let hs =
+    List.init k (fun _ ->
+        Flightrec.reset ();
+        let rs = Serve.solve sv rq in
+        check_bool "request ok" true (rs.Serve.rs_status = Serve.Ok);
+        List.filter_map
+          (fun (e : Flightrec.event) ->
+            match e.Flightrec.kind with
+            | Flightrec.Cycle_end { residual; _ } -> Some residual
+            | _ -> None)
+          (Flightrec.events ()))
+  in
+  Flightrec.set_enabled false;
+  Serve.shutdown sv;
+  hs
+
+let history_bits h =
+  String.concat " " (List.map (fun r -> Int64.to_string (Int64.bits_of_float r)) h)
+
+(* What a fresh process computes; before any domain is spawned. *)
+let in_child f =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let d = Bytes.of_string (f ()) in
+    ignore (Unix.write wr d 0 (Bytes.length d));
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let s = In_channel.input_all ic in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    s
+
+let test_serve_recycling_keeps_histories () =
+  let fresh = in_child (fun () -> history_bits (List.hd (serve_histories 1))) in
+  check_bool "fresh history has cycles" true (String.length fresh > 0);
+  let module Telemetry = Repro_runtime.Telemetry in
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  let hs = serve_histories 20 in
+  Telemetry.set_enabled false;
+  check_bool "grids were reused" true
+    (Telemetry.value (Telemetry.counter "grid.reused") > 0);
+  List.iteri
+    (fun i h ->
+      Alcotest.(check string) (Printf.sprintf "request %d" (i + 1)) fresh
+        (history_bits h))
+    hs
+
 let () =
   Alcotest.run "mg"
-    [ ( "cycle construction",
+    [ (* forks a child: runs before anything spawns a domain *)
+      ( "grid recycling",
+        [ Alcotest.test_case "served histories as in a fresh process" `Quick
+            test_serve_recycling_keeps_histories;
+          Alcotest.test_case "reused grid reads fresh" `Quick
+            test_reused_grid_fresh_contents;
+          Alcotest.test_case "guard keeps the sink's grid" `Quick
+            test_guard_keeps_sink_grid ]
+        @ Qc_replay.to_alcotest_list [ prop_free_list_bounded ] );
+      ( "cycle construction",
         [ Alcotest.test_case "Table 3 stage counts" `Quick test_stage_counts_table3;
           Alcotest.test_case "min_n" `Quick test_min_n;
           Alcotest.test_case "params" `Quick test_params;
@@ -502,4 +668,5 @@ let () =
           Alcotest.test_case "residual allocation-free" `Quick
             test_residual_allocation_free ] );
       ( "verify properties",
-        Qc_replay.to_alcotest_list [ prop_walks_bit_identical ] ) ]
+        Qc_replay.to_alcotest_list
+          [ prop_walks_bit_identical; prop_rhs_bit_identical ] ) ]
