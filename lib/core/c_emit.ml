@@ -55,30 +55,25 @@ type cstore = {
   corg : string array;
 }
 
-let index_str ?(coords = plain_coord) store accs =
-  let d = Array.length accs in
-  let parts =
-    List.init d (fun k ->
-        let idx = access_str accs.(k) (coords k) in
-        let idx =
-          if store.corg.(k) = "0" then idx
-          else Printf.sprintf "(%s - %s)" idx store.corg.(k)
-        in
-        if store.cstrides.(k) = "1" then idx
-        else Printf.sprintf "%s*%s" idx store.cstrides.(k))
+(* Dimension [k]'s part of a store index: [(idx_k - org_k)*stride_k]. *)
+let dim_index_str store k idx =
+  let idx =
+    if store.corg.(k) = "0" then idx
+    else Printf.sprintf "(%s - %s)" idx store.corg.(k)
   in
-  String.concat " + " parts
+  if store.cstrides.(k) = "1" then idx
+  else Printf.sprintf "%s*%s" idx store.cstrides.(k)
+
+let index_str ?(coords = plain_coord) store accs =
+  String.concat " + "
+    (List.init (Array.length accs) (fun k ->
+         dim_index_str store k (access_str accs.(k) (coords k))))
 
 let self_accs dims =
   Array.init dims (fun _ -> { Expr.mul = 1; add = 0; den = 1; off = 0 })
 
 let self_index_str ?coords store dims =
   index_str ?coords store (self_accs dims)
-
-let term_str ~coords (t : Compile.term) stores =
-  let s = stores.(t.Compile.pos) in
-  Printf.sprintf "%.17g * %s[%s]" t.Compile.coef s.cname
-    (index_str ~coords s t.Compile.accs)
 
 let int_strs = Array.map string_of_int
 
@@ -91,6 +86,77 @@ let full_store name sizes =
 
 (* ------------------------------------------------------------------ *)
 (* Loop-nest emitters                                                   *)
+
+(* Access [a] at coordinate [x] as [q*name + c], when its floor
+   division folds at emit time (the affine case of [access_str]). *)
+let affine_of (a : Expr.access) x =
+  let m = a.Expr.mul * x.scale and c = (a.Expr.mul * x.phase) + a.Expr.add in
+  if m mod a.Expr.den = 0 then
+    Some (m / a.Expr.den, Box.fdiv c a.Expr.den + a.Expr.off)
+  else None
+
+(* Row addressing in a loop nest of rank >= 2: an access whose outer
+   dimensions fold to [q_k*name_k + c_k] goes through a row pointer
+   [store + Σ (q_k*name_k - org_k)*stride_k], declared once per
+   innermost loop and shared by every access to [store] with the same
+   outer multipliers, at offset [Σ c_k*stride_k] plus its innermost
+   index.  That is the integer [index_str] computes, summed in another
+   order, so every point reads and writes the same element; the loop
+   carries one address stream per row pointer instead of one per
+   access, which keeps gcc from spilling in the 3-D stencils.  Another
+   access keeps [index_str].  [rows] collects the pointers, keyed by
+   (write, initializer): [_w] for the written store, [_r0], [_r1], ...
+   for the read ones. *)
+let row_ref ~coords ~rows ~write store accs =
+  let d = Array.length accs in
+  let outer =
+    List.filter_map (fun k -> affine_of accs.(k) (coords k)) (List.init (d - 1) Fun.id)
+  in
+  if List.length outer < d - 1 then
+    Printf.sprintf "%s[%s]" store.cname (index_str ~coords store accs)
+  else begin
+    let init =
+      String.concat " + "
+        (store.cname
+         :: List.concat
+              (List.mapi
+                 (fun k (q, _) ->
+                   let x = (coords k).name in
+                   let v =
+                     match q with
+                     | 0 -> "0"
+                     | 1 -> x
+                     | q -> Printf.sprintf "%d*%s" q x
+                   in
+                   if v = "0" && store.corg.(k) = "0" then []
+                   else [ dim_index_str store k v ])
+                 outer))
+    in
+    let name =
+      match List.assoc_opt (write, init) !rows with
+      | Some n -> n
+      | None ->
+        let reads = List.filter (fun ((w, _), _) -> not w) !rows in
+        let n = if write then "_w" else Printf.sprintf "_r%d" (List.length reads) in
+        rows := !rows @ [ ((write, init), n) ];
+        n
+    in
+    (* the outer constants, summed where the stride is a literal *)
+    let signed e c x = Printf.sprintf "%s %c %s" e (if c < 0 then '-' else '+') x in
+    let lit, idx =
+      List.fold_left
+        (fun (lit, e) (k, (_, c)) ->
+          match int_of_string_opt store.cstrides.(k) with
+          | _ when c = 0 -> (lit, e)
+          | Some st -> (lit + (c * st), e)
+          | None -> (lit, signed e c (Printf.sprintf "%d*%s" (abs c) store.cstrides.(k))))
+        ( 0,
+          dim_index_str store (d - 1) (access_str accs.(d - 1) (coords (d - 1))) )
+        (List.mapi (fun k o -> (k, o)) outer)
+    in
+    let idx = if lit = 0 then idx else signed idx lit (string_of_int (abs lit)) in
+    Printf.sprintf "%s[%s]" name idx
+  end
 
 (* The compute cases of [member] over the inclusive bounds [lb..ub]
    (C expressions, typically hoisted variables), writing through [dst]
@@ -122,10 +188,23 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
               (String.concat "," (Array.to_list (Array.map string_of_int p)));
             fun k -> { name = loop_vars.(k) ^ "h"; scale = 2; phase = p.(k) }
         in
+        let rows = ref [] in
+        let ref_ ~write store accs =
+          if dims < 2 then
+            Printf.sprintf "%s[%s]" store.cname (index_str ~coords store accs)
+          else row_ref ~coords ~rows ~write store accs
+        in
+        let target = ref_ ~write:true dst (self_accs dims) in
         let parts =
           (if base <> 0.0 then [ fstr base ] else [])
-          @ Array.to_list (Array.map (fun t -> term_str ~coords t stores) terms)
+          @ Array.to_list
+              (Array.map
+                 (fun (t : Compile.term) ->
+                   Printf.sprintf "%.17g * %s" t.Compile.coef
+                     (ref_ ~write:false stores.(t.Compile.pos) t.Compile.accs))
+                 terms)
         in
+        let inner = String.make (2 * (dims - 1)) ' ' in
         for k = 0 to dims - 1 do
           let x = coords k in
           (* the half-index range of [lb..ub] ∩ (2*xh + p) *)
@@ -139,16 +218,27 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
               ( Printf.sprintf "FDIV(%s, 2)" (shifted lb.(k) (1 - x.phase)),
                 Printf.sprintf "FDIV(%s, 2)" (shifted ub.(k) (-x.phase)) )
           in
-          if k = dims - 1 && parts <> [] then
-            pf fmt "%s%s#pragma omp simd@," pad (String.make (2 * k) ' ');
-          pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
+          if k = dims - 1 then begin
+            (* the row pointers, once per innermost loop *)
+            List.iter
+              (fun ((write, init), n) ->
+                pf fmt "%s%s%sdouble *%s = %s;@," pad inner
+                  (if write then "" else "const ")
+                  n init)
+              !rows;
+            if parts <> [] then pf fmt "%s%s#pragma omp simd@," pad inner
+          end;
+          pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)%s@," pad
             (String.make (2 * k) ' ')
             x.name from x.name upto x.name
+            (if k = dims - 2 && !rows <> [] then " {" else "")
         done;
-        pf fmt "%s%s%s[%s] = %s;@," pad
+        pf fmt "%s%s%s = %s;@," pad
           (String.make (2 * dims) ' ')
-          dst.cname (self_index_str ~coords dst dims)
-          (if parts = [] then "0.0" else String.concat " + " parts))
+          target
+          (if parts = [] then "0.0" else String.concat " + " parts);
+        if dims >= 2 && !rows <> [] then
+          pf fmt "%s%s}@," pad (String.make (2 * (dims - 2)) ' '))
     member.Plan.compiled.Compile.cases
 
 (* The ghost-rim helper of rank [dims]: the boundary value on
@@ -426,11 +516,36 @@ let emit_tiled fmt ~(input_store : int -> cstore)
   pf fmt "  }@,"
 
 (* ------------------------------------------------------------------ *)
-(* Diamond group emission: the equivalent untiled time loop.
+(* Diamond group emission: the chain as a plain step loop.
 
    Each (t, x) value is computed exactly once under the diamond/skewed
-   schedule, so the plain time loop below is bit-identical to the tiled
-   execution — the tiling only reorders whole-row computations. *)
+   schedule, so running the steps one after another over the whole grid
+   is bit-identical to the tiled execution — the tiling only reorders
+   whole-row computations.  Step 1 reads the chain's init source; steps
+   2..T read and write the two ping-pong buffers through the pointers
+   [_pin] (iterate t-1) and [_pout] (iterate t), swapped after each
+   step.  A run of steps whose bodies print alike is printed once, as
+   one [for (int _s ...)] loop: every step still runs the same text on
+   the same buffers as when unrolled. *)
+
+let swap_ptrs = "double *_sw = _pin; _pin = _pout; _pout = _sw;"
+
+(* The lines [f] prints into a vertical box. *)
+let lines_of f =
+  Format.asprintf "@[<v 0>%t@]" f
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Maximal runs of equal values in [l]: (value, first index, last
+   index), indices counted from [first]. *)
+let runs ~first l =
+  List.fold_left
+    (fun (acc, i) x ->
+      match acc with
+      | (y, a, _) :: rest when y = x -> ((y, a, i) :: rest, i + 1)
+      | _ -> ((x, i, i) :: acc, i + 1))
+    ([], first) l
+  |> fst |> List.rev
 
 let emit_diamond fmt ~(input_store : int -> cstore)
     ~(array_store : int -> of_func:int -> cstore) ~dtmp_off
@@ -448,7 +563,7 @@ let emit_diamond fmt ~(input_store : int -> cstore)
   in
   pf fmt "@,  /* ---- group %d: %s, %d steps ---- */@," dg.Plan.gid scheme_str
     nsteps;
-  pf fmt "  /* executed here as the equivalent untiled time loop: the@,";
+  pf fmt "  /* run here as a plain step loop over the whole grid: the@,";
   pf fmt "   * schedule computes every (t, x) row exactly once, so results@,";
   pf fmt "   * are bit-identical; see lib/poly for the tiled wavefronts */@,";
   let out_arr =
@@ -464,6 +579,8 @@ let emit_diamond fmt ~(input_store : int -> cstore)
   let tmp_name = Printf.sprintf "_dtmp_%d" dg.Plan.gid in
   let out_store = array_store out_arr ~of_func:last.Plan.func.Func.id in
   let tmp_store = full_store tmp_name dg.Plan.sizes in
+  if out_store.cstrides <> tmp_store.cstrides then
+    invalid_arg "C_emit: diamond output and modulo buffer differ in shape";
   pf fmt "  {@,";
   pf fmt "    double *%s = _arena + %d;@," tmp_name dtmp_off;
   let ghost_ub = Array.map (fun s -> string_of_int (s + 1)) dg.Plan.sizes in
@@ -485,18 +602,18 @@ let emit_diamond fmt ~(input_store : int -> cstore)
       Some (array_store a ~of_func:pid)
     | Some (Plan.P_member _) -> invalid_arg "C_emit: bad diamond init source"
   in
-  for t = 1 to nsteps do
+  (* the body of step [t] (1-based), reading iterate t-1 from [prev]
+     and writing iterate t to [dst] *)
+  let body t ~prev ~dst =
     let step = t - 1 in
     let m = dg.Plan.steps.(step) in
     let stores =
       Array.mapi
         (fun i src ->
           if i = dg.Plan.prev_pos.(step) then
-            if t = 1 then
-              match init_store with
-              | Some s -> s
-              | None -> invalid_arg "C_emit: missing diamond init source"
-            else buf_of (t - 1)
+            match prev with
+            | Some s -> s
+            | None -> invalid_arg "C_emit: missing diamond init source"
           else
             match src with
             | Plan.P_input idx -> input_store idx
@@ -506,13 +623,35 @@ let emit_diamond fmt ~(input_store : int -> cstore)
               invalid_arg "C_emit: scratch read inside a diamond chain")
         m.Plan.src_of
     in
-    pf fmt "    { /* t = %d: stage %s */@," t m.Plan.func.Func.name;
-    emit_cases fmt ~member:m ~stores ~dst:(buf_of t)
-      ~lb:(Array.make dims "1")
-      ~ub:(Array.map string_of_int dg.Plan.sizes)
-      ~indent:6;
-    pf fmt "    }@,"
-  done;
+    lines_of (fun fmt ->
+        emit_cases fmt ~member:m ~stores ~dst
+          ~lb:(Array.make dims "1")
+          ~ub:(Array.map string_of_int dg.Plan.sizes)
+          ~indent:6)
+  in
+  let stage t = dg.Plan.steps.(t - 1).Plan.func.Func.name in
+  pf fmt "    { /* t = 1: stage %s */@," (stage 1);
+  List.iter (pf fmt "%s@,") (body 1 ~prev:init_store ~dst:(buf_of 1));
+  pf fmt "    }@,";
+  if nsteps > 1 then begin
+    let pin = { tmp_store with cname = "_pin" } in
+    let pout = { tmp_store with cname = "_pout" } in
+    pf fmt "    double *_pin = %s, *_pout = %s;@," (buf_of 1).cname
+      (buf_of 2).cname;
+    List.iter
+      (fun (lines, a, b) ->
+        if a = b then pf fmt "    { /* t = %d: stage %s */@," a (stage a)
+        else begin
+          pf fmt "    /* t = %d..%d: stages %s */@," a b
+            (String.concat ", " (List.init (b - a + 1) (fun i -> stage (a + i))));
+          pf fmt "    for (int _s = %d; _s <= %d; _s++) {@," a b
+        end;
+        List.iter (pf fmt "%s@,") lines;
+        pf fmt "      %s@,    }@," swap_ptrs)
+      (runs ~first:2
+         (List.init (nsteps - 1) (fun i ->
+              body (i + 2) ~prev:(Some pin) ~dst:pout)))
+  end;
   pf fmt "  }@,"
 
 (* ------------------------------------------------------------------ *)

@@ -12,15 +12,20 @@
     The kernel is serial: it carries no parallel loop.  The emitted
     code computes what the engine computes: ghost rims are filled (by
     one rim-only helper per rank), own slices are published to the full
-    arrays, and diamond chains run as their equivalent untiled time
-    loop.  The pipeline allocates nothing: it writes its outputs into
+    arrays, and a diamond chain runs as a plain step loop over the whole
+    grid: its first step, then one loop over the steps that print alike,
+    swapping the two ping-pong buffer pointers after each step.  The
+    pipeline allocates nothing: it writes its outputs into
     the caller's buffers, as [Exec.run] does, and places every other
     array at an emit-time offset of a caller-provided arena
     ({!arena_bytes}).  Every innermost compute
     loop but a zero fill carries [#pragma omp simd], with indices affine
     in its loop variable (parity cases loop over half indices), so a
     compiler honouring the pragma vectorizes it without changing any
-    result.
+    result.  A loop nest of rank >= 2 reads and writes through row
+    pointers declared before its innermost loop, one per store and
+    outer access multiplier, with each access at a constant offset from
+    its row: the same elements, one address stream per row pointer.
 
     Used for the generated-lines-of-code column of Table 3, by
     [polymg_dump], and by {!Native}, which compiles it into the kernels

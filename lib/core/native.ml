@@ -34,7 +34,7 @@ external ncall : nativeint -> Buf.data array -> int = "polymg_native_call"
 
 exception Unavailable of string
 
-let emitter_version = "polymg.native/4"
+let emitter_version = "polymg.native/5"
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
 (* At -O1 gcc inserts vzeroupper only with -fexpensive-optimizations;

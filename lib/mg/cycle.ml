@@ -26,7 +26,7 @@ let shape_of_string = function
   | "F" -> Some F
   | _ -> None
 
-let min_n cfg = 4 * (1 lsl (cfg.levels - 1))
+let min_n cfg = 1 lsl cfg.levels
 
 let check_config cfg =
   if cfg.dims <> 2 && cfg.dims <> 3 then Error "dims must be 2 or 3"

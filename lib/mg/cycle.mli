@@ -69,7 +69,8 @@ val input_f : Repro_ir.Pipeline.t -> int
 val output : Repro_ir.Pipeline.t -> int
 
 val min_n : config -> int
-(** Smallest valid finest-grid parameter [N] (coarsest interior ≥ 1). *)
+(** Smallest valid finest-grid parameter [N]: [2^levels], so that the
+    coarsest grid ([N / 2^(levels-1)] = 2) keeps one interior point. *)
 
 val bench_name : config -> string
 (** e.g. ["V-2D-4-4-4"] — the benchmark naming of Table 3. *)

@@ -104,7 +104,7 @@ let validate ?(max_n = max_int) ?(min_steps = 0) ?(max_steps = max_int)
     { (Cycle.default ~dims:s.dims ~shape:s.shape ~smoothing:s.smoothing) with
       Cycle.levels = s.levels }
   in
-  let n = Option.value s.n ~default:(Cycle.min_n cfg * 8) in
+  let n = Option.value s.n ~default:(32 lsl (cfg.levels - 1)) in
   let* () = Cycle.check cfg ~n ~cycles:s.cycles in
   let* engine =
     match (Options.variant_of_string s.variant, s.variant) with

@@ -53,7 +53,7 @@ val guarded : t -> bool
 type spec = {
   dims : int;
   levels : int;
-  n : int option;  (** [None]: eight times {!Cycle.min_n} *)
+  n : int option;  (** [None]: [32 · 2^(levels-1)] *)
   shape : Cycle.cycle_shape;
   smoothing : int * int * int;  (** pre/coarsest/post smoothing steps *)
   variant : string;  (** a preset, ["handopt"] or ["handopt+pluto"] *)
@@ -77,8 +77,8 @@ type spec = {
 (** A solve as its caller states it, unchecked. *)
 
 val default_spec : spec
-(** The [mg_solve] defaults: 2-D V-4-4-4 at 4 levels, [n] from
-    {!Cycle.min_n}, opt+ on the interpreter, 5 plain cycles, one domain,
+(** The [mg_solve] defaults: 2-D V-4-4-4 at 4 levels ([n] 256 unless
+    given), opt+ on the interpreter, 5 plain cycles, one domain,
     checkpoint cadence 1, everything else off. *)
 
 val validate :

@@ -206,6 +206,132 @@ let test_flat_tile_loop () =
               (hoisted lines))
         sections)
 
+let swap_line = "double *_sw = _pin; _pin = _pout; _pout = _sw;"
+
+(* What a diamond step computes, its previous iterate aside: two steps
+   with equal shapes print the same body against [_pin]/[_pout]. *)
+let step_shape (dg : Plan.diamond_group) i =
+  let m = dg.Plan.steps.(i) in
+  ( List.map
+      (fun (c : Compile.case_t) ->
+        match c.Compile.kernel with
+        | Compile.Lin { base; terms } -> Some (c.Compile.parity, base, terms)
+        | Compile.Gen _ -> None)
+      m.Plan.compiled.Compile.cases,
+    Array.mapi
+      (fun j src -> if j = dg.Plan.prev_pos.(i) then None else Some src)
+      m.Plan.src_of )
+
+(* The array a line's store goes to: an assignment [NAME[...] = ...],
+   or the row pointer [_w] bound by [double *_w = NAME + ...]. *)
+let written l =
+  match Scanf.sscanf_opt l "double *_w = %[_a-zA-Z0-9] " Fun.id with
+  | Some name -> Some name
+  | None -> (
+    match String.index_opt l '[' with
+    | Some i when contains l "] = " && not (String.starts_with ~prefix:"_w[" l) ->
+      Some (String.sub l 0 i)
+    | _ -> None)
+
+(* Every diamond chain whose steps 2..T compute alike is step 1 unrolled
+   and one [for (int _s = 2; _s <= T; _s++)] loop; its comments name
+   every step's stage; each step writes through [_pout] and then swaps
+   the pointers, so with the pointers' first values step 1 fills the
+   modulo buffer and step T the chain's output array. *)
+let test_step_loops () =
+  each_emitted (fun what plan s ->
+      let sections = group_sections s in
+      Array.iteri
+        (fun gi g ->
+          match g with
+          | Plan.G_tiled _ -> ()
+          | Plan.G_diamond dg ->
+            let lines = List.nth sections gi in
+            let w = Printf.sprintf "%s: group %d" what gi in
+            let nsteps = Array.length dg.Plan.steps in
+            let loops =
+              List.filter (String.starts_with ~prefix:"for (int _s") lines
+            in
+            let alike =
+              nsteps > 2
+              && List.for_all
+                   (fun i ->
+                     let cases, _ = step_shape dg i in
+                     step_shape dg i = step_shape dg 1
+                     && List.for_all Option.is_some cases)
+                   (List.init (nsteps - 1) (fun i -> i + 1))
+            in
+            if alike then
+              check_bool (w ^ ": steps 2..T are one step loop") true
+                (loops = [ Printf.sprintf "for (int _s = 2; _s <= %d; _s++) {" nsteps ]);
+            Array.iter
+              (fun (m : Plan.member) ->
+                check_bool (w ^ ": names stage " ^ m.Plan.func.Repro_ir.Func.name) true
+                  (List.exists (fun l -> contains l m.Plan.func.Repro_ir.Func.name) lines))
+              dg.Plan.steps;
+            if nsteps > 1 then begin
+              let out =
+                Printf.sprintf "_arr_%d"
+                  (Option.get dg.Plan.steps.(nsteps - 1).Plan.array_id)
+              in
+              let tmp = Printf.sprintf "_dtmp_%d" dg.Plan.gid in
+              let pin, pout =
+                match
+                  List.filter_map
+                    (fun l ->
+                      Scanf.sscanf_opt l "double *_pin = %[_a-z0-9], *_pout = %[_a-z0-9];%!"
+                        (fun a b -> (a, b)))
+                    lines
+                with
+                | [ p ] -> p
+                | _ -> Alcotest.failf "%s: no single pointer initialization" w
+              in
+              let step1 = List.find_map written lines in
+              check_bool (w ^ ": step 1 fills the modulo buffer, _pin's first value")
+                true
+                (step1 = Some tmp && pin = tmp);
+              check_bool (w ^ ": step T lands in the output array") true
+                ((if (nsteps - 2) mod 2 = 0 then pout else pin) = out);
+              let events =
+                List.filter_map
+                  (fun l ->
+                    if l = swap_line then Some `Swap
+                    else if written l = Some "_pout" then Some `Write
+                    else None)
+                  lines
+              in
+              let rec alternate = function
+                | `Write :: `Swap :: rest -> alternate rest
+                | [] -> true
+                | _ -> false
+              in
+              check_bool (w ^ ": each step writes _pout, then swaps") true
+                (events <> [] && alternate events)
+            end)
+        plan.Plan.groups);
+  (* the coarse chain's zero-guess first step reads no previous iterate:
+     it stays unrolled before the loop over steps 2..4 *)
+  let plan = plan_of ~opts:Options.dtile_opt_plus vcfg in
+  let lines = String.split_on_char '\n' (C_emit.to_string plan) |> List.map String.trim in
+  let rec after_tc = function
+    | l :: rest when String.starts_with ~prefix:"{ /* t = 1: stage Tc_" l -> rest
+    | _ :: rest -> after_tc rest
+    | [] -> Alcotest.fail "no coarse Tc chain"
+  in
+  let rest = after_tc lines in
+  let rec step1 = function
+    | l :: _ when String.starts_with ~prefix:"double *_pin = " l -> []
+    | l :: more -> l :: step1 more
+    | [] -> []
+  in
+  let step1 = step1 rest in
+  check_bool "Tc step 1 is unrolled, computing before the pointers exist" true
+    (List.exists (fun l -> contains l "] = ") step1
+     && not (List.exists (fun l -> contains l "_pin" || contains l "_pout") step1));
+  check_bool "Tc steps 2..4 are one loop after it" true
+    (List.find_opt (String.starts_with ~prefix:"for (int _s") rest
+     = Some "for (int _s = 2; _s <= 4; _s++) {")
+
 (* A stage with no linear form (a max) prints as a #error naming it, so
    its C fails to compile loudly; [runnable] refuses the plan. *)
 let test_gen_case_is_error () =
@@ -289,34 +415,25 @@ let test_parity_cases_emitted () =
   let s = C_emit.to_string (plan_of vcfg) in
   check_bool "parity comment" true (contains s "parity case")
 
+(* [#pragma omp simd] lines each directly followed by a [for]. *)
+let rec simd_on_for = function
+  | "#pragma omp simd" :: next :: rest ->
+    String.starts_with ~prefix:"for (" next && simd_on_for rest
+  | [ "#pragma omp simd" ] -> false
+  | _ :: rest -> simd_on_for rest
+  | [] -> true
+
 (* Every preset's inner loops are vectorizable as emitted: ghost rims
    go through the rank's rim helper instead of a per-point rim test in
    a full-box nest, and every [#pragma omp simd] sits directly on a
    loop (an OpenMP requirement gcc enforces). *)
 let test_simd_loops () =
-  List.iter
-    (fun (dims, shape, sm, n) ->
-      let cfg = Cycle.default ~dims ~shape ~smoothing:sm in
-      List.iter
-        (fun opts ->
-          let what = Cycle.bench_name cfg ^ " " ^ Options.name opts in
-          let lines =
-            String.split_on_char '\n' (C_emit.to_string (plan_of ~opts ~n cfg))
-            |> List.map String.trim
-          in
-          check_bool (what ^ ": no per-point rim test") false
-            (List.exists (fun l -> contains l "if (i < 1 ||") lines);
-          let rec simd_on_for = function
-            | "#pragma omp simd" :: next :: rest ->
-              String.starts_with ~prefix:"for (" next && simd_on_for rest
-            | [ "#pragma omp simd" ] -> false
-            | _ :: rest -> simd_on_for rest
-            | [] -> true
-          in
-          check_bool (what ^ ": every omp simd line precedes a for") true
-            (simd_on_for lines))
-        [ Options.naive; Options.opt; Options.opt_plus; Options.dtile_opt_plus ])
-    [ (2, Cycle.V, (4, 4, 4), 32); (3, Cycle.W, (10, 0, 0), 16) ]
+  each_emitted (fun what _ s ->
+      let lines = String.split_on_char '\n' s |> List.map String.trim in
+      check_bool (what ^ ": no per-point rim test") false
+        (List.exists (fun l -> contains l "if (i < 1 ||") lines);
+      check_bool (what ^ ": every omp simd line precedes a for") true
+        (simd_on_for lines))
 
 let () =
   Alcotest.run "c_emit"
@@ -330,6 +447,7 @@ let () =
           Alcotest.test_case "scratch reuse" `Quick test_emit_scratch_reuse_visible;
           Alcotest.test_case "diamond" `Quick test_emit_diamond_marker;
           Alcotest.test_case "flat tile loop" `Quick test_flat_tile_loop;
+          Alcotest.test_case "step loops" `Quick test_step_loops;
           Alcotest.test_case "non-affine stage is a #error" `Quick
             test_gen_case_is_error;
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;

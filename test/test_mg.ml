@@ -27,8 +27,9 @@ let test_stage_counts_table3 () =
 
 let test_min_n () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  check_int "4 levels" 32 (Cycle.min_n cfg);
-  check_int "6 levels" 128 (Cycle.min_n { cfg with Cycle.levels = 6 })
+  check_int "4 levels" 16 (Cycle.min_n cfg);
+  check_int "6 levels" 64 (Cycle.min_n { cfg with Cycle.levels = 6 });
+  check_int "8 levels" 256 (Cycle.min_n { cfg with Cycle.levels = 8 })
 
 let test_params () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in

@@ -385,6 +385,46 @@ let test_host_isa_bitwise =
       Unix.chmod wrapper 0o755;
       same_bits ~alt:wrapper)
 
+(* -- golden outputs of the benchmark's kernels ----------------------------- *)
+
+(* The six kernels the benchmark runs, one cycle each on [fill_io]'s
+   inputs: every output grid's bits, ghosts included, as the MD5 of its
+   little-endian bytes.  The digests were recorded from the kernels that
+   emitted every smoothing step unrolled, so a change to how a chain is
+   printed must leave every bit where it was. *)
+let golden_kernels =
+  let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let w3 = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
+  List.concat_map
+    (fun (n, md5) ->
+      [ (v2, Options.opt_plus, n, md5); (v2, Options.dtile_opt_plus, n, md5) ])
+    [ (32, "e701737c30584c9cc51f4fa220fad544");
+      (64, "45ab82b6e77a3abd7044274883f3495f") ]
+  @ [ ( { v2 with Cycle.levels = 8 }, Options.dtile_opt_plus, 256,
+        "1bea4e312c483af572d369b6dde042db" );
+      (w3, Options.dtile_opt_plus, 32, "c0e9e68cab4e00d5c460f4e9fff00983") ]
+
+let grid_md5 (g : Grid.t) =
+  let a = Repro_grid.Buf.to_array g.Grid.buf in
+  let b = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v)) a;
+  Digest.to_hex (Digest.bytes b)
+
+let test_golden_outputs =
+  with_native_env ~tag:"golden" (fun ~compiler:_ ~dir:_ ->
+      List.iter
+        (fun ((cfg : Cycle.config), opts, n, want) ->
+          let what =
+            Printf.sprintf "%s L%d %s n=%d" (Cycle.bench_name cfg)
+              cfg.Cycle.levels (Options.name opts) n
+          in
+          let plan = Solver.polymg_plan cfg ~n ~opts in
+          let inputs, outputs = Conformance.fill_io plan in
+          Native.run (load_exn plan) ~inputs ~outputs;
+          let got = String.concat " " (List.map (fun (_, g) -> grid_md5 g) outputs) in
+          Alcotest.(check string) (what ^ ": output digests") want got)
+        golden_kernels)
+
 (* -- the memory budget sees the native arena --------------------------- *)
 
 (* A native rung's footprint is at least its kernel's arena, so a
@@ -556,7 +596,9 @@ let () =
           Alcotest.test_case "vectorization changes no bit" `Quick
             test_vectorized_bitwise;
           Alcotest.test_case "host ISA changes no bit" `Quick
-            test_host_isa_bitwise ] );
+            test_host_isa_bitwise;
+          Alcotest.test_case "benchmark kernels' golden outputs" `Quick
+            test_golden_outputs ] );
       ( "budget",
         [ Alcotest.test_case "native rungs budget the arena" `Quick
             test_budget_sees_arena ] );

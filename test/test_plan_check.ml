@@ -12,7 +12,7 @@ let smoothing = (4, 4, 4)
 
 let plan_of ~dims ~shape ~opts =
   let cfg = Cycle.default ~dims ~shape ~smoothing in
-  let n = Cycle.min_n cfg * 4 in
+  let n = Cycle.min_n cfg * 8 in
   Plan.build (Cycle.build cfg) ~opts ~n ~params:(Cycle.params cfg ~n)
 
 let presets =
@@ -138,7 +138,7 @@ let test_check_exn_and_build () =
   | () -> Alcotest.fail "check_exn accepted a corrupted plan"
   | exception Invalid_argument _ -> ());
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing in
-  let n = Cycle.min_n cfg * 4 in
+  let n = Cycle.min_n cfg * 8 in
   ignore
     (Plan_check.build (Cycle.build cfg)
        ~opts:{ Options.opt_plus with Options.check_plan = true }

@@ -144,7 +144,7 @@ let test_mempool_solver_two_cycles () =
   let module Solver = Repro_mg.Solver in
   let module Problem = Repro_mg.Problem in
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let n = Cycle.min_n cfg * 8 in
+  let n = Cycle.min_n cfg * 16 in
   Repro_core.Exec.with_runtime @@ fun rt ->
   let stepper =
     Solver.polymg_stepper cfg ~n ~opts:Repro_core.Options.opt_plus ~rt
