@@ -166,11 +166,20 @@ let row_ref ~coords ~rows ~write store accs =
    accesses stay affine in the loop variable.  The innermost loop
    carries [#pragma omp simd]: every point is one independent
    assignment, so vector lanes compute exactly what the scalar loop
-   computes.  A zero fill gets no pragma: gcc turns it into memset. *)
-let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
+   computes.  A zero fill gets no pragma: gcc turns it into memset.
+   With [row], coordinate 0 is not looped over: it is declared
+   [const int i = row;] and the rest of the nest runs that one row, in
+   the caller's block (a row wavefront's step: one plain case). *)
+let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
     ~(dst : cstore) ~(lb : string array) ~(ub : string array) ~indent =
   let dims = member.Plan.func.Func.dims in
   let pad = String.make indent ' ' in
+  let cases = member.Plan.compiled.Compile.cases in
+  (match (row, cases) with
+  | None, _ | Some _, [ { Compile.parity = None; _ } ] -> ()
+  | Some _, _ -> invalid_arg "C_emit: a row is one plain case");
+  (* the indentation of loop [k]'s header *)
+  let depth k = String.make (2 * if row = None then k else k - 1) ' ' in
   List.iter
     (fun (case : Compile.case_t) ->
       match case.Compile.kernel with
@@ -204,7 +213,10 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
                      (ref_ ~write:false stores.(t.Compile.pos) t.Compile.accs))
                  terms)
         in
-        let inner = String.make (2 * (dims - 1)) ' ' in
+        let inner = depth (dims - 1) in
+        (* the loop over coordinate [dims - 2] opens a block for the
+           row pointers *)
+        let braced = dims >= 2 && !rows <> [] && (row = None || dims > 2) in
         for k = 0 to dims - 1 do
           let x = coords k in
           (* the half-index range of [lb..ub] ∩ (2*xh + p) *)
@@ -228,18 +240,17 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
               !rows;
             if parts <> [] then pf fmt "%s%s#pragma omp simd@," pad inner
           end;
-          pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)%s@," pad
-            (String.make (2 * k) ' ')
-            x.name from x.name upto x.name
-            (if k = dims - 2 && !rows <> [] then " {" else "")
+          match row with
+          | Some r when k = 0 -> pf fmt "%sconst int %s = %s;@," pad x.name r
+          | _ ->
+            pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)%s@," pad (depth k)
+              x.name from x.name upto x.name
+              (if k = dims - 2 && braced then " {" else "")
         done;
-        pf fmt "%s%s%s = %s;@," pad
-          (String.make (2 * dims) ' ')
-          target
+        pf fmt "%s%s%s = %s;@," pad (depth dims) target
           (if parts = [] then "0.0" else String.concat " + " parts);
-        if dims >= 2 && !rows <> [] then
-          pf fmt "%s%s}@," pad (String.make (2 * (dims - 2)) ' '))
-    member.Plan.compiled.Compile.cases
+        if braced then pf fmt "%s%s}@," pad (depth (dims - 2)))
+    cases
 
 (* The ghost-rim helper of rank [dims]: the boundary value on
    [lb..ub] ∖ interior [1..m] of a store with origin [o] and strides
@@ -516,17 +527,29 @@ let emit_tiled fmt ~(input_store : int -> cstore)
   pf fmt "  }@,"
 
 (* ------------------------------------------------------------------ *)
-(* Diamond group emission: the chain as a plain step loop.
+(* Diamond group emission: the chain over the whole grid, in one of two
+   loop orders.
 
-   Each (t, x) value is computed exactly once under the diamond/skewed
-   schedule, so running the steps one after another over the whole grid
-   is bit-identical to the tiled execution — the tiling only reorders
-   whole-row computations.  Step 1 reads the chain's init source; steps
-   2..T read and write the two ping-pong buffers through the pointers
-   [_pin] (iterate t-1) and [_pout] (iterate t), swapped after each
-   step.  A run of steps whose bodies print alike is printed once, as
-   one [for (int _s ...)] loop: every step still runs the same text on
-   the same buffers as when unrolled. *)
+   The diamond/skewed schedule computes each (t, x) value exactly once,
+   from iterate t-1, so any order that does the same is bit-identical to
+   the tiled execution: the tiling only reorders whole-row computations.
+   Step 1 reads the chain's init source; steps 2..T read and write the
+   two ping-pong buffers, and step t writes the output array when T - t
+   is even, the modulo buffer otherwise.  A run of steps whose bodies
+   print alike is printed once, as one [for (int _s ...)] loop: every
+   step still runs the same text on the same buffers as when unrolled.
+
+   - Step loop: step 1 over the whole grid, then steps 2..T one after
+     another through the pointers [_pin] (iterate t-1) and [_pout]
+     (iterate t), swapped after each step.
+   - Row wavefront ([wavefront]): one loop over positions [_p], where
+     steps 1..T in turn compute one row each, step s row [_p - (s-1)],
+     so a row is reused by the next step while it is still in L1.
+     Step s reads rows i-1..i+1 of iterate s-1, which step s-1 finished
+     at [_p] (its row is i+1), and overwrites row i of iterate s-2,
+     whose last reader, step s-1 at row i+1, ran just before it.  That
+     needs stencil radius <= 1 across rows, which [Plan.build]'s
+     footprint check guarantees for same-size stages. *)
 
 let swap_ptrs = "double *_sw = _pin; _pin = _pout; _pout = _sw;"
 
@@ -547,12 +570,22 @@ let runs ~first l =
     ([], first) l
   |> fst |> List.rev
 
+(* A chain runs as a row wavefront when it is 2-D and one of its
+   buffers outgrows the L1: stepping over the whole grid then streams
+   every step through L2.  A grid that fits gains nothing from the
+   skew, and the 3-D plane wavefront measured slower than the step
+   loop. *)
+let wavefront (dg : Plan.diamond_group) =
+  Array.length dg.Plan.sizes = 2
+  && 8 * Grid.ghosted_len dg.Plan.sizes > List.assoc "L1" Cost.cache_levels
+
 let emit_diamond fmt ~(input_store : int -> cstore)
     ~(array_store : int -> of_func:int -> cstore) ~dtmp_off
     (dg : Plan.diamond_group) =
   let nsteps = Array.length dg.Plan.steps in
   let last = dg.Plan.steps.(nsteps - 1) in
   let dims = Array.length dg.Plan.sizes in
+  let wave = wavefront dg in
   let scheme_str =
     match dg.Plan.scheme with
     | Plan.Sched_diamond { sigma } ->
@@ -563,9 +596,18 @@ let emit_diamond fmt ~(input_store : int -> cstore)
   in
   pf fmt "@,  /* ---- group %d: %s, %d steps ---- */@," dg.Plan.gid scheme_str
     nsteps;
-  pf fmt "  /* run here as a plain step loop over the whole grid: the@,";
-  pf fmt "   * schedule computes every (t, x) row exactly once, so results@,";
-  pf fmt "   * are bit-identical; see lib/poly for the tiled wavefronts */@,";
+  if wave then begin
+    pf fmt "  /* run here as a row wavefront: at _p, step s computes row@,";
+    pf fmt "   * _p - (s-1) of the whole grid; every (t, x) row is computed@,";
+    pf fmt "   * once, from the rows the tiles read, so results are@,";
+    pf fmt "   * bit-identical */@,"
+  end
+  else begin
+    pf fmt "  /* run here as a step loop over the whole grid (%s):@,"
+      (if dims = 2 then "it fits L1" else Printf.sprintf "a %d-D chain" dims);
+    pf fmt "   * every (t, x) row is computed once, from the rows the@,";
+    pf fmt "   * tiles read, so results are bit-identical */@,"
+  end;
   let out_arr =
     match last.Plan.array_id with
     | Some a -> a
@@ -603,8 +645,9 @@ let emit_diamond fmt ~(input_store : int -> cstore)
     | Some (Plan.P_member _) -> invalid_arg "C_emit: bad diamond init source"
   in
   (* the body of step [t] (1-based), reading iterate t-1 from [prev]
-     and writing iterate t to [dst] *)
-  let body t ~prev ~dst =
+     and writing iterate t to [dst]: over the whole grid, or over the
+     one row [row] *)
+  let body ?row t ~prev ~dst =
     let step = t - 1 in
     let m = dg.Plan.steps.(step) in
     let stores =
@@ -624,33 +667,70 @@ let emit_diamond fmt ~(input_store : int -> cstore)
         m.Plan.src_of
     in
     lines_of (fun fmt ->
-        emit_cases fmt ~member:m ~stores ~dst
+        emit_cases ?row fmt ~member:m ~stores ~dst
           ~lb:(Array.make dims "1")
           ~ub:(Array.map string_of_int dg.Plan.sizes)
-          ~indent:6)
+          ~indent:(if wave then 8 else 6))
   in
   let stage t = dg.Plan.steps.(t - 1).Plan.func.Func.name in
-  pf fmt "    { /* t = 1: stage %s */@," (stage 1);
-  List.iter (pf fmt "%s@,") (body 1 ~prev:init_store ~dst:(buf_of 1));
-  pf fmt "    }@,";
-  if nsteps > 1 then begin
-    let pin = { tmp_store with cname = "_pin" } in
-    let pout = { tmp_store with cname = "_pout" } in
-    pf fmt "    double *_pin = %s, *_pout = %s;@," (buf_of 1).cname
-      (buf_of 2).cname;
+  let pin = { tmp_store with cname = "_pin" } in
+  let pout = { tmp_store with cname = "_pout" } in
+  (* steps 2..T as runs of steps that print alike *)
+  let step_runs ?row () =
+    runs ~first:2
+      (List.init (nsteps - 1) (fun i ->
+           body ?row (i + 2) ~prev:(Some pin) ~dst:pout))
+  in
+  let run_comment ~indent a b =
+    pf fmt "%s/* t = %d..%d: stages %s */@," indent a b
+      (String.concat ", " (List.init (b - a + 1) (fun i -> stage (a + i))))
+  in
+  if wave then begin
+    let rows = dg.Plan.sizes.(0) in
+    pf fmt "    for (int _p = 1; _p <= %d; _p++) {@," (rows + nsteps - 1);
+    (* step [t] alone, at row _p - (t-1) while that is a grid row *)
+    let single t ~prev =
+      pf fmt "      if (_p >= %d && _p <= %d) { /* t = %d: stage %s */@," t
+        (rows + t - 1) t (stage t);
+      let row = if t = 1 then "_p" else Printf.sprintf "_p - %d" (t - 1) in
+      List.iter (pf fmt "%s@,") (body ~row t ~prev ~dst:(buf_of t));
+      pf fmt "      }@,"
+    in
+    single 1 ~prev:init_store;
     List.iter
       (fun (lines, a, b) ->
-        if a = b then pf fmt "    { /* t = %d: stage %s */@," a (stage a)
+        if a = b then single a ~prev:(Some (buf_of (a - 1)))
         else begin
-          pf fmt "    /* t = %d..%d: stages %s */@," a b
-            (String.concat ", " (List.init (b - a + 1) (fun i -> stage (a + i))));
-          pf fmt "    for (int _s = %d; _s <= %d; _s++) {@," a b
-        end;
-        List.iter (pf fmt "%s@,") lines;
-        pf fmt "      %s@,    }@," swap_ptrs)
-      (runs ~first:2
-         (List.init (nsteps - 1) (fun i ->
-              body (i + 2) ~prev:(Some pin) ~dst:pout)))
+          run_comment ~indent:"      " a b;
+          pf fmt "      for (int _s = max(%d, _p - %d); _s <= min(%d, _p); _s++) {@,"
+            a (rows - 1) b;
+          let odd = (buf_of 1).cname and even = (buf_of 2).cname in
+          pf fmt "        double *_pin = (_s & 1) ? %s : %s, *_pout = (_s & 1) ? %s : %s;@,"
+            even odd odd even;
+          List.iter (pf fmt "%s@,") lines;
+          pf fmt "      }@,"
+        end)
+      (step_runs ~row:"_p - (_s - 1)" ());
+    pf fmt "    }@,"
+  end
+  else begin
+    pf fmt "    { /* t = 1: stage %s */@," (stage 1);
+    List.iter (pf fmt "%s@,") (body 1 ~prev:init_store ~dst:(buf_of 1));
+    pf fmt "    }@,";
+    if nsteps > 1 then begin
+      pf fmt "    double *_pin = %s, *_pout = %s;@," (buf_of 1).cname
+        (buf_of 2).cname;
+      List.iter
+        (fun (lines, a, b) ->
+          if a = b then pf fmt "    { /* t = %d: stage %s */@," a (stage a)
+          else begin
+            run_comment ~indent:"    " a b;
+            pf fmt "    for (int _s = %d; _s <= %d; _s++) {@," a b
+          end;
+          List.iter (pf fmt "%s@,") lines;
+          pf fmt "      %s@,    }@," swap_ptrs)
+        (step_runs ())
+    end
   end;
   pf fmt "  }@,"
 

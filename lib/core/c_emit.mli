@@ -12,9 +12,13 @@
     The kernel is serial: it carries no parallel loop.  The emitted
     code computes what the engine computes: ghost rims are filled (by
     one rim-only helper per rank), own slices are published to the full
-    arrays, and a diamond chain runs as a plain step loop over the whole
-    grid: its first step, then one loop over the steps that print alike,
-    swapping the two ping-pong buffer pointers after each step.  The
+    arrays, and a diamond chain runs over the whole grid in one of two
+    loop orders ({!wavefront} picks it): a row wavefront, one loop over
+    positions [_p] at which step s computes row [_p - (s-1)], or a step
+    loop, its first step and then one loop over the steps that print
+    alike, swapping the two ping-pong buffer pointers after each step.
+    Either computes every (step, row) from the same rows in the same
+    term order, so both are bit-identical to the tiled schedule.  The
     pipeline allocates nothing: it writes its outputs into
     the caller's buffers, as [Exec.run] does, and places every other
     array at an emit-time offset of a caller-provided arena
@@ -43,6 +47,13 @@ val pipeline_symbol : Plan.t -> string
     declared by {!emit} — the symbol {!Native} wraps and calls.  Its
     parameters are [N], the input buffers, the output buffers (in
     [Plan.output_arrays] order) and the arena. *)
+
+val wavefront : Plan.diamond_group -> bool
+(** Whether {!emit} prints the chain as a row wavefront rather than a
+    step loop: a 2-D chain whose buffer outgrows the L1 of
+    {!Cost.cache_levels} (65x65 doubles with ghosts, and larger).  A
+    grid that fits L1 gains nothing from the skew, and a 3-D plane
+    wavefront measured slower than the step loop. *)
 
 val arena_bytes : Plan.t -> int
 (** Bytes of the arena the emitted pipeline takes last: every non-output

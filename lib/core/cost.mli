@@ -64,9 +64,13 @@ type t = {
       (** arithmetic intensity: FLOPs per DRAM byte moved (read+write) *)
 }
 
+val cache_levels : (string * int) list
+(** The cache hierarchy, smallest first: [("L1", 32 KiB)], [("L2", 1
+    MiB)], [("L3", 32 MiB)].  {!C_emit} reads its L1 too. *)
+
 val of_plan : Plan.t -> t
-(** A group's [fits_in] places its working set in a 32 KiB L1, a 1 MiB
-    L2 or a 32 MiB L3, else DRAM. *)
+(** A group's [fits_in] places its working set in the first of
+    {!cache_levels} that holds it, else DRAM. *)
 
 val stage_bytes : stage -> int
 (** DRAM bytes moved by the stage: [dram_read + dram_write]. *)

@@ -12,7 +12,7 @@
 
    Compiled kernels are built for the CPU that runs them (-march=native)
    and cached on disk keyed by plan digest + compiler identity + host
-   CPU fingerprint + flags + emitter version.  Installs go through
+   CPU fingerprint + flags + the digest of the emitter's sources.  Installs go through
    Snapshot.atomic_write_string (temp + fsync + rename), and every
    cached .so carries a CRC-32 sidecar that is re-verified before
    dlopen — concurrent solves never observe a torn shared object, and a
@@ -34,7 +34,9 @@ external ncall : nativeint -> Buf.data array -> int = "polymg_native_call"
 
 exception Unavailable of string
 
-let emitter_version = "polymg.native/5"
+external build_emitter_digest : unit -> string = "polymg_native_emitter_digest"
+
+let emitter_digest = build_emitter_digest ()
 let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
 (* At -O1 gcc inserts vzeroupper only with -fexpensive-optimizations;
@@ -198,7 +200,7 @@ let entry_source (plan : Plan.t) =
     let b = Buffer.create 65536 in
     let pf fmt = Printf.bprintf b fmt in
     Buffer.add_string b (C_emit.to_string plan);
-    pf "\n/* ---- native backend glue (%s) ---- */\n\n" emitter_version;
+    pf "\n/* ---- native backend glue (emitter %s) ---- */\n\n" emitter_digest;
     pf "int %s(double **bufs)\n{\n" entry_symbol;
     pf "  %s(%d, %s);\n" (C_emit.pipeline_symbol plan) plan.Plan.n
       (String.concat ", " (List.init nbufs (Printf.sprintf "bufs[%d]")));
@@ -208,11 +210,10 @@ let entry_source (plan : Plan.t) =
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                           *)
 
-let key ~digest ~compiler_id ~host =
+let key ~emitter ~digest ~compiler_id ~host =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00"
-          [ emitter_version; digest; compiler_id; host; cflags ]))
+       (String.concat "\x00" [ emitter; digest; compiler_id; host; cflags ]))
 
 (* Memoized by (plan uid, compiler), like [Plan.digest] by uid: every
    other input of [key] is fixed per process, and [cc ()] still picks
@@ -226,8 +227,8 @@ let cache_key (plan : Plan.t) ~compiler =
   | Some k -> k
   | None ->
     let k =
-      key ~digest:(Plan.digest plan) ~compiler_id:(compiler_identity compiler)
-        ~host:(host_fingerprint ())
+      key ~emitter:emitter_digest ~digest:(Plan.digest plan)
+        ~compiler_id:(compiler_identity compiler) ~host:(host_fingerprint ())
     in
     Mutex.protect key_memo_lock (fun () -> Hashtbl.replace key_memo memo k);
     k

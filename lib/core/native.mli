@@ -80,13 +80,21 @@ val host_fingerprint : unit -> string
     implementer, part and features lines on arm64); empty where that
     file cannot be read.  Read once per process; starts no process. *)
 
-val key : digest:string -> compiler_id:string -> host:string -> string
-(** The pure kernel key: a hex digest over the emitter version, a plan
+val emitter_digest : string
+(** The MD5 of the sources that print a kernel's C ([c_emit.ml] and
+    [native.ml]), taken when the library is built: any change to them
+    moves every {!cache_key}, so a kernel cache never serves a kernel
+    an older emitter printed. *)
+
+val key :
+  emitter:string -> digest:string -> compiler_id:string -> host:string -> string
+(** The pure kernel key: a hex digest over an {!emitter_digest}, a plan
     digest, a {!compiler_identity}, a {!host_fingerprint} and
     {!cflags}. *)
 
 val cache_key : Plan.t -> compiler:string -> string
-(** [key] of the plan's digest, the compiler's identity and this host:
+(** [key] of this build's {!emitter_digest}, the plan's digest, the
+    compiler's identity and this host:
     a kernel built on one CPU is never loaded by a cache shared with
     another. *)
 

@@ -17,6 +17,8 @@
 
 #include <dlfcn.h>
 
+#include "emitter_digest.h"
+
 #define POLYMG_MAX_BUFS 64
 
 CAMLprim value polymg_native_dlopen(value vpath)
@@ -70,4 +72,12 @@ CAMLprim value polymg_native_call(value ventry, value vbufs)
   rc = entry(ptrs);
   caml_leave_blocking_section();
   CAMLreturn(Val_int(rc));
+}
+
+/* The MD5 of the sources that print a kernel's C, taken by the build
+   (emitter_digest.h): part of every kernel's cache key. */
+CAMLprim value polymg_native_emitter_digest(value unit)
+{
+  (void) unit;
+  return caml_copy_string(POLYMG_EMITTER_DIGEST);
 }

@@ -233,13 +233,97 @@ let written l =
       Some (String.sub l 0 i)
     | _ -> None)
 
-(* Every diamond chain whose steps 2..T compute alike is step 1 unrolled
-   and one [for (int _s = 2; _s <= T; _s++)] loop; its comments name
-   every step's stage; each step writes through [_pout] and then swaps
-   the pointers, so with the pointers' first values step 1 fills the
-   modulo buffer and step T the chain's output array. *)
-let test_step_loops () =
-  each_emitted (fun what plan s ->
+(* The plans [test_chain_loop_order] reads: [each_emitted]'s, whose
+   2-D grids all fit L1, and the 2-D dtile-opt+ shapes whose finest
+   chains do not (65x65, 129x129 and, at 8 levels, 257x257 with
+   ghosts). *)
+let chain_plans f =
+  each_emitted f;
+  List.iter
+    (fun ((cfg : Cycle.config), n) ->
+      let plan = plan_of ~opts:Options.dtile_opt_plus ~n cfg in
+      f
+        (Printf.sprintf "%s L%d dtile-opt+ n=%d" (Cycle.bench_name cfg)
+           cfg.Cycle.levels n)
+        plan (C_emit.to_string plan))
+    [ (vcfg, 64);
+      (Cycle.default ~dims:2 ~shape:Cycle.W ~smoothing:(4, 4, 4), 128);
+      ({ vcfg with Cycle.levels = 8 }, 256) ]
+
+(* The steps of a row wavefront's lines, as (step, stores read, store
+   written).  Each [const int i = ROW;] opens one step's row: [_p] is
+   step 1, [_p - D] step D+1, and [_p - (_s - 1)] every step of the
+   [_s] loop before it, whose buffers come from the [_s]-parity select
+   of [_pin] and [_pout]. *)
+let wave_steps ~w ~rows lines =
+  let run = ref None and select = ref None and blocks = ref [] in
+  List.iter
+    (fun l ->
+      match Scanf.sscanf_opt l "const int i = %[^;];%!" Fun.id with
+      | Some row -> blocks := (row, !run, !select, ref []) :: !blocks
+      | None ->
+        Option.iter
+          (fun (a, r, b) ->
+            check_int (w ^ ": the _s loop keeps each row in the grid") (rows - 1) r;
+            run := Some (a, b))
+          (Scanf.sscanf_opt l
+             "for (int _s = max(%d, _p - %d); _s <= min(%d, _p); _s++) {%!"
+             (fun a r b -> (a, r, b)));
+        Option.iter
+          (fun sel -> select := Some sel)
+          (Scanf.sscanf_opt l
+             "double *_pin = (_s & 1) ? %[_a-z0-9] : %[_a-z0-9], *_pout = (_s & 1) ? %[_a-z0-9] : %[_a-z0-9];%!"
+             (fun a b c d -> ((a, b), (c, d))));
+        (match !blocks with (_, _, _, ls) :: _ -> ls := l :: !ls | [] -> ()))
+    lines;
+  List.concat_map
+    (fun (row, run, select, ls) ->
+      let ls = List.rev !ls in
+      let reads =
+        List.filter_map
+          (fun l -> Scanf.sscanf_opt l "const double *_r%_d = %[_a-zA-Z0-9] " Fun.id)
+          ls
+      in
+      let writes =
+        match List.find_map written ls with
+        | Some x -> x
+        | None -> Alcotest.failf "%s: row %s writes nothing" w row
+      in
+      match (row, run, select) with
+      | "_p - (_s - 1)", Some (a, b), Some ((pin_odd, pin_even), (pout_odd, pout_even))
+        ->
+        List.init (b - a + 1) (fun k ->
+            let s = a + k in
+            let pick odd even = if s land 1 = 1 then odd else even in
+            let sub x =
+              if x = "_pin" then pick pin_odd pin_even
+              else if x = "_pout" then pick pout_odd pout_even
+              else x
+            in
+            (s, List.map sub reads, sub writes))
+      | "_p", _, _ -> [ (1, reads, writes) ]
+      | _ -> (
+        match Scanf.sscanf_opt row "_p - %d%!" Fun.id with
+        | Some d -> [ (d + 1, reads, writes) ]
+        | None -> Alcotest.failf "%s: a step at row %s" w row))
+    (List.rev !blocks)
+
+(* Every diamond chain runs in the loop order [C_emit.wavefront] picks:
+   2-D chains of 65x65 (ghosts included) and larger as a row
+   wavefront, the others as a step loop.  Either way its comments name
+   every step's stage, and the steps 2..T that compute alike are one
+   [_s] loop.
+   - Row wavefront: one [for (int _p ...)] loop over R + T - 1
+     positions, step s at row [_p - (s-1)], with no whole-grid nest
+     and no pointer swap; step s writes iterate s's buffer (so step 1
+     the modulo buffer and step T the output array) and reads iterate
+     s-1's.
+   - Step loop: step 1 unrolled, then each step writes through [_pout]
+     and swaps the pointers, so with the pointers' first values step 1
+     fills the modulo buffer and step T the chain's output array. *)
+let test_chain_loop_order () =
+  let waves = ref 0 and loops = ref 0 in
+  chain_plans (fun what plan s ->
       let sections = group_sections s in
       Array.iteri
         (fun gi g ->
@@ -249,9 +333,18 @@ let test_step_loops () =
             let lines = List.nth sections gi in
             let w = Printf.sprintf "%s: group %d" what gi in
             let nsteps = Array.length dg.Plan.steps in
-            let loops =
-              List.filter (String.starts_with ~prefix:"for (int _s") lines
-            in
+            let rows = dg.Plan.sizes.(0) in
+            let wave = C_emit.wavefront dg in
+            check_bool (w ^ ": a wavefront iff 2-D and at least 65x65")
+              (Array.length dg.Plan.sizes = 2 && rows + 2 >= 65)
+              wave;
+            Array.iter
+              (fun (m : Plan.member) ->
+                check_bool (w ^ ": names stage " ^ m.Plan.func.Repro_ir.Func.name) true
+                  (List.exists (fun l -> contains l m.Plan.func.Repro_ir.Func.name) lines))
+              dg.Plan.steps;
+            let s_loops = List.filter (String.starts_with ~prefix:"for (int _s") lines in
+            let p_loops = List.filter (String.starts_with ~prefix:"for (int _p") lines in
             let alike =
               nsteps > 2
               && List.for_all
@@ -261,54 +354,88 @@ let test_step_loops () =
                      && List.for_all Option.is_some cases)
                    (List.init (nsteps - 1) (fun i -> i + 1))
             in
-            if alike then
-              check_bool (w ^ ": steps 2..T are one step loop") true
-                (loops = [ Printf.sprintf "for (int _s = 2; _s <= %d; _s++) {" nsteps ]);
-            Array.iter
-              (fun (m : Plan.member) ->
-                check_bool (w ^ ": names stage " ^ m.Plan.func.Repro_ir.Func.name) true
-                  (List.exists (fun l -> contains l m.Plan.func.Repro_ir.Func.name) lines))
-              dg.Plan.steps;
-            if nsteps > 1 then begin
-              let out =
-                Printf.sprintf "_arr_%d"
-                  (Option.get dg.Plan.steps.(nsteps - 1).Plan.array_id)
-              in
-              let tmp = Printf.sprintf "_dtmp_%d" dg.Plan.gid in
-              let pin, pout =
-                match
+            let out =
+              Printf.sprintf "_arr_%d"
+                (Option.get dg.Plan.steps.(nsteps - 1).Plan.array_id)
+            in
+            let tmp = Printf.sprintf "_dtmp_%d" dg.Plan.gid in
+            if wave then begin
+              incr waves;
+              check_bool (w ^ ": one _p loop over R + T - 1 positions") true
+                (p_loops
+                 = [ Printf.sprintf "for (int _p = 1; _p <= %d; _p++) {" (rows + nsteps - 1) ]);
+              check_bool (w ^ ": every step computes one row, with no swap") false
+                (List.exists (String.starts_with ~prefix:"for (int i ") lines
+                 || List.mem swap_line lines);
+              if alike then
+                check_bool (w ^ ": steps 2..T are one _s loop") true
+                  (s_loops
+                   = [ Printf.sprintf
+                         "for (int _s = max(2, _p - %d); _s <= min(%d, _p); _s++) {"
+                         (rows - 1) nsteps ]);
+              let steps = wave_steps ~w ~rows lines in
+              check_bool (w ^ ": steps 1..T, each at one row") true
+                (List.sort compare (List.map (fun (s, _, _) -> s) steps)
+                 = List.init nsteps (fun i -> i + 1));
+              (* iterate t's buffer: the last one lands in the output *)
+              let buf t = if (nsteps - t) mod 2 = 0 then out else tmp in
+              List.iter
+                (fun (s, reads, writes) ->
+                  check_bool (Printf.sprintf "%s: step %d writes %s" w s (buf s)) true
+                    (writes = buf s);
+                  if s > 1 then
+                    check_bool
+                      (Printf.sprintf "%s: step %d reads %s" w s (buf (s - 1)))
+                      true
+                      (List.mem (buf (s - 1)) reads))
+                steps;
+              check_bool (w ^ ": step 1 fills the modulo buffer") true
+                (nsteps mod 2 = 1 || buf 1 = tmp)
+            end
+            else begin
+              incr loops;
+              check_int (w ^ ": no _p loop") 0 (List.length p_loops);
+              if alike then
+                check_bool (w ^ ": steps 2..T are one step loop") true
+                  (s_loops = [ Printf.sprintf "for (int _s = 2; _s <= %d; _s++) {" nsteps ]);
+              if nsteps > 1 then begin
+                let pin, pout =
+                  match
+                    List.filter_map
+                      (fun l ->
+                        Scanf.sscanf_opt l "double *_pin = %[_a-z0-9], *_pout = %[_a-z0-9];%!"
+                          (fun a b -> (a, b)))
+                      lines
+                  with
+                  | [ p ] -> p
+                  | _ -> Alcotest.failf "%s: no single pointer initialization" w
+                in
+                let step1 = List.find_map written lines in
+                check_bool (w ^ ": step 1 fills the modulo buffer, _pin's first value")
+                  true
+                  (step1 = Some tmp && pin = tmp);
+                check_bool (w ^ ": step T lands in the output array") true
+                  ((if (nsteps - 2) mod 2 = 0 then pout else pin) = out);
+                let events =
                   List.filter_map
                     (fun l ->
-                      Scanf.sscanf_opt l "double *_pin = %[_a-z0-9], *_pout = %[_a-z0-9];%!"
-                        (fun a b -> (a, b)))
+                      if l = swap_line then Some `Swap
+                      else if written l = Some "_pout" then Some `Write
+                      else None)
                     lines
-                with
-                | [ p ] -> p
-                | _ -> Alcotest.failf "%s: no single pointer initialization" w
-              in
-              let step1 = List.find_map written lines in
-              check_bool (w ^ ": step 1 fills the modulo buffer, _pin's first value")
-                true
-                (step1 = Some tmp && pin = tmp);
-              check_bool (w ^ ": step T lands in the output array") true
-                ((if (nsteps - 2) mod 2 = 0 then pout else pin) = out);
-              let events =
-                List.filter_map
-                  (fun l ->
-                    if l = swap_line then Some `Swap
-                    else if written l = Some "_pout" then Some `Write
-                    else None)
-                  lines
-              in
-              let rec alternate = function
-                | `Write :: `Swap :: rest -> alternate rest
-                | [] -> true
-                | _ -> false
-              in
-              check_bool (w ^ ": each step writes _pout, then swaps") true
-                (events <> [] && alternate events)
+                in
+                let rec alternate = function
+                  | `Write :: `Swap :: rest -> alternate rest
+                  | [] -> true
+                  | _ -> false
+                in
+                check_bool (w ^ ": each step writes _pout, then swaps") true
+                  (events <> [] && alternate events)
+              end
             end)
         plan.Plan.groups);
+  check_bool "some chains run as row wavefronts, some as step loops" true
+    (!waves > 0 && !loops > 0);
   (* the coarse chain's zero-guess first step reads no previous iterate:
      it stays unrolled before the loop over steps 2..4 *)
   let plan = plan_of ~opts:Options.dtile_opt_plus vcfg in
@@ -447,7 +574,7 @@ let () =
           Alcotest.test_case "scratch reuse" `Quick test_emit_scratch_reuse_visible;
           Alcotest.test_case "diamond" `Quick test_emit_diamond_marker;
           Alcotest.test_case "flat tile loop" `Quick test_flat_tile_loop;
-          Alcotest.test_case "step loops" `Quick test_step_loops;
+          Alcotest.test_case "chain loop order" `Quick test_chain_loop_order;
           Alcotest.test_case "non-affine stage is a #error" `Quick
             test_gen_case_is_error;
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;

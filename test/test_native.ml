@@ -556,13 +556,33 @@ let prop_cache_key_host =
       let k = key () in
       let host = Native.host_fingerprint () in
       let pure host =
-        Native.key ~digest:(digest_of c ~n:16)
+        Native.key ~emitter:Native.emitter_digest ~digest:(digest_of c ~n:16)
           ~compiler_id:(Native.compiler_identity compiler) ~host
       in
       k = key ()
       && k = in_child key
       && k = pure host
       && (other = host || pure other <> k))
+
+(* The key follows the sources that print the C: the build folds their
+   digest in, so an emitter change never loads a kernel an older
+   emitter printed, whatever the cache directory holds. *)
+let test_key_per_emitter () =
+  let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let plan = Solver.polymg_plan cfg ~n:32 ~opts:Options.dtile_opt_plus in
+  let compiler = Option.value (Native.cc ()) ~default:"cc" in
+  let key emitter =
+    Native.key ~emitter ~digest:(Plan.digest plan)
+      ~compiler_id:(Native.compiler_identity compiler)
+      ~host:(Native.host_fingerprint ())
+  in
+  Alcotest.(check string) "the cache key is this build's emitter's"
+    (key Native.emitter_digest) (Native.cache_key plan ~compiler);
+  check_bool "the emitter digest is an MD5" true
+    (String.length Native.emitter_digest = 32);
+  check_bool "another emitter's digest moves the key" true
+    (key (Digest.to_hex (Digest.string "another emitter"))
+     <> key Native.emitter_digest)
 
 let properties =
   List.map
@@ -577,7 +597,9 @@ let () =
   Alcotest.run "native"
     [ ( "identity",
         Qc_replay.to_alcotest_list
-          [ prop_digest_stable; prop_digest_perturbed; prop_cache_key_host ] );
+          [ prop_digest_stable; prop_digest_perturbed; prop_cache_key_host ]
+        @ [ Alcotest.test_case "kernel key: per emitter source" `Quick
+              test_key_per_emitter ] );
       ( "backend",
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
