@@ -13,7 +13,7 @@
 
     Compiled kernels are cached on disk under {!cache_dir}, keyed by
     plan digest + compiler identity + host CPU fingerprint + flags +
-    emitter version ({!key})
+    the digest of the emitter's sources ({!emitter_digest}, {!key})
     ([<key>.c], [<key>.so], [<key>.meta], [<key>.log]).  The [.so] is
     installed with {!Repro_runtime.Snapshot.atomic_write_string} and
     carries a CRC-32 sidecar re-verified before every [dlopen]: a torn
