@@ -48,11 +48,14 @@ let access_str (a : Expr.access) x =
 (* Storage binding of a stage's array/scratchpad: the value at grid
    coordinate [x] lives at [name[Σ (x_k − org_k)·strides_k]].  Strides and
    origins are C expressions: integer literals for full arrays, runtime
-   bound variables for per-tile scratchpads. *)
+   bound variables for per-tile scratchpads.  A row ring ([cring = Some
+   len], rank 2) keeps row [x_0] at [x_0 % len]: its value lives at
+   [name[(x_0 % len)·strides_0 + (x_1 − org_1)]]. *)
 type cstore = {
   cname : string;
   cstrides : string array;
   corg : string array;
+  cring : int option;
 }
 
 (* Dimension [k]'s part of a store index: [(idx_k - org_k)*stride_k]. *)
@@ -82,7 +85,8 @@ let zeros d = Array.make d "0"
 let full_store name sizes =
   { cname = name;
     cstrides = int_strs (Grid.strides_of (Array.map (fun s -> s + 2) sizes));
-    corg = zeros (Array.length sizes) }
+    corg = zeros (Array.length sizes);
+    cring = None }
 
 (* ------------------------------------------------------------------ *)
 (* Loop-nest emitters                                                   *)
@@ -106,15 +110,33 @@ let affine_of (a : Expr.access) x =
    access, which keeps gcc from spilling in the 3-D stencils.  Another
    access keeps [index_str].  [rows] collects the pointers, keyed by
    (write, initializer): [_w] for the written store, [_r0], [_r1], ...
-   for the read ones. *)
+   for the read ones.  A ring's row pointer is [store + (row % len)*W],
+   one per row it reads. *)
 let row_ref ~coords ~rows ~write store accs =
   let d = Array.length accs in
+  let pointer init =
+    match List.assoc_opt (write, init) !rows with
+    | Some n -> n
+    | None ->
+      let reads = List.filter (fun ((w, _), _) -> not w) !rows in
+      let n = if write then "_w" else Printf.sprintf "_r%d" (List.length reads) in
+      rows := !rows @ [ ((write, init), n) ];
+      n
+  in
   let outer =
     List.filter_map (fun k -> affine_of accs.(k) (coords k)) (List.init (d - 1) Fun.id)
   in
-  if List.length outer < d - 1 then
+  match store.cring with
+  | Some len ->
+    let init =
+      Printf.sprintf "%s + (%s %% %d)*%s" store.cname
+        (access_str accs.(0) (coords 0)) len store.cstrides.(0)
+    in
+    Printf.sprintf "%s[%s]" (pointer init)
+      (dim_index_str store 1 (access_str accs.(1) (coords 1)))
+  | None when List.length outer < d - 1 ->
     Printf.sprintf "%s[%s]" store.cname (index_str ~coords store accs)
-  else begin
+  | None -> begin
     let init =
       String.concat " + "
         (store.cname
@@ -132,15 +154,7 @@ let row_ref ~coords ~rows ~write store accs =
                    else [ dim_index_str store k v ])
                  outer))
     in
-    let name =
-      match List.assoc_opt (write, init) !rows with
-      | Some n -> n
-      | None ->
-        let reads = List.filter (fun ((w, _), _) -> not w) !rows in
-        let n = if write then "_w" else Printf.sprintf "_r%d" (List.length reads) in
-        rows := !rows @ [ ((write, init), n) ];
-        n
-    in
+    let name = pointer init in
     (* the outer constants, summed where the stride is a literal *)
     let signed e c x = Printf.sprintf "%s %c %s" e (if c < 0 then '-' else '+') x in
     let lit, idx =
@@ -158,6 +172,24 @@ let row_ref ~coords ~rows ~write store accs =
     Printf.sprintf "%s[%s]" name idx
   end
 
+(* A linear case's right-hand side: [base], then the terms left to
+   right, [read pos accs] printing each load. *)
+let lin_parts ~read base (terms : Compile.term array) =
+  (if base <> 0.0 then [ fstr base ] else [])
+  @ Array.to_list
+      (Array.map
+         (fun (t : Compile.term) ->
+           Printf.sprintf "%.17g * %s" t.Compile.coef (read t.Compile.pos t.Compile.accs))
+         terms)
+
+let sum parts = if parts = [] then "0.0" else String.concat " + " parts
+
+let gen_error fmt pad (m : Plan.member) =
+  (* no C form: the printed C fails to compile, naming the stage
+     ([runnable] keeps such plans from the compiler) *)
+  pf fmt "%s#error \"stage %s: non-affine definition (Gen kernel)\"@," pad
+    (String.escaped m.Plan.func.Func.name)
+
 (* The compute cases of [member] over the inclusive bounds [lb..ub]
    (C expressions, typically hoisted variables), writing through [dst]
    and reading producers through [stores] — the engine's
@@ -169,10 +201,27 @@ let row_ref ~coords ~rows ~write store accs =
    computes.  A zero fill gets no pragma: gcc turns it into memset.
    With [row], coordinate 0 is not looped over: it is declared
    [const int i = row;] and the rest of the nest runs that one row, in
-   the caller's block (a row wavefront's step: one plain case). *)
-let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
+   the caller's block (a row wavefront's step: one plain case).
+   [inner_bounds] lists the innermost bounds' values (per tile), when [lb] and
+   [ub] are not literals: a loop with at most one point in every tile
+   gets no pragma, as there is nothing to vectorize. *)
+let emit_cases ?row ?inner_bounds fmt ~(member : Plan.member) ~(stores : cstore array)
     ~(dst : cstore) ~(lb : string array) ~(ub : string array) ~indent =
   let dims = member.Plan.func.Func.dims in
+  let inner_bounds =
+    match (inner_bounds, int_of_string_opt lb.(dims - 1), int_of_string_opt ub.(dims - 1)) with
+    | Some r, _, _ -> r
+    | None, Some a, Some b -> [ (a, b) ]
+    | None, _, _ -> []
+  in
+  let one_point x =
+    inner_bounds <> []
+    && List.for_all
+         (fun (a, b) ->
+           if x.scale = 1 then b <= a
+           else Box.fdiv (b - x.phase) 2 <= Box.fdiv (a + 1 - x.phase) 2)
+         inner_bounds
+  in
   let pad = String.make indent ' ' in
   let cases = member.Plan.compiled.Compile.cases in
   (match (row, cases) with
@@ -183,11 +232,7 @@ let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
   List.iter
     (fun (case : Compile.case_t) ->
       match case.Compile.kernel with
-      | Compile.Gen _ ->
-        (* no C form: the printed C fails to compile, naming the
-           stage ([runnable] keeps such plans from the compiler) *)
-        pf fmt "%s#error \"stage %s: non-affine definition (Gen kernel)\"@," pad
-          (String.escaped member.Plan.func.Func.name)
+      | Compile.Gen _ -> gen_error fmt pad member
       | Compile.Lin { base; terms } ->
         let coords =
           match case.Compile.parity with
@@ -205,13 +250,7 @@ let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
         in
         let target = ref_ ~write:true dst (self_accs dims) in
         let parts =
-          (if base <> 0.0 then [ fstr base ] else [])
-          @ Array.to_list
-              (Array.map
-                 (fun (t : Compile.term) ->
-                   Printf.sprintf "%.17g * %s" t.Compile.coef
-                     (ref_ ~write:false stores.(t.Compile.pos) t.Compile.accs))
-                 terms)
+          lin_parts base terms ~read:(fun pos accs -> ref_ ~write:false stores.(pos) accs)
         in
         let inner = depth (dims - 1) in
         (* the loop over coordinate [dims - 2] opens a block for the
@@ -238,7 +277,8 @@ let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
                   (if write then "" else "const ")
                   n init)
               !rows;
-            if parts <> [] then pf fmt "%s%s#pragma omp simd@," pad inner
+            if parts <> [] && not (one_point x) then
+              pf fmt "%s%s#pragma omp simd@," pad inner
           end;
           match row with
           | Some r when k = 0 -> pf fmt "%sconst int %s = %s;@," pad x.name r
@@ -247,8 +287,7 @@ let emit_cases ?row fmt ~(member : Plan.member) ~(stores : cstore array)
               x.name from x.name upto x.name
               (if k = dims - 2 && braced then " {" else "")
         done;
-        pf fmt "%s%s%s = %s;@," pad (depth dims) target
-          (if parts = [] then "0.0" else String.concat " + " parts);
+        pf fmt "%s%s%s = %s;@," pad (depth dims) target (sum parts);
         if braced then pf fmt "%s%s}@," pad (depth (dims - 2)))
     cases
 
@@ -429,6 +468,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
         (String.concat "; " (List.rev slot_users.(s)));
       pf fmt "%sdouble _buf_%d_%d[%d];@," pad tg.Plan.gid s len)
     tg.Plan.scratch_slot_len;
+  (* member [p]'s innermost bounds in each tile, [pick] from its boxes *)
+  let inner_bounds p pick = Array.to_list (Array.map (fun bs -> pick bs.(p)) boxes) in
   (* names of the hoisted per-member bound/stride variables *)
   let rvar p k lo = Printf.sprintf "%s%d_%d" (if lo then "lb_" else "ub_") p k in
   let cvar p k lo = Printf.sprintf "%s%d_%d" (if lo then "cl_" else "cu_") p k in
@@ -439,7 +480,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
     | Some s ->
       { cname = Printf.sprintf "_buf_%d_%d" tg.Plan.gid s;
         cstrides = Array.init dims (svar p);
-        corg = Array.init dims (fun k -> rvar p k true) }
+        corg = Array.init dims (fun k -> rvar p k true);
+        cring = None }
     | None -> invalid_arg "C_emit: scratch read of an unbuffered member"
   in
   Array.iteri
@@ -484,6 +526,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
           ~ub:(Array.init dims (fun k -> rvar p k false))
           ~msz ~bnd:m.Plan.compiled.Compile.boundary ~indent:(indent + 2);
         emit_cases fmt ~member:m ~stores ~dst
+          ~inner_bounds:(inner_bounds p (fun (r, _) ->
+              (max r.Box.lo.(dims - 1) 1, min r.Box.hi.(dims - 1) msz.(dims - 1))))
           ~lb:(Array.init dims (fun k -> cvar p k true))
           ~ub:(Array.init dims (fun k -> cvar p k false))
           ~indent:(indent + 2);
@@ -514,6 +558,7 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             own_bounds.(p);
           pf fmt "%s{ /* stage %s */@," pad m.Plan.func.Func.name;
           emit_cases fmt ~member:m ~stores
+            ~inner_bounds:(inner_bounds p (fun (_, o) -> (o.Box.lo.(dims - 1), o.Box.hi.(dims - 1))))
             ~dst:(array_store a ~of_func:m.Plan.func.Func.id)
             ~lb:(Array.init dims (fun k -> ovar p k true))
             ~ub:(Array.init dims (fun k -> ovar p k false))
@@ -524,6 +569,422 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             (m.Plan.func.Func.name ^ ": member with neither scratch nor array")))
       )
     members;
+  pf fmt "  }@,"
+
+(* ------------------------------------------------------------------ *)
+(* Loop order of a group ([wavefront]): which groups run over whole
+   rows instead of their tiles or their step loop. *)
+
+let outgrows_l1 sizes =
+  Array.length sizes = 2
+  && 8 * Grid.ghosted_len sizes > List.assoc "L1" Cost.cache_levels
+
+(* A 2-D group runs row by row when its reference buffer outgrows the
+   L1: a whole-grid sweep then streams every stage through L2, and a
+   tile's scratchpads (132 KB for the 257x257 defect) do not fit L1
+   either.  A chain must also be 2-D, and an overlapped group's tiles
+   must span whole rows (the presets' 32x256 tiles up to 257x257).  A
+   grid that fits L1 gains nothing from the skew, and the 3-D plane
+   wavefront measured slower than the step loop. *)
+let wavefront = function
+  | Plan.G_diamond dg -> outgrows_l1 dg.Plan.sizes
+  | Plan.G_tiled tg ->
+    let refm = Regions.reference tg.Plan.geom in
+    outgrows_l1 refm.Regions.sizes
+    && Array.for_all (fun (m : Plan.member) -> m.Plan.func.Func.dims = 2) tg.Plan.members
+    && Array.for_all
+         (fun (t : Box.t) -> t.Box.lo.(1) = 1 && t.Box.hi.(1) = refm.Regions.sizes.(1))
+         tg.Plan.tiles
+
+(* ------------------------------------------------------------------ *)
+(* Row pipeline emission: an overlapped group that [wavefront] picks
+   runs over whole rows of the whole grid, in one loop over positions
+   [_p], instead of over its tiles.
+
+   Each member that is stored (a "unit") computes row i at position
+   [_p = k*i + lag]: [k] is 2^(levels it is coarser than the group's
+   finest member), and [lag] is the least that puts every row it reads
+   of an in-group producer at or before its own position (the
+   producer runs first at a shared position).  So a restriction
+   computes coarse row I at the position of fine row 2I+1, the last
+   it reads.  Members are stored as:
+   - a live-out: its full array (ghost rim filled before the loop, as
+     for the tiles); in-group readers read the array;
+   - an inlined member: a scratch member read only by one plain
+     consumer of its size, at offset 0, is a local double computed
+     inside that consumer's loop, at the consumer's point;
+   - any other scratch member: a ring of [len] rows, row x at slot
+     [x % len], [len] the most rows a reader still needs when the
+     member writes (3 for a 5-point stencil or full weighting).  Its
+     demand rows outside the grid are filled with the boundary value at
+     their positions, its ghost columns once before the loop.
+   A stage with parity cases computes both column parities of a row in
+   one loop over the half index [jh], so every store is contiguous; a
+   half index only one parity has is a short loop beside it.
+
+   Every point is computed once, from the values the tiles read (their
+   redundant overlap computes the same values again), in the same term
+   order, so results are bit-identical. *)
+
+type row_role = Out of int | Ring | Inline of int
+
+let row_expr k lag =
+  let p =
+    if lag = 0 then "_p"
+    else Printf.sprintf "_p %c %d" (if lag > 0 then '-' else '+') (abs lag)
+  in
+  if k = 1 then p else Printf.sprintf "(%s) / %d" p k
+
+let emit_rows fmt ~(input_store : int -> cstore)
+    ~(array_store : int -> of_func:int -> cstore) (tg : Plan.tiled_group) =
+  let refm = Regions.reference tg.Plan.geom in
+  let members = tg.Plan.members in
+  let nm = Array.length members in
+  let gid = tg.Plan.gid in
+  let name p = members.(p).Plan.func.Func.name in
+  let cases p = members.(p).Plan.compiled.Compile.cases in
+  let boxes = Plan.tile_boxes tg ~tile:(Box.of_sizes refm.Regions.sizes) in
+  let region p = fst boxes.(p) and rows_of p = members.(p).Plan.sizes.(0) in
+  let all = List.init nm Fun.id in
+  let readers q = List.filter (fun c -> Array.mem (Plan.P_member q) members.(c).Plan.src_of) all in
+  let linear p =
+    List.for_all
+      (fun (k : Compile.case_t) ->
+        match k.Compile.kernel with Compile.Lin _ -> true | Compile.Gen _ -> false)
+      (cases p)
+  in
+  (* [c] is one plain case whose every load of [q] is at offset 0 *)
+  let at_offset_0 c q =
+    match cases c with
+    | [ { Compile.parity = None; kernel = Compile.Lin { terms; _ } } ] ->
+      Array.for_all
+        (fun (t : Compile.term) ->
+          members.(c).Plan.src_of.(t.Compile.pos) <> Plan.P_member q
+          || t.Compile.accs = Expr.id_access 2)
+        terms
+    | _ -> false
+  in
+  let roles = Array.make nm Ring in
+  (* a stored member: a unit of the [_p] loop *)
+  let is_unit p = match roles.(p) with Inline _ -> false | Out _ | Ring -> true in
+  for p = nm - 1 downto 0 do
+    roles.(p) <-
+      (match (members.(p).Plan.array_id, readers p) with
+      | Some a, _ -> Out a
+      | None, [ c ]
+        when is_unit c && members.(p).Plan.sizes = members.(c).Plan.sizes
+             && at_offset_0 c p && linear p ->
+        Inline c
+      | None, _ -> Ring)
+  done;
+  let inlined c = List.filter (fun v -> roles.(v) = Inline c) all in
+  (* rows per position: 2^(levels coarser than the finest member) *)
+  let rel p =
+    let id = members.(p).Plan.func.Func.id in
+    let m =
+      List.find (fun (m : Regions.member) -> m.Regions.func.Func.id = id)
+        (Array.to_list (Regions.members tg.Plan.geom))
+    in
+    m.Regions.rel.(0)
+  in
+  let finest = List.fold_left (fun acc p -> max acc (rel p)) min_int all in
+  let k = Array.init nm (fun p -> 1 lsl (finest - rel p)) in
+  (* the interior rows a unit computes: a live-out its own slice, a
+     ring its demand rows inside the grid *)
+  let span p =
+    match roles.(p) with
+    | Out _ ->
+      let b = snd boxes.(p) in
+      (b.Box.lo.(0), b.Box.hi.(0))
+    | Ring ->
+      let b = region p in
+      (max b.Box.lo.(0) 1, min b.Box.hi.(0) (rows_of p))
+    | Inline _ -> (1, 0)
+  in
+  let ghosts p =
+    match roles.(p) with
+    | Ring ->
+      let b = region p in
+      List.filter (fun r -> r < 1 || r > rows_of p)
+        (List.init (b.Box.hi.(0) - b.Box.lo.(0) + 1) (fun i -> b.Box.lo.(0) + i))
+    | Out _ | Inline _ -> []
+  in
+  let scheduled q r =
+    match roles.(q) with
+    | Out _ ->
+      let lo, hi = span q in
+      lo <= r && r <= hi
+    | Ring -> (region q).Box.lo.(0) <= r && r <= (region q).Box.hi.(0)
+    | Inline _ -> false
+  in
+  (* the rows of stored members that unit [c]'s row [r] reads, through
+     its inlined members at the same point *)
+  let rec reads c r =
+    List.concat_map
+      (fun (case : Compile.case_t) ->
+        match (case.Compile.parity, case.Compile.kernel) with
+        | Some pa, _ when pa.(0) <> r land 1 -> []
+        | _, Compile.Gen _ -> []
+        | _, Compile.Lin { terms; _ } ->
+          List.concat_map
+            (fun (t : Compile.term) ->
+              match members.(c).Plan.src_of.(t.Compile.pos) with
+              | Plan.P_member q when roles.(q) = Inline c -> reads q r
+              | Plan.P_member q ->
+                let a = t.Compile.accs.(0) in
+                [ (q, Box.fdiv ((a.Expr.mul * r) + a.Expr.add) a.Expr.den + a.Expr.off) ]
+              | _ -> [])
+            (Array.to_list terms))
+      (cases c)
+  in
+  let lag = Array.make nm 0 in
+  let pos p r = (k.(p) * r) + lag.(p) in
+  let each_read c f =
+    let lo, hi = span c in
+    for r = lo to hi do
+      List.iter (fun (q, rq) -> f r q rq) (reads c r)
+    done
+  in
+  for c = 0 to nm - 1 do
+    if is_unit c then begin
+      let l = ref None in
+      each_read c (fun r q rq ->
+          if scheduled q rq then
+            l := Some (max (Option.value !l ~default:min_int) (pos q rq - (k.(c) * r)))
+          else if roles.(q) = Ring || (1 <= rq && rq <= rows_of q) then
+            (* only a live-out's ghost rows, filled before the loop,
+               are read without being computed in it *)
+            invalid_arg "C_emit: a row pipeline reads a row its producer does not compute");
+      lag.(c) <- Option.value !l ~default:0
+    end
+  done;
+  (* ring lengths: the rows written since the oldest one a read needs *)
+  let len = Array.make nm 1 in
+  for c = 0 to nm - 1 do
+    if is_unit c then
+      each_read c (fun r q rq ->
+          if roles.(q) = Ring then begin
+            let last = min (region q).Box.hi.(0) (Box.fdiv (pos c r - lag.(q)) k.(q)) in
+            len.(q) <- max len.(q) (last - rq + 1)
+          end)
+  done;
+  let width p = (Box.widths (region p)).(1) in
+  let ring p = Printf.sprintf "_ring_%d_%d" gid p in
+  let ring_store p =
+    { cname = ring p;
+      cstrides = [| string_of_int (width p); "1" |];
+      corg = [| "0"; string_of_int (region p).Box.lo.(1) |];
+      cring = Some len.(p) }
+  in
+  let store_of c i =
+    let m = members.(c) in
+    match m.Plan.src_of.(i) with
+    | Plan.P_input idx -> `S (input_store idx)
+    | Plan.P_array a ->
+      `S (array_store a ~of_func:m.Plan.compiled.Compile.producers.(i))
+    | Plan.P_member q -> (
+      match roles.(q) with
+      | Out a -> `S (array_store a ~of_func:members.(q).Plan.func.Func.id)
+      | Ring -> `S (ring_store q)
+      | Inline _ -> `V q)
+  in
+  let dst c =
+    match roles.(c) with
+    | Out a -> array_store a ~of_func:members.(c).Plan.func.Func.id
+    | Ring | Inline _ -> ring_store c
+  in
+  let cols c =
+    match roles.(c) with
+    | Out _ ->
+      let b = snd boxes.(c) in
+      (b.Box.lo.(1), b.Box.hi.(1))
+    | Ring | Inline _ ->
+      let b = region c in
+      (max b.Box.lo.(1) 1, min b.Box.hi.(1) members.(c).Plan.sizes.(1))
+  in
+  (* unit [c]'s row [i] (declared by the caller); only a linear member
+     is inlined *)
+  let emit_row ~pad c =
+    if not (linear c) then gen_error fmt pad members.(c)
+    else begin
+      let split =
+        List.exists (fun (k : Compile.case_t) -> k.Compile.parity <> None)
+          (List.concat_map cases (c :: inlined c))
+      in
+      let cl, cu = cols c in
+      let row pi pad =
+        let rows = ref [] in
+        let col pj =
+          match pj with
+          | None -> plain_coord 1
+          | Some p -> { name = "jh"; scale = 2; phase = p }
+        in
+        let case_of p pj =
+          match
+            List.find_opt
+              (fun (k : Compile.case_t) ->
+                match k.Compile.parity with
+                | None -> true
+                | Some pa -> pa.(0) = pi && Some pa.(1) = pj)
+              (cases p)
+          with
+          | Some k -> k
+          | None -> invalid_arg "C_emit: a row pipeline point without a case"
+        in
+        let vname v pj =
+          match pj with
+          | None -> Printf.sprintf "_v%d" v
+          | Some p -> Printf.sprintf "_v%d_%d" v p
+        in
+        (* the statements of one point of column parity [pj] *)
+        let point pj =
+          let target =
+            row_ref ~rows ~write:true (dst c) (self_accs 2)
+              ~coords:(fun d -> if d = 0 then plain_coord 0 else col pj)
+          in
+          let rhs p =
+            let case = case_of p pj in
+            let coords d =
+              if d = 1 then col pj
+              else if case.Compile.parity = None then plain_coord 0
+              else { name = "ih"; scale = 2; phase = pi }
+            in
+            match case.Compile.kernel with
+            | Compile.Gen _ -> assert false
+            | Compile.Lin { base; terms } ->
+              lin_parts base terms ~read:(fun i accs ->
+                  match store_of p i with
+                  | `S st -> row_ref ~coords ~rows ~write:false st accs
+                  | `V v -> vname v pj)
+          in
+          let defs =
+            List.map
+              (fun v -> Printf.sprintf "const double %s = %s;" (vname v pj) (sum (rhs v)))
+              (inlined c)
+          in
+          let parts = rhs c in
+          (defs @ [ Printf.sprintf "%s = %s;" target (sum parts) ], defs <> [] || parts <> [])
+        in
+        let variants = if split then [ Some 0; Some 1 ] else [ None ] in
+        let points = List.map (fun pj -> (pj, point pj)) variants in
+        if split then pf fmt "%sconst int ih = i / 2;@," pad;
+        List.iter
+          (fun ((write, init), n) ->
+            pf fmt "%s%sdouble *%s = %s;@," pad (if write then "" else "const ") n init)
+          !rows;
+        let simd = List.exists (fun (_, (_, nz)) -> nz) points in
+        let loop ~simd x a b stmts =
+          if simd then pf fmt "%s#pragma omp simd@," pad;
+          pf fmt "%sfor (int %s = %d; %s <= %d; %s++)%s@," pad x a x b x
+            (match stmts with [ _ ] -> "" | _ -> " {");
+          List.iter (pf fmt "%s  %s@," pad) stmts;
+          match stmts with [ _ ] -> () | _ -> pf fmt "%s}@," pad
+        in
+        match points with
+        | [ (None, (stmts, _)) ] -> loop ~simd "j" cl cu stmts
+        | _ ->
+          let range p = (Box.fdiv (cl - p + 1) 2, Box.fdiv (cu - p) 2) in
+          let both = List.map (fun (pj, (stmts, _)) -> (range (Option.get pj), stmts)) points in
+          let lo = List.fold_left (fun acc ((a, _), _) -> max acc a) min_int both in
+          let hi = List.fold_left (fun acc ((_, b), _) -> min acc b) max_int both in
+          if lo > hi then
+            List.iter (fun ((a, b), stmts) -> if a <= b then loop ~simd "jh" a b stmts) both
+          else begin
+            (* the half indices one parity has alone: short, no pragma *)
+            List.iter
+              (fun ((a, _), stmts) -> if a < lo then loop ~simd:false "jh" a (lo - 1) stmts)
+              both;
+            loop ~simd "jh" lo hi (List.concat_map snd both);
+            List.iter
+              (fun ((_, b), stmts) -> if b > hi then loop ~simd:false "jh" (hi + 1) b stmts)
+              both
+          end
+      in
+      if split then begin
+        pf fmt "%sif ((i & 1) == 0) {@," pad;
+        row 0 (pad ^ "  ");
+        pf fmt "%s} else {@," pad;
+        row 1 (pad ^ "  ");
+        pf fmt "%s}@," pad
+      end
+      else row 0 pad
+    end
+  in
+  pf fmt "@,  /* ---- group %d: %d overlapped tiles %s over %s ---- */@," gid
+    (Array.length tg.Plan.tiles)
+    (String.concat "x" (Array.to_list (Array.map string_of_int tg.Plan.tile_sizes)))
+    refm.Regions.func.Func.name;
+  pf fmt "  /* run here as a row pipeline over the whole grid: at _p, each@,";
+  pf fmt "   * stored stage computes one row at a fixed lag behind the rows@,";
+  pf fmt "   * it reads; every point is computed once, from the values the@,";
+  pf fmt "   * tiles read, so results are bit-identical */@,";
+  Array.iter
+    (fun (m : Plan.member) ->
+      match m.Plan.array_id with
+      | None -> ()
+      | Some a ->
+        let st = array_store a ~of_func:m.Plan.func.Func.id in
+        pf fmt "  /* ghost rim of live-out %s */@," m.Plan.func.Func.name;
+        emit_rim fmt ~dims:2 ~dst:st ~lb:(zeros 2)
+          ~ub:(Array.map (fun s -> string_of_int (s + 1)) m.Plan.sizes)
+          ~msz:m.Plan.sizes ~bnd:m.Plan.compiled.Compile.boundary ~indent:2)
+    members;
+  pf fmt "  {@,";
+  let bnd p = fstr members.(p).Plan.compiled.Compile.boundary in
+  Array.iteri
+    (fun p role ->
+      match role with
+      | Ring ->
+        let b = region p in
+        pf fmt "    /* %s: rows %d..%d in a ring of %d */@," (name p) b.Box.lo.(0)
+          b.Box.hi.(0) len.(p);
+        pf fmt "    double %s[%d * %d];@," (ring p) len.(p) (width p);
+        if b.Box.lo.(1) < 1 || b.Box.hi.(1) > members.(p).Plan.sizes.(1) then
+          pf fmt "    for (int _k = 0; _k < %d; _k++) %s[_k] = %s; /* ghost columns */@,"
+            (len.(p) * width p) (ring p) (bnd p)
+      | Out _ -> ()
+      | Inline c -> pf fmt "    /* %s: inlined into %s */@," (name p) (name c))
+    roles;
+  let units = List.filter is_unit all in
+  let positions =
+    List.concat_map
+      (fun p ->
+        let lo, hi = span p in
+        List.map (pos p) ((if lo <= hi then [ lo; hi ] else []) @ ghosts p))
+      units
+  in
+  pf fmt "    for (int _p = %d; _p <= %d; _p++) {@,"
+    (List.fold_left min max_int positions) (List.fold_left max min_int positions);
+  let ghost p r =
+    pf fmt "      if (_p == %d) { /* %s: ghost row %d */@," (pos p r) (name p) r;
+    pf fmt "        double *_g = %s + %d;@," (ring p) (r mod len.(p) * width p);
+    pf fmt "        for (int j = 0; j < %d; j++) _g[j] = %s;@," (width p) (bnd p);
+    pf fmt "      }@,"
+  in
+  List.iter
+    (fun c ->
+      let lo, hi = span c in
+      List.iter (ghost c) (List.filter (fun r -> r < lo) (ghosts c));
+      if lo <= hi then begin
+        let a = pos c lo and b = pos c hi in
+        pf fmt
+          "      if (LIKELY(_p >= %d && _p <= %d%s)) { /* stage %s%s: row i at _p = %d*i %c %d */@,"
+          a b
+          (if k.(c) > 1 then Printf.sprintf " && (_p - %d) %% %d == 0" a k.(c) else "")
+          (name c)
+          (match inlined c with
+          | [] -> ""
+          | l -> Printf.sprintf " (%s inlined)" (String.concat ", " (List.map name l)))
+          k.(c)
+          (if lag.(c) < 0 then '-' else '+')
+          (abs lag.(c));
+        pf fmt "        const int i = %s;@," (row_expr k.(c) lag.(c));
+        emit_row ~pad:"        " c;
+        pf fmt "      }@,"
+      end;
+      List.iter (ghost c) (List.filter (fun r -> r > hi) (ghosts c)))
+    units;
+  pf fmt "    }@,";
   pf fmt "  }@,"
 
 (* ------------------------------------------------------------------ *)
@@ -570,22 +1031,13 @@ let runs ~first l =
     ([], first) l
   |> fst |> List.rev
 
-(* A chain runs as a row wavefront when it is 2-D and one of its
-   buffers outgrows the L1: stepping over the whole grid then streams
-   every step through L2.  A grid that fits gains nothing from the
-   skew, and the 3-D plane wavefront measured slower than the step
-   loop. *)
-let wavefront (dg : Plan.diamond_group) =
-  Array.length dg.Plan.sizes = 2
-  && 8 * Grid.ghosted_len dg.Plan.sizes > List.assoc "L1" Cost.cache_levels
-
 let emit_diamond fmt ~(input_store : int -> cstore)
     ~(array_store : int -> of_func:int -> cstore) ~dtmp_off
     (dg : Plan.diamond_group) =
   let nsteps = Array.length dg.Plan.steps in
   let last = dg.Plan.steps.(nsteps - 1) in
   let dims = Array.length dg.Plan.sizes in
-  let wave = wavefront dg in
+  let wave = outgrows_l1 dg.Plan.sizes in
   let scheme_str =
     match dg.Plan.scheme with
     | Plan.Sched_diamond { sigma } ->
@@ -829,6 +1281,7 @@ let emit_body fmt (plan : Plan.t) =
   Array.iter
     (fun g ->
       match g with
+      | Plan.G_tiled tg when wavefront g -> emit_rows fmt ~input_store ~array_store tg
       | Plan.G_tiled tg -> emit_tiled fmt ~input_store ~array_store tg
       | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store ~dtmp_off dg)
     plan.Plan.groups;
@@ -845,7 +1298,16 @@ let emit_prelude fmt (plan : Plan.t) =
   pf fmt "#ifdef __GNUC__@,#define NOINLINE __attribute__((noinline))@,";
   pf fmt "#else@,#define NOINLINE@,#endif@,";
   pf fmt "/* floor division, matching the engine for negative numerators */@,";
-  pf fmt "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))@,@,"
+  pf fmt "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))@,@,";
+  if Array.exists (function Plan.G_tiled _ as g -> wavefront g | Plan.G_diamond _ -> false)
+       plan.Plan.groups
+  then begin
+    (* a row pipeline's stage guards hold at almost every position:
+       without the hint gcc lays their bodies out as cold code, with
+       spilled row pointers and a division for each ring row *)
+    pf fmt "#ifdef __GNUC__@,#define LIKELY(x) __builtin_expect(!!(x), 1)@,";
+    pf fmt "#else@,#define LIKELY(x) (x)@,#endif@,@,"
+  end
 
 (* The ranks of the plan's stages: one rim helper each. *)
 let ranks (plan : Plan.t) =

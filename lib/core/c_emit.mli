@@ -48,12 +48,15 @@ val pipeline_symbol : Plan.t -> string
     parameters are [N], the input buffers, the output buffers (in
     [Plan.output_arrays] order) and the arena. *)
 
-val wavefront : Plan.diamond_group -> bool
-(** Whether {!emit} prints the chain as a row wavefront rather than a
-    step loop: a 2-D chain whose buffer outgrows the L1 of
-    {!Cost.cache_levels} (65x65 doubles with ghosts, and larger).  A
-    grid that fits L1 gains nothing from the skew, and a 3-D plane
-    wavefront measured slower than the step loop. *)
+val wavefront : Plan.group_exec -> bool
+(** Whether {!emit} prints the group row by row: a chain as a row
+    wavefront rather than a step loop, an overlapped group as a row
+    pipeline rather than a loop over its tiles.  Both need a 2-D group
+    whose (reference) buffer outgrows the L1 of {!Cost.cache_levels}
+    (65x65 doubles with ghosts, and larger); an overlapped group's
+    tiles must also span whole rows.  A grid that fits L1 gains nothing
+    from the skew, and a 3-D plane wavefront measured slower than the
+    step loop. *)
 
 val arena_bytes : Plan.t -> int
 (** Bytes of the arena the emitted pipeline takes last: every non-output

@@ -155,10 +155,11 @@ let hoisted lines =
       with Scanf.Scan_failure _ | End_of_file | Failure _ -> [])
     lines
 
-(* Every overlapped group is one flat loop over its tiles, with no tile
-   nest and no parallel pragma; along a dimension that has a single
-   tile extent, every hoisted demand-region and own-slice bound is an
-   integer literal. *)
+(* Every overlapped group that [C_emit.wavefront] leaves tiled (all of
+   [each_emitted]'s: their grids fit L1) is one flat loop over its
+   tiles, with no tile nest and no parallel pragma; along a dimension
+   that has a single tile extent, every hoisted demand-region and
+   own-slice bound is an integer literal. *)
 let test_flat_tile_loop () =
   each_emitted (fun what plan s ->
       check_bool (what ^ ": no T_0") false (contains s "T_0");
@@ -178,6 +179,8 @@ let test_flat_tile_loop () =
           | Plan.G_diamond _ ->
             check_int (Printf.sprintf "%s: group %d has no _t loop" what gi) 0
               (List.length loops)
+          | Plan.G_tiled _ as g when C_emit.wavefront g ->
+            Alcotest.failf "%s: group %d of a small grid runs row by row" what gi
           | Plan.G_tiled tg ->
             check_bool
               (Printf.sprintf "%s: group %d is one _t loop over its %d tiles"
@@ -334,7 +337,7 @@ let test_chain_loop_order () =
             let w = Printf.sprintf "%s: group %d" what gi in
             let nsteps = Array.length dg.Plan.steps in
             let rows = dg.Plan.sizes.(0) in
-            let wave = C_emit.wavefront dg in
+            let wave = C_emit.wavefront g in
             check_bool (w ^ ": a wavefront iff 2-D and at least 65x65")
               (Array.length dg.Plan.sizes = 2 && rows + 2 >= 65)
               wave;
@@ -459,6 +462,256 @@ let test_chain_loop_order () =
     (List.find_opt (String.starts_with ~prefix:"for (int _s") rest
      = Some "for (int _s = 2; _s <= 4; _s++) {")
 
+(* What a row pipeline's [_p] loop runs, read from its lines: [units]
+   each stored stage's (name, k, lag, first row, last row), computing
+   row i at [_p = k*i + lag]; [ghosts] the (name, row, position) of each
+   ghost row filled; [rings] each ring's (member index, rows);
+   [inlined] the inlined stages' names. *)
+type pipeline_text = {
+  units : (string * int * int * int * int) list;
+  ghosts : (string * int * int) list;
+  rings : (int * int) list;
+  inlined : string list;
+  p_loops : int;
+}
+
+let row_expr k lag =
+  let p =
+    if lag = 0 then "_p"
+    else Printf.sprintf "_p %c %d" (if lag > 0 then '-' else '+') (abs lag)
+  in
+  if k = 1 then p else Printf.sprintf "(%s) / %d" p k
+
+(* [l] from its first [/* stage ] on *)
+let stage_comment l =
+  let rec find i =
+    if i + 9 > String.length l then None
+    else if String.sub l i 9 = "/* stage " then Some (String.sub l i (String.length l - i))
+    else find (i + 1)
+  in
+  find 0
+
+let read_pipeline ~w lines =
+  let chop s = String.sub s 0 (String.length s - 1) (* a trailing ':' *) in
+  let rec go acc = function
+    | [] -> acc
+    | l :: rest -> (
+      let guard =
+        match
+          ( Scanf.sscanf_opt l "if (LIKELY(_p >= %d && _p <= %d" (fun a b -> (a, b)),
+            stage_comment l )
+        with
+        | Some (a, b), Some c ->
+          Scanf.sscanf_opt c "/* stage %[^:(]%_[^:]: row i at _p = %d*i %c %d */%!"
+            (fun name k sign lag ->
+              (a, b, String.trim name, k, if sign = '-' then -lag else lag))
+        | _ -> None
+      in
+      match (guard, rest) with
+      | Some (a, b, name, k, lag), next :: rest ->
+        let w = Printf.sprintf "%s: %s" w name in
+        check_bool (w ^ "'s row is its lag's") true
+          (next = Printf.sprintf "const int i = %s;" (row_expr k lag));
+        check_bool (w ^ "'s guard starts and ends on rows") true
+          ((a - lag) mod k = 0 && (b - lag) mod k = 0);
+        let u = (name, k, lag, (a - lag) / k, (b - lag) / k) in
+        go { acc with units = acc.units @ [ u ] } rest
+      | _ -> (
+        let ghost =
+          Scanf.sscanf_opt l "if (_p == %d) { /* %s ghost row %d */%!" (fun p n r ->
+              (chop n, r, p))
+        and ring =
+          Scanf.sscanf_opt l "double _ring_%_[0-9]_%[0-9][%d * %_d];%!" (fun p len ->
+              (int_of_string p, len))
+        and inl = Scanf.sscanf_opt l "/* %s inlined into %_s */%!" chop in
+        match (ghost, ring, inl) with
+        | Some g, _, _ -> go { acc with ghosts = g :: acc.ghosts } rest
+        | _, Some r, _ -> go { acc with rings = r :: acc.rings } rest
+        | _, _, Some n -> go { acc with inlined = n :: acc.inlined } rest
+        | _ when String.starts_with ~prefix:"for (int _p = " l ->
+          go { acc with p_loops = acc.p_loops + 1 } rest
+        | _ -> go acc rest))
+  in
+  go { units = []; ghosts = []; rings = []; inlined = []; p_loops = 0 } lines
+
+(* Every overlapped group [C_emit.wavefront] picks (2-D, 65x65 with
+   ghosts and up, tiles spanning whole rows) is one row pipeline, read
+   back from its C and checked against the plan's accesses:
+   - one [_p] loop, no [_t] loop and no tile-sized [_buf_] scratchpad;
+   - every member is either stored (a stage block computing one row per
+     position) or inlined into its one reader, which reads it at offset
+     0 only; an inlined member has no ring and no array;
+   - each stored stage's row sits at its lag: every row it reads of an
+     in-group stage is computed at or before its position, and its lag
+     is the least that does this, so a restriction computes coarse row
+     I at fine row 2I+1's position;
+   - each ring keeps every row a reader needs until that read, and is
+     no longer than its readers' row footprint. *)
+let test_row_pipeline_order () =
+  let pipelines = ref 0 and rings = ref 0 and inlined = ref 0 and restrictions = ref 0 in
+  let plans f =
+    chain_plans f;
+    List.iter
+      (fun ((cfg : Cycle.config), n) ->
+        let plan = plan_of ~opts:Options.opt_plus ~n cfg in
+        f (Printf.sprintf "%s opt+ n=%d" (Cycle.bench_name cfg) n) plan (C_emit.to_string plan))
+      [ (vcfg, 64); (vcfg, 128);
+        (Cycle.default ~dims:2 ~shape:Cycle.W ~smoothing:(4, 4, 4), 128) ]
+  in
+  plans (fun what plan s ->
+      let sections = group_sections s in
+      Array.iteri
+        (fun gi g ->
+          match g with
+          | Plan.G_tiled tg when C_emit.wavefront g ->
+            incr pipelines;
+            let w = Printf.sprintf "%s: group %d" what gi in
+            let lines = List.nth sections gi in
+            let t = read_pipeline ~w lines in
+            check_int (w ^ ": one _p loop") 1 t.p_loops;
+            check_bool (w ^ ": no _t loop and no _buf_ scratchpad") false
+              (List.exists
+                 (fun l ->
+                   String.starts_with ~prefix:"for (int _t" l
+                   || String.starts_with ~prefix:"double _buf_" l)
+                 lines);
+            let ms = tg.Plan.members in
+            let all = List.init (Array.length ms) Fun.id in
+            let name p = ms.(p).Plan.func.Repro_ir.Func.name in
+            let index n = List.find (fun p -> name p = n) all in
+            let unit_of p = List.find_opt (fun (n, _, _, _, _) -> n = name p) t.units in
+            let is_inlined p = List.mem (name p) t.inlined in
+            inlined := !inlined + List.length t.inlined;
+            rings := !rings + List.length t.rings;
+            List.iter
+              (fun p ->
+                let w = Printf.sprintf "%s: %s" w (name p) in
+                check_bool (w ^ " is stored or inlined") true (unit_of p <> None <> is_inlined p);
+                if is_inlined p then begin
+                  check_bool (w ^ " (inlined) has no ring or array") true
+                    (ms.(p).Plan.array_id = None && not (List.mem_assoc p t.rings));
+                  let readers =
+                    List.filter (fun c -> Array.mem (Plan.P_member p) ms.(c).Plan.src_of) all
+                  in
+                  match readers with
+                  | [ c ] ->
+                    check_bool (w ^ "'s reader names it") true
+                      (List.exists
+                         (fun l -> contains l ("stage " ^ name c ^ " (") && contains l (name p))
+                         lines);
+                    List.iter
+                      (fun (case : Compile.case_t) ->
+                        match case.Compile.kernel with
+                        | Compile.Lin { terms; _ } ->
+                          Array.iter
+                            (fun (tm : Compile.term) ->
+                              if ms.(c).Plan.src_of.(tm.Compile.pos) = Plan.P_member p then
+                                check_bool (w ^ " is read at offset 0") true
+                                  (tm.Compile.accs = Repro_ir.Expr.id_access 2))
+                            terms
+                        | Compile.Gen _ -> Alcotest.failf "%s: a Gen reader" w)
+                      ms.(c).Plan.compiled.Compile.cases
+                  | rs -> Alcotest.failf "%s is inlined but has %d readers" w (List.length rs)
+                end)
+              all;
+            (* the rows of stored stages that stage [c]'s row [r] reads,
+               through what it inlines *)
+            let rec reads c r =
+              List.concat_map
+                (fun (case : Compile.case_t) ->
+                  match (case.Compile.parity, case.Compile.kernel) with
+                  | Some pa, _ when pa.(0) <> r land 1 -> []
+                  | _, Compile.Gen _ -> []
+                  | _, Compile.Lin { terms; _ } ->
+                    List.concat_map
+                      (fun (tm : Compile.term) ->
+                        match ms.(c).Plan.src_of.(tm.Compile.pos) with
+                        | Plan.P_member q when is_inlined q -> reads q r
+                        | Plan.P_member q ->
+                          let { Repro_ir.Expr.mul; add; den; off } = tm.Compile.accs.(0) in
+                          [ (q, Repro_poly.Box.fdiv ((mul * r) + add) den + off) ]
+                        | _ -> [])
+                      (Array.to_list terms))
+                ms.(c).Plan.compiled.Compile.cases
+            in
+            (* the position of stage [q]'s row [r], if the loop computes it *)
+            let position q r =
+              match unit_of q with
+              | Some (_, k, lag, lo, hi) when lo <= r && r <= hi -> Some ((k * r) + lag)
+              | _ ->
+                List.find_map (fun (n, gr, p) -> if n = name q && gr = r then Some p else None)
+                  t.ghosts
+            in
+            List.iter
+              (fun (n, k, lag, lo, hi) ->
+                let w = Printf.sprintf "%s: %s" w n in
+                let least = ref None in
+                for r = lo to hi do
+                  List.iter
+                    (fun (q, rq) ->
+                      let w = Printf.sprintf "%s row %d reads %s row %d" w r (name q) rq in
+                      match position q rq with
+                      | Some pq ->
+                        check_bool (w ^ " computed first") true (pq <= (k * r) + lag);
+                        least := Some (max (Option.value !least ~default:min_int) (pq - (k * r)))
+                      | None ->
+                        check_bool (w ^ ", a ghost row of its array") true
+                          (ms.(q).Plan.array_id <> None
+                           && (rq < 1 || rq > ms.(q).Plan.sizes.(0))))
+                    (reads (index n) r)
+                done;
+                check_int (w ^ " at its lag") (Option.value !least ~default:0) lag;
+                (* the restriction's rule, spelled out *)
+                match Array.to_list ms.(index n).Plan.src_of with
+                | [ Plan.P_member q ]
+                  when Option.map (fun (_, kq, _, _, _) -> 2 * kq) (unit_of q) = Some k ->
+                  incr restrictions;
+                  for r = lo to hi do
+                    check_bool (Printf.sprintf "%s row %d at %s row %d" w r (name q) ((2 * r) + 1))
+                      true
+                      (Some ((k * r) + lag) = position q ((2 * r) + 1))
+                  done
+                | _ -> ())
+              t.units;
+            (* each ring keeps a row until its last read, within the
+               readers' footprint *)
+            List.iter
+              (fun (q, len) ->
+                let w = Printf.sprintf "%s: %s's ring of %d" w (name q) len in
+                let footprint = ref 0 in
+                List.iter
+                  (fun (n, k, lag, lo, hi) ->
+                    for r = lo to hi do
+                      let rows =
+                        List.filter_map (fun (q', rq) -> if q' = q then Some rq else None)
+                          (reads (index n) r)
+                      in
+                      if rows <> [] then begin
+                        let a = List.fold_left min max_int rows in
+                        footprint := max !footprint (List.fold_left max min_int rows - a + 1);
+                        (* the last row [q] wrote by this read's position *)
+                        let last = ref min_int in
+                        for x = 0 to ms.(q).Plan.sizes.(0) + 1 do
+                          match position q x with
+                          | Some p when p <= (k * r) + lag -> last := max !last x
+                          | _ -> ()
+                        done;
+                        check_bool (Printf.sprintf "%s keeps row %d for %s" w a n) true
+                          (!last - a < len)
+                      end
+                    done)
+                  t.units;
+                check_bool (Printf.sprintf "%s within its readers' %d rows" w !footprint) true
+                  (len <= !footprint))
+              t.rings
+          | _ -> ())
+        plan.Plan.groups);
+  check_bool
+    (Printf.sprintf "row pipelines (%d), rings (%d), inlined stages (%d), restrictions (%d)"
+       !pipelines !rings !inlined !restrictions)
+    true
+    (!pipelines > 0 && !rings > 0 && !inlined > 0 && !restrictions > 0)
+
 (* A stage with no linear form (a max) prints as a #error naming it, so
    its C fails to compile loudly; [runnable] refuses the plan. *)
 let test_gen_case_is_error () =
@@ -575,6 +828,7 @@ let () =
           Alcotest.test_case "diamond" `Quick test_emit_diamond_marker;
           Alcotest.test_case "flat tile loop" `Quick test_flat_tile_loop;
           Alcotest.test_case "chain loop order" `Quick test_chain_loop_order;
+          Alcotest.test_case "row pipeline order" `Quick test_row_pipeline_order;
           Alcotest.test_case "non-affine stage is a #error" `Quick
             test_gen_case_is_error;
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;
