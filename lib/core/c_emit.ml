@@ -202,14 +202,16 @@ let gen_error fmt pad (m : Plan.member) =
    With [row], coordinate 0 is not looped over: it is declared
    [const int i = row;] and the rest of the nest runs that one row, in
    the caller's block (a row wavefront's step: one plain case).
-   [inner_bounds] lists the innermost bounds' values (per tile), when [lb] and
-   [ub] are not literals: a loop with at most one point in every tile
-   gets no pragma, as there is nothing to vectorize. *)
-let emit_cases ?row ?inner_bounds fmt ~(member : Plan.member) ~(stores : cstore array)
-    ~(dst : cstore) ~(lb : string array) ~(ub : string array) ~indent =
+   [inner_bounds] lists the innermost bounds' values (per tile) when
+   [lb] and [ub] are not literals: a loop with at most one point in
+   every tile gets no pragma, as there is nothing to vectorize. *)
+let emit_cases ?row ?inner_bounds fmt ~(member : Plan.member)
+    ~(stores : cstore array) ~(dst : cstore) ~(lb : string array)
+    ~(ub : string array) ~indent =
   let dims = member.Plan.func.Func.dims in
   let inner_bounds =
-    match (inner_bounds, int_of_string_opt lb.(dims - 1), int_of_string_opt ub.(dims - 1)) with
+    let lit b = int_of_string_opt b.(dims - 1) in
+    match (inner_bounds, lit lb, lit ub) with
     | Some r, _, _ -> r
     | None, Some a, Some b -> [ (a, b) ]
     | None, _, _ -> []
@@ -558,7 +560,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
             own_bounds.(p);
           pf fmt "%s{ /* stage %s */@," pad m.Plan.func.Func.name;
           emit_cases fmt ~member:m ~stores
-            ~inner_bounds:(inner_bounds p (fun (_, o) -> (o.Box.lo.(dims - 1), o.Box.hi.(dims - 1))))
+            ~inner_bounds:
+              (inner_bounds p (fun (_, o) -> (o.Box.lo.(dims - 1), o.Box.hi.(dims - 1))))
             ~dst:(array_store a ~of_func:m.Plan.func.Func.id)
             ~lb:(Array.init dims (fun k -> ovar p k true))
             ~ub:(Array.init dims (fun k -> ovar p k false))
@@ -646,7 +649,9 @@ let emit_rows fmt ~(input_store : int -> cstore)
   let boxes = Plan.tile_boxes tg ~tile:(Box.of_sizes refm.Regions.sizes) in
   let region p = fst boxes.(p) and rows_of p = members.(p).Plan.sizes.(0) in
   let all = List.init nm Fun.id in
-  let readers q = List.filter (fun c -> Array.mem (Plan.P_member q) members.(c).Plan.src_of) all in
+  let readers q =
+    List.filter (fun c -> Array.mem (Plan.P_member q) members.(c).Plan.src_of) all
+  in
   let linear p =
     List.for_all
       (fun (k : Compile.case_t) ->
@@ -863,7 +868,8 @@ let emit_rows fmt ~(input_store : int -> cstore)
               (inlined c)
           in
           let parts = rhs c in
-          (defs @ [ Printf.sprintf "%s = %s;" target (sum parts) ], defs <> [] || parts <> [])
+          let stmts = defs @ [ Printf.sprintf "%s = %s;" target (sum parts) ] in
+          (stmts, defs <> [] || parts <> [])
         in
         let variants = if split then [ Some 0; Some 1 ] else [ None ] in
         let points = List.map (fun pj -> (pj, point pj)) variants in
@@ -884,21 +890,20 @@ let emit_rows fmt ~(input_store : int -> cstore)
         | [ (None, (stmts, _)) ] -> loop ~simd "j" cl cu stmts
         | _ ->
           let range p = (Box.fdiv (cl - p + 1) 2, Box.fdiv (cu - p) 2) in
-          let both = List.map (fun (pj, (stmts, _)) -> (range (Option.get pj), stmts)) points in
+          let both =
+            List.map (fun (pj, (stmts, _)) -> (range (Option.get pj), stmts)) points
+          in
           let lo = List.fold_left (fun acc ((a, _), _) -> max acc a) min_int both in
           let hi = List.fold_left (fun acc ((_, b), _) -> min acc b) max_int both in
-          if lo > hi then
-            List.iter (fun ((a, b), stmts) -> if a <= b then loop ~simd "jh" a b stmts) both
-          else begin
-            (* the half indices one parity has alone: short, no pragma *)
-            List.iter
-              (fun ((a, _), stmts) -> if a < lo then loop ~simd:false "jh" a (lo - 1) stmts)
-              both;
-            loop ~simd "jh" lo hi (List.concat_map snd both);
-            List.iter
-              (fun ((_, b), stmts) -> if b > hi then loop ~simd:false "jh" (hi + 1) b stmts)
-              both
-          end
+          (* the half indices one parity has alone (at most one at
+             each end of a row of two or more points): no pragma *)
+          List.iter
+            (fun ((a, _), stmts) -> if a < lo then loop ~simd:false "jh" a (lo - 1) stmts)
+            both;
+          loop ~simd "jh" lo hi (List.concat_map snd both);
+          List.iter
+            (fun ((_, b), stmts) -> if b > hi then loop ~simd:false "jh" (hi + 1) b stmts)
+            both
       in
       if split then begin
         pf fmt "%sif ((i & 1) == 0) {@," pad;
