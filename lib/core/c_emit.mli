@@ -18,12 +18,24 @@
     loop, its first step and then one loop over the steps that print
     alike, swapping the two ping-pong buffer pointers after each step.
     Either computes every (step, row) from the same rows in the same
-    term order, so both are bit-identical to the tiled schedule.  The
+    term order, so both are bit-identical to the tiled schedule.  An
+    overlapped group that {!wavefront} picks runs as a row pipeline
+    instead of over its tiles: one loop over positions [_p] at which
+    each stored stage computes one row, at the least lag that puts the
+    rows it reads behind it (a restriction's coarse row I at the
+    position of fine row 2I+1); a scratch stage is a ring of as many
+    rows as its readers span, or, when one plain reader reads it at
+    offset 0, a local double inside that reader's loop.  The tiles'
+    scratchpads are whole-tile arrays that outgrow L1 on the same
+    grids, so this gives the inter-grid groups the row locality the
+    wavefront gives the chains; every point is still computed once,
+    from the values the tiles read, so it too is bit-identical.  The
     pipeline allocates nothing: it writes its outputs into
     the caller's buffers, as [Exec.run] does, and places every other
     array at an emit-time offset of a caller-provided arena
     ({!arena_bytes}).  Every innermost compute
-    loop but a zero fill carries [#pragma omp simd], with indices affine
+    loop but a zero fill or a loop with one point in every tile carries
+    [#pragma omp simd], with indices affine
     in its loop variable (parity cases loop over half indices), so a
     compiler honouring the pragma vectorizes it without changing any
     result.  A loop nest of rank >= 2 reads and writes through row
