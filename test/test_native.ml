@@ -461,11 +461,11 @@ let prop_native_matches_interp =
     ~count:25 Pipeline_gen.pipelines_arb
     (fun stages ->
       let built = Pipeline_gen.gen_pipeline_of stages in
-      let n = 32 in
-      (* opt+'s tiles cover these grids in one tile; 8x12 tiles give
-         truncated border tiles and bounds that vary between tiles *)
+      (* opt+'s tiles cover the n=32 grids in one tile; 8x12 tiles give
+         truncated border tiles and bounds that vary between tiles; at
+         n=64 opt+'s groups over 65x65 grids run as row pipelines *)
       List.for_all
-        (fun opts ->
+        (fun (n, opts) ->
           let plan = Pipeline_gen.build_plan built ~opts ~n in
           (* unemittable plan (or no compiler): vacuously true — the
              backend refused, it did not miscompute *)
@@ -475,9 +475,11 @@ let prop_native_matches_interp =
           match Conformance.vs_native plan ~inputs ~outputs with
           | Ok d -> d.Conformance.max_abs <= budget
           | Error _ -> false)
-        [ Options.opt_plus;
-          Options.with_tiles Options.opt_plus ~t2:[| 8; 12 |]
-            ~t3:Options.opt_plus.Options.tile_3d ])
+        [ (32, Options.opt_plus);
+          ( 32,
+            Options.with_tiles Options.opt_plus ~t2:[| 8; 12 |]
+              ~t3:Options.opt_plus.Options.tile_3d );
+          (64, Options.opt_plus) ])
 
 (* -- plan identity: a function of content ------------------------------ *)
 
