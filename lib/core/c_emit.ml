@@ -1254,10 +1254,12 @@ let emit_body fmt (plan : Plan.t) =
   let out_names =
     List.map (fun (_, a) -> Printf.sprintf "_arr_%d" a) plan.Plan.output_arrays
   in
+  (* inputs are const: a kernel that stores into one does not compile *)
   pf fmt "void pipeline_%s(int N, %s, double *_arena)@,{@,"
     (c_ident (Pipeline.name pipeline))
     (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "double *%s" s) (in_names @ out_names)));
+       (List.map (Printf.sprintf "const double *%s") in_names
+       @ List.map (Printf.sprintf "double *%s") out_names));
   pf fmt "  (void) N;@,";
   let offsets, dtmp_off, _ = layout plan in
   (* full arrays with their users *)

@@ -109,12 +109,11 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
     invalid_arg "Guard.run: primary_retries must be >= 0";
   if policy.retry_backoff < 0.0 then
     invalid_arg "Guard.run: retry_backoff must be >= 0";
+  (* [cur] is the last accepted iterate and the rollback state: it only
+     moves on an accepted cycle, and a stepper reads its [v] and writes
+     only [out] (the {!Solver.stepper} contract). *)
   let cur = ref (Grid.copy problem.Problem.v) in
   let next = ref (Grid.create (Grid.extents problem.Problem.v)) in
-  (* Checkpoint of the last-good iterate.  [cur] is only advanced on an
-     accepted cycle, but the explicit copy also survives steppers that
-     scribble on their [v] argument. *)
-  let good = Grid.copy !cur in
   let r0 =
     Verify.residual_l2 ~n:problem.Problem.n ~v:!cur ~f:problem.Problem.f
   in
@@ -216,14 +215,12 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
             let tmp = !cur in
             cur := !next;
             next := tmp;
-            Grid.blit ~src:!cur ~dst:good;
             good_res := r;
             (match checkpoint with
              | Some ck ->
-               (* durable checkpoint of the accepted iterate: [good] is
-                  only touched on accepts, so the sink may keep the
-                  reference and persist it from a signal handler too *)
-               ck.ck_accept ~cycle:!cycle ~residual:r ~v:good
+               (* durable checkpoint of the live accepted iterate: it
+                  holds until the next accept swaps it into [next] *)
+               ck.ck_accept ~cycle:!cycle ~residual:r ~v:!cur
                  ~stats:(List.rev !stats)
              | None -> ());
             if Flightrec.on () then begin
@@ -272,16 +269,16 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
                  | Fault_crash msg -> "crash: " ^ msg
                  | f -> fault_name f) })
       end;
-      (* rollback to the checkpoint — normally the in-memory copy, but
-         if that copy is itself unusable (non-finite values, e.g. memory
-         corruption in a long-running process) restore the newest
-         durable generation from disk instead *)
+      (* roll back to the last accepted iterate: the faulted attempt only
+         wrote [next], so [cur] is it, unless [cur] is itself unusable
+         (non-finite values, e.g. memory corruption in a long-running
+         process); then restore the newest durable generation from disk *)
       (match checkpoint with
-       | Some ck when Buf.find_nonfinite good.Grid.buf <> None -> (
+       | Some ck when Buf.find_nonfinite !cur.Grid.buf <> None -> (
          match ck.ck_restore () with
          | Some (ck_cycle, ck_res, g)
-           when Grid.extents g = Grid.extents good ->
-           Grid.blit ~src:g ~dst:good;
+           when Grid.extents g = Grid.extents !cur ->
+           Grid.blit ~src:g ~dst:!cur;
            good_res := ck_res;
            Telemetry.add c_disk_restore 1;
            if Flightrec.on () then
@@ -290,7 +287,6 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
                   { gen = ck_cycle; cycle = !cycle })
          | Some _ | None -> ())
        | Some _ | None -> ());
-      Grid.blit ~src:good ~dst:!cur;
       Telemetry.add c_rollbacks 1;
       if Flightrec.on () then
         Flightrec.emit (Flightrec.Rollback { cycle = !cycle });
@@ -392,9 +388,8 @@ let run ?(policy = default_policy) ?checkpoint ?(start_cycle = 1) ~primary
              ())
       end
   done;
-  (* the spare iterate is dead; so is [good] unless a sink keeps it *)
+  (* the spare iterate is dead; a sink may keep [!cur], the result *)
   Grid.release !next;
-  if checkpoint = None then Grid.release good;
   { stats = List.rev !stats;
     v = !cur;
     residual = !good_res;

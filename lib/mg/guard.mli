@@ -6,8 +6,9 @@
     silently.  {!run} wraps any {!Solver.stepper} in a monitor that after
     every cycle scans the fresh iterate for non-finite values and
     classifies its residual ({!Solver.classify}); on a NaN, divergence,
-    or crash it rolls the iterate back to a checkpoint of the last good
-    cycle and re-runs the failed cycle on a {e fallback} stepper —
+    or crash it rolls back to the last accepted iterate, which the
+    faulted attempt did not write (a stepper writes only its [out]), and
+    re-runs the failed cycle on a {e fallback} stepper —
     typically the same cycle compiled with {!Repro_core.Options.naive},
     no optimizations — which isolates whether the optimizer caused the
     fault.  If the primary plan keeps faulting it is quarantined for the
@@ -91,12 +92,13 @@ type checkpoint_sink = {
   ck_accept :
     cycle:int -> residual:float -> v:Repro_grid.Grid.t ->
     stats:Solver.cycle_stats list -> unit;
-      (** called after every accepted cycle with the last-good iterate
-          (stable identity: only overwritten on the next accept) —
-          {!Checkpoint.sink} persists it on its cadence *)
+      (** called after every accepted cycle with the live accepted
+          iterate, which holds until the next accept; after that the
+          guard writes it again, so a sink that keeps it longer copies
+          it.  {!Checkpoint.sink} persists it on its cadence *)
   ck_restore : unit -> (int * float * Repro_grid.Grid.t) option;
       (** newest durable [(cycle, residual, iterate)]; consulted on
-          rollback when the in-memory checkpoint holds non-finite
+          rollback when the last accepted iterate holds non-finite
           values, so recovery can restore from disk, not just memory
           (counted in [guard.checkpoint_disk_restores]) *)
 }

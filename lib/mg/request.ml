@@ -270,8 +270,8 @@ let status = function
   | Over_budget _ -> Infeasible
   | No_resume _ -> Unresumable
 
-let chaos fault (primary : Solver.stepper) : Solver.stepper =
-  match fault with
+let chaos (t : t) (primary : Solver.stepper) : Solver.stepper =
+  match t.fault with
   | None -> primary
   | Some Crash -> fun ~v:_ ~f:_ ~out:_ -> failwith "injected crash (chaos hook)"
   | Some Nan ->
@@ -333,7 +333,7 @@ let attempt (t : t) ~report ~problem ~start_cycle ~sink ~baseline cand =
       | Some mk -> mk rt
       | None -> invalid_arg ("Request.run: no ~baseline for " ^ t.spec.variant))
   in
-  let primary = chaos t.fault primary in
+  let primary = chaos t primary in
   if t.guard then begin
     let fallback_fits =
       match report with

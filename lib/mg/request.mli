@@ -96,6 +96,11 @@ val validate :
 
 (** {2 Running} *)
 
+val chaos : t -> Solver.stepper -> Solver.stepper
+(** The stepper with the request's [fault] applied: ["crash"] raises
+    before the cycle, ["nan"] plants a NaN in [out] after it; the
+    stepper itself without one. *)
+
 type decision
 (** The plan decision: the one plan, or the costed ladder when budgeted. *)
 

@@ -25,7 +25,10 @@ type result = {
 
 type stepper = v:Repro_grid.Grid.t -> f:Repro_grid.Grid.t ->
   out:Repro_grid.Grid.t -> unit
-(** One cycle: reads the iterate [v] and rhs [f], writes the new iterate. *)
+(** One cycle: reads the iterate [v] and the rhs [f] and writes only
+    [out], the new iterate.  [v] and [f] come back bit-unchanged:
+    {!Guard.run} keeps its last accepted iterate in place, with no copy,
+    as the state a faulted cycle rolls back to. *)
 
 val classify :
   ?divergence_factor:float -> ?stagnation_eps:float -> best:float ->

@@ -3,7 +3,8 @@ module Buf = Repro_grid.Buf
 
 (* The operator, the residual sum and the rim scan are C walks over the
    grids' bigarrays (verify_stubs.c), so the residual the guard checks
-   after every cycle allocates nothing.  The stubs index unchecked, so
+   after every cycle allocates nothing; the sum runs in eight vector
+   lanes in a fixed order ([residual_l2]).  The stubs index unchecked, so
    every entry point first validates the layout they walk ([check]). *)
 external c_residual_sum :
   Buf.data -> Buf.data -> (float[@unboxed]) -> int array -> (float[@unboxed])
@@ -56,8 +57,11 @@ let apply_poisson ~n ~v ~out =
   c_apply_poisson v.Grid.buf.Buf.data out.Grid.buf.Buf.data
     (float_of_int (n * n)) v.Grid.extents
 
-(* One fused pass: Σ (f − invhsq·lap v)² in row-major order, the same
-   accumulation order as summing over a materialized [A_h v]. *)
+(* One fused pass: Σ (f − invhsq·lap v)² in eight lanes, a point at
+   column offset j of its row into lane j mod 8, rows in row-major
+   order, the lanes combined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).
+   The same order at every ISA, and the order [test_mg]'s per-point
+   oracle sums over a materialized [A_h v]. *)
 let residual_l2 ~n ~v ~f =
   check_pair "Verify.residual_l2" ~name:"f" v f;
   let ext = v.Grid.extents in

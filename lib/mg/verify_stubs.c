@@ -3,10 +3,17 @@
  * side.
  *
  * Each point is 2d*c minus each neighbour in turn, dimension by
- * dimension, and the squares are summed by one scalar accumulator in
- * row-major order: the per-point oracle's operations in its order, so
- * the results are bit-identical to it.  Built with -ffp-contract=off and
- * without -ffast-math, so gcc may neither fuse nor reassociate.
+ * dimension: the per-point oracle's operations in its order.  The
+ * residual's squares go to eight lanes: a point at column offset j of
+ * its row (j = 0 at the first interior column) adds into lane j mod 8,
+ * rows in row-major order, and the lanes are combined by the fixed tree
+ * ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).  That order is the contract: the
+ * OCaml oracle sums the same way, bit for bit.  The lanes are one gcc
+ * vector of eight doubles, and the function is cloned for AVX-512, AVX2
+ * and the baseline ISA; every clone does the same IEEE operations on
+ * the same lanes, so the bits do not depend on the host.  Built with
+ * -ffp-contract=off and without -ffast-math, so gcc may neither fuse nor
+ * reassociate.
  *
  * Verify.check validates rank, extents, strides and buffer lengths
  * before calling in; these functions trust it, never allocate nor raise,
@@ -21,34 +28,64 @@
 
 #define EXT(e, k) Long_val(Field((e), (k)))
 
-#define LAP2(v, o, s0) \
-  (4.0 * v[o] - v[o - s0] - v[o + s0] - v[o - 1] - v[o + 1])
-#define LAP3(v, o, s0, s1) \
-  (6.0 * v[o] - v[o - s0] - v[o + s0] - v[o - s1] - v[o + s1] - v[o - 1] \
-   - v[o + 1])
+/* The operator at offset o, reading v through [A]: V1 gives one
+   double, V8 the eight lanes from o on, so both do the same operations
+   in the same order. */
+#define LAP2(A, o, s0) \
+  (4.0 * A(o) - A(o - s0) - A(o + s0) - A(o - 1) - A(o + 1))
+#define LAP3(A, o, s0, s1) \
+  (6.0 * A(o) - A(o - s0) - A(o + s0) - A(o - s1) - A(o + s1) - A(o - 1) \
+   - A(o + 1))
 
+/* Eight lanes of doubles; [lanes_u] loads them from any 8-byte
+   aligned address. */
+typedef double lanes __attribute__((vector_size(8 * sizeof(double))));
+typedef double lanes_u
+    __attribute__((vector_size(8 * sizeof(double)), aligned(8), may_alias));
+#define V1(o) v[o]
+#define V8(o) (*(const lanes_u *)(v + (o)))
+
+/* The squared residuals of the m points of one row from offset o0 into
+   [acc]: whole groups of eight as one vector, then the tail point by
+   point, offset j into lane j & 7. */
+#define ROW(LAP, LAPV)                                            \
+  do {                                                            \
+    long j = 0;                                                   \
+    for (; j + 8 <= m; j += 8) {                                  \
+      long o = o0 + j;                                            \
+      lanes r = *(const lanes_u *)(f + o) - invhsq * (LAPV);      \
+      acc += r * r;                                               \
+    }                                                             \
+    for (; j < m; j++) {                                          \
+      long o = o0 + j;                                            \
+      double r = f[o] - invhsq * (LAP);                           \
+      acc[j & 7] += r * r;                                        \
+    }                                                             \
+  } while (0)
+
+__attribute__((target_clones("avx512f", "avx2", "default")))
 double polymg_verify_residual_sum(value vv, value vf, double invhsq,
                                   value ext)
 {
   const double *v = Caml_ba_data_val(vv), *f = Caml_ba_data_val(vf);
-  double sum = 0.0;
+  lanes acc = { 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0 };
   if (Wosize_val(ext) == 2) {
-    long n0 = EXT(ext, 0), s0 = EXT(ext, 1);
-    for (long i = 1; i < n0 - 1; i++)
-      for (long o = i * s0 + 1; o < i * s0 + s0 - 1; o++) {
-        double r = f[o] - invhsq * LAP2(v, o, s0);
-        sum += r * r;
-      }
+    long n0 = EXT(ext, 0), s0 = EXT(ext, 1), m = s0 - 2;
+    for (long i = 1; i < n0 - 1; i++) {
+      long o0 = i * s0 + 1;
+      ROW(LAP2(V1, o, s0), LAP2(V8, o, s0));
+    }
   } else {
     long n0 = EXT(ext, 0), n1 = EXT(ext, 1), s1 = EXT(ext, 2), s0 = n1 * s1;
+    long m = s1 - 2;
     for (long i = 1; i < n0 - 1; i++)
-      for (long row = i * s0 + s1; row < i * s0 + (n1 - 1) * s1; row += s1)
-        for (long o = row + 1; o < row + s1 - 1; o++) {
-          double r = f[o] - invhsq * LAP3(v, o, s0, s1);
-          sum += r * r;
-        }
+      for (long row = i * s0 + s1; row < i * s0 + (n1 - 1) * s1; row += s1) {
+        long o0 = row + 1;
+        ROW(LAP3(V1, o, s0, s1), LAP3(V8, o, s0, s1));
+      }
   }
-  return sum;
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+         + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
 value polymg_verify_apply_poisson(value vv, value vout, double invhsq,
@@ -60,13 +97,13 @@ value polymg_verify_apply_poisson(value vv, value vout, double invhsq,
     long n0 = EXT(ext, 0), s0 = EXT(ext, 1);
     for (long i = 1; i < n0 - 1; i++)
       for (long o = i * s0 + 1; o < i * s0 + s0 - 1; o++)
-        out[o] = invhsq * LAP2(v, o, s0);
+        out[o] = invhsq * LAP2(V1, o, s0);
   } else {
     long n0 = EXT(ext, 0), n1 = EXT(ext, 1), s1 = EXT(ext, 2), s0 = n1 * s1;
     for (long i = 1; i < n0 - 1; i++)
       for (long row = i * s0 + s1; row < i * s0 + (n1 - 1) * s1; row += s1)
         for (long o = row + 1; o < row + s1 - 1; o++)
-          out[o] = invhsq * LAP3(v, o, s0, s1);
+          out[o] = invhsq * LAP3(V1, o, s0, s1);
   }
   return Val_unit;
 }

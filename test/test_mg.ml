@@ -271,15 +271,27 @@ let oracle_apply_poisson ~n ~v ~out =
       done
     done
 
-let oracle_residual_l2 ~n ~v ~f =
+(* The residual's squares in [Verify]'s order: a point at column
+   offset j of its row (j = 0 at the first interior column) adds into
+   lane j mod 8, rows in row-major order, and the lanes are combined by
+   the fixed tree ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).  [~lanes:1]
+   is the one serial chain, kept to report how far the two orders
+   differ. *)
+let oracle_residual_l2 ?(lanes = 8) ~n ~v ~f () =
   let av = Grid.create (Grid.extents v) in
   oracle_apply_poisson ~n ~v ~out:av;
-  let sum = ref 0.0 and count = ref 0 in
+  let acc = Array.make 8 0.0 and count = ref 0 in
+  let last = Array.length (Grid.extents v) - 1 in
   Grid.iter_interior f ~f:(fun idx fv ->
       let r = fv -. Grid.get av idx in
-      sum := !sum +. (r *. r);
+      let k = (idx.(last) - 1) mod lanes in
+      acc.(k) <- acc.(k) +. (r *. r);
       incr count);
-  sqrt (!sum /. float_of_int !count)
+  let sum =
+    acc.(0) +. acc.(1) +. (acc.(2) +. acc.(3))
+    +. (acc.(4) +. acc.(5) +. (acc.(6) +. acc.(7)))
+  in
+  sqrt (sum /. float_of_int !count)
 
 (* Same bits, or both NaN (NaN payloads are not part of the contract). *)
 let same_float a b =
@@ -327,10 +339,11 @@ let point_gen ext ~ghosts =
          else int_range 1 (e - 2))
        ext)
 
-(* rectangular 2-D/3-D extents ≥ 3, any n, values over ~40 binades and
-   either sign; one case in two plants a NaN or ±∞ in v at a point with
-   0 .. rank ghost coordinates (interior, face, edge or corner), or in
-   f at an interior point *)
+(* rectangular 2-D/3-D extents 3 .. 24 and 3 .. 19 (so 3-D rows also
+   run whole groups of eight lanes plus a tail of every length), any n,
+   values over ~40 binades and either sign; one case in two plants a
+   NaN or ±∞ in v at a point with 0 .. rank ghost coordinates
+   (interior, face, edge or corner), or in f at an interior point *)
 let walk_case_gen =
   let open QCheck.Gen in
   let value =
@@ -339,7 +352,7 @@ let walk_case_gen =
       bool (float_bound_exclusive 1.0) (int_range (-20) 19)
   in
   let* dims = int_range 2 3 in
-  let* ext = array_repeat dims (int_range 3 (if dims = 2 then 24 else 10)) in
+  let* ext = array_repeat dims (int_range 3 (if dims = 2 then 24 else 19)) in
   let points = Array.fold_left ( * ) 1 ext in
   let* wc_n = int_range 1 4096 in
   let* wc_v = array_repeat points value in
@@ -386,7 +399,7 @@ let prop_walks_bit_identical =
             ops_same := false)
         out.Grid.buf;
       let r = Verify.residual_l2 ~n ~v ~f in
-      let r_ref = oracle_residual_l2 ~n ~v ~f in
+      let r_ref = oracle_residual_l2 ~n ~v ~f () in
       let poison_ok =
         match c.wc_poison with
         | None -> Float.is_finite r
@@ -440,6 +453,31 @@ let test_residual_allocation_free () =
     [ ("130² residual_l2", 2, 128, residual);
       ("34³ residual_l2", 3, 32, residual);
       ("34³ apply_poisson", 3, 32, apply) ]
+
+(* How far the lane order moves a residual from the one serial chain,
+   reported and not gated: one cycle from the zero guess on the grids of
+   the six benchmark kernels (V-2D-4-4-4 opt+ and dtile-opt+ at n=32
+   and n=64, the 8-level n=256 solve, W-3D-10-0-0 at n=32). *)
+let test_lanes_vs_serial () =
+  let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let w3 = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
+  Exec.with_runtime @@ fun rt ->
+  List.iter
+    (fun ((cfg : Cycle.config), opts, n) ->
+      let p = Problem.poisson ~dims:cfg.Cycle.dims ~n in
+      let v = Grid.create (Grid.extents p.Problem.v) in
+      Solver.polymg_stepper cfg ~n ~opts ~rt ~v:p.Problem.v ~f:p.Problem.f
+        ~out:v;
+      let r = Verify.residual_l2 ~n ~v ~f:p.Problem.f in
+      let serial = oracle_residual_l2 ~lanes:1 ~n ~v ~f:p.Problem.f () in
+      Printf.printf "%s L%d %s n=%d: residual %.17g, serial %.17g, rel %+.2e\n"
+        (Cycle.bench_name cfg) cfg.Cycle.levels (Options.name opts) n r serial
+        ((r -. serial) /. serial);
+      check_bool "residual finite" true (Float.is_finite r))
+    [ (v2, Options.opt_plus, 32); (v2, Options.dtile_opt_plus, 32);
+      (v2, Options.opt_plus, 64); (v2, Options.dtile_opt_plus, 64);
+      ({ v2 with Cycle.levels = 8 }, Options.dtile_opt_plus, 256);
+      (w3, Options.dtile_opt_plus, 32) ]
 
 let test_problem_classes () =
   check_int "2D B" 1024 (Problem.class_n ~dims:2 Problem.B);
@@ -543,8 +581,9 @@ let prop_free_list_bounded =
           && s.Grid.max_shape <= b.Grid.max_shape)
         ops)
 
-(* A checkpoint sink may keep [good] past [Guard.run]: the guard must
-   not recycle it, so a second solve of the same shape leaves it. *)
+(* A checkpoint sink may keep the last iterate it was handed, the
+   result, past [Guard.run]: the guard must not recycle it, so a second
+   solve of the same shape leaves it. *)
 let test_guard_keeps_sink_grid () =
   let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(2, 2, 2) in
   let n = 32 in
@@ -667,7 +706,9 @@ let () =
           Alcotest.test_case "residual rejects mismatched grids" `Quick
             test_residual_rejects_mismatched_grids;
           Alcotest.test_case "residual allocation-free" `Quick
-            test_residual_allocation_free ] );
+            test_residual_allocation_free;
+          Alcotest.test_case "lane order vs the serial chain (reported)"
+            `Quick test_lanes_vs_serial ] );
       ( "verify properties",
         Qc_replay.to_alcotest_list
           [ prop_walks_bit_identical; prop_rhs_bit_identical ] ) ]

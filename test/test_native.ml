@@ -586,6 +586,118 @@ let test_key_per_emitter () =
     (key (Digest.to_hex (Digest.string "another emitter"))
      <> key Native.emitter_digest)
 
+(* -- the stepper contract ---------------------------------------------- *)
+
+(* A stepper reads [v] and [f] and writes only [out] (Solver.stepper):
+   the guard rolls back to its [v] with no copy.  One cycle from an
+   iterate filled at every point, ghosts included: the names of the
+   inputs it changed by a bit.  A raising stepper is held to the same
+   contract. *)
+let inputs_written (step : Solver.stepper) ~(v : Grid.t) ~(f : Grid.t) =
+  let v = Grid.copy v and f = Grid.copy f in
+  let fill i = 0.125 *. float_of_int ((i * 7919 mod 101) - 50) in
+  Repro_grid.Buf.iteri
+    (fun i _ -> Repro_grid.Buf.set v.Grid.buf i (fill i))
+    v.Grid.buf;
+  let v0 = bits v and f0 = bits f in
+  (try step ~v ~f ~out:(Grid.create (Grid.extents v)) with Failure _ -> ());
+  List.filter_map
+    (fun (name, g, b0) -> if bits g = b0 then None else Some name)
+    [ ("v", v, v0); ("f", f, f0) ]
+
+(* Every stepper constructor in lib/: plan steppers for the four presets
+   on both backends in 2-D and 3-D, plus a 2-D n=64 opt+ plan whose
+   native kernel runs row pipelines; the hand-written baselines; the
+   NAS reference and DSL steppers at class S; and the request's chaos
+   wrappers.  A stepper that writes one element of [v] must fail the
+   check. *)
+let stepper_contract ~native =
+  Exec.with_runtime @@ fun rt ->
+  let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let v3 = Cycle.default ~dims:3 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let grids (cfg : Cycle.config) n =
+    let p = Problem.poisson ~dims:cfg.Cycle.dims ~n in
+    (p.Problem.v, p.Problem.f)
+  in
+  let backends =
+    Options.Interp :: (if native then [ Options.Native ] else [])
+  in
+  let plan_case (cfg, n, opts) backend =
+    let opts = { opts with Options.backend } in
+    ( Printf.sprintf "%s %s %s n=%d" (Cycle.bench_name cfg) (Options.name opts)
+        (if backend = Options.Native then "native" else "interp")
+        n,
+      Solver.plan_stepper (Solver.polymg_plan cfg ~n ~opts) ~rt,
+      grids cfg n )
+  in
+  let plans =
+    List.concat_map
+      (fun (cfg, n) ->
+        List.map
+          (fun opts -> (cfg, n, opts))
+          Options.[ naive; opt; opt_plus; dtile_opt_plus ])
+      [ (v2, 32); (v3, 16) ]
+    @ [ (v2, 64, Options.opt_plus) ]
+  in
+  let hand (cfg, n) (name, smoothing) =
+    ( Printf.sprintf "%s %s n=%d" (Cycle.bench_name cfg) name n,
+      Handopt.stepper (Handopt.create cfg ~n ~par:rt.Exec.par ~smoothing ()),
+      grids cfg n )
+  in
+  let nas =
+    let cls = Repro_nas.Nas_coeffs.S in
+    let p = Repro_nas.Nas_problem.setup ~cls in
+    let g = (p.Repro_nas.Nas_problem.u, p.Repro_nas.Nas_problem.v) in
+    [ ( "NAS reference class S",
+        Repro_nas.Nas_ref.(stepper (create ~cls ~par:rt.Exec.par)),
+        g );
+      ( "NAS DSL opt+ class S",
+        Repro_nas.Nas_pipeline.stepper ~cls ~opts:Options.opt_plus ~rt,
+        g ) ]
+  in
+  let opt2 = Solver.polymg_stepper v2 ~n:32 ~opts:Options.opt_plus ~rt in
+  let chaos fault =
+    match
+      Request.validate ~allow_faults:true
+        { Request.default_spec with Request.n = Some 32; fault = Some fault }
+    with
+    | Ok t -> ("chaos " ^ fault, Request.chaos t opt2, grids v2 32)
+    | Error e -> Alcotest.failf "Request.validate: %s" e
+  in
+  let cases =
+    List.concat_map (fun p -> List.map (plan_case p) backends) plans
+    @ List.concat_map
+        (fun shape ->
+          List.map (hand shape)
+            [ ("handopt", Handopt.Plain);
+              ("handopt+pluto", Handopt.Pluto { sigma = 5 }) ])
+        [ (v2, 32); (v3, 16) ]
+    @ nas
+    @ [ chaos "nan"; chaos "crash" ]
+  in
+  List.iter
+    (fun (name, step, (v, f)) ->
+      Alcotest.(check (list string)) (name ^ ": inputs written") []
+        (inputs_written step ~v ~f))
+    cases;
+  let writes_v ~v ~f ~out =
+    opt2 ~v ~f ~out;
+    Repro_grid.Buf.set v.Grid.buf 40 1e3
+  in
+  let v, f = grids v2 32 in
+  Alcotest.(check (list string)) "a stepper writing one element of v" [ "v" ]
+    (inputs_written writes_v ~v ~f)
+
+let test_stepper_contract () =
+  match Native.cc () with
+  | None ->
+    Printf.printf "native: skipped (no C compiler found), interpreter only\n%!";
+    stepper_contract ~native:false
+  | Some _ ->
+    with_native_env ~tag:"contract"
+      (fun ~compiler:_ ~dir:_ -> stepper_contract ~native:true)
+      ()
+
 let properties =
   List.map
     (fun (name, speed, run) ->
@@ -626,4 +738,7 @@ let () =
       ( "budget",
         [ Alcotest.test_case "native rungs budget the arena" `Quick
             test_budget_sees_arena ] );
+      ( "contract",
+        [ Alcotest.test_case "steppers write only out" `Quick
+            test_stepper_contract ] );
       ("properties", properties) ]
