@@ -7,9 +7,12 @@ module Buf = Repro_grid.Buf
    lanes in a fixed order ([residual_l2]).  The stubs index unchecked, so
    every entry point first validates the layout they walk ([check]). *)
 external c_residual_sum :
-  Buf.data -> Buf.data -> (float[@unboxed]) -> int array -> (float[@unboxed])
+  (int[@untagged]) -> Buf.data -> Buf.data -> (float[@unboxed]) -> int array ->
+  (float[@unboxed])
   = "polymg_verify_residual_sum_byte" "polymg_verify_residual_sum"
 [@@noalloc]
+
+external c_paths : unit -> int = "polymg_verify_paths"
 
 external c_apply_poisson :
   Buf.data -> Buf.data -> (float[@unboxed]) -> int array -> unit
@@ -60,17 +63,33 @@ let apply_poisson ~n ~v ~out =
 (* One fused pass: Σ (f − invhsq·lap v)² in eight lanes, a point at
    column offset j of its row into lane j mod 8, rows in row-major
    order, the lanes combined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).
-   The same order at every ISA, and the order [test_mg]'s per-point
-   oracle sums over a materialized [A_h v]. *)
-let residual_l2 ~n ~v ~f =
-  check_pair "Verify.residual_l2" ~name:"f" v f;
-  let ext = v.Grid.extents in
-  let sum =
-    c_residual_sum v.Grid.buf.Buf.data f.Grid.buf.Buf.data
-      (float_of_int (n * n)) ext
-  in
+   The same order on every code path (baseline, AVX-512), and the
+   order [test_mg]'s per-point oracle sums over a materialized [A_h v]. *)
+let rms sum ext =
   let count = Array.fold_left (fun acc e -> acc * (e - 2)) 1 ext in
   sqrt (sum /. float_of_int count)
+
+(* the code paths of the sum (0 the baseline, 1 AVX-512), as a bit mask
+   of those this build and host run, read once; the widest is used *)
+let paths = c_paths ()
+let widest = if paths land 2 <> 0 then 1 else 0
+
+let residual_on what path ~n ~v ~f =
+  check_pair what ~name:"f" v f;
+  let ext = v.Grid.extents in
+  rms
+    (c_residual_sum path v.Grid.buf.Buf.data f.Grid.buf.Buf.data
+       (float_of_int (n * n)) ext)
+    ext
+
+let residual_l2 ~n ~v ~f = residual_on "Verify.residual_l2" widest ~n ~v ~f
+
+let residual_l2_paths ~n ~v ~f =
+  List.filter_map
+    (fun (p, name) ->
+      if paths land (1 lsl p) = 0 then None
+      else Some (name, residual_on "Verify.residual_l2_paths" p ~n ~v ~f))
+    [ (0, "baseline"); (1, "avx512f") ]
 
 let rim_finite v =
   check "Verify.rim_finite" v;

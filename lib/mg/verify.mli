@@ -12,6 +12,14 @@ val residual_l2 : n:int -> v:Repro_grid.Grid.t -> f:Repro_grid.Grid.t -> float
     on every host.
     @raise Invalid_argument when [v] and [f] extents differ. *)
 
+val residual_l2_paths :
+  n:int -> v:Repro_grid.Grid.t -> f:Repro_grid.Grid.t -> (string * float) list
+(** {!residual_l2} through each compiled code path of its sum that this
+    build and host can run, by name: ["baseline"] always, and
+    ["avx512f"] on x86-64 hosts with AVX-512F, which {!residual_l2} then
+    takes.  Every path must give the same bits.  For tests.
+    @raise Invalid_argument as {!residual_l2}. *)
+
 val rim_finite : Repro_grid.Grid.t -> bool
 (** Whether every point of [v] with at least two ghost coordinates is
     finite: the 4 corners in 2-D, the 12 edges (corners included) in

@@ -9,11 +9,12 @@
  * rows in row-major order, and the lanes are combined by the fixed tree
  * ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).  That order is the contract: the
  * OCaml oracle sums the same way, bit for bit.  The lanes are one gcc
- * vector of eight doubles, and the function is cloned for AVX-512, AVX2
- * and the baseline ISA; every clone does the same IEEE operations on
- * the same lanes, so the bits do not depend on the host.  Built with
- * -ffp-contract=off and without -ffast-math, so gcc may neither fuse nor
- * reassociate.
+ * vector of eight doubles.  On x86-64 the sum is compiled twice, for
+ * AVX-512 and for the baseline ISA, and Verify takes AVX-512 where the
+ * host runs it; elsewhere only the baseline is built.  Both paths do
+ * the same IEEE operations on the same lanes, so the bits do not depend
+ * on the host.  Built with -ffp-contract=off and without -ffast-math,
+ * so gcc may neither fuse nor reassociate.
  *
  * Verify.check validates rank, extents, strides and buffer lengths
  * before calling in; these functions trust it, never allocate nor raise,
@@ -63,11 +64,10 @@ typedef double lanes_u
     }                                                             \
   } while (0)
 
-__attribute__((target_clones("avx512f", "avx2", "default")))
-double polymg_verify_residual_sum(value vv, value vf, double invhsq,
-                                  value ext)
+/* Inlined into each path below, so each compiles it for its own ISA. */
+static inline __attribute__((always_inline)) double
+residual_sum(const double *v, const double *f, double invhsq, value ext)
 {
-  const double *v = Caml_ba_data_val(vv), *f = Caml_ba_data_val(vf);
   lanes acc = { 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0 };
   if (Wosize_val(ext) == 2) {
     long n0 = EXT(ext, 0), s0 = EXT(ext, 1), m = s0 - 2;
@@ -86,6 +86,61 @@ double polymg_verify_residual_sum(value vv, value vf, double invhsq,
   }
   return ((acc[0] + acc[1]) + (acc[2] + acc[3]))
          + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+/* The code paths, by index: 0 the baseline, 1 AVX-512.  An AVX2 path
+   ran 2.3x slower than the baseline's SSE2 on an AVX-512 host, so there
+   is none. */
+typedef double sum_path(const double *, const double *, double, value);
+
+static double sum_baseline(const double *v, const double *f, double invhsq,
+                           value ext)
+{
+  return residual_sum(v, f, invhsq, ext);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+
+__attribute__((target("avx512f")))
+static double sum_avx512f(const double *v, const double *f, double invhsq,
+                          value ext)
+{
+  return residual_sum(v, f, invhsq, ext);
+}
+
+static sum_path *const paths[] = { sum_baseline, sum_avx512f };
+
+/* AVX-512F in CPUID leaf 7 and the ZMM state enabled by the OS (XCR0
+   bits 1, 2 and 5-7).  Read with cpuid.h and xgetbv, not
+   __builtin_cpu_supports, whose libgcc probe would be linked in. */
+static int avx512f_usable(void)
+{
+  unsigned a, b, c, d, lo, hi;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_OSXSAVE)) return 0;
+  __asm__("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+  if ((lo & 0xe6) != 0xe6) return 0;
+  return __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & bit_AVX512F);
+}
+#else
+static sum_path *const paths[] = { sum_baseline };
+
+static int avx512f_usable(void) { return 0; }
+#endif
+
+/* The bit mask of the paths this build and host run; Verify reads it
+   once and passes the path to every sum. */
+CAMLprim value polymg_verify_paths(value unit)
+{
+  (void)unit;
+  return Val_int(avx512f_usable() ? 3 : 1);
+}
+
+double polymg_verify_residual_sum(intnat path, value vv, value vf,
+                                  double invhsq, value ext)
+{
+  return paths[path](Caml_ba_data_val(vv), Caml_ba_data_val(vf), invhsq,
+                     ext);
 }
 
 value polymg_verify_apply_poisson(value vv, value vout, double invhsq,
@@ -135,11 +190,12 @@ CAMLprim value polymg_verify_rim_finite(value vv, value ext)
   return Val_true;
 }
 
-CAMLprim value polymg_verify_residual_sum_byte(value vv, value vf,
-                                               value vinvhsq, value ext)
+CAMLprim value polymg_verify_residual_sum_byte(value path, value vv,
+                                               value vf, value vinvhsq,
+                                               value ext)
 {
-  return caml_copy_double(
-      polymg_verify_residual_sum(vv, vf, Double_val(vinvhsq), ext));
+  return caml_copy_double(polymg_verify_residual_sum(
+      Long_val(path), vv, vf, Double_val(vinvhsq), ext));
 }
 
 CAMLprim value polymg_verify_apply_poisson_byte(value vv, value vout,

@@ -274,17 +274,15 @@ let oracle_apply_poisson ~n ~v ~out =
 (* The residual's squares in [Verify]'s order: a point at column
    offset j of its row (j = 0 at the first interior column) adds into
    lane j mod 8, rows in row-major order, and the lanes are combined by
-   the fixed tree ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).  [~lanes:1]
-   is the one serial chain, kept to report how far the two orders
-   differ. *)
-let oracle_residual_l2 ?(lanes = 8) ~n ~v ~f () =
+   the fixed tree ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)). *)
+let oracle_residual_l2 ~n ~v ~f =
   let av = Grid.create (Grid.extents v) in
   oracle_apply_poisson ~n ~v ~out:av;
   let acc = Array.make 8 0.0 and count = ref 0 in
   let last = Array.length (Grid.extents v) - 1 in
   Grid.iter_interior f ~f:(fun idx fv ->
       let r = fv -. Grid.get av idx in
-      let k = (idx.(last) - 1) mod lanes in
+      let k = (idx.(last) - 1) mod 8 in
       acc.(k) <- acc.(k) +. (r *. r);
       incr count);
   let sum =
@@ -374,7 +372,8 @@ let grid_of ext data =
   Array.iteri (fun i x -> Repro_grid.Buf.set g.Grid.buf i x) data;
   g
 
-(* The C walks against the OCaml oracle, bit for bit; and the guard's
+(* The C walks against the OCaml oracle, bit for bit, the residual on
+   every code path of its sum this host runs; and the guard's
    finiteness rule: the residual reads every point but the rim (points
    with ≥ 2 ghost coordinates), so "residual or rim not finite" holds
    exactly when some value of v or f is not finite. *)
@@ -399,7 +398,7 @@ let prop_walks_bit_identical =
             ops_same := false)
         out.Grid.buf;
       let r = Verify.residual_l2 ~n ~v ~f in
-      let r_ref = oracle_residual_l2 ~n ~v ~f () in
+      let r_ref = oracle_residual_l2 ~n ~v ~f in
       let poison_ok =
         match c.wc_poison with
         | None -> Float.is_finite r
@@ -410,7 +409,12 @@ let prop_walks_bit_identical =
       in
       let guard_rule = not (Float.is_finite r && Verify.rim_finite v) in
       let nonfinite g = Repro_grid.Buf.find_nonfinite g.Grid.buf <> None in
-      !ops_same && same_float r r_ref && poison_ok
+      let paths_same =
+        List.for_all
+          (fun (_, rp) -> same_float rp r_ref)
+          (Verify.residual_l2_paths ~n ~v ~f)
+      in
+      !ops_same && same_float r r_ref && paths_same && poison_ok
       && guard_rule = (nonfinite v || nonfinite f))
 
 let test_residual_rejects_mismatched_grids () =
@@ -453,31 +457,6 @@ let test_residual_allocation_free () =
     [ ("130² residual_l2", 2, 128, residual);
       ("34³ residual_l2", 3, 32, residual);
       ("34³ apply_poisson", 3, 32, apply) ]
-
-(* How far the lane order moves a residual from the one serial chain,
-   reported and not gated: one cycle from the zero guess on the grids of
-   the six benchmark kernels (V-2D-4-4-4 opt+ and dtile-opt+ at n=32
-   and n=64, the 8-level n=256 solve, W-3D-10-0-0 at n=32). *)
-let test_lanes_vs_serial () =
-  let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
-  let w3 = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
-  Exec.with_runtime @@ fun rt ->
-  List.iter
-    (fun ((cfg : Cycle.config), opts, n) ->
-      let p = Problem.poisson ~dims:cfg.Cycle.dims ~n in
-      let v = Grid.create (Grid.extents p.Problem.v) in
-      Solver.polymg_stepper cfg ~n ~opts ~rt ~v:p.Problem.v ~f:p.Problem.f
-        ~out:v;
-      let r = Verify.residual_l2 ~n ~v ~f:p.Problem.f in
-      let serial = oracle_residual_l2 ~lanes:1 ~n ~v ~f:p.Problem.f () in
-      Printf.printf "%s L%d %s n=%d: residual %.17g, serial %.17g, rel %+.2e\n"
-        (Cycle.bench_name cfg) cfg.Cycle.levels (Options.name opts) n r serial
-        ((r -. serial) /. serial);
-      check_bool "residual finite" true (Float.is_finite r))
-    [ (v2, Options.opt_plus, 32); (v2, Options.dtile_opt_plus, 32);
-      (v2, Options.opt_plus, 64); (v2, Options.dtile_opt_plus, 64);
-      ({ v2 with Cycle.levels = 8 }, Options.dtile_opt_plus, 256);
-      (w3, Options.dtile_opt_plus, 32) ]
 
 let test_problem_classes () =
   check_int "2D B" 1024 (Problem.class_n ~dims:2 Problem.B);
@@ -706,9 +685,7 @@ let () =
           Alcotest.test_case "residual rejects mismatched grids" `Quick
             test_residual_rejects_mismatched_grids;
           Alcotest.test_case "residual allocation-free" `Quick
-            test_residual_allocation_free;
-          Alcotest.test_case "lane order vs the serial chain (reported)"
-            `Quick test_lanes_vs_serial ] );
+            test_residual_allocation_free ] );
       ( "verify properties",
         Qc_replay.to_alcotest_list
           [ prop_walks_bit_identical; prop_rhs_bit_identical ] ) ]

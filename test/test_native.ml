@@ -607,14 +607,16 @@ let inputs_written (step : Solver.stepper) ~(v : Grid.t) ~(f : Grid.t) =
 
 (* Every stepper constructor in lib/: plan steppers for the four presets
    on both backends in 2-D and 3-D, plus a 2-D n=64 opt+ plan whose
-   native kernel runs row pipelines; the hand-written baselines; the
-   NAS reference and DSL steppers at class S; and the request's chaos
-   wrappers.  A stepper that writes one element of [v] must fail the
-   check. *)
+   native kernel runs row pipelines, the W-3D-10-0-0 dtile-opt+ n=32
+   plan of the checkpointed benchmark solve, and a demoted rung of the
+   memory-budget ladder; the hand-written baselines; the NAS reference
+   and DSL steppers at class S; and the request's chaos wrappers.  A
+   stepper that writes one element of [v] must fail the check. *)
 let stepper_contract ~native =
   Exec.with_runtime @@ fun rt ->
   let v2 = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
   let v3 = Cycle.default ~dims:3 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+  let w3 = Cycle.default ~dims:3 ~shape:Cycle.W ~smoothing:(10, 0, 0) in
   let grids (cfg : Cycle.config) n =
     let p = Problem.poisson ~dims:cfg.Cycle.dims ~n in
     (p.Problem.v, p.Problem.f)
@@ -637,7 +639,26 @@ let stepper_contract ~native =
           (fun opts -> (cfg, n, opts))
           Options.[ naive; opt; opt_plus; dtile_opt_plus ])
       [ (v2, 32); (v3, 16) ]
-    @ [ (v2, 64, Options.opt_plus) ]
+    @ [ (v2, 64, Options.opt_plus); (w3, 32, Options.dtile_opt_plus) ]
+  in
+  (* V-2D n=64 opt+ under a 112 KiB budget demotes to fewer tiles (half
+     on the interpreter, a quarter with the native arena): the rung
+     Request would run, picked by Govern.decide *)
+  let rung backend =
+    let opts =
+      { Options.opt_plus with Options.backend; mem_budget = Some (112 * 1024) }
+    in
+    match
+      Govern.decide (Cycle.build v2) ~opts ~n:64 ~params:(Cycle.params v2 ~n:64)
+    with
+    | Ok r when r.Govern.chosen > 0 ->
+      let g = Govern.chosen r in
+      ( Printf.sprintf "V-2D-4-4-4 rung %s %s n=64" g.Govern.rname
+          (if backend = Options.Native then "native" else "interp"),
+        Solver.plan_stepper g.Govern.plan ~rt,
+        grids v2 64 )
+    | Ok _ -> Alcotest.fail "112 KiB does not demote opt+ at n=64"
+    | Error _ -> Alcotest.fail "112 KiB is infeasible at n=64"
   in
   let hand (cfg, n) (name, smoothing) =
     ( Printf.sprintf "%s %s n=%d" (Cycle.bench_name cfg) name n,
@@ -666,6 +687,7 @@ let stepper_contract ~native =
   in
   let cases =
     List.concat_map (fun p -> List.map (plan_case p) backends) plans
+    @ List.map rung backends
     @ List.concat_map
         (fun shape ->
           List.map (hand shape)
