@@ -28,7 +28,10 @@
    solve must still recover it).  A digest-drift leg checkpoints under
    opt+ and resumes under naive: the resume re-plans, records a
    resume-replan incident, and still matches the reference within the
-   cross-implementation budget.
+   cross-implementation budget.  A guarded leg kills a guard-run solve
+   at a cycle boundary and resumes it: Guard checkpoints its accepted
+   iterate itself, so the final iterate must equal, bit for bit, that
+   of an uninterrupted guarded run.
 
    Modes:
      --quick          small campaign (8 kills, 12 cycles): the runtest tier
@@ -124,7 +127,7 @@ type kill = No_kill | At_cycle of int | Mid_write of int * int
    at cycle k budgets k cycles and dies once [run] returns: cycle k is
    already durable and the final flush writes nothing.  Returns the exit
    code (6 = no usable checkpoint generation, like mg_solve). *)
-let solve_child ~dir ~resume ~variant ~kill ~incidents () =
+let solve_child ~dir ~resume ~variant ~guard ~cycles ~kill ~incidents () =
   Flightrec.set_enabled true;
   Flightrec.set_incident_dir incidents;
   let spec =
@@ -134,7 +137,8 @@ let solve_child ~dir ~resume ~variant ~kill ~incidents () =
       shape = Cycle.V;
       smoothing = (4, 4, 4);
       variant;
-      cycles = (match kill with At_cycle k -> k | _ -> total_cycles);
+      guard;
+      cycles = (match kill with At_cycle k -> k | _ -> cycles);
       checkpoint_dir = Some dir;
       checkpoint_every = 1;
       resume_dir = (if resume then Some dir else None) }
@@ -176,10 +180,12 @@ let status_name = function
   | Exited c -> Printf.sprintf "exit %d" c
   | Killed s -> Printf.sprintf "signal %d" s
 
-(* One solve child on [dir], opt+ unless [naive]. *)
-let run ?(resume = false) ?(naive = false) ?(kill = No_kill) ?incidents dir =
+(* One solve child on [dir], opt+ unless [naive], unguarded unless
+   [guard]. *)
+let run ?(resume = false) ?(naive = false) ?(guard = false)
+    ?(cycles = total_cycles) ?(kill = No_kill) ?incidents dir =
   let variant = if naive then "naive" else "opt+" in
-  in_child (solve_child ~dir ~resume ~variant ~kill ~incidents)
+  in_child (solve_child ~dir ~resume ~variant ~guard ~cycles ~kill ~incidents)
 
 (* -- campaign ------------------------------------------------------------ *)
 
@@ -377,6 +383,33 @@ let () =
            && Json.to_str (Campaign.field "current_variant" d) = Some "naive")
          ()
       = []);
+
+  (* ---- guarded: a boundary kill of a Guard-run solve, resumed ---- *)
+  (* Guard checkpoints its accepted iterate itself, so the legs above,
+     whose children solve unguarded, cannot see it checkpoint the wrong
+     grid.  Six cycles keep consecutive iterates far apart in every
+     bit. *)
+  let guarded_cycles = 6 in
+  let guarded ?resume ?kill leg =
+    run ~guard:true ~cycles:guarded_cycles ?resume ?kill (dir_of leg)
+  in
+  expect_status "guarded: reference" (Exited 0) (guarded "guarded-reference");
+  expect_status "guarded: boundary kill" (Killed Sys.sigkill)
+    (guarded ~kill:(At_cycle (guarded_cycles / 2)) "guarded");
+  expect_status "guarded: resume" (Exited 0) (guarded ~resume:true "guarded");
+  let final leg =
+    match Checkpoint.load_latest ~dir:(dir_of leg) with
+    | Ok r when r.Checkpoint.state.Checkpoint.cycle = guarded_cycles ->
+      Some (Repro_grid.Buf.to_array r.Checkpoint.state.Checkpoint.v.Grid.buf)
+    | Ok _ | Error _ -> None
+  in
+  check "guarded: resumed iterate bit-identical to an uninterrupted one"
+    (match (final "guarded-reference", final "guarded") with
+     | Some a, Some b ->
+       Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+     | _ -> false);
 
   (* ---- overhead of the (disabled) checkpoint hook plumbing ---- *)
   if !overhead then begin

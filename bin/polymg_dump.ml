@@ -129,6 +129,34 @@ type ctx = {
   domains : int;
 }
 
+(* Where the native kernel keeps each buffer: buffers whose byte ranges
+   overlap share them, over disjoint group windows. *)
+let arena_summary plan =
+  let lay = C_emit.layout plan in
+  Printf.printf "arena_bytes=%d array_bytes=%d\n" (8 * lay.C_emit.len)
+    (Plan.total_array_bytes plan);
+  let at what (lo, hi) len off =
+    Printf.printf "  %s, groups %d..%d: arena bytes [%d, %d)\n" what lo hi
+      (8 * off) (8 * (off + len))
+  in
+  Array.iteri
+    (fun a (info : Plan.array_info) ->
+      match lay.C_emit.array_off.(a) with
+      | Some off ->
+        at (Printf.sprintf "array#%d" a)
+          (info.Plan.first_group, info.Plan.last_group) info.Plan.len off
+      | None -> Printf.printf "  array#%d: output, the caller's buffer\n" a)
+    plan.Plan.arrays;
+  Array.iter
+    (function
+      | Plan.G_diamond dg ->
+        let g = dg.Plan.gid in
+        at (Printf.sprintf "group %d modulo buffer" g) (g, g)
+          (Repro_grid.Grid.ghosted_len dg.Plan.sizes)
+          (Option.get lay.C_emit.dtmp_off.(g))
+      | Plan.G_tiled _ -> ())
+    plan.Plan.groups
+
 let plan_of ctx =
   Plan.build ctx.pipeline ~opts:ctx.opts ~n:ctx.n
     ~params:(Cycle.params ctx.cfg ~n:ctx.n)
@@ -141,8 +169,12 @@ let modes : (string * string * (ctx -> unit)) list =
       "the pipeline DAG",
       fun ctx -> Format.printf "%a@." Repro_ir.Pipeline.pp ctx.pipeline );
     ( "groups",
-      "the grouping and storage mapping",
-      fun ctx -> Format.printf "%a@." Plan.summary (plan_of ctx) );
+      "the grouping and storage mapping, then the native kernel's arena: \
+       every buffer's group window and arena bytes",
+      fun ctx ->
+        let plan = plan_of ctx in
+        Format.printf "%a@." Plan.summary plan;
+        arena_summary plan );
     ( "c",
       "the generated C pipeline function, without a main: the code the \
        native backend compiles",

@@ -1193,42 +1193,68 @@ let emit_diamond fmt ~(input_store : int -> cstore)
 
 (* ------------------------------------------------------------------ *)
 (* Arena layout: the pipeline allocates nothing.  Its outputs are the
-   caller's buffers; every other full array sits at a fixed offset (in
-   doubles, 64-byte rounded) of one caller-provided arena, in array
-   order.  A diamond group's modulo buffer is dead when its group ends,
-   so all of them share one region after the arrays.  Returns each
-   array's offset ([None] for an output), the diamond region's offset
-   and the arena's length. *)
+   caller's buffers; every other full array, and every diamond group's
+   modulo buffer, sits at a fixed offset of one caller-provided arena.
+   Two buffers may share bytes when their live windows are disjoint: an
+   array is live from the group that acquires it to the one after which
+   it is released, a modulo buffer in its own group only.  Buffers are
+   placed first-fit, largest first (ties by array index, then by
+   group), at offsets rounded to 64 bytes. *)
+
+type layout = {
+  array_off : int option array;
+  dtmp_off : int option array;
+  len : int;
+}
 
 let round8 len = (len + 7) land lnot 7
 
 let layout (plan : Plan.t) =
-  let next = ref 0 in
-  let offsets =
-    Array.map
-      (fun (info : Plan.array_info) ->
-        if info.Plan.output then None
-        else begin
-          let off = !next in
-          next := off + round8 info.Plan.len;
-          Some off
-        end)
-      plan.Plan.arrays
+  let array_off = Array.make (Array.length plan.Plan.arrays) None in
+  let dtmp_off = Array.make (Array.length plan.Plan.groups) None in
+  (* (doubles, window, tie-break key, where the offset goes) *)
+  let buffers =
+    List.concat
+      (List.mapi
+         (fun a (info : Plan.array_info) ->
+           if info.Plan.output then []
+           else
+             [ ( round8 info.Plan.len,
+                 (info.Plan.first_group, info.Plan.last_group),
+                 (0, a), fun off -> array_off.(a) <- Some off ) ])
+         (Array.to_list plan.Plan.arrays))
+    @ List.concat_map
+        (function
+          | Plan.G_tiled _ -> []
+          | Plan.G_diamond dg ->
+            let g = dg.Plan.gid in
+            [ ( round8 (Grid.ghosted_len dg.Plan.sizes), (g, g), (1, g),
+                fun off -> dtmp_off.(g) <- Some off ) ])
+        (Array.to_list plan.Plan.groups)
   in
-  let dtmp =
-    Array.fold_left
-      (fun acc g ->
-        match g with
-        | Plan.G_tiled _ -> acc
-        | Plan.G_diamond dg ->
-          max acc (round8 (Grid.ghosted_len dg.Plan.sizes)))
-      0 plan.Plan.groups
+  (* placed (offset, end, window), by offset: the least offset clear of
+     every placed buffer whose window meets this one's *)
+  let placed =
+    List.fold_left
+      (fun placed (size, (lo, hi), _, set) ->
+        let off =
+          List.fold_left
+            (fun off (o, e, (lo', hi')) ->
+              if lo <= hi' && lo' <= hi && off + size > o && e > off then e
+              else off)
+            0 placed
+        in
+        set off;
+        List.merge compare [ (off, off + size, (lo, hi)) ] placed)
+      []
+      (List.stable_sort
+         (fun (s1, _, k1, _) (s2, _, k2, _) -> compare (-s1, k1) (-s2, k2))
+         buffers)
   in
-  (offsets, !next, !next + dtmp)
+  { array_off; dtmp_off;
+    len = List.fold_left (fun acc (_, e, _) -> max acc e) 0 placed }
 
-let arena_bytes plan =
-  let _, _, len = layout plan in
-  8 * len
+let arena_bytes plan = 8 * (layout plan).len
 
 (* ------------------------------------------------------------------ *)
 (* Whole-pipeline body                                                  *)
@@ -1261,7 +1287,7 @@ let emit_body fmt (plan : Plan.t) =
        (List.map (Printf.sprintf "const double *%s") in_names
        @ List.map (Printf.sprintf "double *%s") out_names));
   pf fmt "  (void) N;@,";
-  let offsets, dtmp_off, _ = layout plan in
+  let lay = layout plan in
   (* full arrays with their users *)
   let users = Array.make (Array.length plan.Plan.arrays) [] in
   Array.iter
@@ -1284,13 +1310,15 @@ let emit_body fmt (plan : Plan.t) =
       match off with
       | Some off -> pf fmt "  double *_arr_%d = _arena + %d;@," a off
       | None -> pf fmt "  /* _arr_%d: output, the caller's buffer */@," a)
-    offsets;
+    lay.array_off;
   Array.iter
     (fun g ->
       match g with
       | Plan.G_tiled tg when wavefront g -> emit_rows fmt ~input_store ~array_store tg
       | Plan.G_tiled tg -> emit_tiled fmt ~input_store ~array_store tg
-      | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store ~dtmp_off dg)
+      | Plan.G_diamond dg ->
+        let dtmp_off = Option.get lay.dtmp_off.(dg.Plan.gid) in
+        emit_diamond fmt ~input_store ~array_store ~dtmp_off dg)
     plan.Plan.groups;
   pf fmt "}@,"
 

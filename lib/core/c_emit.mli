@@ -32,8 +32,9 @@
     from the values the tiles read, so it too is bit-identical.  The
     pipeline allocates nothing: it writes its outputs into
     the caller's buffers, as [Exec.run] does, and places every other
-    array at an emit-time offset of a caller-provided arena
-    ({!arena_bytes}).  Every innermost compute
+    array and every diamond modulo buffer at an emit-time offset of a
+    caller-provided arena ({!layout}), where buffers live in disjoint
+    groups share bytes.  Every innermost compute
     loop but a zero fill or a loop with one point in every tile carries
     [#pragma omp simd], with indices affine
     in its loop variable (parity cases loop over half indices), so a
@@ -70,10 +71,28 @@ val wavefront : Plan.group_exec -> bool
     from the skew, and a 3-D plane wavefront measured slower than the
     step loop. *)
 
+type layout = {
+  array_off : int option array;
+      (** per [Plan.arrays] index, in doubles; [None] for an output *)
+  dtmp_off : int option array;
+      (** per group index, a diamond group's modulo buffer, in doubles;
+          [None] for an overlapped group *)
+  len : int;  (** doubles *)
+}
+
+val layout : Plan.t -> layout
+(** Where the emitted pipeline keeps its intermediates in the arena it
+    takes last.  Every non-output full array is live over its closed
+    group window [first_group..last_group] ({!Plan.array_info}), every
+    diamond group's modulo buffer over its own group only.  Buffers are
+    placed first-fit, largest first (ties by array index, then by
+    group), at offsets rounded to 64 bytes, so two buffers share bytes
+    only when their windows are disjoint.  The arena's length is the
+    largest end.  {!Plan_check.check_layout} proves a layout safe
+    without reading these windows. *)
+
 val arena_bytes : Plan.t -> int
-(** Bytes of the arena the emitted pipeline takes last: every non-output
-    full array at a 64-byte-rounded offset, then one region shared by
-    all diamond modulo buffers.  {!Native} allocates it; {!Govern}
+(** Bytes of {!layout}'s arena.  {!Native} allocates it; {!Govern}
     budgets it. *)
 
 val runnable : Plan.t -> (unit, string) result

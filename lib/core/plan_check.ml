@@ -296,6 +296,124 @@ let check_diamond (plan : Plan.t) (dg : Plan.diamond_group) ~add =
         m.Plan.compiled.Compile.producers)
     dg.Plan.steps
 
+(* ---- native arena layout soundness -------------------------------- *)
+(* The native kernel keeps every non-output array and every diamond
+   modulo buffer at a fixed offset of one arena, where buffers share
+   bytes.  Liveness is re-derived from the group sequence at byte
+   granularity, not read from the layout's windows: each arena array
+   tracks the bytes of the value it holds (a group writes the whole
+   ghosted box of every array it publishes: the rim prefill and the
+   tiles or chain cover it), a write clobbers every other array whose
+   held bytes it overlaps, and every read must find its producer's
+   value intact.  A group interleaves its reads and writes, so none of
+   its writes may overlap bytes another of its buffers reads or writes:
+   this keeps a modulo buffer off every array its chain touches.  Shared
+   bytes make a read-before-write silent (it reads another array's live
+   data, not zeros), so nothing at run time would catch what this
+   misses. *)
+
+type held = Holds of (int * int) | Clobbered of string * int
+
+let check_arena (plan : Plan.t) (lay : C_emit.layout) ~fname ~add =
+  let issue fmt = Printf.ksprintf add fmt in
+  let arena = 8 * lay.C_emit.len in
+  let range a fid =
+    Option.map
+      (fun off ->
+        let f = Pipeline.func plan.Plan.pipeline fid in
+        let len = full_len (concrete_sizes ~n:plan.Plan.n f) in
+        (8 * off, 8 * (off + len)))
+      lay.C_emit.array_off.(a)
+  in
+  let overlap (lo, hi) (lo', hi') = lo < hi' && lo' < hi in
+  Array.iteri
+    (fun a (info : Plan.array_info) ->
+      if (not info.Plan.output) && lay.C_emit.array_off.(a) = None then
+        issue "array#%d has no arena offset" a)
+    plan.Plan.arrays;
+  let state = Array.make (Array.length plan.Plan.arrays) None in
+  Array.iteri
+    (fun gi g ->
+      let in_arena pairs =
+        List.filter_map
+          (fun (fid, a) -> Option.map (fun r -> (fid, a, r)) (range a fid))
+          pairs
+      in
+      let reads = in_arena (List.sort_uniq compare (array_reads_of g)) in
+      let array_writes = in_arena (writes_of g) in
+      let dtmp =
+        match g, lay.C_emit.dtmp_off.(gi) with
+        | Plan.G_diamond dg, Some off ->
+          let len = Repro_grid.Grid.ghosted_len dg.Plan.sizes in
+          [ ( Printf.sprintf "group %d's modulo buffer" gi, None,
+              (8 * off, 8 * (off + len)) ) ]
+        | Plan.G_diamond _, None ->
+          issue "group %d's modulo buffer has no arena offset" gi;
+          []
+        | Plan.G_tiled _, _ -> []
+      in
+      let writes =
+        List.map
+          (fun (fid, a, r) ->
+            (Printf.sprintf "%s in array#%d" (fname fid) a, Some a, r))
+          array_writes
+        @ dtmp
+      in
+      List.iter
+        (fun (what, _, (lo, hi)) ->
+          if lo < 0 || hi > arena then
+            issue
+              "group %d writes %s at bytes [%d, %d), outside the %d-byte \
+               arena"
+              gi what lo hi arena)
+        writes;
+      List.iter
+        (fun (pid, a, (lo, hi)) ->
+          match state.(a) with
+          | Some (Clobbered (by, g')) ->
+            issue
+              "group %d reads %s from array#%d at bytes [%d, %d), but group \
+               %d wrote %s over them (arena aliasing)"
+              gi (fname pid) a lo hi g' by
+          | Some (Holds _) | None -> ())
+        reads;
+      List.iteri
+        (fun i (what, wa, wr) ->
+          List.iter
+            (fun (pid, a, rr) ->
+              if wa <> Some a && overlap wr rr then
+                issue
+                  "group %d writes %s over bytes of array#%d, from which it \
+                   reads %s"
+                  gi what a (fname pid))
+            reads;
+          List.iteri
+            (fun j (what', wa', wr') ->
+              if j > i && wa <> wa' && overlap wr wr' then
+                issue "group %d writes %s and %s into overlapping arena bytes"
+                  gi what what')
+            writes)
+        writes;
+      List.iter
+        (fun (what, wa, wr) ->
+          Array.iteri
+            (fun b st ->
+              match st with
+              | Some (Holds r) when wa <> Some b && overlap wr r ->
+                state.(b) <- Some (Clobbered (what, gi))
+              | _ -> ())
+            state)
+        writes;
+      List.iter (fun (_, a, r) -> state.(a) <- Some (Holds r))
+        array_writes)
+    plan.Plan.groups
+
+let check_layout (plan : Plan.t) lay =
+  let issues = ref [] in
+  let fname fid = (Pipeline.func plan.Plan.pipeline fid).Func.name in
+  check_arena plan lay ~fname ~add:(fun s -> issues := s :: !issues);
+  match List.rev !issues with [] -> Ok () | l -> Error l
+
 (* ---- entry points -------------------------------------------------- *)
 
 let check (plan : Plan.t) =
@@ -304,6 +422,7 @@ let check (plan : Plan.t) =
   let add s = issues := s :: !issues in
   let fname fid = (Pipeline.func plan.Plan.pipeline fid).Func.name in
   check_arrays plan ~fname ~add;
+  check_arena plan (C_emit.layout plan) ~fname ~add;
   Array.iter
     (fun g ->
       match g with

@@ -19,7 +19,13 @@
     - {b halos}: per tile, the image of every stencil read stays inside
       the producer's computed scratch region (in-group) or allocated
       domain-plus-ghost box (live-ins), for overlapped and diamond
-      groups both.
+      groups both;
+    - {b native arena}: the {!C_emit.layout} a native kernel runs with,
+      simulated over the group sequence at byte granularity — a write
+      clobbers every other array whose bytes it overlaps, every read
+      must find its producer's bytes intact, and no write of a group
+      may overlap bytes another buffer of that group reads or writes
+      (so a diamond modulo buffer stays off its chain's arrays).
 
     The pass is diagnostic-only: it never mutates the plan, and runs in
     time polynomial in (groups × tiles × members × accesses) — cheap at
@@ -28,6 +34,12 @@
 val check : Plan.t -> (unit, string list) result
 (** [Ok ()] when the plan is storage-safe, otherwise every violation
     found, in deterministic order. *)
+
+val check_layout : Plan.t -> C_emit.layout -> (unit, string list) result
+(** The native-arena part of {!check} alone, for a given layout (which
+    {!check} takes from {!C_emit.layout}).  It re-derives liveness from
+    the plan's reads and writes and never reads the layout's windows, so
+    it also judges a layout placed with wrong ones. *)
 
 val check_exn : Plan.t -> unit
 (** @raise Invalid_argument listing every violation. *)

@@ -56,41 +56,57 @@ let arena_binds s =
                (fun name off -> Some (name, off))
          with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
 
-(* Every diamond modulo buffer sits at one offset, past every full
-   array, and the arena ends where the largest of them does. *)
-let test_diamond_one_offset () =
+(* The arena as emitted: one [_dtmp_G] bind per diamond group, every
+   bind inside [C_emit.arena_bytes], and two binds share bytes only when
+   their live windows (an array's [first_group..last_group], a modulo
+   buffer's own group) are disjoint. *)
+let test_arena_layout () =
   each_emitted (fun what plan s ->
-      let binds = arena_binds s in
-      let dtmps, arrs =
-        List.partition (fun (name, _) -> String.starts_with ~prefix:"_dtmp_" name)
-          binds
-      in
       let diamonds =
         Array.to_list plan.Plan.groups
         |> List.filter_map (function
              | Plan.G_diamond dg -> Some dg
              | Plan.G_tiled _ -> None)
       in
-      check_int (what ^ ": one arena buffer per diamond group")
-        (List.length diamonds) (List.length dtmps);
-      match List.sort_uniq compare (List.map snd dtmps) with
-      | [] -> ()
-      | [ off ] ->
-        check_bool (what ^ ": diamond buffers past every array") true
-          (List.for_all (fun (_, o) -> o < off) arrs);
-        let largest =
-          List.fold_left
-            (fun acc (dg : Plan.diamond_group) ->
-              max acc
-                (Array.fold_left (fun acc s -> acc * (s + 2)) 1 dg.Plan.sizes))
-            0 diamonds
-        in
-        check_int (what ^ ": arena ends with the largest diamond buffer")
-          (C_emit.arena_bytes plan)
-          ((8 * off) + ((8 * largest) + 63) land lnot 63)
-      | offs ->
-        Alcotest.failf "%s: diamond buffers at %d offsets" what
-          (List.length offs))
+      let binds =
+        List.map
+          (fun (name, off) ->
+            let len, window =
+              match Scanf.sscanf name "_dtmp_%d%!" Fun.id with
+              | g ->
+                let dg = List.find (fun dg -> dg.Plan.gid = g) diamonds in
+                (Repro_grid.Grid.ghosted_len dg.Plan.sizes, (g, g))
+              | exception Scanf.Scan_failure _ ->
+                let info = plan.Plan.arrays.(Scanf.sscanf name "_arr_%d%!" Fun.id) in
+                (info.Plan.len, (info.Plan.first_group, info.Plan.last_group))
+            in
+            (name, 8 * off, 8 * (off + len), window))
+          (arena_binds s)
+      in
+      check_bool (what ^ ": one _dtmp_G bind per diamond group") true
+        (List.sort compare
+           (List.filter_map
+              (fun (name, _, _, _) ->
+                if String.starts_with ~prefix:"_dtmp_" name then Some name
+                else None)
+              binds)
+        = List.sort compare
+            (List.map (fun dg -> Printf.sprintf "_dtmp_%d" dg.Plan.gid) diamonds));
+      let arena = C_emit.arena_bytes plan in
+      List.iter
+        (fun (name, lo, hi, (wlo, whi)) ->
+          check_bool (what ^ ": " ^ name ^ " ends within the arena") true
+            (0 <= lo && hi <= arena);
+          List.iter
+            (fun (name', lo', hi', (wlo', whi')) ->
+              if name < name' && wlo <= whi' && wlo' <= whi then
+                check_bool
+                  (Printf.sprintf "%s: %s and %s, both live, share no byte" what
+                     name name')
+                  true
+                  (hi <= lo' || hi' <= lo))
+            binds)
+        binds)
 
 (* The pipeline's parameters are N, the inputs, the output arrays and
    the arena; every other array, and no output, is bound in the arena. *)
@@ -820,8 +836,7 @@ let () =
     [ ( "emission",
         [ Alcotest.test_case "markers" `Quick test_emit_markers;
           Alcotest.test_case "no allocator" `Quick test_no_allocator;
-          Alcotest.test_case "diamond buffers at one offset" `Quick
-            test_diamond_one_offset;
+          Alcotest.test_case "arena layout" `Quick test_arena_layout;
           Alcotest.test_case "outputs are parameters" `Quick
             test_outputs_are_parameters;
           Alcotest.test_case "scratch reuse" `Quick test_emit_scratch_reuse_visible;

@@ -144,6 +144,87 @@ let test_check_exn_and_build () =
        ~opts:{ Options.opt_plus with Options.check_plan = true }
        ~n ~params:(Cycle.params cfg ~n))
 
+(* -- the native arena layout ------------------------------------------- *)
+
+(* The layout placed as if one array's window ended a group early: that
+   array may now share bytes with a buffer first written in the group
+   that still reads it.  Every such mutant that moves the layout must be
+   rejected, by a check that re-derives liveness rather than reading the
+   windows.  Returns, per mutant that moved the layout, its array and
+   whether the check accepted it. *)
+let short_window_mutants plan =
+  let lay = C_emit.layout plan in
+  Array.to_list plan.Plan.arrays
+  |> List.mapi (fun a (info : Plan.array_info) -> (a, info))
+  |> List.filter_map (fun (a, (info : Plan.array_info)) ->
+         if info.Plan.output || info.Plan.last_group = info.Plan.first_group
+         then None
+         else begin
+           let arrays = Array.copy plan.Plan.arrays in
+           arrays.(a) <- { info with Plan.last_group = info.Plan.last_group - 1 };
+           let lay' = C_emit.layout { plan with Plan.arrays } in
+           if lay' = lay then None
+           else Some (a, Plan_check.check_layout plan lay' = Ok ())
+         end)
+
+let test_short_window_rejected () =
+  List.iter
+    (fun opts ->
+      let plan = plan_of ~dims:2 ~shape:Cycle.V ~opts in
+      (match Plan_check.check_layout plan (C_emit.layout plan) with
+      | Ok () -> ()
+      | Error issues ->
+        Alcotest.failf "%s: layout rejected: %s" (Options.name opts)
+          (String.concat "; " issues));
+      let mutants = short_window_mutants plan in
+      Alcotest.(check bool)
+        (Options.name opts ^ ": some mutant moves the layout")
+        true (mutants <> []);
+      List.iter
+        (fun (a, accepted) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: array#%d one group short rejected"
+               (Options.name opts) a)
+            false accepted)
+        mutants)
+    presets
+
+(* Every arena array at offset 0: a later group reads a value an earlier
+   group's write has overwritten. *)
+let test_one_offset_rejected () =
+  let plan = base_plan () in
+  let lay = C_emit.layout plan in
+  let lay' =
+    { lay with
+      C_emit.array_off = Array.map (Option.map (fun _ -> 0)) lay.C_emit.array_off }
+  in
+  match Plan_check.check_layout plan lay' with
+  | Ok () -> Alcotest.fail "arena arrays at one offset accepted"
+  | Error issues ->
+    Alcotest.(check bool) "a read of overwritten bytes is reported" true
+      (List.exists
+         (fun s ->
+           let sub = "(arena aliasing)" in
+           let n = String.length s and m = String.length sub in
+           n >= m && String.sub s (n - m) m = sub)
+         issues)
+
+(* Property: for every preset, the check accepts the layout the emitter
+   places, and rejects every short-window mutant that moves it. *)
+let prop_random_layouts_safe =
+  QCheck.Test.make
+    ~name:"random pipelines: native layouts pass, short windows fail"
+    ~count:40 ~long_factor:10 Pipeline_gen.pipelines_arb
+    (fun stages ->
+      let built = Pipeline_gen.gen_pipeline_of stages in
+      List.for_all
+        (fun opts ->
+          let plan = Pipeline_gen.build_plan built ~opts ~n:32 in
+          Plan_check.check_layout plan (C_emit.layout plan) = Ok ()
+          && List.for_all (fun (_, accepted) -> not accepted)
+               (short_window_mutants plan))
+        presets)
+
 (* Property: every optimizer preset builds a storage-safe plan for random
    pipelines, and the optimized result still matches the naive one. *)
 let prop_random_plans_safe =
@@ -179,5 +260,11 @@ let () =
           Alcotest.test_case "undersized arrays" `Quick
             test_reject_undersized_arrays;
           Alcotest.test_case "undersized scratch slots" `Quick
-            test_reject_undersized_scratch ] );
-      ( "properties", [ Qc_replay.to_alcotest prop_random_plans_safe ] ) ]
+            test_reject_undersized_scratch;
+          Alcotest.test_case "arena window one group short" `Quick
+            test_short_window_rejected;
+          Alcotest.test_case "arena arrays at one offset" `Quick
+            test_one_offset_rejected ] );
+      ( "properties",
+        [ Qc_replay.to_alcotest prop_random_plans_safe;
+          Qc_replay.to_alcotest prop_random_layouts_safe ] ) ]
