@@ -107,34 +107,67 @@ let word = 8
 let diamond_tmp_bytes (dg : Plan.diamond_group) =
   word * Repro_grid.Grid.ghosted_len dg.Plan.sizes
 
-let model_peak_bytes (plan : Plan.t) =
-  let arrays = plan.Plan.arrays in
-  let abytes (a : Plan.array_info) = word * a.Plan.len in
-  let tmp_at gi =
-    match plan.Plan.groups.(gi) with
-    | Plan.G_diamond dg -> diamond_tmp_bytes dg
-    | Plan.G_tiled _ -> 0
+(* With [pool], the interpreter takes every non-output array from
+   {!Repro_runtime.Mempool} at its first group and returns it after its
+   last, and a diamond group takes and returns its modulo buffer within
+   the group ([Exec.run]).  The pool hands out the smallest free buffer
+   at least as long as the request and allocates only when none is, so
+   a buffer can serve a shorter request: a coarser level's array takes
+   a diamond group's modulo buffer (the ghosted box of its chain), and
+   the next request of that size allocates afresh.  A budget caps the
+   bytes of every buffer the pool holds, free or live; so the model is
+   the pool's size: this sequence replayed against the same best fit,
+   cycle after cycle (the pool keeps its buffers), until a cycle
+   allocates nothing, which every later cycle then repeats.  Nothing is
+   then ever trimmed under a budget that size, and nothing overruns. *)
+let pooled_bytes (plan : Plan.t) =
+  let free = ref [] and size = ref 0 and grew = ref true in
+  let acquire len =
+    let fit =
+      List.fold_left
+        (fun best l -> if l >= len && (best < 0 || l < best) then l else best)
+        (-1) !free
+    in
+    if fit < 0 then begin
+      grew := true;
+      size := !size + len;
+      len
+    end
+    else begin
+      let rec take = function
+        | [] -> []
+        | l :: rest -> if l = fit then rest else l :: take rest
+      in
+      free := take !free;
+      fit
+    end
   in
-  let ngroups = Array.length plan.Plan.groups in
-  if plan.Plan.opts.Options.pool then begin
-    (* Windowed liveness: array [a] occupies pool memory from its
-       acquire group through its release group; the modulo buffer is
-       acquired and released within its own group. *)
-    let peak = ref 0 in
-    for gi = 0 to ngroups - 1 do
-      let live = ref (tmp_at gi) in
-      Array.iter
-        (fun (a : Plan.array_info) ->
-          if
-            (not a.Plan.output)
-            && a.Plan.first_group <= gi
-            && gi <= a.Plan.last_group
-          then live := !live + abytes a)
-        arrays;
-      if !live > !peak then peak := !live
-    done;
-    !peak
-  end
+  let release l = free := l :: !free in
+  let arrays = plan.Plan.arrays in
+  let held = Array.make (Array.length arrays) 0 in
+  let each_array f =
+    Array.iteri
+      (fun a (info : Plan.array_info) -> if not info.Plan.output then f a info)
+      arrays
+  in
+  while !grew do
+    grew := false;
+    Array.iteri
+      (fun gi group ->
+        each_array (fun a info ->
+            if info.Plan.first_group = gi then
+              held.(a) <- acquire (word * info.Plan.len));
+        (match group with
+         | Plan.G_diamond dg -> release (acquire (diamond_tmp_bytes dg))
+         | Plan.G_tiled _ -> ());
+        each_array (fun a info ->
+            if info.Plan.last_group = gi then release held.(a)))
+      plan.Plan.groups
+  done;
+  !size
+
+let model_peak_bytes (plan : Plan.t) =
+  if plan.Plan.opts.Options.pool then pooled_bytes plan
   else begin
     (* No pool: every non-output array is heap-allocated up front and
        never reclaimed during the execution; the worst diamond buffer
@@ -142,21 +175,27 @@ let model_peak_bytes (plan : Plan.t) =
     let fixed =
       Array.fold_left
         (fun acc (a : Plan.array_info) ->
-          if a.Plan.output then acc else acc + abytes a)
-        0 arrays
+          if a.Plan.output then acc else acc + (word * a.Plan.len))
+        0 plan.Plan.arrays
     in
-    let worst_tmp = ref 0 in
-    for gi = 0 to ngroups - 1 do
-      if tmp_at gi > !worst_tmp then worst_tmp := tmp_at gi
-    done;
-    fixed + !worst_tmp
+    let worst_tmp =
+      Array.fold_left
+        (fun acc -> function
+          | Plan.G_diamond dg -> max acc (diamond_tmp_bytes dg)
+          | Plan.G_tiled _ -> acc)
+        0 plan.Plan.groups
+    in
+    fixed + worst_tmp
   end
 
 (* A native kernel keeps every intermediate in its arena for the whole
-   call: a rung that may run natively budgets for the arena too. *)
+   call and takes nothing from the pool; an [Auto] rung may run either
+   way, so it budgets for both. *)
 let pool_peak_bytes (plan : Plan.t) =
-  if plan.Plan.opts.Options.backend = Options.Interp then model_peak_bytes plan
-  else max (model_peak_bytes plan) (C_emit.arena_bytes plan)
+  match plan.Plan.opts.Options.backend with
+  | Options.Interp -> model_peak_bytes plan
+  | Options.Native -> C_emit.arena_bytes plan
+  | Options.Auto -> max (model_peak_bytes plan) (C_emit.arena_bytes plan)
 
 (* ------------------------------------------------------------------ *)
 (* Decision                                                             *)
@@ -283,6 +322,16 @@ let decide ?(domains = 1) pipeline ~(opts : Options.t) ~n ~params =
   | None ->
     Telemetry.add c_infeasible 1;
     Error (refuse ~budget:(Option.get budget) ladder)
+
+(* The guard's fallback is the naive plan on the interpreter, whatever
+   the requested backend: the interpreter's model of the ladder's last,
+   naive rung. *)
+let fallback_fits r =
+  match r.budget with
+  | None -> true
+  | Some b ->
+    let last = r.ladder.(Array.length r.ladder - 1) in
+    model_peak_bytes last.plan + last.scratch_bytes <= b
 
 let exhausted r ~runtime_demotions =
   refuse

@@ -37,9 +37,15 @@ type rung = {
   plan : Plan.t;
   pool_peak_bytes : int;
       (** modelled peak of pooled/heap full-array + diamond-buffer bytes
-          (the part {!Repro_runtime.Mempool} budget enforcement sees); for
-          a [Native] or [Auto] rung, at least its kernel's arena
-          ({!C_emit.arena_bytes}) *)
+          (the part {!Repro_runtime.Mempool} budget enforcement sees).
+          With [pool], the size of the interpreter's pool, which is
+          what its budget caps: the plan's acquire/release sequence
+          replayed against the pool's best-fit reuse until a cycle
+          allocates nothing.  It exceeds the sum of the requests live in
+          a group, because the pool keeps free buffers and a buffer can
+          serve a shorter request.  For a [Native] rung its kernel's arena
+          ({!C_emit.arena_bytes}), which is all it allocates; for an
+          [Auto] rung the larger of the two *)
   scratch_bytes : int;  (** [domains ×] per-thread scratchpad footprint *)
   peak_bytes : int;  (** [pool_peak_bytes + scratch_bytes] *)
   dram_traffic : int;  (** modelled DRAM bytes per execution ({!Cost}) *)
@@ -93,6 +99,12 @@ val decide :
     increments [govern.infeasible]. *)
 
 val chosen : report -> rung
+
+val fallback_fits : report -> bool
+(** Whether the guard's naive fallback fits the budget.  It runs on the
+    interpreter whatever the requested backend, so this is the
+    interpreter's model of the ladder's last (naive) rung, even when the
+    ladder itself counts native arenas.  [true] with no budget. *)
 
 val exhausted : report -> runtime_demotions:int -> infeasible
 (** The refusal after run time: every fitting rung from the chosen one

@@ -335,11 +335,7 @@ let attempt (t : t) ~report ~problem ~start_cycle ~sink ~baseline cand =
   in
   let primary = chaos t primary in
   if t.guard then begin
-    let fallback_fits =
-      match report with
-      | None -> true
-      | Some r -> r.Govern.ladder.(Array.length r.Govern.ladder - 1).Govern.fits
-    in
+    let fallback_fits = Option.fold ~none:true ~some:Govern.fallback_fits report in
     let opts =
       Guard.fallback_opts
         (match t.engine with Polymg o -> o | Baseline -> Options.naive)

@@ -8,16 +8,19 @@ let c_read_rejected = Telemetry.counter "snapshot.read_rejected"
 (* ------------------------------------------------------------------ *)
 (* CRC-32 and the grid codec, in C (snapshot_stubs.c) *)
 
-external crc_init : unit -> unit = "polymg_snapshot_crc_init"
+external crc_init : unit -> int = "polymg_snapshot_crc_init"
 
-let () = crc_init ()
+(* the CRC's code paths (0 the tables, 1 carry-less multiply), as a bit
+   mask of those this build and host run, read once; the widest is used *)
+let paths = crc_init ()
+let widest = if paths land 2 <> 0 then 1 else 0
 
 (* The unchecked entry points: callers check every range first. *)
-external crc32_range : int -> string -> int -> int -> int
+external crc32_range : int -> int -> string -> int -> int -> int
   = "polymg_snapshot_crc32"
 [@@noalloc]
 
-external encode_range : Buf.data -> int -> bytes -> int -> int
+external encode_range : int -> Buf.data -> int -> bytes -> int -> int
   = "polymg_snapshot_encode_floats"
 [@@noalloc]
 
@@ -25,17 +28,28 @@ external decode_range : string -> int -> Buf.data -> int -> unit
   = "polymg_snapshot_decode_floats"
 [@@noalloc]
 
-let crc32 ?(crc = 0) ?(pos = 0) ?len s =
+let check_range what ~pos ~len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
   if pos < 0 || len < 0 || len > String.length s - pos then
-    invalid_arg "Snapshot.crc32: range out of bounds";
-  crc32_range crc s pos len
+    invalid_arg (what ^ ": range out of bounds");
+  len
+
+let crc32 ?(crc = 0) ?(pos = 0) ?len s =
+  crc32_range widest crc s pos (check_range "Snapshot.crc32" ~pos ~len s)
+
+let crc32_paths ?(crc = 0) ?(pos = 0) ?len s =
+  let len = check_range "Snapshot.crc32_paths" ~pos ~len s in
+  List.filter_map
+    (fun (p, name) ->
+      if paths land (1 lsl p) = 0 then None
+      else Some (name, crc32_range p crc s pos len))
+    [ (0, "table"); (1, "pclmul") ]
 
 let encode_floats buf b ~pos =
   let n = Buf.len buf in
   if pos < 0 || pos > Bytes.length b || n > (Bytes.length b - pos) / 8 then
     invalid_arg "Snapshot.encode_floats: range out of bounds";
-  encode_range buf.Buf.data n b pos
+  encode_range widest buf.Buf.data n b pos
 
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)

@@ -29,15 +29,27 @@ val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
 (** IEEE CRC-32 (the zlib/PNG polynomial) of the [len] bytes of a
     string from [pos] (default: the whole string), as an unsigned
     32-bit value in an [int].  [?crc] continues a running checksum.
-    Slicing-by-16 in C, equal to the byte-at-a-time definition on every
-    input and on either byte order.  Raises [Invalid_argument] when the
-    range is outside the string. *)
+    In C, equal to the byte-at-a-time definition on every input and on
+    either byte order: a carry-less-multiply fold on x86-64 hosts with
+    PCLMULQDQ and SSE4.1 (picked once, at start-up), slicing-by-16
+    elsewhere and for ranges under 64 bytes.  Raises [Invalid_argument]
+    when the range is outside the string. *)
+
+val crc32_paths :
+  ?crc:int -> ?pos:int -> ?len:int -> string -> (string * int) list
+(** {!crc32} through each compiled code path this build and host can
+    run, by name: ["table"] (slicing-by-16) always, and ["pclmul"] on
+    x86-64 hosts with PCLMULQDQ and SSE4.1, which {!crc32} and
+    {!encode_floats} then take.  Every path must give the same value.
+    For tests.  Raises [Invalid_argument] as {!crc32}. *)
 
 val encode_floats : Repro_grid.Buf.t -> bytes -> pos:int -> int
 (** [encode_floats buf b ~pos] writes the [Buf.len buf] doubles of
     [buf] (a {!Repro_grid.Buf.sub_view} writes its own range) into [b]
     from [pos] as little-endian IEEE-754 — a [memcpy] on little-endian
-    hosts — and returns the CRC-32 of the bytes written.  Raises
+    hosts — and returns the CRC-32 of the bytes written (on the
+    carry-less-multiply path, in one pass that copies and folds each
+    block).  Raises
     [Invalid_argument] when they do not fit in [b]. *)
 
 (** {2 Atomic file replacement} *)

@@ -531,10 +531,11 @@ let test_resume_covered () =
 
 let high_water = Telemetry.counter "govern.pool_high_water_bytes"
 
-(* 2-D n=64 V-4-4-4 dtile-opt+, 4 cycles: at 100 KiB the pool overruns
-   the planned rung and the solve demotes at run time; at 90 KiB every
-   fitting rung overruns.  mg_solve with and without --guard and Serve
-   must give one answer, and the pool must stay within the budget. *)
+(* 2-D n=64 V-4-4-4 dtile-opt+, 4 cycles: at 110 KiB the plan demotes
+   to dtile-opt+~tiles/4 (107.9 KiB modelled), which runs; at 100 and 90
+   KiB no rung's pool fits (the floor is 101.8 KiB).  mg_solve with and
+   without --guard and Serve must give one answer, and the pool must
+   stay within the budget. *)
 let test_budget_agreement () =
   let sv = server ~workers:1 () in
   List.iter
@@ -565,8 +566,69 @@ let test_budget_agreement () =
                Serve.rq_n = 64; rq_variant = "dtile-opt+"; rq_cycles = 4;
                rq_mem_budget = Some budget })
             .Serve.rs_code))
-    [ (100 * 1024, 0); (90 * 1024, 5) ];
+    [ (110 * 1024, 0); (100 * 1024, 5); (90 * 1024, 5) ];
   Serve.shutdown sv
+
+(* The model admits a rung only where the interpreter's pool holds it:
+   at a budget of exactly the requested rung's modelled footprint, every
+   preset on the 2-D (n=64) and 3-D (n=32) V and W cycles plans that
+   rung and runs it with no runtime demotion.  For a pooled rung the
+   model is exactly the size the pool reaches in an unbudgeted solve,
+   so it does not overcount either. *)
+let test_model_admits_what_runs () =
+  List.iter
+    (fun (dims, n, shape, variant) ->
+      let cfg =
+        { (Cycle.default ~dims ~shape ~smoothing:(4, 4, 4)) with
+          Cycle.levels = Request.default_spec.Request.levels }
+      in
+      let opts = Option.get (Repro_core.Options.variant_of_string variant) in
+      let top =
+        match
+          Repro_core.Govern.decide (Cycle.build cfg) ~opts ~n
+            ~params:(Cycle.params cfg ~n)
+        with
+        | Ok r -> r.Repro_core.Govern.ladder.(0)
+        | Error _ -> Alcotest.fail "no budget is never infeasible"
+      in
+      let what =
+        Printf.sprintf "%d-D %s %s at %d B" dims
+          (match shape with Cycle.V -> "V" | Cycle.W -> "W" | Cycle.F -> "F")
+          variant top.Repro_core.Govern.peak_bytes
+      in
+      match
+        cli
+          { Request.default_spec with
+            dims; n = Some n; shape; variant; cycles = 3;
+            mem_budget = Some top.Repro_core.Govern.peak_bytes }
+      with
+      | Request.Solved s ->
+        Alcotest.(check (option string))
+          (what ^ ": planned rung") (Some top.Repro_core.Govern.rname)
+          (Option.map (fun r -> r.Repro_core.Govern.rname) s.Request.rung);
+        Alcotest.(check int)
+          (what ^ ": runtime demotions") 0 s.Request.runtime_demotions;
+        let plan = top.Repro_core.Govern.plan in
+        if plan.Repro_core.Plan.opts.Repro_core.Options.pool then
+          Alcotest.(check int)
+            (what ^ ": the model is the pool's size")
+            top.Repro_core.Govern.pool_peak_bytes
+            (Repro_core.Exec.with_runtime (fun rt ->
+                 ignore
+                   (Solver.iterate (Solver.plan_stepper plan ~rt)
+                      ~problem:(Problem.poisson ~dims ~n) ~cycles:3 ());
+                 (Repro_runtime.Mempool.stats rt.Repro_core.Exec.pool)
+                   .Repro_runtime.Mempool.pool_bytes))
+      | o -> Alcotest.failf "%s: %s" what (Request.status_name (Request.status o)))
+    (List.concat_map
+       (fun (dims, n) ->
+         List.concat_map
+           (fun shape ->
+             List.map
+               (fun v -> (dims, n, shape, v))
+               [ "naive"; "opt"; "opt+"; "dtile-opt+" ])
+           [ Cycle.V; Cycle.W ])
+       [ (2, 64); (3, 32) ])
 
 (* A faulting budgeted request may fall back only to a plan that fits:
    the naive fallback (462 KiB modelled at n=64) is refused under a
@@ -774,6 +836,8 @@ let () =
             test_resume_covered;
           Alcotest.test_case "budgets agree with mg_solve" `Quick
             test_budget_agreement;
+          Alcotest.test_case "the model admits only what runs" `Quick
+            test_model_admits_what_runs;
           Alcotest.test_case "fallback only within the budget" `Quick
             test_fallback_within_budget ] );
       ( "properties",

@@ -5,10 +5,14 @@
    single-byte corruption, truncation, or trailing garbage makes [read]
    reject the file — the CRC framing never deserializes a torn write.
    The C CRC equals the byte-at-a-time definition on any range and under
-   [?crc] chaining, the one-pass writer produces the same bytes as the
+   [?crc] chaining, through every code path the host runs
+   ([Snapshot.crc32_paths]: every start offset mod 16 and every tail
+   length 0-63, chained from one path into another), the one-pass writer
+   produces the same bytes as the
    original Buffer-based writer (both kept verbatim below as oracles),
    and the C grid codec encodes and decodes a sub-view's own range only.
-   Unit tests cover the CRC test vector, an empty grid, a checkpoint
+   Unit tests cover the CRC test vector and a 314,432-byte frame on every
+   path, an empty grid, a checkpoint
    written by the original writer (test/fixtures), the writer's
    allocation, atomic replacement, generation rotation (the newest good
    generation is never deleted; the retired one is recycled as the spare
@@ -79,6 +83,19 @@ let oracle_crc32 ?(crc = 0) s =
       c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
     s;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+(* the oracle CRC of every prefix of [s] from [pos]: entry [k] is the
+   CRC of the [k] bytes at [pos] *)
+let oracle_prefixes s ~pos =
+  let table = Lazy.force oracle_crc_table in
+  let n = String.length s - pos in
+  let out = Array.make (n + 1) 0 in
+  let c = ref 0xFFFFFFFF in
+  for k = 1 to n do
+    c := table.((!c lxor Char.code s.[pos + k - 1]) land 0xFF) lxor (!c lsr 8);
+    out.(k) <- !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+  done;
+  out
 
 let oracle_payload_of_buf buf =
   let len = Buf.len buf in
@@ -178,6 +195,11 @@ let float_arb =
 
 let floats_arb = QCheck.list_of_size QCheck.Gen.(int_range 1 64) float_arb
 
+(* grids of at least 64 bytes, which the carry-less-multiply path folds,
+   with both tail lengths (0 and 8 bytes past a 16-byte block) *)
+let grid_floats_arb =
+  QCheck.list_of_size QCheck.Gen.(int_range 8 400) float_arb
+
 (* -- properties --------------------------------------------------------- *)
 
 let prop_roundtrip =
@@ -201,7 +223,8 @@ let prop_writer_matches_oracle =
   QCheck.Test.make
     ~name:"snapshot: one-pass writer reproduces the original bytes"
     ~count:100
-    QCheck.(pair snapshot_arb (list_of_size Gen.(int_range 0 2) floats_arb))
+    QCheck.(
+      pair snapshot_arb (list_of_size Gen.(int_range 0 2) grid_floats_arb))
     (fun ((kvs, raws), grids) ->
       let bufs = List.map (fun xs -> Buf.of_array (Array.of_list xs)) grids in
       let write ?scratch path =
@@ -257,6 +280,46 @@ let prop_crc_chaining =
       && Snapshot.crc32 ~crc:(Snapshot.crc32 s ~len:k) ~pos:k s = whole
       && Snapshot.crc32 ~crc:(oracle_crc32 head) tail
          = oracle_crc32 ~crc:(oracle_crc32 head) tail)
+
+(* Every path against the oracle, at every start offset mod 16 and every
+   tail length 0-63 past a random number of whole 64-byte blocks; then a
+   checksum of a prefix from each path continued by each path. *)
+let prop_crc_paths =
+  QCheck.Test.make
+    ~name:"crc32_paths: every path equals the oracle, and chains into each"
+    ~count:100 ~long_factor:10
+    QCheck.(
+      triple
+        (string_gen_of_size Gen.(int_range 0 3000) Gen.char)
+        (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (s, b, k) ->
+      let n = String.length s in
+      let check ?crc ~pos ~len expect =
+        List.for_all
+          (fun (name, got) ->
+            got = expect
+            || QCheck.Test.fail_reportf
+                 "path %s: pos %d len %d: 0x%08x, oracle 0x%08x" name pos
+                 len got expect)
+          (Snapshot.crc32_paths ?crc ~pos ~len s)
+      in
+      List.for_all
+        (fun pos ->
+          pos > n
+          ||
+          let prefix = oracle_prefixes s ~pos in
+          let blocks = b mod (n - pos + 1) land lnot 63 in
+          List.for_all
+            (fun t ->
+              let len = min (n - pos) (blocks + t) in
+              check ~pos ~len prefix.(len))
+            (List.init 64 Fun.id))
+        (List.init 16 Fun.id)
+      &&
+      let k = k mod (n + 1) in
+      List.for_all
+        (fun (_, head) -> check ~crc:head ~pos:k ~len:(n - k) (oracle_crc32 s))
+        (Snapshot.crc32_paths ~len:k s))
 
 let prop_corruption_rejected =
   QCheck.Test.make
@@ -368,10 +431,40 @@ let prop_encode_sub_view =
 (* -- unit tests --------------------------------------------------------- *)
 
 let test_crc_vector () =
-  (* the classic IEEE CRC-32 check value *)
+  (* the classic IEEE CRC-32 check value, dispatched and on every path *)
   Alcotest.(check int)
     "crc32(123456789)" 0xCBF43926
-    (Snapshot.crc32 "123456789")
+    (Snapshot.crc32 "123456789");
+  let paths = Snapshot.crc32_paths "123456789" in
+  Alcotest.(check bool)
+    "the table path is always there" true
+    (List.mem_assoc "table" paths);
+  List.iter
+    (fun (name, crc) ->
+      Alcotest.(check int) ("crc32(123456789) on " ^ name) 0xCBF43926 crc)
+    paths
+
+(* a W-3D n=32 grid frame: 34^3 doubles *)
+let test_crc_paths_frame () =
+  let st = Random.State.make [| 314_432 |] in
+  let s = String.init 314_432 (fun _ -> Char.chr (Random.State.int st 256)) in
+  let expect = oracle_crc32 s in
+  List.iter
+    (fun (name, crc) ->
+      Alcotest.(check int) ("314,432-byte frame on " ^ name) expect crc)
+    (Snapshot.crc32_paths s);
+  let buf = Buf.create 39_304 in
+  for i = 0 to Buf.len buf - 1 do
+    Buf.unsafe_set buf i (Int64.float_of_bits (Random.State.bits64 st))
+  done;
+  let b = Bytes.create (8 * Buf.len buf) in
+  let crc = Snapshot.encode_floats buf b ~pos:0 in
+  let payload = oracle_payload_of_buf buf in
+  Alcotest.(check bool)
+    "encode_floats writes the oracle's bytes" true
+    (Bytes.to_string b = payload);
+  Alcotest.(check int)
+    "encode_floats returns the oracle's CRC" (oracle_crc32 payload) crc
 
 let test_encode_empty () =
   let b = Bytes.make 4 'x' in
@@ -844,9 +937,12 @@ let () =
             prop_writer_matches_oracle;
             prop_crc_matches_oracle;
             prop_crc_chaining;
+            prop_crc_paths;
             prop_encode_sub_view ] );
       ( "unit",
         [ unit "crc32 test vector" test_crc_vector;
+          unit "crc32: a 314,432-byte frame on every path"
+            test_crc_paths_frame;
           unit "parent-written fixture" test_fixture;
           unit "save allocation gate" test_save_allocation;
           unit "bad extents fall back" test_bad_extents_fallback;
