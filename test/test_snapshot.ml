@@ -941,8 +941,6 @@ let () =
             prop_encode_sub_view ] );
       ( "unit",
         [ unit "crc32 test vector" test_crc_vector;
-          unit "crc32: a 314,432-byte frame on every path"
-            test_crc_paths_frame;
           unit "parent-written fixture" test_fixture;
           unit "save allocation gate" test_save_allocation;
           unit "bad extents fall back" test_bad_extents_fallback;
@@ -960,4 +958,6 @@ let () =
           unit "empty directory" test_empty_dir;
           unit "deadline clamps cadence" test_effective_every;
           unit "sink deferred flush copies" test_sink_flush_copies;
-          unit "sink reuses one spare grid" test_sink_spare_reused ] ) ]
+          unit "sink reuses one spare grid" test_sink_spare_reused;
+          unit "crc32: a 314,432-byte frame on every path"
+            test_crc_paths_frame ] ) ]
