@@ -107,67 +107,64 @@ let word = 8
 let diamond_tmp_bytes (dg : Plan.diamond_group) =
   word * Repro_grid.Grid.ghosted_len dg.Plan.sizes
 
-(* With [pool], the interpreter takes every non-output array from
-   {!Repro_runtime.Mempool} at its first group and returns it after its
-   last, and a diamond group takes and returns its modulo buffer within
-   the group ([Exec.run]).  The pool hands out the smallest free buffer
-   at least as long as the request and allocates only when none is, so
-   a buffer can serve a shorter request: a coarser level's array takes
-   a diamond group's modulo buffer (the ghosted box of its chain), and
-   the next request of that size allocates afresh.  A budget caps the
-   bytes of every buffer the pool holds, free or live; so the model is
-   the pool's size: this sequence replayed against the same best fit,
-   cycle after cycle (the pool keeps its buffers), until a cycle
-   allocates nothing, which every later cycle then repeats.  Nothing is
-   then ever trimmed under a budget that size, and nothing overruns. *)
-let pooled_bytes (plan : Plan.t) =
-  let free = ref [] and size = ref 0 and grew = ref true in
-  let acquire len =
-    let fit =
-      List.fold_left
-        (fun best l -> if l >= len && (best < 0 || l < best) then l else best)
-        (-1) !free
-    in
-    if fit < 0 then begin
-      grew := true;
-      size := !size + len;
-      len
-    end
-    else begin
-      let rec take = function
-        | [] -> []
-        | l :: rest -> if l = fit then rest else l :: take rest
-      in
-      free := take !free;
-      fit
-    end
-  in
-  let release l = free := l :: !free in
-  let arrays = plan.Plan.arrays in
-  let held = Array.make (Array.length arrays) 0 in
-  let each_array f =
-    Array.iteri
-      (fun a (info : Plan.array_info) -> if not info.Plan.output then f a info)
-      arrays
-  in
-  while !grew do
-    grew := false;
-    Array.iteri
-      (fun gi group ->
-        each_array (fun a info ->
-            if info.Plan.first_group = gi then
-              held.(a) <- acquire (word * info.Plan.len));
-        (match group with
-         | Plan.G_diamond dg -> release (acquire (diamond_tmp_bytes dg))
-         | Plan.G_tiled _ -> ());
-        each_array (fun a info ->
-            if info.Plan.last_group = gi then release held.(a)))
-      plan.Plan.groups
-  done;
-  !size
-
 let model_peak_bytes (plan : Plan.t) =
-  if plan.Plan.opts.Options.pool then pooled_bytes plan
+  let arrays = plan.Plan.arrays in
+  let abytes (a : Plan.array_info) = word * a.Plan.len in
+  let tmp_at gi =
+    match plan.Plan.groups.(gi) with
+    | Plan.G_diamond dg -> diamond_tmp_bytes dg
+    | Plan.G_tiled _ -> 0
+  in
+  let ngroups = Array.length plan.Plan.groups in
+  if plan.Plan.opts.Options.pool then begin
+    (* Windowed liveness: array [a] occupies pool memory from its
+       acquire group through its release group; the modulo buffer is
+       acquired and released within its own group.  Each attempt has a
+       fresh pool, whose buffers are allocated at the length of one of
+       the plan's requests, and a request is served only from a buffer
+       that {!Repro_runtime.Mempool.serves} it: so a request holds at
+       most the longest of the plan's request lengths that may serve
+       it, whatever the pool's history.  Under a budget of at least
+       this peak the pool never overruns: a fresh allocation that does
+       not fit trims the free buffers first, and what stays live plus
+       the new request is within its group's sum. *)
+    let lens =
+      Array.fold_left
+        (fun acc (a : Plan.array_info) ->
+          if a.Plan.output then acc else a.Plan.len :: acc)
+        (Array.fold_left
+           (fun acc -> function
+             | Plan.G_diamond dg ->
+               Repro_grid.Grid.ghosted_len dg.Plan.sizes :: acc
+             | Plan.G_tiled _ -> acc)
+           [] plan.Plan.groups)
+        arrays
+    in
+    (* the most bytes the pool may hand a request of [bytes] *)
+    let held bytes =
+      let need = bytes / word in
+      word
+      * List.fold_left
+          (fun m l ->
+            if Repro_runtime.Mempool.serves ~buffer:l ~need then max m l
+            else m)
+          need lens
+    in
+    let peak = ref 0 in
+    for gi = 0 to ngroups - 1 do
+      let live = ref (held (tmp_at gi)) in
+      Array.iter
+        (fun (a : Plan.array_info) ->
+          if
+            (not a.Plan.output)
+            && a.Plan.first_group <= gi
+            && gi <= a.Plan.last_group
+          then live := !live + held (abytes a))
+        arrays;
+      if !live > !peak then peak := !live
+    done;
+    !peak
+  end
   else begin
     (* No pool: every non-output array is heap-allocated up front and
        never reclaimed during the execution; the worst diamond buffer
@@ -175,17 +172,14 @@ let model_peak_bytes (plan : Plan.t) =
     let fixed =
       Array.fold_left
         (fun acc (a : Plan.array_info) ->
-          if a.Plan.output then acc else acc + (word * a.Plan.len))
-        0 plan.Plan.arrays
+          if a.Plan.output then acc else acc + abytes a)
+        0 arrays
     in
-    let worst_tmp =
-      Array.fold_left
-        (fun acc -> function
-          | Plan.G_diamond dg -> max acc (diamond_tmp_bytes dg)
-          | Plan.G_tiled _ -> acc)
-        0 plan.Plan.groups
-    in
-    fixed + worst_tmp
+    let worst_tmp = ref 0 in
+    for gi = 0 to ngroups - 1 do
+      if tmp_at gi > !worst_tmp then worst_tmp := tmp_at gi
+    done;
+    fixed + !worst_tmp
   end
 
 (* A native kernel keeps every intermediate in its arena for the whole

@@ -38,14 +38,14 @@ type rung = {
   pool_peak_bytes : int;
       (** modelled peak of pooled/heap full-array + diamond-buffer bytes
           (the part {!Repro_runtime.Mempool} budget enforcement sees).
-          With [pool], the size of the interpreter's pool, which is
-          what its budget caps: the plan's acquire/release sequence
-          replayed against the pool's best-fit reuse until a cycle
-          allocates nothing.  It exceeds the sum of the requests live in
-          a group, because the pool keeps free buffers and a buffer can
-          serve a shorter request.  For a [Native] rung its kernel's arena
-          ({!C_emit.arena_bytes}), which is all it allocates; for an
-          [Auto] rung the larger of the two *)
+          With [pool], the interpreter's peak over groups of the buffers
+          live in the group, each request counted at the longest of the
+          plan's request lengths that {!Repro_runtime.Mempool.serves}
+          it: under a budget of at least this the pool never overruns
+          (outside poison mode, whose guard words it does not count).
+          For a [Native] rung its kernel's arena ({!C_emit.arena_bytes}),
+          which is all it allocates; for an [Auto] rung the larger of
+          the two *)
   scratch_bytes : int;  (** [domains ×] per-thread scratchpad footprint *)
   peak_bytes : int;  (** [pool_peak_bytes + scratch_bytes] *)
   dram_traffic : int;  (** modelled DRAM bytes per execution ({!Cost}) *)

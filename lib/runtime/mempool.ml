@@ -171,11 +171,16 @@ let note_live t delta =
     done
   | Some _ | None -> ()
 
-(* Best fit: smallest free buffer that is large enough. *)
+(* A buffer under twice the request: a much longer one (a fine grid's
+   buffer asked for a coarse grid) would stay held at its full length,
+   and the request of its own size would then allocate afresh. *)
+let serves ~buffer ~need = buffer >= need && buffer < 2 * need
+
+(* Best fit: smallest free buffer that serves the request. *)
 let find_fit t need =
   List.fold_left
     (fun best e ->
-      if e.free && Buf.len e.raw >= need then
+      if e.free && serves ~buffer:(Buf.len e.raw) ~need then
         match best with
         | Some b when Buf.len b.raw <= Buf.len e.raw -> best
         | _ -> Some e

@@ -2,12 +2,13 @@
 
     Full-array allocation requests from the execution engine go through a
     pool that outlives individual multigrid cycles: [acquire] returns an
-    existing free buffer when one is large enough (best fit), otherwise
-    allocates a fresh one; [release] is a table update making the buffer
-    available again.  Arrays are thus physically allocated on the first
-    cycle and reused by all later cycles — and releasing as soon as the
-    last consumer of an array finishes lets later stages of the {e same}
-    cycle reuse it, catching inter-group reuse the static pass missed.
+    existing free buffer when one {!serves} the request (best fit),
+    otherwise allocates a fresh one; [release] is a table update making
+    the buffer available again.  Arrays are thus physically allocated on
+    the first cycle and reused by all later cycles — and releasing as
+    soon as the last consumer of an array finishes lets later stages of
+    the {e same} cycle reuse it, catching inter-group reuse the static
+    pass missed.
 
     {b Poison/canary mode} ([create ~poison:true]) hardens the pool for
     fault hunting: every handed-out buffer is an exact-length view filled
@@ -62,8 +63,17 @@ val budget : t -> int option
 val snan : float
 (** The signaling-NaN payload poison mode fills buffers with. *)
 
+val serves : buffer:int -> need:int -> bool
+(** Whether a free buffer of [buffer] elements may serve a request for
+    [need]: at least as long and less than twice as long.  A buffer of
+    another level's grid is thus never handed to a much smaller request,
+    so what a request holds is bounded by the lengths allocated for
+    requests close to its own ({!Repro_core.Govern}'s footprint model
+    counts that bound). *)
+
 val acquire : t -> int -> Repro_grid.Buf.t
-(** [acquire t len] returns a buffer with at least [len] elements.
+(** [acquire t len] returns a buffer with at least [len] elements, from
+    a free buffer that {!serves} the request or freshly allocated.
     Contents are unspecified (reused buffers are dirty); in poison mode
     the buffer has exactly [len] elements, every one a signaling NaN.
     @raise Budget_exceeded when a budget is set and cannot be met. *)

@@ -162,6 +162,62 @@ let test_missing_input_rejected () =
   Exec.free_runtime rt;
   check_int "sanity" 2 (Grid.dims g)
 
+(* Govern's footprint model bounds the interpreter's pool when a free
+   buffer may serve a shorter request.  Each stage its own group, no
+   array reuse: A (33x33 with ghosts) dies after B, so C (29x29) takes
+   its buffer, and D's fresh buffer then brings the live bytes to
+   B + A's buffer + D, past the windowed sum of the requested lengths
+   (B + C + D).  The model counts C at A's length, so the pool's peak
+   stays within it, and a pool budgeted at it never overruns. *)
+let test_model_bounds_pool () =
+  let module Dsl = Repro_ir.Dsl in
+  let module Expr = Repro_ir.Expr in
+  let module Func = Repro_ir.Func in
+  let sz k = Repro_ir.Sizeexpr.add_const Repro_ir.Sizeexpr.n k in
+  let ctx = Dsl.create "held" in
+  let input = Dsl.grid ctx "IN" ~dims:2 ~sizes:[| sz (-1); sz (-1) |] in
+  let ld (f : Func.t) = Expr.load f.Func.id [| 0; 0 |] in
+  let stage name k e = Dsl.func ctx ~name ~sizes:[| sz k; sz k |] e in
+  let a = stage "A" (-1) Expr.(const 0.5 * ld input) in
+  let b = stage "B" (-1) Expr.(const 0.5 * ld a) in
+  let c = stage "C" (-5) Expr.(const 0.5 * ld b) in
+  let d = stage "D" (-5) Expr.(ld c + ld b) in
+  let e = stage "E" (-5) Expr.(const 2.0 * ld d) in
+  let p = Dsl.finish ctx ~outputs:[ e ] in
+  let n = 32 in
+  let opts =
+    { Options.opt_plus with Options.group_size_limit = 1; array_reuse = false }
+  in
+  let rung =
+    match Govern.decide p ~opts ~n ~params:(fun s -> invalid_arg s) with
+    | Ok r -> r.Govern.ladder.(0)
+    | Error _ -> Alcotest.fail "no budget is never infeasible"
+  in
+  let model = rung.Govern.pool_peak_bytes in
+  let peak budget =
+    let inputs = [ (input.Func.id, Grid.interior ~dims:2 (n - 1)) ] in
+    let outputs = [ (e.Func.id, Grid.interior ~dims:2 (n - 5)) ] in
+    let rt = Exec.runtime () in
+    Mempool.set_budget rt.Exec.pool budget;
+    for _ = 1 to 2 do
+      Exec.run rung.Govern.plan rt ~inputs ~outputs
+    done;
+    let s = Mempool.stats rt.Exec.pool in
+    Exec.free_runtime rt;
+    s.Mempool.peak_live_bytes
+  in
+  let unbudgeted = peak None in
+  check_bool
+    (Printf.sprintf "live peak %d B exceeds the requested lengths' sum"
+       unbudgeted)
+    true
+    (unbudgeted > 8 * ((33 * 33) + (29 * 29) + (29 * 29)));
+  check_bool
+    (Printf.sprintf "live peak %d B within the model's %d B" unbudgeted model)
+    true (unbudgeted <= model);
+  check_int "budgeted at the model: the same peak" unbudgeted
+    (peak (Some model))
+
 let () =
   let agree_cases =
     List.map
@@ -189,4 +245,6 @@ let () =
           Alcotest.test_case "points computed" `Quick test_points_computed_redundancy;
           Alcotest.test_case "deterministic" `Quick
             test_repeated_execution_deterministic;
-          Alcotest.test_case "missing input" `Quick test_missing_input_rejected ] ) ]
+          Alcotest.test_case "missing input" `Quick test_missing_input_rejected;
+          Alcotest.test_case "the footprint model bounds the pool" `Quick
+            test_model_bounds_pool ] ) ]

@@ -99,6 +99,18 @@ let test_mempool_no_fit_allocates () =
   check_bool "fresh" true (not (b1 == b2));
   check_int "fresh count" 2 (Mempool.stats p).Mempool.fresh_allocs
 
+(* A free buffer serves only a request more than half its length: a
+   coarse request must not hold a fine grid's buffer. *)
+let test_mempool_no_long_fit () =
+  let p = Mempool.create () in
+  let b = Mempool.acquire p 100 in
+  Mempool.release p b;
+  let short = Mempool.acquire p 50 in
+  check_bool "twice the request: fresh" true (not (short == b));
+  let got = Mempool.acquire p 51 in
+  check_bool "under twice the request: reused" true (got == b);
+  check_int "fresh count" 2 (Mempool.stats p).Mempool.fresh_allocs
+
 let test_mempool_double_release () =
   let p = Mempool.create () in
   let b = Mempool.acquire p 10 in
@@ -251,7 +263,9 @@ let () =
           Alcotest.test_case "stats" `Quick test_mempool_stats_bytes;
           Alcotest.test_case "clear" `Quick test_mempool_clear;
           Alcotest.test_case "solver two cycles" `Quick
-            test_mempool_solver_two_cycles ] );
+            test_mempool_solver_two_cycles;
+          Alcotest.test_case "no buffer twice the request" `Quick
+            test_mempool_no_long_fit ] );
       ( "poison",
         [ Alcotest.test_case "fresh buffers are signaling NaN" `Quick
             test_poison_fresh_is_snan;

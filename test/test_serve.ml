@@ -531,66 +531,97 @@ let test_resume_covered () =
 
 let high_water = Telemetry.counter "govern.pool_high_water_bytes"
 
-(* 2-D n=64 V-4-4-4 dtile-opt+, 4 cycles: at 110 KiB the plan demotes
-   to dtile-opt+~tiles/4 (107.9 KiB modelled), which runs; at 100 and 90
-   KiB no rung's pool fits (the floor is 101.8 KiB).  mg_solve with and
-   without --guard and Serve must give one answer, and the pool must
-   stay within the budget. *)
+(* The unbudgeted ladder the model gives [variant] on a V-4-4-4 or
+   W-4-4-4 cycle at Request's default depth. *)
+let ladder ~dims ~n shape variant =
+  let cfg =
+    { (Cycle.default ~dims ~shape ~smoothing:(4, 4, 4)) with
+      Cycle.levels = Request.default_spec.Request.levels }
+  in
+  let opts = Option.get (Repro_core.Options.variant_of_string variant) in
+  match
+    Repro_core.Govern.decide (Cycle.build cfg) ~opts ~n
+      ~params:(Cycle.params cfg ~n)
+  with
+  | Ok r -> r.Repro_core.Govern.ladder
+  | Error _ -> Alcotest.fail "no budget is never infeasible"
+
+(* 2-D n=64 V-4-4-4, 4 cycles.  dtile-opt+ at 100 and 90 KiB demotes at
+   plan time to a rung whose pool fits (exit 0, no runtime demotion).
+   Poison mode adds guard words the model does not count, so a poisoned
+   pool overruns a rung admitted at exactly its footprint: opt+ at its
+   own footprint demotes once at run time and ends 0, and dtile-opt+ at
+   its ladder's floor overruns the one rung that fits and ends 5.
+   mg_solve with and without --guard and Serve (which has no poison
+   mode) must give one answer, and the pool must stay within the
+   budget. *)
 let test_budget_agreement () =
   let sv = server ~workers:1 () in
+  let peaks variant =
+    Array.map
+      (fun g -> g.Repro_core.Govern.peak_bytes)
+      (ladder ~dims:2 ~n:64 Cycle.V variant)
+  in
+  let opt_plus = (peaks "opt+").(0)
+  and dtile_floor = Array.fold_left min max_int (peaks "dtile-opt+") in
   List.iter
-    (fun (budget, expected) ->
+    (fun (variant, budget, poison, expected, demotions) ->
       let spec =
         { Request.default_spec with
-          n = Some 64; variant = "dtile-opt+"; cycles = 4;
-          mem_budget = Some budget }
+          n = Some 64; variant; cycles = 4; mem_budget = Some budget; poison }
       in
-      let code outcome = Request.code_of_status (Request.status outcome) in
-      let within what f =
+      let what w =
+        Printf.sprintf "%s %s at %d B%s" w variant budget
+          (if poison then " --poison" else "")
+      in
+      let within w f =
         Telemetry.set_enabled true;
         Telemetry.reset ();
         let c = f () in
         let hw = Telemetry.value high_water in
         Telemetry.set_enabled false;
         Alcotest.(check bool)
-          (Printf.sprintf "%s at %d B: pool high-water %d B within budget" what
-             budget hw)
+          (Printf.sprintf "%s: pool high-water %d B within budget" (what w) hw)
           true (hw <= budget);
-        Alcotest.(check int) (Printf.sprintf "%s at %d B" what budget) expected c
+        Alcotest.(check int) (what w) expected c
       in
-      within "mg_solve --guard" (fun () -> code (cli { spec with guard = true }));
-      within "mg_solve" (fun () -> code (cli spec));
-      within "Serve.solve" (fun () ->
-          (Serve.solve sv
-             { Serve.default_request with
-               Serve.rq_n = 64; rq_variant = "dtile-opt+"; rq_cycles = 4;
-               rq_mem_budget = Some budget })
-            .Serve.rs_code))
-    [ (110 * 1024, 0); (100 * 1024, 5); (90 * 1024, 5) ];
+      let solve w spec =
+        within w (fun () ->
+            let o = cli spec in
+            (match o with
+             | Request.Solved s ->
+               Alcotest.(check int) (what w ^ ": runtime demotions") demotions
+                 s.Request.runtime_demotions
+             | _ -> ());
+            Request.code_of_status (Request.status o))
+      in
+      solve "mg_solve --guard" { spec with guard = true };
+      solve "mg_solve" spec;
+      if not poison then
+        within "Serve.solve" (fun () ->
+            (Serve.solve sv
+               { Serve.default_request with
+                 Serve.rq_n = 64; rq_variant = variant; rq_cycles = 4;
+                 rq_mem_budget = Some budget })
+              .Serve.rs_code))
+    [ ("dtile-opt+", 100 * 1024, false, 0, 0);
+      ("dtile-opt+", 90 * 1024, false, 0, 0);
+      ("opt+", opt_plus, true, 0, 1);
+      ("dtile-opt+", dtile_floor, true, 5, 0) ];
   Serve.shutdown sv
 
 (* The model admits a rung only where the interpreter's pool holds it:
    at a budget of exactly the requested rung's modelled footprint, every
    preset on the 2-D (n=64) and 3-D (n=32) V and W cycles plans that
-   rung and runs it with no runtime demotion.  For a pooled rung the
-   model is exactly the size the pool reaches in an unbudgeted solve,
-   so it does not overcount either. *)
+   rung and runs it with no runtime demotion (the pool trims its free
+   buffers to make room).  For a pooled rung the model is exactly the
+   pool's live peak in an unbudgeted solve (the presets' request
+   lengths are at least twice apart, so each request holds a buffer of
+   its own length), so it does not overcount either. *)
 let test_model_admits_what_runs () =
   List.iter
     (fun (dims, n, shape, variant) ->
-      let cfg =
-        { (Cycle.default ~dims ~shape ~smoothing:(4, 4, 4)) with
-          Cycle.levels = Request.default_spec.Request.levels }
-      in
-      let opts = Option.get (Repro_core.Options.variant_of_string variant) in
-      let top =
-        match
-          Repro_core.Govern.decide (Cycle.build cfg) ~opts ~n
-            ~params:(Cycle.params cfg ~n)
-        with
-        | Ok r -> r.Repro_core.Govern.ladder.(0)
-        | Error _ -> Alcotest.fail "no budget is never infeasible"
-      in
+      let top = (ladder ~dims ~n shape variant).(0) in
       let what =
         Printf.sprintf "%d-D %s %s at %d B" dims
           (match shape with Cycle.V -> "V" | Cycle.W -> "W" | Cycle.F -> "F")
@@ -611,14 +642,14 @@ let test_model_admits_what_runs () =
         let plan = top.Repro_core.Govern.plan in
         if plan.Repro_core.Plan.opts.Repro_core.Options.pool then
           Alcotest.(check int)
-            (what ^ ": the model is the pool's size")
+            (what ^ ": the model is the pool's live peak")
             top.Repro_core.Govern.pool_peak_bytes
             (Repro_core.Exec.with_runtime (fun rt ->
                  ignore
                    (Solver.iterate (Solver.plan_stepper plan ~rt)
                       ~problem:(Problem.poisson ~dims ~n) ~cycles:3 ());
                  (Repro_runtime.Mempool.stats rt.Repro_core.Exec.pool)
-                   .Repro_runtime.Mempool.pool_bytes))
+                   .Repro_runtime.Mempool.peak_live_bytes))
       | o -> Alcotest.failf "%s: %s" what (Request.status_name (Request.status o)))
     (List.concat_map
        (fun (dims, n) ->
