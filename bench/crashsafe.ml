@@ -8,19 +8,28 @@
      boundary   SIGKILL right after an accepted cycle's checkpoint
                 write completed (a solve budgeted to end at that cycle
                 kills itself once Request.run returns)
-     mid-write  Snapshot's crash spec arms the n-th atomic write to
-                flush only a byte prefix of its temp file and SIGKILL
-                before the rename — a power cut between write and
-                rename, deterministically
+     mid-write  Snapshot's crash spec arms the n-th checkpoint write to
+                flush only a byte prefix of its file and SIGKILL before
+                any ftruncate or rename — a power cut mid-write,
+                deterministically.  The first keep + 1 writes create
+                their files (temp + rename): a prefix of 0-95 bytes of
+                the temp file.  Later ones rewrite the oldest generation
+                in place, so the mid-write kills cycle through four
+                kinds: a create-path kill, and rewrite kills whose
+                prefix is drawn over the whole image, ends exactly at
+                the header/grid frame boundary, or exactly at the
+                grid/end one
 
    After every kill the parent asserts the recovery invariant: if the
    directory holds any generation at all, [Checkpoint.load_latest]
-   succeeds (torn temp files are invisible under the final name; a
-   mid-write kill during the very first checkpoint legitimately leaves
-   no generation, and resuming such a directory must exit 6, mg_solve's
-   "resume failed" code).  A resume child then finishes the solve and
-   its final iterate must match an uninterrupted reference run within
-   the conformance plan budget — same plan, bit-identical in practice.
+   succeeds (torn temp files are invisible under the final name, and a
+   torn rewrite is rejected by the container's framing in favour of the
+   other generations; a mid-write kill during the very first checkpoint
+   legitimately leaves no generation, and resuming such a directory
+   must exit 6, mg_solve's "resume failed" code).  A resume child then
+   finishes the solve and its final iterate must match an uninterrupted
+   reference run within the conformance plan budget — same plan,
+   bit-identical in practice.
 
    Deliberate-corruption legs bit-flip and truncate the newest
    generation (restore must fall back to the previous one) and corrupt
@@ -31,10 +40,15 @@
    cross-implementation budget.  A guarded leg kills a guard-run solve
    at a cycle boundary and resumes it: Guard checkpoints its accepted
    iterate itself, so the final iterate must equal, bit for bit, that
-   of an uninterrupted guarded run.
+   of an uninterrupted guarded run.  A stale-name leg completes a save
+   that rewrote a generation in place, then renames the file back to its
+   old name — a power cut that undid the unsynced rename: load_latest
+   must pick the newest generation by its header, and the resume must
+   finish bit-identical.
 
    Modes:
-     --quick          small campaign (8 kills, 12 cycles): the runtest tier
+     --quick          small campaign (8 kills, 12 cycles, one mid-write
+                      kill of each kind): the runtest tier
      (default)        full campaign (50 kills, 24 cycles): the CI job
      --overhead       also time the on_accept hook plumbing (checkpointing
                       disabled) and write ckpt_off.json / ckpt_hook.json,
@@ -58,6 +72,15 @@ module Json = Repro_runtime.Json
 
 let dims = 2
 let n = 64
+
+(* the children's ring: the first [keep + 1] checkpoint writes create
+   their files, later ones rewrite the oldest in place *)
+let ring = Checkpoint.default_keep + 1
+
+(* the last two frames of every checkpoint file: the grid's (a u32
+   length, (n + 1)^dims doubles, a u32 CRC) and the end marker's *)
+let end_frame = 8 + String.length "POLYMG-END"
+let grid_frame = 8 + (8 * (n + 1) * (n + 1))
 
 let cfg =
   Cycle.default ~dims ~shape:Cycle.V ~smoothing:(4, 4, 4)
@@ -257,6 +280,11 @@ let () =
       prerr_endline "crashsafe: reference run left no full checkpoint";
       exit 1
   in
+  (* the largest checkpoint image: the reference's last, whose history is
+     the longest *)
+  let image_bytes =
+    (Unix.stat (Checkpoint.gen_path ~dir:ref_dir total)).Unix.st_size
+  in
   Printf.printf "crashsafe: %d randomized kills, %d cycles, seed %d\n%!"
     kills total !seed;
 
@@ -266,11 +294,17 @@ let () =
     let dir = dir_of leg in
     let kill =
       if i mod 2 = 1 then begin
-        incr midwrite_kills;
         (* die during the w-th checkpoint write, with only a byte
-           prefix of the temp file flushed (0 = nothing at all) *)
-        Mid_write
-          (1 + Random.State.int rng (total - 1), Random.State.int rng 96)
+           prefix of its file flushed (0 = nothing at all; negative:
+           all but that many bytes at the end) *)
+        let rewrite () = ring + 1 + Random.State.int rng (total - 1 - ring) in
+        let kind = !midwrite_kills mod 4 in
+        incr midwrite_kills;
+        match kind with
+        | 0 -> Mid_write (1 + Random.State.int rng ring, Random.State.int rng 96)
+        | 1 -> Mid_write (rewrite (), Random.State.int rng image_bytes)
+        | 2 -> Mid_write (rewrite (), -(grid_frame + end_frame))
+        | _ -> Mid_write (rewrite (), -end_frame)
       end
       else begin
         incr boundary_kills;
@@ -331,6 +365,23 @@ let () =
   corrupt "truncate" (fun path ->
       let s = read_file path in
       write_file path (String.sub s 0 (String.length s / 2)));
+
+  (* ---- a power cut that undid an in-place rewrite's rename ---- *)
+  let leg = "stale-name" in
+  let dir = dir_of leg in
+  let k = total / 2 in
+  expect_status (leg ^ ": setup kill") (Killed Sys.sigkill)
+    (run ~kill:(At_cycle k) dir);
+  (* generation k rewrote the file of generation k - ring *)
+  Unix.rename (Checkpoint.gen_path ~dir k) (Checkpoint.gen_path ~dir (k - ring));
+  (match Checkpoint.load_latest ~dir with
+   | Ok r ->
+     check
+       (Printf.sprintf "%s: restored gen %d, not %d by header" leg
+          r.Checkpoint.gen k)
+       (r.Checkpoint.gen = k && r.Checkpoint.rejected = [])
+   | Error msg -> check (Printf.sprintf "%s: %s" leg msg) false);
+  finish_and_compare ~what:leg ~dir ~ref_v ();
 
   (* ---- every generation corrupted: detected, not deserialized ---- *)
   let dir = dir_of "corrupt-all" in
@@ -471,7 +522,7 @@ let () =
      %d generation(s) rejected, %d/%d bit-identical, worst |diff| %.3e\n"
     kills !midwrite_kills !boundary_kills !cold_restarts !resumes_ok
     !rejected_gens !bit_identical
-    (kills - !cold_restarts + 2)
+    (kills - !cold_restarts + 3)
     !worst_abs;
   Campaign.finish ~schema:"polymg.crashsafe/1"
     ~body:

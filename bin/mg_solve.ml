@@ -480,11 +480,11 @@ let checkpoint_dir_t =
         ~doc:
           "Directory for durable solver checkpoints.  Every \
            --checkpoint-every accepted cycles the solver state (iterate, \
-           residual history, plan digest) is written atomically as a new \
+           residual history, plan digest) is written durably as a new \
            generation (ckpt-NNNNNN.snap, CRC-framed; see README Crash \
-           safety); the last 3 generations are retained (the next \
-           oldest is kept as ckpt-spare, recycled by the next save) and a \
-           final generation is flushed at solve end and on SIGINT/SIGTERM.")
+           safety); the directory keeps a ring of 4 generations, the \
+           oldest rewritten in place by the next save, and a final \
+           generation is flushed at solve end and on SIGINT/SIGTERM.")
 
 let checkpoint_every_t =
   Arg.(

@@ -57,12 +57,64 @@ let c_fallbacks = Telemetry.counter "native.fallbacks"
 let compiler_override = ref None
 let set_compiler_override c = compiler_override := c
 
-let quiet_ok cmd = Sys.command (cmd ^ " >/dev/null 2>&1") = 0
+(* The first line [c --version] prints, trimmed ([""] when it prints
+   nothing), when it exits 0; [None] when it cannot run or fails.  One
+   fork-exec of [c] itself, no shell, stderr to /dev/null. *)
+let version_line c =
+  let rec retry f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f in
+  match
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        let r, w = Unix.pipe ~cloexec:true () in
+        Fun.protect
+          ~finally:(fun () -> Unix.close r)
+          (fun () ->
+            let pid =
+              Fun.protect
+                ~finally:(fun () -> Unix.close w)
+                (fun () ->
+                  Unix.create_process c [| c; "--version" |] null w null)
+            in
+            (* small reads to the end, so the compiler never blocks on a
+               full pipe and nothing lands on the major heap *)
+            let out = Buffer.create 256 and chunk = Bytes.create 256 in
+            let rec drain () =
+              match retry (fun () -> Unix.read r chunk 0 256) with
+              | 0 -> ()
+              | k ->
+                Buffer.add_subbytes out chunk 0 k;
+                drain ()
+            in
+            drain ();
+            match snd (retry (fun () -> Unix.waitpid [] pid)) with
+            | Unix.WEXITED 0 ->
+              Some
+                (String.trim
+                   (List.hd (String.split_on_char '\n' (Buffer.contents out))))
+            | _ -> None))
+  with
+  | v -> v
+  | exception Unix.Unix_error _ -> None
+
+(* compiler -> "compiler|first --version line", probed once per compiler
+   per process: part of the cache key, so upgrading the toolchain
+   invalidates cached kernels *)
+let identities : (string, string) Hashtbl.t = Hashtbl.create 4
+let identities_lock = Mutex.create ()
+
+let record_identity compiler version =
+  let id = compiler ^ "|" ^ version in
+  Mutex.protect identities_lock (fun () ->
+      Hashtbl.replace identities compiler id);
+  id
 
 (* gcc-then-cc discovery, the only compiler probe.  The probe fork-execs
-   a shell, so it runs once per process: every load, cache hits
-   included, goes through [cc].  Racing first probes compute the same
-   answer. *)
+   the compiler, so it runs once per process: every load, cache hits
+   included, goes through [cc].  It records the version line of the
+   compiler it finds, so [compiler_identity] probes nothing more.
+   Racing first probes compute the same answer. *)
 let discovered = Atomic.make None
 
 let discover () =
@@ -71,7 +123,12 @@ let discover () =
   | None ->
     let found =
       List.find_opt
-        (fun c -> quiet_ok (Filename.quote c ^ " --version"))
+        (fun c ->
+          match version_line c with
+          | Some v ->
+            ignore (record_identity c v);
+            true
+          | None -> false)
         [ "gcc"; "cc" ]
     in
     Atomic.set discovered (Some found);
@@ -96,31 +153,15 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* first --version line, cached per compiler name: part of the cache
-   key, so upgrading the toolchain invalidates cached kernels *)
-let compiler_identity_tbl : (string, string) Hashtbl.t = Hashtbl.create 4
-
 let compiler_identity compiler =
-  match Hashtbl.find_opt compiler_identity_tbl compiler with
+  match
+    Mutex.protect identities_lock (fun () ->
+        Hashtbl.find_opt identities compiler)
+  with
   | Some id -> id
   | None ->
-    let tmp = Filename.temp_file "polymg_ccid" ".txt" in
-    let version =
-      if
-        Sys.command
-          (Printf.sprintf "%s --version >%s 2>/dev/null"
-             (Filename.quote compiler) (Filename.quote tmp))
-        = 0
-      then
-        match String.split_on_char '\n' (read_file tmp) with
-        | first :: _ -> String.trim first
-        | [] -> ""
-      else ""
-    in
-    (try Sys.remove tmp with Sys_error _ -> ());
-    let id = compiler ^ "|" ^ version in
-    Hashtbl.replace compiler_identity_tbl compiler id;
-    id
+    record_identity compiler
+      (Option.value (version_line compiler) ~default:"")
 
 (* The CPU -march=native builds for, as the kernel reports it: the
    identity and feature lines of the first processor in /proc/cpuinfo

@@ -71,8 +71,10 @@ val cflags : string
     vector width. *)
 
 val compiler_identity : string -> string
-(** [compiler_identity c] is [c] and the first line [c --version]
-    prints, probed once per compiler per process. *)
+(** [compiler_identity c] is [c ^ "|"] and the first line [c --version]
+    prints (nothing when it cannot run or exits non-zero), probed once
+    per compiler per process by running [c] directly, with no shell;
+    the compiler discovery's probe of gcc or cc serves as theirs. *)
 
 val host_fingerprint : unit -> string
 (** The CPU [-march=native] targets: the vendor, family, model and

@@ -46,12 +46,6 @@ let generations ~dir =
   | exception Sys_error _ -> []
   | entries -> generations_of entries
 
-(* The one file rotation recycles: not a generation, and not a temp
-   dropping either. *)
-let spare_name = "ckpt-spare"
-
-let spare_path ~dir = Filename.concat dir spare_name
-
 (* ------------------------------------------------------------------ *)
 (* Serialization *)
 
@@ -100,80 +94,6 @@ let ensure_dir dir =
     end
   in
   go dir
-
-let is_regular path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_REG; _ } -> true
-  | _ | (exception Unix.Unix_error _) -> false
-
-(* Only after the newest generation is durably in place: retire
-   generations beyond [keep], oldest first and never [newest], and
-   remove the temp droppings of writers killed mid-write.  [entries] is
-   the directory as listed before the write.  The first retired
-   generation that is a regular file is renamed to the spare for the
-   next save to overwrite; the directory is synced before that save can
-   start, so a power cut never shows the overwrite under a generation
-   name.  The others are removed. *)
-let rotate config entries ~newest =
-  let dir = config.dir in
-  let gens = List.sort_uniq compare (newest :: generations_of entries) in
-  let excess = List.length gens - max 1 config.keep in
-  let remove path =
-    match Sys.remove path with () -> true | exception Sys_error _ -> false
-  in
-  let try_spare = ref true and spared = ref false in
-  List.iteri
-    (fun i g ->
-      if i < excess && g <> newest then begin
-        let path = gen_path ~dir g in
-        let retired =
-          if !try_spare && is_regular path then begin
-            try_spare := false;
-            match Unix.rename path (spare_path ~dir) with
-            | () ->
-              spared := true;
-              true
-            | exception Unix.Unix_error _ -> remove path
-          end
-          else remove path
-        in
-        if retired then Telemetry.add c_pruned 1
-      end)
-    gens;
-  if !spared then Snapshot.fsync_dir dir;
-  (* droppings look like ckpt-NNNNNN.snap.tmp.PID, left by writers
-     killed mid-write; only one process writes a checkpoint dir at a
-     time and this process is between writes, so removal is safe *)
-  Array.iter
-    (fun name ->
-      if
-        String.length name > 5
-        && String.sub name 0 5 = "ckpt-"
-        && (not (Filename.check_suffix name ".snap"))
-        && name <> spare_name
-      then
-        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-    entries
-
-(* [scratch] is the file buffer: a sink keeps one across its saves. *)
-let save_into ~scratch config st =
-  ensure_dir config.dir;
-  let entries = try Sys.readdir config.dir with Sys_error _ -> [||] in
-  let path = gen_path ~dir:config.dir st.cycle in
-  Snapshot.write
-    ?reuse:
-      (if Array.mem spare_name entries then Some (spare_path ~dir:config.dir)
-       else None)
-    ~scratch ~path ~meta:(meta_of_state st)
-    [ Snapshot.Floats st.v.Grid.buf ];
-  Telemetry.add c_writes 1;
-  if Flightrec.on () then
-    Flightrec.emit
-      (Flightrec.Checkpoint_write { gen = st.cycle; cycle = st.cycle });
-  rotate config entries ~newest:st.cycle;
-  path
-
-let save config st = save_into ~scratch:(ref Bytes.empty) config st
 
 let mem k d = Option.value (Json.member k d) ~default:Json.Null
 
@@ -262,51 +182,177 @@ let load ~path =
         v }
   | _ -> Error "metadata: not an mg-checkpoint"
 
+(* ------------------------------------------------------------------ *)
+(* The ring of generation files *)
+
+(* A generation file: its name and the cycle its header holds, read on
+   first need ([None]: it does not load).  A power cut can undo the
+   unsynced rename of an in-place rewrite and leave the newer bytes under
+   the older name, so the header, not the name, orders generations. *)
+type slot = { name : string; held : int option Lazy.t }
+
+(* The generation files of [dir] as the saves left them: a sink lists
+   the directory once and keeps its ring across saves. *)
+type ring = { dir : string; mutable slots : slot list }
+
+let held s = Lazy.force s.held
+
+let open_ring dir =
+  ensure_dir dir;
+  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
+  (* droppings: temp files of writers killed mid-write
+     (ckpt-NNNNNN.snap.tmp.PID) and an older writer's ckpt-spare.  Only
+     one process writes a checkpoint dir at a time and this one is
+     between writes, so removal is safe. *)
+  Array.iter
+    (fun name ->
+      if String.starts_with ~prefix:"ckpt-" name
+         && not (Filename.check_suffix name ".snap")
+      then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    entries;
+  { dir;
+    slots =
+      List.map
+        (fun g ->
+          let path = gen_path ~dir g in
+          { name = Filename.basename path;
+            held =
+              lazy
+                (Result.to_option (load ~path)
+                |> Option.map (fun st -> st.cycle)) })
+        (generations_of entries) }
+
+(* The slots a save may retire, in the order it retires them: files
+   that do not load first, then generations oldest by header; never one
+   holding the newest generation, nor the one named [spared]. *)
+let retirable ?(spared = "") slots =
+  let newest =
+    List.fold_left
+      (fun acc s -> match held s with Some c -> max acc c | None -> acc)
+      min_int slots
+  in
+  List.filter (fun s -> s.name <> spared && held s <> Some newest) slots
+  |> List.stable_sort (fun a b -> compare (held a) (held b))
+
+(* Writes generation [st.cycle] into the ring.  The file already under
+   its name, or once the ring holds [keep + 1] files its first retirable
+   one, is rewritten in place (Snapshot.rewrite: one fsync, no directory
+   sync) unless it holds the newest generation or is not eligible;
+   otherwise the save goes through temp + fsync + rename + directory
+   sync.  Files beyond [keep + 1] are then removed in retirable order.
+   [scratch] is the file buffer: a sink keeps one across its saves. *)
+let save_into ~scratch ring ~keep st =
+  let path = gen_path ~dir:ring.dir st.cycle in
+  let name = Filename.basename path in
+  let meta = meta_of_state st and payloads = [ Snapshot.Floats st.v.Grid.buf ] in
+  (* the file this save rewrites in place *)
+  let victim =
+    if List.exists (fun s -> s.name = name) ring.slots then
+      List.find_opt (fun s -> s.name = name) (retirable ring.slots)
+    else if List.length ring.slots > keep then
+      List.nth_opt (retirable ring.slots) 0
+    else None
+  in
+  let rewritten =
+    match victim with
+    | Some v ->
+      Snapshot.rewrite ~scratch ~over:(Filename.concat ring.dir v.name) ~path
+        ~meta payloads
+    | None -> false
+  in
+  if not rewritten then Snapshot.write ~scratch ~path ~meta payloads;
+  (* a rewritten file, or one the rename replaced, leaves the ring *)
+  let rewrote s =
+    rewritten && match victim with Some v -> v == s | None -> false
+  in
+  if List.exists (fun s -> rewrote s && s.name <> name) ring.slots then
+    Telemetry.add c_pruned 1;
+  ring.slots <-
+    { name; held = Lazy.from_val (Some st.cycle) }
+    :: List.filter (fun s -> not (rewrote s || s.name = name)) ring.slots;
+  let rec trim excess = function
+    | s :: rest when excess > 0 -> (
+      match Sys.remove (Filename.concat ring.dir s.name) with
+      | () ->
+        ring.slots <- List.filter (( != ) s) ring.slots;
+        Telemetry.add c_pruned 1;
+        trim (excess - 1) rest
+      | exception Sys_error _ -> trim excess rest)
+    | _ -> ()
+  in
+  let excess = List.length ring.slots - (keep + 1) in
+  if excess > 0 then trim excess (retirable ~spared:name ring.slots);
+  Telemetry.add c_writes 1;
+  if Flightrec.on () then
+    Flightrec.emit
+      (Flightrec.Checkpoint_write { gen = st.cycle; cycle = st.cycle });
+  path
+
+let save (config : config) st =
+  save_into ~scratch:(ref Bytes.empty) (open_ring config.dir)
+    ~keep:(max 1 config.keep) st
+
 type resume = {
   gen : int;
   state : state;
   rejected : (int * string) list;
 }
 
+(* Every generation file is loaded, newest name first, and the highest
+   cycle any of them holds wins: a power cut that undid an in-place
+   rewrite's rename leaves the newest generation under an older name. *)
 let load_latest ~dir =
   let gens = List.rev (generations ~dir) in
   if gens = [] then
     Error (Printf.sprintf "no checkpoint generation in %s" dir)
   else
-    let rec walk rejected = function
-      | [] ->
-        Error
-          (Printf.sprintf
-             "no usable checkpoint generation in %s (%d present, all \
-              rejected: %s)"
-             dir
-             (List.length gens)
-             (String.concat "; "
-                (List.rev_map
-                   (fun (g, m) -> Printf.sprintf "gen %d: %s" g m)
-                   rejected)))
-      | g :: older -> (
-        match load ~path:(gen_path ~dir g) with
-        | Ok state ->
-          Telemetry.add c_restores 1;
-          Ok { gen = g; state; rejected = List.rev rejected }
-        | Error m ->
-          Telemetry.add c_rejected 1;
-          if Flightrec.on () then begin
-            Flightrec.emit (Flightrec.Checkpoint_reject { gen = g; reason = m });
-            ignore
-              (Flightrec.incident ~kind:"checkpoint-rejected"
-                 ~detail:
-                   [ ("generation", Json.num g);
-                     ("reason", Json.Str m);
-                     ("dir", Json.Str dir);
-                     ( "older_generations",
-                       Json.Arr (List.map (fun g -> Json.num g) older) ) ]
-                 ())
-          end;
-          walk ((g, m) :: rejected) older)
+    let loaded = List.map (fun g -> (g, load ~path:(gen_path ~dir g))) gens in
+    let rejected =
+      List.filter_map
+        (function g, Error m -> Some (g, m) | _, Ok _ -> None)
+        loaded
     in
-    walk [] gens
+    List.iter
+      (fun (g, m) ->
+        Telemetry.add c_rejected 1;
+        if Flightrec.on () then begin
+          Flightrec.emit (Flightrec.Checkpoint_reject { gen = g; reason = m });
+          ignore
+            (Flightrec.incident ~kind:"checkpoint-rejected"
+               ~detail:
+                 [ ("generation", Json.num g);
+                   ("reason", Json.Str m);
+                   ("dir", Json.Str dir);
+                   ( "older_generations",
+                     Json.Arr
+                       (List.filter_map
+                          (fun g' -> if g' < g then Some (Json.num g') else None)
+                          gens) ) ]
+               ())
+        end)
+      rejected;
+    let newest =
+      List.fold_left
+        (fun acc (_, r) ->
+          match (r, acc) with
+          | Ok st, Some best when st.cycle <= best.cycle -> acc
+          | Ok st, _ -> Some st
+          | Error _, _ -> acc)
+        None loaded
+    in
+    match newest with
+    | Some state ->
+      Telemetry.add c_restores 1;
+      Ok { gen = state.cycle; state; rejected }
+    | None ->
+      Error
+        (Printf.sprintf
+           "no usable checkpoint generation in %s (%d present, all \
+            rejected: %s)"
+           dir (List.length gens)
+           (String.concat "; "
+              (List.map (fun (g, m) -> Printf.sprintf "gen %d: %s" g m)
+                 rejected)))
 
 (* ------------------------------------------------------------------ *)
 (* Periodic sink *)
@@ -319,12 +365,15 @@ type sink = {
   restore : unit -> (int * float * Grid.t) option;
 }
 
-let sink config ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
+let sink (config : config) ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
   let every = max 1 config.every in
   let last : state option ref = ref None in
   let spare : Grid.t option ref = ref None in
   let last_saved = ref min_int in
   let scratch = ref Bytes.empty in
+  (* the directory's ring, listed at the first save; dropped on a failed
+     save, whose files the next save must list and read again *)
+  let ring = ref None in
   let state_of ~cycle ~residual ~v ~stats =
     { cycle;
       residual;
@@ -337,7 +386,12 @@ let sink config ~dims ~n ~variant ~plan_digest ?(history_prefix = []) () =
       v }
   in
   let save_state st =
-    let path = save_into ~scratch config st in
+    let r =
+      match !ring with Some r -> r | None -> open_ring config.dir
+    in
+    ring := None;
+    let path = save_into ~scratch r ~keep:(max 1 config.keep) st in
+    ring := Some r;
     last_saved := st.cycle;
     path
   in

@@ -10,15 +10,19 @@
     file is detected by the CRC framing and skipped in favour of the
     previous generation, never deserialized.
 
-    Rotation never deletes the newest good generation: a new generation
-    is written (atomically) {e first}, and only then are generations
-    beyond [keep] retired, so the directory always holds at least one
-    complete checkpoint once any save succeeded, whatever instant the
-    process is killed.  The oldest retired generation is renamed to
-    {!spare_path} rather than deleted, and the next save overwrites that
-    file in place under its temp name ({!Repro_runtime.Snapshot.write}'s
-    [?reuse]); no generation name ever points at a file being
-    overwritten.
+    The directory is a ring of [keep + 1] generation files.  The first
+    [keep + 1] saves each create one (temp file, [fsync], rename,
+    directory [fsync]); after that, a save rewrites the oldest
+    generation's file in place and renames it to its new name: one
+    [fsync] and no directory sync
+    ({!Repro_runtime.Snapshot.rewrite}).  The newest generation is never
+    overwritten, and once [keep + 1] saves have run, [keep] complete
+    generations exist at every instant, whatever instant the process is
+    killed or the power cut.  A rewrite torn by a crash is rejected by
+    the container's framing (its header names each payload's CRC), and
+    a power cut that undoes the unsynced rename leaves the new
+    generation, complete, under the old name: generations are ordered
+    by the cycle their header holds, not by their names.
 
     Registered counters: [guard.checkpoint_writes],
     [guard.checkpoint_restores], [guard.checkpoint_rejected],
@@ -55,23 +59,25 @@ val gen_path : dir:string -> int -> string
 (** [dir/ckpt-NNNNNN.snap] for generation (= cycle) [NNNNNN]. *)
 
 val generations : dir:string -> int list
-(** Generation numbers present (complete or not), ascending; [[]] when
-    the directory is missing or empty. *)
-
-val spare_path : dir:string -> string
-(** [dir/ckpt-spare]: a retired generation's file, kept for the next
-    save to recycle.  Not a generation: {!generations} and
-    {!load_latest} ignore it, and it is not a temp dropping. *)
+(** Generation numbers in the names present (complete or not),
+    ascending; [[]] when the directory is missing or empty.  A name can
+    be older than the generation its file holds (see above). *)
 
 val save : config -> state -> string
-(** Atomically writes generation [state.cycle], recycling the spare file
-    when it is a regular file with one link, and returns the path
-    written.  Then, from one directory listing taken before the write,
-    it retires generations beyond [config.keep] (oldest first, never
-    [state.cycle]) — the first one, if a regular file, renamed to the
-    spare and the directory synced, the rest removed — and removes
-    stale temp droppings from killed writers.  [guard.checkpoint_pruned]
-    counts each generation that did leave the set. *)
+(** Writes generation [state.cycle] and returns its path,
+    [gen_path ~dir state.cycle].  From one listing of the directory it
+    removes temp droppings of killed writers (and an older writer's
+    [ckpt-spare]).  With fewer than [config.keep + 1] generation files
+    in the directory, the save creates one (temp, [fsync], rename,
+    directory [fsync]).  Otherwise it rewrites one in place: a file
+    already under the new name, else one that does not load, else the
+    oldest generation by header, and never one holding the newest
+    generation.  A file that is not a regular file with one link, or
+    whose header does not bind its payloads (an older writer's), is not
+    rewritten: the save creates its file and that one is removed.
+    Files beyond [keep + 1] are removed in the same order.
+    [guard.checkpoint_pruned] counts each file that left the set,
+    rewritten or removed. *)
 
 val load : path:string -> (state, string) result
 (** Reads one generation file back, verifying the container framing and
@@ -81,18 +87,20 @@ val load : path:string -> (state, string) result
     [Error], so {!load_latest} falls back to an older generation. *)
 
 type resume = {
-  gen : int;  (** generation restored *)
+  gen : int;  (** generation restored: the cycle its header holds *)
   state : state;
   rejected : (int * string) list;
-      (** newer generations skipped as corrupt: (generation, reason),
-          newest first.  Each is also a [Checkpoint_reject] flight-
-          recorder event and counted in [guard.checkpoint_rejected]. *)
+      (** generation files rejected as corrupt or torn: (the number in
+          the name, reason), newest name first.  Each is also a
+          [Checkpoint_reject] flight-recorder event and counted in
+          [guard.checkpoint_rejected]. *)
 }
 
 val load_latest : dir:string -> (resume, string) result
-(** Restores the newest generation that verifies, falling back through
-    older generations on corruption.  [Error] when the directory holds
-    no usable generation at all ([mg_solve --resume] exit code 6). *)
+(** Loads every generation file and restores the one whose header holds
+    the highest cycle, whatever its name; a corrupt or torn file is
+    skipped.  [Error] when the directory holds no usable generation at
+    all ([mg_solve --resume] exit code 6). *)
 
 (** {2 Periodic sink}
 
@@ -124,4 +132,6 @@ val sink :
     prepended to the stats each save records, so a twice-resumed run
     still carries its full residual history.  The sink lays every save
     out in one file buffer it keeps, so its saves of a same-sized grid
-    allocate that buffer once. *)
+    allocate that buffer once, and it lists the directory at its first
+    save only: it keeps the ring of generation files in memory (and
+    lists again after a save that raised).  Its saves are {!save}'s. *)

@@ -72,9 +72,28 @@ let crash_spec : crash_spec option ref =
 let set_crash_spec s = crash_spec := s
 let writes_done = ref 0
 
-(* ------------------------------------------------------------------ *)
-(* Atomic replacement: temp + fsync + rename + directory sync *)
+(* Counts a write; the bytes of a [len]-byte image this write puts on
+   disk before the process dies, when the crash spec arms it. *)
+let armed_prefix ~len =
+  incr writes_done;
+  match !crash_spec with
+  | Some { after_writes; partial_bytes } when after_writes = !writes_done ->
+    Some
+      (max 0 (min len (if partial_bytes < 0 then len + partial_bytes
+                       else partial_bytes)))
+  | _ -> None
 
+(* ------------------------------------------------------------------ *)
+(* Writing: temp + fsync + rename + directory sync, or in place *)
+
+let c_fsyncs = Telemetry.counter "snapshot.fsyncs"
+let c_dir_fsyncs = Telemetry.counter "snapshot.dir_fsyncs"
+
+let fsync fd =
+  Unix.fsync fd;
+  Telemetry.add c_fsyncs 1
+
+(* Best-effort: makes the renames and removals in [dir] durable. *)
 let fsync_dir dir =
   (* Durability of the rename itself.  Some filesystems reject fsync on
      a directory fd; that only weakens the ordering guarantee, never
@@ -83,7 +102,9 @@ let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
   | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
+    (match Unix.fsync fd with
+     | () -> Telemetry.add c_dir_fsyncs 1
+     | exception Unix.Unix_error _ -> ());
     Unix.close fd
 
 let write_all fd s len =
@@ -92,62 +113,49 @@ let write_all fd s len =
     pos := !pos + Unix.write_substring fd s !pos (len - !pos)
   done
 
-(* [spare] renamed to [tmp] when it is a regular file with no other
-   link: overwriting it in place must not change a file under any other
-   name. *)
-let recycle spare ~tmp =
-  match Unix.lstat spare with
-  | { Unix.st_kind = Unix.S_REG; st_nlink = 1; _ } -> (
-    match Unix.rename spare tmp with
-    | () -> true
-    | exception Unix.Unix_error _ -> false)
-  | _ | (exception Unix.Unix_error _) -> false
+(* The first [len] bytes of [s] to [fd] from its offset, the file cut
+   there, then [fsync]; an armed crash spec writes its prefix, syncs it
+   and dies here. *)
+let write_synced fd s ~len =
+  match armed_prefix ~len with
+  | Some prefix ->
+    write_all fd s prefix;
+    fsync fd;
+    Unix.kill (Unix.getpid ()) Sys.sigkill
+  | None ->
+    write_all fd s len;
+    Unix.ftruncate fd len;
+    fsync fd
+
+let count_write len =
+  Telemetry.add c_writes 1;
+  Telemetry.add c_bytes len
 
 (* [atomic_write_string] of the first [len] bytes of [s]. *)
-let atomic_write ?reuse ~path s ~len =
-  incr writes_done;
-  let dir = Filename.dirname path in
+let atomic_write ~path s ~len =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let recycled =
-    match reuse with Some spare -> recycle spare ~tmp | None -> false
-  in
   let fd =
-    Unix.openfile tmp
-      (if recycled then [ Unix.O_WRONLY ]
-       else [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ])
-      0o644
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  let written =
-    match !crash_spec with
-    | Some { after_writes; partial_bytes } when after_writes = !writes_done ->
-      min partial_bytes len
-    | _ -> len
-  in
-  (try
-     write_all fd s written;
-     if recycled then Unix.ftruncate fd written;
-     Unix.fsync fd
+  (* a crash spec's death leaves the temp file (partially) on disk and
+     never renames it: the destination must be unaffected *)
+  (try write_synced fd s ~len
    with e ->
      Unix.close fd;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Unix.close fd;
-  (match !crash_spec with
-   | Some { after_writes; _ } when after_writes = !writes_done ->
-     (* die mid-write: the temp file is (partially) on disk, the rename
-        never happened — the destination must be unaffected *)
-     Unix.kill (Unix.getpid ()) Sys.sigkill
-   | _ -> ());
   (try Unix.rename tmp path
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  fsync_dir dir;
-  Telemetry.add c_writes 1;
-  Telemetry.add c_bytes len
+  fsync_dir (Filename.dirname path);
+  count_write len
 
-let atomic_write_string ?reuse ~path s =
-  atomic_write ?reuse ~path s ~len:(String.length s)
+let atomic_write_string ~path s = atomic_write ~path s ~len:(String.length s)
+
+external open_nofollow : string -> Unix.file_descr
+  = "polymg_snapshot_open_nofollow"
 
 (* ------------------------------------------------------------------ *)
 (* Framed container *)
@@ -162,14 +170,23 @@ let payload_length = function
   | Raw s -> String.length s
   | Floats buf -> 8 * Buf.len buf
 
-let write ?reuse ?scratch ~path ~meta payloads =
-  let header =
-    Json.to_string
-      (Json.Obj
-         [ ("schema", Json.Str schema);
-           ("frames", Json.num (List.length payloads));
-           ("meta", meta) ])
+(* The header: schema, payload count, the payloads' CRCs as 8 lower-case
+   hex digits each (the binding key), and the caller's document.  The
+   hex is fixed-width, so the header is laid out before any payload is
+   encoded and its CRCs written in afterwards; [crcs_at] is the offset
+   of the first digit. *)
+let header_of ~meta n =
+  let head crcs =
+    [ ("schema", Json.Str schema); ("frames", Json.num n);
+      ("crcs", Json.Str crcs) ]
   in
+  ( Json.to_string (Json.Obj (head (String.make (8 * n) '0') @ [ ("meta", meta) ])),
+    String.length (Json.to_string (Json.Obj (head ""))) - 2 )
+
+(* The file a snapshot of [payloads] is, laid out in one buffer (see
+   [write]); returns the buffer and the file's length. *)
+let layout ?scratch ~meta payloads =
+  let header, crcs_at = header_of ~meta (List.length payloads) in
   let frames = (Raw header :: payloads) @ [ Raw end_marker ] in
   (* each frame is a big-endian u32 length, the payload, its u32 CRC *)
   let total =
@@ -181,29 +198,47 @@ let write ?reuse ?scratch ~path ~meta payloads =
     match scratch with
     | Some r when Bytes.length !r >= total -> !r
     | Some r ->
-      r := Bytes.create total;
+      (* room for a header that grows by a history entry a save *)
+      r := Bytes.create (total + (total lsr 4));
       !r
     | None -> Bytes.create total
   in
   Bytes.blit_string magic 0 b 0 (String.length magic);
-  let pos =
-    List.fold_left
-      (fun pos p ->
-        let len = payload_length p in
-        Bytes.set_int32_be b pos (Int32.of_int len);
-        let crc =
-          match p with
-          | Raw s ->
-            Bytes.blit_string s 0 b (pos + 4) len;
-            crc32 s
-          | Floats buf -> encode_floats buf b ~pos:(pos + 4)
-        in
-        Bytes.set_int32_be b (pos + 4 + len) (Int32.of_int crc);
-        pos + 8 + len)
-      (String.length magic) frames
+  let frame pos p =
+    let len = payload_length p in
+    Bytes.set_int32_be b pos (Int32.of_int len);
+    let crc =
+      match p with
+      | Raw s ->
+        Bytes.blit_string s 0 b (pos + 4) len;
+        crc32 s
+      | Floats buf -> encode_floats buf b ~pos:(pos + 4)
+    in
+    Bytes.set_int32_be b (pos + 4 + len) (Int32.of_int crc);
+    (pos + 8 + len, crc)
   in
+  let header_pos = String.length magic in
+  let pos, _ = frame header_pos (Raw header) in
+  let pos, crcs = List.fold_left_map frame pos payloads in
+  let pos, _ = frame pos (Raw end_marker) in
   assert (pos = total);
-  atomic_write ?reuse ~path (Bytes.unsafe_to_string b) ~len:total
+  (* bind the payloads into the header, then checksum the header *)
+  List.iteri
+    (fun i crc ->
+      Bytes.blit_string (Printf.sprintf "%08x" crc) 0 b
+        (header_pos + 4 + crcs_at + (8 * i))
+        8)
+    crcs;
+  let hlen = String.length header in
+  Bytes.set_int32_be b
+    (header_pos + 4 + hlen)
+    (Int32.of_int (crc32 (Bytes.unsafe_to_string b) ~pos:(header_pos + 4)
+                     ~len:hlen));
+  (Bytes.unsafe_to_string b, total)
+
+let write ?scratch ~path ~meta payloads =
+  let s, len = layout ?scratch ~meta payloads in
+  atomic_write ~path s ~len
 
 type frame = { file : string; pos : int; len : int }
 
@@ -220,6 +255,56 @@ let read_floats f buf =
 
 exception Bad of string
 
+(* A file's contents and a read position in them. *)
+type cursor = { s : string; mutable at : int }
+
+let u32 c =
+  if c.at + 4 > String.length c.s then
+    raise (Bad "truncated: incomplete frame length");
+  let v = Int32.to_int (String.get_int32_be c.s c.at) land 0xFFFF_FFFF in
+  c.at <- c.at + 4;
+  v
+
+(* The next frame, its CRC verified, and that CRC. *)
+let next_frame c =
+  let len = u32 c in
+  if len > String.length c.s - c.at - 4 then
+    raise (Bad "truncated: incomplete frame");
+  let f = { file = c.s; pos = c.at; len } in
+  c.at <- c.at + len;
+  let stored = u32 c in
+  if crc32 c.s ~pos:f.pos ~len <> stored then raise (Bad "CRC mismatch");
+  (f, stored)
+
+(* The magic line and the header frame: the header, its payload count,
+   and the payloads' CRCs it binds ([None] for an older writer's header,
+   which has no such key). *)
+let read_header c =
+  let m = String.length magic in
+  if String.length c.s < m || String.sub c.s 0 m <> magic then
+    raise (Bad "bad magic (not a polymg.snapshot/1 file)");
+  c.at <- m;
+  let header =
+    match Json.parse (frame_contents (fst (next_frame c))) with
+    | Ok h -> h
+    | Error m -> raise (Bad ("header: " ^ m))
+  in
+  (match Option.bind (Json.member "schema" header) Json.to_str with
+   | Some v when v = schema -> ()
+   | _ -> raise (Bad "header: wrong schema"));
+  let frames =
+    match Option.bind (Json.member "frames" header) Json.to_int with
+    | Some f when f >= 0 -> f
+    | _ -> raise (Bad "header: missing frame count")
+  in
+  let bound =
+    match Json.member "crcs" header with
+    | None -> None
+    | Some (Json.Str h) when String.length h = 8 * frames -> Some h
+    | Some _ -> raise (Bad "header: malformed payload CRCs")
+  in
+  (header, frames, bound)
+
 let read ~path =
   let reject msg =
     Telemetry.add c_read_rejected 1;
@@ -233,45 +318,23 @@ let read ~path =
   with
   | exception Sys_error m -> reject ("cannot read: " ^ m)
   | s -> (
-    let n = String.length s in
-    let pos = ref 0 in
-    let u32 () =
-      if !pos + 4 > n then raise (Bad "truncated: incomplete frame length");
-      let v = Int32.to_int (String.get_int32_be s !pos) land 0xFFFF_FFFF in
-      pos := !pos + 4;
-      v
-    in
-    let frame () =
-      let len = u32 () in
-      if len > n - !pos - 4 then raise (Bad "truncated: incomplete frame");
-      let f = { file = s; pos = !pos; len } in
-      pos := !pos + len;
-      let stored = u32 () in
-      if crc32 s ~pos:f.pos ~len <> stored then raise (Bad "CRC mismatch");
-      f
-    in
+    let c = { s; at = 0 } in
     match
-      if n < String.length magic
-         || String.sub s 0 (String.length magic) <> magic
-      then raise (Bad "bad magic (not a polymg.snapshot/1 file)");
-      pos := String.length magic;
-      let header =
-        match Json.parse (frame_contents (frame ())) with
-        | Ok h -> h
-        | Error m -> raise (Bad ("header: " ^ m))
+      let header, frames, bound = read_header c in
+      let payloads =
+        List.init frames (fun i ->
+            let f, crc = next_frame c in
+            (match bound with
+             | Some h when String.sub h (8 * i) 8 <> Printf.sprintf "%08x" crc
+               ->
+               raise (Bad "payload CRC differs from the header's")
+             | _ -> ());
+            f)
       in
-      (match Option.bind (Json.member "schema" header) Json.to_str with
-       | Some v when v = schema -> ()
-       | _ -> raise (Bad "header: wrong schema"));
-      let frames =
-        match Option.bind (Json.member "frames" header) Json.to_int with
-        | Some f when f >= 0 -> f
-        | _ -> raise (Bad "header: missing frame count")
-      in
-      let payloads = List.init frames (fun _ -> frame ()) in
-      if frame_contents (frame ()) <> end_marker then
+      if frame_contents (fst (next_frame c)) <> end_marker then
         raise (Bad "bad end marker");
-      if !pos <> n then raise (Bad "trailing bytes after end marker");
+      if c.at <> String.length s then
+        raise (Bad "trailing bytes after end marker");
       let meta =
         Option.value (Json.member "meta" header) ~default:Json.Null
       in
@@ -281,3 +344,44 @@ let read ~path =
     | result ->
       Telemetry.add c_read_ok 1;
       Ok result)
+
+(* Up to [len] bytes from [fd]'s offset; fewer only at end of file. *)
+let read_upto fd len =
+  let b = Bytes.create len in
+  let rec go got =
+    if got = len then got
+    else match Unix.read fd b got (len - got) with 0 -> got | k -> go (got + k)
+  in
+  Bytes.sub_string b 0 (go 0)
+
+(* Whether the [size]-byte file open at [fd] (at offset 0) starts with a
+   verified header that binds its payloads' CRCs. *)
+let binds fd ~size =
+  let m = String.length magic in
+  let head = read_upto fd (m + 4) in
+  String.length head = m + 4
+  &&
+  let hlen = Int32.to_int (String.get_int32_be head m) land 0xFFFF_FFFF in
+  hlen <= size - m - 8
+  &&
+  match read_header { s = head ^ read_upto fd (hlen + 4); at = 0 } with
+  | _, _, bound -> bound <> None
+  | exception Bad _ -> false
+
+let rewrite ?scratch ~over ~path ~meta payloads =
+  match open_nofollow over with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        match Unix.fstat fd with
+        | { Unix.st_kind = Unix.S_REG; st_nlink = 1; st_size = size; _ }
+          when (try binds fd ~size with Unix.Unix_error _ -> false) ->
+          let s, len = layout ?scratch ~meta payloads in
+          ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+          write_synced fd s ~len;
+          Unix.rename over path;
+          count_write len;
+          true
+        | _ | (exception Unix.Unix_error _) -> false)

@@ -29,13 +29,21 @@
  * 16-byte block into the file buffer as it folds it.  The OCaml side
  * checks every range before calling in; none of these functions
  * allocates or raises, so they are [@@noalloc].
+ *
+ * The in-place writer opens the file it rewrites with O_NOFOLLOW, which
+ * OCaml's Unix.openfile cannot ask for: a symbolic link at that name
+ * fails with ELOOP instead of being written through.
  */
 
+#include <fcntl.h>
 #include <stdint.h>
 #include <string.h>
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
+#include <caml/memory.h>
+#include <caml/signals.h>
+#include <caml/unixsupport.h>
 
 static uint32_t crc_tables[16][256];
 
@@ -259,4 +267,21 @@ CAMLprim value polymg_snapshot_decode_floats(value vs, value vpos, value vdata,
   copy_le64(Caml_ba_data_val(vdata), String_val(vs) + Long_val(vpos),
             Long_val(vn));
   return Val_unit;
+}
+
+/* open(path, O_RDWR | O_NOFOLLOW | O_CLOEXEC), raising Unix.Unix_error
+   on failure. */
+CAMLprim value polymg_snapshot_open_nofollow(value vpath)
+{
+  CAMLparam1(vpath);
+  char *path;
+  int fd;
+  caml_unix_check_path(vpath, "open");
+  path = caml_stat_strdup(String_val(vpath));
+  caml_enter_blocking_section();
+  fd = open(path, O_RDWR | O_NOFOLLOW | O_CLOEXEC);
+  caml_leave_blocking_section();
+  caml_stat_free(path);
+  if (fd == -1) caml_uerror("open", vpath);
+  CAMLreturn(Val_int(fd));
 }

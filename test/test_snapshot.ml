@@ -3,7 +3,8 @@
    Properties (Qc_replay, seed-replayable): the polymg.snapshot/1
    container round-trips metadata and payloads bit-identically, and any
    single-byte corruption, truncation, or trailing garbage makes [read]
-   reject the file — the CRC framing never deserializes a torn write.
+   reject the file — the CRC framing never deserializes a torn write —
+   and so does a header spliced onto the payloads of another write.
    The C CRC equals the byte-at-a-time definition on any range and under
    [?crc] chaining, through every code path the host runs
    ([Snapshot.crc32_paths]: every start offset mod 16 and every tail
@@ -14,12 +15,13 @@
    Unit tests cover the CRC test vector and a 314,432-byte frame on every
    path, an empty grid, a checkpoint
    written by the original writer (test/fixtures), the writer's
-   allocation, atomic replacement, generation rotation (the newest good
-   generation is never deleted; the retired one is recycled as the spare
-   file, never through a directory, symlink or hard link), corrupt-
-   generation fallback, metadata the loader must reject, the prune
-   counter, the deadline-aware cadence clamp, and the sink's
-   deferred-flush copy semantics. *)
+   allocation, atomic replacement, the ring of generations (keep + 1
+   files; the oldest is rewritten in place, never the newest, and never
+   through a directory, symlink, hard link or an older writer's file; a
+   stale name is loaded by its header; one fsync and no directory sync
+   per steady-state save), corrupt-generation fallback, metadata the
+   loader must reject, the prune counter, the deadline-aware cadence
+   clamp, and the sink's deferred-flush copy semantics. *)
 
 open Repro_mg
 module Grid = Repro_grid.Grid
@@ -29,6 +31,12 @@ module Json = Repro_runtime.Json
 module Telemetry = Repro_runtime.Telemetry
 
 let tmpdir = "snapshot-test-tmp"
+
+(* beside the test executable, where the test stanza's deps put it *)
+let fixture_path =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat "fixtures" "ckpt-000001.snap")
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -130,12 +138,18 @@ let oracle_add_frame b payload =
   Buffer.add_string b payload;
   oracle_add_u32 b (oracle_crc32 payload)
 
-(* the file contents the original [Snapshot.write] produced *)
+(* the file contents the original [Snapshot.write] produced, with the
+   header key that binds the payloads' CRCs *)
 let oracle_file ~meta ~payloads =
   let header =
     Json.Obj
       [ ("schema", Json.Str Snapshot.schema);
         ("frames", Json.num (List.length payloads));
+        ( "crcs",
+          Json.Str
+            (String.concat ""
+               (List.map (fun p -> Printf.sprintf "%08x" (oracle_crc32 p))
+                  payloads)) );
         ("meta", meta) ]
   in
   let b = Buffer.create 4096 in
@@ -358,6 +372,42 @@ let prop_trailing_rejected =
       write_file path (read_file path ^ "x");
       match Snapshot.read ~path with Error _ -> true | Ok _ -> false)
 
+(* A power cut can tear an in-place rewrite at any sector: the header of
+   one write before the grid of another, with frame lengths that agree,
+   must not read. *)
+let prop_splice_rejected =
+  QCheck.Test.make
+    ~name:"snapshot: a header spliced onto another write's grid is rejected"
+    ~count:100
+    QCheck.(triple grid_floats_arb (int_range 0 1_000_000) (pair small_nat small_nat))
+    (fun (xs, k, (c1, c2)) ->
+      let a = Array.of_list xs in
+      let b = Array.copy a in
+      let k = k mod Array.length b in
+      b.(k) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float b.(k)) 1L);
+      (* two metadata documents of equal printed length *)
+      let meta c = Json.Obj [ ("cycle", Json.Str (Printf.sprintf "%09d" c)) ] in
+      let image c xs =
+        let path = fresh "splice" in
+        Snapshot.write ~path ~meta:(meta c) [ Snapshot.Floats (Buf.of_array xs) ];
+        read_file path
+      in
+      let ia = image c1 a and ib = image c2 b in
+      let m = String.length Snapshot.schema + 1 in
+      let hlen = Int32.to_int (String.get_int32_be ia m) + 8 in
+      assert (String.length ia = String.length ib);
+      assert (Int32.to_int (String.get_int32_be ib m) + 8 = hlen);
+      let splice x y =
+        let path = fresh "spliced" in
+        write_file path
+          (String.sub x 0 (m + hlen)
+          ^ String.sub y (m + hlen) (String.length y - m - hlen));
+        match Snapshot.read ~path with
+        | Error _ -> true
+        | Ok _ -> QCheck.Test.fail_reportf "splice accepted (grid %d)" k
+      in
+      splice ia ib && splice ib ia)
+
 let same_bits a b =
   Buf.len a = Buf.len b
   && List.for_all
@@ -519,13 +569,16 @@ let mk_state ~cycle =
 
 let config dir = { Checkpoint.dir; every = 1; keep = 3 }
 
+let saves ?(keep = 3) dir cycles =
+  List.iter
+    (fun c -> ignore (Checkpoint.save { (config dir) with keep } (mk_state ~cycle:c)))
+    cycles
+
 let test_rotation () =
   let dir = fresh "rotate" in
-  let cfg = config dir in
-  List.iter (fun c -> ignore (Checkpoint.save cfg (mk_state ~cycle:c)))
-    [ 1; 2; 3; 4; 5 ];
+  saves dir [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list int))
-    "keeps the last 3 generations" [ 3; 4; 5 ]
+    "keeps a ring of keep + 1 generations" [ 2; 3; 4; 5 ]
     (Checkpoint.generations ~dir)
 
 let ino path = (Unix.lstat path).Unix.st_ino
@@ -542,105 +595,85 @@ let check_loads ~dir g =
       (same_bits st.Checkpoint.v.Grid.buf
          (mk_state ~cycle:g).Checkpoint.v.Grid.buf)
 
-let test_rotation_recycles () =
-  let dir = fresh "recycle" in
-  let spare = Checkpoint.spare_path ~dir in
-  let spare_before_6 = ref (-1) in
-  (* each file is shorter than the one before, so a recycled file that
+let test_ring_rewrites_oldest () =
+  let dir = fresh "ring" in
+  let inodes = Hashtbl.create 8 in
+  (* each file is shorter than the one before, so a rewritten file that
      kept its old tail would be rejected for trailing bytes *)
   let state c =
     let st = mk_state ~cycle:c in
     { st with
-      Checkpoint.history = List.init (7 - c) (fun _ -> List.hd st.history) }
+      Checkpoint.history = List.init (9 - c) (fun _ -> List.hd st.history) }
   in
   List.iter
     (fun c ->
-      if c = 6 then spare_before_6 := ino spare;
-      ignore (Checkpoint.save (config dir) (state c)))
+      ignore (Checkpoint.save (config dir) (state c));
+      Hashtbl.replace inodes c (ino (Checkpoint.gen_path ~dir c)))
     [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check (list int))
-    "keeps the last 3 generations" [ 4; 5; 6 ] (Checkpoint.generations ~dir);
   Alcotest.(check (list string))
-    "one spare, no droppings"
-    [ "ckpt-000004.snap"; "ckpt-000005.snap"; "ckpt-000006.snap";
-      Filename.basename spare ]
+    "a ring of four generations, no droppings"
+    [ "ckpt-000003.snap"; "ckpt-000004.snap"; "ckpt-000005.snap";
+      "ckpt-000006.snap" ]
     (entries dir);
-  List.iter (check_loads ~dir) [ 4; 5; 6 ];
-  Alcotest.(check int)
-    "generation 6 is the recycled spare" !spare_before_6
-    (ino (Checkpoint.gen_path ~dir 6))
+  List.iter (check_loads ~dir) [ 3; 4; 5; 6 ];
+  Alcotest.(check (list int))
+    "generations 5 and 6 are the files of 1 and 2, rewritten in place"
+    [ Hashtbl.find inodes 1; Hashtbl.find inodes 2 ]
+    [ Hashtbl.find inodes 5; Hashtbl.find inodes 6 ]
 
 let test_keep_one () =
   let dir = fresh "keep1" in
-  let spare = Checkpoint.spare_path ~dir in
   List.iter
     (fun c ->
-      let path =
-        Checkpoint.save { (config dir) with keep = 1 } (mk_state ~cycle:c)
-      in
+      saves ~keep:1 dir [ c ];
       Alcotest.(check (list int))
-        "one generation" [ c ] (Checkpoint.generations ~dir);
-      if Sys.file_exists spare then
-        Alcotest.(check bool) "the generation is not the spare" false
-          (ino path = ino spare);
+        "two generations"
+        (if c = 1 then [ 1 ] else [ c - 1; c ])
+        (Checkpoint.generations ~dir);
       match Checkpoint.load_latest ~dir with
       | Error m -> Alcotest.failf "after save %d: %s" c m
       | Ok r ->
         Alcotest.(check int) "load_latest is the newest" c r.Checkpoint.gen;
-        check_loads ~dir c)
+        List.iter (check_loads ~dir) (Checkpoint.generations ~dir))
     [ 1; 2; 3; 4; 5 ]
 
-(* Only a regular file with one link is overwritten in place: a
-   directory or a symlink at the spare name is not followed (a rename
-   and an open of it would fail with EISDIR or write through the link),
-   and a hard link elsewhere keeps its contents. *)
-let test_spare_not_followed () =
-  let saves dir cycles =
-    List.iter
-      (fun c -> ignore (Checkpoint.save (config dir) (mk_state ~cycle:c)))
-      cycles
-  in
-  let no_droppings dir =
-    Alcotest.(check (list string))
-      "no droppings" []
-      (List.filter
-         (fun e ->
-           String.starts_with ~prefix:"ckpt-" e
-           && (not (Filename.check_suffix e ".snap"))
-           && e <> Filename.basename (Checkpoint.spare_path ~dir))
-         (entries dir))
-  in
-  (* a directory *)
-  let dir = fresh "spare-dir" in
-  mkdir_p (Checkpoint.spare_path ~dir);
-  saves dir [ 1; 2; 3; 4; 5 ];
+(* Only a regular file with one link whose header binds its payloads is
+   overwritten in place: a symlink is not followed (even to a valid
+   generation), a directory is left alone, a hard link elsewhere and an
+   older writer's file keep their contents.  Each retires through the
+   create path instead. *)
+let test_ring_not_written_through () =
+  (* a symlink to a copy of a valid generation *)
+  let dir = fresh "ring-link" in
+  saves dir [ 1; 2; 3 ];
+  let target = Filename.concat dir "target" in
+  let gen1 = read_file (Checkpoint.gen_path ~dir 1) in
+  write_file target gen1;
+  Sys.remove (Checkpoint.gen_path ~dir 1);
+  Unix.symlink "target" (Checkpoint.gen_path ~dir 1);
+  saves dir [ 4; 5; 6 ];
+  Alcotest.(check bool)
+    "the link's target is untouched" true (read_file target = gen1);
   Alcotest.(check (list int))
-    "directory spare: rotation still keeps 3" [ 3; 4; 5 ]
+    "symlink: the ring still holds 4" [ 3; 4; 5; 6 ]
+    (Checkpoint.generations ~dir);
+  List.iter (check_loads ~dir) [ 3; 4; 5; 6 ];
+  (* a directory *)
+  let dir = fresh "ring-dir" in
+  mkdir_p (Checkpoint.gen_path ~dir 1);
+  saves dir [ 2; 3; 4; 5 ];
+  Alcotest.(check (list int))
+    "directory: the ring holds it and 3 generations" [ 1; 3; 4; 5 ]
     (Checkpoint.generations ~dir);
   Alcotest.(check bool)
     "the directory is left alone" true
-    ((Unix.lstat (Checkpoint.spare_path ~dir)).Unix.st_kind = Unix.S_DIR);
-  no_droppings dir;
+    ((Unix.lstat (Checkpoint.gen_path ~dir 1)).Unix.st_kind = Unix.S_DIR);
   List.iter (check_loads ~dir) [ 3; 4; 5 ];
-  (* a symlink *)
-  let dir = fresh "spare-link" in
-  mkdir_p dir;
-  let target = Filename.concat dir "target" in
-  write_file target "not a checkpoint";
-  Unix.symlink "target" (Checkpoint.spare_path ~dir);
-  saves dir [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check string)
-    "the link's target is untouched" "not a checkpoint" (read_file target);
-  Alcotest.(check (list int))
-    "symlink spare: rotation still keeps 3" [ 4; 5; 6 ]
-    (Checkpoint.generations ~dir);
-  no_droppings dir;
-  List.iter (check_loads ~dir) [ 4; 5; 6 ];
   (* a hard link *)
-  let dir = fresh "spare-hardlink" in
+  let dir = fresh "ring-hardlink" in
   saves dir [ 1; 2; 3; 4 ];
   let backup = Filename.concat dir "backup.snap" in
-  Unix.link (Checkpoint.spare_path ~dir) backup;
+  Unix.link (Checkpoint.gen_path ~dir 1) backup;
   saves dir [ 5; 6 ];
   (match Checkpoint.load ~path:backup with
    | Ok st ->
@@ -648,9 +681,80 @@ let test_spare_not_followed () =
        "the hard link still holds generation 1" 1 st.Checkpoint.cycle
    | Error m -> Alcotest.failf "hard link overwritten: %s" m);
   Alcotest.(check (list int))
-    "hard-linked spare: rotation still keeps 3" [ 4; 5; 6 ]
+    "hard link: the ring still holds 4" [ 3; 4; 5; 6 ]
     (Checkpoint.generations ~dir);
-  List.iter (check_loads ~dir) [ 4; 5; 6 ]
+  List.iter (check_loads ~dir) [ 3; 4; 5; 6 ];
+  (* an older writer's file, whose header binds nothing *)
+  let dir = fresh "ring-old" in
+  mkdir_p dir;
+  let old = read_file fixture_path in
+  write_file (Checkpoint.gen_path ~dir 1) old;
+  let old_ino = ino (Checkpoint.gen_path ~dir 1) in
+  saves dir [ 2; 3; 4; 5 ];
+  Alcotest.(check (list int))
+    "older writer's file: retired, not rewritten" [ 2; 3; 4; 5 ]
+    (Checkpoint.generations ~dir);
+  Alcotest.(check bool)
+    "generation 5 is a new file" true
+    (ino (Checkpoint.gen_path ~dir 5) <> old_ino);
+  List.iter (check_loads ~dir) [ 2; 3; 4; 5 ]
+
+(* A power cut can undo an in-place rewrite's unsynced rename: the
+   newest generation, complete, under the name of the one it replaced.
+   load_latest follows the header, and the next save rewrites the oldest
+   generation by header, not the file under the oldest name. *)
+let test_stale_name () =
+  let dir = fresh "stale" in
+  saves dir [ 1; 2; 3; 4; 5; 6 ];
+  (* generation 6 rewrote the file of generation 2 *)
+  Unix.rename (Checkpoint.gen_path ~dir 6) (Checkpoint.gen_path ~dir 2);
+  let latest () =
+    match Checkpoint.load_latest ~dir with
+    | Error m -> Alcotest.failf "stale name: %s" m
+    | Ok r ->
+      Alcotest.(check (list int)) "nothing rejected" []
+        (List.map fst r.Checkpoint.rejected);
+      r.Checkpoint.gen
+  in
+  Alcotest.(check int) "load_latest follows the header" 6 (latest ());
+  saves dir [ 7 ];
+  Alcotest.(check int) "then the new generation" 7 (latest ());
+  Alcotest.(check (list int))
+    "the oldest by header was rewritten" [ 2; 4; 5; 7 ]
+    (Checkpoint.generations ~dir);
+  match Checkpoint.load ~path:(Checkpoint.gen_path ~dir 2) with
+  | Ok st -> Alcotest.(check int) "the stale name still holds 6" 6 st.cycle
+  | Error m -> Alcotest.failf "generation 6 lost: %s" m
+
+(* One fsync per steady-state save and no directory sync; a save that
+   creates its file syncs the directory once. *)
+let test_fsync_counts () =
+  let counter name = Telemetry.value (Telemetry.counter name) in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      let dir = fresh "fsyncs" in
+      let sink =
+        Checkpoint.sink (config dir) ~dims:2 ~n:8 ~variant:"opt+"
+          ~plan_digest:"test-digest" ()
+      in
+      List.iter
+        (fun c ->
+          let st = mk_state ~cycle:c in
+          let f0 = counter "snapshot.fsyncs"
+          and d0 = counter "snapshot.dir_fsyncs" in
+          sink.Checkpoint.on_accept ~cycle:c ~residual:st.residual ~v:st.v
+            ~stats:st.history;
+          let steady = c > 4 in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "save %d (%s): file and directory fsyncs" c
+               (if steady then "rewrite" else "create"))
+            (1, if steady then 0 else 1)
+            (counter "snapshot.fsyncs" - f0, counter "snapshot.dir_fsyncs" - d0))
+        [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
+      List.iter (check_loads ~dir) [ 6; 7; 8; 9 ])
 
 let test_corrupt_fallback () =
   let dir = fresh "fallback" in
@@ -693,12 +797,6 @@ let test_effective_every () =
     (Checkpoint.effective_every ~every:5 ~deadline:(Some 0.5))
 
 (* -- the parent writer's fixture ------------------------------------- *)
-
-(* beside the test executable, where the test stanza's deps put it *)
-let fixture_path =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat "fixtures" "ckpt-000001.snap")
 
 (* The state fixtures/ckpt-000001.snap holds, saved by the original
    Buffer-based writer: NaN, -0.0, subnormals and an infinity in the
@@ -744,9 +842,16 @@ let test_fixture () =
        "grid bit-identical" true
        (same_bits st.v.Grid.buf expect.v.Grid.buf));
   let path = Checkpoint.save (config (fresh "fixture")) expect in
+  let with_binding =
+    match Snapshot.read ~path:fixture_path with
+    | Ok (meta, frames) ->
+      oracle_file ~meta ~payloads:(List.map Snapshot.frame_contents frames)
+    | Error m -> Alcotest.failf "fixture rejected: %s" m
+  in
   Alcotest.(check bool)
-    "the writer reproduces the fixture byte for byte" true
-    (read_file path = read_file fixture_path)
+    "the writer reproduces the fixture byte for byte, with the binding key"
+    true
+    (read_file path = with_binding)
 
 (* -- allocation --------------------------------------------------------- *)
 
@@ -933,6 +1038,7 @@ let () =
             prop_corruption_rejected;
             prop_truncation_rejected;
             prop_trailing_rejected;
+            prop_splice_rejected;
             prop_grid_codec;
             prop_writer_matches_oracle;
             prop_crc_matches_oracle;
@@ -949,10 +1055,10 @@ let () =
           unit "atomic replacement" test_atomic_replace;
           unit "generation rotation" test_rotation;
           unit "rotation recycles the retired generation"
-            test_rotation_recycles;
-          unit "keep 1 never loads the spare" test_keep_one;
-          unit "spare: directory or symlink not followed"
-            test_spare_not_followed;
+            test_ring_rewrites_oldest;
+          unit "keep one holds two, loads the newest" test_keep_one;
+          unit "ring: never written through a link"
+            test_ring_not_written_through;
           unit "encode_floats: empty grid" test_encode_empty;
           unit "corrupt-generation fallback" test_corrupt_fallback;
           unit "empty directory" test_empty_dir;
@@ -960,4 +1066,6 @@ let () =
           unit "sink deferred flush copies" test_sink_flush_copies;
           unit "sink reuses one spare grid" test_sink_spare_reused;
           unit "crc32: a 314,432-byte frame on every path"
-            test_crc_paths_frame ] ) ]
+            test_crc_paths_frame;
+          unit "ring: a stale name follows the header" test_stale_name;
+          unit "ring: one fsync per steady save" test_fsync_counts ] ) ]
