@@ -182,11 +182,56 @@ let load ~path =
         v }
   | _ -> Error "metadata: not an mg-checkpoint"
 
+(* The cycle a generation file's header holds, read without its grid. *)
+let header_cycle ~path =
+  match Snapshot.read_meta ~path with
+  | Error m -> Error m
+  | Ok meta -> (
+    match Option.bind (Json.member "cycle" meta) Json.to_int with
+    | Some c -> Ok c
+    | None -> Error "metadata: missing cycle")
+
+(* The generation files [gens] of [dir], ordered by the cycle their
+   headers hold, highest first, and loaded in full in that order until
+   one verifies: the newest generation.  A power cut can undo an in-place
+   rewrite's unsynced rename, so the header, not the name, orders them.
+   Returns the newest (its state), the files rejected on the way or whose
+   header does not read (the number in the name and the reason, newest
+   name first), and the cycle each file holds: [None] for a rejected one,
+   the header's for one older than the newest, which is not loaded. *)
+let survey ~dir gens =
+  let headed =
+    List.map (fun g -> (g, header_cycle ~path:(gen_path ~dir g))) gens
+  in
+  let by_header =
+    List.filter_map (function g, Ok c -> Some (g, c) | _, Error _ -> None)
+      headed
+    |> List.stable_sort (fun (g, c) (g', c') -> compare (c', g') (c, g))
+  in
+  let rec walk failed = function
+    | [] -> (None, failed)
+    | (g, _) :: older -> (
+      match load ~path:(gen_path ~dir g) with
+      | Ok st -> (Some st, failed)
+      | Error m -> walk ((g, m) :: failed) older)
+  in
+  let newest, failed = walk [] by_header in
+  let rejected =
+    List.filter_map (function g, Error m -> Some (g, m) | _, Ok _ -> None)
+      headed
+    @ failed
+    |> List.sort (fun (g, _) (g', _) -> compare g' g)
+  in
+  let held g =
+    if List.mem_assoc g rejected then None else List.assoc_opt g by_header
+  in
+  (newest, rejected, held)
+
 (* ------------------------------------------------------------------ *)
 (* The ring of generation files *)
 
-(* A generation file: its name and the cycle its header holds, read on
-   first need ([None]: it does not load).  A power cut can undo the
+(* A generation file: its name and the cycle it holds, read on first
+   need by [survey] ([None]: the survey rejected it).  A power cut can undo the
    unsynced rename of an in-place rewrite and leave the newer bytes under
    the older name, so the header, not the name, orders generations. *)
 type slot = { name : string; held : int option Lazy.t }
@@ -210,20 +255,18 @@ let open_ring dir =
          && not (Filename.check_suffix name ".snap")
       then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     entries;
+  let gens = generations_of entries in
+  let held = lazy (let _, _, held = survey ~dir gens in held) in
   { dir;
     slots =
       List.map
         (fun g ->
-          let path = gen_path ~dir g in
-          { name = Filename.basename path;
-            held =
-              lazy
-                (Result.to_option (load ~path)
-                |> Option.map (fun st -> st.cycle)) })
-        (generations_of entries) }
+          { name = Filename.basename (gen_path ~dir g);
+            held = lazy ((Lazy.force held) g) })
+        gens }
 
 (* The slots a save may retire, in the order it retires them: files
-   that do not load first, then generations oldest by header; never one
+   the survey rejected first, then generations oldest by header; never one
    holding the newest generation, nor the one named [spared]. *)
 let retirable ?(spared = "") slots =
   let newest =
@@ -298,20 +341,12 @@ type resume = {
   rejected : (int * string) list;
 }
 
-(* Every generation file is loaded, newest name first, and the highest
-   cycle any of them holds wins: a power cut that undid an in-place
-   rewrite's rename leaves the newest generation under an older name. *)
 let load_latest ~dir =
   let gens = List.rev (generations ~dir) in
   if gens = [] then
     Error (Printf.sprintf "no checkpoint generation in %s" dir)
   else
-    let loaded = List.map (fun g -> (g, load ~path:(gen_path ~dir g))) gens in
-    let rejected =
-      List.filter_map
-        (function g, Error m -> Some (g, m) | _, Ok _ -> None)
-        loaded
-    in
+    let newest, rejected, _ = survey ~dir gens in
     List.iter
       (fun (g, m) ->
         Telemetry.add c_rejected 1;
@@ -331,15 +366,6 @@ let load_latest ~dir =
                ())
         end)
       rejected;
-    let newest =
-      List.fold_left
-        (fun acc (_, r) ->
-          match (r, acc) with
-          | Ok st, Some best when st.cycle <= best.cycle -> acc
-          | Ok st, _ -> Some st
-          | Error _, _ -> acc)
-        None loaded
-    in
     match newest with
     | Some state ->
       Telemetry.add c_restores 1;

@@ -70,9 +70,10 @@ val save : config -> state -> string
     [ckpt-spare]).  With fewer than [config.keep + 1] generation files
     in the directory, the save creates one (temp, [fsync], rename,
     directory [fsync]).  Otherwise it rewrites one in place: a file
-    already under the new name, else one that does not load, else the
-    oldest generation by header, and never one holding the newest
-    generation.  A file that is not a regular file with one link, or
+    already under the new name, else one that {!load_latest} would
+    reject, else the oldest generation by header, and never one holding
+    the newest generation (found as {!load_latest} finds it, reading the
+    headers and one grid).  A file that is not a regular file with one link, or
     whose header does not bind its payloads (an older writer's), is not
     rewritten: the save creates its file and that one is removed.
     Files beyond [keep + 1] are removed in the same order.
@@ -91,16 +92,20 @@ type resume = {
   state : state;
   rejected : (int * string) list;
       (** generation files rejected as corrupt or torn: (the number in
-          the name, reason), newest name first.  Each is also a
+          the name, reason), newest name first — every file whose
+          header does not read, and every file whose header names a
+          later cycle than [gen]'s but does not load.  Files older than
+          [gen] are not loaded, so not checked.  Each is also a
           [Checkpoint_reject] flight-recorder event and counted in
           [guard.checkpoint_rejected]. *)
 }
 
 val load_latest : dir:string -> (resume, string) result
-(** Loads every generation file and restores the one whose header holds
-    the highest cycle, whatever its name; a corrupt or torn file is
-    skipped.  [Error] when the directory holds no usable generation at
-    all ([mg_solve --resume] exit code 6). *)
+(** Restores the newest generation by header, whatever its name: reads
+    every generation file's header (not its grid), then loads the files
+    in full from the highest cycle down until one verifies, skipping a
+    corrupt or torn one.  [Error] when the directory holds no usable
+    generation at all ([mg_solve --resume] exit code 6). *)
 
 (** {2 Periodic sink}
 

@@ -354,19 +354,39 @@ let read_upto fd len =
   in
   Bytes.sub_string b 0 (go 0)
 
+(* The verified header of the [size]-byte file open at [fd] (at offset
+   0), read without its payloads: [read_header]'s result, or [Bad]. *)
+let head_of fd ~size =
+  let m = String.length magic in
+  let head = read_upto fd (m + 4) in
+  if String.length head < m + 4 then raise (Bad "truncated: no header");
+  let hlen = Int32.to_int (String.get_int32_be head m) land 0xFFFF_FFFF in
+  if hlen > size - m - 8 then raise (Bad "truncated: incomplete frame");
+  read_header { s = head ^ read_upto fd (hlen + 4); at = 0 }
+
 (* Whether the [size]-byte file open at [fd] (at offset 0) starts with a
    verified header that binds its payloads' CRCs. *)
 let binds fd ~size =
-  let m = String.length magic in
-  let head = read_upto fd (m + 4) in
-  String.length head = m + 4
-  &&
-  let hlen = Int32.to_int (String.get_int32_be head m) land 0xFFFF_FFFF in
-  hlen <= size - m - 8
-  &&
-  match read_header { s = head ^ read_upto fd (hlen + 4); at = 0 } with
+  match head_of fd ~size with
   | _, _, bound -> bound <> None
   | exception Bad _ -> false
+
+let read_meta ~path =
+  let reject msg =
+    Telemetry.add c_read_rejected 1;
+    Error msg
+  in
+  match
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> head_of fd ~size:(Unix.fstat fd).Unix.st_size)
+  with
+  | header, _, _ ->
+    Ok (Option.value (Json.member "meta" header) ~default:Json.Null)
+  | exception Bad m -> reject m
+  | exception Unix.Unix_error (e, _, _) ->
+    reject ("cannot read: " ^ Unix.error_message e)
 
 let rewrite ?scratch ~over ~path ~meta payloads =
   match open_nofollow over with

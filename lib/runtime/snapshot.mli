@@ -162,3 +162,10 @@ val read : path:string -> (Json.t * frame list, string) result
     frame by frame.  [Error] carries a one-line reason; any single-byte
     corruption or truncation of the file is rejected, and so is the
     header of one write spliced before the payloads of another. *)
+
+val read_meta : path:string -> (Json.t, string) result
+(** The [meta] document of a snapshot's header, read without its
+    payloads: the magic and the header frame's CRC are verified, nothing
+    after it is, so a file whose header reads may still be rejected by
+    {!read}.  A failure counts in [snapshot.read_rejected]; a success in
+    no counter, since the file has not been read. *)

@@ -18,8 +18,9 @@
    allocation, atomic replacement, the ring of generations (keep + 1
    files; the oldest is rewritten in place, never the newest, and never
    through a directory, symlink, hard link or an older writer's file; a
-   stale name is loaded by its header; one fsync and no directory sync
-   per steady-state save), corrupt-generation fallback, metadata the
+   stale name is loaded by its header; only the newest generation's grid
+   is read to find it; one fsync and no directory sync per steady-state
+   save), corrupt-generation fallback, metadata the
    loader must reject, the prune counter, the deadline-aware cadence
    clamp, and the sink's deferred-flush copy semantics. *)
 
@@ -756,6 +757,41 @@ let test_fsync_counts () =
         [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
       List.iter (check_loads ~dir) [ 6; 7; 8; 9 ])
 
+(* load_latest reads every file's header but loads only the newest in
+   full, so an older generation's torn grid goes unread; a stateless
+   save, which must spare the newest, reads one grid to find it, and
+   then rewrites the torn file as the oldest by header. *)
+let test_one_grid_read () =
+  let read_ok () = Telemetry.value (Telemetry.counter "snapshot.read_ok") in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      let dir = fresh "one-grid" in
+      saves dir [ 1; 2; 3; 4; 5; 6 ];
+      let path = Checkpoint.gen_path ~dir 3 in
+      let b = Bytes.of_string (read_file path) in
+      let i = Bytes.length b - 40 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+      write_file path (Bytes.to_string b);
+      let r0 = read_ok () in
+      (match Checkpoint.load_latest ~dir with
+       | Error m -> Alcotest.failf "load_latest: %s" m
+       | Ok r ->
+         Alcotest.(check int) "the newest" 6 r.Checkpoint.gen;
+         Alcotest.(check (list int)) "older files unchecked" []
+           (List.map fst r.Checkpoint.rejected));
+      Alcotest.(check int) "load_latest loads one grid" 1 (read_ok () - r0);
+      let r0 = read_ok () in
+      saves dir [ 7 ];
+      Alcotest.(check int) "a stateless save loads one grid" 1
+        (read_ok () - r0);
+      Alcotest.(check (list int))
+        "the torn oldest was rewritten" [ 4; 5; 6; 7 ]
+        (Checkpoint.generations ~dir);
+      List.iter (check_loads ~dir) [ 4; 5; 6; 7 ])
+
 let test_corrupt_fallback () =
   let dir = fresh "fallback" in
   let cfg = config dir in
@@ -822,6 +858,39 @@ let fixture_state () =
           status = Solver.Ok } ];
     v }
 
+(* The fixture's bytes as today's writer lays them out: the header's raw
+   text with the fixed-width binding key spliced in after ["frames":1,],
+   its frame's length and CRC recomputed, and the grid and end frames
+   kept as they are. The header is edited as text, never parsed and
+   printed again, so the fixture still pins how the metadata prints. *)
+let fixture_with_binding () =
+  let raw = read_file fixture_path in
+  let m = String.length Snapshot.schema + 1 in
+  let u32 pos = Int32.to_int (String.get_int32_be raw pos) land 0xFFFF_FFFF in
+  let hlen = u32 m in
+  let header = String.sub raw (m + 4) hlen in
+  let glen = u32 (m + hlen + 8) in
+  let grid = String.sub raw (m + hlen + 12) glen in
+  let anchor = "\"frames\":1," in
+  let k = String.length anchor in
+  let rec find i =
+    if i + k > hlen then Alcotest.fail "fixture header names no frames"
+    else if String.sub header i k = anchor then i + k
+    else find (i + 1)
+  in
+  let at = find 0 in
+  let header =
+    String.sub header 0 at
+    ^ Printf.sprintf "\"crcs\":\"%08x\"," (oracle_crc32 grid)
+    ^ String.sub header at (hlen - at)
+  in
+  let b = Buffer.create (String.length raw + 32) in
+  Buffer.add_string b (String.sub raw 0 m);
+  oracle_add_frame b header;
+  let rest = m + hlen + 8 in
+  Buffer.add_string b (String.sub raw rest (String.length raw - rest));
+  Buffer.contents b
+
 let test_fixture () =
   let expect = fixture_state () in
   (match Checkpoint.load ~path:fixture_path with
@@ -842,16 +911,10 @@ let test_fixture () =
        "grid bit-identical" true
        (same_bits st.v.Grid.buf expect.v.Grid.buf));
   let path = Checkpoint.save (config (fresh "fixture")) expect in
-  let with_binding =
-    match Snapshot.read ~path:fixture_path with
-    | Ok (meta, frames) ->
-      oracle_file ~meta ~payloads:(List.map Snapshot.frame_contents frames)
-    | Error m -> Alcotest.failf "fixture rejected: %s" m
-  in
   Alcotest.(check bool)
     "the writer reproduces the fixture byte for byte, with the binding key"
     true
-    (read_file path = with_binding)
+    (read_file path = fixture_with_binding ())
 
 (* -- allocation --------------------------------------------------------- *)
 
@@ -1068,4 +1131,5 @@ let () =
           unit "crc32: a 314,432-byte frame on every path"
             test_crc_paths_frame;
           unit "ring: a stale name follows the header" test_stale_name;
-          unit "ring: one fsync per steady save" test_fsync_counts ] ) ]
+          unit "ring: one fsync per steady save" test_fsync_counts;
+          unit "ring: the newest is the only grid read" test_one_grid_read ] ) ]
