@@ -9,6 +9,7 @@
      native.cache_rejects  torn/corrupt cached .so files rejected
      native.kernel_calls   entry-point invocations
      native.fallbacks      Auto-mode falls back to the interpreter
+     native.probes         compiler processes started to name a compiler
 
    Compiled kernels are built for the CPU that runs them (-march=native)
    and cached on disk keyed by plan digest + compiler identity + host
@@ -16,7 +17,10 @@
    Snapshot.atomic_write_string (temp + fsync + rename), and every
    cached .so carries a CRC-32 sidecar that is re-verified before
    dlopen — concurrent solves never observe a torn shared object, and a
-   corrupt one is rejected (counted) and recompiled. *)
+   corrupt one is rejected (counted) and recompiled.  The compiler
+   identity comes from a probe memo in the same directory while the
+   compiler's files are unchanged, so a disk hit in a fresh process
+   runs no process at all. *)
 
 open Repro_ir
 
@@ -50,6 +54,260 @@ let c_cache_hits = Telemetry.counter "native.cache_hits"
 let c_cache_rejects = Telemetry.counter "native.cache_rejects"
 let c_kernel_calls = Telemetry.counter "native.kernel_calls"
 let c_fallbacks = Telemetry.counter "native.fallbacks"
+let c_probes = Telemetry.counter "native.probes"
+
+(* ------------------------------------------------------------------ *)
+(* Cache directory                                                      *)
+
+let cache_dir_override = ref None
+let set_cache_dir d = cache_dir_override := d
+
+let cache_dir () =
+  match !cache_dir_override with
+  | Some d -> d
+  | None ->
+    (match Sys.getenv_opt "POLYMG_NATIVE_CACHE" with
+     | Some d when String.trim d <> "" -> d
+     | _ ->
+       Filename.concat (Filename.get_temp_dir_name ()) "polymg-native-cache")
+
+let rec ensure_dir d =
+  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+    ensure_dir (Filename.dirname d);
+    try Sys.mkdir d 0o755 with Sys_error _ -> ()
+  end
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* ------------------------------------------------------------------ *)
+(* Compiler processes                                                   *)
+
+let rec retry f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f
+
+(* Starts [c args] directly: [c] is one executable, found on PATH as
+   execvp finds it, and no shell runs.  stdin reads /dev/null, stdout
+   goes to [out] and stderr to [err] (/dev/null when absent).
+   @raise Unix.Unix_error when [c] cannot be started. *)
+let spawn c args ~out ~err =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      Unix.create_process c (Array.of_list (c :: args)) null out
+        (Option.value err ~default:null))
+
+let wait pid = snd (retry (fun () -> Unix.waitpid [] pid))
+
+(* The first line [c arg] prints, trimmed ([""] when it prints nothing),
+   when it exits 0; [None] when it cannot run or fails.  Counted in
+   native.probes. *)
+let first_line c arg =
+  match
+    let r, w = Unix.pipe ~cloexec:true () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close r)
+      (fun () ->
+        let pid =
+          Fun.protect
+            ~finally:(fun () -> Unix.close w)
+            (fun () -> spawn c [ arg ] ~out:w ~err:None)
+        in
+        Telemetry.add c_probes 1;
+        (* small reads to the end, so the compiler never blocks on a
+           full pipe and nothing lands on the major heap *)
+        let out = Buffer.create 256 and chunk = Bytes.create 256 in
+        let rec drain () =
+          match retry (fun () -> Unix.read r chunk 0 256) with
+          | 0 -> ()
+          | k ->
+            Buffer.add_subbytes out chunk 0 k;
+            drain ()
+        in
+        drain ();
+        match wait pid with
+        | Unix.WEXITED 0 ->
+          Some
+            (String.trim
+               (List.hd (String.split_on_char '\n' (Buffer.contents out))))
+        | _ -> None)
+  with
+  | v -> v
+  | exception Unix.Unix_error _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* The probe memo                                                       *)
+
+(* [compilers.probe] in the cache directory: the compilers earlier
+   processes probed, so that one whose compiler is unchanged starts no
+   process to name it.  One line per compiler command, tab-separated:
+   the command, its --version line, and the stamp of every file that
+   decides what the command runs: first the file it resolves to on
+   PATH, then the compiler proper it names (-print-prog-name=cc1), when
+   that is a file, so that a wrapper (ccache, a shell script) does not
+   hide an upgrade behind it.  A stamp is a file's path, device, inode,
+   size, mtime and ctime; an entry serves while the command still
+   resolves to its first file and every file still stamps the same.
+   The body is guarded by a CRC-32 line, as a kernel's .meta: a torn,
+   corrupt or foreign memo reads as empty, and the next probe rewrites
+   it. *)
+let probe_schema = "polymg.native-probe/1"
+let probe_file = "compilers.probe"
+
+(* A file changed less than this many seconds before a probe is not
+   memoized: file times trail the clock by up to a timer tick, and some
+   file systems keep whole seconds, so a change made just after the
+   probe could leave every stamp as it was. *)
+let settle_s = 2.0
+
+type probed = { cmd : string; version : string; stamps : string list }
+
+(* The file [c] runs, by execvp's rule: [c] itself when it holds a
+   '/', else the first executable regular file [dir/c] over the entries
+   of PATH (an empty entry is the working directory; /bin:/usr/bin
+   when PATH is unset). *)
+let resolve c =
+  if String.contains c '/' then Some c
+  else
+    List.find_map
+      (fun d ->
+        let f = Filename.concat (if d = "" then "." else d) c in
+        match Unix.stat f with
+        | { Unix.st_kind = Unix.S_REG; _ } when
+            (try Unix.access f [ Unix.X_OK ]; true
+             with Unix.Unix_error _ -> false) ->
+          Some f
+        | _ | (exception Unix.Unix_error _) -> None)
+      (String.split_on_char ':'
+         (Option.value (Sys.getenv_opt "PATH") ~default:"/bin:/usr/bin"))
+
+(* A file's stamp and ctime; the times print as hex floats, which read
+   back exactly. *)
+let stamp path =
+  match Unix.stat path with
+  | exception Unix.Unix_error _ -> None
+  | s ->
+    Some
+      ( Printf.sprintf "%s\t%d\t%d\t%d\t%h\t%h" path s.Unix.st_dev
+          s.Unix.st_ino s.Unix.st_size s.Unix.st_mtime s.Unix.st_ctime,
+        s.Unix.st_ctime )
+
+let stamp_path s = String.sub s 0 (String.index s '\t')
+
+let serves e ~exe =
+  match e.stamps with
+  | [] -> false
+  | first :: _ ->
+    stamp_path first = exe
+    && List.for_all
+         (fun s -> Option.map fst (stamp (stamp_path s)) = Some s)
+         e.stamps
+
+let probe_path () = Filename.concat (cache_dir ()) probe_file
+
+let parse_probed line =
+  let rec stamps = function
+    | [] -> Some []
+    | a :: b :: c :: d :: e :: f :: rest ->
+      Option.map
+        (List.cons (String.concat "\t" [ a; b; c; d; e; f ]))
+        (stamps rest)
+    | _ -> None
+  in
+  match String.split_on_char '\t' line with
+  | cmd :: version :: (_ :: _ as fields) ->
+    Option.map (fun stamps -> { cmd; version; stamps }) (stamps fields)
+  | _ -> None
+
+let read_probes () =
+  match read_file (probe_path ()) with
+  | exception Sys_error _ -> []
+  | text ->
+    (match String.index_opt text '\n' with
+     | None -> []
+     | Some i ->
+       let body = String.sub text (i + 1) (String.length text - i - 1) in
+       (match
+          Scanf.sscanf (String.sub text 0 i) "%s %x %d%!" (fun s crc len ->
+              s = probe_schema && len = String.length body
+              && crc = Snapshot.crc32 body)
+        with
+        | true ->
+          let lines = List.filter (( <> ) "") (String.split_on_char '\n' body) in
+          let entries = List.filter_map parse_probed lines in
+          if List.length entries = List.length lines then entries else []
+        | false | (exception _) -> []))
+
+(* Best effort: a cache directory that cannot be written only costs the
+   next process a probe. *)
+let write_probes entries =
+  let body =
+    String.concat ""
+      (List.map
+         (fun e -> String.concat "\t" (e.cmd :: e.version :: e.stamps) ^ "\n")
+         entries)
+  in
+  try
+    ensure_dir (cache_dir ());
+    Snapshot.atomic_write_string ~path:(probe_path ())
+      (Printf.sprintf "%s %08x %d\n%s" probe_schema (Snapshot.crc32 body)
+         (String.length body) body)
+  with Sys_error _ | Unix.Unix_error _ -> ()
+
+(* Runs [c --version], and memoizes a success whose files have settled.
+   The stamps are taken after the probe, so a file that changes during
+   it has a ctime too recent to be memoized. *)
+let probe c =
+  let t0 = Unix.gettimeofday () in
+  let version = first_line c "--version" in
+  (match (version, resolve c) with
+   | Some version, Some exe ->
+     let proper =
+       match first_line c "-print-prog-name=cc1" with
+       | Some p when (not (Filename.is_relative p)) && Sys.file_exists p -> [ p ]
+       | _ -> []
+     in
+     let files = exe :: proper in
+     let stamps = List.filter_map stamp files in
+     let plain s = not (String.contains s '\t' || String.contains s '\n') in
+     if List.length stamps = List.length files
+        && List.for_all (fun (_, ctime) -> ctime < t0 -. settle_s) stamps
+        && List.for_all plain (c :: version :: files)
+     then
+       write_probes
+         ({ cmd = c; version; stamps = List.map fst stamps }
+          :: List.filter
+               (fun e -> not (e.cmd = c && stamp_path (List.hd e.stamps) = exe))
+               (read_probes ()))
+   | _ -> ());
+  version
+
+(* compiler -> its --version line, [None] when it cannot run or fails:
+   found once per compiler per process, from the memo when an entry
+   serves and by a probe otherwise.  Racing first lookups wait for one
+   answer. *)
+let versions : (string, string option) Hashtbl.t = Hashtbl.create 4
+let versions_lock = Mutex.create ()
+
+let version c =
+  Mutex.protect versions_lock (fun () ->
+      match Hashtbl.find_opt versions c with
+      | Some v -> v
+      | None ->
+        let memo =
+          Option.bind (resolve c) (fun exe ->
+              List.find_opt
+                (fun e -> e.cmd = c && serves e ~exe)
+                (read_probes ()))
+        in
+        let v =
+          match memo with Some e -> Some e.version | None -> probe c
+        in
+        Hashtbl.replace versions c v;
+        v)
 
 (* ------------------------------------------------------------------ *)
 (* Compiler discovery                                                   *)
@@ -57,85 +315,22 @@ let c_fallbacks = Telemetry.counter "native.fallbacks"
 let compiler_override = ref None
 let set_compiler_override c = compiler_override := c
 
-(* The first line [c --version] prints, trimmed ([""] when it prints
-   nothing), when it exits 0; [None] when it cannot run or fails.  One
-   fork-exec of [c] itself, no shell, stderr to /dev/null. *)
-let version_line c =
-  let rec retry f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f in
-  match
-    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close null)
-      (fun () ->
-        let r, w = Unix.pipe ~cloexec:true () in
-        Fun.protect
-          ~finally:(fun () -> Unix.close r)
-          (fun () ->
-            let pid =
-              Fun.protect
-                ~finally:(fun () -> Unix.close w)
-                (fun () ->
-                  Unix.create_process c [| c; "--version" |] null w null)
-            in
-            (* small reads to the end, so the compiler never blocks on a
-               full pipe and nothing lands on the major heap *)
-            let out = Buffer.create 256 and chunk = Bytes.create 256 in
-            let rec drain () =
-              match retry (fun () -> Unix.read r chunk 0 256) with
-              | 0 -> ()
-              | k ->
-                Buffer.add_subbytes out chunk 0 k;
-                drain ()
-            in
-            drain ();
-            match snd (retry (fun () -> Unix.waitpid [] pid)) with
-            | Unix.WEXITED 0 ->
-              Some
-                (String.trim
-                   (List.hd (String.split_on_char '\n' (Buffer.contents out))))
-            | _ -> None))
-  with
-  | v -> v
-  | exception Unix.Unix_error _ -> None
-
-(* compiler -> "compiler|first --version line", probed once per compiler
-   per process: part of the cache key, so upgrading the toolchain
-   invalidates cached kernels *)
-let identities : (string, string) Hashtbl.t = Hashtbl.create 4
-let identities_lock = Mutex.create ()
-
-let record_identity compiler version =
-  let id = compiler ^ "|" ^ version in
-  Mutex.protect identities_lock (fun () ->
-      Hashtbl.replace identities compiler id);
-  id
-
-(* gcc-then-cc discovery, the only compiler probe.  The probe fork-execs
-   the compiler, so it runs once per process: every load, cache hits
-   included, goes through [cc].  It records the version line of the
-   compiler it finds, so [compiler_identity] probes nothing more.
-   Racing first probes compute the same answer. *)
+(* gcc-then-cc discovery, once per process: every load, cache hits
+   included, goes through [cc].  The answer's version line is kept, so
+   [compiler_identity] looks nothing up again.  Racing first calls
+   compute the same answer. *)
 let discovered = Atomic.make None
 
 let discover () =
   match Atomic.get discovered with
   | Some found -> found
   | None ->
-    let found =
-      List.find_opt
-        (fun c ->
-          match version_line c with
-          | Some v ->
-            ignore (record_identity c v);
-            true
-          | None -> false)
-        [ "gcc"; "cc" ]
-    in
+    let found = List.find_opt (fun c -> version c <> None) [ "gcc"; "cc" ] in
     Atomic.set discovered (Some found);
     found
 
 (* An override (tests) or POLYMG_CC is read on every call and taken
-   verbatim, without probing, so a deliberately broken compiler
+   verbatim, without a lookup, so a deliberately broken compiler
    exercises the compile-failure path. *)
 let cc () =
   match !compiler_override with
@@ -147,21 +342,10 @@ let cc () =
 
 let available () = cc () <> None
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+(* "compiler|first --version line": part of the cache key, so upgrading
+   the toolchain invalidates cached kernels *)
 let compiler_identity compiler =
-  match
-    Mutex.protect identities_lock (fun () ->
-        Hashtbl.find_opt identities compiler)
-  with
-  | Some id -> id
-  | None ->
-    record_identity compiler
-      (Option.value (version_line compiler) ~default:"")
+  compiler ^ "|" ^ Option.value (version compiler) ~default:""
 
 (* The CPU -march=native builds for, as the kernel reports it: the
    identity and feature lines of the first processor in /proc/cpuinfo
@@ -204,27 +388,6 @@ let host_fingerprint () =
     let h = read_host () in
     Atomic.set host (Some h);
     h
-
-(* ------------------------------------------------------------------ *)
-(* Cache directory                                                      *)
-
-let cache_dir_override = ref None
-let set_cache_dir d = cache_dir_override := d
-
-let cache_dir () =
-  match !cache_dir_override with
-  | Some d -> d
-  | None ->
-    (match Sys.getenv_opt "POLYMG_NATIVE_CACHE" with
-     | Some d when String.trim d <> "" -> d
-     | _ ->
-       Filename.concat (Filename.get_temp_dir_name ()) "polymg-native-cache")
-
-let rec ensure_dir d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Entry-source emission                                                *)
@@ -274,6 +437,11 @@ let cache_key (plan : Plan.t) ~compiler =
     Mutex.protect key_memo_lock (fun () -> Hashtbl.replace key_memo memo k);
     k
 
+let forget_probes () =
+  Mutex.protect versions_lock (fun () -> Hashtbl.reset versions);
+  Atomic.set discovered None;
+  Mutex.protect key_memo_lock (fun () -> Hashtbl.reset key_memo)
+
 let meta_line ~crc ~size = Printf.sprintf "%s %08x %d\n" meta_schema crc size
 
 let meta_matches ~meta_path ~so_bytes =
@@ -302,26 +470,39 @@ let compile_so plan ~compiler ~key =
     let so_path = Filename.concat dir (key ^ ".so") in
     Snapshot.atomic_write_string ~path:src_path source;
     let tmp_so = Filename.temp_file "polymg_native" ".so" in
-    let cmd =
-      Printf.sprintf "%s %s -o %s %s -lm >%s 2>&1" compiler cflags
-        (Filename.quote tmp_so) (Filename.quote src_path)
-        (Filename.quote log_path)
-    in
+    let args = String.split_on_char ' ' cflags @ [ "-o"; tmp_so; src_path; "-lm" ] in
     let t0 = Telemetry.now_ns () in
-    let rc = Sys.command cmd in
+    let status =
+      match
+        let log =
+          Unix.openfile log_path
+            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
+        in
+        Fun.protect
+          ~finally:(fun () -> Unix.close log)
+          (fun () -> spawn compiler args ~out:log ~err:(Some log))
+      with
+      | pid ->
+        (match wait pid with
+         | Unix.WEXITED 0 -> None
+         | Unix.WEXITED rc -> Some (Printf.sprintf "exit %d" rc)
+         | Unix.WSIGNALED s | Unix.WSTOPPED s -> Some (Printf.sprintf "signal %d" s))
+      | exception Unix.Unix_error (e, _, _) ->
+        Some ("cannot run: " ^ Unix.error_message e)
+    in
     let ms = (Telemetry.now_ns () - t0) / 1_000_000 in
     Telemetry.add c_compile_ms ms;
-    if rc <> 0 then begin
+    match status with
+    | Some status ->
       (try Sys.remove tmp_so with Sys_error _ -> ());
       let log = try read_file log_path with Sys_error _ -> "" in
       let msg =
-        Printf.sprintf "compile failed (%s, exit %d): %s" compiler rc
+        Printf.sprintf "compile failed (%s, %s): %s" compiler status
           (truncate_log log)
       in
       if Flightrec.on () then Flightrec.emit (Flightrec.Note ("native: " ^ msg));
       Error msg
-    end
-    else begin
+    | None ->
       let so_bytes = read_file tmp_so in
       (try Sys.remove tmp_so with Sys_error _ -> ());
       Snapshot.atomic_write_string ~path:so_path so_bytes;
@@ -329,7 +510,6 @@ let compile_so plan ~compiler ~key =
         (meta_line ~crc:(Snapshot.crc32 so_bytes) ~size:(String.length so_bytes));
       Telemetry.add c_compiles 1;
       Ok so_path
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Loaded kernels                                                       *)

@@ -20,9 +20,21 @@
     or corrupt cache entry is rejected (counted as
     [native.cache_rejects]) and recompiled, never executed.
 
+    The same directory holds the probe memo, [compilers.probe]: for
+    each compiler command a process has probed, its [--version] line
+    and the (device, inode, size, mtime, ctime) of the file the command
+    resolves to on [PATH] and of the compiler proper it names
+    ([-print-prog-name=cc1]), when that is a file.  A process names its
+    compiler from the memo while the command resolves to the same file
+    and every recorded file stats the same, and starts no process to do
+    so; otherwise it probes and rewrites the memo.  A torn, corrupt or
+    foreign memo is ignored; a failed probe, or one of a file changed
+    in the two seconds before it, is never memoized.  A kernel's key
+    reads the same [--version] line either way.
+
     Counter family: [native.compiles], [native.compile_ms],
     [native.cache_hits], [native.cache_rejects], [native.kernel_calls],
-    [native.fallbacks].  Compile failures and cache rejections emit
+    [native.fallbacks], [native.probes].  Compile failures and cache rejections emit
     flight-recorder events; the Auto-mode interpreter fallback
     additionally files an incident ({!note_fallback}).
 
@@ -41,19 +53,28 @@ exception Unavailable of string
     compile failure. *)
 
 val available : unit -> bool
-(** A usable C compiler was found (or an override is installed). *)
+(** A usable C compiler was found (or an override is installed); like
+    {!cc}, starts no process when the probe memo names gcc or cc. *)
 
 val cc : unit -> string option
 (** The compiler that will be used: the test override or [POLYMG_CC]
     verbatim when set, otherwise the first of [gcc], [cc] that answers
-    [--version].  The override and [POLYMG_CC] are read on every call;
-    the gcc-then-cc probe runs once per process and its answer is
+    [--version].  A compiler is one executable, run directly with the
+    kernel's flags and no shell, so [POLYMG_CC] names a program (a
+    wrapper script for extra flags), not a command line.  The override
+    and [POLYMG_CC] are read on every call; the gcc-then-cc discovery
+    runs once per process, through the probe memo, and its answer is
     kept. *)
 
 val set_compiler_override : string option -> unit
 (** Test hook: force a specific compiler command, bypassing discovery
-    and probing (so a deliberately broken command exercises the
-    compile-failure path). *)
+    (so a deliberately broken command exercises the compile-failure
+    path). *)
+
+val forget_probes : unit -> unit
+(** Test hook: forget this process's compiler lookups and kernel keys,
+    as a fresh process starts; the next lookup reads the probe memo of
+    {!cache_dir} or probes. *)
 
 val cache_dir : unit -> string
 (** Kernel cache directory: {!set_cache_dir} override, else
@@ -72,9 +93,12 @@ val cflags : string
 
 val compiler_identity : string -> string
 (** [compiler_identity c] is [c ^ "|"] and the first line [c --version]
-    prints (nothing when it cannot run or exits non-zero), probed once
-    per compiler per process by running [c] directly, with no shell;
-    the compiler discovery's probe of gcc or cc serves as theirs. *)
+    prints (nothing when it cannot run or exits non-zero).  It is looked
+    up once per compiler per process: from the probe memo when its
+    entry for [c] still holds, else by running [c --version] (and
+    [c -print-prog-name=cc1]) directly, with no shell, each process
+    counted in [native.probes].  The compiler discovery's lookup of gcc
+    or cc serves as theirs. *)
 
 val host_fingerprint : unit -> string
 (** The CPU [-march=native] targets: the vendor, family, model and

@@ -103,7 +103,6 @@ let validate_footprints pipeline ~n =
     (Pipeline.funcs pipeline)
 
 let build pipeline ~(opts : Options.t) ~n ~params =
-  Pipeline.validate pipeline;
   validate_footprints pipeline ~n;
   let groups = Grouping.run pipeline ~opts ~n in
   let ngroups = List.length groups in

@@ -76,7 +76,9 @@ val build :
   Repro_ir.Pipeline.t -> opts:Options.t -> n:int ->
   params:(string -> float) -> t
 (** Runs the full optimization pipeline of Fig. 4 at problem size [n].
-    @raise Invalid_argument on malformed pipelines or unbound params. *)
+    The pipeline was validated by {!Repro_ir.Pipeline.finish}.
+    @raise Invalid_argument on stencil footprints outside the ghost
+    zone or unbound params. *)
 
 val tile_boxes :
   tiled_group -> tile:Repro_poly.Box.t ->

@@ -27,11 +27,6 @@ val consumers : t -> int -> int list
 
 val is_liveout : t -> int -> bool
 
-val validate : t -> unit
-(** Validates every stage and checks: ids are dense and topologically
-    ordered, outputs exist, no stage reads an undefined id.
-    @raise Invalid_argument when malformed. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {2 Construction} *)
@@ -44,3 +39,8 @@ val add : builder -> (id:int -> Func.t) -> Func.t
 (** Allocates the next id, builds the stage with it, registers it. *)
 
 val finish : builder -> outputs:Func.t list -> t
+(** The pipeline, validated once, here: every stage, dense ids in
+    topological order, outputs that exist and are not inputs, no load
+    from an undefined id.  A [t] is built only here, so every [t] is
+    valid.
+    @raise Invalid_argument when malformed. *)

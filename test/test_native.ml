@@ -22,6 +22,7 @@ let c_cache_hits = Telemetry.counter "native.cache_hits"
 let c_cache_rejects = Telemetry.counter "native.cache_rejects"
 let c_kernel_calls = Telemetry.counter "native.kernel_calls"
 let c_fallbacks = Telemetry.counter "native.fallbacks"
+let c_probes = Telemetry.counter "native.probes"
 
 let rec rm_tree path =
   match Sys.is_directory path with
@@ -161,6 +162,119 @@ let test_memory_hit_without_path =
         check_int "served as a memory hit" 1 (Telemetry.value c_cache_hits)
       | Error e -> Alcotest.failf "memory-hit load without PATH: %s" e)
 
+(* -- the probe memo: a fresh process names its compiler without one ----- *)
+
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
+  go 0
+
+let contains s sub = index_of s sub <> None
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+let write_all path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* A compiler is one executable, run with no shell: another command is
+   a shell script in [dir] that ends in [exec gcc]. *)
+let script ~dir name body =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir name in
+  let oc = open_out path in
+  output_string oc ("#!/bin/sh\n" ^ body);
+  close_out oc;
+  Unix.chmod path 0o755;
+  path
+
+(* The first line [c --version] prints, run here and now. *)
+let live_version c =
+  let ic = Unix.open_process_args_in c [| c; "--version" |] in
+  let out = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  String.trim (List.hd (String.split_on_char '\n' out))
+
+(* [f ()] as a fresh process runs it, with the compiler processes it
+   started *)
+let fresh f =
+  Native.forget_probes ();
+  let before = Telemetry.value c_probes in
+  let v = f () in
+  (v, Telemetry.value c_probes - before)
+
+(* A torn, garbled or foreign memo is never trusted: the next lookup
+   probes and rewrites it as it was. *)
+let test_memo_damaged =
+  with_native_env ~tag:"memo-damaged" (fun ~compiler ~dir ->
+      let memo = Filename.concat dir "compilers.probe" in
+      let id, _ = fresh (fun () -> Native.compiler_identity compiler) in
+      let good = read_all memo in
+      let lookup what =
+        let id', probes = fresh (fun () -> Native.compiler_identity compiler) in
+        Alcotest.(check string) (what ^ ": identity") id id';
+        probes
+      in
+      check_int "an intact memo answers" 0 (lookup "intact");
+      let version = live_version compiler in
+      let at = Option.get (index_of good version) in
+      List.iter
+        (fun (what, damaged) ->
+          write_all memo damaged;
+          check_bool (what ^ ": probed") true (lookup what > 0);
+          Alcotest.(check string) (what ^ ": rewritten") good (read_all memo))
+        [ ("torn", String.sub good 0 (String.length good / 2));
+          ( "garbled",
+            String.mapi
+              (fun i ch -> if i >= at && i < at + String.length version then 'x' else ch)
+              good );
+          ("foreign", "polymg.native-probe/0" ^ String.sub good 21 (String.length good - 21));
+          ("empty", "") ])
+
+(* A compiler changed in place is probed again, and its kernels' key
+   moves with its version line. *)
+let test_memo_changed_compiler =
+  with_native_env ~tag:"memo-changed" (fun ~compiler:_ ~dir ->
+      let fake v = ignore (script ~dir "fakecc" (Printf.sprintf "echo 'fakecc %s'\n" v)) in
+      fake "1.0";
+      let cc = Filename.concat dir "fakecc" in
+      (* the memo takes a file only once it is two seconds old *)
+      Unix.sleepf 2.1;
+      let plan = cycle_plan ~n:32 () in
+      let lookup () =
+        fresh (fun () -> (Native.compiler_identity cc, Native.cache_key plan ~compiler:cc))
+      in
+      let (id, key), probes = lookup () in
+      Alcotest.(check string) "first identity" (cc ^ "|fakecc 1.0") id;
+      check_bool "first lookup probes" true (probes > 0);
+      let (id', key'), probes = lookup () in
+      check_int "then the memo answers" 0 probes;
+      Alcotest.(check string) "with the same identity" id id';
+      Alcotest.(check string) "and key" key key';
+      (* same inode, same size: only the file's times move *)
+      fake "1.1";
+      let (id, key'), probes = lookup () in
+      check_bool "a changed compiler is probed" true (probes > 0);
+      Alcotest.(check string) "its new identity" (cc ^ "|fakecc 1.1") id;
+      check_bool "and its key moves" true (key <> key'))
+
+(* A compiler that fails or cannot run is never memoized and fails to
+   compile, as without a memo. *)
+let test_memo_failures =
+  with_native_env ~tag:"memo-fail" (fun ~compiler:_ ~dir ->
+      let memo = Filename.concat dir "compilers.probe" in
+      List.iter
+        (fun cc ->
+          let id, _ = fresh (fun () -> Native.compiler_identity cc) in
+          Alcotest.(check string) (cc ^ ": identity") (cc ^ "|") id;
+          check_bool (cc ^ ": not memoized") false
+            (Sys.file_exists memo && contains (read_all memo) cc);
+          Native.set_compiler_override (Some cc);
+          match Native.load (cycle_plan ~n:32 ()) with
+          | Ok _ -> Alcotest.failf "%s loaded a kernel" cc
+          | Error e ->
+            check_bool (cc ^ ": compile failed: " ^ e) true (contains e "compile failed"))
+        [ "/bin/false"; "/nonexistent/cc" ])
+
 (* -- torn/corrupt .so: rejected by the CRC sidecar, recompiled --------- *)
 
 let test_torn_so_rejected =
@@ -253,11 +367,6 @@ let test_compile_failure_fallback =
                incidents)))
 
 (* -- the conformance backend axis runs through Native ----------------- *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let vcfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4)
 
@@ -355,16 +464,17 @@ let same_bits ~alt =
 
 (* gcc with its loop vectorizer switched off runs every loop scalar. *)
 let test_vectorized_bitwise =
-  with_native_env ~tag:"simd" (fun ~compiler:_ ~dir:_ ->
+  with_native_env ~tag:"simd" (fun ~compiler:_ ~dir ->
       if Sys.command "gcc --version >/dev/null 2>&1" <> 0 then begin
         Printf.printf "vectorization bit-identity: skipped (no gcc)\n%!";
         Alcotest.skip ()
       end;
-      same_bits ~alt:"gcc -fno-tree-loop-vectorize")
+      same_bits
+        ~alt:(script ~dir "gcc-novec" "exec gcc -fno-tree-loop-vectorize \"$@\"\n"))
 
 (* The baseline x86-64 ISA (SSE2, two doubles per vector) against the
-   host's.  A compiler override prefixes Native's flags, so a [-march=]
-   in it would lose to their later [-march=native]: the baseline build
+   host's.  A wrapper's own flags come before Native's, so a [-march=]
+   there would lose to their later [-march=native]: the baseline build
    goes through a wrapper that rewrites that flag. *)
 let test_host_isa_bitwise =
   with_native_env ~tag:"isa" (fun ~compiler:_ ~dir ->
@@ -373,17 +483,12 @@ let test_host_isa_bitwise =
         Printf.printf "host-ISA bit-identity: skipped (no x86-64 gcc)\n%!";
         Alcotest.skip ()
       end;
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let wrapper = Filename.concat dir "gcc-x86-64" in
-      let oc = open_out wrapper in
-      output_string oc
-        "#!/bin/sh\n\
-         for a; do shift; [ \"$a\" = -march=native ] && a=-march=x86-64; \
-         set -- \"$@\" \"$a\"; done\n\
-         exec gcc \"$@\"\n";
-      close_out oc;
-      Unix.chmod wrapper 0o755;
-      same_bits ~alt:wrapper)
+      same_bits
+        ~alt:
+          (script ~dir "gcc-x86-64"
+             "for a; do shift; [ \"$a\" = -march=native ] && a=-march=x86-64; \
+              set -- \"$@\" \"$a\"; done\n\
+              exec gcc \"$@\"\n"))
 
 (* -- golden outputs of the benchmark's kernels ----------------------------- *)
 
@@ -578,6 +683,24 @@ let prop_cache_key_host =
       && k = pure host
       && (other = host || pure other <> k))
 
+(* A fresh process that finds its compiler in the probe memo keys its
+   kernels as one that probes. *)
+let prop_memo_key =
+  QCheck.Test.make ~name:"probe memo: a memo hit keys as a live probe" ~count:6
+    config_arb (fun ((cfg, variant) as c) ->
+      let compiler = Option.get (Native.cc ()) in
+      let plan =
+        Solver.polymg_plan cfg ~n:16
+          ~opts:(Option.get (Options.variant_of_string variant))
+      in
+      ignore (fresh (fun () -> Native.compiler_identity compiler));
+      let k, probes = fresh (fun () -> Native.cache_key plan ~compiler) in
+      probes = 0
+      && k
+         = Native.key ~emitter:Native.emitter_digest ~digest:(digest_of c ~n:16)
+             ~compiler_id:(compiler ^ "|" ^ live_version compiler)
+             ~host:(Native.host_fingerprint ()))
+
 (* The key follows the sources that print the C: the build folds their
    digest in, so an emitter change never loads a kernel an older
    emitter printed, whatever the cache directory holds. *)
@@ -736,7 +859,7 @@ let properties =
   List.map
     (fun (name, speed, run) ->
       (name, speed, with_native_env ~tag:"qc" (fun ~compiler:_ ~dir:_ -> run ())))
-    (Qc_replay.to_alcotest_list [ prop_native_matches_interp ])
+    (Qc_replay.to_alcotest_list [ prop_native_matches_interp; prop_memo_key ])
 
 (* "identity" forks a child, and OCaml 5 refuses Unix.fork once any
    domain has been spawned: it runs before "backend", whose native case
@@ -768,7 +891,13 @@ let () =
           Alcotest.test_case "host ISA changes no bit" `Quick
             test_host_isa_bitwise;
           Alcotest.test_case "benchmark kernels' golden outputs" `Quick
-            test_golden_outputs ] );
+            test_golden_outputs;
+          Alcotest.test_case "probe memo: damaged memos are probed again" `Quick
+            test_memo_damaged;
+          Alcotest.test_case "probe memo: a changed compiler is probed again" `Quick
+            test_memo_changed_compiler;
+          Alcotest.test_case "probe memo: failing compilers are not memoized" `Quick
+            test_memo_failures ] );
       ( "budget",
         [ Alcotest.test_case "native rungs budget the arena" `Quick
             test_budget_sees_arena ] );
