@@ -1402,3 +1402,27 @@ let runnable (plan : Plan.t) =
   match List.sort_uniq String.compare !issues with
   | [] -> Ok ()
   | l -> Error (String.concat "; " l)
+
+(* ------------------------------------------------------------------ *)
+(* The native entry point                                               *)
+
+let entry_symbol = "polymg_entry"
+
+(* The entry hands the pipeline the caller's buffers: inputs, outputs,
+   then the kernel's arena. *)
+let entry_source (plan : Plan.t) =
+  match runnable plan with
+  | Error e -> Error e
+  | Ok () ->
+    let nbufs =
+      Array.length plan.Plan.inputs + List.length plan.Plan.output_arrays + 1
+    in
+    let b = Buffer.create 65536 in
+    let pf fmt = Printf.bprintf b fmt in
+    Buffer.add_string b (to_string plan);
+    pf "\n/* ---- native backend glue ---- */\n\n";
+    pf "int %s(double **bufs)\n{\n" entry_symbol;
+    pf "  %s(%d, %s);\n" (pipeline_symbol plan) plan.Plan.n
+      (String.concat ", " (List.init nbufs (Printf.sprintf "bufs[%d]")));
+    pf "  return 0;\n}\n";
+    Ok (Buffer.contents b)

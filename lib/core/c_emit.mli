@@ -100,3 +100,16 @@ val runnable : Plan.t -> (unit, string) result
     diamond chain has an emittable init source, i.e. the emitted C is a
     complete program; a non-affine ([Gen]) stage prints as an [#error]
     line naming it. *)
+
+val entry_symbol : string
+(** [polymg_entry]: the function {!entry_source} adds, which {!Native}
+    resolves in a loaded kernel. *)
+
+val entry_source : Plan.t -> (string, string) result
+(** The C file of a native kernel: {!emit}'s text and an
+    [int polymg_entry(double **bufs)] that calls {!pipeline_symbol}
+    with [N] and the buffers of [bufs]: the inputs, the outputs, then
+    the arena.  [Error] as {!runnable}.  This file is all the C a kernel
+    holds, so the build's digest of [c_emit.ml] alone
+    ({!Native.emitter_digest}) is the emitter's part of a kernel's
+    key. *)

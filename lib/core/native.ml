@@ -1,10 +1,11 @@
-(* Native execution backend: the emitted C of a plan (C_emit), wrapped
-   in a tiny entry function, compiled by the system C compiler into a
-   shared object, dlopen'd, and called directly on the caller's grid
+(* Native execution backend: the emitted C of a plan with its entry
+   function (C_emit.entry_source), compiled by the system C compiler in
+   two steps, to an object and then linked into a shared object, both
+   under fresh names, dlopen'd, and called directly on the caller's grid
    buffers.  Everything observable about it is counted:
 
      native.compiles       kernels compiled (cache misses)
-     native.compile_ms     total wall-clock spent in the C compiler
+     native.compile_ms     total wall-clock spent in the C compiler, both steps
      native.cache_hits     loads served from memory or the disk cache
      native.cache_rejects  torn/corrupt cached .so files rejected
      native.kernel_calls   entry-point invocations
@@ -13,7 +14,7 @@
 
    Compiled kernels are built for the CPU that runs them (-march=native)
    and cached on disk keyed by plan digest + compiler identity + host
-   CPU fingerprint + flags + the digest of the emitter's sources.  Installs go through
+   CPU fingerprint + flags + the digest of the emitter's source.  Installs go through
    Snapshot.atomic_write_string (temp + fsync + rename), and every
    cached .so carries a CRC-32 sidecar that is re-verified before
    dlopen — concurrent solves never observe a torn shared object, and a
@@ -41,11 +42,12 @@ exception Unavailable of string
 external build_emitter_digest : unit -> string = "polymg_native_emitter_digest"
 
 let emitter_digest = build_emitter_digest ()
-let entry_symbol = "polymg_entry"
 let meta_schema = "polymg.native-meta/1"
 (* At -O1 gcc inserts vzeroupper only with -fexpensive-optimizations;
    without it the caller runs with dirty upper AVX state after every
-   call.  CI reads this line with sed: keep it one literal. *)
+   call.  Both compiler steps take these flags verbatim ([-shared] does
+   nothing under [-c]).  CI reads this line with sed: keep it one
+   literal. *)
 let cflags = "-O1 -fexpensive-optimizations -std=c99 -ffp-contract=off -fopenmp-simd -march=native -fPIC -shared"
 
 let c_compiles = Telemetry.counter "native.compiles"
@@ -390,28 +392,6 @@ let host_fingerprint () =
     h
 
 (* ------------------------------------------------------------------ *)
-(* Entry-source emission                                                *)
-
-(* The entry hands the pipeline the caller's buffers: inputs, outputs,
-   then the kernel's arena. *)
-let entry_source (plan : Plan.t) =
-  match C_emit.runnable plan with
-  | Error e -> Error e
-  | Ok () ->
-    let nbufs =
-      Array.length plan.Plan.inputs + List.length plan.Plan.output_arrays + 1
-    in
-    let b = Buffer.create 65536 in
-    let pf fmt = Printf.bprintf b fmt in
-    Buffer.add_string b (C_emit.to_string plan);
-    pf "\n/* ---- native backend glue (emitter %s) ---- */\n\n" emitter_digest;
-    pf "int %s(double **bufs)\n{\n" entry_symbol;
-    pf "  %s(%d, %s);\n" (C_emit.pipeline_symbol plan) plan.Plan.n
-      (String.concat ", " (List.init nbufs (Printf.sprintf "bufs[%d]")));
-    pf "  return 0;\n}\n";
-    Ok (Buffer.contents b)
-
-(* ------------------------------------------------------------------ *)
 (* Disk cache                                                           *)
 
 let key ~emitter ~digest ~compiler_id ~host =
@@ -459,8 +439,28 @@ let truncate_log s =
   let s = String.trim s in
   if String.length s <= 400 then s else String.sub s 0 400 ^ "..."
 
+(* One compiler run, its stdout and stderr to [log]: [None] when it
+   exits 0, else what went wrong. *)
+let run_step compiler args ~log =
+  match spawn compiler args ~out:log ~err:(Some log) with
+  | pid ->
+    (match wait pid with
+     | Unix.WEXITED 0 -> None
+     | Unix.WEXITED rc -> Some (Printf.sprintf "exit %d" rc)
+     | Unix.WSIGNALED s | Unix.WSTOPPED s -> Some (Printf.sprintf "signal %d" s))
+  | exception Unix.Unix_error (e, _, _) ->
+    Some ("cannot run: " ^ Unix.error_message e)
+
+(* Two steps, compile then link, each writing a name that does not
+   exist until the compiler creates it: on ext4 the unlink of a file
+   that was reopened with O_TRUNC (as the one-step driver's mkstemp'd
+   .s and .o are) or whose blocks were allocated waits tens of
+   milliseconds, while a fresh file freed at once costs nothing.
+   [-pipe] keeps the assembly off the disk, and [-c -o] leaves the
+   driver no temporary object of its own.  Both names live in a private
+   directory of the cache, removed with them. *)
 let compile_so plan ~compiler ~key =
-  match entry_source plan with
+  match C_emit.entry_source plan with
   | Error e -> Error ("plan not emittable: " ^ e)
   | Ok source ->
     let dir = cache_dir () in
@@ -469,47 +469,51 @@ let compile_so plan ~compiler ~key =
     let log_path = Filename.concat dir (key ^ ".log") in
     let so_path = Filename.concat dir (key ^ ".so") in
     Snapshot.atomic_write_string ~path:src_path source;
-    let tmp_so = Filename.temp_file "polymg_native" ".so" in
-    let args = String.split_on_char ' ' cflags @ [ "-o"; tmp_so; src_path; "-lm" ] in
-    let t0 = Telemetry.now_ns () in
-    let status =
-      match
-        let log =
-          Unix.openfile log_path
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
+    let work = Filename.temp_dir ~temp_dir:dir "polymg_native" "" in
+    let obj = Filename.concat work "kernel.o" in
+    let tmp_so = Filename.concat work "kernel.so" in
+    let flags = String.split_on_char ' ' cflags in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ obj; tmp_so ];
+        try Sys.rmdir work with Sys_error _ -> ())
+      (fun () ->
+        let t0 = Telemetry.now_ns () in
+        let failed =
+          match
+            Unix.openfile log_path
+              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
+          with
+          | exception Unix.Unix_error (e, _, _) ->
+            Some ("log", Unix.error_message e)
+          | log ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close log)
+              (fun () ->
+                let step name args =
+                  Option.map (fun why -> (name, why)) (run_step compiler args ~log)
+                in
+                match step "compile" (flags @ [ "-pipe"; "-c"; "-o"; obj; src_path ]) with
+                | None -> step "link" (flags @ [ "-o"; tmp_so; obj; "-lm" ])
+                | failed -> failed)
         in
-        Fun.protect
-          ~finally:(fun () -> Unix.close log)
-          (fun () -> spawn compiler args ~out:log ~err:(Some log))
-      with
-      | pid ->
-        (match wait pid with
-         | Unix.WEXITED 0 -> None
-         | Unix.WEXITED rc -> Some (Printf.sprintf "exit %d" rc)
-         | Unix.WSIGNALED s | Unix.WSTOPPED s -> Some (Printf.sprintf "signal %d" s))
-      | exception Unix.Unix_error (e, _, _) ->
-        Some ("cannot run: " ^ Unix.error_message e)
-    in
-    let ms = (Telemetry.now_ns () - t0) / 1_000_000 in
-    Telemetry.add c_compile_ms ms;
-    match status with
-    | Some status ->
-      (try Sys.remove tmp_so with Sys_error _ -> ());
-      let log = try read_file log_path with Sys_error _ -> "" in
-      let msg =
-        Printf.sprintf "compile failed (%s, %s): %s" compiler status
-          (truncate_log log)
-      in
-      if Flightrec.on () then Flightrec.emit (Flightrec.Note ("native: " ^ msg));
-      Error msg
-    | None ->
-      let so_bytes = read_file tmp_so in
-      (try Sys.remove tmp_so with Sys_error _ -> ());
-      Snapshot.atomic_write_string ~path:so_path so_bytes;
-      Snapshot.atomic_write_string ~path:(Filename.concat dir (key ^ ".meta"))
-        (meta_line ~crc:(Snapshot.crc32 so_bytes) ~size:(String.length so_bytes));
-      Telemetry.add c_compiles 1;
-      Ok so_path
+        Telemetry.add c_compile_ms ((Telemetry.now_ns () - t0) / 1_000_000);
+        match failed with
+        | Some (step, why) ->
+          let log = try read_file log_path with Sys_error _ -> "" in
+          let msg =
+            Printf.sprintf "compile failed (%s, %s: %s): %s" compiler step why
+              (truncate_log log)
+          in
+          if Flightrec.on () then Flightrec.emit (Flightrec.Note ("native: " ^ msg));
+          Error msg
+        | None ->
+          let so_bytes = read_file tmp_so in
+          Snapshot.atomic_write_string ~path:so_path so_bytes;
+          Snapshot.atomic_write_string ~path:(Filename.concat dir (key ^ ".meta"))
+            (meta_line ~crc:(Snapshot.crc32 so_bytes) ~size:(String.length so_bytes));
+          Telemetry.add c_compiles 1;
+          Ok so_path)
 
 (* ------------------------------------------------------------------ *)
 (* Loaded kernels                                                       *)
@@ -556,7 +560,7 @@ let dlopen_kernel plan ~path =
   match ndl_open path with
   | exception Failure e -> Error ("dlopen: " ^ e)
   | handle ->
-    (match ndl_sym handle entry_symbol with
+    (match ndl_sym handle C_emit.entry_symbol with
      | exception Failure e ->
        ndl_close handle;
        Error ("dlsym: " ^ e)

@@ -1,10 +1,19 @@
 (** Native execution backend: emitted C compiled to dlopen'd kernels.
 
-    Takes a compiled plan, emits its C through the {!C_emit.runnable}
-    path plus a one-call [polymg_entry] that hands the pipeline its
-    buffers, invokes the system C compiler to build a shared object,
-    [dlopen]s it and calls the entry point directly on the grids'
-    Bigarray storage.  The kernel allocates nothing: it writes the
+    Takes a compiled plan, emits its C with a one-call [polymg_entry]
+    that hands the pipeline its buffers ({!C_emit.entry_source}),
+    invokes the system C compiler to build a shared object, [dlopen]s
+    it and calls the entry point directly on the grids' Bigarray
+    storage.  The compiler runs twice, with no shell: [<cc> ]{!cflags}
+    [ -pipe -c -o <obj> <key>.c], then [<cc> ]{!cflags}
+    [ -o <so> <obj> -lm], both writing into a private directory of the
+    cache that is removed afterwards.  Neither step leaves the compiler
+    a temporary file of its own, and neither output name exists before
+    the compiler creates it: removing a file that was truncated or
+    whose blocks were allocated can wait tens of milliseconds on the
+    file system, a third of a cold compile.  Both steps write one
+    [<key>.log]; either failing fails the load ([compile failed], naming
+    the step).  The kernel allocates nothing: it writes the
     caller's output grids in place and keeps its intermediates at
     emit-time offsets ({!C_emit.arena_bytes}) of an arena the loaded
     kernel owns.  This is the only place emitted C is compiled and
@@ -13,7 +22,7 @@
 
     Compiled kernels are cached on disk under {!cache_dir}, keyed by
     plan digest + compiler identity + host CPU fingerprint + flags +
-    the digest of the emitter's sources ({!emitter_digest}, {!key})
+    the digest of the emitter's source ({!emitter_digest}, {!key})
     ([<key>.c], [<key>.so], [<key>.meta], [<key>.log]).  The [.so] is
     installed with {!Repro_runtime.Snapshot.atomic_write_string} and
     carries a CRC-32 sidecar re-verified before every [dlopen]: a torn
@@ -84,9 +93,11 @@ val cache_dir : unit -> string
 val set_cache_dir : string option -> unit
 
 val cflags : string
-(** The compiler flags of every kernel: [-O1 -fexpensive-optimizations
-    -std=c99 -ffp-contract=off -fopenmp-simd -march=native -fPIC
-    -shared].  [-march=native] builds for the CPU that compiles, so the
+(** The compiler flags of every kernel, given verbatim to both the
+    compile and the link step: [-O1 -fexpensive-optimizations -std=c99
+    -ffp-contract=off -fopenmp-simd -march=native -fPIC -shared]
+    ([-shared] does nothing under [-c]).  [-march=native] builds for
+    the CPU that compiles, so the
     host's fingerprint is part of the cache key; [-ffp-contract=off]
     keeps every result bit for bit equal to the interpreter's at any
     vector width. *)
@@ -107,10 +118,12 @@ val host_fingerprint : unit -> string
     file cannot be read.  Read once per process; starts no process. *)
 
 val emitter_digest : string
-(** The MD5 of the sources that print a kernel's C ([c_emit.ml] and
-    [native.ml]), taken when the library is built: any change to them
-    moves every {!cache_key}, so a kernel cache never serves a kernel
-    an older emitter printed. *)
+(** The MD5 of [c_emit.ml], the source that prints all of a kernel's C
+    (entry glue included, {!C_emit.entry_source}), taken when the
+    library is built: any change to it moves every {!cache_key}, so a
+    kernel cache never serves a kernel an older emitter printed.  A
+    change to this module's loading, caching or compiling moves no key
+    ({!key} hashes {!cflags} itself). *)
 
 val key :
   emitter:string -> digest:string -> compiler_id:string -> host:string -> string

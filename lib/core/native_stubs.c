@@ -74,7 +74,7 @@ CAMLprim value polymg_native_call(value ventry, value vbufs)
   CAMLreturn(Val_int(rc));
 }
 
-/* The MD5 of the sources that print a kernel's C, taken by the build
+/* The MD5 of the source that prints a kernel's C, taken by the build
    (emitter_digest.h): part of every kernel's cache key. */
 CAMLprim value polymg_native_emitter_digest(value unit)
 {

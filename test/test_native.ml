@@ -275,6 +275,88 @@ let test_memo_failures =
             check_bool (cc ^ ": compile failed: " ^ e) true (contains e "compile failed"))
         [ "/bin/false"; "/nonexistent/cc" ])
 
+(* -- a compile leaves nothing behind ---------------------------------- *)
+
+(* [f tmp] with TMPDIR, for this process and the compilers it starts,
+   an empty private directory [tmp]. *)
+let with_private_tmpdir f =
+  let tmp =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "polymg-native-tmpdir-%d" (Unix.getpid ()))
+  in
+  rm_tree tmp;
+  Sys.mkdir tmp 0o755;
+  let env = Option.value (Sys.getenv_opt "TMPDIR") ~default:""
+  and ocaml = Filename.get_temp_dir_name () in
+  Unix.putenv "TMPDIR" tmp;
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "TMPDIR" env;
+      Filename.set_temp_dir_name ocaml;
+      rm_tree tmp)
+    (fun () -> f tmp)
+
+let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* A cold load writes the kernel's four files into the cache and, when
+   it names its compiler, the probe memo; the compiler's object and
+   shared object go to names of their own, removed with their
+   directory, and nothing reaches TMPDIR. *)
+let test_compile_leaves_nothing =
+  with_native_env ~tag:"clean" (fun ~compiler ~dir ->
+      with_private_tmpdir (fun tmp ->
+          Native.forget_probes ();
+          let plan = cycle_plan ~n:32 () in
+          ignore (load_exn plan);
+          let key = Native.cache_key plan ~compiler in
+          Alcotest.(check (list string)) "the cache holds the kernel and the memo"
+            (List.sort compare
+               ("compilers.probe" :: List.map (( ^ ) key) [ ".c"; ".so"; ".meta"; ".log" ]))
+            (listing dir);
+          Alcotest.(check (list string)) "TMPDIR is still empty" [] (listing tmp)))
+
+(* A compiler that fails in either step, after gcc has written that
+   step's output: the load fails naming the step, the log holds what
+   the step printed, and neither the object nor the shared object is
+   left anywhere. *)
+let test_compile_steps_fail_loudly =
+  with_native_env ~tag:"steps" (fun ~compiler:_ ~dir ->
+      let bin = dir ^ "-bin" in
+      Fun.protect
+        ~finally:(fun () -> rm_tree bin)
+        (fun () ->
+          with_private_tmpdir (fun tmp ->
+              let plan = cycle_plan ~n:32 () in
+              List.iter
+                (fun (step, body) ->
+                  rm_tree dir;
+                  let cc = script ~dir:bin ("cc-fails-" ^ step) body in
+                  Native.set_compiler_override (Some cc);
+                  let key = Native.cache_key plan ~compiler:cc in
+                  (match Native.load plan with
+                   | Ok _ -> Alcotest.failf "%s: loaded a kernel" cc
+                   | Error e ->
+                     check_bool (step ^ ": the load names the step: " ^ e) true
+                       (contains e "compile failed" && contains e (step ^ ": exit 3")));
+                  check_bool (step ^ ": the log holds the step's output") true
+                    (contains
+                       (read_all (Filename.concat dir (key ^ ".log")))
+                       ("fake: " ^ step ^ " refused"));
+                  Alcotest.(check (list string)) (step ^ ": the cache holds the source and log")
+                    [ key ^ ".c"; key ^ ".log" ]
+                    (List.filter (( <> ) "compilers.probe") (listing dir));
+                  Alcotest.(check (list string)) (step ^ ": TMPDIR is still empty") []
+                    (listing tmp);
+                  check_int (step ^ ": nothing compiled") 0 (Telemetry.value c_compiles))
+                [ ( "compile",
+                    "for a; do [ \"$a\" = -c ] && { gcc \"$@\"; echo 'fake: compile refused' >&2; \
+                     exit 3; }; done\nexec gcc \"$@\"\n" );
+                  ( "link",
+                    "for a; do [ \"$a\" = -c ] && exec gcc \"$@\"; done\n\
+                     gcc \"$@\"; echo 'fake: link refused' >&2; exit 3\n" ) ])))
+
 (* -- torn/corrupt .so: rejected by the CRC sidecar, recompiled --------- *)
 
 let test_torn_so_rejected =
@@ -721,6 +803,58 @@ let test_key_per_emitter () =
     (key (Digest.to_hex (Digest.string "another emitter"))
      <> key Native.emitter_digest)
 
+(* The kernel key holds a plan's digest, not its C: two plans with
+   equal digests must print the same kernel source, or a cache would
+   serve one plan the other's kernel.  Each case builds a plan twice
+   (equal digests, so equal C) and beside it plans with one input
+   moved: a coefficient or ω, and the grid size.  Where a digest still
+   matches (it ignores the input it should hash), the C must too. *)
+let sound a b =
+  Plan.digest a <> Plan.digest b || C_emit.entry_source a = C_emit.entry_source b
+
+let key_sound (a, a') ~moved =
+  Plan.digest a = Plan.digest a' && sound a a' && List.for_all (sound a) moved
+
+(* [stages] with a weight or coefficient of stage [k] (mod their number)
+   moved, where that stage has one *)
+let nudge stages k =
+  List.mapi
+    (fun i (st : Pipeline_gen.gen_stage) ->
+      if i <> k mod List.length stages then st
+      else
+        match st with
+        | G_stencil (p, w, f) ->
+          let w = Array.copy w in
+          w.(k mod 9) <- w.(k mod 9) +. 0.125;
+          G_stencil (p, w, f)
+        | G_combine (p, q, c) -> G_combine (p, q, c +. 0.125)
+        | st -> st)
+    stages
+
+let prop_key_sound_random =
+  QCheck.Test.make ~name:"kernel key: equal plan digests print equal C (random pipelines)"
+    ~count:20
+    (QCheck.pair Pipeline_gen.pipelines_arb QCheck.small_nat)
+    (fun (stages, k) ->
+      let plan ?(n = 32) stages =
+        Pipeline_gen.build_plan (Pipeline_gen.gen_pipeline_of stages)
+          ~opts:Options.opt_plus ~n
+      in
+      key_sound
+        (plan stages, plan stages)
+        ~moved:[ plan (nudge stages k); plan ~n:64 stages ])
+
+let prop_key_sound_presets =
+  QCheck.Test.make ~name:"kernel key: equal plan digests print equal C (presets)"
+    ~count:12 config_arb (fun ((cfg : Cycle.config), variant) ->
+      let plan ?(n = 16) cfg =
+        Solver.polymg_plan cfg ~n
+          ~opts:(Option.get (Options.variant_of_string variant))
+      in
+      key_sound
+        (plan cfg, plan cfg)
+        ~moved:[ plan { cfg with Cycle.omega = cfg.Cycle.omega *. 0.75 }; plan ~n:32 cfg ])
+
 (* -- the stepper contract ---------------------------------------------- *)
 
 (* A stepper reads [v] and [f] and writes only [out] (Solver.stepper):
@@ -868,7 +1002,8 @@ let () =
   Alcotest.run "native"
     [ ( "identity",
         Qc_replay.to_alcotest_list
-          [ prop_digest_stable; prop_digest_perturbed; prop_cache_key_host ]
+          [ prop_digest_stable; prop_digest_perturbed; prop_cache_key_host;
+            prop_key_sound_presets; prop_key_sound_random ]
         @ [ Alcotest.test_case "kernel key: per emitter source" `Quick
               test_key_per_emitter ] );
       ( "backend",
@@ -882,6 +1017,10 @@ let () =
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
             test_compile_failure_fallback;
+          Alcotest.test_case "a compile leaves nothing behind" `Quick
+            test_compile_leaves_nothing;
+          Alcotest.test_case "each compile step fails loudly" `Quick
+            test_compile_steps_fail_loudly;
           Alcotest.test_case "native case uses Native's compiler" `Quick
             test_native_case_compiler;
           Alcotest.test_case "native case compiles each kernel once" `Quick
